@@ -2,83 +2,71 @@
 
 Constructor invocations count as calls: a `new C(...)` statement runs
 `C.C`, so the ctor's contract takes part in composition exactly like a
-named callee.
+named callee.  Both kinds of target come from `frontend.callee_of`, and
+bodies are walked with `frontend.iter_stmts`, the single home of each.
 """
 
 from __future__ import annotations
 
-from .frontend.syntax import CallStmt, ForStmt, IfStmt, NewStmt, Program, Stmt
+from .frontend.syntax import Program, Stmt, callee_of, iter_stmts
 
 
-def callees(body: list[Stmt], class_map: dict) -> list[str]:
+def callees(body: list[Stmt]) -> list[str]:
     """Callee qnames in syntactic order, duplicates preserved."""
-    out: list[str] = []
-    for s in body:
-        if isinstance(s, CallStmt) and s.resolved:
-            out.append(s.resolved)
-        elif isinstance(s, NewStmt) and not s.class_ref.is_array:
-            cls = class_map.get(s.class_ref.name)
-            ctor = cls.ctor() if cls else None
-            if ctor is not None:
-                out.append(ctor.qname)
-        elif isinstance(s, IfStmt):
-            out.extend(callees(s.then_body, class_map))
-            out.extend(callees(s.else_body, class_map))
-        elif isinstance(s, ForStmt):
-            out.extend(callees(s.body, class_map))
-    return out
+    return [c.qname for c in map(callee_of, iter_stmts(body)) if c is not None]
 
 
 def call_edges(program: Program) -> dict[str, list[str]]:
-    class_map = program.class_map()
-    edges: dict[str, list[str]] = {}
-    for m in program.methods():
-        seen: set[str] = set()
-        ordered: list[str] = []
-        for callee in callees(m.body, class_map):
-            if callee not in seen:
-                seen.add(callee)
-                ordered.append(callee)
-        edges[m.qname] = ordered
-    return edges
+    return {m.qname: list(dict.fromkeys(callees(m.body)))
+            for m in program.methods()}
 
 
 def sccs(program: Program) -> list[list[str]]:
-    """Tarjan components, emitted callees-first (safe bottom-up order)."""
-    edges = call_edges(program)
-    order = [m.qname for m in program.methods()]
+    """Tarjan components, emitted callees-first (safe bottom-up order).
 
+    Iterative, so call chains of any length fit in the Python stack; each
+    work-list entry is a method and the iterator over its pending callees.
+    """
+    edges = call_edges(program)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
     out: list[list[str]] = []
-    counter = [0]
+    work: list = []
 
-    def strongconnect(v: str) -> None:
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def visit(v: str) -> None:
+        index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        for w in edges.get(v, ()):
-            if w not in index:
-                strongconnect(w)
-                low[v] = min(low[v], low[w])
-            elif w in on_stack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == v:
-                    break
-            out.append(sorted(comp))
+        work.append((v, iter(edges.get(v, ()))))
 
-    for v in order:
-        if v not in index:
-            strongconnect(v)
+    for root in (m.qname for m in program.methods()):
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            v, pending = work[-1]
+            for w in pending:
+                if w not in index:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(sorted(comp))
     return out
 
 

@@ -16,13 +16,10 @@ from dataclasses import dataclass, field
 from . import callgraph
 from .frontend.syntax import (
     Assign,
-    AugAssign,
     CallStmt,
     ClassDecl,
     Expr,
     FieldRef,
-    ForStmt,
-    IfStmt,
     IndexRef,
     LocalDecl,
     MethodDecl,
@@ -36,6 +33,8 @@ from .frontend.syntax import (
     Tag,
     ThisRef,
     VarRef,
+    callee_of,
+    iter_stmts,
 )
 
 ARRAY_FIELD = "[*]"
@@ -298,19 +297,11 @@ class _Builder:
                   for t, ns in summary.tagged.items()}
         return returned, outs, tagged
 
-    def callee_summary(self, qname: str) -> EscapeSummary | None:
-        return self.summaries.get(qname)
-
-    def apply_call(self, callee_q: str, this_nodes: set[PTGNode],
+    def apply_call(self, callee: MethodDecl, this_nodes: set[PTGNode],
                    pos_args: list, out_targets: dict[str, Expr],
                    target: Expr | None, add_esc, site: str) -> None:
-        summary = self.callee_summary(callee_q)
-        callee = None
-        try:
-            callee = _method_of(self.class_map, callee_q)
-        except KeyError:
-            pass
-        if summary is None or callee is None:
+        summary = self.summaries.get(callee.qname)
+        if summary is None:
             return  # empty bootstrap summary: no effect this round
         argmap: dict[str, set[PTGNode]] = {"this": this_nodes}
         for p, a in zip(callee.params, pos_args):
@@ -326,12 +317,13 @@ class _Builder:
         if self.recording:
             self.g.call_records.append(
                 CallRecord(site=site, add_esc=list(add_esc),
-                           mapped_tagged=tagged, callee=callee_q))
+                           mapped_tagged=tagged, callee=callee.qname))
 
     # -- statement interpretation ----------------------------------------------
 
     def walk(self, body: list[Stmt]) -> None:
-        for s in body:
+        # flow-insensitive: both arms of an `if` and every loop body apply
+        for s in iter_stmts(body):
             self.stmt(s)
 
     def stmt(self, s: Stmt) -> None:
@@ -340,8 +332,6 @@ class _Builder:
                 self.g.bind(s.name, self.nodes_of(s.init))
         elif isinstance(s, Assign):
             self.store(s.target, self.nodes_of(s.value))
-        elif isinstance(s, AugAssign):
-            pass  # integer counters only
         elif isinstance(s, NewStmt):
             node = inside_node(s.site)
             self.g.add_node(node)
@@ -350,24 +340,19 @@ class _Builder:
                 self.g.site_records.append(
                     SiteRecord(site=s.site, node=node,
                                dest_esc=s.dest_esc, dest_local=s.dest_local))
-            if not s.class_ref.is_array:
-                cls = self.class_map.get(s.class_ref.name)
-                ctor = cls.ctor() if cls else None
-                if ctor is not None:
-                    self.apply_call(ctor.qname, {node}, s.args, {}, None,
-                                    s.add_esc, s.site)
+            ctor = callee_of(s)
+            if ctor is not None:
+                self.apply_call(ctor, {node}, s.args, {}, None,
+                                s.add_esc, s.site)
         elif isinstance(s, CallStmt):
-            callee_q = s.resolved
-            if callee_q is None:
+            callee = callee_of(s)
+            if callee is None:
                 return
-            callee = _method_of(self.class_map, callee_q)
             this_nodes = self.nodes_of(s.receiver) if s.receiver is not None \
                 else self.g.var_set("this")
-            out_targets = {}
-            for p, a in zip(callee.params, s.args):
-                if isinstance(a, OutArg):
-                    out_targets[p.name] = a.target
-            self.apply_call(callee_q, this_nodes, s.args, out_targets,
+            out_targets = {p.name: a.target for p, a in zip(callee.params, s.args)
+                           if isinstance(a, OutArg)}
+            self.apply_call(callee, this_nodes, s.args, out_targets,
                             s.target, s.add_esc, s.site)
         elif isinstance(s, ReturnStmt):
             if s.value is not None:
@@ -376,12 +361,8 @@ class _Builder:
                 if fresh:
                     self.g.returned |= fresh
                     self.g.changed = True
-        elif isinstance(s, IfStmt):
-            self.walk(s.then_body)
-            self.walk(s.else_body)
-        elif isinstance(s, ForStmt):
-            self.walk(s.body)
-        # contract statements and annotations carry no heap effect
+        # counter updates, control flow, contract statements and annotations
+        # carry no heap effect
 
     def run(self) -> PointsToGraph:
         while True:
@@ -409,14 +390,6 @@ class _Builder:
                 if pulled:
                     tagged.setdefault(dst, set()).update(pulled)
         return tagged
-
-
-def _method_of(class_map: dict[str, ClassDecl], qname: str) -> MethodDecl:
-    cls_name, _, name = qname.partition(".")
-    for m in class_map[cls_name].methods:
-        if m.name == name:
-            return m
-    raise KeyError(qname)
 
 
 def build_ptg(method: MethodDecl, summaries: dict[str, EscapeSummary],
@@ -600,10 +573,6 @@ def analyze(program: Program) -> EscapeAnalysis:
     return EscapeAnalysis(summaries=summaries, graphs=graphs, lifetimes=lifetimes)
 
 
-def escape_summaries(program: Program) -> dict[str, EscapeSummary]:
-    return analyze(program).summaries
-
-
 def _summary_fingerprint(s: EscapeSummary):
     return (
         s.ptg.canonical()["E"],
@@ -617,21 +586,9 @@ def _summary_fingerprint(s: EscapeSummary):
 # --- DOT export ---------------------------------------------------------------
 
 def site_id_map(program: Program) -> dict[str, int]:
-    ids: dict[str, int] = {}
-
-    def scan(body):
-        for s in body:
-            if isinstance(s, NewStmt) and s.site is not None:
-                ids[s.site] = s.site_id
-            elif isinstance(s, IfStmt):
-                scan(s.then_body)
-                scan(s.else_body)
-            elif isinstance(s, ForStmt):
-                scan(s.body)
-
-    for m in program.methods():
-        scan(m.body)
-    return ids
+    return {s.site: s.site_id for m in program.methods()
+            for s in iter_stmts(m.body)
+            if isinstance(s, NewStmt) and s.site is not None}
 
 
 def to_dot(name: str, g: PointsToGraph, site_ids: dict[str, int]) -> str:

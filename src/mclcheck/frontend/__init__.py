@@ -14,7 +14,7 @@ from .syntax import (
     IterationSpaceStmt, LengthRef, LocalDecl, MaxExpr, MemReqStmt,
     MethodContract, MethodDecl, NewStmt, NullLit, OutArg, ParenExpr, Param,
     PathExpr, Pos, Program, RequiresStmt, ReturnStmt, Stmt, StrLit, Tag,
-    ThisRef, TypeRef, Unary, VarRef, program_to_json,
+    ThisRef, TypeRef, Unary, VarRef, callee_of, iter_stmts, program_to_json,
 )
 
 

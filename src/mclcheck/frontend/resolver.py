@@ -23,7 +23,7 @@ from .syntax import (
     LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodContract, MethodDecl,
     NewStmt, NullLit, NOPOS, OutArg, ParenExpr, Pos, PRIMITIVES, Program,
     RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef, TypeRef, Unary,
-    VarRef,
+    VarRef, iter_stmts,
 )
 
 _CONTRACT_STMTS = (RequiresStmt, MemReqStmt, EscStmt, BindEscStmt)
@@ -168,7 +168,7 @@ class _MethodResolver:
         self.vars[name] = t
 
     def collect_decls(self, body: list[Stmt]) -> None:
-        for s in body:
+        for s in iter_stmts(body):
             if isinstance(s, LocalDecl):
                 self.declare(s.name, s.decl_type, s.pos)
             elif isinstance(s, (NewStmt, CallStmt)) and s.decl_type is not None:
@@ -176,12 +176,8 @@ class _MethodResolver:
                     self.declare(s.target.name, s.decl_type, s.pos)
                 else:
                     self.error("bad-decl", "a declaring statement must bind a plain name", s.pos)
-            elif isinstance(s, IfStmt):
-                self.collect_decls(s.then_body)
-                self.collect_decls(s.else_body)
             elif isinstance(s, ForStmt):
                 self.declare(s.var, TypeRef("int"), s.pos, loop_var=True)
-                self.collect_decls(s.body)
 
     # -- contract extraction ---------------------------------------------------
 
@@ -452,7 +448,7 @@ class _MethodResolver:
         if s.class_ref.is_array:
             self.typeof(s.length)
         else:
-            ctor = self.top.classes[s.class_ref.name].ctor()
+            ctor = s.callee = self.top.classes[s.class_ref.name].ctor()
             want = len(ctor.params) if ctor else 0
             if len(s.args) != want:
                 self.error("ctor-arity",
@@ -486,6 +482,7 @@ class _MethodResolver:
             self.error("unknown-method", f"{cls_name} has no method {s.method}", s.pos)
             return
         s.resolved = f"{cls_name}.{s.method}"
+        s.callee = callee
         if len(s.args) != len(callee.params):
             self.error("arity", f"{s.resolved} takes {len(callee.params)} argument(s), "
                        f"got {len(s.args)}", s.pos)

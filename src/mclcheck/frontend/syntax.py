@@ -8,7 +8,9 @@ that structural identity survives reprinting and instrumentation.
 
 from __future__ import annotations
 
+import copy
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 
 from ..symexpr import IterSpace, LinConstraint, SymExpr
@@ -32,7 +34,8 @@ class TypeRef:
         return f"{self.name}[]" if self.is_array else self.name
 
     def element(self) -> TypeRef:
-        assert self.is_array
+        if not self.is_array:
+            raise ValueError(f"{self} is not an array type")
         return TypeRef(self.name)
 
     def __str__(self) -> str:
@@ -234,6 +237,7 @@ class NewStmt(Stmt):
     pos: Pos = _meta(NOPOS)
     site: str | None = _meta()      # "<qname>#<ordinal>", resolver-assigned
     site_id: int | None = _meta()   # global numeric id for graph node names
+    callee: MethodDecl | None = _meta()  # the constructor it runs; see callee_of
 
 
 @dataclass
@@ -253,6 +257,7 @@ class CallStmt(Stmt):
     pos: Pos = _meta(NOPOS)
     resolved: str | None = _meta()  # callee qname
     site: str | None = _meta()
+    callee: MethodDecl | None = _meta()  # see callee_of
 
 
 @dataclass
@@ -369,14 +374,6 @@ class MethodContract:
     def has_clauses(self) -> bool:
         return bool(self.mem_req or self.esc)
 
-    def esc_total(self, type_key: str) -> SymExpr | None:
-        from ..symexpr import SYM_ZERO, add
-        total = None
-        for (tag, key), e in self.esc.items():
-            if key == type_key:
-                total = e if total is None else add(total, e)
-        return total
-
 
 @dataclass
 class MethodDecl:
@@ -431,6 +428,39 @@ class Program:
                     if m.name == name:
                         return m
         raise KeyError(qname)
+
+    def __deepcopy__(self, memo) -> Program:
+        # Call sites link to their callees.  Seeding the memo with a shell of
+        # every method first keeps the copy's links inside the copy without
+        # recursing once per link along a call chain.
+        methods = self.methods()
+        for m in methods:
+            memo[id(m)] = copy.copy(m)
+        for m in methods:
+            vars(memo[id(m)]).update(copy.deepcopy(vars(m), memo))
+        out = copy.copy(self)
+        out.classes = copy.deepcopy(self.classes, memo)
+        return out
+
+
+# --- traversal -----------------------------------------------------------------
+
+def iter_stmts(body: list[Stmt], loops: bool = True) -> Iterator[Stmt]:
+    """Statements in syntactic pre-order, through both arms of every `if`
+    and, unless `loops` is false, into loop bodies."""
+    for s in body:
+        yield s
+        if isinstance(s, IfStmt):
+            yield from iter_stmts(s.then_body, loops)
+            yield from iter_stmts(s.else_body, loops)
+        elif loops and isinstance(s, ForStmt):
+            yield from iter_stmts(s.body, loops)
+
+
+def callee_of(stmt: Stmt) -> MethodDecl | None:
+    """The method a resolved call invokes, or the constructor a non-array
+    `new` runs; None for every other statement."""
+    return stmt.callee if isinstance(stmt, (CallStmt, NewStmt)) else None
 
 
 # --- canonical serialization -------------------------------------------------

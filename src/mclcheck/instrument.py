@@ -15,6 +15,11 @@ call, plus one maxCall/sumCall pair per loop body, declared before the
 loop and flushed into the requirement counter right after it (and before
 any return that leaves the loop).  A method whose own contract uses the
 object pseudo-class collapses every callee contribution onto it.
+
+What a call site charges is not restated here: `summary.call_entries` is
+the one statement of the call-composition rule, shared with the static
+checker.  Call targets come from `frontend.callee_of` and bodies are
+walked with `frontend.iter_stmts`.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .frontend.syntax import (
     LocalDecl,
     MaxExpr,
     MemReqStmt,
-    MethodContract,
     MethodDecl,
     NewStmt,
     ParenExpr,
@@ -53,15 +57,17 @@ from .frontend.syntax import (
     ThisRef,
     Unary,
     VarRef,
+    callee_of,
+    iter_stmts,
 )
 from .summary import (
     OBJECT_KEY,
-    collapsed_contract,
+    call_entries,
     contract_binding,
     entry_vars,
     ordered_contract_keys,
 )
-from .symexpr import Poly, SYM_ZERO, SymExpr, add, substitute
+from .symexpr import Poly, SymExpr, sym_sum
 
 _CONTRACT_PREFIX = (RequiresStmt, MemReqStmt, EscStmt, BindEscStmt)
 
@@ -107,7 +113,8 @@ def _mono_expr(mono) -> Expr:
         for _ in range(exp):
             factor = _var_expr(var)
             node = factor if node is None else Binary("*", node, factor)
-    assert node is not None
+    if node is None:
+        raise ValueError("a constant monomial has no variable to render")
     return node
 
 
@@ -173,12 +180,9 @@ class _Scope:
 
 class _Instrumenter:
     def __init__(self, method: MethodDecl, cls: ClassDecl,
-                 methods: dict[str, MethodDecl], class_map: dict[str, ClassDecl],
                  index: dict[str, CounterInfo]):
         self.m = method
         self.cls = cls
-        self.methods = methods
-        self.class_map = class_map
         self.index = index
         self.prefix = method.name
         self.entry = entry_vars(method, cls)
@@ -211,85 +215,35 @@ class _Instrumenter:
 
     # -- callee contract shaping --------------------------------------------
 
-    def _callee(self, stmt: NewStmt | CallStmt) -> MethodDecl | None:
-        if isinstance(stmt, CallStmt):
-            return self.methods.get(stmt.resolved) if stmt.resolved else None
-        if stmt.class_ref.is_array:
-            return None
-        cls = self.class_map.get(stmt.class_ref.name)
-        return cls.ctor() if cls else None
-
-    def _call_entries(self, callee: MethodDecl, receiver, args, is_ctor):
-        """(key, MR, esc-by-tag) per class, caller-mode collapsed."""
-        contract = callee.contract
-        binding, _ = contract_binding(callee, contract, receiver, args,
-                                      self.entry | self.loop_vars, is_ctor)
-        if self.object_mode:
-            mr, esc_by_tag = collapsed_contract(contract, binding)
-            return [(OBJECT_KEY, mr, esc_by_tag)]
-        entries = []
-        for key in ordered_contract_keys(contract):
-            mr = substitute(contract.mem_req.get(key, SYM_ZERO), binding)
-            esc_by_tag = {t: substitute(e, binding)
-                          for (t, k), e in contract.esc.items() if k == key}
-            entries.append((key, mr, esc_by_tag))
-        return entries
+    def _charged(self, s: Stmt) -> list[str]:
+        """Classes the call (or constructor) at `s` charges, in entry order."""
+        callee = callee_of(s)
+        if callee is None or not callee.contract.has_clauses():
+            return []
+        return [OBJECT_KEY] if self.object_mode else ordered_contract_keys(callee.contract)
 
     def _contributing(self, stmts: list[Stmt]) -> list[str]:
         """Classes charged by calls at this nesting level, loops excluded."""
-        keys: list[str] = []
-
-        def visit(body):
-            for s in body:
-                if isinstance(s, (NewStmt, CallStmt)):
-                    callee = self._callee(s)
-                    if callee is not None and callee.contract.has_clauses():
-                        if self.object_mode:
-                            found = [OBJECT_KEY]
-                        else:
-                            found = ordered_contract_keys(callee.contract)
-                        for k in found:
-                            if k not in keys:
-                                keys.append(k)
-                elif isinstance(s, IfStmt):
-                    visit(s.then_body)
-                    visit(s.else_body)
-
-        visit(stmts)
-        return keys
+        keys = [k for s in iter_stmts(stmts, loops=False) for k in self._charged(s)]
+        return list(dict.fromkeys(keys))
 
     def _count_diffs(self, stmts: list[Stmt]) -> None:
-        for s in stmts:
-            if isinstance(s, (NewStmt, CallStmt)):
-                callee = self._callee(s)
-                if callee is not None and callee.contract.has_clauses():
-                    keys = ([OBJECT_KEY] if self.object_mode
-                            else ordered_contract_keys(callee.contract))
-                    for k in keys:
-                        self.diff_total[k] = self.diff_total.get(k, 0) + 1
-            elif isinstance(s, IfStmt):
-                self._count_diffs(s.then_body)
-                self._count_diffs(s.else_body)
-            elif isinstance(s, ForStmt):
-                self._count_diffs(s.body)
+        for s in iter_stmts(stmts):
+            for k in self._charged(s):
+                self.diff_total[k] = self.diff_total.get(k, 0) + 1
 
     # -- statement rewriting --------------------------------------------------
 
     def _call_counters(self, stmt: NewStmt | CallStmt, scope: _Scope) -> list[Stmt]:
-        callee = self._callee(stmt)
-        if callee is None or not callee.contract.has_clauses():
+        if not self._charged(stmt):
             return []
-        is_ctor = isinstance(stmt, NewStmt)
-        receiver = None if is_ctor else stmt.receiver
-        site = stmt.site
+        contract = callee_of(stmt).contract
+        binding, _ = contract_binding(stmt, contract, self.entry | self.loop_vars)
         out: list[Stmt] = []
-        for key, mr, esc_by_tag in self._call_entries(
-                callee, receiver, stmt.args, is_ctor):
-            total = SYM_ZERO
-            for e in esc_by_tag.values():
-                total = add(total, e)
+        for key, mr, esc_by_tag in call_entries(contract, binding, self.object_mode):
+            total = sym_sum(esc_by_tag.values())
             max_name, sum_name = scope.pairs[key]
-            diff = self._diff(key, site)
+            diff = self._diff(key, stmt.site)
             out.append(LocalDecl(T_INT, diff, Binary(
                 "-", _operand(sym_expr_node(mr)), _operand(sym_expr_node(total)))))
             out.append(Assign(VarRef(max_name),
@@ -430,12 +384,11 @@ def instrument(program: Program) -> InstrumentedProgram:
     results (call targets, allocation sites, loop spaces), so it can be
     interpreted or pretty-printed directly.
     """
-    prog = copy.deepcopy(program)
+    prog = copy.deepcopy(program)  # call-site links follow into the copy
     index: dict[str, CounterInfo] = {}
     class_map = prog.class_map()
-    methods = {m.qname: m for m in prog.methods()}
     for m in prog.methods():
-        _Instrumenter(m, class_map[m.cls], methods, class_map, index).run()
+        _Instrumenter(m, class_map[m.cls], index).run()
     return InstrumentedProgram(prog, index)
 
 

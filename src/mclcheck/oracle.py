@@ -51,6 +51,7 @@ from .frontend import (
     TypeRef,
     Unary,
     VarRef,
+    callee_of,
     expr_to_str,
 )
 from .summary import OBJECT_KEY, entry_vars
@@ -83,6 +84,14 @@ class ArrayBounds(OracleError):
 
 class StepBudgetExceeded(OracleError):
     pass
+
+
+class InterpreterFault(Exception):
+    """The interpreter broke one of its own invariants.
+
+    A bug in the oracle, never a runtime error of the program it runs, so
+    it deliberately is not an OracleError that validation would report.
+    """
 
 
 @dataclass(frozen=True)
@@ -264,8 +273,15 @@ class Interp:
     def _obj(self, ref) -> HeapObject:
         if not isinstance(ref, Ref):
             raise NullDereference("null dereference")
-        assert ref.oid not in self.poisoned, f"read of reclaimed object {ref.oid}"
+        if ref.oid in self.poisoned:
+            raise InterpreterFault(f"read of reclaimed object {ref.oid}")
         return self.heap[ref.oid]
+
+    def _instance(self, cls_name: str, site: str) -> Ref:
+        """A fresh object of a class, fields at their defaults."""
+        fields_ = {f.name: _default(f.decl_type)
+                   for f in self.classes[cls_name].fields}
+        return self._alloc(cls_name, 1, site, fields_, None)
 
     def _alloc(self, cls_key: str, weight: int, site: str,
                fields_: dict, length: int | None) -> Ref:
@@ -313,8 +329,9 @@ class Interp:
                 if act is not None and act in self.stack:
                     for key in (obj.cls, OBJECT_KEY):
                         act.current[key] -= obj.weight
-                        assert act.current[key] >= 0, \
-                            f"negative live count for {key} in {act.instance}"
+                        if act.current[key] < 0:
+                            raise InterpreterFault(
+                                f"negative live count for {key} in {act.instance}")
             self.poisoned.add(oid)
             self.trace.append(("reclaim", oid))
 
@@ -331,8 +348,9 @@ class Interp:
         for act in self.stack:
             have = {k: v for k, v in act.current.items() if v}
             want = {k: v for k, v in expected[act.serial].items() if v}
-            assert have == want, \
-                f"live-count drift in {act.instance}: {have} != {want}"
+            if have != want:
+                raise InterpreterFault(
+                    f"live-count drift in {act.instance}: {have} != {want}")
 
     def _post_stmt(self):
         self.steps += 1
@@ -478,10 +496,8 @@ class Interp:
             elems = dict.fromkeys(range(length), _elem_default(key))
             ref = self._alloc(key, length, s.site or "", elems, length)
         else:
-            cls = self.classes[s.class_ref.name]
-            fields_ = {f.name: _default(f.decl_type) for f in cls.fields}
-            ref = self._alloc(s.class_ref.key(), 1, s.site or "", fields_, None)
-            ctor = cls.ctor()
+            ref = self._instance(s.class_ref.name, s.site or "")
+            ctor = callee_of(s)
             if ctor is not None:
                 values = [self._eval(a) for a in s.args]
                 self._invoke(ctor, ref, values, [], direct=False)
@@ -492,7 +508,7 @@ class Interp:
             self._method_exit_sweep()
 
     def _do_call(self, s: CallStmt):
-        callee = self.methods[s.resolved]
+        callee = callee_of(s)
         if s.receiver is not None:
             this = self._eval(s.receiver)
             if this is None:
@@ -631,6 +647,36 @@ def _materialize(interp: Interp, param, raw):
     raise OracleError(f"argument {param.name} must be {t.key()}")
 
 
+def _drive(program: Program, qname: str, gc: str, max_steps: int,
+           bind) -> RunResult:
+    """Run one entry method from a harness frame and measure the run.
+
+    `bind(interp, method, harness)` turns the caller's input into the
+    receiver, argument values and out-parameter slots; it runs inside the
+    harness frame, so whatever it allocates is charged there.  A
+    constructor entry then gets a fresh instance as its receiver and
+    returns it.
+    """
+    interp = Interp(program, gc=gc, max_steps=max_steps)
+    method = interp.methods.get(qname)
+    if method is None:
+        raise OracleError(f"no method named {qname}")
+    harness = interp.push_harness()
+    this, values, outs = bind(interp, method, harness)
+    if method.is_ctor:
+        this = interp._instance(method.cls, HARNESS)
+        interp._invoke(method, this, values, outs, direct=True)
+        ret = this
+    else:
+        ret = interp._invoke(method, this, values, outs, direct=True)
+    harness.locals["<result>"] = ret
+    interp._method_exit_sweep()
+    if interp.gc == "ideal":
+        interp._sweep()
+        interp._assert_accounting()
+    return interp.result(ret)
+
+
 def run(program: Program, entry: str, args=(), gc: str = "ideal",
         max_steps: int = 1_000_000) -> RunResult:
     """Run one method on concrete arguments and measure every activation.
@@ -639,35 +685,20 @@ def run(program: Program, entry: str, args=(), gc: str = "ideal",
     instance; other methods run with a null receiver, so entries that read
     receiver state need the grid harness instead.
     """
-    interp = Interp(program, gc=gc, max_steps=max_steps)
-    method = interp.methods.get(entry)
-    if method is None:
-        raise OracleError(f"no method named {entry}")
-    harness = interp.push_harness()
-    values = []
-    outs = []
-    for i, param in enumerate(method.params):
-        if param.is_out:
-            outs.append((param.name, None))
-            values.append(_default(param.decl_type))
-        else:
-            if i >= len(args):
-                raise OracleError(f"missing argument {param.name}")
-            values.append(_materialize(interp, param, args[i]))
-    if method.is_ctor:
-        cls = interp.classes[method.cls]
-        fields_ = {f.name: _default(f.decl_type) for f in cls.fields}
-        ref = interp._alloc(method.cls, 1, HARNESS, fields_, None)
-        interp._invoke(method, ref, values, outs, direct=True)
-        ret = ref
-    else:
-        ret = interp._invoke(method, None, values, outs, direct=True)
-    harness.locals["<result>"] = ret
-    interp._method_exit_sweep()
-    if interp.gc == "ideal":
-        interp._sweep()
-        interp._assert_accounting()
-    return interp.result(ret)
+    def bind(interp: Interp, method: MethodDecl, harness: Activation):
+        values = []
+        outs = []
+        for i, param in enumerate(method.params):
+            if param.is_out:
+                outs.append((param.name, None))
+                values.append(_default(param.decl_type))
+            else:
+                if i >= len(args):
+                    raise OracleError(f"missing argument {param.name}")
+                values.append(_materialize(interp, param, args[i]))
+        return None, values, outs
+
+    return _drive(program, entry, gc, max_steps, bind)
 
 
 # -- grid harness ----------------------------------------------------------
@@ -776,34 +807,20 @@ def run_point(program: Program, qname: str, point: dict, gc: str = "ideal",
     Raises RequiresViolation with direct=True when the point itself is
     outside the method's (or the receiver constructor's) precondition.
     """
-    interp = Interp(program, gc=gc, max_steps=max_steps)
-    method = interp.methods[qname]
-    cls = interp.classes[method.cls]
-    harness = interp.push_harness()
-    this = None
-    if not method.is_ctor:
-        fields_ = {f.name: _default(f.decl_type) for f in cls.fields}
-        this = interp._alloc(method.cls, 1, HARNESS, fields_, None)
-        harness.locals["<receiver>"] = this
-        ctor = cls.ctor()
-        if ctor is not None:
-            values, outs = _point_args(interp, ctor.params, "ctor.", point)
-            interp._invoke(ctor, this, values, outs, direct=True)
-            interp._method_exit_sweep()
-    values, outs = _point_args(interp, method.params, "", point)
-    if method.is_ctor:
-        fields_ = {f.name: _default(f.decl_type) for f in cls.fields}
-        this = interp._alloc(method.cls, 1, HARNESS, fields_, None)
-        interp._invoke(method, this, values, outs, direct=True)
-        ret = this
-    else:
-        ret = interp._invoke(method, this, values, outs, direct=True)
-    harness.locals["<result>"] = ret
-    interp._method_exit_sweep()
-    if interp.gc == "ideal":
-        interp._sweep()
-        interp._assert_accounting()
-    return interp.result(ret)
+    def bind(interp: Interp, method: MethodDecl, harness: Activation):
+        this = None
+        if not method.is_ctor:
+            this = interp._instance(method.cls, HARNESS)
+            harness.locals["<receiver>"] = this
+            ctor = interp.classes[method.cls].ctor()
+            if ctor is not None:
+                values, outs = _point_args(interp, ctor.params, "ctor.", point)
+                interp._invoke(ctor, this, values, outs, direct=True)
+                interp._method_exit_sweep()
+        values, outs = _point_args(interp, method.params, "", point)
+        return this, values, outs
+
+    return _drive(program, qname, gc, max_steps, bind)
 
 
 # -- grid validation -------------------------------------------------------

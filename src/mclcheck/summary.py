@@ -39,6 +39,7 @@ from .frontend.syntax import (
     ThisRef,
     Unary,
     VarRef,
+    callee_of,
 )
 from .symexpr import (
     FLAG_BAD_ARG,
@@ -60,6 +61,7 @@ from .symexpr import (
     substitute,
     sum_over,
     sym_max,
+    sym_sum,
 )
 
 OBJECT_KEY = "object"
@@ -77,10 +79,6 @@ class CyclicWithoutContract(Exception):
         super().__init__(
             f"recursive component {{{', '.join(component)}}} has members "
             f"without contracts: {', '.join(missing)}")
-
-
-class MissingCalleeContract(Exception):
-    pass
 
 
 # --------------------------------------------------------------- entry vars
@@ -142,15 +140,17 @@ def expr_poly(e: Expr, admissible: set[str]) -> Poly | None:
     return None
 
 
-def contract_binding(callee: MethodDecl, contract: MethodContract,
-                     receiver: Expr | None, args: list, admissible: set[str],
-                     is_ctor: bool) -> tuple[dict[str, Poly], set[str]]:
+def contract_binding(stmt: NewStmt | CallStmt, contract: MethodContract,
+                     admissible: set[str]) -> tuple[dict[str, Poly], set[str]]:
     """Map the callee's contract variables to caller-side polynomials.
 
     Anything that cannot be expressed over the caller's entry values maps
     to zero and raises the unanalyzable-arg flag, which downgrades every
     clause that depends on it.
     """
+    callee = callee_of(stmt)
+    is_ctor = isinstance(stmt, NewStmt)
+    receiver = None if is_ctor else stmt.receiver
     used: set[str] = set()
     for e in contract.mem_req.values():
         used |= e.variables()
@@ -158,7 +158,7 @@ def contract_binding(callee: MethodDecl, contract: MethodContract,
         used |= e.variables()
     binding: dict[str, Poly] = {}
     flags: set[str] = set()
-    pos_args = [a for a in args if not isinstance(a, OutArg)]
+    pos_args = [a for a in stmt.args if not isinstance(a, OutArg)]
     by_name = {}
     i = 0
     for p in callee.params:
@@ -210,13 +210,6 @@ class ConsumptionSummary:
     esc: dict[tuple[Tag, str], SymExpr]
     call_part: dict[str, SymExpr]  # method-level max-headroom + escapes
 
-    def esc_total(self, key: str) -> SymExpr:
-        total = SYM_ZERO
-        for (_, k), e in self.esc.items():
-            if k == key:
-                total = add(total, e)
-        return total
-
 
 class _Acc:
     """Per-scope buckets, all keyed by class (or the object pseudo-class)."""
@@ -237,6 +230,15 @@ class _Acc:
     def keys(self) -> set[str]:
         return set(self.own) | set(self.diffs) | set(self.escs)
 
+    def calls(self, key: str) -> tuple[SymExpr, SymExpr]:
+        """The calls of this scope, folded for one class: the largest
+        headroom (MR - esc) any one of them needs, and the sum of what they
+        all leave escaped."""
+        peak = SYM_ZERO
+        for d in self.diffs.get(key, []):
+            peak = sym_max(peak, d)
+        return peak, sym_sum(self.escs.get(key, []))
+
 
 def _contract_keys(contract: MethodContract) -> set[str]:
     return set(contract.mem_req) | {key for (_, key) in contract.esc}
@@ -251,24 +253,40 @@ def ordered_contract_keys(contract: MethodContract) -> list[str]:
     return keys
 
 
+def _collapse(contract: MethodContract) -> tuple[SymExpr | None, dict[Tag, SymExpr]]:
+    """A contract on the object pseudo-class: its explicit object clauses
+    when it has any, else every class summed.  No memreq gives None."""
+    explicit = OBJECT_KEY in _contract_keys(contract)
+    mem = [e for key, e in contract.mem_req.items()
+           if not explicit or key == OBJECT_KEY]
+    by_tag: dict[Tag, list[SymExpr]] = {}
+    for (t, key), e in contract.esc.items():
+        if not explicit or key == OBJECT_KEY:
+            by_tag.setdefault(t, []).append(e)
+    return (sym_sum(mem) if mem else None), {t: sym_sum(es) for t, es in by_tag.items()}
+
+
 def collapsed_contract(contract: MethodContract, binding: dict[str, Poly]):
     """Callee quantities in object mode: explicit object clauses win."""
-    if OBJECT_KEY in _contract_keys(contract):
-        mr = contract.mem_req.get(OBJECT_KEY, SYM_ZERO)
-        esc_by_tag: dict[Tag, SymExpr] = {}
-        for (t, key), e in contract.esc.items():
-            if key == OBJECT_KEY:
-                esc_by_tag[t] = add(esc_by_tag.get(t, SYM_ZERO), e)
-    else:
-        mr = SYM_ZERO
-        for e in contract.mem_req.values():
-            mr = add(mr, e)
-        esc_by_tag = {}
-        for (t, _), e in contract.esc.items():
-            esc_by_tag[t] = add(esc_by_tag.get(t, SYM_ZERO), e)
-    mr = substitute(mr, binding)
-    esc_by_tag = {t: substitute(e, binding) for t, e in esc_by_tag.items()}
-    return mr, esc_by_tag
+    mr, esc_by_tag = _collapse(contract)
+    return (substitute(SYM_ZERO if mr is None else mr, binding),
+            {t: substitute(e, binding) for t, e in esc_by_tag.items()})
+
+
+def call_entries(contract: MethodContract, binding: dict[str, Poly],
+                 object_mode: bool) -> list[tuple[str, SymExpr, dict[Tag, SymExpr]]]:
+    """The call-composition rule: what one call charges its caller.
+
+    One (class key, MR, esc-by-tag) entry per class the callee's contract
+    names, in declaration order, with the contract variables bound to the
+    caller's values; object mode collapses them into one object entry.
+    """
+    if object_mode:
+        mr, esc_by_tag = collapsed_contract(contract, binding)
+        return [(OBJECT_KEY, mr, esc_by_tag)]
+    return [(key, substitute(contract.mem_req.get(key, SYM_ZERO), binding),
+             {t: substitute(e, binding) for (t, k), e in contract.esc.items() if k == key})
+            for key in ordered_contract_keys(contract)]
 
 
 class _Summarizer:
@@ -278,7 +296,6 @@ class _Summarizer:
         self.cls = class_map[method.cls]
         self.contracts = contracts
         self.mode = mode
-        self.class_map = class_map
         self.grid = grid
         self.entry = entry_vars(method, self.cls)
         self.requires: tuple[LinConstraint, ...] = method.contract.requires
@@ -294,35 +311,15 @@ class _Summarizer:
             return SYM_ZERO.with_flags(FLAG_BAD_ARG)
         return SymExpr.of(p)
 
-    def _binding(self, callee: MethodDecl, receiver: Expr | None,
-                 args: list, loop_vars: tuple[str, ...], is_ctor: bool):
-        return contract_binding(callee, self.contracts[callee.qname], receiver,
-                                args, self.entry | set(loop_vars), is_ctor)
-
-    def _call(self, acc: _Acc, callee: MethodDecl, receiver: Expr | None,
-              args: list, add_esc, loop_vars: tuple[str, ...], is_ctor: bool) -> None:
-        contract = self.contracts[callee.qname]
+    def _call(self, acc: _Acc, s: NewStmt | CallStmt,
+              loop_vars: tuple[str, ...]) -> None:
+        contract = self.contracts[callee_of(s).qname]
         if not contract.has_clauses():
             return  # no contract means a declared-zero footprint
-        binding, bflags = self._binding(callee, receiver, args, loop_vars, is_ctor)
-
-        if self.mode == MODE_OBJECT:
-            mr, esc_by_tag = collapsed_contract(contract, binding)
-            entries = [(OBJECT_KEY, mr, esc_by_tag)]
-        else:
-            entries = []
-            for key in sorted(_contract_keys(contract)):
-                mr = substitute(contract.mem_req.get(key, SYM_ZERO), binding)
-                esc_by_tag = {
-                    t: substitute(e, binding)
-                    for (t, k), e in contract.esc.items() if k == key
-                }
-                entries.append((key, mr, esc_by_tag))
-
-        for key, mr, esc_by_tag in entries:
-            total_esc = SYM_ZERO
-            for e in esc_by_tag.values():
-                total_esc = add(total_esc, e)
+        binding, bflags = contract_binding(s, contract, self.entry | set(loop_vars))
+        for key, mr, esc_by_tag in call_entries(contract, binding,
+                                                self.mode == MODE_OBJECT):
+            total_esc = sym_sum(esc_by_tag.values())
             # mr - esc: subtract one certified lower alternative of the escape
             low = min(total_esc.alts, key=lambda p: sorted(p.terms))
             diff = SymExpr(
@@ -333,7 +330,7 @@ class _Summarizer:
             acc.diffs.setdefault(key, []).append(diff)
             acc.escs.setdefault(key, []).append(
                 total_esc.with_flags(*bflags) if bflags else total_esc)
-            for dst, src in add_esc:
+            for dst, src in s.add_esc:
                 pulled = esc_by_tag.get(src)
                 if pulled is not None:
                     acc.add_tag(dst, key,
@@ -356,18 +353,9 @@ class _Summarizer:
             acc.add_own(key, k)
             if s.dest_esc is not None:
                 acc.add_tag(s.dest_esc, key, k)
-            if not s.class_ref.is_array:
-                cls = self.class_map.get(s.class_ref.name)
-                ctor = cls.ctor() if cls else None
-                if ctor is not None:
-                    self._call(acc, ctor, None, s.args, s.add_esc, loop_vars,
-                               is_ctor=True)
-        elif isinstance(s, CallStmt):
-            if s.resolved is None:
-                return
-            callee = self._method_of(s.resolved)
-            self._call(acc, callee, s.receiver, s.args, s.add_esc, loop_vars,
-                       is_ctor=False)
+        # a call, or the constructor a `new` runs, charges its contract
+        if callee_of(s) is not None:
+            self._call(acc, s, loop_vars)
         elif isinstance(s, IfStmt):
             # flow-insensitive: both branches contribute
             for body in (s.then_body, s.else_body):
@@ -411,19 +399,11 @@ class _Summarizer:
 
         for key in body.keys():
             total = summed(body.own.get(key, SYM_ZERO))
-            diffs = body.diffs.get(key, [])
-            if diffs:
-                peak = SYM_ZERO
-                for d in diffs:
-                    peak = sym_max(peak, d)
-                if not peak.is_zero() or peak.flags:
-                    total = add(total, max_over(peak, space, context))
-            escs = body.escs.get(key, [])
-            if escs:
-                esc_sum = SYM_ZERO
-                for e in escs:
-                    esc_sum = add(esc_sum, e)
-                total = add(total, summed(esc_sum))
+            peak, escaped = body.calls(key)
+            if not peak.is_zero() or peak.flags:
+                total = add(total, max_over(peak, space, context))
+            if key in body.escs:
+                total = add(total, summed(escaped))
             if extra:
                 total = total.with_flags(*extra)
             acc.add_own(key, total)
@@ -464,13 +444,6 @@ class _Summarizer:
                 i += 1
         return True
 
-    def _method_of(self, qname: str) -> MethodDecl:
-        cls_name, _, name = qname.partition(".")
-        for m in self.class_map[cls_name].methods:
-            if m.name == name:
-                return m
-        raise MissingCalleeContract(qname)
-
     # -- top level ----------------------------------------------------------------
 
     def run(self) -> ConsumptionSummary:
@@ -479,18 +452,9 @@ class _Summarizer:
         call_part: dict[str, SymExpr] = {}
         for key in sorted(acc.keys()):
             total = acc.own.get(key, SYM_ZERO)
-            part = SYM_ZERO
-            diffs = acc.diffs.get(key, [])
-            if diffs:
-                peak = SYM_ZERO
-                for d in diffs:
-                    peak = sym_max(peak, d)
-                part = add(part, peak)
-            for e in acc.escs.get(key, []):
-                part = add(part, e)
-            if diffs or acc.escs.get(key):
-                call_part[key] = part
-                total = add(total, part)
+            if key in acc.diffs or key in acc.escs:
+                call_part[key] = add(*acc.calls(key))
+                total = add(total, call_part[key])
             if not total.is_zero() or total.flags:
                 mem_req[key] = total
         esc = {k: e for k, e in acc.esc_tags.items() if not e.is_zero() or e.flags}
@@ -498,9 +462,8 @@ class _Summarizer:
 
 
 def summarize(method: MethodDecl, contracts: dict[str, MethodContract],
-              mode: str = MODE_TYPE, class_map: dict[str, ClassDecl] | None = None,
+              mode: str, class_map: dict[str, ClassDecl],
               grid: GridConfig = GridConfig()) -> ConsumptionSummary:
-    assert class_map is not None, "resolved class map required"
     return _Summarizer(method, contracts, mode, class_map, grid).run()
 
 
@@ -550,24 +513,9 @@ def _declared_bounds(contract: MethodContract, mode: str):
     """Declared clauses, collapsed to the object pseudo-class on demand."""
     if mode != MODE_OBJECT:
         return dict(contract.mem_req), dict(contract.esc)
-    keys = _contract_keys(contract)
-    if OBJECT_KEY in keys:
-        mem = {OBJECT_KEY: contract.mem_req[OBJECT_KEY]} \
-            if OBJECT_KEY in contract.mem_req else {}
-        esc = {(t, OBJECT_KEY): e for (t, k), e in contract.esc.items()
-               if k == OBJECT_KEY}
-        return mem, esc
-    mem: dict[str, SymExpr] = {}
-    total = None
-    for e in contract.mem_req.values():
-        total = e if total is None else add(total, e)
-    if total is not None:
-        mem[OBJECT_KEY] = total
-    esc: dict[tuple[Tag, str], SymExpr] = {}
-    for (t, _), e in contract.esc.items():
-        k = (t, OBJECT_KEY)
-        esc[k] = add(esc[k], e) if k in esc else e
-    return mem, esc
+    mr, esc_by_tag = _collapse(contract)
+    return ({} if mr is None else {OBJECT_KEY: mr},
+            {(t, OBJECT_KEY): e for t, e in esc_by_tag.items()})
 
 
 def check_method(method: MethodDecl, summary: ConsumptionSummary,

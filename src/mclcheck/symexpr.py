@@ -11,7 +11,7 @@ exact rationals so that closed-form interval sums lose nothing.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -125,7 +125,8 @@ class Poly:
         return all(m == _ONE for m, _ in self.terms)
 
     def const_value(self) -> Fraction:
-        assert self.is_const()
+        if not self.is_const():
+            raise ValueError(f"{poly_to_str(self)} is not a constant")
         return self.coeff(_ONE)
 
     def coeffs_nonneg(self) -> bool:
@@ -197,7 +198,8 @@ class LinConstraint:
 
     @staticmethod
     def compare(a: Poly, rel: str, b: Poly) -> LinConstraint:
-        assert rel in LinConstraint.RELS
+        if rel not in LinConstraint.RELS:
+            raise ValueError(f"unknown relation {rel!r}")
         return LinConstraint(a - b, rel)
 
     def holds(self, env: dict[str, int | Fraction]) -> bool:
@@ -284,6 +286,14 @@ def add(a: SymExpr, b: SymExpr, degree_cap: int = DEFAULT_DEGREE_CAP) -> SymExpr
     alts = tuple(p + q for p in a.alts for q in b.alts)
     _check_degree(alts, degree_cap)
     return SymExpr(_prune(alts), flags, guards)
+
+
+def sym_sum(exprs) -> SymExpr:
+    """Sum of any number of expressions, zero for none."""
+    total = SYM_ZERO
+    for e in exprs:
+        total = add(total, e)
+    return total
 
 
 def sym_max(a: SymExpr, b: SymExpr) -> SymExpr:

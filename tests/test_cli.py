@@ -315,3 +315,24 @@ def test_validate_precondition_aborts_reported():
     assert code == 1
     assert "REQUIRES ABORT" in out
     assert "Feeder.need" in out
+
+
+# ------------------------------------------------------------ deep call chains
+
+
+def test_long_call_chain_needs_no_deep_python_stack(tmp_path):
+    # m0 calls m1 calls ... m1199: deeper than the interpreter's recursion
+    # limit, so any per-call recursion in the analyses would raise
+    n = 1200
+    body = "\n".join(f"  void m{i}() {{ {f'm{i + 1}();' if i + 1 < n else ''} }}"
+                     for i in range(n))
+    path = tmp_path / "chain.mcl"
+    path.write_text(f"class C {{\n{body}\n}}\n")
+    for command in ("check", "ptg"):
+        code, out, err = cli(command, str(path))
+        assert code == 0, (command, err)
+        assert err == ""
+        assert "Traceback" not in out
+    code, out, _ = cli("ptg", "--format", "json", str(path))
+    assert code == 0
+    assert len(json.loads(out)) == n

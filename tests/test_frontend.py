@@ -12,6 +12,8 @@ from mclcheck.frontend import (
     ParseFailure,
     ResolveFailure,
     Tag,
+    callee_of,
+    iter_stmts,
     load,
     parse,
     pretty,
@@ -344,3 +346,52 @@ def test_annotations_print_before_their_statement():
     lines = [ln.strip() for ln in text.splitlines()]
     i = lines.index("dest_esc(Sibling);")
     assert lines[i + 1].startswith("brother = new Person(")
+
+
+# ---------------------------------------------------------------- traversal
+
+
+WALK = """
+class A {
+    A() { }
+    void f() { }
+    void m(int n) {
+        A a = new A();
+        if (n > 0) {
+            f();
+        } else {
+            for (i = 1 .. n) {
+                A b = new A();
+            }
+        }
+        A[] arr = new A[n];
+        a.f();
+    }
+}
+"""
+
+
+def test_iter_stmts_is_preorder_through_both_arms_and_loops():
+    m = load(WALK, "walk").method("A.m")
+    kinds = [type(s).__name__ for s in iter_stmts(m.body)]
+    assert kinds == ["NewStmt", "IfStmt", "CallStmt", "ForStmt", "NewStmt",
+                     "NewStmt", "CallStmt"]
+    shallow = [type(s).__name__ for s in iter_stmts(m.body, loops=False)]
+    assert shallow == ["NewStmt", "IfStmt", "CallStmt", "ForStmt", "NewStmt",
+                       "CallStmt"]
+
+
+def test_callee_of_names_calls_and_constructors_only():
+    prog = load(WALK, "walk")
+    ctor = prog.class_map()["A"].ctor()
+    f = prog.method("A.f")
+    got = [callee_of(s) for s in iter_stmts(prog.method("A.m").body)]
+    assert got == [ctor, None, f, None, ctor, None, f]
+    assert all(c is None or c is ctor or c is f for c in got)
+
+
+def test_callee_of_is_none_for_a_class_without_constructor():
+    prog = load("class B { } class A { void m() { B b = new B(); } }", "noctor")
+    new = prog.method("A.m").body[0]
+    assert isinstance(new, NewStmt)
+    assert callee_of(new) is None

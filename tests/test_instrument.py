@@ -13,7 +13,9 @@ from mclcheck.frontend import (
     IterationSpaceStmt,
     LocalDecl,
     ReturnStmt,
+    callee_of,
     expr_to_str,
+    iter_stmts,
     load,
     pretty,
     program_to_json,
@@ -446,3 +448,25 @@ def test_every_declared_clause_gets_an_ensure(name):
         declared = len(m.contract.mem_req) + len(m.contract.esc)
         ensures = [s for s in m.body if isinstance(s, EnsureStmt)]
         assert len(ensures) == declared
+
+
+def test_instrumented_call_sites_link_into_the_copy():
+    prog = load_corpus("callpair")
+    inst = instrument(prog)
+    copied = {id(m) for m in inst.program.methods()}
+    linked = [callee_of(s) for m in inst.program.methods()
+              for s in iter_stmts(m.body) if callee_of(s) is not None]
+    assert linked
+    assert all(id(c) in copied for c in linked)
+    # the instrumented callee carries the instrumented body
+    assert any(isinstance(s, EnsureStmt) for c in linked for s in c.body)
+
+
+def test_instrument_copies_a_long_call_chain():
+    n = 1200
+    body = "\n".join(f"void m{i}() {{ {f'm{i + 1}();' if i + 1 < n else ''} }}"
+                     for i in range(n))
+    prog = load(f"class C {{ {body} }}", "chain")
+    inst = instrument(prog)
+    first = inst.program.method("C.m0")
+    assert callee_of(first.body[0]) is inst.program.method("C.m1")

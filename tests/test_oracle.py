@@ -12,6 +12,7 @@ from mclcheck.instrument import instrument
 from mclcheck.oracle import (
     ArrayBounds,
     Interp,
+    InterpreterFault,
     NullDereference,
     OracleError,
     RequiresViolation,
@@ -530,3 +531,27 @@ def test_family_scales_with_both_knobs(n, size):
     obs = r.observation("Family.CreateFamily")
     assert obs.peak.get("Person", 0) == n
     assert obs.esc.get("Return", {}).get("Person", 0) == n
+
+
+# ------------------------------------------------------------ internal faults
+
+
+def test_reading_a_reclaimed_object_is_an_interpreter_fault():
+    # a fault of the interpreter itself must not pass for a runtime error
+    # of the program, which validate() would file as a finding
+    assert not issubclass(InterpreterFault, OracleError)
+    interp = Interp(load_corpus("callpair"))
+    interp.push_harness()
+    ref = interp._alloc("A", 1, "test", {}, None)
+    interp._sweep()
+    with pytest.raises(InterpreterFault, match="reclaimed"):
+        interp._obj(ref)
+
+
+def test_live_count_drift_is_an_interpreter_fault():
+    interp = Interp(load_corpus("callpair"))
+    act = interp.push_harness()
+    interp._alloc("A", 1, "test", {}, None)
+    act.current["A"] += 1
+    with pytest.raises(InterpreterFault, match="drift"):
+        interp._assert_accounting()
