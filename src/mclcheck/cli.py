@@ -10,9 +10,11 @@ import sys
 from . import escape
 from .frontend import FrontendFailure, load, pretty
 from .instrument import instrument
-from .oracle import OracleError, RequiresViolation, run, validate
+from .oracle import (ArgumentError, OracleError, RequiresViolation,
+                     StackExhausted, StepBudgetExceeded, run, validate)
 from .summary import (CyclicWithoutContract, GridConfig, GridTooLarge,
                       check_program)
+from .symexpr import DegreeOverflow
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -137,7 +139,7 @@ def _cmd_check(ns, out) -> int:
         prog = _load_file(path)
         try:
             report = check_program(prog, ns.mode, grid)
-        except CyclicWithoutContract as exc:
+        except (CyclicWithoutContract, DegreeOverflow) as exc:
             raise AnalysisStop(f"{path}: {exc}")
         results.append((path, report))
 
@@ -206,6 +208,11 @@ def _cmd_run(ns, out) -> int:
 
     try:
         result = run(prog, ns.entry, args, gc=ns.gc)
+    except ArgumentError as exc:
+        raise UsageError(str(exc))
+    except (StepBudgetExceeded, StackExhausted) as exc:
+        # the run was cut short, which says nothing about the program
+        raise AnalysisStop(f"{ns.file}: {type(exc).__name__}: {exc}")
     except RequiresViolation as exc:
         if exc.direct:
             # the invocation itself sits outside the contract

@@ -14,7 +14,8 @@ from .syntax import (
     IterationSpaceStmt, LengthRef, LocalDecl, MaxExpr, MemReqStmt,
     MethodContract, MethodDecl, NewStmt, NullLit, OutArg, ParenExpr, Param,
     PathExpr, Pos, Program, RequiresStmt, ReturnStmt, Stmt, StrLit, Tag,
-    ThisRef, TypeRef, Unary, VarRef, callee_of, iter_stmts, program_to_json,
+    ThisRef, TypeRef, Unary, VarRef, callee_of, entry_vars, expr_poly,
+    iter_stmts, program_to_json, var_expr,
 )
 
 

@@ -552,4 +552,8 @@ def parse(source: str, file: str = "<mcl>") -> Program:
 
     Raises ParseFailure carrying diagnostics on the first syntax error.
     """
-    return _Parser(tokenize(source, file), file).program()
+    parser = _Parser(tokenize(source, file), file)
+    try:
+        return parser.program()
+    except RecursionError:
+        parser.fail("nesting is too deep to parse")

@@ -10,8 +10,6 @@ cases.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..symexpr import (
     IterSpace, LinConstraint, Poly, SymExpr, add, sym_max,
 )
@@ -23,7 +21,7 @@ from .syntax import (
     LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodContract, MethodDecl,
     NewStmt, NullLit, NOPOS, OutArg, ParenExpr, Pos, PRIMITIVES, Program,
     RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef, TypeRef, Unary,
-    VarRef, iter_stmts,
+    VarRef, entry_vars, expr_poly, iter_stmts,
 )
 
 _CONTRACT_STMTS = (RequiresStmt, MemReqStmt, EscStmt, BindEscStmt)
@@ -122,6 +120,7 @@ class _MethodResolver:
         self.contract = MethodContract()
         self.new_ordinal = 0
         self.call_ordinal = 0
+        self.entry = entry_vars(method, cls)
 
     def error(self, code: str, msg: str, pos: Pos = NOPOS) -> None:
         self.top.error(code, f"{self.m.qname}: {msg}", pos)
@@ -181,76 +180,9 @@ class _MethodResolver:
 
     # -- contract extraction ---------------------------------------------------
 
-    def contract_vars(self) -> set[str]:
-        """Names a contract expression may mention, all fixed at entry."""
-        names: set[str] = set()
-        for p in self.m.params:
-            if p.is_out:
-                continue
-            if p.decl_type.key() == "int":
-                names.add(p.name)
-            elif p.decl_type.is_array:
-                names.add(f"{p.name}.length")
-        for f in self.cls.fields:
-            if f.decl_type.key() == "int":
-                names.add(f"this.{f.name}")
-            elif f.decl_type.is_array:
-                names.add(f"this.{f.name}.length")
-        return names
-
     def poly_of(self, e: Expr, extra: set[str], what: str) -> Poly | None:
-        admissible = self.contract_vars() | extra
-
-        def rec(e: Expr) -> Poly | None:
-            if isinstance(e, ParenExpr):
-                return rec(e.inner)
-            if isinstance(e, IntLit):
-                return Poly.const(e.value)
-            if isinstance(e, VarRef):
-                if e.name in admissible:
-                    return Poly.var(e.name)
-                self.error("bad-contract-expr",
-                           f"{what} may not mention {e.name}; only entry-constant "
-                           "integers are allowed", e.pos)
-                return None
-            if isinstance(e, FieldRef) and isinstance(e.base, ThisRef):
-                name = f"this.{e.field}"
-                if name in admissible:
-                    return Poly.var(name)
-                self.error("bad-contract-expr", f"{what} may not mention {name}", e.pos)
-                return None
-            if isinstance(e, LengthRef):
-                name = None
-                if isinstance(e.base, VarRef):
-                    name = f"{e.base.name}.length"
-                elif isinstance(e.base, FieldRef) and isinstance(e.base.base, ThisRef):
-                    name = f"this.{e.base.field}.length"
-                if name in admissible:
-                    return Poly.var(name)
-                self.error("bad-contract-expr", f"{what} may not take this length", e.pos)
-                return None
-            if isinstance(e, Unary) and e.op == "-":
-                p = rec(e.operand)
-                return None if p is None else -p
-            if isinstance(e, Binary) and e.op in ("+", "-", "*", "/"):
-                a, b = rec(e.left), rec(e.right)
-                if a is None or b is None:
-                    return None
-                if e.op == "+":
-                    return a + b
-                if e.op == "-":
-                    return a - b
-                if e.op == "*":
-                    return a * b
-                if not b.is_const() or b.const_value() == 0:
-                    self.error("bad-divisor", f"{what} may only divide by a nonzero constant",
-                               e.pos)
-                    return None
-                return a.scale(Fraction(1, b.const_value()))
-            self.error("bad-contract-expr", f"{what} must be a polynomial expression", getattr(e, "pos", NOPOS))
-            return None
-
-        return rec(e)
+        return expr_poly(e, self.entry | extra,
+                         report=lambda code, msg, pos: self.error(code, f"{what} {msg}", pos))
 
     def symexpr_of(self, e: Expr, what: str) -> SymExpr | None:
         if isinstance(e, ParenExpr):
@@ -525,20 +457,14 @@ class _MethodResolver:
                 self.error("bad-contract-expr",
                            f"iteration_space must constrain {s.var}", s.pos)
         else:
-            outer = set(loops)
-            lo = self.quiet_poly(s.lo, outer)
-            hi = self.quiet_poly(s.hi, outer)
+            # a header that is not entry-constant is allowed; it just gives
+            # the loop no space
+            admissible = self.entry | set(loops)
+            lo = expr_poly(s.lo, admissible)
+            hi = expr_poly(s.hi, admissible)
             if lo is not None and hi is not None:
                 s.resolved_space = IterSpace.interval_space(s.var, lo, hi)
         self.resolve_block(s.body, inner)
-
-    def quiet_poly(self, e: Expr, extra: set[str]) -> Poly | None:
-        """poly_of without diagnostics, for loop headers that may be dynamic."""
-        saved = len(self.top.diags)
-        p = self.poly_of(e, extra, "loop bound")
-        if p is None:
-            del self.top.diags[saved:]
-        return p
 
     # -- expressions ---------------------------------------------------------
 

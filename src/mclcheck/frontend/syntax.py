@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import copy
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
+from fractions import Fraction
 
-from ..symexpr import IterSpace, LinConstraint, SymExpr
+from ..symexpr import IterSpace, LinConstraint, Poly, SymExpr
 
 
 @dataclass(frozen=True)
@@ -461,6 +462,110 @@ def callee_of(stmt: Stmt) -> MethodDecl | None:
     """The method a resolved call invokes, or the constructor a non-array
     `new` runs; None for every other statement."""
     return stmt.callee if isinstance(stmt, (CallStmt, NewStmt)) else None
+
+
+# --- contract variables -------------------------------------------------------
+#
+# A contract is a polynomial over integers fixed when its method is entered.
+# Each such contract variable is named by the source text that reads it:
+#
+#     n               an int in-parameter
+#     a.length        the length of an array in-parameter a
+#     this.f          an int field of the receiver
+#     this.f.length   the length of an array field f of the receiver
+#
+# Out-parameters are never contract variables.  Callers that read a loop
+# header or an iteration space add the enclosing loop variables, which are
+# plain names, to the admissible set.
+
+def entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
+    """The contract variables of a method of `cls`."""
+    names: set[str] = set()
+    for p in method.params:
+        if p.is_out:
+            continue
+        if p.decl_type.key() == "int":
+            names.add(p.name)
+        elif p.decl_type.is_array:
+            names.add(f"{p.name}.length")
+    for f in cls.fields:
+        if f.decl_type.key() == "int":
+            names.add(f"this.{f.name}")
+        elif f.decl_type.is_array:
+            names.add(f"this.{f.name}.length")
+    return names
+
+
+def expr_poly(e: Expr, admissible: set[str],
+              report: Callable[[str, str, Pos], None] | None = None) -> Poly | None:
+    """Read an integer expression as a polynomial over `admissible` names.
+
+    Gives None when some part cannot be read that way.  Each such part is
+    also passed to `report(code, message, pos)` when one is given; both
+    operands of a binary operator are read first, so every bad name is
+    reported before the operator itself is judged.
+    """
+    def fail(code: str, message: str, pos: Pos) -> None:
+        if report is not None:
+            report(code, message, pos)
+        return None
+
+    def read(e: Expr) -> Poly | None:
+        if isinstance(e, ParenExpr):
+            return read(e.inner)
+        if isinstance(e, IntLit):
+            return Poly.const(e.value)
+        if isinstance(e, VarRef):
+            if e.name in admissible:
+                return Poly.var(e.name)
+            return fail("bad-contract-expr", f"may not mention {e.name}; only "
+                        "entry-constant integers are allowed", e.pos)
+        if isinstance(e, FieldRef) and isinstance(e.base, ThisRef):
+            name = f"this.{e.field}"
+            if name in admissible:
+                return Poly.var(name)
+            return fail("bad-contract-expr", f"may not mention {name}", e.pos)
+        if isinstance(e, LengthRef):
+            name = None
+            if isinstance(e.base, VarRef):
+                name = f"{e.base.name}.length"
+            elif isinstance(e.base, FieldRef) and isinstance(e.base.base, ThisRef):
+                name = f"this.{e.base.field}.length"
+            if name in admissible:
+                return Poly.var(name)
+            return fail("bad-contract-expr", "may not take this length", e.pos)
+        if isinstance(e, Unary) and e.op == "-":
+            p = read(e.operand)
+            return None if p is None else -p
+        if isinstance(e, Binary) and e.op in ("+", "-", "*", "/"):
+            a, b = read(e.left), read(e.right)
+            if a is None or b is None:
+                return None
+            if e.op == "+":
+                return a + b
+            if e.op == "-":
+                return a - b
+            if e.op == "*":
+                return a * b
+            if not b.is_const() or b.const_value() == 0:
+                return fail("bad-divisor", "may only divide by a nonzero constant", e.pos)
+            return a.scale(Fraction(1, b.const_value()))
+        return fail("bad-contract-expr", "must be a polynomial expression",
+                    getattr(e, "pos", NOPOS))
+
+    return read(e)
+
+
+def var_expr(name: str) -> Expr:
+    """The expression that reads a contract variable; expr_poly's inverse."""
+    if name.startswith("this."):
+        rest = name[len("this."):]
+        if rest.endswith(".length"):
+            return LengthRef(FieldRef(ThisRef(), rest[: -len(".length")]))
+        return FieldRef(ThisRef(), rest)
+    if name.endswith(".length"):
+        return LengthRef(VarRef(name[: -len(".length")]))
+    return VarRef(name)
 
 
 # --- canonical serialization -------------------------------------------------

@@ -19,7 +19,9 @@ object pseudo-class collapses every callee contribution onto it.
 What a call site charges is not restated here: `summary.call_entries` is
 the one statement of the call-composition rule, shared with the static
 checker.  Call targets come from `frontend.callee_of` and bodies are
-walked with `frontend.iter_stmts`.
+walked with `frontend.iter_stmts`.  A polynomial is written back as MCL
+through `frontend.var_expr`, the inverse of the contract-variable reading
+described in `frontend.syntax`.
 """
 
 from __future__ import annotations
@@ -37,11 +39,9 @@ from .frontend.syntax import (
     EnsureStmt,
     EscStmt,
     Expr,
-    FieldRef,
     ForStmt,
     IfStmt,
     IntLit,
-    LengthRef,
     LocalDecl,
     MaxExpr,
     MemReqStmt,
@@ -54,17 +54,17 @@ from .frontend.syntax import (
     Stmt,
     T_INT,
     Tag,
-    ThisRef,
     Unary,
     VarRef,
     callee_of,
+    entry_vars,
     iter_stmts,
+    var_expr,
 )
 from .summary import (
     OBJECT_KEY,
     call_entries,
     contract_binding,
-    entry_vars,
     ordered_contract_keys,
 )
 from .symexpr import Poly, SymExpr, sym_sum
@@ -96,22 +96,11 @@ class InstrumentedProgram:
 # ------------------------------------------------ polynomials back to syntax
 
 
-def _var_expr(name: str) -> Expr:
-    if name.startswith("this."):
-        rest = name[len("this."):]
-        if rest.endswith(".length"):
-            return LengthRef(FieldRef(ThisRef(), rest[: -len(".length")]))
-        return FieldRef(ThisRef(), rest)
-    if name.endswith(".length"):
-        return LengthRef(VarRef(name[: -len(".length")]))
-    return VarRef(name)
-
-
 def _mono_expr(mono) -> Expr:
     node: Expr | None = None
     for var, exp in mono:
         for _ in range(exp):
-            factor = _var_expr(var)
+            factor = var_expr(var)
             node = factor if node is None else Binary("*", node, factor)
     if node is None:
         raise ValueError("a constant monomial has no variable to render")

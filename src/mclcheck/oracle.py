@@ -10,6 +10,11 @@ collected after every statement, the smallest peaks any collector could
 achieve.  A coarser mode sweeps only when a call returns, and a third mode
 never reclaims; peaks from the default mode can only be lower.
 
+Each activation records the values of its contract variables at entry (the
+names are described in `frontend.syntax`), evaluated through
+`frontend.var_expr`.  `run` and the grid harness bind entry arguments
+through one binder, by in-parameter name.
+
 Arrays account with their length; strings and integers are values and never
 touch the heap.  Live counts are double-checked on every step by recomputing
 them from the heap itself, and reclaimed object ids are poisoned so that any
@@ -52,9 +57,11 @@ from .frontend import (
     Unary,
     VarRef,
     callee_of,
+    entry_vars,
     expr_to_str,
+    var_expr,
 )
-from .summary import OBJECT_KEY, entry_vars
+from .summary import OBJECT_KEY
 from .symexpr import GridTooLarge, SymExpr
 
 GC_MODES = ("ideal", "method-exit", "none")
@@ -84,6 +91,14 @@ class ArrayBounds(OracleError):
 
 class StepBudgetExceeded(OracleError):
     pass
+
+
+class StackExhausted(OracleError):
+    """Calls nested deeper than the interpreter's own Python stack allows."""
+
+
+class ArgumentError(OracleError):
+    """Entry arguments that do not fit the method's in-parameters."""
 
 
 class InterpreterFault(Exception):
@@ -175,14 +190,12 @@ class RunResult:
         return [o for o in self.observations if o.method == qname]
 
 
+_PLAIN = {"int": int, "bool": bool, "string": str}
+
+
 def _default(t: TypeRef):
-    if t.is_array:
-        return None
-    return {"int": 0, "bool": False, "string": ""}.get(t.name)
-
-
-def _elem_default(cls_key: str):
-    return _default(TypeRef(cls_key[:-2]))
+    plain = None if t.is_array else _PLAIN.get(t.name)
+    return None if plain is None else plain()  # 0, False or ""
 
 
 class _Return(Exception):
@@ -238,22 +251,15 @@ class Interp:
         return act
 
     def _snapshot_entry(self, act: Activation) -> dict[str, int]:
+        """The contract variables' values; act must be the top frame.  A
+        variable behind a null receiver or a null array has none, and so
+        does one that an ill-typed argument left without an integer."""
         env: dict[str, int] = {}
-        cls = self.classes[act.method.cls]
-        for name in entry_vars(act.method, cls):
-            base, _, rest = name.partition(".")
-            if base == "this":
-                if act.this is None:
-                    continue
-                fname = rest.removesuffix(".length")
-                val = self._obj(act.this).fields.get(fname)
-                if rest.endswith(".length"):
-                    val = self._obj(val).length if isinstance(val, Ref) else None
-            elif name.endswith(".length"):
-                arr = act.locals.get(base)
-                val = self._obj(arr).length if isinstance(arr, Ref) else None
-            else:
-                val = act.locals.get(name)
+        for name in entry_vars(act.method, self.classes[act.method.cls]):
+            try:
+                val = self._eval(var_expr(name))
+            except NullDereference:
+                continue
             if isinstance(val, int) and not isinstance(val, bool):
                 env[name] = val
         return env
@@ -325,8 +331,8 @@ class Interp:
         for oid in dead:
             obj = self.heap.pop(oid)
             for serial in obj.counted_by:
-                act = self.active.get(serial)
-                if act is not None and act in self.stack:
+                act = self.active.get(serial)  # exactly the frames on the stack
+                if act is not None:
                     for key in (obj.cls, OBJECT_KEY):
                         act.current[key] -= obj.weight
                         if act.current[key] < 0:
@@ -492,9 +498,8 @@ class Interp:
             length = self._eval(s.length)
             if length < 0:
                 raise ArrayBounds(f"negative array length {length}")
-            key = s.class_ref.key()
-            elems = dict.fromkeys(range(length), _elem_default(key))
-            ref = self._alloc(key, length, s.site or "", elems, length)
+            elems = dict.fromkeys(range(length))  # class elements start null
+            ref = self._alloc(s.class_ref.key(), length, s.site or "", elems, length)
         else:
             ref = self._instance(s.class_ref.name, s.site or "")
             ctor = callee_of(s)
@@ -624,27 +629,39 @@ def _trunc_div(a: int, b: int) -> int:
 # -- single entry run ----------------------------------------------------
 
 
-def _materialize(interp: Interp, param, raw):
-    """Turn a plain Python argument into a runtime value, allocating arrays
-    on behalf of the harness frame."""
-    t = param.decl_type
-    if raw is None:
-        return None
-    if t.is_array:
-        if not isinstance(raw, list):
-            raise OracleError(f"argument {param.name} must be an array")
-        elems = dict(enumerate(raw))
-        for i in range(len(raw)):
-            if elems[i] is None:
-                elems[i] = _elem_default(t.key())
+def _value(interp: Interp, name: str, t: TypeRef, raw):
+    """A plain Python value as a runtime value of type t.  A list becomes an
+    array allocated on behalf of the harness frame, its null elements the
+    element type's default; a reference type also takes null."""
+    if t.is_array and isinstance(raw, list):
+        elem = t.element()
+        elems = {i: _default(elem) if x is None
+                 else _value(interp, f"{name}[{i}]", elem, x)
+                 for i, x in enumerate(raw)}
         return interp._alloc(t.key(), len(raw), HARNESS, elems, len(raw))
-    if t.name == "int" and isinstance(raw, int) and not isinstance(raw, bool):
+    if t.is_array or t.name not in _PLAIN:
+        if raw is None:
+            return None
+    elif type(raw) is _PLAIN[t.name]:
         return raw
-    if t.name == "bool" and isinstance(raw, bool):
-        return raw
-    if t.name == "string" and isinstance(raw, str):
-        return raw
-    raise OracleError(f"argument {param.name} must be {t.key()}")
+    raise ArgumentError(f"argument {name} must be {t.key()}")
+
+
+def _bind_args(interp: Interp, params, given: dict) -> tuple[list, list]:
+    """Argument values and out-parameter slots for a parameter list.
+
+    `given` holds a plain value for every in-parameter by name; arrays are
+    allocated in parameter order.  Out-parameters start at their default.
+    """
+    values = []
+    outs = []
+    for p in params:
+        if p.is_out:
+            outs.append((p.name, None))
+            values.append(_default(p.decl_type))
+        else:
+            values.append(_value(interp, p.name, p.decl_type, given[p.name]))
+    return values, outs
 
 
 def _drive(program: Program, qname: str, gc: str, max_steps: int,
@@ -662,13 +679,18 @@ def _drive(program: Program, qname: str, gc: str, max_steps: int,
     if method is None:
         raise OracleError(f"no method named {qname}")
     harness = interp.push_harness()
-    this, values, outs = bind(interp, method, harness)
-    if method.is_ctor:
-        this = interp._instance(method.cls, HARNESS)
-        interp._invoke(method, this, values, outs, direct=True)
-        ret = this
-    else:
-        ret = interp._invoke(method, this, values, outs, direct=True)
+    try:
+        this, values, outs = bind(interp, method, harness)
+        if method.is_ctor:
+            this = interp._instance(method.cls, HARNESS)
+            interp._invoke(method, this, values, outs, direct=True)
+            ret = this
+        else:
+            ret = interp._invoke(method, this, values, outs, direct=True)
+    except RecursionError:
+        # each MCL call takes several Python frames
+        raise StackExhausted("calls nest deeper than the interpreter's"
+                             " Python stack allows") from None
     harness.locals["<result>"] = ret
     interp._method_exit_sweep()
     if interp.gc == "ideal":
@@ -686,16 +708,12 @@ def run(program: Program, entry: str, args=(), gc: str = "ideal",
     receiver state need the grid harness instead.
     """
     def bind(interp: Interp, method: MethodDecl, harness: Activation):
-        values = []
-        outs = []
-        for i, param in enumerate(method.params):
-            if param.is_out:
-                outs.append((param.name, None))
-                values.append(_default(param.decl_type))
-            else:
-                if i >= len(args):
-                    raise OracleError(f"missing argument {param.name}")
-                values.append(_materialize(interp, param, args[i]))
+        names = [p.name for p in method.params if not p.is_out]
+        if len(args) != len(names):
+            raise ArgumentError(
+                f"{entry} takes {len(names)} argument(s), one per"
+                f" in-parameter ({', '.join(names) or 'none'}); got {len(args)}")
+        values, outs = _bind_args(interp, method.params, dict(zip(names, args)))
         return None, values, outs
 
     return _drive(program, entry, gc, max_steps, bind)
@@ -772,32 +790,23 @@ def harness_plan(program: Program, qname: str, lo: int = 0,
     return HarnessPlan(qname, receiver, knobs)
 
 
-def _array_contents(key: str, length: int) -> list:
-    if key == "string[]":
-        return [f"s{i}" for i in range(length)]
-    if key == "int[]":
-        return [0] * length
-    return [None] * length  # class elements start null
-
-
-def _point_args(interp: Interp, params, prefix: str, point: dict):
-    values = []
-    outs = []
+def _point_values(params, prefix: str, point: dict) -> dict:
+    """The in-parameter values a grid point stands for: knobs as they are,
+    arrays of the knob's length, and a fixed text for each string."""
+    given = {}
     for p in params:
         if p.is_out:
-            outs.append((p.name, None))
-            values.append(_default(p.decl_type))
             continue
         t = p.decl_type
         if t.is_array:
-            length = point[f"{prefix}{p.name}.length"]
-            elems = dict(enumerate(_array_contents(t.key(), length)))
-            values.append(interp._alloc(t.key(), length, HARNESS, elems, length))
-        elif t.name in ("int", "bool"):
-            values.append(point[f"{prefix}{p.name}"])
+            n = point[f"{prefix}{p.name}.length"]
+            given[p.name] = [f"s{i}" for i in range(n)] if t.name == "string" \
+                else [None] * n  # every other element starts at its default
+        elif t.name == "string":
+            given[p.name] = "x"
         else:
-            values.append("x")
-    return values, outs
+            given[p.name] = point[f"{prefix}{p.name}"]
+    return given
 
 
 def run_point(program: Program, qname: str, point: dict, gc: str = "ideal",
@@ -814,10 +823,12 @@ def run_point(program: Program, qname: str, point: dict, gc: str = "ideal",
             harness.locals["<receiver>"] = this
             ctor = interp.classes[method.cls].ctor()
             if ctor is not None:
-                values, outs = _point_args(interp, ctor.params, "ctor.", point)
+                values, outs = _bind_args(
+                    interp, ctor.params, _point_values(ctor.params, "ctor.", point))
                 interp._invoke(ctor, this, values, outs, direct=True)
                 interp._method_exit_sweep()
-        values, outs = _point_args(interp, method.params, "", point)
+        values, outs = _bind_args(
+            interp, method.params, _point_values(method.params, "", point))
         return this, values, outs
 
     return _drive(program, qname, gc, max_steps, bind)

@@ -9,37 +9,38 @@ maximized headroom term, which is what lets temporaries be recycled
 across iterations.  The declared bounds are then discharged with
 entails_leq; lifetime findings from the heap analysis are folded into
 the same report.
+
+Contract variables (`n`, `a.length`, `this.f`, `this.f.length`) and the
+reading of an expression as a polynomial over them are defined once, in
+`frontend.syntax` (`entry_vars`, `expr_poly`, `var_expr`); a call binds
+its callee's variables by reading their caller-side expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 import itertools
 
 from . import callgraph, escape
 from .frontend.syntax import (
-    Binary,
     CallStmt,
     ClassDecl,
     Expr,
-    FieldRef,
     ForStmt,
     IfStmt,
-    IntLit,
     LengthRef,
     MethodContract,
     MethodDecl,
     NewStmt,
     OutArg,
-    ParenExpr,
     Program,
     Stmt,
     Tag,
     ThisRef,
-    Unary,
-    VarRef,
     callee_of,
+    entry_vars,
+    expr_poly,
+    var_expr,
 )
 from .symexpr import (
     FLAG_BAD_ARG,
@@ -81,65 +82,6 @@ class CyclicWithoutContract(Exception):
             f"without contracts: {', '.join(missing)}")
 
 
-# --------------------------------------------------------------- entry vars
-
-
-def entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
-    """Names with a fixed integer value at method entry."""
-    names: set[str] = set()
-    for p in method.params:
-        if p.is_out:
-            continue
-        if p.decl_type.key() == "int":
-            names.add(p.name)
-        elif p.decl_type.is_array:
-            names.add(f"{p.name}.length")
-    for f in cls.fields:
-        if f.decl_type.key() == "int":
-            names.add(f"this.{f.name}")
-        elif f.decl_type.is_array:
-            names.add(f"this.{f.name}.length")
-    return names
-
-
-def expr_poly(e: Expr, admissible: set[str]) -> Poly | None:
-    """Quiet polynomial reading of an argument expression, else None."""
-    if isinstance(e, ParenExpr):
-        return expr_poly(e.inner, admissible)
-    if isinstance(e, IntLit):
-        return Poly.const(e.value)
-    if isinstance(e, VarRef):
-        return Poly.var(e.name) if e.name in admissible else None
-    if isinstance(e, FieldRef) and isinstance(e.base, ThisRef):
-        name = f"this.{e.field}"
-        return Poly.var(name) if name in admissible else None
-    if isinstance(e, LengthRef):
-        name = None
-        if isinstance(e.base, VarRef):
-            name = f"{e.base.name}.length"
-        elif isinstance(e.base, FieldRef) and isinstance(e.base.base, ThisRef):
-            name = f"this.{e.base.field}.length"
-        return Poly.var(name) if name in admissible else None
-    if isinstance(e, Unary) and e.op == "-":
-        p = expr_poly(e.operand, admissible)
-        return None if p is None else -p
-    if isinstance(e, Binary) and e.op in ("+", "-", "*", "/"):
-        a = expr_poly(e.left, admissible)
-        b = expr_poly(e.right, admissible)
-        if a is None or b is None:
-            return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if not b.is_const() or b.const_value() == 0:
-            return None
-        return a.scale(Fraction(1, b.const_value()))
-    return None
-
-
 def contract_binding(stmt: NewStmt | CallStmt, contract: MethodContract,
                      admissible: set[str]) -> tuple[dict[str, Poly], set[str]]:
     """Map the callee's contract variables to caller-side polynomials.
@@ -150,7 +92,6 @@ def contract_binding(stmt: NewStmt | CallStmt, contract: MethodContract,
     """
     callee = callee_of(stmt)
     is_ctor = isinstance(stmt, NewStmt)
-    receiver = None if is_ctor else stmt.receiver
     used: set[str] = set()
     for e in contract.mem_req.values():
         used |= e.variables()
@@ -158,45 +99,26 @@ def contract_binding(stmt: NewStmt | CallStmt, contract: MethodContract,
         used |= e.variables()
     binding: dict[str, Poly] = {}
     flags: set[str] = set()
-    pos_args = [a for a in stmt.args if not isinstance(a, OutArg)]
-    by_name = {}
-    i = 0
-    for p in callee.params:
-        if p.is_out:
-            continue
-        if i < len(pos_args):
-            by_name[p.name] = pos_args[i]
-        i += 1
+    by_name = dict(zip((p.name for p in callee.params if not p.is_out),
+                       (a for a in stmt.args if not isinstance(a, OutArg))))
     for v in sorted(used):
+        # the caller-side expression that reads v, if there is one
         if v.startswith("this."):
             if is_ctor:
                 binding[v] = ZERO  # fields are zero-initialized at entry
-            elif isinstance(receiver, ThisRef) or receiver is None:
-                if v in admissible:
-                    binding[v] = Poly.var(v)
-                else:
-                    binding[v] = ZERO
-                    flags.add(FLAG_BAD_ARG)
-            else:
-                binding[v] = ZERO
-                flags.add(FLAG_BAD_ARG)
-        elif v.endswith(".length"):
-            pname = v[: -len(".length")]
-            arg = by_name.get(pname)
-            p = expr_poly(LengthRef(arg), admissible) if arg is not None else None
-            if p is None:
-                binding[v] = ZERO
-                flags.add(FLAG_BAD_ARG)
-            else:
-                binding[v] = p
-        else:
-            arg = by_name.get(v)
-            p = expr_poly(arg, admissible) if arg is not None else None
-            if p is None:
-                binding[v] = ZERO
-                flags.add(FLAG_BAD_ARG)
-            else:
-                binding[v] = p
+                continue
+            on_self = stmt.receiver is None or isinstance(stmt.receiver, ThisRef)
+            e = var_expr(v) if on_self else None
+        else:  # an in-parameter `n`, or the length `a.length` of one
+            pname, length, _ = v.partition(".")
+            e = by_name.get(pname)
+            if length and e is not None:
+                e = LengthRef(e)
+        p = None if e is None else expr_poly(e, admissible)
+        if p is None:
+            p = ZERO
+            flags.add(FLAG_BAD_ARG)
+        binding[v] = p
     return binding, flags
 
 
@@ -533,10 +455,10 @@ def check_method(method: MethodDecl, summary: ConsumptionSummary,
         if computed.flags:
             return Verdict.unverified(
                 "analysis incomplete: " + ", ".join(sorted(computed.flags))), notes
-        if not integer_valued_on_grid(declared, grid):
-            return Verdict.unverified(
-                "declared bound is not integer-valued on the grid"), notes
         try:
+            if not integer_valued_on_grid(declared, grid):
+                return Verdict.unverified(
+                    "declared bound is not integer-valued on the grid"), notes
             v = entails_leq(computed, declared, pre, grid)
         except GridTooLarge as exc:
             return Verdict.unverified(f"grid too large: {exc}"), notes

@@ -336,3 +336,89 @@ def test_long_call_chain_needs_no_deep_python_stack(tmp_path):
     code, out, _ = cli("ptg", "--format", "json", str(path))
     assert code == 0
     assert len(json.loads(out)) == n
+
+
+# ------------------------------------------------------------ run arguments
+
+
+OUT_FIRST = """class A {
+}
+
+class P {
+    void f(out A x, int n) {
+        x = null;
+    }
+}
+"""
+
+
+def test_run_args_bind_to_in_parameters_only(tmp_path):
+    path = tmp_path / "outfirst.mcl"
+    path.write_text(OUT_FIRST)
+    code, out, err = cli("run", str(path), "--entry", "P.f",
+                         "--args", "[3]", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["observations"][0]["entryEnv"] == {"n": 3}
+
+
+@pytest.mark.parametrize("args, names", [
+    ("[null, 3]", "one per in-parameter (n); got 2"),
+    ('["x"]', "argument n must be int"),
+])
+def test_run_args_that_do_not_fit_are_usage_errors(tmp_path, args, names):
+    path = tmp_path / "outfirst.mcl"
+    path.write_text(OUT_FIRST)
+    code, out, err = cli("run", str(path), "--entry", "P.f", "--args", args)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and names in err
+
+
+# ------------------------------------------------ limits become diagnostics
+
+
+def test_run_past_the_interpreter_stack_is_inconclusive():
+    code, out, err = cli("run", corpus("listbuild"), "--entry", "Node.build",
+                         "--args", "[250]", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("inconclusive: ") and "StackExhausted" in err
+
+
+def test_parenthesis_nesting_past_the_parser_stack_is_a_syntax_error(tmp_path):
+    path = tmp_path / "parens.mcl"
+    expr = "(" * 600 + "n" + ")" * 600
+    path.write_text(f"class P {{\n    int f(int n) {{\n        int x = {expr};\n"
+                    "        return x;\n    }\n}\n")
+    code, out, err = cli("check", str(path), "--format", "json")
+    assert (code, out) == (3, "")
+    diag = json.loads(err.splitlines()[0])
+    assert diag["code"] == "SyntaxError" and diag["line"] == 3
+
+
+def test_loop_nest_past_the_degree_cap_is_inconclusive(tmp_path):
+    depth = 5
+    loops = "".join(f"for (i{k} = 1 .. n) {{ " for k in range(depth))
+    path = tmp_path / "nest.mcl"
+    path.write_text(
+        "class A {\n}\n\nclass P {\n    void f(int n) {\n"
+        f"        requires(n >= 0);\n        memreq<A>({' * '.join(['n'] * depth)});\n"
+        f"        {loops}A a = new A();{' }' * depth}\n    }}\n}}\n")
+    code, out, err = cli("check", str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err.startswith("inconclusive: ") and "degree" in err
+
+
+def test_grid_too_large_for_an_integrality_check_is_an_unverified_row(tmp_path):
+    params = [f"p{k}" for k in range(1, 8)]
+    path = tmp_path / "sevenvar.mcl"
+    path.write_text(
+        "class A {\n}\n\nclass P {\n"
+        f"    void f({', '.join(f'int {p}' for p in params)}) {{\n"
+        f"        requires({' && '.join(f'{p} >= 0' for p in params)});\n"
+        f"        memreq<A>(({' + '.join(params)} + 2) / 2);\n\n"
+        "        A a = new A();\n    }\n}\n")
+    code, out, err = cli("check", str(path), "--format", "json")
+    assert (code, err) == (2, "")
+    [row] = json.loads(out)["clauses"]
+    assert row["verdict"] == "Unverified"
+    assert row["reason"].startswith("grid too large")

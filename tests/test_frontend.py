@@ -13,12 +13,16 @@ from mclcheck.frontend import (
     ResolveFailure,
     Tag,
     callee_of,
+    entry_vars,
+    expr_poly,
+    expr_to_str,
     iter_stmts,
     load,
     parse,
     pretty,
     program_to_json,
     resolve,
+    var_expr,
 )
 from mclcheck.symexpr import Poly, SymExpr
 
@@ -395,3 +399,191 @@ def test_callee_of_is_none_for_a_class_without_constructor():
     new = prog.method("A.m").body[0]
     assert isinstance(new, NewStmt)
     assert callee_of(new) is None
+
+
+# ------------------------------------------------ contract-expression errors
+
+
+CONTRACT_EXPR = """class A {
+}
+
+class P {
+    bool q;
+    int k;
+
+    void f(int n, string s, bool b, int[] xs) {
+        %s
+        int x = n;
+        int y = n;
+        %s
+    }
+}
+"""
+
+# (clause before the body, statement after it) -> every error, in order, as
+# (code, message, line, col)
+CONTRACT_EXPR_ERRORS = {
+    "local": (
+        ("memreq<A>(x);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not mention x; only entry-constant integers are allowed",
+             9, 19),
+        ]),
+    "nonint_field": (
+        ("memreq<A>(this.q);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not mention this.q",
+             9, 24),
+        ]),
+    "string_length": (
+        ("memreq<A>(s.length);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not take this length",
+             9, 21),
+        ]),
+    "divide_by_var": (
+        ("memreq<A>(n / n);", ""),
+        [
+            ("bad-divisor",
+             "P.f: memreq may only divide by a nonzero constant",
+             9, 21),
+        ]),
+    "divide_by_zero": (
+        ("memreq<A>(n / 0);", ""),
+        [
+            ("bad-divisor",
+             "P.f: memreq may only divide by a nonzero constant",
+             9, 21),
+        ]),
+    "bad_dividend_zero_divisor": (
+        ("memreq<A>(x / 0);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not mention x; only entry-constant integers are allowed",
+             9, 19),
+        ]),
+    "both_operands_of_a_division": (
+        ("memreq<A>(x / y);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not mention x; only entry-constant integers are allowed",
+             9, 19),
+            ("bad-contract-expr",
+             "P.f: memreq may not mention y; only entry-constant integers are allowed",
+             9, 23),
+        ]),
+    "not": (
+        ("memreq<A>(!b);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq must be a polynomial expression",
+             9, 19),
+        ]),
+    "max_arm": (
+        ("memreq<A>(max(n, x));", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not mention x; only entry-constant integers are allowed",
+             9, 26),
+        ]),
+    "requires": (
+        ("requires(x >= 0);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: requires may not mention x; only entry-constant integers are allowed",
+             9, 18),
+        ]),
+    "esc": (
+        ("esc<A>(this, x);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: esc may not mention x; only entry-constant integers are allowed",
+             9, 22),
+        ]),
+    "iteration_space": (
+        ("", "for (i = 1 .. n) { iteration_space(1 <= i && i <= x); int z = i; }"),
+        [
+            ("bad-contract-expr",
+             "P.f: iteration_space may not mention x; only entry-constant integers are allowed",
+             12, 59),
+        ]),
+    "three_bad": (
+        ("memreq<A>(x + this.q * s.length);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not mention x; only entry-constant integers are allowed",
+             9, 19),
+            ("bad-contract-expr",
+             "P.f: memreq may not mention this.q",
+             9, 28),
+            ("bad-contract-expr",
+             "P.f: memreq may not take this length",
+             9, 34),
+        ]),
+    "quiet_loop_header": (
+        ("memreq<A>(y);", "for (i = 1 .. x) { int z = i; }"),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not mention y; only entry-constant integers are allowed",
+             9, 19),
+        ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_EXPR_ERRORS))
+def test_contract_expression_errors_are_pinned(case):
+    (head, tail), want = CONTRACT_EXPR_ERRORS[case]
+    with pytest.raises(ResolveFailure) as exc:
+        load(CONTRACT_EXPR % (head, tail), "t.mcl")
+    got = [(d.code, d.message, d.line, d.col) for d in exc.value.diagnostics
+           if d.severity == "error"]
+    assert got == want
+
+
+
+# ------------------------------------------------------- contract variables
+
+
+VARS = """
+class A {
+}
+
+class V {
+    int k;
+    int[] cells;
+    A other;
+    bool on;
+
+    void f(int n, int[] xs, out int r, out A[] ys, A a, bool b, string s) {
+        r = n;
+        ys = null;
+    }
+}
+"""
+
+
+def test_entry_vars_are_the_int_and_array_length_inputs():
+    prog = load(VARS, "vars")
+    names = entry_vars(prog.method("V.f"), prog.class_map()["V"])
+    assert names == {"n", "xs.length", "this.k", "this.cells.length"}
+
+
+@pytest.mark.parametrize("name", ["n", "xs.length", "this.k", "this.cells.length"])
+def test_var_expr_reads_back_through_expr_poly(name):
+    e = var_expr(name)
+    assert expr_to_str(e) == name
+    assert expr_poly(e, {name}) == Poly.var(name)
+    assert expr_poly(e, set()) is None
+
+
+def test_expr_poly_reports_only_when_asked():
+    heard = []
+    bad = var_expr("x")
+    assert expr_poly(bad, {"n"}) is None
+    assert expr_poly(bad, {"n"}, report=lambda *a: heard.append(a)) is None
+    assert [(code, msg) for code, msg, _ in heard] == [
+        ("bad-contract-expr",
+         "may not mention x; only entry-constant integers are allowed")]

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from mclcheck.frontend import load, parse
 from mclcheck.instrument import instrument
 from mclcheck.oracle import (
+    ArgumentError,
     ArrayBounds,
     Interp,
     InterpreterFault,
     NullDereference,
     OracleError,
     RequiresViolation,
+    StackExhausted,
     StepBudgetExceeded,
     harness_plan,
     run,
@@ -555,3 +557,75 @@ def test_live_count_drift_is_an_interpreter_fault():
     act.current["A"] += 1
     with pytest.raises(InterpreterFault, match="drift"):
         interp._assert_accounting()
+
+
+# ------------------------------------------------------------ argument binding
+
+
+FLAGS = """
+class B {
+    int unset(bool[] flags) {
+        int k = 0;
+        for (i = 0 .. flags.length - 1) {
+            if (flags[i] == false) {
+                k = k + 1;
+            }
+        }
+        return k;
+    }
+
+    int count(int n) {
+        return n;
+    }
+}
+"""
+
+
+def test_bool_array_elements_start_false_in_every_harness():
+    prog = load(FLAGS, "flags")
+    assert run_point(prog, "B.unset", {"flags.length": 3}).return_value == 3
+    assert run(prog, "B.unset", [[None, True, None]]).return_value == 2
+
+
+def test_run_binds_arguments_by_in_parameter_and_checks_their_types():
+    prog = load(FLAGS, "flags")
+    with pytest.raises(ArgumentError, match=r"one per in-parameter \(flags\); got 2"):
+        run(prog, "B.unset", [[], []])
+    with pytest.raises(ArgumentError, match=r"argument n must be int"):
+        run(prog, "B.count", [None])
+    with pytest.raises(ArgumentError, match=r"argument flags\[1\] must be bool"):
+        run(prog, "B.unset", [[True, 1]])
+
+
+def test_entry_values_behind_a_null_array_are_left_out():
+    src = "class T { int f(int[] xs, int n) { return n; } }"
+    obs = run(load(src, "inline"), "T.f", [None, 2]).observation("T.f")
+    assert obs.entry_env == {"n": 2}
+
+
+DEEP = """
+class D {
+    void sink(int n) {
+        if (n > 0) {
+            sink(n - 1);
+        }
+    }
+
+    void f(int n) {
+        requires(n >= 0);
+        memreq<D>(0);
+        sink(100 * n);
+    }
+}
+"""
+
+
+def test_calls_past_the_interpreter_stack_are_runtime_errors():
+    prog = load(DEEP, "deep")
+    with pytest.raises(StackExhausted):
+        run(prog, "D.sink", [500])
+    report = validate(prog, lo=0, hi=5)
+    assert report.runs >= 1
+    assert report.runtime_errors
+    assert {p["n"] for _, p, _ in report.runtime_errors} <= {2, 3, 4, 5}
+    assert all("Python stack" in msg for _, _, msg in report.runtime_errors)
