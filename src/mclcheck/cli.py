@@ -10,10 +10,10 @@ import sys
 from . import escape
 from .frontend import FrontendFailure, load, pretty
 from .instrument import instrument
-from .oracle import (ArgumentError, OracleError, RequiresViolation,
-                     StackExhausted, StepBudgetExceeded, run, validate)
-from .summary import (CyclicWithoutContract, GridConfig, GridTooLarge,
-                      check_program)
+from .oracle import (ArgumentError, GridTooLarge, OracleError,
+                     RequiresViolation, StackExhausted, StepBudgetExceeded,
+                     run, validate)
+from .summary import CyclicWithoutContract, check_program
 from .symexpr import DegreeOverflow
 
 EXIT_OK = 0
@@ -56,12 +56,12 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=("human", "json"),
                         default="human", help="output format")
 
-    c = sub.add_parser("check", help="verify declared bounds statically")
+    c = sub.add_parser("check", help="verify declared bounds statically", description=(
+        "Verified means proved for every nonnegative integer input that satisfies "
+        "requires; Violated carries a witness; Unverified gives a reason."))
     c.add_argument("files", nargs="+", metavar="FILE")
     c.add_argument("--mode", choices=("type", "object"), default="type",
                    help="count per class (type) or all objects together")
-    c.add_argument("--grid", type=int, default=8, metavar="N",
-                   help="upper grid bound for decision procedures")
     common(c)
 
     i = sub.add_parser("instrument", help="emit source with live counters")
@@ -133,12 +133,11 @@ def _print_report_human(path: str, report, out) -> None:
 
 
 def _cmd_check(ns, out) -> int:
-    grid = GridConfig(lo=0, hi=ns.grid)
     results = []
     for path in ns.files:
         prog = _load_file(path)
         try:
-            report = check_program(prog, ns.mode, grid)
+            report = check_program(prog, ns.mode)
         except (CyclicWithoutContract, DegreeOverflow) as exc:
             raise AnalysisStop(f"{path}: {exc}")
         results.append((path, report))
@@ -150,12 +149,8 @@ def _cmd_check(ns, out) -> int:
         for path, report in results:
             _print_report_human(path, report, out)
 
-    codes = [report.exit_code() for _, report in results]
-    if EXIT_VIOLATED in codes:
-        return EXIT_VIOLATED
-    if EXIT_UNVERIFIED in codes:
-        return EXIT_UNVERIFIED
-    return EXIT_OK
+    codes = {report.exit_code() for _, report in results}
+    return next((c for c in (EXIT_VIOLATED, EXIT_UNVERIFIED) if c in codes), EXIT_OK)
 
 
 # ------------------------------------------------------------ instrument

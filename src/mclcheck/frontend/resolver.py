@@ -19,7 +19,7 @@ from .syntax import (
     ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt, Expr,
     FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
     LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodContract, MethodDecl,
-    NewStmt, NullLit, NOPOS, OutArg, ParenExpr, Pos, PRIMITIVES, Program,
+    NewStmt, NullLit, NOPOS, OutArg, Param, ParenExpr, Pos, PRIMITIVES, Program,
     RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef, TypeRef, Unary,
     VarRef, entry_vars, expr_poly, iter_stmts,
 )
@@ -386,7 +386,9 @@ class _MethodResolver:
                 self.error("ctor-arity",
                            f"{s.class_ref.name} constructor takes {want} argument(s), "
                            f"got {len(s.args)}", s.pos)
-            for a in s.args:
+            for a, p in zip(s.args, ctor.params if ctor else ()):
+                self.check_arg(a, p, f"{s.class_ref.name} constructor", s.pos)
+            for a in s.args[want:]:
                 self.typeof(a)
         if s.dest_esc is not None:
             self.check_tag_use(s.dest_esc, s.pos, "dest_esc")
@@ -427,13 +429,24 @@ class _MethodResolver:
                 if isinstance(a, OutArg):
                     self.check_lvalue(a.target, loops)
                 else:
-                    self.typeof(a)
+                    self.check_arg(a, p, s.resolved, s.pos)
         for dst, _src in s.add_esc:
             self.check_tag_use(dst, s.pos, "add_esc")
         if s.target is not None:
             if callee.return_type.key() == "void":
                 self.error("bad-return", f"{s.resolved} returns nothing", s.pos)
             self.bind_target(s.target, s.decl_type, loops)
+
+    def check_arg(self, a: Expr, p: Param, callee: str, pos: Pos) -> None:
+        """An in-argument has its parameter's type; null fits only a
+        class or array parameter."""
+        t = self.typeof(a)
+        while isinstance(a, ParenExpr):
+            a = a.inner
+        if (not self.top.is_reference(p.decl_type) if isinstance(a, NullLit)
+                else t is not None and t.key() != p.decl_type.key()):
+            self.error("bad-argument", f"argument {p.name} of {callee} must be "
+                       f"{p.decl_type}, got {t or 'null'}", pos)
 
     def bind_target(self, target: Expr, decl_type: TypeRef | None,
                     loops: tuple[str, ...]) -> None:

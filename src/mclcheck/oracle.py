@@ -62,7 +62,7 @@ from .frontend import (
     var_expr,
 )
 from .summary import OBJECT_KEY
-from .symexpr import GridTooLarge, SymExpr
+from .symexpr import SymExpr
 
 GC_MODES = ("ideal", "method-exit", "none")
 
@@ -99,6 +99,10 @@ class StackExhausted(OracleError):
 
 class ArgumentError(OracleError):
     """Entry arguments that do not fit the method's in-parameters."""
+
+
+class GridTooLarge(Exception):
+    """Raised when a validation grid would run too many argument points."""
 
 
 class InterpreterFault(Exception):
@@ -255,7 +259,7 @@ class Interp:
         variable behind a null receiver or a null array has none, and so
         does one that an ill-typed argument left without an integer."""
         env: dict[str, int] = {}
-        for name in entry_vars(act.method, self.classes[act.method.cls]):
+        for name in sorted(entry_vars(act.method, self.classes[act.method.cls])):
             try:
                 val = self._eval(var_expr(name))
             except NullDereference:

@@ -7,8 +7,11 @@ escaped) plus everything the calls leave escaped.  Loops sum their own
 allocations and callee escapes over the iteration space and keep one
 maximized headroom term, which is what lets temporaries be recycled
 across iterations.  The declared bounds are then discharged with
-entails_leq; lifetime findings from the heap analysis are folded into
-the same report.
+entails_leq, whose Verified holds for every nonnegative integer input
+that satisfies requires; a declared iteration space is checked against
+its loop header exactly, at the header's two ends, with
+constraint_entailed.  Nothing here enumerates a grid.  Lifetime findings
+from the heap analysis are folded into the same report.
 
 Contract variables (`n`, `a.length`, `this.f`, `this.f.length`) and the
 reading of an expression as a polynomial over them are defined once, in
@@ -19,7 +22,7 @@ its callee's variables by reading their caller-side expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import itertools
+from functools import reduce
 
 from . import callgraph, escape
 from .frontend.syntax import (
@@ -45,8 +48,6 @@ from .frontend.syntax import (
 from .symexpr import (
     FLAG_BAD_ARG,
     FLAG_SPACE_MISMATCH,
-    GridConfig,
-    GridTooLarge,
     IterSpace,
     LinConstraint,
     Poly,
@@ -56,8 +57,9 @@ from .symexpr import (
     VerdictKind,
     ZERO,
     add,
+    constraint_entailed,
     entails_leq,
-    integer_valued_on_grid,
+    integer_valued,
     max_over,
     substitute,
     sum_over,
@@ -156,14 +158,8 @@ class _Acc:
         """The calls of this scope, folded for one class: the largest
         headroom (MR - esc) any one of them needs, and the sum of what they
         all leave escaped."""
-        peak = SYM_ZERO
-        for d in self.diffs.get(key, []):
-            peak = sym_max(peak, d)
-        return peak, sym_sum(self.escs.get(key, []))
-
-
-def _contract_keys(contract: MethodContract) -> set[str]:
-    return set(contract.mem_req) | {key for (_, key) in contract.esc}
+        return (reduce(sym_max, self.diffs.get(key, []), SYM_ZERO),
+                sym_sum(self.escs.get(key, [])))
 
 
 def ordered_contract_keys(contract: MethodContract) -> list[str]:
@@ -178,7 +174,7 @@ def ordered_contract_keys(contract: MethodContract) -> list[str]:
 def _collapse(contract: MethodContract) -> tuple[SymExpr | None, dict[Tag, SymExpr]]:
     """A contract on the object pseudo-class: its explicit object clauses
     when it has any, else every class summed.  No memreq gives None."""
-    explicit = OBJECT_KEY in _contract_keys(contract)
+    explicit = OBJECT_KEY in ordered_contract_keys(contract)
     mem = [e for key, e in contract.mem_req.items()
            if not explicit or key == OBJECT_KEY]
     by_tag: dict[Tag, list[SymExpr]] = {}
@@ -186,13 +182,6 @@ def _collapse(contract: MethodContract) -> tuple[SymExpr | None, dict[Tag, SymEx
         if not explicit or key == OBJECT_KEY:
             by_tag.setdefault(t, []).append(e)
     return (sym_sum(mem) if mem else None), {t: sym_sum(es) for t, es in by_tag.items()}
-
-
-def collapsed_contract(contract: MethodContract, binding: dict[str, Poly]):
-    """Callee quantities in object mode: explicit object clauses win."""
-    mr, esc_by_tag = _collapse(contract)
-    return (substitute(SYM_ZERO if mr is None else mr, binding),
-            {t: substitute(e, binding) for t, e in esc_by_tag.items()})
 
 
 def call_entries(contract: MethodContract, binding: dict[str, Poly],
@@ -204,8 +193,9 @@ def call_entries(contract: MethodContract, binding: dict[str, Poly],
     caller's values; object mode collapses them into one object entry.
     """
     if object_mode:
-        mr, esc_by_tag = collapsed_contract(contract, binding)
-        return [(OBJECT_KEY, mr, esc_by_tag)]
+        mr, esc_by_tag = _collapse(contract)
+        return [(OBJECT_KEY, substitute(SYM_ZERO if mr is None else mr, binding),
+                 {t: substitute(e, binding) for t, e in esc_by_tag.items()})]
     return [(key, substitute(contract.mem_req.get(key, SYM_ZERO), binding),
              {t: substitute(e, binding) for (t, k), e in contract.esc.items() if k == key})
             for key in ordered_contract_keys(contract)]
@@ -213,12 +203,11 @@ def call_entries(contract: MethodContract, binding: dict[str, Poly],
 
 class _Summarizer:
     def __init__(self, method: MethodDecl, contracts: dict[str, MethodContract],
-                 mode: str, class_map: dict[str, ClassDecl], grid: GridConfig):
+                 mode: str, class_map: dict[str, ClassDecl]):
         self.m = method
         self.cls = class_map[method.cls]
         self.contracts = contracts
         self.mode = mode
-        self.grid = grid
         self.entry = entry_vars(method, self.cls)
         self.requires: tuple[LinConstraint, ...] = method.contract.requires
 
@@ -338,32 +327,22 @@ class _Summarizer:
 
     def _header_inside_space(self, s: ForStmt, space: IterSpace,
                              context, loop_vars) -> bool:
-        """Grid check: every index the header produces satisfies the space."""
+        """Every index the header produces satisfies the space.  A space
+        constraint of degree at most one in the index holds on lo..hi when
+        it holds at both ends, so each end is checked under the context
+        and lo <= hi."""
         lo = expr_poly(s.lo, self.entry | set(loop_vars))
         hi = expr_poly(s.hi, self.entry | set(loop_vars))
         if lo is None or hi is None:
             return False
-        names = sorted(
-            set(loop_vars) | {v for c in context for v in c.variables()}
-            | lo.variables() | hi.variables()
-            | {v for c in space.constraints for v in c.variables() if v != s.var})
-        names = [n for n in names if n != s.var]
-        g = self.grid
-        span = g.hi - g.lo + 1
-        if names and span ** len(names) > g.max_points:
-            return False
-        for point in itertools.product(range(g.lo, g.hi + 1), repeat=len(names)):
-            env = dict(zip(names, point))
-            if not all(c.holds(env) for c in context):
-                continue
-            lo_v, hi_v = lo.eval(env), hi.eval(env)
-            i = lo_v
-            while i <= hi_v:
-                env_i = dict(env)
-                env_i[s.var] = i
-                if not all(c.holds(env_i) for c in space.constraints):
+        ctx = context + (LinConstraint.compare(lo, "<=", hi),)
+        for c in space.constraints:
+            if max(c.lhs.split_on(s.var), default=0) > 1:
+                return False
+            for end in (lo, hi):
+                at_end = LinConstraint(c.lhs.substitute({s.var: end}), c.rel)
+                if not constraint_entailed(at_end, ctx):
                     return False
-                i += 1
         return True
 
     # -- top level ----------------------------------------------------------------
@@ -384,9 +363,8 @@ class _Summarizer:
 
 
 def summarize(method: MethodDecl, contracts: dict[str, MethodContract],
-              mode: str, class_map: dict[str, ClassDecl],
-              grid: GridConfig = GridConfig()) -> ConsumptionSummary:
-    return _Summarizer(method, contracts, mode, class_map, grid).run()
+              mode: str, class_map: dict[str, ClassDecl]) -> ConsumptionSummary:
+    return _Summarizer(method, contracts, mode, class_map).run()
 
 
 # ------------------------------------------------------------------ checking
@@ -402,13 +380,8 @@ class ClauseRow:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        out = {
-            "method": self.method,
-            "clause": self.clause,
-            "declared": self.declared,
-            "computed": self.computed,
-        }
-        out.update(self.verdict.to_json())
+        out = {"method": self.method, "clause": self.clause, "declared": self.declared,
+               "computed": self.computed, **self.verdict.to_json()}
         if self.notes:
             out["notes"] = list(self.notes)
         return out
@@ -424,11 +397,7 @@ class Report:
                 "clauses": [r.to_json() for r in self.rows]}
 
     def exit_code(self) -> int:
-        if any(r.verdict.kind == VerdictKind.VIOLATED for r in self.rows):
-            return 1
-        if any(r.verdict.kind == VerdictKind.UNVERIFIED for r in self.rows):
-            return 2
-        return 0
+        return {VerdictKind.VIOLATED: 1, VerdictKind.UNVERIFIED: 2}.get(self.overall, 0)
 
 
 def _declared_bounds(contract: MethodContract, mode: str):
@@ -441,52 +410,39 @@ def _declared_bounds(contract: MethodContract, mode: str):
 
 
 def check_method(method: MethodDecl, summary: ConsumptionSummary,
-                 grid: GridConfig = GridConfig(), mode: str = MODE_TYPE,
+                 mode: str = MODE_TYPE,
                  assume_guarantee: bool = False) -> list[ClauseRow]:
     contract = method.contract
     pre = contract.requires
     rows: list[ClauseRow] = []
     declared_mem, declared_esc = _declared_bounds(contract, mode)
 
-    def verdict_for(computed: SymExpr, declared: SymExpr) -> tuple[Verdict, list[str]]:
-        notes = []
-        if assume_guarantee:
-            notes.append("assume-guarantee: recursive calls use their declared contracts")
+    def verdict_for(computed: SymExpr, declared: SymExpr) -> Verdict:
         if computed.flags:
             return Verdict.unverified(
-                "analysis incomplete: " + ", ".join(sorted(computed.flags))), notes
-        try:
-            if not integer_valued_on_grid(declared, grid):
-                return Verdict.unverified(
-                    "declared bound is not integer-valued on the grid"), notes
-            v = entails_leq(computed, declared, pre, grid)
-        except GridTooLarge as exc:
-            return Verdict.unverified(f"grid too large: {exc}"), notes
+                "analysis incomplete: " + ", ".join(sorted(computed.flags)))
+        if not integer_valued(declared):
+            return Verdict.unverified("declared bound is not integer-valued")
+        return entails_leq(computed, declared, pre)
+
+    def declared_row(clause: str, declared: SymExpr, computed: SymExpr) -> ClauseRow:
+        v = verdict_for(computed, declared)
+        notes = ["assume-guarantee: recursive calls use their declared contracts"] \
+            if assume_guarantee else []
         if v.kind == VerdictKind.VERIFIED and computed.is_zero():
             notes.append("trivially satisfied: nothing of this class is consumed")
-        return v, notes
+        return ClauseRow(method.qname, clause, str(declared), str(computed), v, notes)
 
     for key, declared in declared_mem.items():
-        computed = summary.mem_req.get(key, SYM_ZERO)
-        v, notes = verdict_for(computed, declared)
-        rows.append(ClauseRow(method.qname, f"memreq<{key}>",
-                              str(declared), str(computed), v, notes))
+        rows.append(declared_row(f"memreq<{key}>", declared,
+                                 summary.mem_req.get(key, SYM_ZERO)))
     for (tag, key), declared in declared_esc.items():
-        computed = summary.esc.get((tag, key), SYM_ZERO)
-        v, notes = verdict_for(computed, declared)
-        rows.append(ClauseRow(method.qname, f"esc<{key}>({tag.source_str()})",
-                              str(declared), str(computed), v, notes))
+        rows.append(declared_row(f"esc<{key}>({tag.source_str()})", declared,
+                                 summary.esc.get((tag, key), SYM_ZERO)))
 
     def undeclared(clause: str, computed: SymExpr, note: str) -> ClauseRow:
         # an absent clause declares zero; a positive witness is a violation
-        if computed.flags:
-            v = Verdict.unverified(
-                "analysis incomplete: " + ", ".join(sorted(computed.flags)))
-        else:
-            try:
-                v = entails_leq(computed, SYM_ZERO, pre, grid)
-            except GridTooLarge as exc:
-                v = Verdict.unverified(f"grid too large: {exc}")
+        v = verdict_for(computed, SYM_ZERO)
         return ClauseRow(method.qname, clause, None, str(computed), v, [note])
 
     for key in sorted(summary.mem_req):
@@ -526,8 +482,7 @@ def lifetime_rows(verdicts: list[escape.LifetimeVerdict]) -> list[ClauseRow]:
     return rows
 
 
-def check_program(program: Program, mode: str = MODE_TYPE,
-                  grid: GridConfig = GridConfig()) -> Report:
+def check_program(program: Program, mode: str = MODE_TYPE) -> Report:
     class_map = program.class_map()
     methods = {m.qname: m for m in program.methods()}
     contracts = {q: m.contract for q, m in methods.items()}
@@ -546,16 +501,11 @@ def check_program(program: Program, mode: str = MODE_TYPE,
     rows: list[ClauseRow] = []
     for qname in sorted(methods):
         m = methods[qname]
-        s = summarize(m, contracts, mode, class_map, grid)
-        rows.extend(check_method(m, s, grid, mode,
+        s = summarize(m, contracts, mode, class_map)
+        rows.extend(check_method(m, s, mode,
                                  assume_guarantee=qname in recursive))
         rows.extend(lifetime_rows(analysis.lifetimes[qname]))
 
-    worst = VerdictKind.VERIFIED
-    for r in rows:
-        if r.verdict.kind == VerdictKind.VIOLATED:
-            worst = VerdictKind.VIOLATED
-            break
-        if r.verdict.kind == VerdictKind.UNVERIFIED:
-            worst = VerdictKind.UNVERIFIED
-    return Report(rows, worst)
+    kinds = {r.verdict.kind for r in rows}
+    return Report(rows, next((k for k in (VerdictKind.VIOLATED, VerdictKind.UNVERIFIED)
+                              if k in kinds), VerdictKind.VERIFIED))

@@ -6,15 +6,24 @@ Variables stand for nonnegative integer quantities (parameters, array
 lengths, loop indices), and that assumption is what licenses dominance
 pruning and the coefficient entailment criterion below.  Coefficients are
 exact rationals so that closed-form interval sums lose nothing.
+
+`Verified` means proved for every nonnegative integer point of
+`requires`: either by coefficient dominance, or (proof kind `farkas`)
+because Fourier-Motzkin elimination shows that the points where an affine
+clause fails form an empty set.  Integrality of a declared bound is
+decided exactly by Polya's criterion on a small box of values per
+polynomial.  The 0..8 grid survives only as a witness search: it may turn
+an undecided clause into `Violated`, never into `Verified`.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 DEFAULT_DEGREE_CAP = 4
 
@@ -32,10 +41,6 @@ class DegreeOverflow(Exception):
 
 class UnboundedSpace(Exception):
     """Raised when an iteration space lacks a finite lower or upper bound."""
-
-
-class GridTooLarge(Exception):
-    """Raised when an entailment grid would enumerate too many points."""
 
 
 # A monomial is a sorted tuple of (variable, exponent) pairs; () is 1.
@@ -187,6 +192,16 @@ def _prune(alts: tuple[Poly, ...]) -> tuple[Poly, ...]:
     return tuple(kept)
 
 
+# (sign, shift) per relation: lhs REL 0 becomes sign * lhs - shift >= 0,
+# exact over the integers once lhs has integer coefficients
+_SENSES = {">=": ((1, 0),), ">": ((1, 1),), "<=": ((-1, 0),), "<": ((-1, 1),),
+           "==": ((1, 0), (-1, 0))}
+_NEGATIONS = {">=": ("<",), ">": ("<=",), "<=": (">",), "<": (">=",), "==": ("<", ">")}
+
+_HOLDS = {"<=": operator.le, "<": operator.lt, "==": operator.eq,
+          ">=": operator.ge, ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class LinConstraint:
     """An affine condition `lhs REL 0` over integer variables."""
@@ -203,16 +218,7 @@ class LinConstraint:
         return LinConstraint(a - b, rel)
 
     def holds(self, env: dict[str, int | Fraction]) -> bool:
-        v = self.lhs.eval(env)
-        if self.rel == "<=":
-            return v <= 0
-        if self.rel == "<":
-            return v < 0
-        if self.rel == "==":
-            return v == 0
-        if self.rel == ">=":
-            return v >= 0
-        return v > 0
+        return _HOLDS[self.rel](self.lhs.eval(env), 0)
 
     def variables(self) -> set[str]:
         return self.lhs.variables()
@@ -266,12 +272,7 @@ SYM_ZERO = SymExpr.of(ZERO)
 
 def _merged_meta(*exprs: SymExpr) -> tuple[frozenset[str], tuple[LinConstraint, ...]]:
     flags = frozenset().union(*(e.flags for e in exprs))
-    guards: list[LinConstraint] = []
-    for e in exprs:
-        for g in e.guards:
-            if g not in guards:
-                guards.append(g)
-    return flags, tuple(guards)
+    return flags, tuple(dict.fromkeys(g for e in exprs for g in e.guards))
 
 
 def _check_degree(alts, cap: int) -> None:
@@ -327,43 +328,22 @@ class IterSpace:
         uppers: list[Poly] = []
         flags: set[str] = set()
         for c in self.constraints:
-            if c.lhs.degree() > 1:
-                flags.add(FLAG_NONRECT_SPACE)
-                continue
             split = c.lhs.split_on(self.var)
-            coeff = split.get(1, ZERO)
-            rest = split.get(0, ZERO)
-            if not coeff.is_const():
+            coeff, rest = split.get(1, ZERO), split.get(0, ZERO)
+            if c.lhs.degree() > 1 or not coeff.is_const():
                 flags.add(FLAG_NONRECT_SPACE)
                 continue
-            a = coeff.const_value() if not coeff.is_zero() else Fraction(0)
-            if a == 0:
+            if coeff.is_zero():
                 continue  # pure context constraint on outer variables
-            rels = [(c.rel, a)]
-            if c.rel == "==":
-                rels = [("<=", a), (">=", a)]
-            for rel, acoef in rels:
-                # a*v + rest REL 0, with integer v: normalize strict forms.
-                if rel in ("<", "<="):
-                    bound = -rest
-                    if rel == "<":
-                        bound = bound - ONE
-                    if acoef == 1:
-                        uppers.append(bound)
-                    elif acoef == -1:
-                        lowers.append(-bound)
-                    else:
-                        flags.add(FLAG_NONRECT_SPACE)
-                elif rel in (">", ">="):
-                    bound = -rest
-                    if rel == ">":
-                        bound = bound + ONE
-                    if acoef == 1:
-                        lowers.append(bound)
-                    elif acoef == -1:
-                        uppers.append(-bound)
-                    else:
-                        flags.add(FLAG_NONRECT_SPACE)
+            for sign, shift in _SENSES[c.rel]:
+                # sign * (a*v + rest) - shift >= 0, with integer v
+                a = sign * coeff.const_value()
+                if a == 1:
+                    lowers.append(rest.scale(-sign) + shift)
+                elif a == -1:
+                    uppers.append(rest.scale(sign) - shift)
+                else:
+                    flags.add(FLAG_NONRECT_SPACE)
         if not lowers:
             raise UnboundedSpace(f"no lower bound for {self.var}")
         if not uppers:
@@ -428,30 +408,16 @@ def _sum_poly(p: Poly, var: str, lo: Poly, hi: Poly, degree_cap: int) -> Poly:
     return closed
 
 
-def constraint_entailed(goal: LinConstraint, context: tuple[LinConstraint, ...],
-                        lo: int = 0, hi: int = 8, max_points: int = 200_000) -> bool:
-    """Check `context implies goal` for affine facts.
-
-    Fast path: a goal of the form poly >= 0 with nonnegative coefficients
-    holds outright on the nonnegative orthant.  Otherwise enumerate the
-    grid; the goal and context are affine, so grid success is conclusive
-    on the modeled domain.
-    """
-    if goal.rel == ">=" and (goal.lhs).coeffs_nonneg() and goal.lhs.degree() <= 1:
-        return True
-    if goal.rel == "<=" and (-goal.lhs).coeffs_nonneg() and goal.lhs.degree() <= 1:
-        return True
-    vars_ = sorted(goal.variables() | set().union(*(c.variables() for c in context), set()))
-    if not vars_:
-        return goal.holds({})
-    span = hi - lo + 1
-    if span ** len(vars_) > max_points:
+def constraint_entailed(goal: LinConstraint, context: tuple[LinConstraint, ...]) -> bool:
+    """True when every nonnegative integer point of the context satisfies
+    the goal: no negation of the goal leaves a point with the context.
+    A non-affine goal is never entailed."""
+    if goal.lhs.degree() > 1:
         return False
-    for point in itertools.product(range(lo, hi + 1), repeat=len(vars_)):
-        env = dict(zip(vars_, point))
-        if all(c.holds(env) for c in context) and not goal.holds(env):
-            return False
-    return True
+    hyps = _halfspaces(context)
+    vars_ = sorted(goal.variables().union(*(c.variables() for c in context)))
+    return all(_solve(hyps + _halfspaces((LinConstraint(goal.lhs, rel),)), vars_) is None
+               for rel in _NEGATIONS[goal.rel])
 
 
 def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = (),
@@ -525,13 +491,6 @@ def count(spaces: list[IterSpace], context: tuple[LinConstraint, ...] = (),
     return result
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    lo: int = 0
-    hi: int = 8
-    max_points: int = 1_000_000
-
-
 class VerdictKind:
     VERIFIED = "Verified"
     VIOLATED = "Violated"
@@ -541,7 +500,7 @@ class VerdictKind:
 @dataclass(frozen=True)
 class Verdict:
     kind: str
-    method: str | None = None       # coefficient | grid-affine | grid
+    method: str | None = None       # coefficient | farkas
     witness: dict[str, int] | None = None
     reason: str | None = None
 
@@ -568,54 +527,152 @@ class Verdict:
         return out
 
 
-def entails_leq(lhs: SymExpr, rhs: SymExpr, pre: tuple[LinConstraint, ...] = (),
-                grid: GridConfig = GridConfig()) -> Verdict:
+# ---------------------------------------------------------------------------
+# The decision procedure.  A row ((v, a_v), ...), c stands for the integer
+# half-space sum(a_v * v) + c >= 0; its variables are sorted, none with a
+# zero coefficient.
+
+Row = tuple[tuple[tuple[str, int], ...], int]
+
+# Elimination gives up (as if stuck) before a step past this many rows.
+_MAX_ROWS = 5_000
+
+# The witness search walks the box 0..WITNESS_HI in every variable.
+WITNESS_HI = 8
+WITNESS_POINTS = 1_000_000
+
+
+def _row(coeffs: dict[str, int], const: int) -> Row:
+    # dividing by the gcd of the coefficients and flooring the constant
+    # keeps exactly the same integer points
+    g = gcd(*coeffs.values()) or 1
+    return tuple(sorted((v, a // g) for v, a in coeffs.items() if a)), const // g
+
+
+def _halfspaces(constraints) -> list[Row]:
+    """Affine facts as integer rows; a non-affine fact is dropped, which
+    only enlarges the set and so is sound for infeasibility."""
+    rows = []
+    for c in constraints:
+        if c.lhs.degree() > 1:
+            continue
+        scale = lcm(*(k.denominator for _, k in c.lhs.terms))
+        coeffs = {m[0][0]: int(k * scale) for m, k in c.lhs.terms if m}
+        const = int(c.lhs.coeff(_ONE) * scale)
+        for sign, shift in _SENSES[c.rel]:
+            rows.append(_row({v: sign * a for v, a in coeffs.items()}, sign * const - shift))
+    return rows
+
+
+def _solve(rows: list[Row], vars_: list[str]) -> dict[str, int] | None:
+    """Fourier-Motzkin elimination over the rows and vars_ >= 0.
+
+    None when no integer point exists: every row, combined ones too, is
+    tightened as in `_row`, which only ever cuts off non-integer points
+    (the real shadow of Pugh's Omega test).  Otherwise back-substitution
+    gives each variable, in the order of vars_, the ceiling of its lower
+    bound: the greedy lexicographically least integer point.  It returns
+    {} when a ceiling overshoots an upper bound (or elimination grew past
+    _MAX_ROWS), so that an integer point may or may not exist.
+    """
+    current: dict[tuple, int] = {}
+    for coeffs, const in rows + [(((v, 1),), 0) for v in vars_]:
+        current[coeffs] = min(const, current.get(coeffs, const))
+    levels = []
+    for v in reversed(vars_):
+        if current.get((), 0) < 0:
+            return None
+        lower, upper, rest = [], [], {}
+        for coeffs, const in current.items():
+            a = dict(coeffs).get(v, 0)
+            if a:
+                (lower if a > 0 else upper).append((a, dict(coeffs), const))
+            else:
+                rest[coeffs] = const
+        if len(rest) + len(lower) * len(upper) > _MAX_ROWS:
+            return {}
+        for al, lc, lk in lower:
+            for au, uc, uk in upper:
+                # -au * (lower row) + al * (upper row) has no v left
+                combined = {w: -au * lc.get(w, 0) + al * uc.get(w, 0)
+                            for w in lc.keys() | uc.keys() if w != v}
+                coeffs, const = _row(combined, -au * lk + al * uk)
+                rest[coeffs] = min(const, rest.get(coeffs, const))
+        levels.append((v, lower, upper))
+        current = rest
+    if current.get((), 0) < 0:
+        return None
+    point: dict[str, int] = {}
+    for v, lower, upper in reversed(levels):
+        # each row as a * v + r >= 0, with r known
+        rs = [(a, k + sum(b * point[w] for w, b in c.items() if w != v))
+              for a, c, k in lower + upper]
+        point[v] = max(-(r // a) for a, r in rs if a > 0)
+        if any(a * point[v] + r < 0 for a, r in rs if a < 0):
+            return {}
+    return point
+
+
+def _witness(vars_: list[str], breaks) -> dict[str, int] | None:
+    """The first point of the 0..WITNESS_HI box, in lexicographic order,
+    where `breaks` holds; None when there is none or the box is too big."""
+    if (WITNESS_HI + 1) ** len(vars_) > WITNESS_POINTS:
+        return None
+    box = itertools.product(range(WITNESS_HI + 1), repeat=len(vars_))
+    return next((env for env in (dict(zip(vars_, p)) for p in box) if breaks(env)), None)
+
+
+def entails_leq(lhs: SymExpr, rhs: SymExpr, pre: tuple[LinConstraint, ...] = ()) -> Verdict:
     """Decide lhs <= rhs under the preconditions, three-valued.
 
     First the coefficient criterion: each lhs alternative must be
     coefficient-dominated by some rhs alternative, which proves the bound
-    on the whole nonnegative orthant.  Failing that, enumerate the grid of
-    precondition-satisfying points.  A falsifying point is a Violated
-    witness.  A clean affine sweep counts as Verified; a clean non-affine
-    sweep is reported distinctly as grid-verified only.
+    on the whole nonnegative orthant.  An affine clause fails exactly where
+    some lhs alternative p admits a point of pre and p > rhs_j for every
+    j; with no rational such point for any p the clause is Verified
+    (farkas), and an integer point found is a Violated witness.  What stays
+    open, and every non-affine clause, goes to the witness search;
+    without a witness the verdict is Unverified.
     """
     if all(any(_dominates(q, p) for q in rhs.alts) for p in lhs.alts):
         return Verdict.verified("coefficient")
+    vars_ = sorted(lhs.variables() | rhs.variables() | set().union(*(c.variables() for c in pre)))
 
-    vars_ = sorted(lhs.variables() | rhs.variables() | set().union(*(c.variables() for c in pre), set()))
-    if not vars_:
-        return (Verdict.verified("coefficient") if lhs.eval({}) <= rhs.eval({})
-                else Verdict.violated({}))
-    span = grid.hi - grid.lo + 1
-    if span ** len(vars_) > grid.max_points:
-        raise GridTooLarge(f"{len(vars_)} variables over {span} values exceed {grid.max_points} points")
+    def breaks(env) -> bool:
+        return all(c.holds(env) for c in pre) and lhs.eval(env) > rhs.eval(env)
 
-    any_point = False
-    for point in itertools.product(range(grid.lo, grid.hi + 1), repeat=len(vars_)):
-        env = dict(zip(vars_, point))
-        if not all(c.holds(env) for c in pre):
+    if all(p.degree() <= 1 for p in lhs.alts + rhs.alts):
+        hyps = _halfspaces(pre)
+        points = [_solve(hyps + _halfspaces([LinConstraint(p - q, ">") for q in rhs.alts]), vars_)
+                  for p in lhs.alts]
+        if all(pt is None for pt in points):
+            return Verdict.verified("farkas")
+        found = sorted(tuple(pt[v] for v in vars_) for pt in points if pt and breaks(pt))
+        if found:
+            return Verdict.violated(dict(zip(vars_, found[0])))
+        reason = "rational counterexample, no integer witness found"
+    else:
+        reason = "not affine, and the witness search found none"
+    witness = _witness(vars_, breaks)
+    return Verdict.unverified(reason) if witness is None else Verdict.violated(witness)
+
+
+def integer_valued(e: SymExpr) -> bool:
+    """True when every alternative takes integer values on all of N^k.
+
+    By Polya, a polynomial is integer-valued exactly when its coefficients
+    in the binomial basis prod C(x, k_x) are integers, and those are fixed,
+    as integer combinations, by its values on the box 0..deg_x in each
+    variable x; so that box decides.
+    """
+    for p in e.alts:
+        if all(c.denominator == 1 for _, c in p.terms):
             continue
-        any_point = True
-        if lhs.eval(env) > rhs.eval(env):
-            return Verdict.violated(env)
-    if not any_point:
-        return Verdict.unverified("no grid point satisfies the preconditions")
-    affine = all(p.degree() <= 1 for p in lhs.alts + rhs.alts)
-    return Verdict.verified("grid-affine" if affine else "grid")
-
-
-def integer_valued_on_grid(e: SymExpr, grid: GridConfig = GridConfig()) -> bool:
-    """True when every alternative takes integer values on the grid."""
-    vars_ = sorted(e.variables())
-    if not vars_:
-        return all(p.eval({}).denominator == 1 for p in e.alts)
-    span = grid.hi - grid.lo + 1
-    if span ** len(vars_) > grid.max_points:
-        raise GridTooLarge(f"{len(vars_)} variables over {span} values exceed {grid.max_points} points")
-    for point in itertools.product(range(grid.lo, grid.hi + 1), repeat=len(vars_)):
-        env = dict(zip(vars_, point))
-        if any(p.eval(env).denominator != 1 for p in e.alts):
-            return False
+        vars_ = sorted(p.variables())
+        degs = [max(exp for m, _ in p.terms for w, exp in m if w == v) for v in vars_]
+        for point in itertools.product(*(range(d + 1) for d in degs)):
+            if p.eval(dict(zip(vars_, point))).denominator != 1:
+                return False
     return True
 
 
@@ -656,19 +713,11 @@ def _int_poly_to_str(p: Poly) -> str:
 
 
 def poly_to_str(p: Poly) -> str:
-    denom = 1
-    for _, c in p.terms:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for _, c in p.terms))
     if denom == 1:
         return _int_poly_to_str(p)
     scaled = p.scale(denom)
     return f"({_int_poly_to_str(scaled)})/{denom}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def symexpr_to_str(e: SymExpr) -> str:

@@ -18,7 +18,7 @@ from mclcheck import symexpr as sx
 from mclcheck.frontend import load, pretty, program_to_json
 from mclcheck.instrument import erase, instrument
 from mclcheck.oracle import RequiresViolation, harness_plan, run_point, validate
-from mclcheck.summary import GridConfig, check_program, summarize
+from mclcheck.summary import check_program, summarize
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 

@@ -1,8 +1,12 @@
-"""End-to-end command coverage through main(), no subprocesses."""
+"""End-to-end command coverage through main(); only the hash-seed test
+starts subprocesses, since a process fixes its hash seed at start-up."""
 
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -92,6 +96,28 @@ def test_resolve_error_exits_three(tmp_path):
     code, _, err = cli("check", str(bad))
     assert code == 3
     assert json.loads(err.splitlines()[0])["code"] == "unknown-method"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("this.f(true, 1, 2);", "argument n of T.f must be int, got bool"),
+    ("this.f(1, null, 2);", "argument m of T.f must be int, got null"),
+    ("Box b = new Box(3);", "argument peer of Box constructor must be Box, got int"),
+    ("Box b = new Box(null);", None),
+])
+def test_argument_of_the_wrong_type_exits_three(tmp_path, body, message):
+    src = tmp_path / "args.mcl"
+    src.write_text("class Box {\n    Box peer;\n    Box(Box peer) {\n"
+                   "        this.peer = peer;\n    }\n}\n\n"
+                   "class T {\n    void f(int n, int m, int k) {\n    }\n\n"
+                   f"    void g() {{\n        {body}\n    }}\n}}\n")
+    code, _, err = cli("check", str(src))
+    if message is None:  # resolves; g's undeclared Box is a violation
+        assert (code, err) == (1, "")
+        return
+    assert code == 3
+    diag = json.loads(err.splitlines()[0])
+    assert diag["code"] == "bad-argument"
+    assert message in diag["message"]
 
 
 def test_missing_file_exits_three():
@@ -408,7 +434,7 @@ def test_loop_nest_past_the_degree_cap_is_inconclusive(tmp_path):
     assert err.startswith("inconclusive: ") and "degree" in err
 
 
-def test_grid_too_large_for_an_integrality_check_is_an_unverified_row(tmp_path):
+def test_seven_variable_non_integral_bound_is_an_unverified_row(tmp_path):
     params = [f"p{k}" for k in range(1, 8)]
     path = tmp_path / "sevenvar.mcl"
     path.write_text(
@@ -421,4 +447,65 @@ def test_grid_too_large_for_an_integrality_check_is_an_unverified_row(tmp_path):
     assert (code, err) == (2, "")
     [row] = json.loads(out)["clauses"]
     assert row["verdict"] == "Unverified"
-    assert row["reason"].startswith("grid too large")
+    assert row["reason"] == "declared bound is not integer-valued"
+
+
+LINKED_LOOP = """class A {
+    A next;
+}
+
+class P {
+    void f(int n) {
+        requires(n >= 0);
+        memreq<A>(CAP);
+
+        A h = null;
+        for (i = 1 .. n) {
+            SPACE
+            A a = new A();
+            a.next = h;
+            h = a;
+        }
+    }
+}
+"""
+
+
+def test_constant_bound_beyond_the_witness_grid_is_violated(tmp_path):
+    path = tmp_path / "beyond.mcl"
+    path.write_text(LINKED_LOOP.replace("CAP", "8").replace("SPACE", ""))
+    code, out, err = cli("check", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    [row] = json.loads(out)["clauses"]
+    assert row["verdict"] == "Violated"
+    assert row["witness"] == {"n": 9}
+
+
+def test_iteration_space_narrower_than_a_long_header_is_unverified(tmp_path):
+    path = tmp_path / "narrow.mcl"
+    path.write_text(LINKED_LOOP.replace("CAP", "9").replace(
+        "SPACE", "iteration_space(1 <= i && i <= 9);"))
+    code, out, err = cli("check", str(path), "--format", "json")
+    assert (code, err) == (2, "")
+    [row] = json.loads(out)["clauses"]
+    assert row["verdict"] == "Unverified"
+    assert "iteration-space-mismatch" in row["reason"]
+
+
+def test_requires_violation_lists_entry_values_sorted_whatever_the_hash_seed(tmp_path):
+    path = tmp_path / "pre.mcl"
+    path.write_text("class P {\n    void f(int n, int m, int k) {\n"
+                    "        requires(n >= 5);\n    }\n}\n")
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs.append(subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from mclcheck.cli import main; sys.exit(main(sys.argv[1:]))",
+             "run", str(path), "--entry", "P.f", "--args", "[1, 2, 3]"],
+            capture_output=True, text=True, env=env, timeout=60))
+    assert runs[0].returncode == runs[1].returncode == 3
+    assert runs[0].stderr == runs[1].stderr
+    assert "{'k': 3, 'm': 2, 'n': 1}" in runs[0].stderr

@@ -12,6 +12,7 @@ from mclcheck.instrument import instrument
 from mclcheck.oracle import (
     ArgumentError,
     ArrayBounds,
+    GridTooLarge,
     Interp,
     InterpreterFault,
     NullDereference,
@@ -24,7 +25,6 @@ from mclcheck.oracle import (
     run_point,
     validate,
 )
-from mclcheck.symexpr import GridTooLarge
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 

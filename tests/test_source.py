@@ -15,3 +15,23 @@ def test_no_bare_assert_under_src():
         found += [f"{path.relative_to(SRC)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"bare assert statements: {', '.join(found)}"
+
+
+def test_grid_enumeration_stays_out_of_the_decision_path():
+    # the static checker decides clauses exactly; a product over value
+    # ranges belongs only to the oracle's argument grids and to the
+    # witness search and integrality box in symexpr
+    allowed = {"oracle.py", "symexpr.py"}
+    found = []
+    for path in sorted((SRC / "mclcheck").rglob("*.py")):
+        if path.name in allowed and path.parent.name == "mclcheck":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            attr = (isinstance(node, ast.Attribute) and node.attr == "product"
+                    and isinstance(node.value, ast.Name) and node.value.id == "itertools")
+            imported = (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                        and any(a.name == "product" for a in node.names))
+            if attr or imported:
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"itertools.product outside oracle.py and symexpr.py: {', '.join(found)}"

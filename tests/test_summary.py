@@ -1,5 +1,6 @@
 """Consumption summaries and bound checking against declared contracts."""
 
+import itertools
 import json
 import pathlib
 from fractions import Fraction
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from mclcheck import summary as S
 from mclcheck.frontend import Tag, load
 from mclcheck.symexpr import (
-    GridConfig,
     Poly,
     SYM_ZERO,
     SymExpr,
@@ -393,7 +393,6 @@ def test_escapes_never_exceed_requirement(name):
     mode = mode_for(name)
     methods = {m.qname: m for m in prog.methods()}
     contracts = {q: m.contract for q, m in methods.items()}
-    grid = GridConfig(lo=0, hi=6)
     for qname, m in methods.items():
         s = S.summarize(m, contracts, mode, prog.class_map())
         for key in {k for (_, k) in s.esc}:
@@ -406,9 +405,7 @@ def test_escapes_never_exceed_requirement(name):
                 continue
             names = sorted(total.variables() | need.variables()
                            | {v for c in m.contract.requires for v in c.variables()})
-            import itertools
-            for point in itertools.product(range(grid.lo, grid.hi + 1),
-                                           repeat=len(names)):
+            for point in itertools.product(range(7), repeat=len(names)):
                 env = dict(zip(names, point))
                 if not all(c.holds(env) for c in m.contract.requires):
                     continue

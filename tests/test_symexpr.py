@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -9,8 +11,6 @@ from mclcheck.symexpr import (
     DegreeOverflow,
     FLAG_MONOTONICITY,
     FLAG_SUM_GUARD,
-    GridConfig,
-    GridTooLarge,
     IterSpace,
     LinConstraint,
     Poly,
@@ -18,9 +18,10 @@ from mclcheck.symexpr import (
     UnboundedSpace,
     VerdictKind,
     add,
+    constraint_entailed,
     count,
     entails_leq,
-    integer_valued_on_grid,
+    integer_valued,
     max_over,
     poly_to_str,
     substitute,
@@ -263,18 +264,18 @@ def test_entails_violation_carries_witness():
     assert SymExpr.of(N + C1).eval(v.witness) > SymExpr.of(N).eval(v.witness)
 
 
-def test_entails_affine_by_grid():
+def test_entails_affine_by_farkas():
     pre = (LinConstraint.compare(M, "<=", N),)
     v = entails_leq(SymExpr.of(M), SymExpr.of(N), pre)
     assert v.kind == VerdictKind.VERIFIED
-    assert v.method == "grid-affine"
+    assert v.method == "farkas"
 
 
-def test_entails_nonaffine_grid_reported_distinctly():
+def test_entails_nonaffine_clause_is_never_verified():
+    # true for every n >= 1, but no sweep of a finite grid proves it
     pre = (LinConstraint.compare(N, ">=", C1),)
     v = entails_leq(SymExpr.of(N), SymExpr.of(N * N), pre)
-    assert v.kind == VerdictKind.VERIFIED
-    assert v.method == "grid"
+    assert v.kind == VerdictKind.UNVERIFIED
 
 
 def test_entails_respects_preconditions():
@@ -290,12 +291,41 @@ def test_entails_empty_precondition_grid_is_unverified():
     assert v.kind == VerdictKind.UNVERIFIED
 
 
-def test_entails_grid_too_large():
+def test_entails_over_many_variables_is_unverified_not_an_error():
+    # x <= x*x holds on the integers, but no procedure here proves it, and
+    # nine variables put the witness box past its cap
     many = [Poly.var(f"x{k}") for k in range(9)]
     lhs = SymExpr.of(sum(many, Poly()))
     rhs = SymExpr.of(sum((v * v for v in many), Poly()))
-    with pytest.raises(GridTooLarge):
-        entails_leq(lhs, rhs, grid=GridConfig())
+    v = entails_leq(lhs, rhs)
+    assert v.kind == VerdictKind.UNVERIFIED
+    assert v.reason == "not affine, and the witness search found none"
+
+
+def _random_affine(rng, names):
+    return Poly.from_dict({((v, 1),): Fraction(rng.randint(-3, 3)) for v in names}
+                          | {(): Fraction(rng.randint(-4, 6))})
+
+
+def _random_pre(rng, names):
+    return tuple(LinConstraint(_random_affine(rng, names), rng.choice(LinConstraint.RELS))
+                 for _ in range(rng.randint(0, 2)))
+
+
+_RELS = {"<=": operator.le, "<": operator.lt, "==": operator.eq,
+         ">=": operator.ge, ">": operator.gt}
+
+
+def _int_form(p, names):
+    """An integer-coefficient affine p as a fast function of a point."""
+    coeffs = [int(p.coeff(((v, 1),))) for v in names]
+    const = int(p.coeff(()))
+    return lambda point: const + sum(a * x for a, x in zip(coeffs, point))
+
+
+def _holds_all(constraints, names):
+    forms = [(_int_form(c.lhs, names), _RELS[c.rel]) for c in constraints]
+    return lambda point: all(rel(f(point), 0) for f, rel in forms)
 
 
 def test_entails_never_verified_against_grid_counterexample():
@@ -303,10 +333,7 @@ def test_entails_never_verified_against_grid_counterexample():
     for _ in range(300):
         p = random_poly(rng, ["n", "m"], max_degree=2, coeff_range=(-3, 3))
         q = random_poly(rng, ["n", "m"], max_degree=2, coeff_range=(-3, 3))
-        try:
-            v = entails_leq(SymExpr.of(p), SymExpr.of(q))
-        except GridTooLarge:
-            continue
+        v = entails_leq(SymExpr.of(p), SymExpr.of(q))
         cex = None
         for n in range(0, 9):
             for m in range(0, 9):
@@ -320,14 +347,76 @@ def test_entails_never_verified_against_grid_counterexample():
             assert cex is None
         if cex is not None:
             assert v.kind == VerdictKind.VIOLATED
+    # affine clauses under affine preconditions, against brute force on 0..20
+    names = ["n", "m"]
+    for _ in range(300):
+        lhs = SymExpr.of(*(_random_affine(rng, names) for _ in range(rng.randint(1, 2))))
+        rhs = SymExpr.of(*(_random_affine(rng, names) for _ in range(rng.randint(1, 2))))
+        pre = _random_pre(rng, names)
+        v = entails_leq(lhs, rhs, pre)
+        pre_holds = _holds_all(pre, names)
+        lf = [_int_form(p, names) for p in lhs.alts]
+        rf = [_int_form(q, names) for q in rhs.alts]
+        cexs = [pt for pt in itertools.product(range(21), repeat=2)
+                if pre_holds(pt) and max(f(pt) for f in lf) > max(f(pt) for f in rf)]
+        if v.kind == VerdictKind.VERIFIED:
+            assert not cexs, (lhs, rhs, pre)
+        if v.kind == VerdictKind.VIOLATED:
+            assert all(c.holds(v.witness) for c in pre)
+            assert lhs.eval(v.witness) > rhs.eval(v.witness)
+        if any(max(pt) <= 8 for pt in cexs):
+            assert v.kind == VerdictKind.VIOLATED
+
+
+def test_constraint_entailed_against_brute_force():
+    rng = random.Random(7)
+    names = ["n", "m", "i"]
+    for _ in range(300):
+        context = _random_pre(rng, names)
+        goal = LinConstraint(_random_affine(rng, names), rng.choice(LinConstraint.RELS))
+        if not constraint_entailed(goal, context):
+            continue
+        context_holds, goal_holds = _holds_all(context, names), _holds_all((goal,), names)
+        for pt in itertools.product(range(11), repeat=3):
+            if context_holds(pt):
+                assert goal_holds(pt), (goal, context, pt)
+
+
+def test_memreq_beyond_the_witness_grid_is_violated():
+    # the old 0..8 sweep held here and called the clause Verified
+    pre = (LinConstraint.compare(N, ">=", Poly.const(0)),)
+    v = entails_leq(SymExpr.of(N), SymExpr.of(Poly.const(8)), pre)
+    assert v.kind == VerdictKind.VIOLATED
+    assert v.witness == {"n": 9}
 
 
 # --- integrality and rendering ---------------------------------------------
 
+def _binomial(var, k):
+    out = Poly.const(1)
+    for j in range(k):
+        out = out * (Poly.var(var) - Poly.const(j)).scale(Fraction(1, j + 1))
+    return out
+
+
 def test_triangular_bound_is_integer_valued():
     half = (N * N + N).scale(Fraction(1, 2))
-    assert integer_valued_on_grid(SymExpr.of(half))
-    assert not integer_valued_on_grid(SymExpr.of(N.scale(Fraction(1, 2))))
+    assert integer_valued(SymExpr.of(half))
+    assert not integer_valued(SymExpr.of(N.scale(Fraction(1, 2))))
+    # random rational polynomials: integer combinations of binomials, some
+    # nudged by a fraction; the box 0..6 covers every degree drawn here
+    rng = random.Random(5)
+    for _ in range(200):
+        p = Poly()
+        for _ in range(rng.randint(1, 3)):
+            term = _binomial("n", rng.randint(0, 3)) * _binomial("m", rng.randint(0, 3))
+            p = p + term.scale(rng.randint(-3, 3))
+        if rng.random() < 0.5:
+            p = p + Poly.var(rng.choice("nm"), rng.randint(1, 2)).scale(
+                Fraction(rng.randint(1, 5), rng.randint(2, 4)))
+        brute = all(p.eval({"n": n, "m": m}).denominator == 1
+                    for n in range(7) for m in range(7))
+        assert integer_valued(SymExpr.of(p)) == brute, poly_to_str(p)
 
 
 def test_rendering_is_surface_syntax():
