@@ -4,9 +4,11 @@ Each method gets one flow-insensitive exit graph.  Nodes are allocation
 sites (solid), parameters and field loads (dotted), plus a single global
 node.  Calls inline the callee's pruned summary: parameter nodes map to
 argument nodes, allocation sites keep their identity, load nodes replay
-their field chain in the caller.  Recursive components iterate from
-empty summaries to a fixpoint; everything only grows, so the fixpoint
-is reached once no graph changes.
+their field chain in the caller.  Only recursive components iterate
+from empty summaries to a fixpoint; everything only grows, so the fixpoint
+is reached once no graph changes.  Any other method is built once, as its
+callees' summaries are already final.  Each reachability query is one pass
+over E that groups the edges by source, then a search over that grouping.
 """
 
 from __future__ import annotations
@@ -141,12 +143,15 @@ class PointsToGraph:
         return out
 
     def reach_from(self, start: set[PTGNode]) -> set[PTGNode]:
+        """`start` plus every node reachable from it over any field."""
+        succ: dict[PTGNode, list[PTGNode]] = {}
+        for (a, _, b) in self.E:
+            succ.setdefault(a, []).append(b)
         seen = set(start)
         work = list(start)
         while work:
-            n = work.pop()
-            for (a, _, b) in self.E:
-                if a == n and b not in seen:
+            for b in succ.get(work.pop(), ()):
+                if b not in seen:
                     seen.add(b)
                     work.append(b)
         return seen
@@ -438,12 +443,18 @@ def _tag_root(g: PointsToGraph, method: MethodDecl, tag: Tag,
 def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
                     class_map: dict[str, ClassDecl]) -> list[LifetimeVerdict]:
     contract = method.contract
-    roots = _root_sets(ptg, method, class_map)
-    all_roots: set[PTGNode] = set().union(*roots.values()) if roots else set()
-    escaped = ptg.reach_from(all_roots)
+    reach = {r: ptg.reach_from(ns)
+             for r, ns in _root_sets(ptg, method, class_map).items()}
+    escaped: set[PTGNode] = set().union(*reach.values())
+    tag_reach: dict[Tag, set[PTGNode]] = {}
 
     def roots_reaching(n: PTGNode) -> list[str]:
-        return sorted(r for r, ns in roots.items() if n in ptg.reach_from(ns))
+        return sorted(r for r, ns in reach.items() if n in ns)
+
+    def reach_of(tag: Tag) -> set[PTGNode]:
+        if tag not in tag_reach:
+            tag_reach[tag] = ptg.reach_from(_tag_root(ptg, method, tag, contract.bindings))
+        return tag_reach[tag]
 
     out: list[LifetimeVerdict] = []
     for rec in ptg.site_records:
@@ -464,8 +475,7 @@ def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
                 method.qname, rec.site, ANNOTATED_CAPTURED, tag=str(tag),
                 note="annotated as escaping but unreachable from every root"))
             continue
-        tag_nodes = _tag_root(ptg, method, tag, contract.bindings)
-        if rec.node in ptg.reach_from(tag_nodes):
+        if rec.node in reach_of(tag):
             out.append(LifetimeVerdict(method.qname, rec.site, OK, tag=str(tag)))
         else:
             out.append(LifetimeVerdict(
@@ -481,9 +491,7 @@ def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
                     method.qname, rec.site, OK, tag=str(dst),
                     note=f"callee has no objects under tag {src}"))
                 continue
-            dst_nodes = _tag_root(ptg, method, dst, contract.bindings)
-            reach = ptg.reach_from(dst_nodes)
-            if all(n in reach for n in pulled):
+            if pulled <= reach_of(dst):
                 out.append(LifetimeVerdict(method.qname, rec.site, OK, tag=str(dst)))
             else:
                 out.append(LifetimeVerdict(
@@ -508,10 +516,8 @@ def summarize_ptg(method: MethodDecl, g: PointsToGraph,
     out_sets = {p.name: set(g.var_set(p.name))
                 for p in method.params
                 if p.is_out and p.decl_type.name in class_map}
-    keep_seeds: set[PTGNode] = set().union(*roots.values()) if roots else set()
-    for t, ns in g.tagged.items():
-        keep_seeds |= ns
-    keep = g.reach_from(keep_seeds)
+    reach = {r: g.reach_from(ns) for r, ns in roots.items()}
+    keep = g.reach_from(set().union(*roots.values(), *g.tagged.values()))
 
     pruned = PointsToGraph()
     for n in keep:
@@ -524,8 +530,7 @@ def summarize_ptg(method: MethodDecl, g: PointsToGraph,
 
     escaping: dict[str, list[str]] = {}
     for rec in g.site_records:
-        hit = sorted(r for r, ns in roots.items()
-                     if rec.node in g.reach_from(ns))
+        hit = sorted(r for r, ns in reach.items() if rec.node in ns)
         if hit:
             escaping[rec.site] = hit
 
@@ -552,6 +557,7 @@ def analyze(program: Program) -> EscapeAnalysis:
     methods = {m.qname: m for m in program.methods()}
     summaries: dict[str, EscapeSummary] = {}
     graphs: dict[str, PointsToGraph] = {}
+    edges = callgraph.call_edges(program)
 
     for comp in callgraph.sccs(program):
         while True:
@@ -565,7 +571,7 @@ def analyze(program: Program) -> EscapeAnalysis:
                     stable = False
                 summaries[qname] = new
                 graphs[qname] = g
-            if stable:
+            if stable or not callgraph.is_recursive(comp, edges):
                 break
 
     lifetimes = {q: check_lifetimes(methods[q], graphs[q], class_map)
@@ -574,9 +580,10 @@ def analyze(program: Program) -> EscapeAnalysis:
 
 
 def _summary_fingerprint(s: EscapeSummary):
+    c = s.ptg.canonical()
     return (
-        s.ptg.canonical()["E"],
-        sorted(s.ptg.canonical()["N"]),
+        c["E"],
+        c["N"],
         sorted(n.key for n in s.returned),
         sorted((p, tuple(sorted(n.key for n in ns))) for p, ns in s.out_sets.items()),
         sorted((str(t), tuple(sorted(n.key for n in ns))) for t, ns in s.tagged.items()),

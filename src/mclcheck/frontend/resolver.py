@@ -420,16 +420,17 @@ class _MethodResolver:
         if len(s.args) != len(callee.params):
             self.error("arity", f"{s.resolved} takes {len(callee.params)} argument(s), "
                        f"got {len(s.args)}", s.pos)
-        else:
-            for a, p in zip(s.args, callee.params):
-                if isinstance(a, OutArg) != p.is_out:
-                    self.error("out-mismatch",
-                               f"argument {p.name} of {s.resolved} must "
-                               f"{'be' if p.is_out else 'not be'} passed with out", s.pos)
-                if isinstance(a, OutArg):
-                    self.check_lvalue(a.target, loops)
-                else:
-                    self.check_arg(a, p, s.resolved, s.pos)
+        for a, p in zip(s.args, callee.params):
+            if isinstance(a, OutArg) != p.is_out:
+                self.error("out-mismatch",
+                           f"argument {p.name} of {s.resolved} must "
+                           f"{'be' if p.is_out else 'not be'} passed with out", s.pos)
+            if isinstance(a, OutArg):
+                self.check_lvalue(a.target, loops)
+            else:
+                self.check_arg(a, p, s.resolved, s.pos)
+        for a in s.args[len(callee.params):]:
+            self.typeof(a.target if isinstance(a, OutArg) else a)
         for dst, _src in s.add_esc:
             self.check_tag_use(dst, s.pos, "add_esc")
         if s.target is not None:

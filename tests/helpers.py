@@ -50,3 +50,19 @@ def random_poly(rng: random.Random, variables: list[str], max_degree: int = 3,
 
 def poly_of(env_free: dict[tuple[tuple[str, int], ...], int]) -> Poly:
     return Poly.from_dict({m: Fraction(c) for m, c in env_free.items()})
+
+
+def relay_chain(k):
+    """m(j) allocates a Box, calls m(j-1) and hangs the rest off a field
+    that alternates between two, so the graphs hold several fields."""
+    methods = []
+    for j in range(k):
+        link = "" if j == 0 else (f"        add_esc(return, return);\n"
+                                  f"        Box rest = m{j - 1}();\n"
+                                  f"        b.{('next', 'link')[j % 2]} = rest;\n")
+        methods.append(f"    Box m{j}() {{\n        memreq<Box>({j + 1});\n"
+                       f"        esc<Box>(return, {j + 1});\n\n"
+                       f"        dest_esc(return);\n        Box b = new Box();\n"
+                       f"{link}        return b;\n    }}\n")
+    return ("class Box {\n    Box next;\n    Box link;\n}\n\nclass Relay {\n"
+            + "\n".join(reversed(methods)) + "}\n")

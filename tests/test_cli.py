@@ -1,5 +1,6 @@
-"""End-to-end command coverage through main(); only the hash-seed test
-starts subprocesses, since a process fixes its hash seed at start-up."""
+"""End-to-end command coverage through main(); only the hash-seed tests and
+the `python -m mclcheck` test start subprocesses, since a process fixes its
+hash seed at start-up."""
 
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+from helpers import relay_chain
 from mclcheck.cli import main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -23,6 +25,21 @@ def cli(*argv):
 
 def corpus(name):
     return str(CORPUS / f"{name}.mcl")
+
+
+def run_module(*argv, hash_seed="0"):
+    """`python -m mclcheck ARGV` in a fresh process with the given hash seed."""
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "mclcheck", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    argv = ("check", corpus("family"), "--format", "json")
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == cli(*argv)
 
 
 # ------------------------------------------------------------ check
@@ -362,6 +379,17 @@ def test_long_call_chain_needs_no_deep_python_stack(tmp_path):
     code, out, _ = cli("ptg", "--format", "json", str(path))
     assert code == 0
     assert len(json.loads(out)) == n
+
+
+def test_chain_check_and_ptg_are_byte_identical_whatever_the_hash_seed(tmp_path):
+    path = tmp_path / "relay.mcl"
+    path.write_text(relay_chain(40))
+    for argv in (("check", str(path), "--format", "json"),
+                 ("ptg", str(path), "--format", "json")):
+        runs = [run_module(*argv, hash_seed=seed) for seed in ("1", "77")]
+        assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stderr == runs[1].stderr == ""
 
 
 # ------------------------------------------------------------ run arguments

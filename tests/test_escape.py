@@ -1,14 +1,18 @@
 """Heap-shape analysis: graph construction, summaries, lifetime verdicts."""
 
 import pathlib
+import random
 
 import pytest
 
+from helpers import relay_chain
 from mclcheck import escape
 from mclcheck.escape import (
     ANNOTATED_CAPTURED,
     ESCAPES_UNANNOTATED,
     OK,
+    PointsToGraph,
+    PTGNode,
     SUPPRESSED,
     TAG_MISMATCH,
     analyze,
@@ -141,6 +145,173 @@ def test_analysis_is_deterministic():
     b = analyze(load_corpus("bigfamily"))
     for q in a.graphs:
         assert a.graphs[q].canonical() == b.graphs[q].canonical()
+
+
+def test_analysis_summaries_are_deterministic():
+    a = analyze(load_corpus("bigfamily"))
+    b = analyze(load_corpus("bigfamily"))
+    assert a.summaries.keys() == b.summaries.keys()
+    for q in a.summaries:
+        assert (escape._summary_fingerprint(a.summaries[q])
+                == escape._summary_fingerprint(b.summaries[q]))
+
+
+# ------------------------------------------------------------ reachability
+
+
+def random_graph(rng):
+    nodes = [inside_node(f"C.m#{i}") for i in range(rng.randint(1, 4))]
+    nodes += [param_node(p) for p in ("this", "a", "b")[:rng.randint(1, 3)]]
+    for i in range(rng.randint(0, 4)):
+        base = rng.choice(nodes)
+        nodes.append(PTGNode("load", f"{base.key}.f{i}", base=base, field=f"f{i}",
+                             depth=base.depth + 1))
+    g = PointsToGraph()
+    for n in nodes:
+        g.add_node(n)
+    for _ in range(rng.randint(0, 3 * len(nodes))):
+        # self-edges and back-edges come up as often as any other pair
+        g.add_edge(rng.choice(nodes), rng.choice(("next", "link", "[*]")),
+                   rng.choice(nodes))
+    return g, nodes
+
+
+def closure(g, start):
+    seen = set(start)
+    while True:
+        fresh = {b for (a, _, b) in g.E if a in seen} - seen
+        if not fresh:
+            return seen
+        seen |= fresh
+
+
+def test_reach_from_and_targets_match_the_edge_set_definitions():
+    rng = random.Random(7)
+    for _ in range(300):
+        g, nodes = random_graph(rng)
+        start = set(rng.sample(nodes, rng.randint(0, len(nodes))))
+        assert g.reach_from(start) == closure(g, start)
+        for n in nodes:
+            assert reachable(g, {n}, n)
+            for f in ("next", "link", "[*]"):
+                assert g.targets(n, f) == {b for (a, h, b) in g.E if a == n and h == f}
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def sites_under_one_tag(k):
+    body = "\n".join(f"        dest_esc(return);\n        Box b{i} = new Box();\n"
+                     + (f"        b{i}.next = b{i - 1};" if i else "")
+                     for i in range(k))
+    return load(f"""class Box {{
+    Box next;
+}}
+
+class Maker {{
+    Box make() {{
+        memreq<Box>({k});
+        esc<Box>(return, {k});
+
+{body}
+        return b{k - 1};
+    }}
+}}
+""", "sites.mcl")
+
+
+def test_reach_queries_do_not_grow_with_sites_under_one_tag(monkeypatch):
+    counts = []
+    for k in (1, 10):
+        calls = count_calls(monkeypatch, PointsToGraph, "reach_from")
+        an = analyze(sites_under_one_tag(k))
+        monkeypatch.undo()
+        assert kinds(an, "Maker.make") == [OK] * k
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+# ------------------------------------------------------------ fixpoint rounds
+
+
+def test_non_recursive_chain_builds_each_method_once(monkeypatch):
+    calls = count_calls(monkeypatch, escape, "build_ptg")
+    an = analyze(load(relay_chain(30), "relay.mcl"))
+    assert sorted(m.qname for m, *_ in calls) == sorted(f"Relay.m{j}" for j in range(30))
+    last = an.graphs["Relay.m29"]
+    assert {n.key for n in last.reach_from(last.returned)} == {
+        f"Relay.m{j}#1" for j in range(30)}
+
+
+SELF_RECURSIVE = """
+class Node {
+    Node next;
+
+    Node() { }
+
+    Node grow(Node head, int n) {
+        requires(n >= 0);
+        memreq<Node>(n);
+        esc<Node>(return, n);
+
+        if (n > 0) {
+            dest_esc(return);
+            Node cell = new Node();
+            cell.next = head;
+            add_esc(return, return);
+            Node more = this.grow(cell, n - 1);
+            return more;
+        }
+        return head;
+    }
+}
+"""
+
+RETURN_OK = {"kind": OK, "tag": "Return"}
+
+# summaries and verdicts of two recursive components, pinned: a change to when
+# the fixpoint stops iterating must leave them as they are
+PINNED = {
+    "self": (
+        {"Node.Node": {"L": {}, "N": ["this"], "E": [], "returned": []},
+         "Node.grow": {"L": {}, "N": ["Node.grow#1", "head", "this"],
+                       "E": [("Node.grow#1", "next", "Node.grow#1"),
+                             ("Node.grow#1", "next", "head")],
+                       "returned": ["Node.grow#1", "head"]}},
+        {"Node.Node": [],
+         "Node.grow": [dict(RETURN_OK, method="Node.grow", where="Node.grow#1"),
+                       dict(RETURN_OK, method="Node.grow", where="Node.grow@1")]},
+    ),
+    "zigzag": (
+        {q: {"L": {}, "N": ["Link.zag#1", "Link.zig#1", "this"],
+             "E": [("Link.zag#1", "rest", "Link.zig#1"),
+                   ("Link.zig#1", "rest", "Link.zag#1")],
+             "returned": [f"{q}#1"]} for q in ("Link.zag", "Link.zig")},
+        {q: [dict(RETURN_OK, method=q, where=f"{q}#1"),
+             dict(RETURN_OK, method=q, where=f"{q}@1")] for q in ("Link.zag", "Link.zig")},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_recursive_components_iterate_to_the_pinned_fixpoint(monkeypatch, case):
+    calls = count_calls(monkeypatch, escape, "build_ptg")
+    prog = load(SELF_RECURSIVE, "t.mcl") if case == "self" else load_corpus(case)
+    an = analyze(prog)
+    summaries, lifetimes = PINNED[case]
+    assert {q: s.ptg.canonical() for q, s in an.summaries.items()} == summaries
+    assert {q: [v.to_json() for v in vs] for q, vs in an.lifetimes.items()} == lifetimes
+    built = [m.qname for m, *_ in calls]
+    assert all(built.count(q) >= 2 for q in summaries if q != "Node.Node")
 
 
 # ---------------------------------------------------------------- verdicts

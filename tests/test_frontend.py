@@ -241,6 +241,23 @@ def test_unknown_method_rejected():
     assert "unknown-method" in codes(exc)
 
 
+def test_wrong_arity_still_types_every_argument():
+    src = """
+class C {
+    C() { }
+    void f(int n, int m) { }
+    void g() { this.f(zzz); }
+    void h(C c) { c.f(1, 2, yyy); }
+}
+"""
+    with pytest.raises(ResolveFailure) as exc:
+        load(src, "t.mcl")
+    assert [(d.code, d.line, d.col) for d in exc.value.diagnostics] == [
+        ("arity", 5, 16), ("unknown-name", 5, 23),
+        ("arity", 6, 19), ("unknown-name", 6, 29),
+    ]
+
+
 def test_out_param_never_assigned():
     src = """
     class P { P() { } }
