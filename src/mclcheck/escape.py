@@ -65,6 +65,15 @@ class PTGNode:
     field: str | None = None
     depth: int = 0
 
+    def __post_init__(self):
+        # the same value the generated hash would give, computed once
+        # instead of on every set and dict operation
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.key, self.base, self.field, self.depth)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def sort_key(self):
         return (self.kind, self.depth, self.key)
 

@@ -16,9 +16,15 @@ names are described in `frontend.syntax`), evaluated through
 through one binder, by in-parameter name.
 
 Arrays account with their length; strings and integers are values and never
-touch the heap.  Live counts are double-checked on every step by recomputing
-them from the heap itself, and reclaimed object ids are poisoned so that any
-later read fails loudly instead of silently resurrecting garbage.
+touch the heap.  Reclamation is incremental but exact: every object counts
+its incoming references, and a sweep searches back from each object that
+is new or lost a reference since the last sweep, so it reclaims exactly
+the objects a full mark from the roots would miss, in the same order.  An
+activation's live counts are recomputed from the heap when it exits, and
+every frame's at the end of a run; the test suite recomputes them after
+every statement and checks every sweep against a full mark.  Reclaimed
+object ids are poisoned so that any later read fails loudly instead of
+silently resurrecting garbage.
 """
 
 from __future__ import annotations
@@ -129,6 +135,8 @@ class HeapObject:
     weight: int                  # arrays count as their length
     site: str
     counted_by: tuple[int, ...]  # serials of activations live at allocation
+    # referrer oid, or None for a frame's local or `this` -> reference count
+    incoming: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -223,6 +231,7 @@ class Interp:
         self.methods = {m.qname: m for m in program.methods()}
         self.heap: dict[int, HeapObject] = {}
         self.poisoned: set[int] = set()
+        self.suspects: set[int] = set()  # new or dropped since the last sweep
         self.stack: list[Activation] = []
         self.active: dict[int, Activation] = {}
         self.trace: list[tuple] = []
@@ -241,11 +250,14 @@ class Interp:
         return act
 
     def _push(self, method: MethodDecl, this: Ref | None,
-              locals_: dict, direct: bool) -> Activation:
+              values: list, direct: bool) -> Activation:
         serial = self._next_serial
         self._next_serial += 1
         act = Activation(serial, method, f"{method.qname}@{serial}",
-                         this, locals_, {}, [])
+                         this, {}, {}, [])
+        self._link(None, this)
+        for p, v in zip(method.params, values):
+            self._set_local(act, p.name, v)
         self.stack.append(act)
         self.active[serial] = act
         act.ensures = [s for s in method.body if isinstance(s, EnsureStmt)]
@@ -253,6 +265,14 @@ class Interp:
         self.trace.append(("call", method.qname, act.instance))
         self._check_requires(act, direct)
         return act
+
+    def _pop(self, act: Activation):
+        """Drop the top frame and the references its slots held."""
+        for v in act.locals.values():
+            self._unlink(None, v)
+        self._unlink(None, act.this)
+        self.stack.pop()
+        del self.active[act.serial]
 
     def _snapshot_entry(self, act: Activation) -> dict[str, int]:
         """The contract variables' values; act must be the top frame.  A
@@ -300,6 +320,10 @@ class Interp:
         counted = tuple(a.serial for a in self.stack)
         self.heap[oid] = HeapObject(oid, cls_key, fields_, length, weight,
                                     site, counted)
+        for v in fields_.values():
+            self._link(oid, v)
+        if self.gc != "none":
+            self.suspects.add(oid)
         for act in self.stack:
             for key in (cls_key, OBJECT_KEY):
                 cur = act.current.get(key, 0) + weight
@@ -309,6 +333,34 @@ class Interp:
         self.trace.append(("alloc", oid, cls_key, weight, site,
                            self.stack[-1].instance))
         return Ref(oid)
+
+    # Every write of a reference goes through _set_local or _set_field, so
+    # each object's `incoming` counts exactly the slots that hold it.
+
+    def _link(self, src, value):
+        if isinstance(value, Ref):
+            inc = self.heap[value.oid].incoming
+            inc[src] = inc.get(src, 0) + 1
+
+    def _unlink(self, src, value):
+        if isinstance(value, Ref):
+            inc = self.heap[value.oid].incoming
+            if inc[src] == 1:
+                del inc[src]
+            else:
+                inc[src] -= 1
+            if self.gc != "none":
+                self.suspects.add(value.oid)
+
+    def _set_local(self, act: Activation, name: str, value):
+        self._unlink(None, act.locals.get(name))
+        act.locals[name] = value
+        self._link(None, value)
+
+    def _set_field(self, obj: HeapObject, key, value):
+        self._unlink(obj.oid, obj.fields.get(key))
+        obj.fields[key] = value
+        self._link(obj.oid, value)
 
     def _reach(self, roots) -> set[int]:
         seen: set[int] = set()
@@ -330,9 +382,37 @@ class Interp:
             yield from act.locals.values()
 
     def _sweep(self):
-        live = self._reach(self._roots())
-        dead = sorted(set(self.heap) - live)
-        for oid in dead:
+        """Reclaim every unreachable object.  Only a suspect can have become
+        unreachable since the last sweep: search back from each along
+        incoming references for a root slot or an object already shown
+        live.  A search that finds neither has visited a set closed under
+        referrers that no root holds, so all of it is garbage; dropping
+        its fields makes its children suspects in turn."""
+        live: set[int] = set()
+        dead: set[int] = set()
+        while self.suspects:
+            oid = self.suspects.pop()
+            if oid in live or oid in dead:
+                continue
+            seen = {oid}
+            work = [oid]
+            rooted = False
+            while work and not rooted:
+                for src in self.heap[work.pop()].incoming:
+                    if src is None or src in live:
+                        rooted = True
+                        break
+                    if src not in seen:
+                        seen.add(src)
+                        work.append(src)
+            if rooted:
+                live.add(oid)
+                continue
+            dead |= seen
+            for d in seen:
+                for v in self.heap[d].fields.values():
+                    self._unlink(d, v)
+        for oid in sorted(dead):
             obj = self.heap.pop(oid)
             for serial in obj.counted_by:
                 act = self.active.get(serial)  # exactly the frames on the stack
@@ -345,9 +425,11 @@ class Interp:
             self.poisoned.add(oid)
             self.trace.append(("reclaim", oid))
 
-    def _assert_accounting(self):
-        # the incremental counters must agree with a from-scratch recount
-        expected: dict[int, dict[str, int]] = {a.serial: {} for a in self.stack}
+    def _assert_accounting(self, acts=None):
+        # the incremental counters of `acts` (by default every frame) must
+        # agree with a from-scratch recount
+        acts = self.stack if acts is None else acts
+        expected: dict[int, dict[str, int]] = {a.serial: {} for a in acts}
         for obj in self.heap.values():
             for serial in obj.counted_by:
                 acc = expected.get(serial)
@@ -355,7 +437,7 @@ class Interp:
                     continue
                 for key in (obj.cls, OBJECT_KEY):
                     acc[key] = acc.get(key, 0) + obj.weight
-        for act in self.stack:
+        for act in acts:
             have = {k: v for k, v in act.current.items() if v}
             want = {k: v for k, v in expected[act.serial].items() if v}
             if have != want:
@@ -368,7 +450,6 @@ class Interp:
             raise StepBudgetExceeded(f"exceeded {self.max_steps} steps")
         if self.gc == "ideal":
             self._sweep()
-        self._assert_accounting()
 
     # -- expressions ---------------------------------------------------------
 
@@ -449,15 +530,15 @@ class Interp:
     def _store(self, target: Expr, value):
         act = self.stack[-1]
         if isinstance(target, VarRef):
-            act.locals[target.name] = value
+            self._set_local(act, target.name, value)
         elif isinstance(target, FieldRef):
-            self._obj(self._eval(target.base)).fields[target.field] = value
+            self._set_field(self._obj(self._eval(target.base)), target.field, value)
         elif isinstance(target, IndexRef):
             obj = self._obj(self._eval(target.base))
             idx = self._eval(target.index)
             if obj.length is None or not 0 <= idx < obj.length:
                 raise ArrayBounds(f"index {idx} outside [0, {obj.length})")
-            obj.fields[idx] = value
+            self._set_field(obj, idx, value)
         else:
             raise OracleError(f"bad assignment target {type(target).__name__}")
 
@@ -472,7 +553,7 @@ class Interp:
         if isinstance(s, LocalDecl):
             value = self._eval(s.init) if s.init is not None \
                 else _default(s.decl_type)
-            self.stack[-1].locals[s.name] = value
+            self._set_local(self.stack[-1], s.name, value)
         elif isinstance(s, Assign):
             self._store(s.target, self._eval(s.value))
         elif isinstance(s, AugAssign):
@@ -490,7 +571,7 @@ class Interp:
             lo = self._eval(s.lo)
             hi = self._eval(s.hi)
             for i in range(lo, hi + 1):
-                self.stack[-1].locals[s.var] = i
+                self._set_local(self.stack[-1], s.var, i)
                 self._exec_block(s.body)
         # contract and escape annotations carry no runtime behavior; requires
         # is checked at entry and ensure at exit
@@ -539,17 +620,16 @@ class Interp:
 
     def _invoke(self, callee: MethodDecl, this: Ref | None, values: list,
                 outs: list, direct: bool):
-        locals_ = {p.name: v for p, v in zip(callee.params, values)}
-        act = self._push(callee, this, locals_, direct)
+        act = self._push(callee, this, values, direct)
         ret = None
         try:
             self._exec_block(callee.body)
         except _Return as r:
             ret = r.value
         self._finish(act, ret)
+        self._assert_accounting([act])
         out_values = {name: act.locals[name] for name, _ in outs}
-        self.stack.pop()
-        del self.active[act.serial]
+        self._pop(act)
         for name, target in outs:
             if target is not None:
                 self._store(target, out_values[name])
@@ -695,11 +775,10 @@ def _drive(program: Program, qname: str, gc: str, max_steps: int,
         # each MCL call takes several Python frames
         raise StackExhausted("calls nest deeper than the interpreter's"
                              " Python stack allows") from None
-    harness.locals["<result>"] = ret
-    interp._method_exit_sweep()
-    if interp.gc == "ideal":
+    interp._set_local(harness, "<result>", ret)
+    if interp.gc != "none":
         interp._sweep()
-        interp._assert_accounting()
+    interp._assert_accounting()
     return interp.result(ret)
 
 
@@ -824,7 +903,7 @@ def run_point(program: Program, qname: str, point: dict, gc: str = "ideal",
         this = None
         if not method.is_ctor:
             this = interp._instance(method.cls, HARNESS)
-            harness.locals["<receiver>"] = this
+            interp._set_local(harness, "<receiver>", this)
             ctor = interp.classes[method.cls].ctor()
             if ctor is not None:
                 values, outs = _bind_args(

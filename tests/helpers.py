@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from mclcheck.oracle import Ref
 from mclcheck.symexpr import Poly, SymExpr
 
 
@@ -66,3 +67,17 @@ def relay_chain(k):
                        f"{link}        return b;\n    }}\n")
     return ("class Box {\n    Box next;\n    Box link;\n}\n\nclass Relay {\n"
             + "\n".join(reversed(methods)) + "}\n")
+
+
+def forward_mark(interp):
+    """The oids reachable from the interpreter's frames, marked from scratch
+    the way a tracing collector would."""
+    seen = set()
+    work = [v.oid for v in interp._roots() if isinstance(v, Ref)]
+    while work:
+        oid = work.pop()
+        if oid not in seen:
+            seen.add(oid)
+            work += [v.oid for v in interp.heap[oid].fields.values()
+                     if isinstance(v, Ref)]
+    return seen

@@ -35,3 +35,30 @@ def test_grid_enumeration_stays_out_of_the_decision_path():
             if attr or imported:
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, f"itertools.product outside oracle.py and symexpr.py: {', '.join(found)}"
+
+
+def test_reference_slots_are_written_only_by_the_reference_helpers():
+    # the incremental collector trusts each object's incoming-reference
+    # counts; a slot written anywhere else would leave them stale without
+    # changing any output until an object is reclaimed while still reachable
+    helpers = {"_set_local": "locals", "_set_field": "fields"}
+    path = SRC / "mclcheck" / "oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+    owner = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                owner[node] = fn.name  # ast.walk is breadth-first: innermost wins
+    writes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
+                else [node.target]
+            for t in targets:
+                if (isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+                        and t.value.attr in ("locals", "fields")):
+                    writes.append((owner.get(node), t.value.attr, node.lineno))
+    stray = [f"oracle.py:{line}" for fn, attr, line in sorted(writes, key=lambda w: w[2])
+             if helpers.get(fn) != attr]
+    assert not stray, f"slot writes outside the reference helpers: {', '.join(stray)}"
+    assert sorted({(fn, attr) for fn, attr, _ in writes}) == sorted(helpers.items())
