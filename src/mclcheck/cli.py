@@ -14,7 +14,7 @@ from .oracle import (ArgumentError, GridTooLarge, OracleError,
                      RequiresViolation, StackExhausted, StepBudgetExceeded,
                      run, validate)
 from .summary import CyclicWithoutContract, check_program
-from .symexpr import DegreeOverflow
+from .symexpr import DegreeOverflow, UnboundedSpace
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -93,12 +93,23 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _io_error(exc: OSError, path) -> InputError:
+    return InputError([{"severity": "error", "code": "io-error",
+                        "message": str(exc), "file": str(path)}])
+
+
 def _read(path: str) -> str:
     try:
         return pathlib.Path(path).read_text()
     except OSError as exc:
-        raise InputError([{"severity": "error", "code": "io-error",
-                           "message": str(exc), "file": path}])
+        raise _io_error(exc, path)
+
+
+def _write(path, text: str) -> None:
+    try:
+        pathlib.Path(path).write_text(text)
+    except OSError as exc:
+        raise _io_error(exc, path)
 
 
 def _load_file(path: str):
@@ -138,7 +149,7 @@ def _cmd_check(ns, out) -> int:
         prog = _load_file(path)
         try:
             report = check_program(prog, ns.mode)
-        except (CyclicWithoutContract, DegreeOverflow) as exc:
+        except (CyclicWithoutContract, DegreeOverflow, UnboundedSpace) as exc:
             raise AnalysisStop(f"{path}: {exc}")
         results.append((path, report))
 
@@ -160,7 +171,7 @@ def _cmd_instrument(ns, out) -> int:
     prog = _load_file(ns.file)
     text = pretty(instrument(prog).program)
     if ns.emit:
-        pathlib.Path(ns.emit).write_text(text)
+        _write(ns.emit, text)
     else:
         out.write(text)
     return EXIT_OK
@@ -262,11 +273,14 @@ def _cmd_ptg(ns, out) -> int:
 
     if ns.dot:
         outdir = pathlib.Path(ns.dot)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _io_error(exc, outdir)
         written = []
         for qname, text in dots.items():
             target = outdir / f"{qname}.dot"
-            target.write_text(text)
+            _write(target, text)
             written.append(str(target))
         if ns.format == "json":
             _dump({"written": written}, out)
@@ -285,6 +299,8 @@ def _cmd_ptg(ns, out) -> int:
 
 
 def _cmd_validate(ns, out) -> int:
+    if ns.grid < 0:
+        raise UsageError(f"--grid must be nonnegative, not {ns.grid}")
     prog = _load_file(ns.file)
     try:
         report = validate(prog, lo=0, hi=ns.grid, gc=ns.gc)

@@ -4,11 +4,15 @@ Each method gets one flow-insensitive exit graph.  Nodes are allocation
 sites (solid), parameters and field loads (dotted), plus a single global
 node.  Calls inline the callee's pruned summary: parameter nodes map to
 argument nodes, allocation sites keep their identity, load nodes replay
-their field chain in the caller.  Only recursive components iterate
-from empty summaries to a fixpoint; everything only grows, so the fixpoint
-is reached once no graph changes.  Any other method is built once, as its
-callees' summaries are already final.  Each reachability query is one pass
-over E that groups the edges by source, then a search over that grouping.
+their field chain in the caller.  A method's body is walked until a walk
+leaves `PointsToGraph.size()` unchanged: L, N, E and the returned set only
+ever grow, so an equal size means no new fact, and the walk that changes
+nothing records the facts (call and allocation-site records) the lifetime
+checker reads.  Only recursive components iterate from empty summaries to
+a fixpoint, reached once no summary changes.  Any other method is built
+once, as its callees' summaries are already final.  Each reachability
+query is one pass over E that groups the edges by source, then a search
+over that grouping.
 """
 
 from __future__ import annotations
@@ -47,10 +51,6 @@ TAG_MISMATCH = "TagMismatch"
 ESCAPES_UNANNOTATED = "EscapesButUnannotated"
 ANNOTATED_CAPTURED = "AnnotatedButCaptured"
 SUPPRESSED = "SuppressedByDestLocal"
-
-
-class MissingSummary(Exception):
-    pass
 
 
 class UnknownTag(Exception):
@@ -100,33 +100,27 @@ class PointsToGraph:
         self.N: set[PTGNode] = set()
         self.E: set[tuple[PTGNode, str, PTGNode]] = set()
         self.returned: set[PTGNode] = set()
-        self.changed = False
         # populated by the builder for the lifetime checker
         self.tagged: dict[Tag, set[PTGNode]] = {}
         self.call_records: list[CallRecord] = []
         self.site_records: list[SiteRecord] = []
 
     def add_node(self, n: PTGNode) -> None:
-        if n not in self.N:
-            self.N.add(n)
-            self.changed = True
+        self.N.add(n)
 
     def add_edge(self, a: PTGNode, f: str, b: PTGNode) -> None:
-        self.add_node(a)
-        self.add_node(b)
-        e = (a, f, b)
-        if e not in self.E:
-            self.E.add(e)
-            self.changed = True
+        self.N.add(a)
+        self.N.add(b)
+        self.E.add((a, f, b))
 
     def bind(self, var: str, nodes: set[PTGNode]) -> None:
-        cur = self.L.setdefault(var, set())
-        fresh = nodes - cur
-        if fresh:
-            for n in fresh:
-                self.add_node(n)
-            cur |= fresh
-            self.changed = True
+        self.N |= nodes
+        self.L.setdefault(var, set()).update(nodes)
+
+    def size(self) -> tuple[int, int, int, int]:
+        """Grows with every new fact: L, N, E and returned only ever grow."""
+        return (len(self.N), len(self.E), len(self.returned),
+                sum(len(ns) for ns in self.L.values()))
 
     def var_set(self, var: str) -> set[PTGNode]:
         return self.L.get(var, set())
@@ -203,10 +197,8 @@ class EscapeSummary:
     method: str
     ptg: PointsToGraph  # pruned exit graph
     escaping: dict[str, list[str]]  # alloc site -> escape roots
-    param_names: list[str]  # reference params, "this" first when present
     out_sets: dict[str, set[PTGNode]]
     tagged: dict[Tag, set[PTGNode]]
-    returned: set[PTGNode]
 
 
 @dataclass(frozen=True)
@@ -245,7 +237,6 @@ class _Builder:
         self.g = PointsToGraph()
         for name in _ref_params(method, class_map):
             self.g.bind(name, {param_node(name)})
-        self.recording = False
 
     # -- expression nodes -----------------------------------------------------
 
@@ -303,7 +294,7 @@ class _Builder:
                 for mb in mu(b):
                     self.g.add_edge(ma, f, mb)
         returned = set()
-        for n in sorted(summary.returned, key=PTGNode.sort_key):
+        for n in sorted(summary.ptg.returned, key=PTGNode.sort_key):
             returned |= mu(n)
         outs = {p: set().union(*(mu(n) for n in ns)) if ns else set()
                 for p, ns in summary.out_sets.items()}
@@ -328,10 +319,9 @@ class _Builder:
             self.store(target, returned)
         for p_name, lv in out_targets.items():
             self.store(lv, outs.get(p_name, set()))
-        if self.recording:
-            self.g.call_records.append(
-                CallRecord(site=site, add_esc=list(add_esc),
-                           mapped_tagged=tagged, callee=callee.qname))
+        self.g.call_records.append(
+            CallRecord(site=site, add_esc=list(add_esc),
+                       mapped_tagged=tagged, callee=callee.qname))
 
     # -- statement interpretation ----------------------------------------------
 
@@ -350,10 +340,9 @@ class _Builder:
             node = inside_node(s.site)
             self.g.add_node(node)
             self.store(s.target, {node})
-            if self.recording:
-                self.g.site_records.append(
-                    SiteRecord(site=s.site, node=node,
-                               dest_esc=s.dest_esc, dest_local=s.dest_local))
+            self.g.site_records.append(
+                SiteRecord(site=s.site, node=node,
+                           dest_esc=s.dest_esc, dest_local=s.dest_local))
             ctor = callee_of(s)
             if ctor is not None:
                 self.apply_call(ctor, {node}, s.args, {}, None,
@@ -369,27 +358,20 @@ class _Builder:
             self.apply_call(callee, this_nodes, s.args, out_targets,
                             s.target, s.add_esc, s.site)
         elif isinstance(s, ReturnStmt):
-            if s.value is not None:
-                vals = self.nodes_of(s.value)
-                fresh = vals - self.g.returned
-                if fresh:
-                    self.g.returned |= fresh
-                    self.g.changed = True
+            self.g.returned |= self.nodes_of(s.value)
         # counter updates, control flow, contract statements and annotations
         # carry no heap effect
 
     def run(self) -> PointsToGraph:
+        # a walk that adds no fact leaves size() unchanged and saw the final
+        # graph throughout, so its records are the method's call/site facts
         while True:
-            self.g.changed = False
+            self.g.call_records = []
+            self.g.site_records = []
+            before = self.g.size()
             self.walk(self.m.body)
-            if not self.g.changed:
+            if self.g.size() == before:
                 break
-        # one stable pass to record call/site facts and tag sets
-        self.recording = True
-        self.g.call_records = []
-        self.g.site_records = []
-        self.walk(self.m.body)
-        self.g.changed = False
         self.g.tagged = self._collect_tagged()
         return self.g
 
@@ -535,7 +517,6 @@ def summarize_ptg(method: MethodDecl, g: PointsToGraph,
         if a in keep and b in keep:
             pruned.add_edge(a, f, b)
     pruned.returned = set(g.returned) & keep
-    pruned.changed = False
 
     escaping: dict[str, list[str]] = {}
     for rec in g.site_records:
@@ -547,10 +528,8 @@ def summarize_ptg(method: MethodDecl, g: PointsToGraph,
         method=method.qname,
         ptg=pruned,
         escaping=escaping,
-        param_names=_ref_params(method, class_map),
         out_sets={p: ns & keep for p, ns in out_sets.items()},
         tagged={t: ns & keep for t, ns in g.tagged.items()},
-        returned=set(pruned.returned),
     )
 
 
@@ -593,7 +572,7 @@ def _summary_fingerprint(s: EscapeSummary):
     return (
         c["E"],
         c["N"],
-        sorted(n.key for n in s.returned),
+        sorted(n.key for n in s.ptg.returned),
         sorted((p, tuple(sorted(n.key for n in ns))) for p, ns in s.out_sets.items()),
         sorted((str(t), tuple(sorted(n.key for n in ns))) for t, ns in s.tagged.items()),
     )

@@ -19,12 +19,15 @@ Arrays account with their length; strings and integers are values and never
 touch the heap.  Reclamation is incremental but exact: every object counts
 its incoming references, and a sweep searches back from each object that
 is new or lost a reference since the last sweep, so it reclaims exactly
-the objects a full mark from the roots would miss, in the same order.  An
-activation's live counts are recomputed from the heap when it exits, and
-every frame's at the end of a run; the test suite recomputes them after
-every statement and checks every sweep against a full mark.  Reclaimed
-object ids are poisoned so that any later read fails loudly instead of
-silently resurrecting garbage.
+the objects a full mark from the roots would miss, in the same order.
+Activation serials grow from the bottom of the stack to the top, and each
+object stores as `born` the serial the next activation would get, so a
+frame on the stack counted an object iff its serial is below the object's
+`born`.  An activation's live counts are recomputed from the heap when it
+exits, and every frame's at the end of a run; the test suite recomputes
+them after every statement and checks every sweep against a full mark.
+Reclaimed object ids are poisoned so that any later read fails loudly
+instead of silently resurrecting garbage.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ class HeapObject:
     length: int | None
     weight: int                  # arrays count as their length
     site: str
-    counted_by: tuple[int, ...]  # serials of activations live at allocation
+    born: int                    # the next activation serial at allocation
     # referrer oid, or None for a frame's local or `this` -> reference count
     incoming: dict = field(default_factory=dict)
 
@@ -233,7 +236,6 @@ class Interp:
         self.poisoned: set[int] = set()
         self.suspects: set[int] = set()  # new or dropped since the last sweep
         self.stack: list[Activation] = []
-        self.active: dict[int, Activation] = {}
         self.trace: list[tuple] = []
         self.observations: list[Observation] = []
         self.failures: list[AssertionFailure] = []
@@ -246,7 +248,6 @@ class Interp:
     def push_harness(self) -> Activation:
         act = Activation(0, None, f"{HARNESS}@0", None, {}, {}, [])
         self.stack.append(act)
-        self.active[0] = act
         return act
 
     def _push(self, method: MethodDecl, this: Ref | None,
@@ -259,7 +260,6 @@ class Interp:
         for p, v in zip(method.params, values):
             self._set_local(act, p.name, v)
         self.stack.append(act)
-        self.active[serial] = act
         act.ensures = [s for s in method.body if isinstance(s, EnsureStmt)]
         act.entry_env = self._snapshot_entry(act)
         self.trace.append(("call", method.qname, act.instance))
@@ -272,7 +272,6 @@ class Interp:
             self._unlink(None, v)
         self._unlink(None, act.this)
         self.stack.pop()
-        del self.active[act.serial]
 
     def _snapshot_entry(self, act: Activation) -> dict[str, int]:
         """The contract variables' values; act must be the top frame.  A
@@ -317,9 +316,8 @@ class Interp:
                fields_: dict, length: int | None) -> Ref:
         oid = self._next_oid
         self._next_oid += 1
-        counted = tuple(a.serial for a in self.stack)
         self.heap[oid] = HeapObject(oid, cls_key, fields_, length, weight,
-                                    site, counted)
+                                    site, self._next_serial)
         for v in fields_.values():
             self._link(oid, v)
         if self.gc != "none":
@@ -414,27 +412,27 @@ class Interp:
                     self._unlink(d, v)
         for oid in sorted(dead):
             obj = self.heap.pop(oid)
-            for serial in obj.counted_by:
-                act = self.active.get(serial)  # exactly the frames on the stack
-                if act is not None:
-                    for key in (obj.cls, OBJECT_KEY):
-                        act.current[key] -= obj.weight
-                        if act.current[key] < 0:
-                            raise InterpreterFault(
-                                f"negative live count for {key} in {act.instance}")
+            for act in self.stack:
+                if act.serial >= obj.born:
+                    break
+                for key in (obj.cls, OBJECT_KEY):
+                    act.current[key] -= obj.weight
+                    if act.current[key] < 0:
+                        raise InterpreterFault(
+                            f"negative live count for {key} in {act.instance}")
             self.poisoned.add(oid)
             self.trace.append(("reclaim", oid))
 
     def _assert_accounting(self, acts=None):
-        # the incremental counters of `acts` (by default every frame) must
-        # agree with a from-scratch recount
+        # the incremental counters of `acts` (frames on the stack, bottom
+        # first; by default every frame) must agree with a from-scratch recount
         acts = self.stack if acts is None else acts
         expected: dict[int, dict[str, int]] = {a.serial: {} for a in acts}
         for obj in self.heap.values():
-            for serial in obj.counted_by:
-                acc = expected.get(serial)
-                if acc is None:
-                    continue
+            for act in acts:
+                if act.serial >= obj.born:
+                    break
+                acc = expected[act.serial]
                 for key in (obj.cls, OBJECT_KEY):
                     acc[key] = acc.get(key, 0) + obj.weight
         for act in acts:
@@ -665,7 +663,7 @@ class Interp:
         for tag_name, root in roots.items():
             reached = self._reach([root])
             mine = {oid for oid in reached
-                    if act.serial in self.heap[oid].counted_by}
+                    if act.serial < self.heap[oid].born}
             counted_per_tag[tag_name] = mine
             by_cls: dict[str, int] = {}
             for oid in mine:

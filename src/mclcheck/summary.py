@@ -236,7 +236,6 @@ class _Summarizer:
             diff = SymExpr(
                 tuple(p - low for p in mr.alts),
                 mr.flags | total_esc.flags | frozenset(bflags),
-                mr.guards + total_esc.guards,
             )
             acc.diffs.setdefault(key, []).append(diff)
             acc.escs.setdefault(key, []).append(
@@ -305,7 +304,7 @@ class _Summarizer:
 
         def summed(e: SymExpr) -> SymExpr:
             if e.is_zero():  # keep flags, skip the closed form
-                return SymExpr(SYM_ZERO.alts, e.flags, ())
+                return SymExpr(SYM_ZERO.alts, e.flags)
             return sum_over(e, space, context)
 
         for key in body.keys():

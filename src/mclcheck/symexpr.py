@@ -232,21 +232,21 @@ class SymExpr:
     """max of finitely many polynomials, with soundness bookkeeping.
 
     `flags` mark values that are no longer certified upper bounds (for
-    example a maximization whose monotonicity argument failed); `guards`
-    carry affine side conditions under which the value is exact.
+    example a maximization whose monotonicity argument failed, or a sum
+    whose nonempty-space side condition was not discharged); a value
+    carries no side conditions of its own.
     """
 
     alts: tuple[Poly, ...]
     flags: frozenset[str] = frozenset()
-    guards: tuple[LinConstraint, ...] = ()
 
     @staticmethod
-    def of(*polys: Poly | int | Fraction, flags=frozenset(), guards=()) -> SymExpr:
+    def of(*polys: Poly | int | Fraction, flags=frozenset()) -> SymExpr:
         alts = _prune(tuple(_as_poly(p) for p in polys)) or (ZERO,)
-        return SymExpr(alts, frozenset(flags), tuple(guards))
+        return SymExpr(alts, frozenset(flags))
 
     def with_flags(self, *extra: str) -> SymExpr:
-        return SymExpr(self.alts, self.flags | set(extra), self.guards)
+        return SymExpr(self.alts, self.flags | set(extra))
 
     def degree(self) -> int:
         return max(p.degree() for p in self.alts)
@@ -270,11 +270,6 @@ class SymExpr:
 SYM_ZERO = SymExpr.of(ZERO)
 
 
-def _merged_meta(*exprs: SymExpr) -> tuple[frozenset[str], tuple[LinConstraint, ...]]:
-    flags = frozenset().union(*(e.flags for e in exprs))
-    return flags, tuple(dict.fromkeys(g for e in exprs for g in e.guards))
-
-
 def _check_degree(alts, cap: int) -> None:
     for p in alts:
         if p.degree() > cap:
@@ -283,10 +278,9 @@ def _check_degree(alts, cap: int) -> None:
 
 def add(a: SymExpr, b: SymExpr, degree_cap: int = DEFAULT_DEGREE_CAP) -> SymExpr:
     """Pointwise sum: max(A) + max(B) = max over pairs of (p + q)."""
-    flags, guards = _merged_meta(a, b)
     alts = tuple(p + q for p in a.alts for q in b.alts)
     _check_degree(alts, degree_cap)
-    return SymExpr(_prune(alts), flags, guards)
+    return SymExpr(_prune(alts), a.flags | b.flags)
 
 
 def sym_sum(exprs) -> SymExpr:
@@ -299,15 +293,14 @@ def sym_sum(exprs) -> SymExpr:
 
 def sym_max(a: SymExpr, b: SymExpr) -> SymExpr:
     """Pointwise maximum: union the alternatives and prune dominated ones."""
-    flags, guards = _merged_meta(a, b)
-    return SymExpr(_prune(a.alts + b.alts), flags, guards)
+    return SymExpr(_prune(a.alts + b.alts), a.flags | b.flags)
 
 
 def substitute(e: SymExpr, binding: dict[str, Poly], degree_cap: int = DEFAULT_DEGREE_CAP) -> SymExpr:
     """Substitute polynomials for variables in every alternative."""
     alts = tuple(p.substitute(binding) for p in e.alts)
     _check_degree(alts, degree_cap)
-    return SymExpr(_prune(alts), e.flags, e.guards)
+    return SymExpr(_prune(alts), e.flags)
 
 
 @dataclass(frozen=True)
@@ -428,26 +421,25 @@ def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
     With symbolic endpoints the closed form is only valid when the space
     is nonempty-or-adjacent (lo <= hi+1); that guard is discharged from
     the context when possible, clamped away when the summand and lower
-    bound are coefficient-nonnegative, and otherwise left on the result.
+    bound are coefficient-nonnegative, and otherwise marked FLAG_SUM_GUARD.
     """
     lo, hi, spflags = space.interval()
     summand = _dominating_poly(e)
     closed = _sum_poly(summand, space.var, lo, hi, degree_cap)
     flags = e.flags | spflags
-    guards = e.guards
 
     if lo.is_const() and hi.is_const():
         if hi.const_value() < lo.const_value():
-            return SymExpr.of(ZERO, flags=flags, guards=guards)
-        return SymExpr.of(closed, flags=flags, guards=guards)
+            return SymExpr.of(ZERO, flags=flags)
+        return SymExpr.of(closed, flags=flags)
 
     guard = LinConstraint.compare(lo, "<=", hi + ONE)
     if constraint_entailed(guard, context):
-        return SymExpr.of(closed, flags=flags, guards=guards)
+        return SymExpr.of(closed, flags=flags)
     if summand.coeffs_nonneg() and lo.coeffs_nonneg():
         # Empty spaces only subtract: max with 0 restores exactness.
-        return SymExpr.of(closed, ZERO, flags=flags, guards=guards)
-    return SymExpr.of(closed, flags=flags | {FLAG_SUM_GUARD}, guards=guards + (guard,))
+        return SymExpr.of(closed, ZERO, flags=flags)
+    return SymExpr.of(closed, flags=flags | {FLAG_SUM_GUARD})
 
 
 def max_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = (),
@@ -462,7 +454,7 @@ def max_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
     lo, hi, spflags = space.interval()
     flags = set(e.flags) | set(spflags)
     if lo.is_const() and hi.is_const() and hi.const_value() < lo.const_value():
-        return SymExpr.of(ZERO, flags=flags, guards=e.guards)
+        return SymExpr.of(ZERO, flags=flags)
     cands: list[Poly] = []
     for p in e.alts:
         split = p.split_on(space.var)
@@ -478,7 +470,7 @@ def max_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
             cands.append(p.substitute({space.var: hi}))
             flags.add(FLAG_MONOTONICITY)
     _check_degree(cands, degree_cap)
-    return SymExpr.of(*cands, flags=flags, guards=e.guards)
+    return SymExpr.of(*cands, flags=flags)
 
 
 def count(spaces: list[IterSpace], context: tuple[LinConstraint, ...] = (),

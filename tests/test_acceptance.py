@@ -86,7 +86,7 @@ def test_criterion_1_running_example(verdict):
     # each declared bound, lowered by one, must turn Violated with a witness
     def lowered(expr):
         return sx.SymExpr.of(*(p + sx.Poly.const(-1) for p in expr.alts),
-                             flags=expr.flags, guards=expr.guards)
+                             flags=expr.flags)
 
     mutations = 0
     for method in prog.methods():

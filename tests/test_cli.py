@@ -203,6 +203,14 @@ def test_instrument_emit_writes_checkable_source(tmp_path):
     assert "overall: Verified" in out
 
 
+def test_instrument_emit_to_a_missing_directory_is_io_error(tmp_path):
+    target = tmp_path / "missing" / "x.mcl"
+    code, out, err = cli("instrument", corpus("family"), "--emit", str(target))
+    assert (code, out) == (3, "")
+    diag = json.loads(err)
+    assert (diag["code"], diag["file"]) == ("io-error", str(target))
+
+
 # ------------------------------------------------------------ run
 
 
@@ -307,6 +315,22 @@ def test_ptg_dot_dir_writes_per_method_files(tmp_path):
     assert "_members" in text
 
 
+@pytest.mark.parametrize("blocked", ["dir", "file"])
+def test_ptg_dot_to_an_unwritable_path_is_io_error(tmp_path, blocked):
+    if blocked == "dir":  # the directory cannot be made under a plain file
+        (tmp_path / "plain").write_text("")
+        outdir = tmp_path / "plain" / "graphs"
+        culprit = outdir
+    else:  # a directory sits where one .dot file should go
+        outdir = tmp_path / "graphs"
+        culprit = outdir / "Family.AddMember.dot"
+        culprit.mkdir(parents=True)
+    code, out, err = cli("ptg", corpus("family"), "--dot", str(outdir))
+    assert (code, out) == (3, "")
+    diag = json.loads(err)
+    assert (diag["code"], diag["file"]) == ("io-error", str(culprit))
+
+
 def test_ptg_json_maps_method_to_dot():
     code, out, _ = cli("ptg", corpus("family"), "--format", "json")
     data = json.loads(out)
@@ -350,6 +374,12 @@ def test_validate_grid_flag_bounds_the_sweep():
     # preconditions carve four points out of the 0..2 grid
     assert data["runs"] == 5
     assert data["pointsSkipped"] == 4
+
+
+def test_validate_negative_grid_is_usage_error():
+    code, out, err = cli("validate", corpus("family"), "--grid", "-1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "--grid" in err
 
 
 def test_validate_precondition_aborts_reported():
@@ -518,6 +548,16 @@ def test_iteration_space_narrower_than_a_long_header_is_unverified(tmp_path):
     [row] = json.loads(out)["clauses"]
     assert row["verdict"] == "Unverified"
     assert "iteration-space-mismatch" in row["reason"]
+
+
+@pytest.mark.parametrize("space", ["1 <= i", "1 <= i && 2 * i <= n"])
+def test_iteration_space_without_a_usable_upper_bound_is_inconclusive(tmp_path, space):
+    path = tmp_path / "unbounded.mcl"
+    path.write_text(LINKED_LOOP.replace("CAP", "n").replace(
+        "SPACE", f"iteration_space({space});"))
+    code, out, err = cli("check", str(path), "--format", "json")
+    assert (code, out) == (2, "")
+    assert err == f"inconclusive: {path}: no upper bound for i\n"
 
 
 def test_requires_violation_lists_entry_values_sorted_whatever_the_hash_seed(tmp_path):

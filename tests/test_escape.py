@@ -252,6 +252,77 @@ def test_non_recursive_chain_builds_each_method_once(monkeypatch):
         f"Relay.m{j}#1" for j in range(30)}
 
 
+def walked(monkeypatch, prog):
+    calls = count_calls(monkeypatch, escape._Builder, "walk")
+    analyze(prog)
+    return [builder.m.qname for builder, _ in calls]
+
+
+def test_graph_complete_after_one_walk_is_walked_twice(monkeypatch):
+    walks = walked(monkeypatch, load("""class A {
+    A() { }
+}
+
+class P {
+    A make() {
+        A a = new A();
+        return a;
+    }
+}
+""", "t.mcl"))
+    # the second walk adds nothing and records the sites; an empty body's
+    # first walk already adds nothing
+    assert walks.count("P.make") == 2
+    assert walks.count("A.A") == 1
+
+
+def test_a_walk_that_only_binds_a_variable_is_not_the_last(monkeypatch):
+    prog = load("""class A {
+    A next;
+
+    A() { }
+}
+
+class P {
+    void f(A z, int n) {
+        requires(n >= 0);
+
+        A x = null;
+        A y = null;
+        for (i = 1 .. n) {
+            x.next = z;
+            x = y;
+            y = new A();
+        }
+    }
+}
+""", "t.mcl")
+    walks = walked(monkeypatch, prog)
+    # walk 1 adds the node, walk 2 only binds x to it, walk 3 the edge
+    assert walks.count("P.f") == 4
+    g = analyze(prog).graphs["P.f"]
+    assert (inside_node("P.f#1"), "next", param_node("z")) in g.E
+
+
+def test_chain_walks_each_method_twice(monkeypatch):
+    assert len(walked(monkeypatch, load(relay_chain(120), "relay.mcl"))) == 240
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.mcl")))
+def test_one_more_walk_changes_nothing_and_records_the_same(name):
+    prog = load_corpus(name)
+    an = analyze(prog)
+    class_map = prog.class_map()
+    for m in prog.methods():
+        builder = escape._Builder(m, class_map[m.cls], an.summaries, class_map)
+        g = builder.run()
+        size, calls, sites = g.size(), g.call_records, g.site_records
+        g.call_records, g.site_records = [], []
+        builder.walk(m.body)
+        assert g.size() == size, m.qname
+        assert (g.call_records, g.site_records) == (calls, sites), m.qname
+
+
 SELF_RECURSIVE = """
 class Node {
     Node next;
