@@ -10,7 +10,7 @@ import sys
 from . import escape
 from .frontend import FrontendFailure, load, pretty
 from .instrument import instrument
-from .oracle import (ArgumentError, GridTooLarge, OracleError,
+from .oracle import (ArgumentError, GridTooLarge, OracleError, Ref,
                      RequiresViolation, StackExhausted, StepBudgetExceeded,
                      run, validate)
 from .summary import CyclicWithoutContract, check_program
@@ -191,12 +191,7 @@ def _event_json(ev) -> dict:
 
 
 def _value_json(v):
-    from .oracle import Ref
-    if isinstance(v, Ref):
-        return {"$ref": v.oid}
-    if isinstance(v, list):
-        return [_value_json(x) for x in v]
-    return v
+    return {"$ref": v.oid} if isinstance(v, Ref) else v
 
 
 def _cmd_run(ns, out) -> int:
@@ -303,7 +298,7 @@ def _cmd_validate(ns, out) -> int:
         raise UsageError(f"--grid must be nonnegative, not {ns.grid}")
     prog = _load_file(ns.file)
     try:
-        report = validate(prog, lo=0, hi=ns.grid, gc=ns.gc)
+        report = validate(prog, hi=ns.grid, gc=ns.gc)
     except GridTooLarge as exc:
         raise AnalysisStop(f"{ns.file}: {exc}")
 
@@ -359,7 +354,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except AnalysisStop as exc:
         err.write(f"inconclusive: {exc}\n")
         return EXIT_UNVERIFIED
-    except (OracleError, RequiresViolation) as exc:
+    except OracleError as exc:
         err.write(f"runtime error: {type(exc).__name__}: {exc}\n")
         return EXIT_VIOLATED
 

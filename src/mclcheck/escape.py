@@ -196,7 +196,6 @@ class SiteRecord:
 class EscapeSummary:
     method: str
     ptg: PointsToGraph  # pruned exit graph
-    escaping: dict[str, list[str]]  # alloc site -> escape roots
     out_sets: dict[str, set[PTGNode]]
     tagged: dict[Tag, set[PTGNode]]
 
@@ -502,12 +501,11 @@ def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
 
 def summarize_ptg(method: MethodDecl, g: PointsToGraph,
                   class_map: dict[str, ClassDecl]) -> EscapeSummary:
-    """Prune to what callers can observe and classify escaping sites."""
+    """Prune to what callers can observe."""
     roots = _root_sets(g, method, class_map)
     out_sets = {p.name: set(g.var_set(p.name))
                 for p in method.params
                 if p.is_out and p.decl_type.name in class_map}
-    reach = {r: g.reach_from(ns) for r, ns in roots.items()}
     keep = g.reach_from(set().union(*roots.values(), *g.tagged.values()))
 
     pruned = PointsToGraph()
@@ -518,16 +516,9 @@ def summarize_ptg(method: MethodDecl, g: PointsToGraph,
             pruned.add_edge(a, f, b)
     pruned.returned = set(g.returned) & keep
 
-    escaping: dict[str, list[str]] = {}
-    for rec in g.site_records:
-        hit = sorted(r for r, ns in reach.items() if rec.node in ns)
-        if hit:
-            escaping[rec.site] = hit
-
     return EscapeSummary(
         method=method.qname,
         ptg=pruned,
-        escaping=escaping,
         out_sets={p: ns & keep for p, ns in out_sets.items()},
         tagged={t: ns & keep for t, ns in g.tagged.items()},
     )

@@ -44,10 +44,6 @@ class TypeRef:
 
 
 T_INT = TypeRef("int")
-T_BOOL = TypeRef("bool")
-T_STRING = TypeRef("string")
-T_VOID = TypeRef("void")
-T_OBJECT = TypeRef("object")  # pseudo-class used by the object-count mode
 
 PRIMITIVES = {"int", "bool", "string", "void"}
 
@@ -431,16 +427,32 @@ class Program:
         raise KeyError(qname)
 
     def __deepcopy__(self, memo) -> Program:
-        # Call sites link to their callees.  Seeding the memo with a shell of
-        # every method first keeps the copy's links inside the copy without
-        # recursing once per link along a call chain.
-        methods = self.methods()
-        for m in methods:
-            memo[id(m)] = copy.copy(m)
-        for m in methods:
-            vars(memo[id(m)]).update(copy.deepcopy(vars(m), memo))
-        out = copy.copy(self)
-        out.classes = copy.deepcopy(self.classes, memo)
+        # A work list, not recursion: nesting and call chains cost no Python
+        # frames.  Every list, dict and mutable node is copied once, however
+        # many links reach it (a callee from each of its call sites), so the
+        # copy's links stay inside the copy; frozen values are shared.
+        copies: dict[int, object] = {}
+        work: list = []
+
+        def clone(x):
+            if not isinstance(x, (list, dict)) and (
+                    not hasattr(x, "__dict__")
+                    or is_dataclass(x) and x.__dataclass_params__.frozen):
+                return x
+            if id(x) not in copies:
+                copies[id(x)] = copy.copy(x)
+                work.append(copies[id(x)])
+            return copies[id(x)]
+
+        out = clone(self)
+        while work:
+            node = work.pop()
+            if isinstance(node, list):
+                node[:] = map(clone, node)
+            else:
+                slots = node if isinstance(node, dict) else vars(node)
+                for k, v in slots.items():
+                    slots[k] = clone(v)
         return out
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from math import lcm
 
 from .frontend.syntax import (
     Assign,
@@ -128,12 +129,7 @@ def _int_poly_expr(p: Poly) -> Expr:
 
 def poly_expr(p: Poly) -> Expr:
     """Render a polynomial as surface syntax, rationals as (...)/d."""
-    denom = 1
-    for _, c in p.terms:
-        g, b = denom, c.denominator
-        while b:
-            g, b = b, g % b
-        denom = denom * c.denominator // g
+    denom = lcm(*(c.denominator for _, c in p.terms))
     if denom == 1:
         return _int_poly_expr(p)
     return Binary("/", ParenExpr(_int_poly_expr(p.scale(denom))), IntLit(denom))

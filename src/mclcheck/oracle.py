@@ -13,7 +13,11 @@ never reclaims; peaks from the default mode can only be lower.
 Each activation records the values of its contract variables at entry (the
 names are described in `frontend.syntax`), evaluated through
 `frontend.var_expr`.  `run` and the grid harness bind entry arguments
-through one binder, by in-parameter name.
+through one binder, by in-parameter name.  `validate` runs each contracted
+method over the grid 0..hi of the integer and array-length parameters of
+the method and of its receiver's constructor, at most `MAX_POINTS` points
+in all.  A run may take `MAX_STEPS` steps: one per statement, plus one per
+element of an allocated array, charged before the array is built.
 
 Arrays account with their length; strings and integers are values and never
 touch the heap.  Reclamation is incremental but exact: every object counts
@@ -77,6 +81,10 @@ GC_MODES = ("ideal", "method-exit", "none")
 
 HARNESS = "<harness>"
 
+# Read at run time, so a test can patch them.
+MAX_STEPS = 1_000_000   # statements plus array elements in one run
+MAX_POINTS = 20_000     # grid points in one validation
+
 
 class OracleError(Exception):
     """Any error raised while interpreting a program."""
@@ -136,7 +144,6 @@ class HeapObject:
     fields: dict                 # field name -> value; arrays: index -> value
     length: int | None
     weight: int                  # arrays count as their length
-    site: str
     born: int                    # the next activation serial at allocation
     # referrer oid, or None for a frame's local or `this` -> reference count
     incoming: dict = field(default_factory=dict)
@@ -221,15 +228,13 @@ class _Return(Exception):
 class Interp:
     """One program run; heap, stack, and measurements live here."""
 
-    def __init__(self, program: Program, gc: str = "ideal",
-                 max_steps: int = 1_000_000):
+    def __init__(self, program: Program, gc: str = "ideal"):
         if gc not in GC_MODES:
             raise ValueError(f"unknown gc mode {gc!r}")
         if not program.resolved:
             raise ValueError("interpretation requires a resolved program")
         self.program = program
         self.gc = gc
-        self.max_steps = max_steps
         self.classes = program.class_map()
         self.methods = {m.qname: m for m in program.methods()}
         self.heap: dict[int, HeapObject] = {}
@@ -317,7 +322,7 @@ class Interp:
         oid = self._next_oid
         self._next_oid += 1
         self.heap[oid] = HeapObject(oid, cls_key, fields_, length, weight,
-                                    site, self._next_serial)
+                                    self._next_serial)
         for v in fields_.values():
             self._link(oid, v)
         if self.gc != "none":
@@ -442,10 +447,13 @@ class Interp:
                 raise InterpreterFault(
                     f"live-count drift in {act.instance}: {have} != {want}")
 
+    def _charge(self, steps: int):
+        self.steps += steps
+        if self.steps > MAX_STEPS:
+            raise StepBudgetExceeded(f"exceeded {MAX_STEPS} steps")
+
     def _post_stmt(self):
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise StepBudgetExceeded(f"exceeded {self.max_steps} steps")
+        self._charge(1)
         if self.gc == "ideal":
             self._sweep()
 
@@ -581,6 +589,7 @@ class Interp:
             length = self._eval(s.length)
             if length < 0:
                 raise ArrayBounds(f"negative array length {length}")
+            self._charge(length)  # before building the elements
             elems = dict.fromkeys(range(length))  # class elements start null
             ref = self._alloc(s.class_ref.key(), length, s.site or "", elems, length)
         else:
@@ -746,8 +755,7 @@ def _bind_args(interp: Interp, params, given: dict) -> tuple[list, list]:
     return values, outs
 
 
-def _drive(program: Program, qname: str, gc: str, max_steps: int,
-           bind) -> RunResult:
+def _drive(program: Program, qname: str, gc: str, bind) -> RunResult:
     """Run one entry method from a harness frame and measure the run.
 
     `bind(interp, method, harness)` turns the caller's input into the
@@ -756,7 +764,7 @@ def _drive(program: Program, qname: str, gc: str, max_steps: int,
     constructor entry then gets a fresh instance as its receiver and
     returns it.
     """
-    interp = Interp(program, gc=gc, max_steps=max_steps)
+    interp = Interp(program, gc=gc)
     method = interp.methods.get(qname)
     if method is None:
         raise OracleError(f"no method named {qname}")
@@ -780,8 +788,7 @@ def _drive(program: Program, qname: str, gc: str, max_steps: int,
     return interp.result(ret)
 
 
-def run(program: Program, entry: str, args=(), gc: str = "ideal",
-        max_steps: int = 1_000_000) -> RunResult:
+def run(program: Program, entry: str, args=(), gc: str = "ideal") -> RunResult:
     """Run one method on concrete arguments and measure every activation.
 
     `entry` is a qualified name.  Constructors allocate and return the new
@@ -797,7 +804,7 @@ def run(program: Program, entry: str, args=(), gc: str = "ideal",
         values, outs = _bind_args(interp, method.params, dict(zip(names, args)))
         return None, values, outs
 
-    return _drive(program, entry, gc, max_steps, bind)
+    return _drive(program, entry, gc, bind)
 
 
 # -- grid harness ----------------------------------------------------------
@@ -812,7 +819,6 @@ class Knob:
 @dataclass
 class HarnessPlan:
     method: str
-    receiver: str              # "none" | "bare" | "ctor"
     knobs: list[Knob]
     skip_reason: str | None = None
 
@@ -828,9 +834,9 @@ class HarnessPlan:
         return n
 
 
-def _param_knobs(params, prefix: str, lo: int, hi: int):
+def _param_knobs(params, prefix: str, hi: int):
     """Knobs for a parameter list, or a reason it cannot be synthesized."""
-    span = tuple(range(lo, hi + 1))
+    span = tuple(range(hi + 1))
     knobs = []
     for p in params:
         if p.is_out:
@@ -849,26 +855,20 @@ def _param_knobs(params, prefix: str, lo: int, hi: int):
     return knobs, None
 
 
-def harness_plan(program: Program, qname: str, lo: int = 0,
-                 hi: int = 8) -> HarnessPlan:
+def harness_plan(program: Program, qname: str, hi: int = 8) -> HarnessPlan:
     method = program.method(qname)
-    cls = program.class_map()[method.cls]
+    ctor = program.class_map()[method.cls].ctor()
     knobs: list[Knob] = []
-    if method.is_ctor:
-        receiver = "none"
-    elif cls.ctor() is not None:
-        receiver = "ctor"
-        ctor_knobs, reason = _param_knobs(cls.ctor().params, "ctor.", lo, hi)
+    if not method.is_ctor and ctor is not None:
+        ctor_knobs, reason = _param_knobs(ctor.params, "ctor.", hi)
         if reason:
-            return HarnessPlan(qname, receiver, [], reason)
+            return HarnessPlan(qname, [], reason)
         knobs.extend(ctor_knobs)
-    else:
-        receiver = "bare"
-    arg_knobs, reason = _param_knobs(method.params, "", lo, hi)
+    arg_knobs, reason = _param_knobs(method.params, "", hi)
     if reason:
-        return HarnessPlan(qname, receiver, [], reason)
+        return HarnessPlan(qname, [], reason)
     knobs.extend(arg_knobs)
-    return HarnessPlan(qname, receiver, knobs)
+    return HarnessPlan(qname, knobs)
 
 
 def _point_values(params, prefix: str, point: dict) -> dict:
@@ -890,8 +890,8 @@ def _point_values(params, prefix: str, point: dict) -> dict:
     return given
 
 
-def run_point(program: Program, qname: str, point: dict, gc: str = "ideal",
-              max_steps: int = 1_000_000) -> RunResult:
+def run_point(program: Program, qname: str, point: dict,
+              gc: str = "ideal") -> RunResult:
     """One harness-driven run: build a receiver if needed, then the call.
 
     Raises RequiresViolation with direct=True when the point itself is
@@ -912,7 +912,7 @@ def run_point(program: Program, qname: str, point: dict, gc: str = "ideal",
             interp, method.params, _point_values(method.params, "", point))
         return this, values, outs
 
-    return _drive(program, qname, gc, max_steps, bind)
+    return _drive(program, qname, gc, bind)
 
 
 # -- grid validation -------------------------------------------------------
@@ -1015,31 +1015,28 @@ def _compare_observation(obs: Observation, method: MethodDecl, entry: str,
                 str(bound), int(declared), observed, obs.entry_env, trace))
 
 
-def validate(program: Program, lo: int = 0, hi: int = 8, gc: str = "ideal",
-             max_points: int = 20_000,
-             max_steps: int = 1_000_000) -> OracleReport:
-    """Drive every contracted method over an argument grid and compare the
-    measured peaks and escapes against its declared bounds."""
+def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
+    """Drive every contracted method over the argument grid 0..hi and
+    compare the measured peaks and escapes against its declared bounds."""
     report = OracleReport([], [], [], [], 0, 0, [])
     plans = []
     total = 0
     for m in sorted(program.methods(), key=lambda m: m.qname):
         if m.contract is None or not m.contract.has_clauses():
             continue
-        plan = harness_plan(program, m.qname, lo, hi)
+        plan = harness_plan(program, m.qname, hi)
         if plan.skip_reason:
             report.methods_skipped.append((m.qname, plan.skip_reason))
             continue
         plans.append(plan)
         total += plan.point_count()
-    if total > max_points:
-        raise GridTooLarge(f"{total} grid points exceed the {max_points} cap")
+    if total > MAX_POINTS:
+        raise GridTooLarge(f"{total} grid points exceed the {MAX_POINTS} cap")
     for plan in plans:
         method = program.method(plan.method)
         for point in plan.points():
             try:
-                result = run_point(program, plan.method, point, gc=gc,
-                                   max_steps=max_steps)
+                result = run_point(program, plan.method, point, gc=gc)
             except RequiresViolation as rv:
                 if rv.direct:
                     report.points_skipped += 1

@@ -14,6 +14,9 @@ clause fails form an empty set.  Integrality of a declared bound is
 decided exactly by Polya's criterion on a small box of values per
 polynomial.  The 0..8 grid survives only as a witness search: it may turn
 an undecided clause into `Violated`, never into `Verified`.
+
+No sum, product or substitution may build a polynomial of degree above
+the module constant `DEGREE_CAP`; one that would raises `DegreeOverflow`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
 
-DEFAULT_DEGREE_CAP = 4
+DEGREE_CAP = 4  # read at run time, so a test can patch it
 
 # Flags mark results whose value can no longer be trusted as an upper bound.
 FLAG_MONOTONICITY = "monotonicity-unproven"
@@ -36,7 +39,8 @@ FLAG_SPACE_MISMATCH = "iteration-space-mismatch"
 
 
 class DegreeOverflow(Exception):
-    """Raised when an operation would exceed the configured degree cap."""
+    """Raised when an operation would build a polynomial of degree above
+    DEGREE_CAP."""
 
 
 class UnboundedSpace(Exception):
@@ -270,16 +274,16 @@ class SymExpr:
 SYM_ZERO = SymExpr.of(ZERO)
 
 
-def _check_degree(alts, cap: int) -> None:
+def _check_degree(alts) -> None:
     for p in alts:
-        if p.degree() > cap:
-            raise DegreeOverflow(f"degree {p.degree()} exceeds cap {cap}: {poly_to_str(p)}")
+        if p.degree() > DEGREE_CAP:
+            raise DegreeOverflow(f"degree {p.degree()} exceeds cap {DEGREE_CAP}: {poly_to_str(p)}")
 
 
-def add(a: SymExpr, b: SymExpr, degree_cap: int = DEFAULT_DEGREE_CAP) -> SymExpr:
+def add(a: SymExpr, b: SymExpr) -> SymExpr:
     """Pointwise sum: max(A) + max(B) = max over pairs of (p + q)."""
     alts = tuple(p + q for p in a.alts for q in b.alts)
-    _check_degree(alts, degree_cap)
+    _check_degree(alts)
     return SymExpr(_prune(alts), a.flags | b.flags)
 
 
@@ -296,10 +300,10 @@ def sym_max(a: SymExpr, b: SymExpr) -> SymExpr:
     return SymExpr(_prune(a.alts + b.alts), a.flags | b.flags)
 
 
-def substitute(e: SymExpr, binding: dict[str, Poly], degree_cap: int = DEFAULT_DEGREE_CAP) -> SymExpr:
+def substitute(e: SymExpr, binding: dict[str, Poly]) -> SymExpr:
     """Substitute polynomials for variables in every alternative."""
     alts = tuple(p.substitute(binding) for p in e.alts)
-    _check_degree(alts, degree_cap)
+    _check_degree(alts)
     return SymExpr(_prune(alts), e.flags)
 
 
@@ -389,15 +393,15 @@ def _dominating_poly(e: SymExpr) -> Poly:
     return Poly.from_dict({m: max(p.coeff(m) for p in e.alts) for m in monos})
 
 
-def _sum_poly(p: Poly, var: str, lo: Poly, hi: Poly, degree_cap: int) -> Poly:
+def _sum_poly(p: Poly, var: str, lo: Poly, hi: Poly) -> Poly:
     closed = ZERO
     lom1 = lo - ONE
     for exp, rest in p.split_on(var).items():
         s = _power_sum(exp)
         piece = s.substitute({"_x": hi}) - s.substitute({"_x": lom1})
         closed = closed + rest * piece
-    if closed.degree() > degree_cap:
-        raise DegreeOverflow(f"summation degree {closed.degree()} exceeds cap {degree_cap}")
+    if closed.degree() > DEGREE_CAP:
+        raise DegreeOverflow(f"summation degree {closed.degree()} exceeds cap {DEGREE_CAP}")
     return closed
 
 
@@ -413,8 +417,7 @@ def constraint_entailed(goal: LinConstraint, context: tuple[LinConstraint, ...])
                for rel in _NEGATIONS[goal.rel])
 
 
-def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = (),
-             degree_cap: int = DEFAULT_DEGREE_CAP) -> SymExpr:
+def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = ()) -> SymExpr:
     """Closed form of sum over the space of e, via power-sum formulas.
 
     With concrete endpoints the result is exact, including the empty sum.
@@ -425,7 +428,7 @@ def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
     """
     lo, hi, spflags = space.interval()
     summand = _dominating_poly(e)
-    closed = _sum_poly(summand, space.var, lo, hi, degree_cap)
+    closed = _sum_poly(summand, space.var, lo, hi)
     flags = e.flags | spflags
 
     if lo.is_const() and hi.is_const():
@@ -442,8 +445,7 @@ def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
     return SymExpr.of(closed, flags=flags | {FLAG_SUM_GUARD})
 
 
-def max_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = (),
-             degree_cap: int = DEFAULT_DEGREE_CAP) -> SymExpr:
+def max_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = ()) -> SymExpr:
     """Upper bound for max over the space of e by endpoint substitution.
 
     Alternatives monotone in the index (index coefficients all of one
@@ -469,17 +471,16 @@ def max_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
             cands.append(p.substitute({space.var: lo}))
             cands.append(p.substitute({space.var: hi}))
             flags.add(FLAG_MONOTONICITY)
-    _check_degree(cands, degree_cap)
+    _check_degree(cands)
     return SymExpr.of(*cands, flags=flags)
 
 
-def count(spaces: list[IterSpace], context: tuple[LinConstraint, ...] = (),
-          degree_cap: int = DEFAULT_DEGREE_CAP) -> SymExpr:
+def count(spaces: list[IterSpace], context: tuple[LinConstraint, ...] = ()) -> SymExpr:
     """Number of points in a nest of iteration spaces, outermost first."""
     result = SymExpr.of(ONE)
     for i in range(len(spaces) - 1, -1, -1):
         outer = tuple(c for sp in spaces[:i] for c in sp.constraints) + tuple(context)
-        result = sum_over(result, spaces[i], outer, degree_cap)
+        result = sum_over(result, spaces[i], outer)
     return result
 
 

@@ -268,7 +268,7 @@ def test_criterion_5_soundness_sweep(verdict):
                 flagged_methods.add(row.method)
         verified_methods -= flagged_methods
 
-        dynamic = validate(prog, lo=0, hi=8)
+        dynamic = validate(prog, hi=8)
         for v in dynamic.violations:
             if v.method in verified_methods:
                 problems.append(
@@ -281,7 +281,7 @@ def test_criterion_5_soundness_sweep(verdict):
             caught_runtime = bool(dynamic.violations
                                   or dynamic.requires_aborts)
             if not caught_runtime:
-                hardened = validate(instrument(prog).program, lo=0, hi=8)
+                hardened = validate(instrument(prog).program, hi=8)
                 caught_runtime = bool(hardened.ensure_failures)
             if not (caught_static or caught_runtime):
                 problems.append(f"{name} slipped through both checks")
@@ -346,7 +346,7 @@ def test_criterion_6_lifetime_checking(verdict):
     if not alarm:
         problems.append("heap abstraction did not over-approximate the"
                         " parked scratch object")
-    if not validate(load(plain, "scratch_plain.mcl"), lo=0, hi=4).clean:
+    if not validate(load(plain, "scratch_plain.mcl"), hi=4).clean:
         problems.append("scratch object actually escapes; alarm is genuine")
     suppressed = check_program(load_corpus("scratchslot"))
     if suppressed.overall != "Verified":
@@ -371,7 +371,7 @@ def test_criterion_7_behavior_preservation(verdict):
         for m in prog.methods():
             if not (m.contract and m.contract.has_clauses()):
                 continue
-            plan = harness_plan(prog, m.qname, 0, 4)
+            plan = harness_plan(prog, m.qname, 4)
             if plan.skip_reason:
                 continue
             for point in plan.points():

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -466,6 +467,29 @@ def test_run_past_the_interpreter_stack_is_inconclusive():
     assert code == 2
     assert out == ""
     assert err.startswith("inconclusive: ") and "StackExhausted" in err
+
+
+def test_array_length_counts_against_the_step_budget(tmp_path):
+    path = tmp_path / "big.mcl"
+    path.write_text("class T {\n}\n\nclass P {\n    void f(int n) {\n"
+                    "        T[] a = new T[n];\n    }\n}\n")
+    start = time.perf_counter()
+    code, out, err = cli("run", str(path), "--entry", "P.f", "--args", "[1000000000000]")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("inconclusive: ") and "StepBudgetExceeded" in err
+
+
+def test_instrument_under_deeply_nested_ifs(tmp_path):
+    body = "T t = new T();"
+    for k in range(250):
+        body = f"if (n > {k}) {{ {body} }}"
+    path = tmp_path / "deep.mcl"
+    path.write_text("class T {\n}\n\nclass P {\n    void f(int n) {\n"
+                    f"        memreq<T>(1);\n        {body}\n    }}\n}}\n")
+    code, out, err = cli("instrument", str(path))
+    assert (code, err) == (0, "")
+    assert "ensure(" in out
 
 
 def test_parenthesis_nesting_past_the_parser_stack_is_a_syntax_error(tmp_path):

@@ -84,7 +84,9 @@ def test_captured_temporary_pruned_from_summary():
     an = analyze(load_corpus("family"))
     s = an.summaries["Person.Person"]
     assert inside_node("Person.Person#1") not in s.ptg.N
-    assert s.escaping == {}
+    # unannotated and reachable from no root
+    assert [(v.where, v.kind) for v in an.lifetimes["Person.Person"]] == \
+        [("Person.Person#1", OK)]
 
 
 def test_summary_keeps_escaping_objects():
@@ -92,7 +94,9 @@ def test_summary_keeps_escaping_objects():
     s = an.summaries["Family.AddMember"]
     person = inside_node("Family.AddMember#1")
     assert person in s.ptg.N
-    assert s.escaping["Family.AddMember#1"] == ["This"]
+    assert reachable(s.ptg, {param_node("this")}, person)
+    assert [(v.where, v.kind, v.tag) for v in an.lifetimes["Family.AddMember"]] == \
+        [("Family.AddMember#1", OK, "This")]
 
 
 def test_inlined_callee_objects_escape_through_caller():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclcheck.frontend import load, parse
+from mclcheck import oracle
 from mclcheck.instrument import instrument
 from mclcheck.oracle import (
     ArgumentError,
@@ -209,7 +210,7 @@ def test_reclamation_mode_ordering():
 ])
 def test_ideal_peaks_never_exceed_unreclaimed(name, entry, point):
     prog = load_corpus(name)
-    plan = harness_plan(prog, entry, 0, 6)
+    plan = harness_plan(prog, entry, 6)
     full = {k.name: k.values[0] for k in plan.knobs}
     full.update({k: v for k, v in point.items() if k in full})
     ideal = run_point(prog, entry, full, gc="ideal")
@@ -238,7 +239,7 @@ def test_dominance_across_contracted_corpus(gc_pair):
         for m in prog.methods():
             if not (m.contract and m.contract.has_clauses()):
                 continue
-            plan = harness_plan(prog, m.qname, 0, 2)
+            plan = harness_plan(prog, m.qname, 2)
             if plan.skip_reason:
                 continue
             for point in plan.points():
@@ -290,7 +291,7 @@ def test_instrumented_run_leaves_no_footprint(name, entry):
     # counter statements must not move a single alloc, reclaim, call, or ret
     prog = load_corpus(name)
     inst = instrument(prog).program
-    plan = harness_plan(prog, entry, 0, 3)
+    plan = harness_plan(prog, entry, 3)
     compared = 0
     for point in plan.points():
         try:
@@ -344,10 +345,11 @@ def test_array_bounds_checked():
         run_point(prog, "U.poke", {"i": 2})
 
 
-def test_step_budget_guards_runaway_runs():
+def test_step_budget_guards_runaway_runs(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_STEPS", 10)
     with pytest.raises(StepBudgetExceeded):
         run_point(load_corpus("bigfamily"), "Family.CreateBigFamily",
-                  {"ctor.size": 0, "n": 8}, max_steps=10)
+                  {"ctor.size": 0, "n": 8})
 
 
 def test_unresolved_program_rejected():
@@ -374,16 +376,23 @@ def test_division_truncates_toward_zero():
 
 
 def test_plan_uses_ctor_for_stateful_receiver():
-    plan = harness_plan(load_corpus("family"), "Family.AddMember", 0, 4)
-    assert plan.receiver == "ctor"
+    prog = load_corpus("family")
+    plan = harness_plan(prog, "Family.AddMember", 4)
     assert [k.name for k in plan.knobs] == ["ctor.size"]
     assert plan.point_count() == 5
+    calls = [ev[1] for ev in run_point(prog, "Family.AddMember",
+                                       {"ctor.size": 2}).trace if ev[0] == "call"]
+    assert calls[:2] == ["Family.Family", "Family.AddMember"]
 
 
 def test_plan_uses_bare_receiver_without_ctor():
-    plan = harness_plan(load_corpus("callpair"), "A.m", 0, 4)
-    assert plan.receiver == "bare"
+    prog = load_corpus("callpair")
+    plan = harness_plan(prog, "A.m", 4)
     assert [k.name for k in plan.knobs] == ["n"]
+    calls = [ev[1] for ev in run_point(prog, "A.m", {"n": 4}).trace
+             if ev[0] == "call"]
+    assert calls[0] == "A.m"
+    assert not any(prog.method(c).is_ctor for c in calls)
 
 
 def test_plan_skips_unsynthesizable_arguments():
@@ -397,7 +406,7 @@ def test_plan_skips_unsynthesizable_arguments():
     }
     """
     # T has no constructor, so a bare instance works
-    plan = harness_plan(load(src, "inline"), "U.eat", 0, 2)
+    plan = harness_plan(load(src, "inline"), "U.eat", 2)
     assert plan.skip_reason is None or "T" in plan.skip_reason
 
 
@@ -409,19 +418,19 @@ def test_point_outside_precondition_raises_direct():
 
 @pytest.mark.parametrize("name", POSITIVE)
 def test_verified_corpus_is_runtime_clean(name):
-    report = validate(load_corpus(name), lo=0, hi=4)
+    report = validate(load_corpus(name), hi=4)
     assert report.clean, report.to_json()
     assert report.runs > 0
 
 
 def test_skipped_points_counted():
-    report = validate(load_corpus("callpair"), lo=0, hi=4)
+    report = validate(load_corpus("callpair"), hi=4)
     # n in {0, 1} misses A.m's precondition, k in {0, 1} misses A.m2's
     assert report.points_skipped == 4
 
 
 def test_lowered_bound_violations_carry_witnesses():
-    report = validate(load_corpus("faulty_low_bound"), lo=0, hi=4)
+    report = validate(load_corpus("faulty_low_bound"), hi=4)
     assert report.violations
     hits = [v for v in report.violations
             if v.method == "Family.CreateFamily" and v.clause == "memreq<Person>"
@@ -434,22 +443,22 @@ def test_lowered_bound_violations_carry_witnesses():
 
 
 def test_zero_escape_bound_violated_at_runtime():
-    report = validate(load_corpus("faulty_zero_esc"), lo=0, hi=3)
+    report = validate(load_corpus("faulty_zero_esc"), hi=3)
     assert any(v.clause.startswith("esc<") for v in report.violations)
 
 
 def test_negative_bound_violated_even_without_allocations():
-    report = validate(load_corpus("faulty_negative_bound"), lo=0, hi=2)
+    report = validate(load_corpus("faulty_negative_bound"), hi=2)
     assert any(v.declared_value < 0 for v in report.violations)
 
 
 def test_object_count_bound_checked_at_runtime():
-    report = validate(load_corpus("faulty_object_low"), lo=0, hi=3)
+    report = validate(load_corpus("faulty_object_low"), hi=3)
     assert any(v.clause == "memreq<object>" for v in report.violations)
 
 
 def test_callee_precondition_abort_is_reported():
-    report = validate(load_corpus("faulty_precondition_skip"), lo=0, hi=4)
+    report = validate(load_corpus("faulty_precondition_skip"), hi=4)
     assert report.requires_aborts
     assert all(callee == "Feeder.need" for _, _, callee in report.requires_aborts)
     assert not report.clean
@@ -457,7 +466,7 @@ def test_callee_precondition_abort_is_reported():
 
 def test_instrumented_faulty_program_fails_its_ensures():
     inst = instrument(load_corpus("faulty_low_bound")).program
-    report = validate(inst, lo=0, hi=3)
+    report = validate(inst, hi=3)
     assert report.ensure_failures
     entry, point, failure = report.ensure_failures[0]
     assert "MemReq" in failure.cond
@@ -466,18 +475,19 @@ def test_instrumented_faulty_program_fails_its_ensures():
 def test_statically_quiet_programs_stay_quiet_at_runtime():
     # these two are rejected statically (unprovable), yet never misbehave
     for name in ("faulty_humpcall", "faulty_narrow_space"):
-        report = validate(load_corpus(name), lo=0, hi=6)
+        report = validate(load_corpus(name), hi=6)
         assert report.clean, name
 
 
-def test_grid_cap_enforced():
+def test_grid_cap_enforced(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_POINTS", 3)
     with pytest.raises(GridTooLarge):
-        validate(load_corpus("family"), lo=0, hi=8, max_points=3)
+        validate(load_corpus("family"), hi=8)
 
 
 def test_report_json_deterministic():
-    a = validate(load_corpus("faulty_low_bound"), lo=0, hi=3)
-    b = validate(load_corpus("faulty_low_bound"), lo=0, hi=3)
+    a = validate(load_corpus("faulty_low_bound"), hi=3)
+    b = validate(load_corpus("faulty_low_bound"), hi=3)
     assert json.dumps(a.to_json(), sort_keys=True) == \
         json.dumps(b.to_json(), sort_keys=True)
 
@@ -624,7 +634,7 @@ def test_calls_past_the_interpreter_stack_are_runtime_errors():
     prog = load(DEEP, "deep")
     with pytest.raises(StackExhausted):
         run(prog, "D.sink", [500])
-    report = validate(prog, lo=0, hi=5)
+    report = validate(prog, hi=5)
     assert report.runs >= 1
     assert report.runtime_errors
     assert {p["n"] for _, p, _ in report.runtime_errors} <= {2, 3, 4, 5}

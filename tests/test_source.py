@@ -1,9 +1,11 @@
 """Rules the source tree itself must keep."""
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
 
 
 def test_no_bare_assert_under_src():
@@ -62,3 +64,17 @@ def test_reference_slots_are_written_only_by_the_reference_helpers():
              if helpers.get(fn) != attr]
     assert not stray, f"slot writes outside the reference helpers: {', '.join(stray)}"
     assert sorted({(fn, attr) for fn, attr, _ in writes}) == sorted(helpers.items())
+
+
+def test_the_benchmark_entry_points_exist():
+    # the traced benchmark replaces each (module, attribute) of
+    # bench/spans.py's ENTRY_POINTS by name; a rename would crash it
+    tree = ast.parse((BENCH / "spans.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "ENTRY_POINTS"
+                         for t in node.targets))
+    pairs = [(row.elts[0].value, row.elts[1].value) for row in table.elts]
+    assert len(pairs) > 10
+    missing = [f"{mod}.{attr}" for mod, attr in pairs
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing, f"benchmark entry points gone: {', '.join(missing)}"
