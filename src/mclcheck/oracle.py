@@ -16,8 +16,39 @@ names are described in `frontend.syntax`), evaluated through
 through one binder, by in-parameter name.  `validate` runs each contracted
 method over the grid 0..hi of the integer and array-length parameters of
 the method and of its receiver's constructor, at most `MAX_POINTS` points
-in all.  A run may take `MAX_STEPS` steps: one per statement, plus one per
-element of an allocated array, charged before the array is built.
+in all.
+
+Lowering.  Each method is lowered once per `Program`, on its first call, to
+closures in the manner of Feeley and Lapalme's closure generation (Comput.
+Lang. 1987): an expression becomes a function of the interpreter and the
+current frame, and a body becomes a flat list of operations, each of which
+returns the index of the next, so an `if` and a `for` are explicit jumps.
+The same per-method entry holds the sorted readers of the entry variables,
+the `requires` comparisons, the `ensure` conditions, and each declared
+`memreq`/`esc` bound as integer polynomials over one common denominator D,
+so that a bound is exceeded iff `observed * D` exceeds the largest
+numerator.  The lowered code lives in a table keyed by the program's
+identity and released with it, never on the syntax tree, so an
+instrumented copy runs its own code.
+
+Frames.  An MCL call pushes an `Activation` onto `Interp.stack`, and the
+loop in `Interp._invoke` carries on in the callee; nothing recurses in Python,
+so how deep calls may nest is `MAX_FRAMES` alone, the harness frame
+included.  A push past it raises StackExhausted.
+
+Steps.  A run may take `MAX_STEPS` steps.  A statement is charged one step
+once it completes: an annotation where it stands, an `if` after its arm, a
+`for` after its whole loop, and a call after its callee has returned.  A
+`return` is charged nothing, and neither is any statement it leaves.  An
+array allocation is also charged its length, before the array is built.
+
+Evaluation order.  An assignment evaluates its value before its target's
+base; a compound assignment reads its target, evaluates its value, then
+evaluates the target's base again to store.  An index evaluates its base
+before the index.  `new` allocates the instance before it evaluates the
+constructor's arguments.  A call stores its result, then sweeps if the
+collector runs at method exit, and is then charged its step; out-arguments
+are stored in the caller once the callee's frame is popped.
 
 Arrays account with their length; strings and integers are values and never
 touch the heap.  Reclamation is incremental but exact: every object counts
@@ -30,14 +61,18 @@ frame on the stack counted an object iff its serial is below the object's
 `born`.  An activation's live counts are recomputed from the heap when it
 exits, and every frame's at the end of a run; the test suite recomputes
 them after every statement and checks every sweep against a full mark.
-Reclaimed object ids are poisoned so that any later read fails loudly
-instead of silently resurrecting garbage.
+A reclaimed object leaves the heap for good, so any later read of it fails
+loudly instead of silently resurrecting garbage.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+import weakref
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .frontend import (
     Assign,
@@ -45,6 +80,7 @@ from .frontend import (
     Binary,
     BoolLit,
     CallStmt,
+    ClassDecl,
     EnsureStmt,
     Expr,
     FieldRef,
@@ -55,6 +91,7 @@ from .frontend import (
     LengthRef,
     LocalDecl,
     MaxExpr,
+    MethodContract,
     MethodDecl,
     NewStmt,
     NullLit,
@@ -84,6 +121,7 @@ HARNESS = "<harness>"
 # Read at run time, so a test can patch them.
 MAX_STEPS = 1_000_000   # statements plus array elements in one run
 MAX_POINTS = 20_000     # grid points in one validation
+MAX_FRAMES = 200        # activations on the stack, the harness frame included
 
 
 class OracleError(Exception):
@@ -111,7 +149,8 @@ class StepBudgetExceeded(OracleError):
 
 
 class StackExhausted(OracleError):
-    """Calls nested deeper than the interpreter's own Python stack allows."""
+    """Calls nested deeper than `MAX_FRAMES` frames, or a method nested too
+    deeply for Python to lower."""
 
 
 class ArgumentError(OracleError):
@@ -152,14 +191,17 @@ class HeapObject:
 @dataclass
 class Activation:
     serial: int
-    method: MethodDecl | None    # None only for the synthetic harness frame
+    method: _Method | None       # None only for the synthetic harness frame
     instance: str
     this: Ref | None
-    locals: dict
-    entry_env: dict[str, int]
-    ensures: list[EnsureStmt]
+    outs: tuple | list           # (out-parameter, store in the caller or None)
+    locals: dict = field(default_factory=dict)
+    entry_env: dict[str, int] = field(default_factory=dict)
     current: dict[str, int] = field(default_factory=dict)
     peak: dict[str, int] = field(default_factory=dict)
+    loops: dict = field(default_factory=dict)  # loop slot -> its index iterator
+    pc: int = 0                  # where to resume once a callee returns
+    ret: object = None           # the value its `return` gave
 
 
 @dataclass(frozen=True)
@@ -220,9 +262,416 @@ def _default(t: TypeRef):
     return None if plain is None else plain()  # 0, False or ""
 
 
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
+def _trunc_div(a: int, b: int) -> int:
+    if b == 0:
+        raise OracleError("division by zero")
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _checked_index(obj: HeapObject, idx) -> int:
+    if obj.length is None or not 0 <= idx < obj.length:
+        raise ArrayBounds(f"index {idx} outside [0, {obj.length})")
+    return idx
+
+
+# -- lowering --------------------------------------------------------------
+#
+# An expression lowers to a function of (interpreter, frame) that returns
+# its value, and an assignment target to a function of (interpreter, frame,
+# value) that stores it.  A body lowers to a list of operations of
+# (interpreter, frame): each returns the index of the next operation, or
+# _CALL once it has pushed a callee's frame and set its own frame's `pc`
+# to where it resumes, or _RETURN once it has set its frame's `ret`.
+
+_CALL = -1
+_RETURN = -2
+
+_RELATIONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": _trunc_div}
+
+
+def _relation(rel: str):
+    def unknown(lhs, rhs):
+        raise OracleError(f"unknown comparison {rel!r}")
+    return _RELATIONS.get(rel, unknown)
+
+
+def _constant(value):
+    return lambda it, act: value
+
+
+def _lower_expr(e: Expr):
+    while isinstance(e, ParenExpr):
+        e = e.inner
+    if isinstance(e, (IntLit, StrLit, BoolLit)):
+        return _constant(e.value)
+    if isinstance(e, NullLit):
+        return _constant(None)
+    if isinstance(e, VarRef):
+        name = e.name
+
+        def local(it, act):
+            try:
+                return act.locals[name]
+            except KeyError:
+                raise OracleError(f"undefined local {name!r}") from None
+        return local
+    if isinstance(e, ThisRef):
+        return lambda it, act: act.this
+    if isinstance(e, FieldRef):
+        base, name = _lower_expr(e.base), e.field
+        return lambda it, act: it._obj(base(it, act)).fields[name]
+    if isinstance(e, LengthRef):
+        base = _lower_expr(e.base)
+
+        def length(it, act):
+            value = base(it, act)
+            if isinstance(value, str):
+                return len(value)
+            obj = it._obj(value)
+            if obj.length is None:
+                raise OracleError(f"{obj.cls} has no length")
+            return obj.length
+        return length
+    if isinstance(e, IndexRef):
+        base, index = _lower_expr(e.base), _lower_expr(e.index)
+
+        def element(it, act):
+            obj = it._obj(base(it, act))
+            return obj.fields[_checked_index(obj, index(it, act))]
+        return element
+    if isinstance(e, Unary):
+        operand = _lower_expr(e.operand)
+        if e.op == "-":
+            return lambda it, act: -operand(it, act)
+        return lambda it, act: not operand(it, act)
+    if isinstance(e, MaxExpr):
+        left, right = _lower_expr(e.left), _lower_expr(e.right)
+        return lambda it, act: max(left(it, act), right(it, act))
+    if isinstance(e, Binary):
+        left, right = _lower_expr(e.left), _lower_expr(e.right)
+        if e.op == "&&":
+            return lambda it, act: bool(left(it, act)) and bool(right(it, act))
+        if e.op == "||":
+            return lambda it, act: bool(left(it, act)) or bool(right(it, act))
+        op = _ARITHMETIC.get(e.op) or _relation(e.op)
+        return lambda it, act: op(left(it, act), right(it, act))
+    kind = type(e).__name__
+
+    def unknown(it, act):
+        raise OracleError(f"cannot evaluate {kind}")
+    return unknown
+
+
+def _lower_store(target: Expr):
+    if isinstance(target, VarRef):
+        name = target.name
+        return lambda it, act, value: it._set_local(act, name, value)
+    if isinstance(target, FieldRef):
+        base, name = _lower_expr(target.base), target.field
+        return lambda it, act, value: it._set_field(
+            it._obj(base(it, act)), name, value)
+    if isinstance(target, IndexRef):
+        base, index = _lower_expr(target.base), _lower_expr(target.index)
+
+        def element(it, act, value):
+            obj = it._obj(base(it, act))
+            it._set_field(obj, _checked_index(obj, index(it, act)), value)
+        return element
+    kind = type(target).__name__
+
+    def bad(it, act, value):
+        raise OracleError(f"bad assignment target {kind}")
+    return bad
+
+
+def _assignment(s: LocalDecl | Assign | AugAssign):
+    """The store and the value of a declaration or an assignment; a
+    compound assignment's value reads its target first."""
+    if isinstance(s, LocalDecl):
+        value = _lower_expr(s.init) if s.init is not None \
+            else _constant(_default(s.decl_type))
+        return _lower_store(VarRef(s.name)), value
+    value = _lower_expr(s.value)
+    if isinstance(s, AugAssign):
+        load, operand = _lower_expr(s.target), value
+
+        def value(it, act):
+            return load(it, act) + operand(it, act)
+    return _lower_store(s.target), value
+
+
+def _step(nxt: int):
+    """A statement whose work is done: charge it and go on at nxt."""
+    def step(it, act):
+        it._post_stmt()
+        return nxt
+    return step
+
+
+def _returned(it, act):
+    return _RETURN
+
+
+def _resume(store, nxt: int):
+    """The rest of a call or `new` once the callee has returned its value."""
+    def resume(it, act):
+        if store is not None:
+            store(it, act, it.ret)
+        it._method_exit_sweep()
+        it._post_stmt()
+        return nxt
+    return resume
+
+
+class _Body:
+    """A method body lowered to a flat list of operations."""
+
+    def __init__(self, body: list):
+        self.ops: list = []
+        self.loops = 0
+        self.block(body)
+        self.ops.append(_returned)  # falling off the end returns nothing
+
+    def block(self, stmts: list):
+        for s in stmts:
+            self.stmt(s)
+
+    def stmt(self, s):
+        nxt = len(self.ops) + 1
+        if isinstance(s, (LocalDecl, Assign, AugAssign)):
+            store, value = _assignment(s)
+
+            def op(it, act):
+                store(it, act, value(it, act))
+                it._post_stmt()
+                return nxt
+        elif isinstance(s, NewStmt):
+            return self.new(s)
+        elif isinstance(s, CallStmt):
+            return self.call(s)
+        elif isinstance(s, ReturnStmt):
+            if s.value is None:
+                op = _returned
+            else:
+                value = _lower_expr(s.value)
+
+                def op(it, act):
+                    act.ret = value(it, act)
+                    return _RETURN
+        elif isinstance(s, IfStmt):
+            return self.branch(s)
+        elif isinstance(s, ForStmt):
+            return self.loop(s)
+        else:
+            # contract and escape annotations carry no runtime behavior;
+            # requires is checked at entry and ensure at exit
+            op = _step(nxt)
+        self.ops.append(op)
+
+    def hole(self) -> int:
+        self.ops.append(None)
+        return len(self.ops) - 1
+
+    def branch(self, s: IfStmt):
+        #   k     test, to k+1 or to the else arm (or j without one)
+        #   ...   then arm
+        #   j     the if's step, then past the else arm
+        #   ...   else arm
+        #   e     the if's step
+        cond = _lower_expr(s.cond)
+        k = self.hole()
+        self.block(s.then_body)
+        j = self.hole()
+        orelse = j
+        if s.else_body:
+            orelse = j + 1
+            self.block(s.else_body)
+            self.ops.append(_step(len(self.ops) + 1))
+        self.ops[j] = _step(len(self.ops))
+        self.ops[k] = lambda it, act: k + 1 if cond(it, act) else orelse
+
+    def loop(self, s: ForStmt):
+        #   k     evaluate the bounds, then to j
+        #   ...   body
+        #   j     the next index to k+1, or the for's step once they run out
+        lo, hi, var = _lower_expr(s.lo), _lower_expr(s.hi), s.var
+        slot = self.loops
+        self.loops += 1
+        k = self.hole()
+        self.block(s.body)
+        j = len(self.ops)
+
+        def start(it, act):
+            act.loops[slot] = iter(range(lo(it, act), hi(it, act) + 1))
+            return j
+
+        def advance(it, act):
+            i = next(act.loops[slot], None)
+            if i is None:
+                it._post_stmt()
+                return j + 1
+            it._set_local(act, var, i)
+            return k + 1
+        self.ops[k] = start
+        self.ops.append(advance)
+
+    def new(self, s: NewStmt):
+        k = len(self.ops)
+        store = _lower_store(s.target) if s.target is not None else None
+        site = s.site or ""
+        if s.length is not None:
+            length, key = _lower_expr(s.length), s.class_ref.key()
+
+            def make(it, act):
+                n = length(it, act)
+                if n < 0:
+                    raise ArrayBounds(f"negative array length {n}")
+                it._charge(n)  # before building the elements
+                return it._alloc(key, n, site, dict.fromkeys(range(n)), n)
+        else:
+            cls = s.class_ref.name
+
+            def make(it, act):
+                return it._instance(cls, site)
+        ctor = callee_of(s)
+        if ctor is None:
+            def op(it, act):
+                ref = make(it, act)
+                if store is not None:
+                    store(it, act, ref)
+                it._post_stmt()
+                return k + 1
+            self.ops.append(op)
+            return
+        args = [_lower_expr(a) for a in s.args]
+
+        def construct(it, act):
+            ref = make(it, act)
+            values = [a(it, act) for a in args]
+            act.pc = k + 1
+            it._push(ctor, ref, values, False)
+            return _CALL
+        self.ops.append(construct)
+        self.ops.append(_resume(store, k + 2))
+
+    def call(self, s: CallStmt):
+        k = len(self.ops)
+        callee, name = callee_of(s), s.method
+        receiver = _lower_expr(s.receiver) if s.receiver is not None else None
+        args, outs = [], []
+        for param, arg in zip(callee.params, s.args):
+            if isinstance(arg, OutArg):
+                outs.append((param.name, None if arg.target is None
+                             else _lower_store(arg.target)))
+                args.append(_constant(_default(param.decl_type)))
+            else:
+                args.append(_lower_expr(arg))
+
+        def invoke(it, act):
+            if receiver is None:
+                this = act.this
+            else:
+                this = receiver(it, act)
+                if this is None:
+                    raise NullDereference(f"call to {name} on null")
+            values = [a(it, act) for a in args]
+            act.pc = k + 1
+            it._push(callee, this, values, False, outs)
+            return _CALL
+        self.ops.append(invoke)
+        self.ops.append(_resume(
+            _lower_store(s.target) if s.target is not None else None, k + 2))
+
+
+class _Bound:
+    """A declared bound as integer polynomials over one common denominator:
+    a count exceeds the bound iff count * den exceeds the largest of the
+    numerators, one per alternative of the bound's max."""
+
+    def __init__(self, clause: str, tag: str | None, key: str, bound: SymExpr):
+        self.clause = clause
+        self.tag = tag          # the escape tag it counts; None for a peak
+        self.key = key
+        self.bound = bound
+        self.den = math.lcm(*(c.denominator for p in bound.alts for _, c in p.terms))
+        # per alternative: ((integer coefficient, monomial), ...)
+        self.numerators = [[(int(c * self.den), m) for m, c in p.terms]
+                           for p in bound.alts]
+        self.variables = bound.variables()
+
+    def top(self, env: dict[str, int]) -> int:
+        return max(sum(c * math.prod(env[v] ** e for v, e in mono) for c, mono in terms)
+                   for terms in self.numerators)
+
+
+def _bounds(contract: MethodContract | None) -> list[_Bound]:
+    if contract is None:
+        return []
+    out = [_Bound(f"memreq<{key}>", None, key, bound)
+           for key, bound in contract.mem_req.items()]
+    out += [_Bound(f"esc<{key}>({tag.source_str()})", tag.counter_str(), key, bound)
+            for (tag, key), bound in contract.esc.items()]
+    return out
+
+
+class _Method:
+    """One method lowered: its body, and what each activation checks on
+    entry and measures on exit."""
+
+    def __init__(self, decl: MethodDecl, cls: ClassDecl):
+        self.qname = decl.qname
+        self.is_ctor = decl.is_ctor
+        self.params = [p.name for p in decl.params]
+        self.returns = decl.return_type.key() != "void"
+        self.readers = [(name, _lower_expr(var_expr(name)))
+                        for name in sorted(entry_vars(decl, cls))]
+        self.requires = [(_relation(c.rel), _lower_expr(c.left), _lower_expr(c.right))
+                         for s in decl.body if isinstance(s, RequiresStmt)
+                         for c in s.constraints]
+        self.ensures = [(_lower_expr(s.cond), expr_to_str(s.cond))
+                        for s in decl.body if isinstance(s, EnsureStmt)]
+        contract = decl.contract
+        self.bindings = [] if contract is None else \
+            [(tag.counter_str(), path) for tag, path in contract.bindings.items()]
+        self.bounds = _bounds(contract)
+        self.code = _Body(decl.body).ops
+
+
+class _Table:
+    """The lowered code of one program, a method on its first call."""
+
+    def __init__(self, program: Program):
+        self.classes = program.class_map()
+        self.decls = {m.qname: m for m in program.methods()}
+        self.defaults = {c.name: {f.name: _default(f.decl_type) for f in c.fields}
+                         for c in program.classes}
+        self.lowered: dict[str, _Method] = {}
+
+    def method(self, decl: MethodDecl) -> _Method:
+        m = self.lowered.get(decl.qname)
+        if m is None:
+            try:
+                m = _Method(decl, self.classes[decl.cls])
+            except RecursionError:
+                raise StackExhausted(
+                    f"{decl.qname} nests too deeply to lower") from None
+            self.lowered[decl.qname] = m
+        return m
+
+
+_TABLES: dict[int, _Table] = {}   # id of a live Program -> its lowered code
+
+
+def _table(program: Program) -> _Table:
+    table = _TABLES.get(id(program))
+    if table is None:
+        table = _TABLES[id(program)] = _Table(program)
+        weakref.finalize(program, _TABLES.pop, id(program), None)
+    return table
 
 
 class Interp:
@@ -233,89 +682,116 @@ class Interp:
             raise ValueError(f"unknown gc mode {gc!r}")
         if not program.resolved:
             raise ValueError("interpretation requires a resolved program")
-        self.program = program
         self.gc = gc
-        self.classes = program.class_map()
-        self.methods = {m.qname: m for m in program.methods()}
+        self.table = _table(program)
         self.heap: dict[int, HeapObject] = {}
-        self.poisoned: set[int] = set()
         self.suspects: set[int] = set()  # new or dropped since the last sweep
         self.stack: list[Activation] = []
         self.trace: list[tuple] = []
         self.observations: list[Observation] = []
         self.failures: list[AssertionFailure] = []
         self.steps = 0
+        self.ret = None                  # the value the last finished call gave
         self._next_oid = 1
         self._next_serial = 1
 
     # -- frames ------------------------------------------------------------
 
     def push_harness(self) -> Activation:
-        act = Activation(0, None, f"{HARNESS}@0", None, {}, {}, [])
+        act = Activation(0, None, f"{HARNESS}@0", None, ())
         self.stack.append(act)
         return act
 
-    def _push(self, method: MethodDecl, this: Ref | None,
-              values: list, direct: bool) -> Activation:
+    def _push(self, method: MethodDecl, this: Ref | None, values: list,
+              direct: bool, outs=()) -> Activation:
+        if len(self.stack) >= MAX_FRAMES:
+            raise StackExhausted(
+                f"calls nest deeper than the interpreter's {MAX_FRAMES} frames")
+        m = self.table.method(method)
         serial = self._next_serial
         self._next_serial += 1
-        act = Activation(serial, method, f"{method.qname}@{serial}",
-                         this, {}, {}, [])
-        self._link(None, this)
-        for p, v in zip(method.params, values):
-            self._set_local(act, p.name, v)
+        act = Activation(serial, m, f"{m.qname}@{serial}", this, outs)
+        if isinstance(this, Ref):
+            self._link(None, this)
+        for name, v in zip(m.params, values):
+            self._set_local(act, name, v)
         self.stack.append(act)
-        act.ensures = [s for s in method.body if isinstance(s, EnsureStmt)]
-        act.entry_env = self._snapshot_entry(act)
-        self.trace.append(("call", method.qname, act.instance))
-        self._check_requires(act, direct)
+        # the contract variables' values; one behind a null receiver or a
+        # null array has none, and so does one that an ill-typed argument
+        # left without an integer
+        env = act.entry_env
+        for name, read in m.readers:
+            try:
+                val = read(self, act)
+            except NullDereference:
+                continue
+            if isinstance(val, int) and not isinstance(val, bool):
+                env[name] = val
+        self.trace.append(("call", m.qname, act.instance))
+        for rel, left, right in m.requires:
+            if not rel(left(self, act), right(self, act)):
+                raise RequiresViolation(m.qname, dict(env), direct)
         return act
 
     def _pop(self, act: Activation):
         """Drop the top frame and the references its slots held."""
         for v in act.locals.values():
-            self._unlink(None, v)
-        self._unlink(None, act.this)
+            if isinstance(v, Ref):
+                self._unlink(None, v)
+        if isinstance(act.this, Ref):
+            self._unlink(None, act.this)
         self.stack.pop()
 
-    def _snapshot_entry(self, act: Activation) -> dict[str, int]:
-        """The contract variables' values; act must be the top frame.  A
-        variable behind a null receiver or a null array has none, and so
-        does one that an ill-typed argument left without an integer."""
-        env: dict[str, int] = {}
-        for name in sorted(entry_vars(act.method, self.classes[act.method.cls])):
-            try:
-                val = self._eval(var_expr(name))
-            except NullDereference:
-                continue
-            if isinstance(val, int) and not isinstance(val, bool):
-                env[name] = val
-        return env
+    def _invoke(self, method: MethodDecl, this: Ref | None, values: list,
+                outs: list, direct: bool):
+        """Run one call from the harness frame to its end; return its value.
+        The calls it makes push their frames and run in this loop."""
+        depth = len(self.stack)
+        stack = self.stack
+        act = self._push(method, this, values, direct, outs)
+        code, pc = act.method.code, 0
+        while True:
+            while pc >= 0:
+                pc = code[pc](self, act)
+            if pc == _CALL:
+                act = stack[-1]
+                pc = 0
+            else:
+                value = self._exit(act)
+                if len(stack) == depth:
+                    return value
+                self.ret = value
+                act = stack[-1]
+                pc = act.pc
+            code = act.method.code
 
-    def _check_requires(self, act: Activation, direct: bool):
-        for s in act.method.body:
-            if not isinstance(s, RequiresStmt):
-                continue
-            for c in s.constraints:
-                if not self._compare(c.rel, self._eval(c.left),
-                                     self._eval(c.right)):
-                    raise RequiresViolation(act.method.qname,
-                                            dict(act.entry_env), direct)
+    def _exit(self, act: Activation):
+        """Measure the top frame, pop it and store its out-arguments in the
+        caller.  The call's value is what it returned, or a constructor's
+        instance."""
+        self._finish(act, act.ret)
+        self._assert_accounting([act])
+        outs = [(act.locals[name], store) for name, store in act.outs]
+        self._pop(act)
+        caller = self.stack[-1]
+        for value, store in outs:
+            if store is not None:
+                store(self, caller, value)
+        return act.this if act.method.is_ctor else act.ret
 
     # -- heap --------------------------------------------------------------
 
     def _obj(self, ref) -> HeapObject:
         if not isinstance(ref, Ref):
             raise NullDereference("null dereference")
-        if ref.oid in self.poisoned:
+        obj = self.heap.get(ref.oid)
+        if obj is None:
             raise InterpreterFault(f"read of reclaimed object {ref.oid}")
-        return self.heap[ref.oid]
+        return obj
 
     def _instance(self, cls_name: str, site: str) -> Ref:
         """A fresh object of a class, fields at their defaults."""
-        fields_ = {f.name: _default(f.decl_type)
-                   for f in self.classes[cls_name].fields}
-        return self._alloc(cls_name, 1, site, fields_, None)
+        return self._alloc(cls_name, 1, site, dict(self.table.defaults[cls_name]), None)
 
     def _alloc(self, cls_key: str, weight: int, site: str,
                fields_: dict, length: int | None) -> Ref:
@@ -324,15 +800,17 @@ class Interp:
         self.heap[oid] = HeapObject(oid, cls_key, fields_, length, weight,
                                     self._next_serial)
         for v in fields_.values():
-            self._link(oid, v)
+            if isinstance(v, Ref):
+                self._link(oid, v)
         if self.gc != "none":
             self.suspects.add(oid)
         for act in self.stack:
+            current, peak = act.current, act.peak
             for key in (cls_key, OBJECT_KEY):
-                cur = act.current.get(key, 0) + weight
-                act.current[key] = cur
-                if cur > act.peak.get(key, 0):
-                    act.peak[key] = cur
+                cur = current.get(key, 0) + weight
+                current[key] = cur
+                if cur > peak.get(key, 0):
+                    peak[key] = cur
         self.trace.append(("alloc", oid, cls_key, weight, site,
                            self.stack[-1].instance))
         return Ref(oid)
@@ -340,30 +818,34 @@ class Interp:
     # Every write of a reference goes through _set_local or _set_field, so
     # each object's `incoming` counts exactly the slots that hold it.
 
-    def _link(self, src, value):
-        if isinstance(value, Ref):
-            inc = self.heap[value.oid].incoming
-            inc[src] = inc.get(src, 0) + 1
+    def _link(self, src, ref: Ref):
+        inc = self.heap[ref.oid].incoming
+        inc[src] = inc.get(src, 0) + 1
 
-    def _unlink(self, src, value):
-        if isinstance(value, Ref):
-            inc = self.heap[value.oid].incoming
-            if inc[src] == 1:
-                del inc[src]
-            else:
-                inc[src] -= 1
-            if self.gc != "none":
-                self.suspects.add(value.oid)
+    def _unlink(self, src, ref: Ref):
+        inc = self.heap[ref.oid].incoming
+        if inc[src] == 1:
+            del inc[src]
+        else:
+            inc[src] -= 1
+        if self.gc != "none":
+            self.suspects.add(ref.oid)
 
     def _set_local(self, act: Activation, name: str, value):
-        self._unlink(None, act.locals.get(name))
+        old = act.locals.get(name)
+        if isinstance(old, Ref):
+            self._unlink(None, old)
         act.locals[name] = value
-        self._link(None, value)
+        if isinstance(value, Ref):
+            self._link(None, value)
 
     def _set_field(self, obj: HeapObject, key, value):
-        self._unlink(obj.oid, obj.fields.get(key))
+        old = obj.fields.get(key)
+        if isinstance(old, Ref):
+            self._unlink(obj.oid, old)
         obj.fields[key] = value
-        self._link(obj.oid, value)
+        if isinstance(value, Ref):
+            self._link(obj.oid, value)
 
     def _reach(self, roots) -> set[int]:
         seen: set[int] = set()
@@ -391,6 +873,8 @@ class Interp:
         live.  A search that finds neither has visited a set closed under
         referrers that no root holds, so all of it is garbage; dropping
         its fields makes its children suspects in turn."""
+        if not self.suspects:
+            return
         live: set[int] = set()
         dead: set[int] = set()
         while self.suspects:
@@ -414,7 +898,8 @@ class Interp:
             dead |= seen
             for d in seen:
                 for v in self.heap[d].fields.values():
-                    self._unlink(d, v)
+                    if isinstance(v, Ref):
+                        self._unlink(d, v)
         for oid in sorted(dead):
             obj = self.heap.pop(oid)
             for act in self.stack:
@@ -425,27 +910,34 @@ class Interp:
                     if act.current[key] < 0:
                         raise InterpreterFault(
                             f"negative live count for {key} in {act.instance}")
-            self.poisoned.add(oid)
             self.trace.append(("reclaim", oid))
 
     def _assert_accounting(self, acts=None):
         # the incremental counters of `acts` (frames on the stack, bottom
-        # first; by default every frame) must agree with a from-scratch recount
+        # first; by default every frame) must agree with a from-scratch
+        # recount.  A frame counts the objects born above its serial, and
+        # the heap keeps objects in allocation order, along which `born`
+        # never decreases; so a walk back from the newest object has
+        # counted everything of a frame at the first object born at or
+        # below its serial, and the frames are recounted top down.
         acts = self.stack if acts is None else acts
-        expected: dict[int, dict[str, int]] = {a.serial: {} for a in acts}
-        for obj in self.heap.values():
-            for act in acts:
-                if act.serial >= obj.born:
-                    break
-                acc = expected[act.serial]
+        objs = reversed(self.heap.values())
+        obj = next(objs, None)
+        total: dict[str, int] = {}
+        drift = None
+        for act in reversed(acts):
+            while obj is not None and obj.born > act.serial:
                 for key in (obj.cls, OBJECT_KEY):
-                    acc[key] = acc.get(key, 0) + obj.weight
-        for act in acts:
+                    total[key] = total.get(key, 0) + obj.weight
+                obj = next(objs, None)
             have = {k: v for k, v in act.current.items() if v}
-            want = {k: v for k, v in expected[act.serial].items() if v}
+            want = {k: v for k, v in total.items() if v}
             if have != want:
-                raise InterpreterFault(
-                    f"live-count drift in {act.instance}: {have} != {want}")
+                drift = act, have, want  # the lowest drifting frame is named
+        if drift:
+            act, have, want = drift
+            raise InterpreterFault(
+                f"live-count drift in {act.instance}: {have} != {want}")
 
     def _charge(self, steps: int):
         self.steps += steps
@@ -453,194 +945,11 @@ class Interp:
             raise StepBudgetExceeded(f"exceeded {MAX_STEPS} steps")
 
     def _post_stmt(self):
-        self._charge(1)
+        self.steps += 1
+        if self.steps > MAX_STEPS:
+            raise StepBudgetExceeded(f"exceeded {MAX_STEPS} steps")
         if self.gc == "ideal":
             self._sweep()
-
-    # -- expressions ---------------------------------------------------------
-
-    def _eval(self, e: Expr):
-        act = self.stack[-1]
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, StrLit):
-            return e.value
-        if isinstance(e, BoolLit):
-            return e.value
-        if isinstance(e, NullLit):
-            return None
-        if isinstance(e, VarRef):
-            try:
-                return act.locals[e.name]
-            except KeyError:
-                raise OracleError(f"undefined local {e.name!r}") from None
-        if isinstance(e, ThisRef):
-            return act.this
-        if isinstance(e, ParenExpr):
-            return self._eval(e.inner)
-        if isinstance(e, FieldRef):
-            return self._obj(self._eval(e.base)).fields[e.field]
-        if isinstance(e, LengthRef):
-            base = self._eval(e.base)
-            if isinstance(base, str):
-                return len(base)
-            obj = self._obj(base)
-            if obj.length is None:
-                raise OracleError(f"{obj.cls} has no length")
-            return obj.length
-        if isinstance(e, IndexRef):
-            obj = self._obj(self._eval(e.base))
-            idx = self._eval(e.index)
-            if obj.length is None or not 0 <= idx < obj.length:
-                raise ArrayBounds(f"index {idx} outside [0, {obj.length})")
-            return obj.fields[idx]
-        if isinstance(e, Unary):
-            v = self._eval(e.operand)
-            return -v if e.op == "-" else not v
-        if isinstance(e, MaxExpr):
-            return max(self._eval(e.left), self._eval(e.right))
-        if isinstance(e, Binary):
-            if e.op == "&&":
-                return bool(self._eval(e.left)) and bool(self._eval(e.right))
-            if e.op == "||":
-                return bool(self._eval(e.left)) or bool(self._eval(e.right))
-            lhs = self._eval(e.left)
-            rhs = self._eval(e.right)
-            if e.op == "+":
-                return lhs + rhs
-            if e.op == "-":
-                return lhs - rhs
-            if e.op == "*":
-                return lhs * rhs
-            if e.op == "/":
-                return _trunc_div(lhs, rhs)
-            return self._compare(e.op, lhs, rhs)
-        raise OracleError(f"cannot evaluate {type(e).__name__}")
-
-    @staticmethod
-    def _compare(rel: str, lhs, rhs) -> bool:
-        if rel == "==":
-            return lhs == rhs
-        if rel == "!=":
-            return lhs != rhs
-        if rel == "<":
-            return lhs < rhs
-        if rel == "<=":
-            return lhs <= rhs
-        if rel == ">":
-            return lhs > rhs
-        if rel == ">=":
-            return lhs >= rhs
-        raise OracleError(f"unknown comparison {rel!r}")
-
-    def _store(self, target: Expr, value):
-        act = self.stack[-1]
-        if isinstance(target, VarRef):
-            self._set_local(act, target.name, value)
-        elif isinstance(target, FieldRef):
-            self._set_field(self._obj(self._eval(target.base)), target.field, value)
-        elif isinstance(target, IndexRef):
-            obj = self._obj(self._eval(target.base))
-            idx = self._eval(target.index)
-            if obj.length is None or not 0 <= idx < obj.length:
-                raise ArrayBounds(f"index {idx} outside [0, {obj.length})")
-            self._set_field(obj, idx, value)
-        else:
-            raise OracleError(f"bad assignment target {type(target).__name__}")
-
-    # -- statements ----------------------------------------------------------
-
-    def _exec_block(self, stmts):
-        for s in stmts:
-            self._exec(s)
-            self._post_stmt()
-
-    def _exec(self, s):
-        if isinstance(s, LocalDecl):
-            value = self._eval(s.init) if s.init is not None \
-                else _default(s.decl_type)
-            self._set_local(self.stack[-1], s.name, value)
-        elif isinstance(s, Assign):
-            self._store(s.target, self._eval(s.value))
-        elif isinstance(s, AugAssign):
-            self._store(s.target, self._eval(s.target) + self._eval(s.value))
-        elif isinstance(s, NewStmt):
-            self._do_new(s)
-        elif isinstance(s, CallStmt):
-            self._do_call(s)
-        elif isinstance(s, ReturnStmt):
-            raise _Return(self._eval(s.value) if s.value is not None else None)
-        elif isinstance(s, IfStmt):
-            branch = s.then_body if self._eval(s.cond) else s.else_body
-            self._exec_block(branch)
-        elif isinstance(s, ForStmt):
-            lo = self._eval(s.lo)
-            hi = self._eval(s.hi)
-            for i in range(lo, hi + 1):
-                self._set_local(self.stack[-1], s.var, i)
-                self._exec_block(s.body)
-        # contract and escape annotations carry no runtime behavior; requires
-        # is checked at entry and ensure at exit
-        return None
-
-    def _do_new(self, s: NewStmt):
-        ctor_ran = False
-        if s.length is not None:
-            length = self._eval(s.length)
-            if length < 0:
-                raise ArrayBounds(f"negative array length {length}")
-            self._charge(length)  # before building the elements
-            elems = dict.fromkeys(range(length))  # class elements start null
-            ref = self._alloc(s.class_ref.key(), length, s.site or "", elems, length)
-        else:
-            ref = self._instance(s.class_ref.name, s.site or "")
-            ctor = callee_of(s)
-            if ctor is not None:
-                values = [self._eval(a) for a in s.args]
-                self._invoke(ctor, ref, values, [], direct=False)
-                ctor_ran = True
-        if s.target is not None:
-            self._store(s.target, ref)
-        if ctor_ran:
-            self._method_exit_sweep()
-
-    def _do_call(self, s: CallStmt):
-        callee = callee_of(s)
-        if s.receiver is not None:
-            this = self._eval(s.receiver)
-            if this is None:
-                raise NullDereference(f"call to {s.method} on null")
-        else:
-            this = self.stack[-1].this
-        values = []
-        outs = []
-        for param, arg in zip(callee.params, s.args):
-            if isinstance(arg, OutArg):
-                outs.append((param.name, arg.target))
-                values.append(_default(param.decl_type))
-            else:
-                values.append(self._eval(arg))
-        ret = self._invoke(callee, this, values, outs, direct=False)
-        if s.target is not None:
-            self._store(s.target, ret)
-        self._method_exit_sweep()
-
-    def _invoke(self, callee: MethodDecl, this: Ref | None, values: list,
-                outs: list, direct: bool):
-        act = self._push(callee, this, values, direct)
-        ret = None
-        try:
-            self._exec_block(callee.body)
-        except _Return as r:
-            ret = r.value
-        self._finish(act, ret)
-        self._assert_accounting([act])
-        out_values = {name: act.locals[name] for name, _ in outs}
-        self._pop(act)
-        for name, target in outs:
-            if target is not None:
-                self._store(target, out_values[name])
-        return ret
 
     def _method_exit_sweep(self):
         # runs once per return, but only after the caller has rooted the
@@ -652,21 +961,19 @@ class Interp:
 
     def _finish(self, act: Activation, ret):
         """Exit protocol: ensures, then escape measurement, before any sweep."""
-        for e in act.ensures:
-            if not self._eval(e.cond):
-                self.failures.append(AssertionFailure(
-                    act.method.qname, act.instance, expr_to_str(e.cond)))
+        m = act.method
+        for cond, text in m.ensures:
+            if not cond(self, act):
+                self.failures.append(AssertionFailure(m.qname, act.instance, text))
         roots: dict[str, object] = {}
-        if act.method.return_type.key() != "void" and ret is not None:
+        if m.returns and ret is not None:
             roots["Return"] = ret
         if act.this is not None:
             roots["This"] = act.this
-        contract = act.method.contract
-        if contract is not None:
-            for tag, path in contract.bindings.items():
-                val = self._follow(act, ret, path)
-                if val is not None:
-                    roots[tag.counter_str()] = val
+        for tag, path in m.bindings:
+            val = self._follow(act, ret, path)
+            if val is not None:
+                roots[tag] = val
         esc: dict[str, dict[str, int]] = {}
         counted_per_tag: dict[str, set[int]] = {}
         for tag_name, root in roots.items():
@@ -687,10 +994,10 @@ class Interp:
             for oid in a & b:
                 doubled.add(self.heap[oid].cls)
         self.observations.append(Observation(
-            act.method.qname, act.instance, act.entry_env,
+            m.qname, act.instance, act.entry_env,
             {k: v for k, v in act.peak.items() if v},
             esc, tuple(sorted(doubled))))
-        self.trace.append(("ret", act.method.qname, act.instance))
+        self.trace.append(("ret", m.qname, act.instance))
 
     def _follow(self, act: Activation, ret, path: PathExpr):
         if path.root == "this":
@@ -708,13 +1015,6 @@ class Interp:
     def result(self, return_value) -> RunResult:
         return RunResult(return_value, self.observations, self.failures,
                          self.trace)
-
-
-def _trunc_div(a: int, b: int) -> int:
-    if b == 0:
-        raise OracleError("division by zero")
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
 
 
 # -- single entry run ----------------------------------------------------
@@ -765,22 +1065,14 @@ def _drive(program: Program, qname: str, gc: str, bind) -> RunResult:
     returns it.
     """
     interp = Interp(program, gc=gc)
-    method = interp.methods.get(qname)
+    method = interp.table.decls.get(qname)
     if method is None:
         raise OracleError(f"no method named {qname}")
     harness = interp.push_harness()
-    try:
-        this, values, outs = bind(interp, method, harness)
-        if method.is_ctor:
-            this = interp._instance(method.cls, HARNESS)
-            interp._invoke(method, this, values, outs, direct=True)
-            ret = this
-        else:
-            ret = interp._invoke(method, this, values, outs, direct=True)
-    except RecursionError:
-        # each MCL call takes several Python frames
-        raise StackExhausted("calls nest deeper than the interpreter's"
-                             " Python stack allows") from None
+    this, values, outs = bind(interp, method, harness)
+    if method.is_ctor:
+        this = interp._instance(method.cls, HARNESS)
+    ret = interp._invoke(method, this, values, outs, direct=True)
     interp._set_local(harness, "<result>", ret)
     if interp.gc != "none":
         interp._sweep()
@@ -902,7 +1194,7 @@ def run_point(program: Program, qname: str, point: dict,
         if not method.is_ctor:
             this = interp._instance(method.cls, HARNESS)
             interp._set_local(harness, "<receiver>", this)
-            ctor = interp.classes[method.cls].ctor()
+            ctor = interp.table.classes[method.cls].ctor()
             if ctor is not None:
                 values, outs = _bind_args(
                     interp, ctor.params, _point_values(ctor.params, "ctor.", point))
@@ -983,36 +1275,19 @@ class OracleReport:
         }
 
 
-def _declared_value(bound: SymExpr, env: dict[str, int]):
-    if not bound.variables() <= set(env):
-        return None
-    return bound.eval(env)
-
-
-def _compare_observation(obs: Observation, method: MethodDecl, entry: str,
+def _compare_observation(obs: Observation, method: _Method, entry: str,
                          point: dict, trace: list, out: list):
-    contract = method.contract
-    if contract is None or not contract.has_clauses():
-        return
-    for key, bound in contract.mem_req.items():
-        declared = _declared_value(bound, obs.entry_env)
-        if declared is None:
+    env = obs.entry_env
+    for b in method.bounds:
+        if not b.variables.issubset(env):
             continue
-        observed = obs.peak.get(key, 0)
-        if observed > declared:
+        observed = obs.peak.get(b.key, 0) if b.tag is None \
+            else obs.esc.get(b.tag, {}).get(b.key, 0)
+        top = b.top(env)
+        if observed * b.den > top:
             out.append(BoundViolation(
-                entry, point, obs.method, obs.instance, f"memreq<{key}>",
-                str(bound), int(declared), observed, obs.entry_env, trace))
-    for (tag, key), bound in contract.esc.items():
-        declared = _declared_value(bound, obs.entry_env)
-        if declared is None:
-            continue
-        observed = obs.esc.get(tag.counter_str(), {}).get(key, 0)
-        if observed > declared:
-            out.append(BoundViolation(
-                entry, point, obs.method, obs.instance,
-                f"esc<{key}>({tag.source_str()})",
-                str(bound), int(declared), observed, obs.entry_env, trace))
+                entry, point, obs.method, obs.instance, b.clause, str(b.bound),
+                int(Fraction(top, b.den)), observed, obs.entry_env, trace))
 
 
 def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
@@ -1032,8 +1307,8 @@ def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
         total += plan.point_count()
     if total > MAX_POINTS:
         raise GridTooLarge(f"{total} grid points exceed the {MAX_POINTS} cap")
+    table = _table(program)
     for plan in plans:
-        method = program.method(plan.method)
         for point in plan.points():
             try:
                 result = run_point(program, plan.method, point, gc=gc)
@@ -1051,7 +1326,7 @@ def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
             for failure in result.assertion_failures:
                 report.ensure_failures.append((plan.method, point, failure))
             for obs in result.observations:
-                _compare_observation(obs, program.method(obs.method),
+                _compare_observation(obs, table.lowered[obs.method],
                                      plan.method, point, result.trace,
                                      report.violations)
     return report

@@ -311,7 +311,7 @@ class _Summarizer:
             total = summed(body.own.get(key, SYM_ZERO))
             peak, escaped = body.calls(key)
             if not peak.is_zero() or peak.flags:
-                total = add(total, max_over(peak, space, context))
+                total = add(total, max_over(peak, space))
             if key in body.escs:
                 total = add(total, summed(escaped))
             if extra:

@@ -445,7 +445,7 @@ def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
     return SymExpr.of(closed, flags=flags | {FLAG_SUM_GUARD})
 
 
-def max_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = ()) -> SymExpr:
+def max_over(e: SymExpr, space: IterSpace) -> SymExpr:
     """Upper bound for max over the space of e by endpoint substitution.
 
     Alternatives monotone in the index (index coefficients all of one

@@ -637,5 +637,7 @@ def test_calls_past_the_interpreter_stack_are_runtime_errors():
     report = validate(prog, hi=5)
     assert report.runs >= 1
     assert report.runtime_errors
-    assert {p["n"] for _, p, _ in report.runtime_errors} <= {2, 3, 4, 5}
-    assert all("Python stack" in msg for _, _, msg in report.runtime_errors)
+    # n = 1 nests 103 frames (harness, f and 101 sinks); n = 2 would take 203
+    assert {p["n"] for _, p, _ in report.runtime_errors} == {2, 3, 4, 5}
+    assert all("deeper than the interpreter's 200 frames" in msg
+               for _, _, msg in report.runtime_errors)
