@@ -1,7 +1,8 @@
-"""Tokenizer for the contract mini-language."""
+"""Tokenizer for the contract mini-language: one pass of a master regex."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, ParseFailure, SEV_ERROR
@@ -13,11 +14,22 @@ KEYWORDS = {
     "requires", "iteration_space", "ensure", "max",
 }
 
-_TWO_CHAR = ("<=", ">=", "==", "!=", "&&", "||", "..", "+=")
-_ONE_CHAR = "+-*/<>=;,.(){}[]!"
+# Alternatives are tried in order.  A comment that ends the text is part of
+# eof's match, so eof sits where that comment starts.
+_TOKEN = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]|//[^\n]*\n)+)
+  | (?://[^\n]*)?(?P<eof>\Z)
+  | (?P<int>\d+)
+  | (?P<word>\w+)
+  | (?P<string>"(?:[^"\\\n]|\\[^\n])*")
+  | (?P<punct><=|>=|==|!=|&&|\|\||\.\.|\+=|[-+*/<>=;,.(){}\[\]!])
+  | (?P<bad>.)
+""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # ident | keyword | int | string | punct | eof
     value: str
@@ -27,75 +39,24 @@ class Token:
 
 def tokenize(source: str, file: str = "<mcl>") -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def fail(msg: str):
-        raise ParseFailure([Diagnostic(SEV_ERROR, "LexError", msg, file, line, col)])
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line = 1
+    for m in _TOKEN.finditer(source):
+        kind, text, start = m.lastgroup, m.group(m.lastgroup), m.start()
+        if kind == "skip":
+            line += text.count("\n")
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            tokens.append(Token("keyword" if word in KEYWORDS else "ident", word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    fail("unterminated string literal")
-                if source[j] == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    buf.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                else:
-                    buf.append(source[j])
-                    j += 1
-            if j >= n:
-                fail("unterminated string literal")
-            tokens.append(Token("string", "".join(buf), line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("punct", two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        fail(f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+        col = start - source.rfind("\n", 0, start)
+        # \d takes decimal digits only; a word may not start with another
+        # digit, such as "²", that int() would refuse
+        if kind == "word" and not (text[0].isalpha() or text[0] == "_"):
+            kind, text = "bad", text[0]
+        if kind == "bad":
+            msg = "unterminated string literal" if text == '"' else f"unexpected character {text!r}"
+            raise ParseFailure([Diagnostic(SEV_ERROR, "LexError", msg, file, line, col)])
+        if kind == "word":
+            kind = "keyword" if text in KEYWORDS else "ident"
+        elif kind == "string":
+            text = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1])
+        tokens.append(Token(kind, text, line, col))
+        if kind == "eof":
+            return tokens

@@ -1,5 +1,8 @@
 """Recursive-descent parser for the contract mini-language.
 
+Binary operators are read by precedence climbing over `syntax.BINARY_PREC`,
+and the keyword statements from one table of their shapes.
+
 Escape annotations (dest_esc, dest_local, add_esc) are written on the line
 before the allocation or call they govern; the parser attaches them to that
 statement.  Annotations left dangling survive as standalone nodes so the
@@ -11,27 +14,44 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, ParseFailure, SEV_ERROR
 from .lexer import Token, tokenize
 from .syntax import (
-    AddEscStmt, Assign, AugAssign, Binary, BindEscStmt, BoolLit, CallStmt,
-    ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt, Expr,
-    FieldDecl, FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
-    LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodDecl, NewStmt, NullLit,
-    OutArg, Param, ParenExpr, PathExpr, Pos, Program, RequiresStmt, ReturnStmt,
-    StrLit, Stmt, Tag, ThisRef, TypeRef, Unary, VarRef,
+    AddEscStmt, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt, BoolLit,
+    CallStmt, ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt,
+    Expr, FieldDecl, FieldRef, ForStmt, IfStmt, IndexRef, IntLit,
+    IterationSpaceStmt, LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodDecl,
+    NewStmt, NullLit, OutArg, Param, ParenExpr, PathExpr, Pos, Program,
+    RELATIONS, RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef, TypeRef,
+    Unary, VarRef,
 )
 
-_REL_OPS = ("<=", ">=", "==", "!=", "<", ">")
+# Each keyword statement as its node class and its shape in source order: a
+# word is the parser method that reads the node's next field, anything else
+# is punctuation the statement must have there.
+_SHAPES = {
+    "dest_esc": (DestEscStmt, "( parse_tag ) ;"),
+    "dest_local": (DestLocalStmt, ";"),
+    "add_esc": (AddEscStmt, "( parse_tag , parse_tag ) ;"),
+    "requires": (RequiresStmt, "( cmp_list ) ;"),
+    "iteration_space": (IterationSpaceStmt, "( cmp_list ) ;"),
+    "memreq": (MemReqStmt, "< parse_type > ( binary ) ;"),
+    "esc": (EscStmt, "< parse_type > ( parse_tag , binary ) ;"),
+    "bind_esc": (BindEscStmt, "( parse_tag , parse_path ) ;"),
+    "ensure": (EnsureStmt, "( binary ) ;"),
+}
+_ANNOTATIONS = (DestEscStmt, DestLocalStmt, AddEscStmt)
+_ARITH = BINARY_PREC["+"]  # the loosest level of an integer expression
+_TIGHTEST = max(BINARY_PREC.values())
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], file: str):
-        self.toks = tokens
+        self.toks = tokens + tokens[-1:] * 3  # eof stays in reach of peek(3)
         self.i = 0
         self.file = file
 
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def at(self, kind: str, value: str | None = None, ahead: int = 0) -> bool:
         t = self.peek(ahead)
@@ -136,138 +156,52 @@ class _Parser:
     def block(self) -> list[Stmt]:
         self.expect("punct", "{")
         stmts: list[Stmt] = []
-        pending: list[tuple[str, object, Pos]] = []  # buffered escape annotations
-
-        def flush(into: list[Stmt]):
-            for kind, payload, p in pending:
-                if kind == "dest":
-                    into.append(DestEscStmt(payload, pos=p))
-                elif kind == "local":
-                    into.append(DestLocalStmt(pos=p))
-                else:
-                    into.append(AddEscStmt(payload[0], payload[1], pos=p))
-            pending.clear()
-
+        pending: list[Stmt] = []  # escape annotations not yet attached
         while not self.at("punct", "}"):
-            t = self.peek()
-            if self.at_kw("dest_esc"):
-                self.next()
-                self.expect("punct", "(")
-                tag = self.parse_tag()
-                self.expect("punct", ")")
-                self.expect("punct", ";")
-                pending.append(("dest", tag, self.pos(t)))
-                continue
-            if self.at_kw("dest_local"):
-                self.next()
-                self.expect("punct", ";")
-                pending.append(("local", None, self.pos(t)))
-                continue
-            if self.at_kw("add_esc"):
-                self.next()
-                self.expect("punct", "(")
-                dst = self.parse_tag()
-                self.expect("punct", ",")
-                src = self.parse_tag()
-                self.expect("punct", ")")
-                self.expect("punct", ";")
-                pending.append(("add", (dst, src), self.pos(t)))
-                continue
             stmt = self.statement()
-            if isinstance(stmt, NewStmt):
-                rest = []
-                for kind, payload, p in pending:
-                    if kind == "dest" and stmt.dest_esc is None:
-                        stmt.dest_esc = payload
-                    elif kind == "local":
-                        stmt.dest_local = True
-                    elif kind == "add":
-                        stmt.add_esc.append(payload)
-                    else:
-                        rest.append((kind, payload, p))
-                pending[:] = rest
-                flush(stmts)
-            elif isinstance(stmt, CallStmt):
-                rest = []
-                for kind, payload, p in pending:
-                    if kind == "add":
-                        stmt.add_esc.append(payload)
-                    else:
-                        rest.append((kind, payload, p))
-                pending[:] = rest
-                flush(stmts)
-            else:
-                flush(stmts)
+            if isinstance(stmt, _ANNOTATIONS):
+                pending.append(stmt)
+                continue
+            # the next allocation takes the annotations, all but a second
+            # dest_esc; a call takes only add_esc; the rest stay standalone
+            new = isinstance(stmt, NewStmt)
+            for a in pending:
+                if new and isinstance(a, DestLocalStmt):
+                    stmt.dest_local = True
+                elif new and isinstance(a, DestEscStmt) and stmt.dest_esc is None:
+                    stmt.dest_esc = a.tag
+                elif isinstance(a, AddEscStmt) and isinstance(stmt, (NewStmt, CallStmt)):
+                    stmt.add_esc.append((a.dst, a.src))
+                else:
+                    stmts.append(a)
+            pending.clear()
             stmts.append(stmt)
-        flush(stmts)
         self.expect("punct", "}")
-        return stmts
+        return stmts + pending
 
     def statement(self) -> Stmt:
         t = self.peek()
-        if self.at_kw("requires"):
+        if t.kind == "keyword" and t.value in _SHAPES:
+            node, shape = _SHAPES[t.value]
             self.next()
-            self.expect("punct", "(")
-            cs = self.cmp_list()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            return RequiresStmt(cs, pos=self.pos(t))
-        if self.at_kw("memreq"):
-            self.next()
-            self.expect("punct", "<")
-            ty = self.parse_type()
-            self.expect("punct", ">")
-            self.expect("punct", "(")
-            e = self.or_expr()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            return MemReqStmt(ty, e, pos=self.pos(t))
-        if self.at_kw("esc"):
-            self.next()
-            self.expect("punct", "<")
-            ty = self.parse_type()
-            self.expect("punct", ">")
-            self.expect("punct", "(")
-            tag = self.parse_tag()
-            self.expect("punct", ",")
-            e = self.or_expr()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            return EscStmt(ty, tag, e, pos=self.pos(t))
-        if self.at_kw("bind_esc"):
-            self.next()
-            self.expect("punct", "(")
-            tag = self.parse_tag()
-            self.expect("punct", ",")
-            path = self.parse_path()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            return BindEscStmt(tag, path, pos=self.pos(t))
-        if self.at_kw("iteration_space"):
-            self.next()
-            self.expect("punct", "(")
-            cs = self.cmp_list()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            return IterationSpaceStmt(cs, pos=self.pos(t))
-        if self.at_kw("ensure"):
-            self.next()
-            self.expect("punct", "(")
-            e = self.or_expr()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            return EnsureStmt(e, pos=self.pos(t))
+            parts = []
+            for word in shape.split():
+                if word.isidentifier():
+                    parts.append(getattr(self, word)())
+                else:
+                    self.expect("punct", word)
+            return node(*parts, pos=self.pos(t))
         if self.at_kw("return"):
             self.next()
             value = None
             if not self.at("punct", ";"):
-                value = self.or_expr()
+                value = self.binary()
             self.expect("punct", ";")
             return ReturnStmt(value, pos=self.pos(t))
         if self.at_kw("if"):
             self.next()
             self.expect("punct", "(")
-            cond = self.or_expr()
+            cond = self.binary()
             self.expect("punct", ")")
             then_body = self.block()
             else_body: list[Stmt] = []
@@ -300,9 +234,9 @@ class _Parser:
         self.expect("punct", "(")
         var = self.expect("ident").value
         self.expect("punct", "=")
-        lo = self.add_expr()
+        lo = self.binary(_ARITH)
         self.expect("punct", "..")
-        hi = self.add_expr()
+        hi = self.binary(_ARITH)
         self.expect("punct", ")")
         body = self.block()
         space = None
@@ -330,7 +264,7 @@ class _Parser:
             return self.call_rest(None, None, recv, method, pos)
         if self.at("punct", "+="):
             self.next()
-            value = self.or_expr()
+            value = self.binary()
             self.expect("punct", ";")
             return AugAssign(chain, value, pos=pos)
         self.expect("punct", "=")
@@ -347,7 +281,7 @@ class _Parser:
                 recv, method = self.split_callee(chain)
                 return self.call_rest(target, decl_type, recv, method, pos)
             self.i = mark
-        value = self.or_expr()
+        value = self.binary()
         self.expect("punct", ";")
         if decl_type is not None:
             return LocalDecl(decl_type, target.name, value, pos=pos)  # type: ignore[attr-defined]
@@ -361,7 +295,7 @@ class _Parser:
         cls_name = self.expect("ident").value
         if self.at("punct", "["):
             self.next()
-            length = self.add_expr()
+            length = self.binary(_ARITH)
             self.expect("punct", "]")
             self.expect("punct", ";")
             return NewStmt(target, decl_type, TypeRef(cls_name, is_array=True), [], length, pos=pos)
@@ -370,7 +304,7 @@ class _Parser:
         while not self.at("punct", ")"):
             if args:
                 self.expect("punct", ",")
-            args.append(self.or_expr())
+            args.append(self.binary())
         self.expect("punct", ")")
         self.expect("punct", ";")
         return NewStmt(target, decl_type, TypeRef(cls_name), args, pos=pos)
@@ -385,7 +319,7 @@ class _Parser:
                 t = self.next()
                 args.append(OutArg(self.postfix_chain(), pos=self.pos(t)))
             else:
-                args.append(self.or_expr())
+                args.append(self.binary())
         self.expect("punct", ")")
         self.expect("punct", ";")
         return CallStmt(target, decl_type, receiver, method, args, pos=pos)
@@ -439,51 +373,31 @@ class _Parser:
         return out
 
     def one_cmp(self) -> Cmp:
-        left = self.add_expr()
+        left = self.binary(_ARITH)
         t = self.peek()
-        if t.kind != "punct" or t.value not in _REL_OPS:
+        if t.kind != "punct" or t.value not in RELATIONS:
             self.fail("expected a comparison operator")
         self.next()
-        right = self.add_expr()
+        right = self.binary(_ARITH)
         return Cmp(left, t.value, right)
 
     # -- expressions ------------------------------------------------------------
 
-    def or_expr(self) -> Expr:
-        e = self.and_expr()
-        while self.at("punct", "||"):
-            t = self.next()
-            e = Binary("||", e, self.and_expr(), pos=self.pos(t))
-        return e
-
-    def and_expr(self) -> Expr:
-        e = self.cmp_expr()
-        while self.at("punct", "&&"):
-            t = self.next()
-            e = Binary("&&", e, self.cmp_expr(), pos=self.pos(t))
-        return e
-
-    def cmp_expr(self) -> Expr:
-        e = self.add_expr()
-        t = self.peek()
-        if t.kind == "punct" and t.value in _REL_OPS:
-            self.next()
-            e = Binary(t.value, e, self.add_expr(), pos=self.pos(t))
-        return e
-
-    def add_expr(self) -> Expr:
-        e = self.mul_expr()
-        while self.at("punct", "+") or self.at("punct", "-"):
-            t = self.next()
-            e = Binary(t.value, e, self.mul_expr(), pos=self.pos(t))
-        return e
-
-    def mul_expr(self) -> Expr:
+    def binary(self, lowest: int = 1) -> Expr:
+        """Precedence climbing (Pratt, POPL 1973) over the operators of level
+        `lowest` and tighter, grouped to the left.  A right operand holds only
+        tighter operators, so the next one is at most as tight as the last;
+        after a relation it must be looser still, so relations never chain."""
         e = self.unary_expr()
-        while self.at("punct", "*") or self.at("punct", "/"):
-            t = self.next()
-            e = Binary(t.value, e, self.unary_expr(), pos=self.pos(t))
-        return e
+        limit = _TIGHTEST
+        while True:
+            t = self.peek()
+            prec = BINARY_PREC.get(t.value, 0) if t.kind == "punct" else 0
+            if not lowest <= prec <= limit:
+                return e
+            self.next()
+            e = Binary(t.value, e, self.binary(prec + 1), pos=self.pos(t))
+            limit = prec - 1 if t.value in RELATIONS else prec
 
     def unary_expr(self) -> Expr:
         if self.at("punct", "-") or self.at("punct", "!"):
@@ -505,7 +419,7 @@ class _Parser:
                 e = FieldRef(e, f.value, pos=Pos(f.line, f.col))
             elif self.at("punct", "["):
                 t = self.next()
-                idx = self.add_expr()
+                idx = self.binary(_ARITH)
                 self.expect("punct", "]")
                 e = IndexRef(e, idx, pos=self.pos(t))
             else:
@@ -531,9 +445,9 @@ class _Parser:
         if self.at_kw("max"):
             self.next()
             self.expect("punct", "(")
-            a = self.or_expr()
+            a = self.binary()
             self.expect("punct", ",")
-            b = self.or_expr()
+            b = self.binary()
             self.expect("punct", ")")
             return MaxExpr(a, b, pos=self.pos(t))
         if t.kind == "ident":
@@ -541,7 +455,7 @@ class _Parser:
             return VarRef(t.value, pos=self.pos(t))
         if self.at("punct", "("):
             self.next()
-            inner = self.or_expr()
+            inner = self.binary()
             self.expect("punct", ")")
             return ParenExpr(inner, pos=self.pos(t))
         self.fail(f"unexpected token {t.value!r} in expression")

@@ -9,16 +9,13 @@ would otherwise reparse differently.
 from __future__ import annotations
 
 from .syntax import (
-    AddEscStmt, Assign, AugAssign, Binary, BindEscStmt, BoolLit, CallStmt,
+    AddEscStmt, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt, BoolLit, CallStmt,
     ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt, Expr,
     FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
     LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodDecl, NewStmt, NullLit,
-    OutArg, ParenExpr, Program, RequiresStmt, ReturnStmt, StrLit, Stmt,
-    ThisRef, Unary, VarRef,
+    OutArg, ParenExpr, Program, RELATIONS, RequiresStmt, ReturnStmt, StrLit,
+    Stmt, ThisRef, Unary, VarRef,
 )
-
-_PREC = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
-         "+": 4, "-": 4, "*": 5, "/": 5}
 
 _INDENT = "    "
 
@@ -50,8 +47,9 @@ def expr_to_str(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, ParenExpr):
         return f"({expr_to_str(e.inner)})"
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
-        text = f"{expr_to_str(e.left, prec)} {e.op} {expr_to_str(e.right, prec + 1)}"
+        prec = BINARY_PREC[e.op]
+        left = prec + 1 if e.op in RELATIONS else prec  # relations do not chain
+        text = f"{expr_to_str(e.left, left)} {e.op} {expr_to_str(e.right, prec + 1)}"
         return f"({text})" if prec < parent_prec else text
     raise TypeError(f"unprintable expression {type(e).__name__}")
 

@@ -15,7 +15,7 @@ from ..symexpr import (
 )
 from .diagnostics import Diagnostic, ResolveFailure, SEV_ERROR, SEV_WARNING
 from .syntax import (
-    AddEscStmt, Assign, AugAssign, Binary, BindEscStmt, BoolLit, CallStmt,
+    AddEscStmt, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt, BoolLit, CallStmt,
     ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt, Expr,
     FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
     LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodContract, MethodDecl,
@@ -67,7 +67,11 @@ class _Resolver:
             self.check_class(c)
         for c in self.program.classes:
             for m in c.methods:
-                _MethodResolver(self, c, m).run()
+                try:
+                    _MethodResolver(self, c, m).run()
+                except RecursionError:  # typeof and the contract readers recurse per operator
+                    self.error("nesting-too-deep",
+                               f"{m.qname}: an expression nests too deeply to resolve", m.pos)
         if any(d.severity == SEV_ERROR for d in self.diags):
             raise ResolveFailure(self.diags)
         self.program.resolved = True
@@ -544,9 +548,7 @@ class _MethodResolver:
         if isinstance(e, Binary):
             self.typeof(e.left)
             self.typeof(e.right)
-            if e.op in ("&&", "||", "<", "<=", ">", ">=", "==", "!="):
-                return TypeRef("bool")
-            return TypeRef("int")
+            return TypeRef("bool" if BINARY_PREC[e.op] <= BINARY_PREC["<"] else "int")
         if isinstance(e, MaxExpr):
             self.typeof(e.left)
             self.typeof(e.right)

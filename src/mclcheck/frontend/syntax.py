@@ -160,9 +160,17 @@ class Unary(Expr):
     pos: Pos = _meta(NOPOS)
 
 
+# Binary operators by level, loosest first: the parser climbs this table,
+# the printer parenthesizes by it, and a level at or below the relations'
+# yields a bool.  Relations do not chain: `a < b < c` is a syntax error.
+RELATIONS = ("<=", ">=", "==", "!=", "<", ">")
+BINARY_PREC = {op: level for level, ops in enumerate(
+    (("||",), ("&&",), RELATIONS, ("+", "-"), ("*", "/")), 1) for op in ops}
+
+
 @dataclass
 class Binary(Expr):
-    op: str
+    op: str  # a key of BINARY_PREC
     left: Expr
     right: Expr
     pos: Pos = _meta(NOPOS)

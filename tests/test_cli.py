@@ -503,6 +503,39 @@ def test_parenthesis_nesting_past_the_parser_stack_is_a_syntax_error(tmp_path):
     assert diag["code"] == "SyntaxError" and diag["line"] == 3
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--format", "json"],
+    ["instrument"],
+    ["run", "--entry", "P.f", "--args", "[1]", "--format", "json"],
+    ["validate", "--format", "json"],
+    ["ptg", "--format", "json"],
+], ids=lambda c: c[0])
+def test_an_operator_chain_past_the_resolver_stack_is_a_diagnostic(tmp_path, command):
+    # the parser reads a chain in a loop, but resolution recurses once per
+    # operator; past Python's stack that is an error at the method
+    path = tmp_path / "chain.mcl"
+    path.write_text("class P {\n    int f(int n) {\n        requires(n >= 0);\n"
+                    f"        int x = {' + '.join(['n'] * 1200)};\n        return x;\n    }}\n}}\n")
+    code, out, err = cli(command[0], str(path), *command[1:])
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    diag = json.loads(line)
+    assert (diag["code"], diag["line"], diag["col"]) == ("nesting-too-deep", 2, 5)
+    assert diag["message"] == "P.f: an expression nests too deeply to resolve"
+
+
+def test_a_non_decimal_digit_is_a_lex_error(tmp_path):
+    # "²" passes str.isdigit but not int(); it is no digit of the language
+    path = tmp_path / "digit.mcl"
+    path.write_text("class P {\n    int f(int n) {\n        int x = ²;\n"
+                    "        return x;\n    }\n}\n")
+    code, out, err = cli("check", str(path), "--format", "json")
+    assert (code, out) == (3, "")
+    diag = json.loads(err.splitlines()[0])
+    assert (diag["code"], diag["line"], diag["col"]) == ("LexError", 3, 17)
+    assert diag["message"] == "unexpected character '²'"
+
+
 def test_loop_nest_past_the_degree_cap_is_inconclusive(tmp_path):
     depth = 5
     loops = "".join(f"for (i{k} = 1 .. n) {{ " for k in range(depth))

@@ -3,6 +3,8 @@
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mclcheck.frontend import (
     Binary,
@@ -12,6 +14,8 @@ from mclcheck.frontend import (
     ParseFailure,
     ResolveFailure,
     Tag,
+    Unary,
+    VarRef,
     callee_of,
     entry_vars,
     expr_poly,
@@ -24,6 +28,8 @@ from mclcheck.frontend import (
     resolve,
     var_expr,
 )
+from mclcheck.frontend.lexer import tokenize
+from mclcheck.frontend.syntax import BINARY_PREC, RELATIONS
 from mclcheck.symexpr import Poly, SymExpr
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -354,6 +360,119 @@ def test_precedence_survives_round_trip():
     assert isinstance(rhs, Binary) and rhs.op == "-"
     again = load(pretty(prog), "t.mcl")
     assert program_to_json(again) == program_to_json(prog)
+
+
+# Source expressions over every binary operator, unary - and !, max,
+# parentheses, and field, index and .length reads, spaced as the printer
+# spaces them.  A relation is never chained: between two relations there is
+# always an && or a ||.
+_NAMES = st.sampled_from(["a", "b", "c"])
+
+
+def _unchained(first: str, rest: list[tuple[str, str]]) -> str:
+    text, open_relation = first, False
+    for op, operand in rest:
+        if op in RELATIONS and open_relation:
+            op = "+"
+        open_relation = op in RELATIONS or open_relation and op not in ("&&", "||")
+        text += f" {op} {operand}"
+    return text
+
+
+def _chains(atoms, ops=sorted(BINARY_PREC), most=4):
+    return st.builds(_unchained, atoms, st.lists(st.tuples(st.sampled_from(ops), atoms),
+                                                 max_size=most))
+
+
+# an atom has no binary operator outside parentheses
+_ATOMS = st.recursive(
+    st.one_of(_NAMES, st.integers(0, 99).map(str), st.builds("{}.f".format, _NAMES),
+              st.builds("{}.length".format, _NAMES)),
+    lambda atoms: st.one_of(
+        st.builds("-{}".format, atoms),
+        st.builds("!{}".format, atoms),
+        st.builds("({})".format, _chains(atoms)),
+        st.builds("max({}, {})".format, _chains(atoms), _chains(atoms)),
+        st.builds("({}).f".format, _chains(atoms)),
+        st.builds("{}[{}]".format, _NAMES, _chains(atoms, ["+", "-", "*", "/"], 2)),
+    ),
+    max_leaves=12)
+
+
+def _returned(text: str):
+    return parse(f"class C {{\n    int m() {{\n        return {text};\n    }}\n}}\n", "t.mcl")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chains(_ATOMS))
+def test_every_operator_survives_round_trip(text):
+    prog = _returned(text)
+    # the printer adds parentheses only where the tree disagrees with the
+    # operator table, so a tree parsed by that table prints as its source
+    assert expr_to_str(prog.classes[0].methods[0].body[0].value) == text
+    printed = pretty(prog)
+    again = parse(printed, "t.mcl")
+    assert again == prog
+    assert program_to_json(again) == program_to_json(prog)
+    assert pretty(again) == printed
+
+
+@pytest.mark.parametrize("text, col, found", [
+    ("a < b < c", 22, "<"),
+    ("a && b < c < d", 27, "<"),
+    ("a < b + c < d", 26, "<"),
+    ("a == b != c", 23, "!="),
+])
+def test_chained_relations_are_syntax_errors(text, col, found):
+    with pytest.raises(ParseFailure) as exc:
+        _returned(text)
+    d = exc.value.diagnostics[0]
+    assert (d.code, d.line, d.col) == ("SyntaxError", 3, col)
+    assert d.message == f"expected ';', found {found!r}"
+
+
+def _grouped(e) -> str:
+    if isinstance(e, Binary):
+        return f"({_grouped(e.left)} {e.op} {_grouped(e.right)})"
+    if isinstance(e, Unary):
+        return f"{e.op}{_grouped(e.operand)}"
+    return expr_to_str(e)
+
+
+@pytest.mark.parametrize("text, grouped", [
+    ("a - b * c / d + e", "((a - ((b * c) / d)) + e)"),
+    ("-a * b - !c", "((-a * b) - !c)"),
+    ("a + 1 < b * 2 && !c || a == b", "((((a + 1) < (b * 2)) && !c) || (a == b))"),
+    ("a || b && c >= d - e", "(a || (b && (c >= (d - e))))"),
+    ("a != b && c <= d && e > f", "(((a != b) && (c <= d)) && (e > f))"),
+])
+def test_operators_group_by_level_and_to_the_left(text, grouped):
+    assert _grouped(_returned(text).classes[0].methods[0].body[0].value) == grouped
+
+
+def test_a_built_relation_under_a_relation_prints_in_parentheses():
+    a, b, c = VarRef("a"), VarRef("b"), VarRef("c")
+    assert expr_to_str(Binary("<", Binary("==", a, b), c)) == "(a == b) < c"
+    assert expr_to_str(Binary("<", a, Binary("==", b, c))) == "a < (b == c)"
+
+
+def test_a_non_decimal_digit_is_a_lex_error():
+    # str.isdigit accepts "²", but int() does not: "1²" was one int token
+    with pytest.raises(ParseFailure) as exc:
+        tokenize("int x = 1²;", "t.mcl")
+    d = exc.value.diagnostics[0]
+    assert (d.code, d.line, d.col, d.message) == ("LexError", 1, 10, "unexpected character '²'")
+
+
+def test_a_string_literal_cannot_span_a_line():
+    # a backslash does not escape the newline: the literal is unterminated
+    # at its opening quote, as with a bare newline
+    for text in ('a "x\\\ny" b', 'a "x\ny" b'):
+        with pytest.raises(ParseFailure) as exc:
+            tokenize(text, "t.mcl")
+        d = exc.value.diagnostics[0]
+        assert (d.code, d.line, d.col) == ("LexError", 1, 3)
+        assert d.message == "unterminated string literal"
 
 
 def test_serialization_is_stable():
