@@ -14,7 +14,7 @@ from .oracle import (ArgumentError, GridTooLarge, OracleError, Ref,
                      RequiresViolation, StackExhausted, StepBudgetExceeded,
                      run, validate)
 from .summary import CyclicWithoutContract, check_program
-from .symexpr import DegreeOverflow, UnboundedSpace
+from .symexpr import DegreeOverflow, UnboundedSpace, VerdictKind
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -84,7 +84,13 @@ def _build_parser() -> _Parser:
                    help="write one .dot file per method into DIR")
     common(g)
 
-    v = sub.add_parser("validate", help="sweep argument grids under the oracle")
+    v = sub.add_parser("validate", help="sweep argument grids under the oracle", description=(
+        "Reports each violated clause once, with its least witness: of the activations "
+        "that exceed it, the one whose entry values, read in sorted variable order, are "
+        "lexicographically least (the first in the sweep on a tie), with its run's trace. "
+        "Each failed ensure is reported once, at its first failure. A record counts its "
+        "activations (how many failed) and its runs (how many harness runs, an entry "
+        "method at one grid point, had at least one such activation)."))
     v.add_argument("file", metavar="FILE")
     v.add_argument("--grid", type=int, default=8, metavar="N",
                    help="parameters range over 0..N")
@@ -143,7 +149,17 @@ def _print_report_human(path: str, report, out) -> None:
     out.write(f"  overall: {report.overall}\n")
 
 
-def _cmd_check(ns, out) -> int:
+def _unverified_note(path: str, report) -> str:
+    """Why a report exits 2: how many of its clauses are unverified, and the
+    first of them with its reason."""
+    rows = [r for r in report.rows if r.verdict.kind == VerdictKind.UNVERIFIED]
+    first = rows[0]
+    return (f"inconclusive: {path}: {len(rows)} of {len(report.rows)} clauses"
+            f" unverified (first: {first.method} {first.clause}:"
+            f" {first.verdict.reason})\n")
+
+
+def _cmd_check(ns, out, err) -> int:
     results = []
     for path in ns.files:
         prog = _load_file(path)
@@ -160,6 +176,9 @@ def _cmd_check(ns, out) -> int:
         for path, report in results:
             _print_report_human(path, report, out)
 
+    for path, report in results:
+        if report.exit_code() == EXIT_UNVERIFIED:
+            err.write(_unverified_note(path, report))
     codes = {report.exit_code() for _, report in results}
     return next((c for c in (EXIT_VIOLATED, EXIT_UNVERIFIED) if c in codes), EXIT_OK)
 
@@ -167,7 +186,7 @@ def _cmd_check(ns, out) -> int:
 # ------------------------------------------------------------ instrument
 
 
-def _cmd_instrument(ns, out) -> int:
+def _cmd_instrument(ns, out, err) -> int:
     prog = _load_file(ns.file)
     text = pretty(instrument(prog).program)
     if ns.emit:
@@ -194,7 +213,7 @@ def _value_json(v):
     return {"$ref": v.oid} if isinstance(v, Ref) else v
 
 
-def _cmd_run(ns, out) -> int:
+def _cmd_run(ns, out, err) -> int:
     prog = _load_file(ns.file)
     try:
         args = json.loads(ns.args)
@@ -259,7 +278,7 @@ def _cmd_run(ns, out) -> int:
 # ------------------------------------------------------------ ptg
 
 
-def _cmd_ptg(ns, out) -> int:
+def _cmd_ptg(ns, out, err) -> int:
     prog = _load_file(ns.file)
     analysis = escape.analyze(prog)
     sites = escape.site_id_map(prog)
@@ -293,7 +312,7 @@ def _cmd_ptg(ns, out) -> int:
 # ------------------------------------------------------------ validate
 
 
-def _cmd_validate(ns, out) -> int:
+def _cmd_validate(ns, out, err) -> int:
     if ns.grid < 0:
         raise UsageError(f"--grid must be nonnegative, not {ns.grid}")
     prog = _load_file(ns.file)
@@ -309,9 +328,11 @@ def _cmd_validate(ns, out) -> int:
             env = ", ".join(f"{k}={x}" for k, x in sorted(v.entry_env.items()))
             out.write(f"VIOLATED  {v.method} {v.clause}: declared"
                       f" {v.declared} = {v.declared_value}, observed"
-                      f" {v.observed} (entry {env})\n")
-        for entry, point, failure in report.ensure_failures:
-            out.write(f"ENSURE FAILED  {entry} at {point}: {failure.cond}\n")
+                      f" {v.observed} (entry {env});"
+                      f" {v.activations} activations in {v.runs} runs\n")
+        for f in report.ensure_failures:
+            out.write(f"ENSURE FAILED  {f.entry} at {f.point}: {f.failure.cond};"
+                      f" {f.activations} activations in {f.runs} runs\n")
         for entry, point, callee in report.requires_aborts:
             out.write(f"REQUIRES ABORT  {entry} at {point}:"
                       f" callee {callee} precondition\n")
@@ -343,7 +364,7 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        return _COMMANDS[ns.command](ns, out)
+        return _COMMANDS[ns.command](ns, out, err)
     except UsageError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_USAGE

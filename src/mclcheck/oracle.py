@@ -16,7 +16,14 @@ names are described in `frontend.syntax`), evaluated through
 through one binder, by in-parameter name.  `validate` runs each contracted
 method over the grid 0..hi of the integer and array-length parameters of
 the method and of its receiver's constructor, at most `MAX_POINTS` points
-in all.
+in all.  It reports each violated `(method, clause)` once, at its least
+witness: of the activations that exceed the bound, the one whose entry env,
+as sorted (name, value) pairs, is lexicographically least, the first in the
+sweep on a tie, with the trace of its run; no other trace is kept.  Each
+failed `(method, cond)` of an `ensure` is reported once, at its first
+failure.  A record counts its activations (how many failed) and its runs
+(how many harness runs, an entry method at one grid point, had at least
+one), and records come in the order the sweep first met them.
 
 Lowering.  Each method is lowered once per `Program`, on its first call, to
 closures in the manner of Feeley and Lapalme's closure generation (Comput.
@@ -1212,6 +1219,9 @@ def run_point(program: Program, qname: str, point: dict,
 
 @dataclass
 class BoundViolation:
+    """A declared bound that some activations exceeded: its least witness
+    and how often it was exceeded."""
+
     entry: str
     point: dict
     method: str
@@ -1222,6 +1232,8 @@ class BoundViolation:
     observed: int
     entry_env: dict[str, int]
     trace: list[tuple]
+    activations: int = 0         # violating activations
+    runs: int = 0                # harness runs with at least one
 
     def to_json(self) -> dict:
         return {
@@ -1235,13 +1247,37 @@ class BoundViolation:
             "observed": self.observed,
             "entryEnv": dict(sorted(self.entry_env.items())),
             "trace": [list(ev) for ev in self.trace],
+            "activations": self.activations,
+            "runs": self.runs,
         }
 
 
 @dataclass
+class EnsureFailure:
+    """An `ensure` that failed: where it first failed in the sweep, and how
+    often it failed.  Unpacks as (entry, point, failure), as the report's
+    other lists do."""
+
+    entry: str
+    point: dict
+    failure: AssertionFailure
+    activations: int = 0
+    runs: int = 0
+
+    def __iter__(self):
+        return iter((self.entry, self.point, self.failure))
+
+    def to_json(self) -> dict:
+        return {"entry": self.entry, "point": dict(sorted(self.point.items())),
+                "method": self.failure.method, "instance": self.failure.instance,
+                "cond": self.failure.cond, "activations": self.activations,
+                "runs": self.runs}
+
+
+@dataclass
 class OracleReport:
-    violations: list[BoundViolation]
-    ensure_failures: list[tuple]   # (entry, point, AssertionFailure)
+    violations: list[BoundViolation]     # one per violated (method, clause)
+    ensure_failures: list[EnsureFailure] # one per failed (method, cond)
     requires_aborts: list[tuple]   # (entry, point, callee qname)
     runtime_errors: list[tuple]    # (entry, point, message)
     runs: int
@@ -1256,11 +1292,7 @@ class OracleReport:
     def to_json(self) -> dict:
         return {
             "violations": [v.to_json() for v in self.violations],
-            "ensureFailures": [
-                {"entry": e, "point": dict(sorted(p.items())),
-                 "method": f.method, "instance": f.instance, "cond": f.cond}
-                for e, p, f in self.ensure_failures
-            ],
+            "ensureFailures": [f.to_json() for f in self.ensure_failures],
             "requiresAborts": [
                 {"entry": e, "point": dict(sorted(p.items())), "callee": c}
                 for e, p, c in self.requires_aborts
@@ -1275,24 +1307,54 @@ class OracleReport:
         }
 
 
-def _compare_observation(obs: Observation, method: _Method, entry: str,
-                         point: dict, trace: list, out: list):
-    env = obs.entry_env
-    for b in method.bounds:
-        if not b.variables.issubset(env):
-            continue
-        observed = obs.peak.get(b.key, 0) if b.tag is None \
-            else obs.esc.get(b.tag, {}).get(b.key, 0)
-        top = b.top(env)
-        if observed * b.den > top:
-            out.append(BoundViolation(
-                entry, point, obs.method, obs.instance, b.clause, str(b.bound),
-                int(Fraction(top, b.den)), observed, obs.entry_env, trace))
+def _fold_violations(result: RunResult, table: _Table, entry: str, point: dict,
+                     groups: dict):
+    """Count each bound an activation of the run exceeds into its (method,
+    clause) group, which keeps the activation with the least sorted entry
+    env, the first on a tie."""
+    hit = set()
+    for obs in result.observations:
+        env = obs.entry_env
+        for b in table.lowered[obs.method].bounds:
+            if not b.variables.issubset(env):
+                continue
+            observed = obs.peak.get(b.key, 0) if b.tag is None \
+                else obs.esc.get(b.tag, {}).get(b.key, 0)
+            top = b.top(env)
+            if observed * b.den <= top:
+                continue
+            key = (obs.method, b.clause)
+            group = groups.get(key)
+            if group is None or sorted(env.items()) < sorted(group.entry_env.items()):
+                counts = (group.activations, group.runs) if group else (0, 0)
+                group = groups[key] = BoundViolation(
+                    entry, point, obs.method, obs.instance, b.clause, str(b.bound),
+                    int(Fraction(top, b.den)), observed, env, result.trace, *counts)
+            group.activations += 1
+            if key not in hit:
+                hit.add(key)
+                group.runs += 1
+
+
+def _fold_failures(failures: list[AssertionFailure], entry: str, point: dict,
+                   groups: dict):
+    """Count each failed `ensure` into its (method, cond) group, which keeps
+    the first failure."""
+    hit = set()
+    for f in failures:
+        key = (f.method, f.cond)
+        group = groups.setdefault(key, EnsureFailure(entry, point, f))
+        group.activations += 1
+        if key not in hit:
+            hit.add(key)
+            group.runs += 1
 
 
 def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
     """Drive every contracted method over the argument grid 0..hi and
-    compare the measured peaks and escapes against its declared bounds."""
+    compare the measured peaks and escapes against its declared bounds.
+    Findings are folded into one record per violated clause and one per
+    failed `ensure`, in the order the sweep first meets them."""
     report = OracleReport([], [], [], [], 0, 0, [])
     plans = []
     total = 0
@@ -1308,6 +1370,8 @@ def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
     if total > MAX_POINTS:
         raise GridTooLarge(f"{total} grid points exceed the {MAX_POINTS} cap")
     table = _table(program)
+    violations: dict[tuple, BoundViolation] = {}
+    failures: dict[tuple, EnsureFailure] = {}
     for plan in plans:
         for point in plan.points():
             try:
@@ -1323,10 +1387,8 @@ def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
                 report.runtime_errors.append((plan.method, point, str(err)))
                 continue
             report.runs += 1
-            for failure in result.assertion_failures:
-                report.ensure_failures.append((plan.method, point, failure))
-            for obs in result.observations:
-                _compare_observation(obs, table.lowered[obs.method],
-                                     plan.method, point, result.trace,
-                                     report.violations)
+            _fold_failures(result.assertion_failures, plan.method, point, failures)
+            _fold_violations(result, table, plan.method, point, violations)
+    report.violations = list(violations.values())
+    report.ensure_failures = list(failures.values())
     return report

@@ -367,6 +367,30 @@ def test_validate_json_report():
     assert data["runs"] > 0
 
 
+def test_validate_reports_a_failed_clause_once():
+    code, out, _ = cli("validate", corpus("faulty_zero_esc"), "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    [v] = data["violations"]
+    assert (v["method"], v["clause"]) == ("Family.AddMember", "esc<Person>(this)")
+    assert (v["activations"], v["runs"]) == (332, 80)
+    assert v["trace"] and out.count('"trace"') == 1
+
+
+def test_validate_human_output_has_one_line_per_failed_clause(tmp_path):
+    code, out, _ = cli("validate", corpus("faulty_zero_esc"))
+    assert code == 1
+    [line] = [ln for ln in out.splitlines() if ln.startswith("VIOLATED")]
+    assert line.endswith("; 332 activations in 80 runs")
+
+    inst = tmp_path / "zero_esc.inst.mcl"
+    assert cli("instrument", corpus("faulty_zero_esc"), "--emit", str(inst))[0] == 0
+    code, out, _ = cli("validate", str(inst))
+    assert code == 1
+    [line] = [ln for ln in out.splitlines() if ln.startswith("ENSURE FAILED")]
+    assert line.endswith("; 332 activations in 80 runs")
+
+
 def test_validate_grid_flag_bounds_the_sweep():
     code, out, _ = cli("validate", corpus("callpair"),
                        "--grid", "2", "--format", "json")
@@ -559,10 +583,23 @@ def test_seven_variable_non_integral_bound_is_an_unverified_row(tmp_path):
         f"        memreq<A>(({' + '.join(params)} + 2) / 2);\n\n"
         "        A a = new A();\n    }\n}\n")
     code, out, err = cli("check", str(path), "--format", "json")
-    assert (code, err) == (2, "")
+    assert (code, err) == (2, f"inconclusive: {path}: 1 of 1 clauses unverified"
+                              " (first: P.f memreq<A>: declared bound is not"
+                              " integer-valued)\n")
     [row] = json.loads(out)["clauses"]
     assert row["verdict"] == "Unverified"
     assert row["reason"] == "declared bound is not integer-valued"
+
+
+def test_check_names_each_inconclusive_file_on_stderr():
+    files = [corpus("faulty_humpcall"), corpus("family"), corpus("faulty_narrow_space")]
+    code, _, err = cli("check", *files)
+    assert code == 2
+    assert err.splitlines() == [
+        f"inconclusive: {files[0]}: 1 of 2 clauses unverified (first: Mill.hump"
+        " memreq<Blob>: analysis incomplete: monotonicity-unproven)",
+        f"inconclusive: {files[2]}: 2 of 2 clauses unverified (first: Spool.wind"
+        " memreq<Token>: analysis incomplete: iteration-space-mismatch)"]
 
 
 LINKED_LOOP = """class A {
@@ -601,7 +638,9 @@ def test_iteration_space_narrower_than_a_long_header_is_unverified(tmp_path):
     path.write_text(LINKED_LOOP.replace("CAP", "9").replace(
         "SPACE", "iteration_space(1 <= i && i <= 9);"))
     code, out, err = cli("check", str(path), "--format", "json")
-    assert (code, err) == (2, "")
+    assert (code, err) == (2, f"inconclusive: {path}: 1 of 1 clauses unverified"
+                              " (first: P.f memreq<A>: analysis incomplete:"
+                              " iteration-space-mismatch)\n")
     [row] = json.loads(out)["clauses"]
     assert row["verdict"] == "Unverified"
     assert "iteration-space-mismatch" in row["reason"]

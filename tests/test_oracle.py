@@ -430,15 +430,14 @@ def test_skipped_points_counted():
 
 
 def test_lowered_bound_violations_carry_witnesses():
+    # one record per violated clause, kept at its least witness
     report = validate(load_corpus("faulty_low_bound"), hi=4)
-    assert report.violations
-    hits = [v for v in report.violations
-            if v.method == "Family.CreateFamily" and v.clause == "memreq<Person>"
-            and v.entry_env.get("firstNames.length") == 3]
-    assert hits
-    v = hits[0]
-    assert v.observed == 3
-    assert v.declared_value == 2
+    [v] = [v for v in report.violations
+           if v.method == "Family.CreateFamily" and v.clause == "memreq<Person>"]
+    assert v.entry_env == {"firstNames.length": 0, "this._members.length": 0,
+                           "this._size": 0}
+    assert (v.observed, v.declared_value) == (0, -1)
+    assert (v.activations, v.runs) == (25, 25)
     assert v.trace
 
 
