@@ -1,18 +1,18 @@
 """Points-to graphs, escape summaries, and lifetime-annotation checks.
 
 Each method gets one flow-insensitive exit graph.  Nodes are allocation
-sites (solid), parameters and field loads (dotted), plus a single global
-node.  Calls inline the callee's pruned summary: parameter nodes map to
-argument nodes, allocation sites keep their identity, load nodes replay
-their field chain in the caller.  A method's body is walked until a walk
-leaves `PointsToGraph.size()` unchanged: L, N, E and the returned set only
-ever grow, so an equal size means no new fact, and the walk that changes
-nothing records the facts (call and allocation-site records) the lifetime
-checker reads.  Only recursive components iterate from empty summaries to
-a fixpoint, reached once no summary changes.  Any other method is built
-once, as its callees' summaries are already final.  Each reachability
-query is one pass over E that groups the edges by source, then a search
-over that grouping.
+sites (solid), parameters and field loads (dotted).  Calls inline the
+callee's pruned summary: parameter nodes map to argument nodes,
+allocation sites keep their identity, load nodes replay their field
+chain in the caller.  A method's body is walked until a walk leaves
+`PointsToGraph.size()` unchanged: L, N, E and the returned set only ever
+grow, so an equal size means no new fact, and the walk that changes
+nothing records the facts (call and allocation-site records) the
+lifetime checker reads.  Only recursive components iterate from empty
+summaries to a fixpoint, reached once no summary changes.  Any other
+method is built once, as its callees' summaries are already final.  Each
+reachability query is one pass over E that groups the edges by source,
+then a search over that grouping.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class UnknownTag(Exception):
 
 @dataclass(frozen=True)
 class PTGNode:
-    kind: str  # inside | param | load | global
+    kind: str  # inside | param | load
     key: str
     base: "PTGNode | None" = None  # load nodes only
     field: str | None = None
@@ -79,9 +79,6 @@ class PTGNode:
 
     def __str__(self) -> str:
         return self.key
-
-
-GLOBAL_NODE = PTGNode("global", "<global>")
 
 
 def inside_node(site: str) -> PTGNode:
@@ -279,9 +276,6 @@ class _Builder:
             elif n.kind == "inside":
                 self.g.add_node(n)
                 out = {n}
-            elif n.kind == "global":
-                self.g.add_node(GLOBAL_NODE)
-                out = {GLOBAL_NODE}
             else:  # load: replay the field access on the mapped base
                 memo[n] = set()  # cut cycles from the cap's self-edges
                 out = self.g.load(mu(n.base), n.field)
@@ -402,8 +396,6 @@ def _root_sets(g: PointsToGraph, method: MethodDecl,
         if p.is_out and p.decl_type.name in class_map:
             roots[f"Param({p.name})"] = set(g.var_set(p.name))
     roots["Return"] = set(g.returned)
-    if GLOBAL_NODE in g.N:
-        roots["Global"] = {GLOBAL_NODE}
     return roots
 
 
@@ -589,8 +581,6 @@ def to_dot(name: str, g: PointsToGraph, site_ids: dict[str, int]) -> str:
             return f"n{site_ids.get(n.key, 0)}"
         if n.kind == "param":
             return f"p_{n.key}"
-        if n.kind == "global":
-            return "g0"
         return f"l{load_ids[n]}"
 
     lines = [f'digraph "{name}" {{']

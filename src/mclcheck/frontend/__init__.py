@@ -9,13 +9,13 @@ from .printer import cmp_to_str, expr_to_str, pretty
 from .resolver import resolve
 from .syntax import (
     AddEscStmt, Assign, AugAssign, Binary, BindEscStmt, BoolLit, CallStmt,
-    ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt, Expr,
-    FieldDecl, FieldRef, ForStmt, IfStmt, IndexRef, IntLit,
+    Clause, ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt,
+    Expr, FieldDecl, FieldRef, ForStmt, IfStmt, IndexRef, IntLit,
     IterationSpaceStmt, LengthRef, LocalDecl, MaxExpr, MemReqStmt,
-    MethodContract, MethodDecl, NewStmt, NullLit, OutArg, ParenExpr, Param,
-    PathExpr, Pos, Program, RequiresStmt, ReturnStmt, Stmt, StrLit, Tag,
-    ThisRef, TypeRef, Unary, VarRef, callee_of, entry_vars, expr_poly,
-    iter_stmts, program_to_json, var_expr,
+    MethodContract, MethodDecl, NewStmt, NullLit, OBJECT_KEY, OutArg,
+    ParenExpr, Param, PathExpr, Pos, Program, RequiresStmt, ReturnStmt,
+    Stmt, StrLit, Tag, ThisRef, TypeRef, Unary, VarRef, callee_of,
+    entry_vars, expr_poly, iter_stmts, program_to_json, var_expr,
 )
 
 

@@ -19,9 +19,9 @@ from .syntax import (
     ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt, Expr,
     FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
     LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodContract, MethodDecl,
-    NewStmt, NullLit, NOPOS, OutArg, Param, ParenExpr, Pos, PRIMITIVES, Program,
-    RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef, TypeRef, Unary,
-    VarRef, entry_vars, expr_poly, iter_stmts,
+    NewStmt, NullLit, NOPOS, OBJECT_KEY, OutArg, Param, ParenExpr, Pos,
+    PRIMITIVES, Program, RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef,
+    TypeRef, Unary, VarRef, entry_vars, expr_poly, iter_stmts,
 )
 
 _CONTRACT_STMTS = (RequiresStmt, MemReqStmt, EscStmt, BindEscStmt)
@@ -228,7 +228,7 @@ class _MethodResolver:
                 return t.key()
             self.error("unknown-type", f"unknown element class {t.name}", pos)
             return None
-        if t.name in self.top.classes or t.name == "object":
+        if t.name in self.top.classes or t.name == OBJECT_KEY:
             return t.key()
         self.error("unknown-type", f"{t} is not a class", pos)
         return None

@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
-from ..symexpr import IterSpace, LinConstraint, Poly, SymExpr
+from ..symexpr import IterSpace, LinConstraint, Poly, SymExpr, sym_sum
 
 
 @dataclass(frozen=True)
@@ -367,6 +367,27 @@ class Param:
     pos: Pos = _meta(NOPOS)
 
 
+# The pseudo-class every allocation also counts towards: a clause on it
+# bounds all classes together.
+OBJECT_KEY = "object"
+
+
+@dataclass(frozen=True)
+class Clause:
+    """One declared bound: `memreq<key>(bound)` when tag is None, else
+    `esc<key>(tag, bound)`."""
+
+    tag: Tag | None
+    key: str
+    bound: SymExpr
+
+    @property
+    def label(self) -> str:
+        if self.tag is None:
+            return f"memreq<{self.key}>"
+        return f"esc<{self.key}>({self.tag.source_str()})"
+
+
 class MethodContract:
     """Resolved contract clauses of one method."""
 
@@ -378,6 +399,28 @@ class MethodContract:
 
     def has_clauses(self) -> bool:
         return bool(self.mem_req or self.esc)
+
+    def clauses(self, collapse: bool) -> list[Clause]:
+        """The clauses in declaration order, every memreq before every esc.
+
+        Collapsed onto the object pseudo-class, a contract keeps its
+        explicit object clauses when it has any, and otherwise sums every
+        class, one memreq and one esc per tag.
+        """
+        out = [Clause(None, key, e) for key, e in self.mem_req.items()]
+        out += [Clause(tag, key, e) for (tag, key), e in self.esc.items()]
+        if not collapse:
+            return out
+        if any(c.key == OBJECT_KEY for c in out):
+            out = [c for c in out if c.key == OBJECT_KEY]
+        summed: dict[Tag | None, list[SymExpr]] = {}
+        for c in out:
+            summed.setdefault(c.tag, []).append(c.bound)
+        return [Clause(tag, OBJECT_KEY, sym_sum(es)) for tag, es in summed.items()]
+
+    def keys(self) -> list[str]:
+        """The class keys the clauses name, in declaration order."""
+        return list(dict.fromkeys(c.key for c in self.clauses(False)))
 
 
 @dataclass

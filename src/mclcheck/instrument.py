@@ -18,10 +18,11 @@ object pseudo-class collapses every callee contribution onto it.
 
 What a call site charges is not restated here: `summary.call_entries` is
 the one statement of the call-composition rule, shared with the static
-checker.  Call targets come from `frontend.callee_of` and bodies are
-walked with `frontend.iter_stmts`.  A polynomial is written back as MCL
-through `frontend.var_expr`, the inverse of the contract-variable reading
-described in `frontend.syntax`.
+checker.  Nor is what a contract declares: its clauses, in order, come
+from `MethodContract.clauses`.  Call targets come from
+`frontend.callee_of` and bodies are walked with `frontend.iter_stmts`.
+A polynomial is written back as MCL through `frontend.var_expr`, the
+inverse of the contract-variable reading described in `frontend.syntax`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .frontend.syntax import (
     MemReqStmt,
     MethodDecl,
     NewStmt,
+    OBJECT_KEY,
     ParenExpr,
     Program,
     RequiresStmt,
@@ -62,12 +64,7 @@ from .frontend.syntax import (
     iter_stmts,
     var_expr,
 )
-from .summary import (
-    OBJECT_KEY,
-    call_entries,
-    contract_binding,
-    ordered_contract_keys,
-)
+from .summary import call_entries, contract_binding
 from .symexpr import Poly, SymExpr, sym_sum
 
 _CONTRACT_PREFIX = (RequiresStmt, MemReqStmt, EscStmt, BindEscStmt)
@@ -171,7 +168,7 @@ class _Instrumenter:
         self.index = index
         self.prefix = method.name
         self.entry = entry_vars(method, cls)
-        self.object_mode = OBJECT_KEY in ordered_contract_keys(method.contract)
+        self.object_mode = OBJECT_KEY in method.contract.keys()
         self.inits: dict[str, CounterInfo] = {}
         self.diff_total: dict[str, int] = {}
         self.diff_seen: dict[str, int] = {}
@@ -205,7 +202,7 @@ class _Instrumenter:
         callee = callee_of(s)
         if callee is None or not callee.contract.has_clauses():
             return []
-        return [OBJECT_KEY] if self.object_mode else ordered_contract_keys(callee.contract)
+        return [OBJECT_KEY] if self.object_mode else callee.contract.keys()
 
     def _contributing(self, stmts: list[Stmt]) -> list[str]:
         """Classes charged by calls at this nesting level, loops excluded."""
@@ -321,7 +318,6 @@ class _Instrumenter:
     # -- assembly ---------------------------------------------------------------
 
     def run(self) -> None:
-        contract = self.m.contract
         self.loop_vars: set[str] = set()
         self._count_diffs(self.m.body)
 
@@ -333,12 +329,9 @@ class _Instrumenter:
 
         # build ensures first so contract counters lead the init order
         ensures: list[Stmt] = []
-        for key, bound in contract.mem_req.items():
-            ensures.append(EnsureStmt(Binary(
-                "<=", VarRef(self._memreq(key)), sym_expr_node(bound))))
-        for (tag, key), bound in contract.esc.items():
-            ensures.append(EnsureStmt(Binary(
-                "<=", VarRef(self._esc(tag, key)), sym_expr_node(bound))))
+        for c in self.m.contract.clauses(False):
+            counter = self._memreq(c.key) if c.tag is None else self._esc(c.tag, c.key)
+            ensures.append(EnsureStmt(Binary("<=", VarRef(counter), sym_expr_node(c.bound))))
 
         method_scope = _Scope()
         body = self._rewrite(rest, [method_scope])

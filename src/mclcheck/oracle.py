@@ -31,10 +31,14 @@ Lang. 1987): an expression becomes a function of the interpreter and the
 current frame, and a body becomes a flat list of operations, each of which
 returns the index of the next, so an `if` and a `for` are explicit jumps.
 The same per-method entry holds the sorted readers of the entry variables,
-the `requires` comparisons, the `ensure` conditions, and each declared
+the `ensure` conditions, and the `requires` constraints and each declared
 `memreq`/`esc` bound as integer polynomials over one common denominator D,
 so that a bound is exceeded iff `observed * D` exceeds the largest
-numerator.  The lowered code lives in a table keyed by the program's
+numerator.  Both come from the resolved contract (`MethodContract`), so
+`requires` is decided as `check` assumes it: rationally, `/` exact rather
+than MCL's truncating division, over the entry values; one that needs a
+variable with no entry value, behind a null receiver or array, raises
+NullDereference as reading the variable would.  The lowered code lives in a table keyed by the program's
 identity and released with it, never on the syntax tree, so an
 instrumented copy runs its own code.
 
@@ -87,6 +91,7 @@ from .frontend import (
     Binary,
     BoolLit,
     CallStmt,
+    Clause,
     ClassDecl,
     EnsureStmt,
     Expr,
@@ -98,15 +103,14 @@ from .frontend import (
     LengthRef,
     LocalDecl,
     MaxExpr,
-    MethodContract,
     MethodDecl,
     NewStmt,
     NullLit,
+    OBJECT_KEY,
     OutArg,
     ParenExpr,
     PathExpr,
     Program,
-    RequiresStmt,
     ReturnStmt,
     StrLit,
     ThisRef,
@@ -118,8 +122,7 @@ from .frontend import (
     expr_to_str,
     var_expr,
 )
-from .summary import OBJECT_KEY
-from .symexpr import SymExpr
+from .symexpr import Poly
 
 GC_MODES = ("ideal", "method-exit", "none")
 
@@ -594,35 +597,34 @@ class _Body:
             _lower_store(s.target) if s.target is not None else None, k + 2))
 
 
-class _Bound:
-    """A declared bound as integer polynomials over one common denominator:
-    a count exceeds the bound iff count * den exceeds the largest of the
-    numerators, one per alternative of the bound's max."""
+def _integral(polys: tuple[Poly, ...]) -> tuple[int, list]:
+    """Polynomials as integer polynomials over one common denominator D > 0:
+    D, and per polynomial ((integer coefficient, monomial), ...)."""
+    den = math.lcm(*(c.denominator for p in polys for _, c in p.terms))
+    return den, [[(int(c * den), m) for m, c in p.terms] for p in polys]
 
-    def __init__(self, clause: str, tag: str | None, key: str, bound: SymExpr):
-        self.clause = clause
-        self.tag = tag          # the escape tag it counts; None for a peak
-        self.key = key
-        self.bound = bound
-        self.den = math.lcm(*(c.denominator for p in bound.alts for _, c in p.terms))
-        # per alternative: ((integer coefficient, monomial), ...)
-        self.numerators = [[(int(c * self.den), m) for m, c in p.terms]
-                           for p in bound.alts]
-        self.variables = bound.variables()
+
+def _numerator(terms: list, env: dict[str, int]) -> int:
+    """An integer polynomial's value; KeyError when env lacks a variable."""
+    return sum(c * math.prod(env[v] ** e for v, e in mono) for c, mono in terms)
+
+
+class _Bound:
+    """A declared clause, its bound over one common denominator: a count
+    exceeds the bound iff count * den exceeds the largest of the numerators,
+    one per alternative of the bound's max."""
+
+    def __init__(self, clause: Clause):
+        self.clause = clause.label
+        # the escape tag it counts; None for a peak
+        self.tag = None if clause.tag is None else clause.tag.counter_str()
+        self.key = clause.key
+        self.bound = clause.bound
+        self.den, self.numerators = _integral(clause.bound.alts)
+        self.variables = clause.bound.variables()
 
     def top(self, env: dict[str, int]) -> int:
-        return max(sum(c * math.prod(env[v] ** e for v, e in mono) for c, mono in terms)
-                   for terms in self.numerators)
-
-
-def _bounds(contract: MethodContract | None) -> list[_Bound]:
-    if contract is None:
-        return []
-    out = [_Bound(f"memreq<{key}>", None, key, bound)
-           for key, bound in contract.mem_req.items()]
-    out += [_Bound(f"esc<{key}>({tag.source_str()})", tag.counter_str(), key, bound)
-            for (tag, key), bound in contract.esc.items()]
-    return out
+        return max(_numerator(terms, env) for terms in self.numerators)
 
 
 class _Method:
@@ -636,15 +638,15 @@ class _Method:
         self.returns = decl.return_type.key() != "void"
         self.readers = [(name, _lower_expr(var_expr(name)))
                         for name in sorted(entry_vars(decl, cls))]
-        self.requires = [(_relation(c.rel), _lower_expr(c.left), _lower_expr(c.right))
-                         for s in decl.body if isinstance(s, RequiresStmt)
-                         for c in s.constraints]
+        contract = decl.contract
+        # `lhs REL 0` as the resolver read it, `/` exact, over den > 0
+        self.requires = [(_RELATIONS[c.rel], _integral((c.lhs,))[1][0])
+                         for c in contract.requires]
         self.ensures = [(_lower_expr(s.cond), expr_to_str(s.cond))
                         for s in decl.body if isinstance(s, EnsureStmt)]
-        contract = decl.contract
-        self.bindings = [] if contract is None else \
-            [(tag.counter_str(), path) for tag, path in contract.bindings.items()]
-        self.bounds = _bounds(contract)
+        self.bindings = [(tag.counter_str(), path)
+                         for tag, path in contract.bindings.items()]
+        self.bounds = [_Bound(c) for c in contract.clauses(False)]
         self.code = _Body(decl.body).ops
 
 
@@ -735,8 +737,12 @@ class Interp:
             if isinstance(val, int) and not isinstance(val, bool):
                 env[name] = val
         self.trace.append(("call", m.qname, act.instance))
-        for rel, left, right in m.requires:
-            if not rel(left(self, act), right(self, act)):
+        for rel, lhs in m.requires:
+            try:
+                holds = rel(_numerator(lhs, env), 0)
+            except KeyError:  # a variable behind a null reference
+                raise NullDereference("null dereference") from None
+            if not holds:
                 raise RequiresViolation(m.qname, dict(env), direct)
         return act
 

@@ -16,7 +16,12 @@ from the heap analysis are folded into the same report.
 Contract variables (`n`, `a.length`, `this.f`, `this.f.length`) and the
 reading of an expression as a polynomial over them are defined once, in
 `frontend.syntax` (`entry_vars`, `expr_poly`, `var_expr`); a call binds
-its callee's variables by reading their caller-side expressions.
+its callee's variables by reading their caller-side expressions.  So are
+a contract's clauses (`MethodContract.clauses`), in declaration order,
+with their labels and their collapse onto the object pseudo-class.
+Object mode charges every class to `object`; type mode charges each class
+to itself, and checks a contract's own `object` clauses, which bound every
+class together, against the method's object-mode summary.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from functools import reduce
 from . import callgraph, escape
 from .frontend.syntax import (
     CallStmt,
+    Clause,
     ClassDecl,
     Expr,
     ForStmt,
@@ -35,6 +41,7 @@ from .frontend.syntax import (
     MethodContract,
     MethodDecl,
     NewStmt,
+    OBJECT_KEY,
     OutArg,
     Program,
     Stmt,
@@ -67,8 +74,6 @@ from .symexpr import (
     sym_sum,
 )
 
-OBJECT_KEY = "object"
-
 MODE_TYPE = "type"
 MODE_OBJECT = "object"
 
@@ -95,10 +100,8 @@ def contract_binding(stmt: NewStmt | CallStmt, contract: MethodContract,
     callee = callee_of(stmt)
     is_ctor = isinstance(stmt, NewStmt)
     used: set[str] = set()
-    for e in contract.mem_req.values():
-        used |= e.variables()
-    for e in contract.esc.values():
-        used |= e.variables()
+    for c in contract.clauses(False):
+        used |= c.bound.variables()
     binding: dict[str, Poly] = {}
     flags: set[str] = set()
     by_name = dict(zip((p.name for p in callee.params if not p.is_out),
@@ -162,28 +165,6 @@ class _Acc:
                 sym_sum(self.escs.get(key, [])))
 
 
-def ordered_contract_keys(contract: MethodContract) -> list[str]:
-    """Class keys in declaration order: mem_req first, then esc-only ones."""
-    keys = list(contract.mem_req)
-    for (_, key) in contract.esc:
-        if key not in keys:
-            keys.append(key)
-    return keys
-
-
-def _collapse(contract: MethodContract) -> tuple[SymExpr | None, dict[Tag, SymExpr]]:
-    """A contract on the object pseudo-class: its explicit object clauses
-    when it has any, else every class summed.  No memreq gives None."""
-    explicit = OBJECT_KEY in ordered_contract_keys(contract)
-    mem = [e for key, e in contract.mem_req.items()
-           if not explicit or key == OBJECT_KEY]
-    by_tag: dict[Tag, list[SymExpr]] = {}
-    for (t, key), e in contract.esc.items():
-        if not explicit or key == OBJECT_KEY:
-            by_tag.setdefault(t, []).append(e)
-    return (sym_sum(mem) if mem else None), {t: sym_sum(es) for t, es in by_tag.items()}
-
-
 def call_entries(contract: MethodContract, binding: dict[str, Poly],
                  object_mode: bool) -> list[tuple[str, SymExpr, dict[Tag, SymExpr]]]:
     """The call-composition rule: what one call charges its caller.
@@ -192,13 +173,15 @@ def call_entries(contract: MethodContract, binding: dict[str, Poly],
     names, in declaration order, with the contract variables bound to the
     caller's values; object mode collapses them into one object entry.
     """
-    if object_mode:
-        mr, esc_by_tag = _collapse(contract)
-        return [(OBJECT_KEY, substitute(SYM_ZERO if mr is None else mr, binding),
-                 {t: substitute(e, binding) for t, e in esc_by_tag.items()})]
-    return [(key, substitute(contract.mem_req.get(key, SYM_ZERO), binding),
-             {t: substitute(e, binding) for (t, k), e in contract.esc.items() if k == key})
-            for key in ordered_contract_keys(contract)]
+    entries: dict[str, tuple[SymExpr, dict[Tag, SymExpr]]] = {}
+    for c in contract.clauses(object_mode):
+        mr, esc_by_tag = entries.setdefault(c.key, (SYM_ZERO, {}))
+        bound = substitute(c.bound, binding)
+        if c.tag is None:
+            entries[c.key] = (bound, esc_by_tag)
+        else:
+            esc_by_tag[c.tag] = bound
+    return [(key, mr, esc_by_tag) for key, (mr, esc_by_tag) in entries.items()]
 
 
 class _Summarizer:
@@ -399,22 +382,11 @@ class Report:
         return {VerdictKind.VIOLATED: 1, VerdictKind.UNVERIFIED: 2}.get(self.overall, 0)
 
 
-def _declared_bounds(contract: MethodContract, mode: str):
-    """Declared clauses, collapsed to the object pseudo-class on demand."""
-    if mode != MODE_OBJECT:
-        return dict(contract.mem_req), dict(contract.esc)
-    mr, esc_by_tag = _collapse(contract)
-    return ({} if mr is None else {OBJECT_KEY: mr},
-            {(t, OBJECT_KEY): e for t, e in esc_by_tag.items()})
-
-
 def check_method(method: MethodDecl, summary: ConsumptionSummary,
                  mode: str = MODE_TYPE,
                  assume_guarantee: bool = False) -> list[ClauseRow]:
-    contract = method.contract
-    pre = contract.requires
-    rows: list[ClauseRow] = []
-    declared_mem, declared_esc = _declared_bounds(contract, mode)
+    pre = method.contract.requires
+    clauses = method.contract.clauses(mode == MODE_OBJECT)
 
     def verdict_for(computed: SymExpr, declared: SymExpr) -> Verdict:
         if computed.flags:
@@ -424,40 +396,35 @@ def check_method(method: MethodDecl, summary: ConsumptionSummary,
             return Verdict.unverified("declared bound is not integer-valued")
         return entails_leq(computed, declared, pre)
 
-    def declared_row(clause: str, declared: SymExpr, computed: SymExpr) -> ClauseRow:
-        v = verdict_for(computed, declared)
+    def declared_row(c: Clause) -> ClauseRow:
+        computed = summary.mem_req.get(c.key, SYM_ZERO) if c.tag is None \
+            else summary.esc.get((c.tag, c.key), SYM_ZERO)
+        v = verdict_for(computed, c.bound)
         notes = ["assume-guarantee: recursive calls use their declared contracts"] \
             if assume_guarantee else []
         if v.kind == VerdictKind.VERIFIED and computed.is_zero():
             notes.append("trivially satisfied: nothing of this class is consumed")
-        return ClauseRow(method.qname, clause, str(declared), str(computed), v, notes)
+        return ClauseRow(method.qname, c.label, str(c.bound), str(computed), v, notes)
 
-    for key, declared in declared_mem.items():
-        rows.append(declared_row(f"memreq<{key}>", declared,
-                                 summary.mem_req.get(key, SYM_ZERO)))
-    for (tag, key), declared in declared_esc.items():
-        rows.append(declared_row(f"esc<{key}>({tag.source_str()})", declared,
-                                 summary.esc.get((tag, key), SYM_ZERO)))
-
-    def undeclared(clause: str, computed: SymExpr, note: str) -> ClauseRow:
+    def undeclared(c: Clause, computed: SymExpr, note: str) -> ClauseRow:
         # an absent clause declares zero; a positive witness is a violation
-        v = verdict_for(computed, SYM_ZERO)
-        return ClauseRow(method.qname, clause, None, str(computed), v, [note])
+        v = verdict_for(computed, c.bound)
+        return ClauseRow(method.qname, c.label, None, str(computed), v, [note])
 
+    rows = [declared_row(c) for c in clauses]
+    seen = {(c.tag, c.key) for c in clauses}
     for key in sorted(summary.mem_req):
-        if key in declared_mem:
-            continue
-        rows.append(undeclared(
-            f"memreq<{key}>", summary.mem_req[key],
-            f"undeclared consumption: objects of {key} are consumed "
-            "but no bound is declared"))
+        if (None, key) not in seen:
+            rows.append(undeclared(
+                Clause(None, key, SYM_ZERO), summary.mem_req[key],
+                f"undeclared consumption: objects of {key} are consumed "
+                "but no bound is declared"))
     for (tag, key) in sorted(summary.esc, key=lambda k: (str(k[0]), k[1])):
-        if (tag, key) in declared_esc:
-            continue
-        rows.append(undeclared(
-            f"esc<{key}>({tag.source_str()})", summary.esc[(tag, key)],
-            f"undeclared escape: objects of {key} escape under "
-            f"{tag} without a declared bound"))
+        if (tag, key) not in seen:
+            rows.append(undeclared(
+                Clause(tag, key, SYM_ZERO), summary.esc[(tag, key)],
+                f"undeclared escape: objects of {key} escape under "
+                f"{tag} without a declared bound"))
     return rows
 
 
@@ -501,6 +468,14 @@ def check_program(program: Program, mode: str = MODE_TYPE) -> Report:
     for qname in sorted(methods):
         m = methods[qname]
         s = summarize(m, contracts, mode, class_map)
+        if mode == MODE_TYPE and OBJECT_KEY in m.contract.keys():
+            # its object clauses bound every class together, so they are
+            # checked against the method's object-mode summary
+            whole = summarize(m, contracts, MODE_OBJECT, class_map)
+            on_object = {(c.tag, c.key) for c in m.contract.clauses(True)}
+            s.mem_req.update((k, e) for k, e in whole.mem_req.items()
+                             if (None, k) in on_object)
+            s.esc.update((k, e) for k, e in whole.esc.items() if k in on_object)
         rows.extend(check_method(m, s, mode,
                                  assume_guarantee=qname in recursive))
         rows.extend(lifetime_rows(analysis.lifetimes[qname]))

@@ -252,9 +252,6 @@ class SymExpr:
     def with_flags(self, *extra: str) -> SymExpr:
         return SymExpr(self.alts, self.flags | set(extra))
 
-    def degree(self) -> int:
-        return max(p.degree() for p in self.alts)
-
     def variables(self) -> set[str]:
         return set().union(*(p.variables() for p in self.alts))
 
@@ -473,15 +470,6 @@ def max_over(e: SymExpr, space: IterSpace) -> SymExpr:
             flags.add(FLAG_MONOTONICITY)
     _check_degree(cands)
     return SymExpr.of(*cands, flags=flags)
-
-
-def count(spaces: list[IterSpace], context: tuple[LinConstraint, ...] = ()) -> SymExpr:
-    """Number of points in a nest of iteration spaces, outermost first."""
-    result = SymExpr.of(ONE)
-    for i in range(len(spaces) - 1, -1, -1):
-        outer = tuple(c for sp in spaces[:i] for c in sp.constraints) + tuple(context)
-        result = sum_over(result, spaces[i], outer)
-    return result
 
 
 class VerdictKind:

@@ -284,6 +284,36 @@ def test_run_null_receiver_is_runtime_error():
     assert "NullDereference" in err
 
 
+def test_run_requires_over_a_null_receiver_field_is_runtime_error(tmp_path):
+    src = tmp_path / "nullf.mcl"
+    src.write_text("class P { int f; void g(int n) { requires(n <= this.f); } }")
+    code, out, err = cli("run", str(src), "--entry", "P.g", "--args", "[0]")
+    assert (code, out, err) == (1, "", "runtime error: NullDereference: null dereference\n")
+
+
+def test_check_and_validate_read_requires_division_alike(tmp_path):
+    # `/` in a contract is exact, so n / 2 <= 0 admits n = 0 alone; the
+    # oracle must not read it as MCL's truncating division, which admits 1
+    src = tmp_path / "half.mcl"
+    src.write_text("""
+    class A { A() { } }
+    class P {
+        void f(int n) {
+            requires(n / 2 <= 0);
+            memreq<A>(0);
+            for (i = 1 .. n) { A a = new A(); }
+        }
+    }
+    """)
+    code, out, _ = cli("check", str(src), "--format", "json")
+    assert code == 0
+    assert [r["verdict"] for r in json.loads(out)["clauses"]] == ["Verified"]
+    code, out, _ = cli("validate", str(src), "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and not report["violations"]
+    assert (report["runs"], report["pointsSkipped"]) == (1, 8)
+
+
 def test_run_instrumented_faulty_fails_ensures(tmp_path):
     target = tmp_path / "low_inst.mcl"
     assert cli("instrument", corpus("faulty_low_bound"),

@@ -78,3 +78,41 @@ def test_the_benchmark_entry_points_exist():
     missing = [f"{mod}.{attr}" for mod, attr in pairs
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing, f"benchmark entry points gone: {', '.join(missing)}"
+
+
+def test_the_oracle_imports_no_checker_module():
+    # the oracle is the ground truth the static checker is judged against;
+    # reading contracts through the checker's code would let one mistake
+    # agree with itself
+    path = SRC / "mclcheck" / "oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from .x import y` names module x; `from . import x` names x
+            base = "mclcheck." * bool(node.level) + (node.module or "")
+            names = [base] if node.module else [base + a.name for a in node.names]
+        else:
+            continue
+        found |= {n.split(".")[1] for n in names if n.startswith("mclcheck.")}
+    stray = sorted(found - {"frontend", "symexpr"})
+    assert not stray, f"oracle.py imports {', '.join(stray)}"
+
+
+def test_clause_labels_are_spelled_only_in_the_frontend():
+    # `memreq<K>` and `esc<K>(tag)` are spelled once, by syntax.Clause.label;
+    # a second spelling could drift from the first
+    found = []
+    for path in sorted((SRC / "mclcheck").rglob("*.py")):
+        if path.parent.name == "frontend":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) and any(
+                    isinstance(part, ast.Constant) and isinstance(part.value, str)
+                    and ("memreq<" in part.value or "esc<" in part.value)
+                    for part in node.values):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"clause labels built outside frontend/: {', '.join(found)}"

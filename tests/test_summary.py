@@ -217,6 +217,40 @@ def test_type_mode_flags_hidden_types_as_undeclared():
     assert any("undeclared consumption" in note for note in r.notes)
 
 
+def test_type_mode_checks_object_clauses_against_every_class():
+    # an object clause bounds all classes together in either mode
+    rep = check("family_object", mode=S.MODE_TYPE)
+    mem = row(rep, "Family.CreateFamily", "memreq<object>")
+    esc = row(rep, "Family.CreateFamily", "esc<object>(return)")
+    assert (mem.verdict.kind, mem.computed) == \
+        (VerdictKind.VERIFIED, "2*firstNames.length + 2")
+    assert (esc.verdict.kind, esc.computed) == \
+        (VerdictKind.VERIFIED, "2*firstNames.length + 1")
+    low = row(check("faulty_object_low", mode=S.MODE_TYPE),
+              "Family.CreateFamily", "memreq<object>")
+    assert low.verdict.kind == VerdictKind.VIOLATED
+    assert low.verdict.witness == {"firstNames.length": 1}
+
+
+def test_type_mode_object_clause_below_the_class_total_is_violated():
+    prog = load("""
+    class A { A() { } }
+    class P {
+        void f(int n) {
+            requires(n >= 0);
+            memreq<object>(1);
+            memreq<A>(n);
+            for (i = 1 .. n) { A a = new A(); }
+        }
+    }
+    """)
+    rep = S.check_program(prog, mode=S.MODE_TYPE)
+    r = row(rep, "P.f", "memreq<object>")
+    assert (r.verdict.kind, r.computed, r.verdict.witness) == \
+        (VerdictKind.VIOLATED, "n", {"n": 2})
+    assert row(rep, "P.f", "memreq<A>").verdict.kind == VerdictKind.VERIFIED
+
+
 # ------------------------------------------------------------- faulty corpus
 
 

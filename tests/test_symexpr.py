@@ -19,7 +19,6 @@ from mclcheck.symexpr import (
     VerdictKind,
     add,
     constraint_entailed,
-    count,
     entails_leq,
     integer_valued,
     max_over,
@@ -237,15 +236,18 @@ def test_max_over_concrete_empty_range_is_zero():
 
 # --- nested space counting -------------------------------------------------
 
+def count(outer, inner):
+    """Points of a two-deep nest: the inner sum under the outer space."""
+    return sum_over(sum_over(SymExpr.of(C1), inner, outer.constraints), outer)
+
+
 def test_count_triangle():
-    spaces = [interval("i", 1, N), interval("j", 1, I)]
-    got = count(spaces)
+    got = count(interval("i", 1, N), interval("j", 1, I))
     assert got.alts == ((N * N + N).scale(Fraction(1, 2)),)
 
 
 def test_count_rectangle():
-    spaces = [interval("i", 1, N), interval("j", 1, M)]
-    assert count(spaces).alts == (N * M,)
+    assert count(interval("i", 1, N), interval("j", 1, M)).alts == (N * M,)
 
 
 # --- entailment ------------------------------------------------------------
