@@ -52,6 +52,9 @@ ESCAPES_UNANNOTATED = "EscapesButUnannotated"
 ANNOTATED_CAPTURED = "AnnotatedButCaptured"
 SUPPRESSED = "SuppressedByDestLocal"
 
+# The root names of the result and the receiver, as their tags are named.
+_RETURN_TAG, _THIS_TAG = Tag.ret().name, Tag.this().name
+
 
 class UnknownTag(Exception):
     pass
@@ -391,11 +394,11 @@ def _root_sets(g: PointsToGraph, method: MethodDecl,
                class_map: dict[str, ClassDecl]) -> dict[str, set[PTGNode]]:
     roots: dict[str, set[PTGNode]] = {}
     for name in _ref_params(method, class_map):
-        roots["This" if name == "this" else f"Param({name})"] = {param_node(name)}
+        roots[_THIS_TAG if name == "this" else f"Param({name})"] = {param_node(name)}
     for p in method.params:
         if p.is_out and p.decl_type.name in class_map:
             roots[f"Param({p.name})"] = set(g.var_set(p.name))
-    roots["Return"] = set(g.returned)
+    roots[_RETURN_TAG] = set(g.returned)
     return roots
 
 

@@ -1,4 +1,9 @@
-"""Tokenizer for the contract mini-language: one pass of a master regex."""
+"""Tokenizer for the contract mini-language: one pass of a master regex.
+
+The keywords are the primitive types, the keyword statements of
+`syntax.SHAPES` (the table the parser reads and the printer writes) and
+the words of the base language.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +11,11 @@ import re
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, ParseFailure, SEV_ERROR
+from .syntax import PRIMITIVES, SHAPES
 
-KEYWORDS = {
-    "class", "int", "bool", "string", "void", "new", "for", "while", "if",
-    "else", "return", "null", "true", "false", "out", "this",
-    "memreq", "esc", "dest_esc", "dest_local", "add_esc", "bind_esc",
-    "requires", "iteration_space", "ensure", "max",
+KEYWORDS = PRIMITIVES | SHAPES.keys() | {
+    "class", "new", "for", "while", "if", "else", "return", "null", "true",
+    "false", "out", "this", "max",
 }
 
 # Alternatives are tried in order.  A comment that ends the text is part of

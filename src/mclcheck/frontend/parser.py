@@ -1,7 +1,8 @@
 """Recursive-descent parser for the contract mini-language.
 
 Binary operators are read by precedence climbing over `syntax.BINARY_PREC`,
-and the keyword statements from one table of their shapes.
+and the keyword statements from `syntax.SHAPES`, the table of their shapes
+that the printer writes too: each field kind there names a reader here.
 
 Escape annotations (dest_esc, dest_local, add_esc) are written on the line
 before the allocation or call they govern; the parser attaches them to that
@@ -14,30 +15,15 @@ from __future__ import annotations
 from .diagnostics import Diagnostic, ParseFailure, SEV_ERROR
 from .lexer import Token, tokenize
 from .syntax import (
-    AddEscStmt, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt, BoolLit,
-    CallStmt, ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt,
-    Expr, FieldDecl, FieldRef, ForStmt, IfStmt, IndexRef, IntLit,
-    IterationSpaceStmt, LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodDecl,
-    NewStmt, NullLit, OutArg, Param, ParenExpr, PathExpr, Pos, Program,
-    RELATIONS, RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef, TypeRef,
-    Unary, VarRef,
+    ANNOTATION_STMTS, AddEscStmt, Assign, AugAssign, Binary, BINARY_PREC,
+    BoolLit, CallStmt, ClassDecl, Cmp, DestEscStmt, DestLocalStmt, Expr,
+    FieldDecl, FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
+    LengthRef, LocalDecl, MaxExpr, MethodDecl, NewStmt, NullLit, OutArg, Param,
+    ParenExpr, PathExpr, Pos, PRIMITIVES, Program, RELATIONS, ReturnStmt,
+    SHAPES, StrLit, Stmt, Tag, ThisRef, TypeRef, Unary, VarRef,
 )
 
-# Each keyword statement as its node class and its shape in source order: a
-# word is the parser method that reads the node's next field, anything else
-# is punctuation the statement must have there.
-_SHAPES = {
-    "dest_esc": (DestEscStmt, "( parse_tag ) ;"),
-    "dest_local": (DestLocalStmt, ";"),
-    "add_esc": (AddEscStmt, "( parse_tag , parse_tag ) ;"),
-    "requires": (RequiresStmt, "( cmp_list ) ;"),
-    "iteration_space": (IterationSpaceStmt, "( cmp_list ) ;"),
-    "memreq": (MemReqStmt, "< parse_type > ( binary ) ;"),
-    "esc": (EscStmt, "< parse_type > ( parse_tag , binary ) ;"),
-    "bind_esc": (BindEscStmt, "( parse_tag , parse_path ) ;"),
-    "ensure": (EnsureStmt, "( binary ) ;"),
-}
-_ANNOTATIONS = (DestEscStmt, DestLocalStmt, AddEscStmt)
+_VALUE_TYPES = PRIMITIVES - {"void"}  # the primitive types a value can have
 _ARITH = BINARY_PREC["+"]  # the loosest level of an integer expression
 _TIGHTEST = max(BINARY_PREC.values())
 
@@ -120,7 +106,7 @@ class _Parser:
 
     def parse_type(self) -> TypeRef:
         t = self.peek()
-        if t.kind == "keyword" and t.value in ("int", "bool", "string", "void"):
+        if t.kind == "keyword" and t.value in PRIMITIVES:
             self.next()
             base = TypeRef(t.value)
         elif t.kind == "ident":
@@ -159,7 +145,7 @@ class _Parser:
         pending: list[Stmt] = []  # escape annotations not yet attached
         while not self.at("punct", "}"):
             stmt = self.statement()
-            if isinstance(stmt, _ANNOTATIONS):
+            if isinstance(stmt, ANNOTATION_STMTS):
                 pending.append(stmt)
                 continue
             # the next allocation takes the annotations, all but a second
@@ -181,13 +167,13 @@ class _Parser:
 
     def statement(self) -> Stmt:
         t = self.peek()
-        if t.kind == "keyword" and t.value in _SHAPES:
-            node, shape = _SHAPES[t.value]
+        if t.kind == "keyword" and t.value in SHAPES:
+            node, shape = SHAPES[t.value]
             self.next()
             parts = []
             for word in shape.split():
-                if word.isidentifier():
-                    parts.append(getattr(self, word)())
+                if word in _READERS:
+                    parts.append(_READERS[word](self))
                 else:
                     self.expect("punct", word)
             return node(*parts, pos=self.pos(t))
@@ -215,7 +201,7 @@ class _Parser:
             self.fail("while loops are not supported; use a counted for loop")
         if self.at_kw("new"):
             self.fail("an allocation must be assigned to a target")
-        if self.at_kw("int", "bool", "string"):
+        if self.at_kw(*_VALUE_TYPES):
             return self.decl_stmt()
         if self.at("ident"):
             # ident ident  or  ident[] ident  opens a declaration
@@ -290,7 +276,7 @@ class _Parser:
     def new_rest(self, target: Expr, decl_type: TypeRef | None, pos: Pos) -> NewStmt:
         self.expect("keyword", "new")
         t = self.peek()
-        if t.kind == "keyword" and t.value in ("int", "bool", "string"):
+        if t.kind == "keyword" and t.value in _VALUE_TYPES:
             self.fail("allocation requires a class type")
         cls_name = self.expect("ident").value
         if self.at("punct", "["):
@@ -459,6 +445,12 @@ class _Parser:
             self.expect("punct", ")")
             return ParenExpr(inner, pos=self.pos(t))
         self.fail(f"unexpected token {t.value!r} in expression")
+
+
+# The reader of each field kind of a keyword statement's shape.
+_READERS = {"tag": _Parser.parse_tag, "type": _Parser.parse_type,
+            "expr": _Parser.binary, "cmps": _Parser.cmp_list,
+            "path": _Parser.parse_path}
 
 
 def parse(source: str, file: str = "<mcl>") -> Program:

@@ -3,18 +3,21 @@
 Printing a parsed program and reparsing it yields the same AST: parser
 trees already respect operator precedence, and explicit parentheses are
 kept as ParenExpr nodes.  Parens are only added where a synthesized tree
-would otherwise reparse differently.
+would otherwise reparse differently.  Keyword statements are written from
+`syntax.SHAPES`, the table of their shapes that the parser reads: each
+field kind there names a writer here.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from .syntax import (
-    AddEscStmt, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt, BoolLit, CallStmt,
-    ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt, Expr,
-    FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
-    LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodDecl, NewStmt, NullLit,
-    OutArg, ParenExpr, Program, RELATIONS, RequiresStmt, ReturnStmt, StrLit,
-    Stmt, ThisRef, Unary, VarRef,
+    AddEscStmt, Assign, AugAssign, Binary, BINARY_PREC, BoolLit, CallStmt,
+    ClassDecl, Cmp, DestEscStmt, DestLocalStmt, Expr, FieldRef, ForStmt, IfStmt,
+    IndexRef, IntLit, IterationSpaceStmt, LengthRef, LocalDecl, MaxExpr,
+    MethodDecl, NewStmt, NullLit, OutArg, ParenExpr, Program, RELATIONS,
+    ReturnStmt, SHAPES, StrLit, Stmt, Tag, ThisRef, Unary, VarRef,
 )
 
 _INDENT = "    "
@@ -64,8 +67,42 @@ def _arg_to_str(a) -> str:
     return expr_to_str(a)
 
 
+# The writer of each field kind of a keyword statement's shape.
+_WRITERS = {"tag": Tag.source_str, "type": str, "expr": expr_to_str,
+            "cmps": lambda cs: " && ".join(map(cmp_to_str, cs)), "path": str}
+
+
+def _template(word: str, node: type, shape: str) -> tuple[str, list]:
+    """A keyword statement's shape as a format string, with a slot for each
+    field kind and punctuation as is but for a space after a comma, and
+    for each slot its writer and the node field it writes."""
+    words = shape.split()
+    text = "".join("{}" if w in _WRITERS else ", " if w == "," else w for w in words)
+    writers = [_WRITERS[w] for w in words if w in _WRITERS]
+    return word + text, list(zip(writers, [f.name for f in fields(node) if f.compare]))
+
+
+# Each keyword statement's template, by its node class.
+_TEMPLATES = {node: _template(word, node, shape) for word, (node, shape) in SHAPES.items()}
+
+
+def _annotations(s: NewStmt | CallStmt) -> list[Stmt]:
+    """The escape annotations the parser attached to an allocation or call,
+    as the statements they were written as."""
+    notes: list[Stmt] = []
+    if isinstance(s, NewStmt) and s.dest_esc is not None:
+        notes.append(DestEscStmt(s.dest_esc))
+    if isinstance(s, NewStmt) and s.dest_local:
+        notes.append(DestLocalStmt())
+    return notes + [AddEscStmt(dst, src) for dst, src in s.add_esc]
+
+
 def stmt_lines(s: Stmt, depth: int) -> list[str]:
     pad = _INDENT * depth
+    template = _TEMPLATES.get(type(s))
+    if template is not None:  # a keyword statement
+        text, slots = template
+        return [pad + text.format(*[write(getattr(s, name)) for write, name in slots])]
     if isinstance(s, LocalDecl):
         if s.init is None:
             return [f"{pad}{s.decl_type} {s.name};"]
@@ -74,31 +111,19 @@ def stmt_lines(s: Stmt, depth: int) -> list[str]:
         return [f"{pad}{expr_to_str(s.target)} = {expr_to_str(s.value)};"]
     if isinstance(s, AugAssign):
         return [f"{pad}{expr_to_str(s.target)} += {expr_to_str(s.value)};"]
-    if isinstance(s, NewStmt):
-        lines = []
-        if s.dest_esc is not None:
-            lines.append(f"{pad}dest_esc({s.dest_esc.source_str()});")
-        if s.dest_local:
-            lines.append(f"{pad}dest_local;")
-        for dst, src in s.add_esc:
-            lines.append(f"{pad}add_esc({dst.source_str()}, {src.source_str()});")
-        decl = f"{s.decl_type} " if s.decl_type else ""
-        if s.class_ref.is_array:
+    if isinstance(s, (NewStmt, CallStmt)):
+        args = ", ".join(_arg_to_str(a) for a in s.args)
+        if isinstance(s, CallStmt):
+            rhs = f"{expr_to_str(s.receiver, 7)}.{s.method}({args})" if s.receiver else f"{s.method}({args})"
+        elif s.class_ref.is_array:
             rhs = f"new {s.class_ref.name}[{expr_to_str(s.length)}]"
         else:
-            args = ", ".join(expr_to_str(a) for a in s.args)
             rhs = f"new {s.class_ref.name}({args})"
-        lines.append(f"{pad}{decl}{expr_to_str(s.target)} = {rhs};")
-        return lines
-    if isinstance(s, CallStmt):
-        lines = [f"{pad}add_esc({d.source_str()}, {src.source_str()});" for d, src in s.add_esc]
-        args = ", ".join(_arg_to_str(a) for a in s.args)
-        call = f"{expr_to_str(s.receiver, 7)}.{s.method}({args})" if s.receiver else f"{s.method}({args})"
         if s.target is not None:
             decl = f"{s.decl_type} " if s.decl_type else ""
-            lines.append(f"{pad}{decl}{expr_to_str(s.target)} = {call};")
-        else:
-            lines.append(f"{pad}{call};")
+            rhs = f"{decl}{expr_to_str(s.target)} = {rhs}"
+        lines = [line for a in _annotations(s) for line in stmt_lines(a, depth)]
+        lines.append(f"{pad}{rhs};")
         return lines
     if isinstance(s, ReturnStmt):
         return [f"{pad}return;" if s.value is None else f"{pad}return {expr_to_str(s.value)};"]
@@ -115,30 +140,11 @@ def stmt_lines(s: Stmt, depth: int) -> list[str]:
     if isinstance(s, ForStmt):
         lines = [f"{pad}for ({s.var} = {expr_to_str(s.lo)} .. {expr_to_str(s.hi)}) {{"]
         if s.space is not None:
-            body = " && ".join(cmp_to_str(c) for c in s.space)
-            lines.append(f"{pad}{_INDENT}iteration_space({body});")
+            lines.extend(stmt_lines(IterationSpaceStmt(s.space), depth + 1))
         for st in s.body:
             lines.extend(stmt_lines(st, depth + 1))
         lines.append(f"{pad}}}")
         return lines
-    if isinstance(s, RequiresStmt):
-        return [f"{pad}requires({' && '.join(cmp_to_str(c) for c in s.constraints)});"]
-    if isinstance(s, MemReqStmt):
-        return [f"{pad}memreq<{s.class_ref}>({expr_to_str(s.expr)});"]
-    if isinstance(s, EscStmt):
-        return [f"{pad}esc<{s.class_ref}>({s.tag.source_str()}, {expr_to_str(s.expr)});"]
-    if isinstance(s, BindEscStmt):
-        return [f"{pad}bind_esc({s.tag.source_str()}, {s.path});"]
-    if isinstance(s, EnsureStmt):
-        return [f"{pad}ensure({expr_to_str(s.cond)});"]
-    if isinstance(s, DestEscStmt):
-        return [f"{pad}dest_esc({s.tag.source_str()});"]
-    if isinstance(s, DestLocalStmt):
-        return [f"{pad}dest_local;"]
-    if isinstance(s, AddEscStmt):
-        return [f"{pad}add_esc({s.dst.source_str()}, {s.src.source_str()});"]
-    if isinstance(s, IterationSpaceStmt):
-        return [f"{pad}iteration_space({' && '.join(cmp_to_str(c) for c in s.constraints)});"]
     raise TypeError(f"unprintable statement {type(s).__name__}")
 
 

@@ -15,16 +15,14 @@ from ..symexpr import (
 )
 from .diagnostics import Diagnostic, ResolveFailure, SEV_ERROR, SEV_WARNING
 from .syntax import (
-    AddEscStmt, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt, BoolLit, CallStmt,
-    ClassDecl, Cmp, DestEscStmt, DestLocalStmt, EnsureStmt, EscStmt, Expr,
-    FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
+    ANNOTATION_STMTS, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt,
+    BoolLit, CallStmt, ClassDecl, Cmp, CONTRACT_STMTS, EnsureStmt, EscStmt,
+    Expr, FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
     LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodContract, MethodDecl,
     NewStmt, NullLit, NOPOS, OBJECT_KEY, OutArg, Param, ParenExpr, Pos,
     PRIMITIVES, Program, RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef,
     TypeRef, Unary, VarRef, entry_vars, expr_poly, iter_stmts,
 )
-
-_CONTRACT_STMTS = (RequiresStmt, MemReqStmt, EscStmt, BindEscStmt)
 
 
 def _contains_max(e: Expr) -> bool:
@@ -239,7 +237,7 @@ class _MethodResolver:
         for s in self.m.body:
             if isinstance(s, EnsureStmt):
                 continue  # instrumentation output, contract-neutral
-            if not isinstance(s, _CONTRACT_STMTS):
+            if not isinstance(s, CONTRACT_STMTS):
                 in_prefix = False
                 continue
             if not in_prefix:
@@ -316,7 +314,7 @@ class _MethodResolver:
         returned = False
         for s in body:
             if returned:
-                self.warn("dead-code", "statement is unreachable", getattr(s, "pos", NOPOS))
+                self.warn("dead-code", "statement is unreachable", s.pos)
                 returned = False  # one warning per dead region is enough
             self.resolve_stmt(s, enclosing_loops, nested)
             if isinstance(s, ReturnStmt):
@@ -352,11 +350,11 @@ class _MethodResolver:
             self.resolve_for(s, loops)
         elif isinstance(s, EnsureStmt):
             self.typeof(s.cond)
-        elif isinstance(s, _CONTRACT_STMTS):
+        elif isinstance(s, CONTRACT_STMTS):
             if nested:  # top-level occurrences were consumed by extract_contract
                 self.error("contract-not-at-entry",
                            "contract clauses must precede the first statement", s.pos)
-        elif isinstance(s, (DestEscStmt, DestLocalStmt, AddEscStmt)):
+        elif isinstance(s, ANNOTATION_STMTS):
             self.error("misplaced-annotation",
                        "this annotation does not precede an allocation or call",
                        s.pos)
@@ -498,7 +496,7 @@ class _MethodResolver:
         if isinstance(e, (FieldRef, IndexRef)):
             self.typeof(e)
             return
-        self.error("bad-lvalue", "cannot assign to this expression", getattr(e, "pos", NOPOS))
+        self.error("bad-lvalue", "cannot assign to this expression", e.pos)
 
     def typeof(self, e: Expr) -> TypeRef | None:
         if isinstance(e, IntLit):

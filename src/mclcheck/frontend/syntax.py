@@ -1,9 +1,13 @@
-"""AST for the contract mini-language.
+"""AST and vocabulary of the contract mini-language.
 
 Nodes are plain dataclasses built by the parser and annotated in place by
 the resolver; after resolution they are treated as immutable.  Fields that
 carry resolution results or source positions are excluded from equality so
 that structural identity survives reprinting and instrumentation.
+
+The annotation language is spelled here once: `SHAPES` gives each keyword
+statement's source form, which the parser reads and the printer writes, and
+`CONTRACT_STMTS` and `ANNOTATION_STMTS` sort those statements by role.
 """
 
 from __future__ import annotations
@@ -66,14 +70,8 @@ class Tag:
         return Tag("user", name)
 
     def source_str(self) -> str:
-        if self.kind == "return":
-            return "return"
-        if self.kind == "this":
-            return "this"
-        return self.name
-
-    def counter_str(self) -> str:
-        return self.name
+        """The tag as written: `return` and `this` are their kind's keyword."""
+        return self.name if self.kind == "user" else self.kind
 
     def __str__(self) -> str:
         return self.name
@@ -88,76 +86,75 @@ class PathExpr:
         return ".".join((self.root,) + self.fields)
 
 
-# --- expressions -----------------------------------------------------------
-
-@dataclass
-class Expr:
-    pass
-
-
 def _meta(default=None):
     return field(default=default, compare=False, repr=False)
 
 
 @dataclass
+class Node:
+    """A syntax tree node: its source position is kept, never compared."""
+
+    pos: Pos = field(default=NOPOS, compare=False, repr=False, kw_only=True)
+
+
+# --- expressions -----------------------------------------------------------
+
+@dataclass
+class Expr(Node):
+    pass
+
+
+@dataclass
 class IntLit(Expr):
     value: int
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class StrLit(Expr):
     value: str
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class BoolLit(Expr):
     value: bool
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class NullLit(Expr):
-    pos: Pos = _meta(NOPOS)
+    pass
 
 
 @dataclass
 class VarRef(Expr):
     name: str
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class ThisRef(Expr):
-    pos: Pos = _meta(NOPOS)
+    pass
 
 
 @dataclass
 class FieldRef(Expr):
     base: Expr
     field: str
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class LengthRef(Expr):
     base: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class IndexRef(Expr):
     base: Expr
     index: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class Unary(Expr):
     op: str  # - or !
     operand: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 # Binary operators by level, loosest first: the parser climbs this table,
@@ -173,20 +170,17 @@ class Binary(Expr):
     op: str  # a key of BINARY_PREC
     left: Expr
     right: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class MaxExpr(Expr):
     left: Expr
     right: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class ParenExpr(Expr):
     inner: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
@@ -201,7 +195,7 @@ class Cmp:
 # --- statements ------------------------------------------------------------
 
 @dataclass
-class Stmt:
+class Stmt(Node):
     pass
 
 
@@ -210,14 +204,12 @@ class LocalDecl(Stmt):
     decl_type: TypeRef
     name: str
     init: Expr | None
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class Assign(Stmt):
     target: Expr  # VarRef, FieldRef, or IndexRef used as an lvalue
     value: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
@@ -226,7 +218,6 @@ class AugAssign(Stmt):
 
     target: Expr
     value: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
@@ -239,16 +230,14 @@ class NewStmt(Stmt):
     dest_esc: Tag | None = None
     dest_local: bool = False
     add_esc: list[tuple[Tag, Tag]] = field(default_factory=list)
-    pos: Pos = _meta(NOPOS)
     site: str | None = _meta()      # "<qname>#<ordinal>", resolver-assigned
     site_id: int | None = _meta()   # global numeric id for graph node names
     callee: MethodDecl | None = _meta()  # the constructor it runs; see callee_of
 
 
 @dataclass
-class OutArg:
+class OutArg(Node):
     target: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
@@ -259,7 +248,6 @@ class CallStmt(Stmt):
     method: str
     args: list[Expr | OutArg]
     add_esc: list[tuple[Tag, Tag]] = field(default_factory=list)
-    pos: Pos = _meta(NOPOS)
     resolved: str | None = _meta()  # callee qname
     site: str | None = _meta()
     callee: MethodDecl | None = _meta()  # see callee_of
@@ -268,7 +256,6 @@ class CallStmt(Stmt):
 @dataclass
 class ReturnStmt(Stmt):
     value: Expr | None
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
@@ -276,7 +263,6 @@ class IfStmt(Stmt):
     cond: Expr
     then_body: list[Stmt]
     else_body: list[Stmt] = field(default_factory=list)
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
@@ -286,21 +272,18 @@ class ForStmt(Stmt):
     hi: Expr
     body: list[Stmt]
     space: list[Cmp] | None = None  # leading iteration_space(...) of the body
-    pos: Pos = _meta(NOPOS)
     resolved_space: IterSpace | None = _meta()
 
 
 @dataclass
 class RequiresStmt(Stmt):
     constraints: list[Cmp]
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class MemReqStmt(Stmt):
     class_ref: TypeRef
     expr: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
@@ -308,20 +291,17 @@ class EscStmt(Stmt):
     class_ref: TypeRef
     tag: Tag
     expr: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class BindEscStmt(Stmt):
     tag: Tag
     path: PathExpr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class EnsureStmt(Stmt):
     cond: Expr
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
@@ -329,42 +309,58 @@ class DestEscStmt(Stmt):
     """A dest_esc that did not precede an allocation; kept for the linter."""
 
     tag: Tag
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class DestLocalStmt(Stmt):
-    pos: Pos = _meta(NOPOS)
+    pass
 
 
 @dataclass
 class AddEscStmt(Stmt):
     dst: Tag
     src: Tag
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
 class IterationSpaceStmt(Stmt):
     constraints: list[Cmp]
-    pos: Pos = _meta(NOPOS)
+
+
+# Each keyword statement as its node class and its shape in source order: a
+# word is the kind of the node's next field (tag, type, expr, cmps, path),
+# anything else is punctuation the statement must have there.  The parser
+# reads each kind and the printer writes it, so source reads back as printed.
+SHAPES = {
+    "dest_esc": (DestEscStmt, "( tag ) ;"),
+    "dest_local": (DestLocalStmt, ";"),
+    "add_esc": (AddEscStmt, "( tag , tag ) ;"),
+    "requires": (RequiresStmt, "( cmps ) ;"),
+    "iteration_space": (IterationSpaceStmt, "( cmps ) ;"),
+    "memreq": (MemReqStmt, "< type > ( expr ) ;"),
+    "esc": (EscStmt, "< type > ( tag , expr ) ;"),
+    "bind_esc": (BindEscStmt, "( tag , path ) ;"),
+    "ensure": (EnsureStmt, "( expr ) ;"),
+}
+# The clauses of a method's contract, which lead its body, and the escape
+# annotations the parser attaches to the allocation or call that follows.
+CONTRACT_STMTS = (RequiresStmt, MemReqStmt, EscStmt, BindEscStmt)
+ANNOTATION_STMTS = (DestEscStmt, DestLocalStmt, AddEscStmt)
 
 
 # --- declarations ----------------------------------------------------------
 
 @dataclass
-class FieldDecl:
+class FieldDecl(Node):
     decl_type: TypeRef
     name: str
-    pos: Pos = _meta(NOPOS)
 
 
 @dataclass
-class Param:
+class Param(Node):
     decl_type: TypeRef
     name: str
     is_out: bool = False
-    pos: Pos = _meta(NOPOS)
 
 
 # The pseudo-class every allocation also counts towards: a clause on it
@@ -424,14 +420,13 @@ class MethodContract:
 
 
 @dataclass
-class MethodDecl:
+class MethodDecl(Node):
     name: str
     params: list[Param]
     return_type: TypeRef
     body: list[Stmt]
     cls: str = ""
     is_ctor: bool = False
-    pos: Pos = _meta(NOPOS)
     contract: MethodContract | None = _meta()
 
     @property
@@ -440,11 +435,10 @@ class MethodDecl:
 
 
 @dataclass
-class ClassDecl:
+class ClassDecl(Node):
     name: str
     fields: list[FieldDecl]
     methods: list[MethodDecl]
-    pos: Pos = _meta(NOPOS)
 
     def field_map(self) -> dict[str, FieldDecl]:
         return {f.name: f for f in self.fields}
@@ -613,8 +607,7 @@ def expr_poly(e: Expr, admissible: set[str],
             if not b.is_const() or b.const_value() == 0:
                 return fail("bad-divisor", "may only divide by a nonzero constant", e.pos)
             return a.scale(Fraction(1, b.const_value()))
-        return fail("bad-contract-expr", "must be a polynomial expression",
-                    getattr(e, "pos", NOPOS))
+        return fail("bad-contract-expr", "must be a polynomial expression", e.pos)
 
     return read(e)
 

@@ -14,7 +14,8 @@ per class at method level, declared just before the first contributing
 call, plus one maxCall/sumCall pair per loop body, declared before the
 loop and flushed into the requirement counter right after it (and before
 any return that leaves the loop).  A method whose own contract uses the
-object pseudo-class collapses every callee contribution onto it.
+object pseudo-class collapses every callee contribution onto it, and keeps
+beside it the counters of the classes its other clauses name.
 
 What a call site charges is not restated here: `summary.call_entries` is
 the one statement of the call-composition rule, shared with the static
@@ -35,24 +36,21 @@ from .frontend.syntax import (
     Assign,
     AugAssign,
     Binary,
-    BindEscStmt,
+    CONTRACT_STMTS,
     CallStmt,
     ClassDecl,
     EnsureStmt,
-    EscStmt,
     Expr,
     ForStmt,
     IfStmt,
     IntLit,
     LocalDecl,
     MaxExpr,
-    MemReqStmt,
     MethodDecl,
     NewStmt,
     OBJECT_KEY,
     ParenExpr,
     Program,
-    RequiresStmt,
     ReturnStmt,
     Stmt,
     T_INT,
@@ -66,8 +64,6 @@ from .frontend.syntax import (
 )
 from .summary import call_entries, contract_binding
 from .symexpr import Poly, SymExpr, sym_sum
-
-_CONTRACT_PREFIX = (RequiresStmt, MemReqStmt, EscStmt, BindEscStmt)
 
 KIND_MEMREQ = "MemReq"
 KIND_ESC = "Esc"
@@ -168,7 +164,9 @@ class _Instrumenter:
         self.index = index
         self.prefix = method.name
         self.entry = entry_vars(method, cls)
-        self.object_mode = OBJECT_KEY in method.contract.keys()
+        keys = method.contract.keys()
+        self.object_mode = OBJECT_KEY in keys
+        self.class_keys = set(keys) - {OBJECT_KEY}
         self.inits: dict[str, CounterInfo] = {}
         self.diff_total: dict[str, int] = {}
         self.diff_seen: dict[str, int] = {}
@@ -182,9 +180,9 @@ class _Instrumenter:
         return name
 
     def _esc(self, tag: Tag, key: str) -> str:
-        name = f"{self.prefix}_Esc_{tag.counter_str()}_{_suffix(key)}"
+        name = f"{self.prefix}_Esc_{tag.name}_{_suffix(key)}"
         self.inits.setdefault(
-            name, CounterInfo(self.m.qname, KIND_ESC, key, tag=tag.counter_str()))
+            name, CounterInfo(self.m.qname, KIND_ESC, key, tag=tag.name))
         return name
 
     def _diff(self, key: str, site: str) -> str:
@@ -197,12 +195,20 @@ class _Instrumenter:
 
     # -- callee contract shaping --------------------------------------------
 
+    def _counted(self, keys: list[str]) -> list[str]:
+        """The counters allocations of these classes go to: their own in
+        type mode; in object mode the object's, then those of the classes
+        the method's own class clauses name."""
+        if not self.object_mode:
+            return keys
+        return [OBJECT_KEY] + [k for k in keys if k in self.class_keys]
+
     def _charged(self, s: Stmt) -> list[str]:
         """Classes the call (or constructor) at `s` charges, in entry order."""
         callee = callee_of(s)
         if callee is None or not callee.contract.has_clauses():
             return []
-        return [OBJECT_KEY] if self.object_mode else callee.contract.keys()
+        return self._counted(callee.contract.keys())
 
     def _contributing(self, stmts: list[Stmt]) -> list[str]:
         """Classes charged by calls at this nesting level, loops excluded."""
@@ -221,8 +227,12 @@ class _Instrumenter:
             return []
         contract = callee_of(stmt).contract
         binding, _ = contract_binding(stmt, contract, self.entry | self.loop_vars)
+        entries = call_entries(contract, binding, self.object_mode)
+        if self.object_mode:
+            entries += [e for e in call_entries(contract, binding, False)
+                        if e[0] in self.class_keys]
         out: list[Stmt] = []
-        for key, mr, esc_by_tag in call_entries(contract, binding, self.object_mode):
+        for key, mr, esc_by_tag in entries:
             total = sym_sum(esc_by_tag.values())
             max_name, sum_name = scope.pairs[key]
             diff = self._diff(key, stmt.site)
@@ -239,12 +249,13 @@ class _Instrumenter:
         return out
 
     def _new_counters(self, s: NewStmt) -> list[Stmt]:
-        key = OBJECT_KEY if self.object_mode else s.class_ref.key()
         amount: Expr = s.length if s.class_ref.is_array else IntLit(1)
-        out: list[Stmt] = [AugAssign(VarRef(self._memreq(key)), copy.deepcopy(amount))]
-        if s.dest_esc is not None:
-            out.append(AugAssign(VarRef(self._esc(s.dest_esc, key)),
-                                 copy.deepcopy(amount)))
+        out: list[Stmt] = []
+        for key in self._counted([s.class_ref.key()]):
+            out.append(AugAssign(VarRef(self._memreq(key)), copy.deepcopy(amount)))
+            if s.dest_esc is not None:
+                out.append(AugAssign(VarRef(self._esc(s.dest_esc, key)),
+                                     copy.deepcopy(amount)))
         return out
 
     def _declare_pair(self, key: str, scope: _Scope, in_loop: bool) -> list[Stmt]:
@@ -322,8 +333,7 @@ class _Instrumenter:
         self._count_diffs(self.m.body)
 
         split = 0
-        while split < len(self.m.body) and isinstance(self.m.body[split],
-                                                      _CONTRACT_PREFIX):
+        while split < len(self.m.body) and isinstance(self.m.body[split], CONTRACT_STMTS):
             split += 1
         prefix, rest = self.m.body[:split], self.m.body[split:]
 

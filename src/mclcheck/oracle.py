@@ -113,6 +113,7 @@ from .frontend import (
     Program,
     ReturnStmt,
     StrLit,
+    Tag,
     ThisRef,
     TypeRef,
     Unary,
@@ -132,6 +133,9 @@ HARNESS = "<harness>"
 MAX_STEPS = 1_000_000   # statements plus array elements in one run
 MAX_POINTS = 20_000     # grid points in one validation
 MAX_FRAMES = 200        # activations on the stack, the harness frame included
+
+# The names an activation's escapes through its result and receiver go by.
+_RETURN_TAG, _THIS_TAG = Tag.ret().name, Tag.this().name
 
 
 class OracleError(Exception):
@@ -617,7 +621,7 @@ class _Bound:
     def __init__(self, clause: Clause):
         self.clause = clause.label
         # the escape tag it counts; None for a peak
-        self.tag = None if clause.tag is None else clause.tag.counter_str()
+        self.tag = None if clause.tag is None else clause.tag.name
         self.key = clause.key
         self.bound = clause.bound
         self.den, self.numerators = _integral(clause.bound.alts)
@@ -644,7 +648,7 @@ class _Method:
                          for c in contract.requires]
         self.ensures = [(_lower_expr(s.cond), expr_to_str(s.cond))
                         for s in decl.body if isinstance(s, EnsureStmt)]
-        self.bindings = [(tag.counter_str(), path)
+        self.bindings = [(tag.name, path)
                          for tag, path in contract.bindings.items()]
         self.bounds = [_Bound(c) for c in contract.clauses(False)]
         self.code = _Body(decl.body).ops
@@ -980,9 +984,9 @@ class Interp:
                 self.failures.append(AssertionFailure(m.qname, act.instance, text))
         roots: dict[str, object] = {}
         if m.returns and ret is not None:
-            roots["Return"] = ret
+            roots[_RETURN_TAG] = ret
         if act.this is not None:
-            roots["This"] = act.this
+            roots[_THIS_TAG] = act.this
         for tag, path in m.bindings:
             val = self._follow(act, ret, path)
             if val is not None:

@@ -405,7 +405,7 @@ def _sum_poly(p: Poly, var: str, lo: Poly, hi: Poly) -> Poly:
 def constraint_entailed(goal: LinConstraint, context: tuple[LinConstraint, ...]) -> bool:
     """True when every nonnegative integer point of the context satisfies
     the goal: no negation of the goal leaves a point with the context.
-    A non-affine goal is never entailed."""
+    A non-affine goal is never entailed, nor one that _solve is stuck on."""
     if goal.lhs.degree() > 1:
         return False
     hyps = _halfspaces(context)
@@ -518,6 +518,10 @@ Row = tuple[tuple[tuple[str, int], ...], int]
 # Elimination gives up (as if stuck) before a step past this many rows.
 _MAX_ROWS = 5_000
 
+# _solve's answer when an integer point may or may not exist; never a
+# point, not even {}, the one point of a system without variables.
+_STUCK = object()
+
 # The witness search walks the box 0..WITNESS_HI in every variable.
 WITNESS_HI = 8
 WITNESS_POINTS = 1_000_000
@@ -545,7 +549,7 @@ def _halfspaces(constraints) -> list[Row]:
     return rows
 
 
-def _solve(rows: list[Row], vars_: list[str]) -> dict[str, int] | None:
+def _solve(rows: list[Row], vars_: list[str]) -> dict[str, int] | object | None:
     """Fourier-Motzkin elimination over the rows and vars_ >= 0.
 
     None when no integer point exists: every row, combined ones too, is
@@ -553,8 +557,8 @@ def _solve(rows: list[Row], vars_: list[str]) -> dict[str, int] | None:
     (the real shadow of Pugh's Omega test).  Otherwise back-substitution
     gives each variable, in the order of vars_, the ceiling of its lower
     bound: the greedy lexicographically least integer point.  It returns
-    {} when a ceiling overshoots an upper bound (or elimination grew past
-    _MAX_ROWS), so that an integer point may or may not exist.
+    _STUCK when a ceiling overshoots an upper bound (or elimination grew
+    past _MAX_ROWS), so that an integer point may or may not exist.
     """
     current: dict[tuple, int] = {}
     for coeffs, const in rows + [(((v, 1),), 0) for v in vars_]:
@@ -571,7 +575,7 @@ def _solve(rows: list[Row], vars_: list[str]) -> dict[str, int] | None:
             else:
                 rest[coeffs] = const
         if len(rest) + len(lower) * len(upper) > _MAX_ROWS:
-            return {}
+            return _STUCK
         for al, lc, lk in lower:
             for au, uc, uk in upper:
                 # -au * (lower row) + al * (upper row) has no v left
@@ -590,7 +594,7 @@ def _solve(rows: list[Row], vars_: list[str]) -> dict[str, int] | None:
               for a, c, k in lower + upper]
         point[v] = max(-(r // a) for a, r in rs if a > 0)
         if any(a * point[v] + r < 0 for a, r in rs if a < 0):
-            return {}
+            return _STUCK
     return point
 
 
@@ -628,7 +632,8 @@ def entails_leq(lhs: SymExpr, rhs: SymExpr, pre: tuple[LinConstraint, ...] = ())
                   for p in lhs.alts]
         if all(pt is None for pt in points):
             return Verdict.verified("farkas")
-        found = sorted(tuple(pt[v] for v in vars_) for pt in points if pt and breaks(pt))
+        found = sorted(tuple(pt[v] for v in vars_) for pt in points
+                       if pt is not None and pt is not _STUCK and breaks(pt))
         if found:
             return Verdict.violated(dict(zip(vars_, found[0])))
         reason = "rational counterexample, no integer witness found"

@@ -7,13 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclcheck.frontend import (
+    AddEscStmt,
     Binary,
+    BindEscStmt,
     CallStmt,
+    ClassDecl,
+    Cmp,
+    DestEscStmt,
+    DestLocalStmt,
+    EnsureStmt,
+    EscStmt,
     ForStmt,
+    IterationSpaceStmt,
+    MemReqStmt,
+    MethodDecl,
     NewStmt,
     ParseFailure,
+    PathExpr,
+    Program,
+    RequiresStmt,
     ResolveFailure,
     Tag,
+    ThisRef,
+    TypeRef,
     Unary,
     VarRef,
     callee_of,
@@ -173,7 +189,7 @@ def test_loop_call_carries_add_esc():
     loop = next(s for s in m.body if isinstance(s, ForStmt))
     call = next(s for s in loop.body if isinstance(s, CallStmt))
     assert call.resolved == "Family.AddMember"
-    assert [(t.counter_str(), u.counter_str()) for t, u in call.add_esc] == [
+    assert [(str(t), str(u)) for t, u in call.add_esc] == [
         ("Return", "This")
     ]
 
@@ -415,6 +431,65 @@ def test_every_operator_survives_round_trip(text):
     assert again == prog
     assert program_to_json(again) == program_to_json(prog)
     assert pretty(again) == printed
+
+
+# Keyword statements built as trees from tags, class and array types, paths,
+# comparison lists and expressions; expressions come from parsed source, so
+# each is the tree the parser gives for its printed form.
+def _expr(text: str):
+    return _returned(text).classes[0].methods[0].body[0].value
+
+
+_LEAVES = st.one_of(_NAMES, st.integers(0, 99).map(str), st.builds("{}.length".format, _NAMES),
+                    st.builds("max({}, -{})".format, _NAMES, _NAMES),
+                    st.builds("({} - {})".format, _NAMES, _NAMES))
+_INTS = _chains(_LEAVES, ["+", "-", "*", "/"], 2).map(_expr)
+_EXPRS = _chains(_LEAVES, most=2).map(_expr)
+_TAGS = st.one_of(st.just(Tag.ret()), st.just(Tag.this()),
+                  st.sampled_from(["t", "Owner"]).map(Tag.user))
+_TYPES = st.builds(TypeRef, st.sampled_from(["A", "object"]), st.booleans())
+_PATHS = st.builds(PathExpr, st.sampled_from(["this", "return", "p"]),
+                   st.lists(st.sampled_from(["f", "next"]), max_size=2).map(tuple))
+_CMPS = st.lists(st.builds(Cmp, _INTS, st.sampled_from(RELATIONS), _INTS),
+                 min_size=1, max_size=3)
+_KEYWORD_STMTS = st.one_of(
+    st.builds(RequiresStmt, _CMPS),
+    st.builds(IterationSpaceStmt, _CMPS),
+    st.builds(MemReqStmt, _TYPES, _INTS),
+    st.builds(EscStmt, _TYPES, _TAGS, _INTS),
+    st.builds(BindEscStmt, _TAGS, _PATHS),
+    st.builds(EnsureStmt, _EXPRS),
+    st.builds(DestEscStmt, _TAGS),
+    st.builds(DestLocalStmt),
+    st.builds(AddEscStmt, _TAGS, _TAGS),
+)
+# allocations and calls with the annotations the parser attaches to them
+_ADD_ESC = st.lists(st.tuples(_TAGS, _TAGS), max_size=2)
+_NEWS = st.one_of(
+    st.builds(NewStmt, st.just(VarRef("x")), st.sampled_from([None, TypeRef("A")]),
+              st.just(TypeRef("A")), st.lists(_EXPRS, max_size=2),
+              dest_esc=st.none() | _TAGS, dest_local=st.booleans(), add_esc=_ADD_ESC),
+    st.builds(NewStmt, st.just(VarRef("x")), st.sampled_from([None, TypeRef("A", True)]),
+              st.just(TypeRef("A", True)), st.just([]), _INTS,
+              dest_esc=st.none() | _TAGS, dest_local=st.booleans(), add_esc=_ADD_ESC),
+)
+_CALLS = st.builds(
+    lambda target, receiver, args, add_esc: CallStmt(*target, receiver, "g", args, add_esc),
+    st.sampled_from([(None, None), (VarRef("x"), None), (VarRef("x"), TypeRef("A"))]),
+    st.sampled_from([None, ThisRef(), VarRef("o")]), st.lists(_EXPRS, max_size=2), _ADD_ESC)
+_LOOPS = st.builds(ForStmt, st.just("i"), _INTS, _INTS, st.lists(_NEWS | _CALLS, max_size=1),
+                   st.none() | _CMPS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_KEYWORD_STMTS, _NEWS, _CALLS, _LOOPS), min_size=1, max_size=6))
+def test_keyword_statements_print_as_they_parse(stmts):
+    # one method per statement, so that no annotation precedes another
+    # statement the parser would attach it to
+    methods = [MethodDecl(f"m{i}", [], TypeRef("void"), [s], cls="C")
+               for i, s in enumerate(stmts)]
+    prog = Program([ClassDecl("C", [], methods)])
+    assert program_to_json(parse(pretty(prog), "t.mcl")) == program_to_json(prog)
 
 
 @pytest.mark.parametrize("text, col, found", [

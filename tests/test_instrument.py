@@ -29,6 +29,7 @@ from mclcheck.instrument import (
     erase,
     instrument,
 )
+from mclcheck.oracle import validate
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 ALL = sorted(p.stem for p in CORPUS.glob("*.mcl"))
@@ -336,6 +337,88 @@ def test_object_mode_collapses_call_bookkeeping():
     add = method_block(text, "void AddMember")
     assert "int call_diff_Logger = 1 - 0;" in add
     assert "_object" not in add
+
+
+# a method that bounds every class together and one class on its own
+OBJECT_AND_CLASS = """\
+class A {
+}
+
+class P {
+%s
+    void f(int n) {
+        requires(n >= 0);
+        memreq<object>(100);
+        memreq<A>(0);
+%s
+    }
+}
+"""
+# n allocations of A, in f itself or in a callee g
+LOOP_OF_NEW = """\
+        for (i = 1 .. n) {
+            A a = new A();
+        }"""
+CALLEE = """\
+    void g(int n) {
+        requires(n >= 0);
+        memreq<A>(n);
+%s
+    }
+""" % LOOP_OF_NEW
+
+
+def f_failures(program):
+    return [(f.point, f.failure.cond) for f in validate(program, hi=1).ensure_failures
+            if f.failure.method == "P.f"]
+
+
+def test_object_mode_keeps_the_counters_of_declared_classes():
+    inst = instrument(load(OBJECT_AND_CLASS % ("", LOOP_OF_NEW), "m"))
+    assert method_block(pretty(inst.program), "void f") == """\
+    void f(int n) {
+        requires(n >= 0);
+        memreq<object>(100);
+        memreq<A>(0);
+        ensure(f_MemReq_object <= 100);
+        ensure(f_MemReq_A <= 0);
+        int f_MemReq_object = 0;
+        int f_MemReq_A = 0;
+        for (i = 1 .. n) {
+            f_MemReq_object += 1;
+            f_MemReq_A += 1;
+            A a = new A();
+        }
+    }"""
+    assert f_failures(inst.program) == [({"n": 1}, "f_MemReq_A <= 0")]
+
+
+def test_object_mode_charges_declared_classes_at_a_call():
+    inst = instrument(load(OBJECT_AND_CLASS % (CALLEE, "        g(n);"), "m"))
+    assert method_block(pretty(inst.program), "void f") == """\
+    void f(int n) {
+        requires(n >= 0);
+        memreq<object>(100);
+        memreq<A>(0);
+        ensure(f_MemReq_object <= 100);
+        ensure(f_MemReq_A <= 0);
+        int f_MemReq_object = 0;
+        int f_MemReq_A = 0;
+        int maxCalls_object = 0;
+        int sumCalls_object = 0;
+        int maxCalls_A = 0;
+        int sumCalls_A = 0;
+        int call_diff_object = n - 0;
+        maxCalls_object = max(maxCalls_object, call_diff_object);
+        sumCalls_object += 0;
+        int call_diff_A = n - 0;
+        maxCalls_A = max(maxCalls_A, call_diff_A);
+        sumCalls_A += 0;
+        g(n);
+        f_MemReq_object += maxCalls_object + sumCalls_object;
+        f_MemReq_A += maxCalls_A + sumCalls_A;
+    }"""
+    assert f_failures(inst.program) == [({"n": 1}, "f_MemReq_A <= 0")]
 
 
 def test_object_mode_counter_index_sites():

@@ -4,6 +4,8 @@ import ast
 import importlib
 import pathlib
 
+from mclcheck.frontend.syntax import SHAPES
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 BENCH = SRC.parent / "bench"
 
@@ -116,3 +118,20 @@ def test_clause_labels_are_spelled_only_in_the_frontend():
                     for part in node.values):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, f"clause labels built outside frontend/: {', '.join(found)}"
+
+
+def test_keyword_statements_are_spelled_only_by_the_shape_table():
+    # syntax.SHAPES gives each keyword statement's source form, which the
+    # parser reads and the printer writes; a keyword spelled with its first
+    # punctuation anywhere else is a second spelling that could drift
+    spellings = {word + shape.split()[0] for word, (_, shape) in SHAPES.items()}
+    found = []
+    for path in sorted((SRC / "mclcheck").rglob("*.py")):
+        if path.parent.name == "frontend" and path.name != "printer.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):  # f-string parts are constants too
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(
+                    s in node.value for s in spellings):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"keyword statements spelled outside the shape table: {', '.join(found)}"

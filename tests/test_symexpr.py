@@ -265,6 +265,18 @@ def test_entails_violation_carries_witness():
     assert SymExpr.of(N + C1).eval(v.witness) > SymExpr.of(N).eval(v.witness)
 
 
+def test_a_constant_violation_is_decided_without_the_witness_box(monkeypatch):
+    # {} is the one integer point of a system with no variables, not a
+    # stuck elimination, so the box search is never reached
+    def no_box(*_):
+        raise AssertionError("the witness box was searched")
+
+    monkeypatch.setattr("mclcheck.symexpr._witness", no_box)
+    v = entails_leq(SymExpr.of(1), SymExpr.of(0))
+    assert v.kind == VerdictKind.VIOLATED
+    assert v.witness == {}
+
+
 def test_entails_affine_by_farkas():
     pre = (LinConstraint.compare(M, "<=", N),)
     v = entails_leq(SymExpr.of(M), SymExpr.of(N), pre)
