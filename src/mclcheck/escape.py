@@ -10,7 +10,8 @@ grow, so an equal size means no new fact, and the walk that changes
 nothing records the facts (call and allocation-site records) the
 lifetime checker reads.  Only recursive components iterate from empty
 summaries to a fixpoint, reached once no summary changes.  Any other
-method is built once, as its callees' summaries are already final.  Each
+method is built once, as its callees' summaries are already final; the
+recursive components are reported to `check`.  Each
 reachability query is one pass over E that groups the edges by source,
 then a search over that grouping.
 """
@@ -524,6 +525,7 @@ class EscapeAnalysis:
     summaries: dict[str, EscapeSummary]
     graphs: dict[str, PointsToGraph]
     lifetimes: dict[str, list[LifetimeVerdict]]
+    recursive: list[list[str]]  # the recursive components, callees first
 
 
 def analyze(program: Program) -> EscapeAnalysis:
@@ -532,8 +534,12 @@ def analyze(program: Program) -> EscapeAnalysis:
     summaries: dict[str, EscapeSummary] = {}
     graphs: dict[str, PointsToGraph] = {}
     edges = callgraph.call_edges(program)
+    recursive: list[list[str]] = []
 
     for comp in callgraph.sccs(program):
+        cyclic = callgraph.is_recursive(comp, edges)
+        if cyclic:
+            recursive.append(comp)
         while True:
             stable = True
             for qname in comp:
@@ -541,27 +547,21 @@ def analyze(program: Program) -> EscapeAnalysis:
                 g = build_ptg(m, summaries, class_map)
                 new = summarize_ptg(m, g, class_map)
                 old = summaries.get(qname)
-                if old is None or _summary_fingerprint(old) != _summary_fingerprint(new):
+                if old is None or _facts(old) != _facts(new):
                     stable = False
                 summaries[qname] = new
                 graphs[qname] = g
-            if stable or not callgraph.is_recursive(comp, edges):
+            if stable or not cyclic:
                 break
 
     lifetimes = {q: check_lifetimes(methods[q], graphs[q], class_map)
                  for q in methods}
-    return EscapeAnalysis(summaries=summaries, graphs=graphs, lifetimes=lifetimes)
+    return EscapeAnalysis(summaries, graphs, lifetimes, recursive)
 
 
-def _summary_fingerprint(s: EscapeSummary):
-    c = s.ptg.canonical()
-    return (
-        c["E"],
-        c["N"],
-        sorted(n.key for n in s.ptg.returned),
-        sorted((p, tuple(sorted(n.key for n in ns))) for p, ns in s.out_sets.items()),
-        sorted((str(t), tuple(sorted(n.key for n in ns))) for t, ns in s.tagged.items()),
-    )
+def _facts(s: EscapeSummary):
+    """What a fixpoint round compares; nodes compare by value."""
+    return s.ptg.E, s.ptg.N, s.ptg.returned, s.out_sets, s.tagged
 
 
 # --- DOT export ---------------------------------------------------------------

@@ -19,18 +19,19 @@ beside it the counters of the classes its other clauses name.
 
 What a call site charges is not restated here: `summary.call_entries` is
 the one statement of the call-composition rule, shared with the static
-checker.  Nor is what a contract declares: its clauses, in order, come
-from `MethodContract.clauses`.  Call targets come from
+checker, which gives the whole charge and leaves this module only the
+counter statements.  Nor is what a contract declares: its clauses, in
+order, come from `MethodContract.clauses`.  Call targets come from
 `frontend.callee_of` and bodies are walked with `frontend.iter_stmts`.
-A polynomial is written back as MCL through `frontend.var_expr`, the
-inverse of the contract-variable reading described in `frontend.syntax`.
+A polynomial is written back as MCL from its integer form
+`symexpr.integral` through `frontend.var_expr`, the inverse of the
+contract-variable reading described in `frontend.syntax`.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from math import lcm
 
 from .frontend.syntax import (
     Assign,
@@ -62,8 +63,8 @@ from .frontend.syntax import (
     iter_stmts,
     var_expr,
 )
-from .summary import call_entries, contract_binding
-from .symexpr import Poly, SymExpr, sym_sum
+from .summary import call_entries
+from .symexpr import Poly, SymExpr, integral
 
 KIND_MEMREQ = "MemReq"
 KIND_ESC = "Esc"
@@ -101,12 +102,12 @@ def _mono_expr(mono) -> Expr:
     return node
 
 
-def _int_poly_expr(p: Poly) -> Expr:
-    if p.is_zero():
-        return IntLit(0)
+def poly_expr(p: Poly) -> Expr:
+    """Render a polynomial as surface syntax, rationals as (...)/d."""
+    den, (terms,) = integral(p)
     node: Expr | None = None
-    for mono, c in sorted(p.terms, key=lambda t: (-sum(e for _, e in t[0]), t[0])):
-        mag = int(abs(c))
+    for c, mono in terms:
+        mag = abs(c)
         if not mono:
             body: Expr = IntLit(mag)
         elif mag == 1:
@@ -117,15 +118,9 @@ def _int_poly_expr(p: Poly) -> Expr:
             node = body if c > 0 else Unary("-", body)
         else:
             node = Binary("+" if c > 0 else "-", node, body)
-    return node
-
-
-def poly_expr(p: Poly) -> Expr:
-    """Render a polynomial as surface syntax, rationals as (...)/d."""
-    denom = lcm(*(c.denominator for _, c in p.terms))
-    if denom == 1:
-        return _int_poly_expr(p)
-    return Binary("/", ParenExpr(_int_poly_expr(p.scale(denom))), IntLit(denom))
+    if node is None:
+        return IntLit(0)
+    return node if den == 1 else Binary("/", ParenExpr(node), IntLit(den))
 
 
 def sym_expr_node(e: SymExpr) -> Expr:
@@ -223,29 +218,23 @@ class _Instrumenter:
     # -- statement rewriting --------------------------------------------------
 
     def _call_counters(self, stmt: NewStmt | CallStmt, scope: _Scope) -> list[Stmt]:
-        if not self._charged(stmt):
-            return []
-        contract = callee_of(stmt).contract
-        binding, _ = contract_binding(stmt, contract, self.entry | self.loop_vars)
-        entries = call_entries(contract, binding, self.object_mode)
+        admissible = self.entry | self.loop_vars
+        entries = call_entries(stmt, admissible, self.object_mode)
         if self.object_mode:
-            entries += [e for e in call_entries(contract, binding, False)
+            entries += [e for e in call_entries(stmt, admissible, False)
                         if e[0] in self.class_keys]
         out: list[Stmt] = []
-        for key, mr, esc_by_tag in entries:
-            total = sym_sum(esc_by_tag.values())
+        for key, mr, escaped, pulls in entries:
             max_name, sum_name = scope.pairs[key]
             diff = self._diff(key, stmt.site)
             out.append(LocalDecl(T_INT, diff, Binary(
-                "-", _operand(sym_expr_node(mr)), _operand(sym_expr_node(total)))))
+                "-", _operand(sym_expr_node(mr)), _operand(sym_expr_node(escaped)))))
             out.append(Assign(VarRef(max_name),
                               MaxExpr(VarRef(max_name), VarRef(diff))))
-            out.append(AugAssign(VarRef(sum_name), sym_expr_node(total)))
-            for dst, src in stmt.add_esc:
-                pulled = esc_by_tag.get(src)
-                if pulled is not None:
-                    out.append(AugAssign(VarRef(self._esc(dst, key)),
-                                         sym_expr_node(pulled)))
+            out.append(AugAssign(VarRef(sum_name), sym_expr_node(escaped)))
+            for dst, pulled in pulls:
+                out.append(AugAssign(VarRef(self._esc(dst, key)),
+                                     sym_expr_node(pulled)))
         return out
 
     def _new_counters(self, s: NewStmt) -> list[Stmt]:

@@ -34,12 +34,13 @@ The same per-method entry holds the sorted readers of the entry variables,
 the `ensure` conditions, and the `requires` constraints and each declared
 `memreq`/`esc` bound as integer polynomials over one common denominator D,
 so that a bound is exceeded iff `observed * D` exceeds the largest
-numerator.  Both come from the resolved contract (`MethodContract`), so
-`requires` is decided as `check` assumes it: rationally, `/` exact rather
-than MCL's truncating division, over the entry values; one that needs a
-variable with no entry value, behind a null receiver or array, raises
-NullDereference as reading the variable would.  The lowered code lives in a table keyed by the program's
-identity and released with it, never on the syntax tree, so an
+numerator, in the checker's own integer form (`symexpr.integral`).  Both
+come from the resolved contract (`MethodContract`), so `requires` is
+decided as `check` assumes it: rationally, `/` exact rather than MCL's
+truncating division, over the entry values; one that needs a variable with
+no entry value, behind a null receiver or array, raises NullDereference as
+reading the variable would.  The lowered code lives in a table keyed by the
+program's identity and released with it, never on the syntax tree, so an
 instrumented copy runs its own code.
 
 Frames.  An MCL call pushes an `Activation` onto `Interp.stack`, and the
@@ -123,7 +124,7 @@ from .frontend import (
     expr_to_str,
     var_expr,
 )
-from .symexpr import Poly
+from .symexpr import integral
 
 GC_MODES = ("ideal", "method-exit", "none")
 
@@ -567,7 +568,7 @@ class _Body:
             ref = make(it, act)
             values = [a(it, act) for a in args]
             act.pc = k + 1
-            it._push(ctor, ref, values, False)
+            it._push(ctor, ref, values)
             return _CALL
         self.ops.append(construct)
         self.ops.append(_resume(store, k + 2))
@@ -594,18 +595,11 @@ class _Body:
                     raise NullDereference(f"call to {name} on null")
             values = [a(it, act) for a in args]
             act.pc = k + 1
-            it._push(callee, this, values, False, outs)
+            it._push(callee, this, values, outs)
             return _CALL
         self.ops.append(invoke)
         self.ops.append(_resume(
             _lower_store(s.target) if s.target is not None else None, k + 2))
-
-
-def _integral(polys: tuple[Poly, ...]) -> tuple[int, list]:
-    """Polynomials as integer polynomials over one common denominator D > 0:
-    D, and per polynomial ((integer coefficient, monomial), ...)."""
-    den = math.lcm(*(c.denominator for p in polys for _, c in p.terms))
-    return den, [[(int(c * den), m) for m, c in p.terms] for p in polys]
 
 
 def _numerator(terms: list, env: dict[str, int]) -> int:
@@ -624,7 +618,7 @@ class _Bound:
         self.tag = None if clause.tag is None else clause.tag.name
         self.key = clause.key
         self.bound = clause.bound
-        self.den, self.numerators = _integral(clause.bound.alts)
+        self.den, self.numerators = integral(*clause.bound.alts)
         self.variables = clause.bound.variables()
 
     def top(self, env: dict[str, int]) -> int:
@@ -644,7 +638,7 @@ class _Method:
                         for name in sorted(entry_vars(decl, cls))]
         contract = decl.contract
         # `lhs REL 0` as the resolver read it, `/` exact, over den > 0
-        self.requires = [(_RELATIONS[c.rel], _integral((c.lhs,))[1][0])
+        self.requires = [(_RELATIONS[c.rel], integral(c.lhs)[1][0])
                          for c in contract.requires]
         self.ensures = [(_lower_expr(s.cond), expr_to_str(s.cond))
                         for s in decl.body if isinstance(s, EnsureStmt)]
@@ -716,7 +710,7 @@ class Interp:
         return act
 
     def _push(self, method: MethodDecl, this: Ref | None, values: list,
-              direct: bool, outs=()) -> Activation:
+              outs=()) -> Activation:
         if len(self.stack) >= MAX_FRAMES:
             raise StackExhausted(
                 f"calls nest deeper than the interpreter's {MAX_FRAMES} frames")
@@ -747,7 +741,8 @@ class Interp:
             except KeyError:  # a variable behind a null reference
                 raise NullDereference("null dereference") from None
             if not holds:
-                raise RequiresViolation(m.qname, dict(env), direct)
+                # direct when the harness frame alone lies below this one
+                raise RequiresViolation(m.qname, dict(env), len(self.stack) == 2)
         return act
 
     def _pop(self, act: Activation):
@@ -760,12 +755,12 @@ class Interp:
         self.stack.pop()
 
     def _invoke(self, method: MethodDecl, this: Ref | None, values: list,
-                outs: list, direct: bool):
+                outs: list):
         """Run one call from the harness frame to its end; return its value.
         The calls it makes push their frames and run in this loop."""
         depth = len(self.stack)
         stack = self.stack
-        act = self._push(method, this, values, direct, outs)
+        act = self._push(method, this, values, outs)
         code, pc = act.method.code, 0
         while True:
             while pc >= 0:
@@ -1089,7 +1084,7 @@ def _drive(program: Program, qname: str, gc: str, bind) -> RunResult:
     this, values, outs = bind(interp, method, harness)
     if method.is_ctor:
         this = interp._instance(method.cls, HARNESS)
-    ret = interp._invoke(method, this, values, outs, direct=True)
+    ret = interp._invoke(method, this, values, outs)
     interp._set_local(harness, "<result>", ret)
     if interp.gc != "none":
         interp._sweep()
@@ -1215,7 +1210,7 @@ def run_point(program: Program, qname: str, point: dict,
             if ctor is not None:
                 values, outs = _bind_args(
                     interp, ctor.params, _point_values(ctor.params, "ctor.", point))
-                interp._invoke(ctor, this, values, outs, direct=True)
+                interp._invoke(ctor, this, values, outs)
                 interp._method_exit_sweep()
         values, outs = _bind_args(
             interp, method.params, _point_values(method.params, "", point))

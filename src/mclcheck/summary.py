@@ -13,6 +13,10 @@ its loop header exactly, at the header's two ends, with
 constraint_entailed.  Nothing here enumerates a grid.  Lifetime findings
 from the heap analysis are folded into the same report.
 
+A call's whole charge (requirement, summed escapes, `add_esc` pulls) is
+stated once, in `call_entries`, which the instrumenter reads too; which
+components are recursive comes from `escape.analyze`.
+
 Contract variables (`n`, `a.length`, `this.f`, `this.f.length`) and the
 reading of an expression as a polynomial over them are defined once, in
 `frontend.syntax` (`entry_vars`, `expr_poly`, `var_expr`); a call binds
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from . import callgraph, escape
+from . import escape
 from .frontend.syntax import (
     CallStmt,
     Clause,
@@ -38,7 +42,6 @@ from .frontend.syntax import (
     ForStmt,
     IfStmt,
     LengthRef,
-    MethodContract,
     MethodDecl,
     NewStmt,
     OBJECT_KEY,
@@ -89,7 +92,7 @@ class CyclicWithoutContract(Exception):
             f"without contracts: {', '.join(missing)}")
 
 
-def contract_binding(stmt: NewStmt | CallStmt, contract: MethodContract,
+def contract_binding(stmt: NewStmt | CallStmt, callee: MethodDecl,
                      admissible: set[str]) -> tuple[dict[str, Poly], set[str]]:
     """Map the callee's contract variables to caller-side polynomials.
 
@@ -97,10 +100,9 @@ def contract_binding(stmt: NewStmt | CallStmt, contract: MethodContract,
     to zero and raises the unanalyzable-arg flag, which downgrades every
     clause that depends on it.
     """
-    callee = callee_of(stmt)
     is_ctor = isinstance(stmt, NewStmt)
     used: set[str] = set()
-    for c in contract.clauses(False):
+    for c in callee.contract.clauses(False):
         used |= c.bound.variables()
     binding: dict[str, Poly] = {}
     flags: set[str] = set()
@@ -165,31 +167,40 @@ class _Acc:
                 sym_sum(self.escs.get(key, [])))
 
 
-def call_entries(contract: MethodContract, binding: dict[str, Poly],
-                 object_mode: bool) -> list[tuple[str, SymExpr, dict[Tag, SymExpr]]]:
-    """The call-composition rule: what one call charges its caller.
+def call_entries(stmt: NewStmt | CallStmt, admissible: set[str], object_mode: bool
+                 ) -> list[tuple[str, SymExpr, SymExpr, list[tuple[Tag, SymExpr]]]]:
+    """The call-composition rule: what one call, or the constructor a `new`
+    runs, charges its caller.
 
-    One (class key, MR, esc-by-tag) entry per class the callee's contract
-    names, in declaration order, with the contract variables bound to the
-    caller's values; object mode collapses them into one object entry.
+    One (class key, MR, escaped, pulls) entry per class the callee's
+    contract names, in declaration order; object mode collapses them into
+    one object entry.  With the contract variables bound to the caller's
+    values, MR is the requirement, escaped the sum of the escapes under
+    every tag, and pulls the (destination tag, bound) of each `add_esc`
+    pair at the call whose source tag the contract declares.  Each part
+    carries the binding's flags.
     """
+    callee = callee_of(stmt)
+    if callee is None:
+        return []
+    binding, flags = contract_binding(stmt, callee, admissible)
     entries: dict[str, tuple[SymExpr, dict[Tag, SymExpr]]] = {}
-    for c in contract.clauses(object_mode):
+    for c in callee.contract.clauses(object_mode):
         mr, esc_by_tag = entries.setdefault(c.key, (SYM_ZERO, {}))
-        bound = substitute(c.bound, binding)
+        bound = substitute(c.bound, binding).with_flags(*flags)
         if c.tag is None:
             entries[c.key] = (bound, esc_by_tag)
         else:
             esc_by_tag[c.tag] = bound
-    return [(key, mr, esc_by_tag) for key, (mr, esc_by_tag) in entries.items()]
+    return [(key, mr.with_flags(*flags), sym_sum(esc_by_tag.values()).with_flags(*flags),
+             [(dst, esc_by_tag[src]) for dst, src in stmt.add_esc if src in esc_by_tag])
+            for key, (mr, esc_by_tag) in entries.items()]
 
 
 class _Summarizer:
-    def __init__(self, method: MethodDecl, contracts: dict[str, MethodContract],
-                 mode: str, class_map: dict[str, ClassDecl]):
+    def __init__(self, method: MethodDecl, mode: str, class_map: dict[str, ClassDecl]):
         self.m = method
         self.cls = class_map[method.cls]
-        self.contracts = contracts
         self.mode = mode
         self.entry = entry_vars(method, self.cls)
         self.requires: tuple[LinConstraint, ...] = method.contract.requires
@@ -207,27 +218,15 @@ class _Summarizer:
 
     def _call(self, acc: _Acc, s: NewStmt | CallStmt,
               loop_vars: tuple[str, ...]) -> None:
-        contract = self.contracts[callee_of(s).qname]
-        if not contract.has_clauses():
-            return  # no contract means a declared-zero footprint
-        binding, bflags = contract_binding(s, contract, self.entry | set(loop_vars))
-        for key, mr, esc_by_tag in call_entries(contract, binding,
-                                                self.mode == MODE_OBJECT):
-            total_esc = sym_sum(esc_by_tag.values())
-            # mr - esc: subtract one certified lower alternative of the escape
-            low = min(total_esc.alts, key=lambda p: sorted(p.terms))
-            diff = SymExpr(
-                tuple(p - low for p in mr.alts),
-                mr.flags | total_esc.flags | frozenset(bflags),
-            )
-            acc.diffs.setdefault(key, []).append(diff)
-            acc.escs.setdefault(key, []).append(
-                total_esc.with_flags(*bflags) if bflags else total_esc)
-            for dst, src in s.add_esc:
-                pulled = esc_by_tag.get(src)
-                if pulled is not None:
-                    acc.add_tag(dst, key,
-                                pulled.with_flags(*bflags) if bflags else pulled)
+        for key, mr, escaped, pulls in call_entries(
+                s, self.entry | set(loop_vars), self.mode == MODE_OBJECT):
+            # mr - escaped: subtract one certified lower alternative of the escape
+            low = min(escaped.alts, key=lambda p: sorted(p.terms))
+            acc.diffs.setdefault(key, []).append(
+                SymExpr(tuple(p - low for p in mr.alts), mr.flags | escaped.flags))
+            acc.escs.setdefault(key, []).append(escaped)
+            for dst, pulled in pulls:
+                acc.add_tag(dst, key, pulled)
 
     # -- scopes ------------------------------------------------------------------
 
@@ -344,9 +343,9 @@ class _Summarizer:
         return ConsumptionSummary(self.m.qname, mem_req, esc, call_part)
 
 
-def summarize(method: MethodDecl, contracts: dict[str, MethodContract],
-              mode: str, class_map: dict[str, ClassDecl]) -> ConsumptionSummary:
-    return _Summarizer(method, contracts, mode, class_map).run()
+def summarize(method: MethodDecl, mode: str,
+              class_map: dict[str, ClassDecl]) -> ConsumptionSummary:
+    return _Summarizer(method, mode, class_map).run()
 
 
 # ------------------------------------------------------------------ checking
@@ -451,27 +450,22 @@ def lifetime_rows(verdicts: list[escape.LifetimeVerdict]) -> list[ClauseRow]:
 def check_program(program: Program, mode: str = MODE_TYPE) -> Report:
     class_map = program.class_map()
     methods = {m.qname: m for m in program.methods()}
-    contracts = {q: m.contract for q, m in methods.items()}
-
-    edges = callgraph.call_edges(program)
-    recursive: set[str] = set()
-    for comp in callgraph.sccs(program):
-        if callgraph.is_recursive(comp, edges):
-            missing = [q for q in comp if not contracts[q].has_clauses()]
-            if missing:
-                raise CyclicWithoutContract(comp, missing)
-            recursive |= set(comp)
-
     analysis = escape.analyze(program)
+    recursive: set[str] = set()
+    for comp in analysis.recursive:
+        missing = [q for q in comp if not methods[q].contract.has_clauses()]
+        if missing:
+            raise CyclicWithoutContract(comp, missing)
+        recursive.update(comp)
 
     rows: list[ClauseRow] = []
     for qname in sorted(methods):
         m = methods[qname]
-        s = summarize(m, contracts, mode, class_map)
+        s = summarize(m, mode, class_map)
         if mode == MODE_TYPE and OBJECT_KEY in m.contract.keys():
             # its object clauses bound every class together, so they are
             # checked against the method's object-mode summary
-            whole = summarize(m, contracts, MODE_OBJECT, class_map)
+            whole = summarize(m, MODE_OBJECT, class_map)
             on_object = {(c.tag, c.key) for c in m.contract.clauses(True)}
             s.mem_req.update((k, e) for k, e in whole.mem_req.items()
                              if (None, k) in on_object)

@@ -9,11 +9,13 @@ exact rationals so that closed-form interval sums lose nothing.
 
 `Verified` means proved for every nonnegative integer point of
 `requires`: either by coefficient dominance, or (proof kind `farkas`)
-because Fourier-Motzkin elimination shows that the points where an affine
-clause fails form an empty set.  Integrality of a declared bound is
-decided exactly by Polya's criterion on a small box of values per
-polynomial.  The 0..8 grid survives only as a witness search: it may turn
-an undecided clause into `Violated`, never into `Verified`.
+because Fourier-Motzkin elimination shows that the points where a clause
+fails form an empty set, exact whenever each computed-minus-declared
+difference is affine.  Integrality of a declared bound is decided exactly
+by Polya's criterion on a small box of values per polynomial.  The 0..8
+grid survives only as a witness search: it may turn an undecided clause
+into `Violated`, never into `Verified`.  A polynomial's one integer form,
+read by the rows, both printers and the oracle, is `integral`.
 
 No sum, product or substitution may build a polynomial of degree above
 the module constant `DEGREE_CAP`; one that would raises `DegreeOverflow`.
@@ -25,7 +27,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 
 DEGREE_CAP = 4  # read at run time, so a test can patch it
@@ -184,6 +186,15 @@ def _as_poly(x: Poly | int | Fraction) -> Poly:
     return x if isinstance(x, Poly) else Poly.const(x)
 
 
+def integral(*polys: Poly) -> tuple[int, list[list[tuple[int, Monomial]]]]:
+    """The polynomials over one common denominator D > 0: D, and per
+    polynomial its integer terms (coefficient, monomial) over D, in print
+    order, highest degree first and then by monomial."""
+    den = lcm(*(c.denominator for p in polys for _, c in p.terms))
+    return den, [sorted(((int(c * den), m) for m, c in p.terms),
+                        key=lambda t: (-_mono_degree(t[1]), t[1])) for p in polys]
+
+
 def _dominates(q: Poly, p: Poly) -> bool:
     # q >= p over the nonnegative orthant whenever every coefficient of
     # q - p is nonnegative.  Sufficient, not complete.
@@ -285,11 +296,10 @@ def add(a: SymExpr, b: SymExpr) -> SymExpr:
 
 
 def sym_sum(exprs) -> SymExpr:
-    """Sum of any number of expressions, zero for none."""
-    total = SYM_ZERO
-    for e in exprs:
-        total = add(total, e)
-    return total
+    """Sum of any number of expressions, zero for none; a lone one is
+    returned as it is, so the degree cap only ever meets a sum built here."""
+    exprs = list(exprs)
+    return reduce(add, exprs) if exprs else SYM_ZERO
 
 
 def sym_max(a: SymExpr, b: SymExpr) -> SymExpr:
@@ -541,9 +551,9 @@ def _halfspaces(constraints) -> list[Row]:
     for c in constraints:
         if c.lhs.degree() > 1:
             continue
-        scale = lcm(*(k.denominator for _, k in c.lhs.terms))
-        coeffs = {m[0][0]: int(k * scale) for m, k in c.lhs.terms if m}
-        const = int(c.lhs.coeff(_ONE) * scale)
+        _, (terms,) = integral(c.lhs)
+        coeffs = {m[0][0]: k for k, m in terms if m}
+        const = sum(k for k, m in terms if not m)
         for sign, shift in _SENSES[c.rel]:
             rows.append(_row({v: sign * a for v, a in coeffs.items()}, sign * const - shift))
     return rows
@@ -612,12 +622,14 @@ def entails_leq(lhs: SymExpr, rhs: SymExpr, pre: tuple[LinConstraint, ...] = ())
 
     First the coefficient criterion: each lhs alternative must be
     coefficient-dominated by some rhs alternative, which proves the bound
-    on the whole nonnegative orthant.  An affine clause fails exactly where
-    some lhs alternative p admits a point of pre and p > rhs_j for every
-    j; with no rational such point for any p the clause is Verified
-    (farkas), and an integer point found is a Violated witness.  What stays
-    open, and every non-affine clause, goes to the witness search;
-    without a witness the verdict is Unverified.
+    on the whole nonnegative orthant.  The clause fails exactly where some
+    lhs alternative p admits a point of pre and p - rhs_j > 0 for every j.
+    When every such difference is affine, whatever the degree of the two
+    sides, that is decided exactly: with no rational such point for any p
+    the clause is Verified (farkas), and an integer point found is a
+    Violated witness.  What stays open, and every clause with a non-affine
+    difference, goes to the witness search; without a witness the verdict
+    is Unverified.
     """
     if all(any(_dominates(q, p) for q in rhs.alts) for p in lhs.alts):
         return Verdict.verified("coefficient")
@@ -626,7 +638,7 @@ def entails_leq(lhs: SymExpr, rhs: SymExpr, pre: tuple[LinConstraint, ...] = ())
     def breaks(env) -> bool:
         return all(c.holds(env) for c in pre) and lhs.eval(env) > rhs.eval(env)
 
-    if all(p.degree() <= 1 for p in lhs.alts + rhs.alts):
+    if all((p - q).degree() <= 1 for p in lhs.alts for q in rhs.alts):
         hyps = _halfspaces(pre)
         points = [_solve(hyps + _halfspaces([LinConstraint(p - q, ">") for q in rhs.alts]), vars_)
                   for p in lhs.alts]
@@ -666,11 +678,6 @@ def integer_valued(e: SymExpr) -> bool:
 # Rendering.  Output stays inside the surface expression syntax: powers as
 # repeated multiplication, rational coefficients as a trailing /denominator.
 
-def _term_sort_key(item):
-    m, _ = item
-    return (-_mono_degree(m), m)
-
-
 def _mono_to_str(m: Monomial) -> str:
     factors = []
     for var, exp in m:
@@ -678,11 +685,10 @@ def _mono_to_str(m: Monomial) -> str:
     return "*".join(factors)
 
 
-def _int_poly_to_str(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
+def poly_to_str(p: Poly) -> str:
+    den, (terms,) = integral(p)
     parts: list[str] = []
-    for m, c in sorted(p.terms, key=_term_sort_key):
+    for c, m in terms:
         mono = _mono_to_str(m)
         mag = abs(c)
         if not mono:
@@ -695,15 +701,8 @@ def _int_poly_to_str(p: Poly) -> str:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
-def poly_to_str(p: Poly) -> str:
-    denom = lcm(*(c.denominator for _, c in p.terms))
-    if denom == 1:
-        return _int_poly_to_str(p)
-    scaled = p.scale(denom)
-    return f"({_int_poly_to_str(scaled)})/{denom}"
+    text = " ".join(parts) or "0"
+    return text if den == 1 else f"({text})/{den}"
 
 
 def symexpr_to_str(e: SymExpr) -> str:

@@ -74,8 +74,7 @@ def test_criterion_1_running_example(verdict):
 
     # quantitative anchor, exact symbolic equality
     m = prog.method("Family.CreateFamily")
-    contracts = {x.qname: x.contract for x in prog.methods()}
-    s = summarize(m, contracts, "type", prog.class_map())
+    s = summarize(m, "type", prog.class_map())
     one = sx.SymExpr.of(sx.Poly.const(1))
     names = sx.SymExpr.of(sx.Poly.var("firstNames.length"))
     if not s.mem_req["Logger"].same_value(one):
@@ -128,8 +127,7 @@ def test_criterion_1_running_example(verdict):
 def test_criterion_2_call_composition(verdict):
     prog = load_corpus("callpair")
     m = prog.method("A.m")
-    contracts = {x.qname: x.contract for x in prog.methods()}
-    s = summarize(m, contracts, "type", prog.class_map())
+    s = summarize(m, "type", prog.class_map())
     n = sx.Poly.var("n")
     problems = []
     if not s.call_part["A"].same_value(sx.SymExpr.of(n + sx.Poly.const(3))):
@@ -227,8 +225,7 @@ def test_criterion_3_instrumentation_fidelity(verdict):
 def test_criterion_4_polynomial_engine(verdict):
     prog = load_corpus("bigfamily")
     m = prog.method("Family.CreateBigFamily")
-    contracts = {x.qname: x.contract for x in prog.methods()}
-    s = summarize(m, contracts, "type", prog.class_map())
+    s = summarize(m, "type", prog.class_map())
     n = sx.Poly.var("n")
     triangle = sx.SymExpr.of((n * n + n).scale(sx.Fraction(1, 2)))
     got = {(str(t), k): v for (t, k), v in s.esc.items()}[

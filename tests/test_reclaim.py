@@ -79,7 +79,7 @@ def random_step(rng, interp, method):
         elif obj.length:
             interp._set_field(obj, rng.randrange(obj.length), rng.choice(values))
     elif op == 4 and len(interp.stack) < 4:
-        interp._push(method, rng.choice(values), [], direct=False)
+        interp._push(method, rng.choice(values), [])
     elif op == 5 and len(interp.stack) > 1:
         interp._assert_accounting([act])
         interp._pop(act)

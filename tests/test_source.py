@@ -135,3 +135,34 @@ def test_keyword_statements_are_spelled_only_by_the_shape_table():
                     s in node.value for s in spellings):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, f"keyword statements spelled outside the shape table: {', '.join(found)}"
+
+
+def _callers(name: str) -> list[str]:
+    """Each call of a function or method `name` under src/mclcheck, as
+    file:enclosing function."""
+    found = []
+    for path in sorted((SRC / "mclcheck").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    owner[node] = fn.name  # ast.walk is breadth-first: innermost wins
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.relative_to(SRC / 'mclcheck')}:{owner.get(node)}")
+    return found
+
+
+def test_a_polynomial_has_one_integer_form():
+    # the common denominator of a contract polynomial is taken once, by
+    # symexpr.integral, which the checker's rows, both printers and the
+    # oracle's bounds read; a second one could order or scale terms apart
+    assert _callers("lcm") == ["symexpr.py:integral"]
+
+
+def test_a_call_is_charged_by_one_rule():
+    # summary.call_entries binds a callee's contract for both the checker
+    # and the instrumenter, so the two cannot charge a call differently
+    assert _callers("contract_binding") == ["summary.py:call_entries"]

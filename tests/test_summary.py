@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mclcheck import summary as S
 from mclcheck.frontend import Tag, load
+from mclcheck.frontend.syntax import CallStmt, NewStmt, entry_vars
 from mclcheck.symexpr import (
     Poly,
     SYM_ZERO,
@@ -38,8 +39,7 @@ def check(name, mode=S.MODE_TYPE):
 
 def summarize_in(prog, qname, mode=S.MODE_TYPE):
     methods = {m.qname: m for m in prog.methods()}
-    contracts = {q: m.contract for q, m in methods.items()}
-    return S.summarize(methods[qname], contracts, mode, prog.class_map())
+    return S.summarize(methods[qname], mode, prog.class_map())
 
 
 def row(report, method, clause):
@@ -112,6 +112,23 @@ def test_callee_requirement_checked_under_its_precondition():
     # m2 declares k with k >= 2 although it only ever allocates 2
     rep = check("callpair")
     assert row(rep, "A.m2", "memreq<A>").verdict.kind == VerdictKind.VERIFIED
+
+
+def test_call_entries_state_a_calls_whole_charge():
+    # per class: the bound requirement, the escapes summed over tags, and
+    # the add_esc pulls; a `new` of a class without a constructor charges
+    # nothing
+    prog = load_corpus("callpair")
+    m = prog.method("A.m")
+    admissible = entry_vars(m, prog.class_map()["A"])
+    new_a1 = next(s for s in m.body if isinstance(s, NewStmt))
+    call_m1, call_m2 = [s for s in m.body if isinstance(s, CallStmt)]
+    n = Poly.var("n")
+    assert S.call_entries(new_a1, admissible, False) == []
+    assert S.call_entries(call_m1, admissible, False) == \
+        [("A", SymExpr.of(n + 1), SymExpr.of(1), [])]
+    assert S.call_entries(call_m2, admissible, False) == \
+        [("A", SymExpr.of(n), SymExpr.of(2), [(Tag.ret(), SymExpr.of(2))])]
 
 
 # ------------------------------------------------------------ loop collapse
@@ -207,6 +224,16 @@ def test_object_mode_derives_bounds_from_per_type_contracts():
     r = row(rep, "Family.AddMember", "memreq<object>")
     assert r.verdict.kind == VerdictKind.VERIFIED
     assert r.computed == "2"
+
+
+def test_a_lone_declared_bound_reads_alike_in_both_modes():
+    # collapsing one bound onto the object pseudo-class sums nothing, so
+    # the degree cap, which bounds what the checker builds, never meets it
+    prog = load("class A {} class P { void f(int n) { requires(n >= 0);"
+                " memreq<A>(n*n*n*n*n*n); A a = new A(); } }")
+    for mode, clause in ((S.MODE_TYPE, "memreq<A>"), (S.MODE_OBJECT, "memreq<object>")):
+        r = row(S.check_program(prog, mode=mode), "P.f", clause)
+        assert (r.verdict.kind, r.verdict.witness) == (VerdictKind.VIOLATED, {"n": 0})
 
 
 def test_type_mode_flags_hidden_types_as_undeclared():
@@ -426,9 +453,8 @@ def test_escapes_never_exceed_requirement(name):
     prog = load_corpus(name)
     mode = mode_for(name)
     methods = {m.qname: m for m in prog.methods()}
-    contracts = {q: m.contract for q, m in methods.items()}
     for qname, m in methods.items():
-        s = S.summarize(m, contracts, mode, prog.class_map())
+        s = S.summarize(m, mode, prog.class_map())
         for key in {k for (_, k) in s.esc}:
             total = SYM_ZERO
             for (_, k), e in s.esc.items():

@@ -21,6 +21,7 @@ from mclcheck.symexpr import (
     constraint_entailed,
     entails_leq,
     integer_valued,
+    integral,
     max_over,
     poly_to_str,
     substitute,
@@ -275,6 +276,29 @@ def test_a_constant_violation_is_decided_without_the_witness_box(monkeypatch):
     v = entails_leq(SymExpr.of(1), SymExpr.of(0))
     assert v.kind == VerdictKind.VIOLATED
     assert v.witness == {}
+
+
+def test_a_clause_whose_difference_is_affine_is_verified_by_farkas():
+    # both sides have degree 2, their difference n - 5 is affine
+    pre = (LinConstraint.compare(N, "<=", Poly.const(5)),)
+    v = entails_leq(SymExpr.of(N * M + N), SymExpr.of(N * M + 5), pre)
+    assert (v.kind, v.method) == (VerdictKind.VERIFIED, "farkas")
+
+
+def test_a_clause_whose_difference_is_affine_is_violated_outside_the_box(monkeypatch):
+    def no_box(*_):
+        raise AssertionError("the witness box was searched")
+
+    monkeypatch.setattr("mclcheck.symexpr._witness", no_box)
+    v = entails_leq(SymExpr.of(N * N * M + N), SymExpr.of(N * N * M + 9))
+    assert v.kind == VerdictKind.VIOLATED
+    assert v.witness == {"m": 0, "n": 10}
+
+
+def test_integral_gives_one_denominator_and_terms_in_print_order():
+    p = N.scale(Fraction(1, 2)) + (N * N).scale(Fraction(1, 3))
+    assert integral(p) == (6, [[(2, (("n", 2),)), (3, (("n", 1),))]])
+    assert integral(Poly(), Poly.const(3)) == (1, [[], [(3, ())]])
 
 
 def test_entails_affine_by_farkas():

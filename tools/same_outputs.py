@@ -1,0 +1,140 @@
+"""Check that two mclcheck source trees give the same outputs.
+
+    python tools/same_outputs.py OLD_SRC NEW_SRC [--seed 101]
+
+OLD_SRC and NEW_SRC are directories that hold an `mclcheck` package, such
+as the `src` of two checkouts.  Each tree runs in its own subprocess, so
+the two imports never mix, and each runs the same command lines through
+`mclcheck.cli.main`:
+
+- every command and probe that `bench/workloads.build` makes for the
+  three benchmark workloads at the seed;
+- on each file of this checkout's `corpus/`: `instrument --emit`; `check`
+  in both modes, human and JSON; `check --format json` in both modes on
+  the instrumented copy; `validate --format json` under both `--gc` modes,
+  at the default grid and at `--grid 3`, on the source and on the copy;
+  human `validate`; and `ptg` as JSON and as DOT.
+
+For each distinct command line it compares the exit code, stdout, stderr,
+the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
+exception `cli.main` raised, with the temporary directory written as
+`<work>`.  It prints each line that differs and exits 1 on any
+difference, 0 when all are the same.  It reads `bench/` and `corpus/`
+and writes only under a temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("corpus", "static-scale", "oracle-deep")
+
+
+def _corpus_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
+    """(argv, emitted path) per command; each copy is emitted before it
+    is read."""
+    lines: list[tuple[list[str], Path | None]] = []
+    for path in sorted((ROOT / "corpus").glob("*.mcl")):
+        src, inst = str(path), work / "matrix" / f"{path.stem}.inst.mcl"
+        dots = work / "matrix" / f"{path.stem}.dot"
+        lines.append((["instrument", src, "--emit", str(inst)], inst))
+        for mode in ("type", "object"):
+            for fmt in ("human", "json"):
+                lines.append((["check", src, "--mode", mode, "--format", fmt], None))
+            lines.append((["check", str(inst), "--mode", mode, "--format", "json"], None))
+        for target in (src, str(inst)):
+            for gc in ("ideal", "method-exit"):
+                for grid in ([], ["--grid", "3"]):
+                    lines.append((["validate", target, "--format", "json",
+                                   "--gc", gc, *grid], None))
+        lines.append((["validate", src], None))
+        lines.append((["ptg", src, "--format", "json"], None))
+        lines.append((["ptg", src, "--dot", str(dots)], dots))
+    return lines
+
+
+def _emitted(path: Path | None) -> str | None:
+    if path is None or not path.exists():
+        return None
+    if path.is_dir():
+        return "".join(f"== {f.name}\n{f.read_text()}" for f in sorted(path.iterdir()))
+    return path.read_text()
+
+
+def run_tree(src: str, seed: int) -> dict[str, list]:
+    """Every command line's outcome under one tree, keyed by the command
+    line with the temporary directory written as <work>."""
+    sys.path[:0] = [src, str(ROOT / "bench")]
+    import workloads
+    from mclcheck import cli
+
+    outcomes: dict[str, list] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        lines = []
+        for name in WORKLOADS:
+            (work / name).mkdir()
+            w = workloads.build(name, seed, ROOT, work / name)
+            lines += [(c.argv, c.emit) for c in w.probes + w.commands]
+        (work / "matrix").mkdir()
+        lines += _corpus_matrix(work)
+        for argv, emit in lines:
+            key = " ".join(argv).replace(tmp, "<work>")
+            if key in outcomes:
+                continue
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                code, raised = cli.main(list(argv), out=out, err=err), None
+            except Exception as exc:  # a crash is an outcome to compare
+                code, raised = None, f"{type(exc).__name__}: {exc}"
+            texts = [out.getvalue(), err.getvalue(), _emitted(emit), raised]
+            outcomes[key] = [code] + [None if t is None else t.replace(tmp, "<work>")
+                                      for t in texts]
+    return outcomes
+
+
+def _run_in_subprocess(src: str, seed: int) -> subprocess.Popen:
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import same_outputs;"
+            " json.dump(same_outputs.run_tree(sys.argv[2], int(sys.argv[3])), sys.stdout)")
+    return subprocess.Popen([sys.executable, "-c", code, str(Path(__file__).parent),
+                             src, str(seed)], stdout=subprocess.PIPE)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("old", metavar="OLD_SRC")
+    ap.add_argument("new", metavar="NEW_SRC")
+    ap.add_argument("--seed", type=int, default=101)
+    args = ap.parse_args(argv)
+
+    procs = [(src, _run_in_subprocess(src, args.seed)) for src in (args.old, args.new)]
+    outputs = [proc.communicate()[0] for _, proc in procs]  # wait for both
+    for src, proc in procs:
+        if proc.returncode != 0:
+            print(f"error: the run of {src} exited {proc.returncode}", file=sys.stderr)
+            return 2
+    old, new = map(json.loads, outputs)
+    fields = ("exit code", "stdout", "stderr", "emitted file", "exception")
+    keys = list(old) + [k for k in new if k not in old]
+    differ = 0
+    for key in keys:
+        if key not in old or key not in new:
+            print(f"DIFFERS  {key}: run by one tree only")
+            differ += 1
+        elif old[key] != new[key]:
+            names = [f for f, a, b in zip(fields, old[key], new[key]) if a != b]
+            print(f"DIFFERS  {key}: {', '.join(names)}")
+            differ += 1
+    print(f"{len(keys) - differ} of {len(keys)} command lines the same, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
