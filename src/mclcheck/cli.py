@@ -14,7 +14,7 @@ from .oracle import (ArgumentError, GridTooLarge, OracleError, Ref,
                      RequiresViolation, StackExhausted, StepBudgetExceeded,
                      run, validate)
 from .summary import CyclicWithoutContract, check_program
-from .symexpr import DegreeOverflow, UnboundedSpace, VerdictKind
+from .symexpr import DegreeOverflow, VerdictKind
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -165,7 +165,7 @@ def _cmd_check(ns, out, err) -> int:
         prog = _load_file(path)
         try:
             report = check_program(prog, ns.mode)
-        except (CyclicWithoutContract, DegreeOverflow, UnboundedSpace) as exc:
+        except (CyclicWithoutContract, DegreeOverflow) as exc:
             raise AnalysisStop(f"{path}: {exc}")
         results.append((path, report))
 

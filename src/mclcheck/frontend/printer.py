@@ -148,6 +148,12 @@ def stmt_lines(s: Stmt, depth: int) -> list[str]:
     raise TypeError(f"unprintable statement {type(s).__name__}")
 
 
+def space_label(s: ForStmt) -> str:
+    """A loop's iteration_space annotation as written, without its `;`: the
+    clause of the row that decides it."""
+    return stmt_lines(IterationSpaceStmt(s.space), 0)[0].removesuffix(";")
+
+
 def method_lines(m: MethodDecl, depth: int) -> list[str]:
     pad = _INDENT * depth
     params = ", ".join(

@@ -10,9 +10,7 @@ cases.
 
 from __future__ import annotations
 
-from ..symexpr import (
-    IterSpace, LinConstraint, Poly, SymExpr, add, sym_max,
-)
+from ..symexpr import LinConstraint, Poly, SymExpr, add, sym_max
 from .diagnostics import Diagnostic, ResolveFailure, SEV_ERROR, SEV_WARNING
 from .syntax import (
     ANNOTATION_STMTS, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt,
@@ -118,6 +116,7 @@ class _MethodResolver:
         self.vars: dict[str, TypeRef] = {}
         self.out_params: set[str] = set()
         self.loop_vars: set[str] = set()
+        self.ranged: frozenset[str] = frozenset()  # enclosing indices with a range
         self.assigned: set[str] = set()
         self.contract = MethodContract()
         self.new_ordinal = 0
@@ -461,26 +460,23 @@ class _MethodResolver:
     def resolve_for(self, s: ForStmt, loops: tuple[str, ...]) -> None:
         self.typeof(s.lo)
         self.typeof(s.hi)
+        # a header that is not entry-constant is allowed; it just gives the
+        # loop no range.  It may read the index of an enclosing loop that has
+        # a range, which bounds it, but not one that it shadows.
+        admissible = self.entry | (self.ranged - {s.var})
+        lo, hi = expr_poly(s.lo, admissible), expr_poly(s.hi, admissible)
+        s.resolved_range = None if lo is None or hi is None else (lo, hi)
         inner = loops + (s.var,)
         if s.space is not None:
-            cons = []
-            for c in s.space:
-                lc = self.constraint_of(c, set(inner), "iteration_space")
-                if lc is not None:
-                    cons.append(lc)
-            s.resolved_space = IterSpace(s.var, tuple(cons))
-            if s.var not in {v for lc in cons for v in lc.variables()}:
+            cons = [self.constraint_of(c, set(inner), "iteration_space") for c in s.space]
+            s.resolved_space = tuple(lc for lc in cons if lc is not None)
+            if s.var not in {v for lc in s.resolved_space for v in lc.variables()}:
                 self.error("bad-contract-expr",
                            f"iteration_space must constrain {s.var}", s.pos)
-        else:
-            # a header that is not entry-constant is allowed; it just gives
-            # the loop no space
-            admissible = self.entry | set(loops)
-            lo = expr_poly(s.lo, admissible)
-            hi = expr_poly(s.hi, admissible)
-            if lo is not None and hi is not None:
-                s.resolved_space = IterSpace.interval_space(s.var, lo, hi)
+        outer = self.ranged
+        self.ranged = outer - {s.var} | ({s.var} if s.resolved_range else set())
         self.resolve_block(s.body, inner)
+        self.ranged = outer
 
     # -- expressions ---------------------------------------------------------
 

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
-from ..symexpr import IterSpace, LinConstraint, Poly, SymExpr, sym_sum
+from ..symexpr import LinConstraint, Poly, SymExpr, sym_sum
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,11 @@ class ForStmt(Stmt):
     hi: Expr
     body: list[Stmt]
     space: list[Cmp] | None = None  # leading iteration_space(...) of the body
-    resolved_space: IterSpace | None = _meta()
+    # the header's (lo, hi) over entry values and the indices of enclosing
+    # loops that have one, None when either is not such a polynomial; the
+    # range that is summed
+    resolved_range: tuple[Poly, Poly] | None = _meta()
+    resolved_space: tuple[LinConstraint, ...] | None = _meta()  # a claim on it
 
 
 @dataclass

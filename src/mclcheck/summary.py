@@ -4,14 +4,16 @@ A method is summarized against its callees' declared contracts, never
 their bodies: per class, a straight-line call sequence costs the largest
 headroom any single call needs (its requirement minus what it leaves
 escaped) plus everything the calls leave escaped.  Loops sum their own
-allocations and callee escapes over the iteration space and keep one
+allocations and callee escapes over the header's range and keep one
 maximized headroom term, which is what lets temporaries be recycled
 across iterations.  The declared bounds are then discharged with
 entails_leq, whose Verified holds for every nonnegative integer input
-that satisfies requires; a declared iteration space is checked against
-its loop header exactly, at the header's two ends, with
-constraint_entailed.  Nothing here enumerates a grid.  Lifetime findings
-from the heap analysis are folded into the same report.
+that satisfies requires.  A loop's range is its header, always: an
+`iteration_space` annotation is a claim about that header, decided
+exactly at the header's two ends with constraint_verdict and reported as
+a row of its own when it does not hold, never a second range to sum
+over.  Nothing here enumerates a grid.  Lifetime findings from the heap
+analysis are folded into the same report.
 
 A call's whole charge (requirement, summed escapes, `add_esc` pulls) is
 stated once, in `call_entries`, which the instrumenter reads too; which
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from . import escape
+from .frontend.printer import expr_to_str, space_label
 from .frontend.syntax import (
     CallStmt,
     Clause,
@@ -57,8 +60,6 @@ from .frontend.syntax import (
 )
 from .symexpr import (
     FLAG_BAD_ARG,
-    FLAG_SPACE_MISMATCH,
-    IterSpace,
     LinConstraint,
     Poly,
     SYM_ZERO,
@@ -67,7 +68,7 @@ from .symexpr import (
     VerdictKind,
     ZERO,
     add,
-    constraint_entailed,
+    constraint_verdict,
     entails_leq,
     integer_valued,
     max_over,
@@ -138,6 +139,7 @@ class ConsumptionSummary:
     mem_req: dict[str, SymExpr]
     esc: dict[tuple[Tag, str], SymExpr]
     call_part: dict[str, SymExpr]  # method-level max-headroom + escapes
+    space_rows: list[ClauseRow]  # each iteration_space that does not hold
 
 
 class _Acc:
@@ -204,6 +206,8 @@ class _Summarizer:
         self.mode = mode
         self.entry = entry_vars(method, self.cls)
         self.requires: tuple[LinConstraint, ...] = method.contract.requires
+        self.space_rows: list[ClauseRow] = []
+        self.guards = 0  # the `if` arms around the statement being summarized
 
     # -- helpers ---------------------------------------------------------------
 
@@ -250,9 +254,11 @@ class _Summarizer:
             self._call(acc, s, loop_vars)
         elif isinstance(s, IfStmt):
             # flow-insensitive: both branches contribute
+            self.guards += 1
             for body in (s.then_body, s.else_body):
                 sub = self.scope(body, context, loop_vars)
                 self._merge(acc, sub)
+            self.guards -= 1
         elif isinstance(s, ForStmt):
             self.loop(s, acc, context, loop_vars)
 
@@ -267,8 +273,14 @@ class _Summarizer:
             acc.add_tag(t, key, e)
 
     def loop(self, s: ForStmt, acc: _Acc, context, loop_vars) -> None:
-        space = s.resolved_space
-        if space is None:
+        if s.space is not None:
+            v = self._space_verdict(s, context)
+            if v.kind != VerdictKind.VERIFIED:
+                # the row's computed value is the header as written
+                self.space_rows.append(ClauseRow(
+                    self.m.qname, space_label(s), None,
+                    f"{expr_to_str(s.lo)} .. {expr_to_str(s.hi)}", v))
+        if s.resolved_range is None:
             # header bounds were not entry-constant: nothing provable inside
             body = self.scope(s.body, context, loop_vars + (s.var,))
             for key in body.keys() | {k for (_, k) in body.esc_tags}:
@@ -277,54 +289,55 @@ class _Summarizer:
                 acc.add_tag(t, key, SYM_ZERO.with_flags(FLAG_BAD_ARG))
             return
 
-        extra: set[str] = set()
-        if s.space is not None and not self._header_inside_space(s, space, context, loop_vars):
-            extra.add(FLAG_SPACE_MISMATCH)
-
-        inner_ctx = context + space.constraints
+        lo, hi = s.resolved_range
+        index = Poly.var(s.var)
+        inner_ctx = context + (LinConstraint.compare(lo, "<=", index),
+                               LinConstraint.compare(index, "<=", hi))
         body = self.scope(s.body, inner_ctx, loop_vars + (s.var,))
 
         def summed(e: SymExpr) -> SymExpr:
             if e.is_zero():  # keep flags, skip the closed form
                 return SymExpr(SYM_ZERO.alts, e.flags)
-            return sum_over(e, space, context)
+            return sum_over(e, s.var, lo, hi, context)
 
         for key in body.keys():
             total = summed(body.own.get(key, SYM_ZERO))
             peak, escaped = body.calls(key)
             if not peak.is_zero() or peak.flags:
-                total = add(total, max_over(peak, space))
+                total = add(total, max_over(peak, s.var, lo, hi))
             if key in body.escs:
                 total = add(total, summed(escaped))
-            if extra:
-                total = total.with_flags(*extra)
             acc.add_own(key, total)
 
         for (t, key), e in body.esc_tags.items():
-            out = summed(e)
-            if extra:
-                out = out.with_flags(*extra)
-            acc.add_tag(t, key, out)
+            acc.add_tag(t, key, summed(e))
 
-    def _header_inside_space(self, s: ForStmt, space: IterSpace,
-                             context, loop_vars) -> bool:
-        """Every index the header produces satisfies the space.  A space
-        constraint of degree at most one in the index holds on lo..hi when
-        it holds at both ends, so each end is checked under the context
-        and lo <= hi."""
-        lo = expr_poly(s.lo, self.entry | set(loop_vars))
-        hi = expr_poly(s.hi, self.entry | set(loop_vars))
-        if lo is None or hi is None:
-            return False
+    def _space_verdict(self, s: ForStmt, context) -> Verdict:
+        """Whether every index the header produces satisfies the declared
+        space.  A constraint of degree at most one in the index holds on
+        lo..hi when it holds at both ends, so each end is decided under the
+        context and lo <= hi.  A witness names only entry values: they fix
+        the enclosing indices' ranges, since a header reads only the indices
+        of loops that have one.  Under an `if` a failure is only Unverified:
+        the context leaves the condition out, so the point found may be one
+        where the loop never runs."""
+        if s.resolved_range is None:
+            return Verdict.unverified("loop header has no range over entry values")
+        lo, hi = s.resolved_range
         ctx = context + (LinConstraint.compare(lo, "<=", hi),)
-        for c in space.constraints:
+        for c in s.resolved_space:
             if max(c.lhs.split_on(s.var), default=0) > 1:
-                return False
+                return Verdict.unverified(f"{c} is not affine in {s.var}")
             for end in (lo, hi):
-                at_end = LinConstraint(c.lhs.substitute({s.var: end}), c.rel)
-                if not constraint_entailed(at_end, ctx):
-                    return False
-        return True
+                v = constraint_verdict(LinConstraint(c.lhs.substitute({s.var: end}), c.rel), ctx)
+                if v.kind == VerdictKind.VIOLATED and self.guards:
+                    return Verdict.unverified("decided without the enclosing if condition")
+                if v.kind == VerdictKind.VIOLATED:
+                    return Verdict.violated({k: x for k, x in v.witness.items()
+                                             if k in self.entry})
+                if v.kind != VerdictKind.VERIFIED:
+                    return v
+        return Verdict.verified("farkas")
 
     # -- top level ----------------------------------------------------------------
 
@@ -340,7 +353,7 @@ class _Summarizer:
             if not total.is_zero() or total.flags:
                 mem_req[key] = total
         esc = {k: e for k, e in acc.esc_tags.items() if not e.is_zero() or e.flags}
-        return ConsumptionSummary(self.m.qname, mem_req, esc, call_part)
+        return ConsumptionSummary(self.m.qname, mem_req, esc, call_part, self.space_rows)
 
 
 def summarize(method: MethodDecl, mode: str,
@@ -424,7 +437,9 @@ def check_method(method: MethodDecl, summary: ConsumptionSummary,
                 Clause(tag, key, SYM_ZERO), summary.esc[(tag, key)],
                 f"undeclared escape: objects of {key} escape under "
                 f"{tag} without a declared bound"))
-    return rows
+    # an iteration space is a claim about its loop's header, reported when
+    # it does not hold, as lifetimes are
+    return rows + summary.space_rows
 
 
 _LIFETIME_BAD = {escape.TAG_MISMATCH, escape.ESCAPES_UNANNOTATED,

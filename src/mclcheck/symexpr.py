@@ -5,17 +5,21 @@ polynomials over named integer variables, read as their pointwise maximum.
 Variables stand for nonnegative integer quantities (parameters, array
 lengths, loop indices), and that assumption is what licenses dominance
 pruning and the coefficient entailment criterion below.  Coefficients are
-exact rationals so that closed-form interval sums lose nothing.
+exact rationals so that closed-form interval sums lose nothing.  A loop is
+summed and maximized over the range its header gives, `lo .. hi`; nothing
+here reads a range back out of constraints.
 
 `Verified` means proved for every nonnegative integer point of
 `requires`: either by coefficient dominance, or (proof kind `farkas`)
 because Fourier-Motzkin elimination shows that the points where a clause
 fails form an empty set, exact whenever each computed-minus-declared
-difference is affine.  Integrality of a declared bound is decided exactly
-by Polya's criterion on a small box of values per polynomial.  The 0..8
-grid survives only as a witness search: it may turn an undecided clause
-into `Violated`, never into `Verified`.  A polynomial's one integer form,
-read by the rows, both printers and the oracle, is `integral`.
+difference is affine.  One affine fact is decided the same way, with the
+integer point that breaks it as witness, by `constraint_verdict`.
+Integrality of a declared bound is decided exactly by Polya's criterion
+on a small box of values per polynomial.  The 0..8 grid survives only as
+a witness search: it may turn an undecided clause into `Violated`, never
+into `Verified`.  A polynomial's one integer form, read by the rows, both
+printers and the oracle, is `integral`.
 
 No sum, product or substitution may build a polynomial of degree above
 the module constant `DEGREE_CAP`; one that would raises `DegreeOverflow`.
@@ -35,18 +39,12 @@ DEGREE_CAP = 4  # read at run time, so a test can patch it
 # Flags mark results whose value can no longer be trusted as an upper bound.
 FLAG_MONOTONICITY = "monotonicity-unproven"
 FLAG_SUM_GUARD = "sum-guard-unproven"
-FLAG_NONRECT_SPACE = "nonrectangular-space"
 FLAG_BAD_ARG = "unanalyzable-arg"
-FLAG_SPACE_MISMATCH = "iteration-space-mismatch"
 
 
 class DegreeOverflow(Exception):
     """Raised when an operation would build a polynomial of degree above
     DEGREE_CAP."""
-
-
-class UnboundedSpace(Exception):
-    """Raised when an iteration space lacks a finite lower or upper bound."""
 
 
 # A monomial is a sorted tuple of (variable, exponent) pairs; () is 1.
@@ -314,59 +312,6 @@ def substitute(e: SymExpr, binding: dict[str, Poly]) -> SymExpr:
     return SymExpr(_prune(alts), e.flags)
 
 
-@dataclass(frozen=True)
-class IterSpace:
-    """A loop index together with affine constraints that bound it."""
-
-    var: str
-    constraints: tuple[LinConstraint, ...]
-
-    def interval(self) -> tuple[Poly, Poly, frozenset[str]]:
-        """Extract lo/hi bounds on the index; extra constraints get flagged.
-
-        Only unit-coefficient bounds are interpreted.  When several lower
-        or upper bounds are present we keep the first one and flag the
-        space, which downgrades any clause that relies on it.
-        """
-        lowers: list[Poly] = []
-        uppers: list[Poly] = []
-        flags: set[str] = set()
-        for c in self.constraints:
-            split = c.lhs.split_on(self.var)
-            coeff, rest = split.get(1, ZERO), split.get(0, ZERO)
-            if c.lhs.degree() > 1 or not coeff.is_const():
-                flags.add(FLAG_NONRECT_SPACE)
-                continue
-            if coeff.is_zero():
-                continue  # pure context constraint on outer variables
-            for sign, shift in _SENSES[c.rel]:
-                # sign * (a*v + rest) - shift >= 0, with integer v
-                a = sign * coeff.const_value()
-                if a == 1:
-                    lowers.append(rest.scale(-sign) + shift)
-                elif a == -1:
-                    uppers.append(rest.scale(sign) - shift)
-                else:
-                    flags.add(FLAG_NONRECT_SPACE)
-        if not lowers:
-            raise UnboundedSpace(f"no lower bound for {self.var}")
-        if not uppers:
-            raise UnboundedSpace(f"no upper bound for {self.var}")
-        if len(lowers) > 1 or len(uppers) > 1:
-            flags.add(FLAG_NONRECT_SPACE)
-        lo, hi = lowers[0], uppers[0]
-        if self.var in lo.variables() or self.var in hi.variables():
-            raise UnboundedSpace(f"self-referential bound for {self.var}")
-        return lo, hi, frozenset(flags)
-
-    @staticmethod
-    def interval_space(var: str, lo: Poly, hi: Poly) -> IterSpace:
-        return IterSpace(var, (
-            LinConstraint.compare(lo, "<=", Poly.var(var)),
-            LinConstraint.compare(Poly.var(var), "<=", hi),
-        ))
-
-
 @lru_cache(maxsize=None)
 def _power_sum(k: int) -> Poly:
     """The closed form of sum_{t=1..x} t^k as a polynomial in `_x`.
@@ -412,20 +357,9 @@ def _sum_poly(p: Poly, var: str, lo: Poly, hi: Poly) -> Poly:
     return closed
 
 
-def constraint_entailed(goal: LinConstraint, context: tuple[LinConstraint, ...]) -> bool:
-    """True when every nonnegative integer point of the context satisfies
-    the goal: no negation of the goal leaves a point with the context.
-    A non-affine goal is never entailed, nor one that _solve is stuck on."""
-    if goal.lhs.degree() > 1:
-        return False
-    hyps = _halfspaces(context)
-    vars_ = sorted(goal.variables().union(*(c.variables() for c in context)))
-    return all(_solve(hyps + _halfspaces((LinConstraint(goal.lhs, rel),)), vars_) is None
-               for rel in _NEGATIONS[goal.rel])
-
-
-def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = ()) -> SymExpr:
-    """Closed form of sum over the space of e, via power-sum formulas.
+def sum_over(e: SymExpr, var: str, lo: Poly, hi: Poly,
+             context: tuple[LinConstraint, ...] = ()) -> SymExpr:
+    """Closed form of the sum of e over var = lo .. hi, via power-sum formulas.
 
     With concrete endpoints the result is exact, including the empty sum.
     With symbolic endpoints the closed form is only valid when the space
@@ -433,10 +367,9 @@ def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
     the context when possible, clamped away when the summand and lower
     bound are coefficient-nonnegative, and otherwise marked FLAG_SUM_GUARD.
     """
-    lo, hi, spflags = space.interval()
     summand = _dominating_poly(e)
-    closed = _sum_poly(summand, space.var, lo, hi)
-    flags = e.flags | spflags
+    closed = _sum_poly(summand, var, lo, hi)
+    flags = e.flags
 
     if lo.is_const() and hi.is_const():
         if hi.const_value() < lo.const_value():
@@ -444,7 +377,7 @@ def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
         return SymExpr.of(closed, flags=flags)
 
     guard = LinConstraint.compare(lo, "<=", hi + ONE)
-    if constraint_entailed(guard, context):
+    if constraint_verdict(guard, context).kind == VerdictKind.VERIFIED:
         return SymExpr.of(closed, flags=flags)
     if summand.coeffs_nonneg() and lo.coeffs_nonneg():
         # Empty spaces only subtract: max with 0 restores exactness.
@@ -452,31 +385,31 @@ def sum_over(e: SymExpr, space: IterSpace, context: tuple[LinConstraint, ...] = 
     return SymExpr.of(closed, flags=flags | {FLAG_SUM_GUARD})
 
 
-def max_over(e: SymExpr, space: IterSpace) -> SymExpr:
-    """Upper bound for max over the space of e by endpoint substitution.
+def max_over(e: SymExpr, var: str, lo: Poly, hi: Poly) -> SymExpr:
+    """Upper bound for the max of e over var = lo .. hi by endpoint
+    substitution.
 
     Alternatives monotone in the index (index coefficients all of one
     sign) are evaluated at the matching endpoint.  Mixed signs fall back
     to both endpoints and mark the result monotonicity-unproven, since an
     interior maximum could exceed either endpoint.
     """
-    lo, hi, spflags = space.interval()
-    flags = set(e.flags) | set(spflags)
+    flags = set(e.flags)
     if lo.is_const() and hi.is_const() and hi.const_value() < lo.const_value():
         return SymExpr.of(ZERO, flags=flags)
     cands: list[Poly] = []
     for p in e.alts:
-        split = p.split_on(space.var)
+        split = p.split_on(var)
         idx_coeffs = [c for exp, rest in split.items() if exp > 0 for _, c in rest.terms]
         if not idx_coeffs:
             cands.append(p)
         elif all(c >= 0 for c in idx_coeffs):
-            cands.append(p.substitute({space.var: hi}))
+            cands.append(p.substitute({var: hi}))
         elif all(c <= 0 for c in idx_coeffs):
-            cands.append(p.substitute({space.var: lo}))
+            cands.append(p.substitute({var: lo}))
         else:
-            cands.append(p.substitute({space.var: lo}))
-            cands.append(p.substitute({space.var: hi}))
+            cands.append(p.substitute({var: lo}))
+            cands.append(p.substitute({var: hi}))
             flags.add(FLAG_MONOTONICITY)
     _check_degree(cands)
     return SymExpr.of(*cands, flags=flags)
@@ -615,6 +548,30 @@ def _witness(vars_: list[str], breaks) -> dict[str, int] | None:
         return None
     box = itertools.product(range(WITNESS_HI + 1), repeat=len(vars_))
     return next((env for env in (dict(zip(vars_, p)) for p in box) if breaks(env)), None)
+
+
+def constraint_verdict(goal: LinConstraint, context: tuple[LinConstraint, ...]) -> Verdict:
+    """Whether every nonnegative integer point of the context satisfies the
+    goal.  Verified (farkas) when no negation of the goal leaves an integer
+    point with the context, Violated at the point _solve finds for one, and
+    Unverified for a goal that is not affine, an elimination that sticks,
+    or a point that breaks a non-affine context fact."""
+    if goal.lhs.degree() > 1:
+        return Verdict.unverified(f"{goal} is not affine")
+    hyps = _halfspaces(context)
+    vars_ = sorted(goal.variables().union(*(c.variables() for c in context)))
+    points = [_solve(hyps + _halfspaces((LinConstraint(goal.lhs, rel),)), vars_)
+              for rel in _NEGATIONS[goal.rel]]
+    if all(pt is None for pt in points):
+        return Verdict.verified("farkas")
+    # _halfspaces dropped the non-affine context facts, so a point must be
+    # checked against them
+    for pt in points:
+        if pt is not None and pt is not _STUCK and all(c.holds(pt) for c in context):
+            return Verdict.violated(pt)
+    if any(pt is _STUCK for pt in points):
+        return Verdict.unverified("elimination stuck, no integer witness found")
+    return Verdict.unverified("the point found breaks a non-affine fact of the context")
 
 
 def entails_leq(lhs: SymExpr, rhs: SymExpr, pre: tuple[LinConstraint, ...] = ()) -> Verdict:

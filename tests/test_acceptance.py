@@ -397,7 +397,7 @@ def test_criterion_7_behavior_preservation(verdict):
 
 def test_criterion_8_symbolic_sums(verdict):
     rng = random.Random(20260817)
-    P, S, LC = sx.Poly, sx.SymExpr, sx.LinConstraint
+    P, S = sx.Poly, sx.SymExpr
     i = P.var("i")
     cases = 0
     problems = []
@@ -407,9 +407,7 @@ def test_criterion_8_symbolic_sums(verdict):
         hi = rng.randint(-3, 12)
         poly = (P.const(coeffs[0]) + i.scale(coeffs[1])
                 + (i * i).scale(coeffs[2]) + (i * i * i).scale(coeffs[3]))
-        space = sx.IterSpace("i", (LC.compare(i, ">=", P.const(lo)),
-                                   LC.compare(i, "<=", P.const(hi))))
-        closed = sx.sum_over(S.of(poly), space)
+        closed = sx.sum_over(S.of(poly), "i", P.const(lo), P.const(hi))
         brute = sum(poly.eval({"i": k}) for k in range(lo, hi + 1))
         if closed.flags:
             problems.append(f"flags {set(closed.flags)} on {coeffs} {lo}..{hi}")

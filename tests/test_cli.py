@@ -622,14 +622,12 @@ def test_seven_variable_non_integral_bound_is_an_unverified_row(tmp_path):
 
 
 def test_check_names_each_inconclusive_file_on_stderr():
-    files = [corpus("faulty_humpcall"), corpus("family"), corpus("faulty_narrow_space")]
+    files = [corpus("faulty_humpcall"), corpus("family")]
     code, _, err = cli("check", *files)
     assert code == 2
     assert err.splitlines() == [
         f"inconclusive: {files[0]}: 1 of 2 clauses unverified (first: Mill.hump"
-        " memreq<Blob>: analysis incomplete: monotonicity-unproven)",
-        f"inconclusive: {files[2]}: 2 of 2 clauses unverified (first: Spool.wind"
-        " memreq<Token>: analysis incomplete: iteration-space-mismatch)"]
+        " memreq<Blob>: analysis incomplete: monotonicity-unproven)"]
 
 
 LINKED_LOOP = """class A {
@@ -663,27 +661,38 @@ def test_constant_bound_beyond_the_witness_grid_is_violated(tmp_path):
     assert row["witness"] == {"n": 9}
 
 
-def test_iteration_space_narrower_than_a_long_header_is_unverified(tmp_path):
+def test_iteration_space_narrower_than_a_long_header_is_violated(tmp_path):
+    # the clause is summed over the header 1 .. n, not over the space, and
+    # the space is a claim about the header that fails at the same point
     path = tmp_path / "narrow.mcl"
     path.write_text(LINKED_LOOP.replace("CAP", "9").replace(
         "SPACE", "iteration_space(1 <= i && i <= 9);"))
     code, out, err = cli("check", str(path), "--format", "json")
-    assert (code, err) == (2, f"inconclusive: {path}: 1 of 1 clauses unverified"
-                              " (first: P.f memreq<A>: analysis incomplete:"
-                              " iteration-space-mismatch)\n")
-    [row] = json.loads(out)["clauses"]
-    assert row["verdict"] == "Unverified"
-    assert "iteration-space-mismatch" in row["reason"]
+    assert (code, err) == (1, "")
+    rows = json.loads(out)["clauses"]
+    assert [(r["clause"], r["declared"], r["computed"], r["verdict"], r["witness"])
+            for r in rows] == [
+        ("memreq<A>", "9", "n", "Violated", {"n": 10}),
+        ("iteration_space(1 <= i && i <= 9)", None, "1 .. n", "Violated", {"n": 10})]
 
 
-@pytest.mark.parametrize("space", ["1 <= i", "1 <= i && 2 * i <= n"])
-def test_iteration_space_without_a_usable_upper_bound_is_inconclusive(tmp_path, space):
+@pytest.mark.parametrize("space, code, rows", [
+    ("1 <= i", 0, []),
+    ("1 <= i && 2 * i <= n", 1, [("iteration_space(1 <= i && 2 * i <= n)", {"n": 1})]),
+], ids=["1 <= i", "1 <= i && 2 * i <= n"])
+def test_iteration_space_is_a_claim_about_the_header(tmp_path, space, code, rows):
+    # the header gives the range whatever the space says; a space that
+    # every header index satisfies adds no row, one that some index breaks
+    # is a Violated row of its own
     path = tmp_path / "unbounded.mcl"
     path.write_text(LINKED_LOOP.replace("CAP", "n").replace(
         "SPACE", f"iteration_space({space});"))
-    code, out, err = cli("check", str(path), "--format", "json")
-    assert (code, out) == (2, "")
-    assert err == f"inconclusive: {path}: no upper bound for i\n"
+    got, out, err = cli("check", str(path), "--format", "json")
+    assert (got, err) == (code, "")
+    doc = json.loads(out)["clauses"]
+    assert [(r["clause"], r["verdict"]) for r in doc] == [("memreq<A>", "Verified")] + [
+        (clause, "Violated") for clause, _ in rows]
+    assert [r["witness"] for r in doc[1:]] == [w for _, w in rows]
 
 
 def test_requires_violation_lists_entry_values_sorted_whatever_the_hash_seed(tmp_path):

@@ -127,12 +127,12 @@ def test_iteration_space_annotates_its_own_loop():
     prog = load(src, "t.mcl")
     outer = prog.class_map()["K"].methods[0].body[1]
     assert isinstance(outer, ForStmt)
-    assert outer.space is not None and outer.resolved_space is not None
-    assert outer.resolved_space.var == "i"
+    assert outer.space is not None
+    assert [str(c) for c in outer.resolved_space] == ["-i + 1 <= 0", "i - n <= 0"]
     inner = next(s for s in outer.body if isinstance(s, ForStmt))
-    assert inner.resolved_space is not None
-    assert inner.resolved_space.var == "j"
-    assert len(inner.resolved_space.constraints) == 2
+    # the inner space and header may read the enclosing index
+    assert [str(c) for c in inner.resolved_space] == ["-j + 1 <= 0", "-i + j <= 0"]
+    assert inner.resolved_range == (Poly.const(1), Poly.var("i"))
 
 
 def test_header_bounds_give_implicit_space():
@@ -147,12 +147,58 @@ def test_header_bounds_give_implicit_space():
     """
     prog = load(src, "t.mcl")
     loop = prog.class_map()["K"].methods[0].body[0]
-    assert loop.space is None
-    sp = loop.resolved_space
-    assert sp is not None and sp.var == "i"
-    lo, hi, _ = sp.interval()
+    assert loop.space is None and loop.resolved_space is None
+    lo, hi = loop.resolved_range
     assert lo.eval({}) == 1
     assert hi.eval({"n": 7}) == 7
+
+
+def test_a_header_that_reads_the_index_it_shadows_has_no_range():
+    # the inner i is not the outer i its header reads, so that header is
+    # no polynomial over the indices in scope, and its clauses get flagged
+    src = """
+    class K {
+        void m(int n) {
+            for (i = 1 .. n) {
+                for (i = 1 .. i) {
+                    int x = i;
+                }
+            }
+        }
+    }
+    """
+    outer = load(src, "t.mcl").class_map()["K"].methods[0].body[0]
+    inner = outer.body[0]
+    assert outer.resolved_range == (Poly.const(1), Poly.var("n"))
+    assert inner.resolved_range is None
+
+
+def test_a_header_reads_only_the_indices_of_loops_with_a_range():
+    # j runs over 1 .. x with x a local, so it has no range, and neither
+    # has a header that reads it; a deeper header reads the ranged i
+    src = """
+    class K {
+        void m(int n) {
+            int x = n;
+            for (j = 1 .. x) {
+                for (i = 1 .. j) {
+                    int y = i;
+                }
+                for (i = 1 .. n) {
+                    for (k = i .. n) {
+                        int z = k;
+                    }
+                }
+            }
+        }
+    }
+    """
+    outer = load(src, "t.mcl").class_map()["K"].methods[0].body[1]
+    assert outer.resolved_range is None
+    assert outer.body[0].resolved_range is None
+    ranged = outer.body[1]
+    assert ranged.resolved_range == (Poly.const(1), Poly.var("n"))
+    assert ranged.body[0].resolved_range == (Poly.var("i"), Poly.var("n"))
 
 
 # ------------------------------------------------------------------- resolve

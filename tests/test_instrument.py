@@ -487,6 +487,23 @@ def test_counters_do_not_change_static_verdicts(name):
     assert before == after
 
 
+def test_a_violated_witness_is_where_the_instrumented_copy_first_fails():
+    # the header 1 .. n outgrows the declared space, and so the bounds of 5,
+    # at n = 6: each Violated row's witness is the least grid point at
+    # which validate of the instrumented copy fails the matching ensure
+    prog = load_corpus("faulty_narrow_space")
+    verdicts = {r.clause: r.verdict for r in S.check_program(prog).rows}
+    copy = load(pretty(instrument(prog).program), "copy.mcl")
+    first = {f.failure.cond: f.point for f in validate(copy).ensure_failures}
+    assert first == {"wind_MemReq_Token <= 5": {"n": 6}, "wind_Esc_This_Token <= 5": {"n": 6}}
+    assert len(verdicts) == 3
+    for clause, conds in [("memreq<Token>", ["wind_MemReq_Token <= 5"]),
+                          ("esc<Token>(this)", ["wind_Esc_This_Token <= 5"]),
+                          ("iteration_space(1 <= i && i <= 5)", list(first))]:
+        assert verdicts[clause].kind == "Violated"
+        assert all(verdicts[clause].witness == first[c] for c in conds), clause
+
+
 def test_instrument_does_not_mutate_its_input():
     prog = load_corpus("callpair")
     snapshot = program_to_json(prog)

@@ -166,3 +166,12 @@ def test_a_call_is_charged_by_one_rule():
     # summary.call_entries binds a callee's contract for both the checker
     # and the instrumenter, so the two cannot charge a call differently
     assert _callers("contract_binding") == ["summary.py:call_entries"]
+
+
+def test_a_linear_fact_is_decided_by_one_procedure():
+    # symexpr._solve is the one integer decision procedure: a clause goes
+    # through entails_leq and a single affine fact (a sum's guard, an
+    # iteration space at its header's ends) through constraint_verdict,
+    # which keeps the witness; a third caller could decide it another way
+    assert sorted(_callers("_solve")) == ["symexpr.py:constraint_verdict",
+                                          "symexpr.py:entails_leq"]

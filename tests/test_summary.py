@@ -330,11 +330,16 @@ def test_mid_loop_peak_is_not_verified():
 
 
 def test_narrow_iteration_space_is_not_verified():
+    # the clauses are summed over the header 1 .. n, and the space is a
+    # claim about that header which fails once n > 5
     rep = check("faulty_narrow_space")
-    for clause in ("memreq<Token>", "esc<Token>(this)"):
+    for clause in ("memreq<Token>", "esc<Token>(this)", "iteration_space(1 <= i && i <= 5)"):
         r = row(rep, "Spool.wind", clause)
-        assert r.verdict.kind == VerdictKind.UNVERIFIED
-        assert "iteration-space-mismatch" in r.verdict.reason
+        assert r.verdict.kind == VerdictKind.VIOLATED
+        assert r.verdict.witness == {"n": 6}
+    space = row(rep, "Spool.wind", "iteration_space(1 <= i && i <= 5)")
+    assert (space.declared, space.computed) == (None, "1 .. n")
+    assert rep.exit_code() == 1
 
 
 def test_skipped_precondition_is_a_static_blind_spot():
@@ -517,3 +522,107 @@ def test_symbolic_triangle_matches_concrete_runs(n):
     computed = s.mem_req["Person"]
     brute = sum(range(1, n + 1))
     assert computed.eval({"n": n}) == brute
+
+
+def _affine_text(k, const):
+    """`k * n + const` as MCL source, a negative constant subtracted."""
+    return f"{k} * n {'+' if const >= 0 else '-'} {abs(const)}"
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=st.integers(0, 3), b=st.integers(0, 2), c=st.integers(-2, 3),
+       p=st.integers(0, 3), q=st.integers(0, 2), r=st.integers(-2, 4))
+def test_iteration_space_decision_against_brute_force(a, b, c, p, q, r):
+    # for (i = a .. b*n + c) with iteration_space(p <= i && i <= q*n + r):
+    # the space is a claim about the header, decided exactly, and the
+    # loop is summed over the header whatever the space says
+    space = f"{p} <= i && i <= {_affine_text(q, r)}"
+    prog = load(f"""
+    class A {{ }}
+    class P {{
+        void f(int n) {{
+            requires(n >= 0);
+            memreq<A>(0);
+            for (i = {a} .. {_affine_text(b, c)}) {{
+                iteration_space({space});
+                A x = new A();
+            }}
+        }}
+    }}
+    """, "space.mcl")
+
+    def broken_at(n):
+        return any(not p <= i <= q * n + r for i in range(a, b * n + c + 1))
+
+    rows = [x for x in S.check_program(prog).rows if x.clause == f"iteration_space({space})"]
+    if not rows:
+        assert not any(broken_at(n) for n in range(9))
+    else:
+        [row] = rows
+        assert row.verdict.kind == VerdictKind.VIOLATED, row.verdict
+        assert set(row.verdict.witness) == {"n"}
+        assert broken_at(row.verdict.witness["n"])
+    computed = summarize_in(prog, "P.f").mem_req.get("A", SYM_ZERO)
+    for n in range(9):
+        trips = b * n + c - a + 1
+        assert computed.eval({"n": n}) >= max(trips, 0)
+        if trips > 0:
+            assert computed.eval({"n": n}) == trips
+
+
+def test_a_space_inside_a_loop_without_a_range_is_not_refuted():
+    # j runs over 1 .. x with x a local, so nothing bounds it: the inner
+    # header 1 .. j has no range either, and its space (which holds, since
+    # i <= j <= x = n) is not decided at a j that no run reaches
+    prog = load("""
+    class A { }
+    class P {
+        void f(int n) {
+            requires(n >= 0);
+            memreq<A>(0);
+            int x = n;
+            for (j = 1 .. x) {
+                for (i = 1 .. j) {
+                    iteration_space(1 <= i && i <= n);
+                    A a = new A();
+                }
+            }
+        }
+    }
+    """, "unranged.mcl")
+    rep = S.check_program(prog)
+    space = row(rep, "P.f", "iteration_space(1 <= i && i <= n)")
+    assert space.verdict.kind == VerdictKind.UNVERIFIED
+    assert space.verdict.reason == "loop header has no range over entry values"
+    assert rep.exit_code() == 2
+
+
+def test_a_space_under_an_if_is_decided_without_the_condition():
+    # the context leaves `n <= 5` out, so the point that breaks the space
+    # (n = 6) is one where the loop never runs: the row is Unverified.  The
+    # memreq row is summed over the header without the guard too, and is
+    # Violated at n = 6 exactly as for the same loop without a space.
+    def program(space):
+        return load(f"""
+        class A {{ }}
+        class P {{
+            void f(int n) {{
+                requires(n >= 0);
+                memreq<A>(5);
+                if (n <= 5) {{
+                    for (i = 1 .. n) {{
+                        {space}
+                        A a = new A();
+                    }}
+                }}
+            }}
+        }}
+        """, "guarded.mcl")
+
+    rep = S.check_program(program("iteration_space(1 <= i && i <= 5);"))
+    space = row(rep, "P.f", "iteration_space(1 <= i && i <= 5)")
+    assert space.verdict.kind == VerdictKind.UNVERIFIED
+    assert space.verdict.reason == "decided without the enclosing if condition"
+    plain = S.check_program(program(""))
+    assert row(rep, "P.f", "memreq<A>") == row(plain, "P.f", "memreq<A>")
+    assert row(plain, "P.f", "memreq<A>").verdict.witness == {"n": 6}

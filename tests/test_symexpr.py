@@ -11,14 +11,12 @@ from mclcheck.symexpr import (
     DegreeOverflow,
     FLAG_MONOTONICITY,
     FLAG_SUM_GUARD,
-    IterSpace,
     LinConstraint,
     Poly,
     SymExpr,
-    UnboundedSpace,
     VerdictKind,
     add,
-    constraint_entailed,
+    constraint_verdict,
     entails_leq,
     integer_valued,
     integral,
@@ -39,9 +37,10 @@ C1 = Poly.const(1)
 
 
 def interval(var, lo, hi):
+    """The range var = lo .. hi as sum_over and max_over take it."""
     lo = lo if isinstance(lo, Poly) else Poly.const(lo)
     hi = hi if isinstance(hi, Poly) else Poly.const(hi)
-    return IterSpace.interval_space(var, lo, hi)
+    return var, lo, hi
 
 
 # --- polynomial basics -----------------------------------------------------
@@ -123,30 +122,30 @@ def test_substitute_agrees_with_eval(p, n, k):
 # --- interval summation ----------------------------------------------------
 
 def test_sum_of_ones_is_trip_count():
-    got = sum_over(SymExpr.of(C1), interval("i", 0, N - C1))
+    got = sum_over(SymExpr.of(C1), *interval("i", 0, N - C1))
     assert got.alts == (N,)
     assert not got.flags
 
 
 def test_sum_of_index_is_triangular():
-    got = sum_over(SymExpr.of(I), interval("i", 1, N))
+    got = sum_over(SymExpr.of(I), *interval("i", 1, N))
     assert got.alts == ((N * N + N).scale(Fraction(1, 2)),)
 
 
 def test_sum_of_squares_matches_known_form():
-    got = sum_over(SymExpr.of(I * I), interval("i", 1, N))
+    got = sum_over(SymExpr.of(I * I), *interval("i", 1, N))
     expected = (N * (N + C1) * (N * 2 + C1)).scale(Fraction(1, 6))
     assert got.alts == (expected,)
 
 
 def test_sum_with_concrete_empty_range_is_zero():
-    got = sum_over(SymExpr.of(I * I + Poly.const(5)), interval("i", 4, 1))
+    got = sum_over(SymExpr.of(I * I + Poly.const(5)), *interval("i", 4, 1))
     assert got.is_zero()
 
 
 def test_sum_closed_form_valid_at_adjacent_empty_range():
     # lo == hi + 1 must collapse to zero in the closed form itself.
-    got = sum_over(SymExpr.of(I), interval("i", 1, N))
+    got = sum_over(SymExpr.of(I), *interval("i", 1, N))
     assert got.eval({"n": 0}) == 0
 
 
@@ -158,7 +157,7 @@ def test_sum_brute_force_oracle_random():
         lo = rng.randint(-3, 12)
         hi = rng.randint(-3, 12)
         y = rng.randint(0, 4)
-        got = sum_over(SymExpr.of(p), interval(space_var, lo, hi))
+        got = sum_over(SymExpr.of(p), *interval(space_var, lo, hi))
         expect = brute_sum(p, space_var, lo, hi, {"y": y})
         assert got.eval({"y": y}) == expect, (poly_to_str(p), lo, hi, y)
 
@@ -168,7 +167,7 @@ def test_sum_symbolic_guard_discharged_by_context():
     lo = Poly.const(10) - N
     space = interval("i", lo, Poly.const(5))
     ctx = (LinConstraint.compare(N, ">=", Poly.const(4)),)
-    got = sum_over(SymExpr.of(C1), space, ctx)
+    got = sum_over(SymExpr.of(C1), *space, ctx)
     assert FLAG_SUM_GUARD not in got.flags
     assert got.eval({"n": 6}) == 2
 
@@ -176,45 +175,39 @@ def test_sum_symbolic_guard_discharged_by_context():
 def test_sum_symbolic_guard_left_when_undischarged():
     lo = Poly.const(10) - N
     space = interval("i", lo, Poly.const(5))
-    got = sum_over(SymExpr.of(C1), space)
+    got = sum_over(SymExpr.of(C1), *space)
     assert FLAG_SUM_GUARD in got.flags
 
 
 def test_sum_nonneg_summand_clamps_instead_of_guard():
     # lo constant, summand nonnegative: empty ranges can only undershoot.
-    got = sum_over(SymExpr.of(C1), interval("i", 3, N))
+    got = sum_over(SymExpr.of(C1), *interval("i", 3, N))
     assert FLAG_SUM_GUARD not in got.flags
     assert got.eval({"n": 0}) == 0
     assert got.eval({"n": 5}) == 3
 
 
-def test_sum_rejects_missing_bound():
-    space = IterSpace("i", (LinConstraint.compare(Poly.var("i"), ">=", C1),))
-    with pytest.raises(UnboundedSpace):
-        sum_over(SymExpr.of(C1), space)
-
-
 def test_sum_degree_cap_enforced():
     with pytest.raises(DegreeOverflow):
-        sum_over(SymExpr.of(I * I * I * I), interval("i", 1, N))
+        sum_over(SymExpr.of(I * I * I * I), *interval("i", 1, N))
 
 
 # --- interval maximization -------------------------------------------------
 
 def test_max_over_nondecreasing_takes_upper_endpoint():
-    got = max_over(SymExpr.of(I + C1), interval("i", 1, N))
+    got = max_over(SymExpr.of(I + C1), *interval("i", 1, N))
     assert got.alts == (N + C1,)
     assert not got.flags
 
 
 def test_max_over_nonincreasing_takes_lower_endpoint():
-    got = max_over(SymExpr.of(N - I), interval("i", 1, N))
+    got = max_over(SymExpr.of(N - I), *interval("i", 1, N))
     assert got.alts == (N - C1,)
 
 
 def test_max_over_mixed_signs_is_flagged():
     p = I * (N - I)  # peaks in the interior
-    got = max_over(SymExpr.of(p), interval("i", 0, N))
+    got = max_over(SymExpr.of(p), *interval("i", 0, N))
     assert FLAG_MONOTONICITY in got.flags
     # Both endpoints evaluate to zero here, which understates the interior.
     assert got.eval({"n": 6}) < brute_max(SymExpr.of(p), "i", 0, 6, {"n": 6})
@@ -226,20 +219,23 @@ def test_max_over_monotone_matches_brute_force():
         coeffs = [rng.randint(0, 4) for _ in range(3)]
         p = I * I * coeffs[0] + I * coeffs[1] + Poly.const(coeffs[2])
         lo, hi = sorted((rng.randint(0, 8), rng.randint(0, 8)))
-        got = max_over(SymExpr.of(p), interval("i", lo, hi))
+        got = max_over(SymExpr.of(p), *interval("i", lo, hi))
         assert got.eval({}) == brute_max(SymExpr.of(p), "i", lo, hi)
 
 
 def test_max_over_concrete_empty_range_is_zero():
-    got = max_over(SymExpr.of(I + Poly.const(9)), interval("i", 5, 2))
+    got = max_over(SymExpr.of(I + Poly.const(9)), *interval("i", 5, 2))
     assert got.is_zero()
 
 
 # --- nested space counting -------------------------------------------------
 
 def count(outer, inner):
-    """Points of a two-deep nest: the inner sum under the outer space."""
-    return sum_over(sum_over(SymExpr.of(C1), inner, outer.constraints), outer)
+    """Points of a two-deep nest: the inner sum under the outer range."""
+    var, lo, hi = outer
+    context = (LinConstraint.compare(lo, "<=", Poly.var(var)),
+               LinConstraint.compare(Poly.var(var), "<=", hi))
+    return sum_over(sum_over(SymExpr.of(C1), *inner, context), *outer)
 
 
 def test_count_triangle():
@@ -408,15 +404,44 @@ def test_entails_never_verified_against_grid_counterexample():
 def test_constraint_entailed_against_brute_force():
     rng = random.Random(7)
     names = ["n", "m", "i"]
+    kinds = []
     for _ in range(300):
         context = _random_pre(rng, names)
         goal = LinConstraint(_random_affine(rng, names), rng.choice(LinConstraint.RELS))
-        if not constraint_entailed(goal, context):
+        v = constraint_verdict(goal, context)
+        kinds.append(v.kind)
+        if v.kind == VerdictKind.VIOLATED:
+            # a nonnegative integer point of the context that breaks the goal
+            assert all(isinstance(x, int) and x >= 0 for x in v.witness.values())
+            assert all(c.holds(v.witness) for c in context), (goal, context, v.witness)
+            assert not goal.holds(v.witness), (goal, context, v.witness)
+        if v.kind != VerdictKind.VERIFIED:
             continue
+        assert v.method == "farkas"
         context_holds, goal_holds = _holds_all(context, names), _holds_all((goal,), names)
         for pt in itertools.product(range(11), repeat=3):
             if context_holds(pt):
                 assert goal_holds(pt), (goal, context, pt)
+    assert kinds.count(VerdictKind.VERIFIED) > 10 and kinds.count(VerdictKind.VIOLATED) > 10
+
+
+def test_a_non_affine_goal_is_unverified():
+    v = constraint_verdict(LinConstraint.compare(N * N, ">=", N), ())
+    assert v.kind == VerdictKind.UNVERIFIED and "not affine" in v.reason
+
+
+def test_constraint_verdict_names_why_it_is_undecided():
+    # 3n = 2m + 1 has no integer point with m = 0, but the greedy
+    # back-substitution tries m = 0, n = 1 and overshoots
+    odd = (LinConstraint.compare(Poly.const(3) * N, "==", Poly.const(2) * M + 1),)
+    v = constraint_verdict(LinConstraint.compare(M, ">=", Poly.const(1)), odd)
+    assert (v.kind, v.reason) == (VerdictKind.UNVERIFIED,
+                                  "elimination stuck, no integer witness found")
+    # n * n <= 1 is dropped before elimination, and its point n = 2 breaks it
+    square = (LinConstraint.compare(N * N, "<=", Poly.const(1)),)
+    v = constraint_verdict(LinConstraint.compare(N, "<=", Poly.const(1)), square)
+    assert (v.kind, v.reason) == (VerdictKind.UNVERIFIED,
+                                  "the point found breaks a non-affine fact of the context")
 
 
 def test_memreq_beyond_the_witness_grid_is_violated():
