@@ -20,6 +20,7 @@ from .syntax import (
     NewStmt, NullLit, NOPOS, OBJECT_KEY, OutArg, Param, ParenExpr, Pos,
     PRIMITIVES, Program, RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef,
     TypeRef, Unary, VarRef, entry_vars, expr_poly, iter_stmts,
+    unassigned_entry_vars,
 )
 
 
@@ -122,6 +123,7 @@ class _MethodResolver:
         self.new_ordinal = 0
         self.call_ordinal = 0
         self.entry = entry_vars(method, cls)
+        self.unassigned = unassigned_entry_vars(method, cls)  # what headers read
 
     def error(self, code: str, msg: str, pos: Pos = NOPOS) -> None:
         self.top.error(code, f"{self.m.qname}: {msg}", pos)
@@ -462,10 +464,13 @@ class _MethodResolver:
         self.typeof(s.hi)
         # a header that is not entry-constant is allowed; it just gives the
         # loop no range.  It may read the index of an enclosing loop that has
-        # a range, which bounds it, but not one that it shadows.
-        admissible = self.entry | (self.ranged - {s.var})
+        # a range, which bounds it, but not one that it shadows.  A lower
+        # bound with a negative coefficient gives no range either, so an
+        # index with a range is nonnegative whenever its body runs.
+        admissible = self.unassigned | (self.ranged - {s.var})
         lo, hi = expr_poly(s.lo, admissible), expr_poly(s.hi, admissible)
-        s.resolved_range = None if lo is None or hi is None else (lo, hi)
+        s.resolved_range = None if lo is None or hi is None or not lo.coeffs_nonneg() \
+            else (lo, hi)
         inner = loops + (s.var,)
         if s.space is not None:
             cons = [self.constraint_of(c, set(inner), "iteration_space") for c in s.space]

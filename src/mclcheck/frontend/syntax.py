@@ -272,9 +272,9 @@ class ForStmt(Stmt):
     hi: Expr
     body: list[Stmt]
     space: list[Cmp] | None = None  # leading iteration_space(...) of the body
-    # the header's (lo, hi) over entry values and the indices of enclosing
-    # loops that have one, None when either is not such a polynomial; the
-    # range that is summed
+    # the header's (lo, hi) over unassigned entry values and the indices of
+    # enclosing loops that have one, None when either is not such a
+    # polynomial or lo has a negative coefficient; the range that is summed
     resolved_range: tuple[Poly, Poly] | None = _meta()
     resolved_space: tuple[LinConstraint, ...] | None = _meta()  # a claim on it
 
@@ -537,7 +537,8 @@ def callee_of(stmt: Stmt) -> MethodDecl | None:
 #
 # Out-parameters are never contract variables.  Callers that read a loop
 # header or an iteration space add the enclosing loop variables, which are
-# plain names, to the admissible set.
+# plain names, to the admissible set.  A body reads only those of
+# `unassigned_entry_vars`; contract clauses read them all.
 
 def entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
     """The contract variables of a method of `cls`."""
@@ -555,6 +556,22 @@ def entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
         elif f.decl_type.is_array:
             names.add(f"this.{f.name}.length")
     return names
+
+
+def unassigned_entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
+    """The contract variables of a method of `cls` that its body may read
+    as their entry values: all but those of an in-parameter that the body
+    assigns, as the target of an assignment, a `new` or a call, as an `out`
+    argument, or as a loop variable.  An assigned field is not caught."""
+    assigned: set[str] = set()
+    for s in iter_stmts(method.body):
+        targets = [s.target] if isinstance(s, (Assign, AugAssign, NewStmt, CallStmt)) else []
+        if isinstance(s, CallStmt):
+            targets += [a.target for a in s.args if isinstance(a, OutArg)]
+        elif isinstance(s, ForStmt):
+            assigned.add(s.var)
+        assigned |= {t.name for t in targets if isinstance(t, VarRef)}
+    return {v for v in entry_vars(method, cls) if v.partition(".")[0] not in assigned}
 
 
 def expr_poly(e: Expr, admissible: set[str],

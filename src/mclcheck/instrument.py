@@ -9,13 +9,17 @@ plain MCL, so the result pretty-prints, reparses, and runs unchanged
 through the interpreter; `erase` strips the additions and returns the
 original program.
 
-Counter scoping mirrors the worked examples: one maxCalls/sumCalls pair
-per class at method level, declared just before the first contributing
-call, plus one maxCall/sumCall pair per loop body, declared before the
-loop and flushed into the requirement counter right after it (and before
-any return that leaves the loop).  A method whose own contract uses the
-object pseudo-class collapses every callee contribution onto it, and keeps
-beside it the counters of the classes its other clauses name.
+Counter scoping mirrors the worked examples and the summarizer's scopes
+(`summary._Acc.fold`), each a plain map from class to a
+maxCalls/sumCalls pair of counter names.  The method body's pairs are
+declared in one place in `_rewrite`, just before the first call, `new`
+or `if` that charges them, so both arms of an `if` share them as they
+share a scope in the summary.  Each loop body has maxCall/sumCall pairs
+of its own, declared before the loop and flushed into the requirement
+counter right after it (and before any return that leaves the loop).  A
+method whose own contract uses the object pseudo-class collapses every
+callee contribution onto it, and keeps beside it the counters of the
+classes its other clauses name.
 
 What a call site charges is not restated here: `summary.call_entries` is
 the one statement of the call-composition rule, shared with the static
@@ -144,18 +148,13 @@ def _suffix(key: str) -> str:
 # ------------------------------------------------------------- per method
 
 
-class _Scope:
-    """One level of maxCalls/sumCalls pairs (method body or a loop body)."""
-
-    def __init__(self):
-        self.pairs: dict[str, tuple[str, str]] = {}
+_Pairs = dict[str, tuple[str, str]]  # a scope: class -> (max, sum) counter names
 
 
 class _Instrumenter:
     def __init__(self, method: MethodDecl, cls: ClassDecl,
                  index: dict[str, CounterInfo]):
         self.m = method
-        self.cls = cls
         self.index = index
         self.prefix = method.name
         self.entry = entry_vars(method, cls)
@@ -217,7 +216,7 @@ class _Instrumenter:
 
     # -- statement rewriting --------------------------------------------------
 
-    def _call_counters(self, stmt: NewStmt | CallStmt, scope: _Scope) -> list[Stmt]:
+    def _call_counters(self, stmt: NewStmt | CallStmt, pairs: _Pairs) -> list[Stmt]:
         admissible = self.entry | self.loop_vars
         entries = call_entries(stmt, admissible, self.object_mode)
         if self.object_mode:
@@ -225,7 +224,7 @@ class _Instrumenter:
                         if e[0] in self.class_keys]
         out: list[Stmt] = []
         for key, mr, escaped, pulls in entries:
-            max_name, sum_name = scope.pairs[key]
+            max_name, sum_name = pairs[key]
             diff = self._diff(key, stmt.site)
             out.append(LocalDecl(T_INT, diff, Binary(
                 "-", _operand(sym_expr_node(mr)), _operand(sym_expr_node(escaped)))))
@@ -247,70 +246,55 @@ class _Instrumenter:
                                      copy.deepcopy(amount)))
         return out
 
-    def _declare_pair(self, key: str, scope: _Scope, in_loop: bool) -> list[Stmt]:
+    def _declare_pair(self, key: str, pairs: _Pairs, in_loop: bool) -> list[Stmt]:
+        n = "s"  # maxCalls_A at method level; maxCall_A, maxCall2_A, ... per loop
         if in_loop:
-            self.loop_pair_seen[key] = self.loop_pair_seen.get(key, 0) + 1
-            k = self.loop_pair_seen[key]
+            k = self.loop_pair_seen[key] = self.loop_pair_seen.get(key, 0) + 1
             n = "" if k == 1 else str(k)
-            max_name, sum_name = f"maxCall{n}_{_suffix(key)}", f"sumCall{n}_{_suffix(key)}"
-        else:
-            max_name, sum_name = f"maxCalls_{_suffix(key)}", f"sumCalls_{_suffix(key)}"
+        max_name, sum_name = f"maxCall{n}_{_suffix(key)}", f"sumCall{n}_{_suffix(key)}"
         self.index[max_name] = CounterInfo(self.m.qname, KIND_MAXCALLS, key)
         self.index[sum_name] = CounterInfo(self.m.qname, KIND_SUMCALLS, key)
-        scope.pairs[key] = (max_name, sum_name)
+        pairs[key] = (max_name, sum_name)
         return [LocalDecl(T_INT, max_name, IntLit(0)),
                 LocalDecl(T_INT, sum_name, IntLit(0))]
 
-    def _flush(self, scope: _Scope) -> list[Stmt]:
+    def _flush(self, pairs: _Pairs) -> list[Stmt]:
         return [AugAssign(VarRef(self._memreq(key)),
                           Binary("+", VarRef(mx), VarRef(sm)))
-                for key, (mx, sm) in scope.pairs.items()]
+                for key, (mx, sm) in pairs.items()]
 
-    def _flush_all(self, scopes: list[_Scope]) -> list[Stmt]:
-        out: list[Stmt] = []
-        for scope in reversed(scopes):  # innermost loop first, method last
-            out.extend(self._flush(scope))
-        return out
-
-    def _rewrite(self, stmts: list[Stmt], scopes: list[_Scope]) -> list[Stmt]:
-        method_scope = scopes[0]
+    def _rewrite(self, stmts: list[Stmt], scopes: list[_Pairs]) -> list[Stmt]:
         out: list[Stmt] = []
         for s in stmts:
+            if len(scopes) == 1:  # the one place the method's pairs are declared
+                for key in self._contributing([s]):
+                    if key not in scopes[0]:
+                        out.extend(self._declare_pair(key, scopes[0], in_loop=False))
             if isinstance(s, ReturnStmt):
-                out.extend(self._flush_all(scopes))
+                for pairs in reversed(scopes):  # innermost loop first, method last
+                    out.extend(self._flush(pairs))
                 out.append(s)
             elif isinstance(s, (NewStmt, CallStmt)):
-                if len(scopes) == 1:  # method level declares pairs lazily
-                    for key in self._contributing([s]):
-                        if key not in method_scope.pairs:
-                            out.extend(self._declare_pair(
-                                key, method_scope, in_loop=False))
                 out.extend(self._call_counters(s, scopes[-1]))
                 if isinstance(s, NewStmt):
                     out.extend(self._new_counters(s))
                 out.append(s)
             elif isinstance(s, IfStmt):
-                if len(scopes) == 1:
-                    # hoist pair declarations so both arms share them
-                    for key in self._contributing([s]):
-                        if key not in method_scope.pairs:
-                            out.extend(self._declare_pair(
-                                key, method_scope, in_loop=False))
                 s.then_body = self._rewrite(s.then_body, scopes)
                 s.else_body = self._rewrite(s.else_body, scopes)
                 out.append(s)
             elif isinstance(s, ForStmt):
-                loop_scope = _Scope()
+                loop_pairs: _Pairs = {}
                 decls: list[Stmt] = []
                 for key in self._contributing(s.body):
-                    decls.extend(self._declare_pair(key, loop_scope, in_loop=True))
+                    decls.extend(self._declare_pair(key, loop_pairs, in_loop=True))
                 saved = self.loop_vars
                 self.loop_vars = saved | {s.var}
-                s.body = self._rewrite(s.body, scopes + [loop_scope])
+                s.body = self._rewrite(s.body, scopes + [loop_pairs])
                 self.loop_vars = saved
                 out.extend(decls)
                 out.append(s)
-                out.extend(self._flush(loop_scope))
+                out.extend(self._flush(loop_pairs))
             else:
                 out.append(s)
         return out
@@ -332,23 +316,16 @@ class _Instrumenter:
             counter = self._memreq(c.key) if c.tag is None else self._esc(c.tag, c.key)
             ensures.append(EnsureStmt(Binary("<=", VarRef(counter), sym_expr_node(c.bound))))
 
-        method_scope = _Scope()
-        body = self._rewrite(rest, [method_scope])
+        method_pairs: _Pairs = {}
+        body = self._rewrite(rest, [method_pairs])
         # _rewrite flushes before each return; a body that falls off the
         # end (void methods, ctors) still needs the trailing accumulation
-        if method_scope.pairs and (
-                not body or not isinstance(body[-1], ReturnStmt)):
-            body = body + self._flush(method_scope)
-
-        if ensures or self.inits:
-            self.m.body = prefix + ensures + self._init_decls() + body
-        else:
-            self.m.body = prefix + body
+        if method_pairs and not isinstance(body[-1], ReturnStmt):
+            body = body + self._flush(method_pairs)
+        inits = [LocalDecl(T_INT, name, IntLit(0)) for name in self.inits]
+        self.m.body = prefix + ensures + inits + body
         for name, info in self.inits.items():
             self.index[name] = info
-
-    def _init_decls(self) -> list[Stmt]:
-        return [LocalDecl(T_INT, name, IntLit(0)) for name in self.inits]
 
 
 # ------------------------------------------------------------------- entry

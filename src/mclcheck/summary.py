@@ -1,19 +1,25 @@
 """Symbolic consumption summaries and bound verification.
 
 A method is summarized against its callees' declared contracts, never
-their bodies: per class, a straight-line call sequence costs the largest
-headroom any single call needs (its requirement minus what it leaves
-escaped) plus everything the calls leave escaped.  Loops sum their own
-allocations and callee escapes over the header's range and keep one
-maximized headroom term, which is what lets temporaries be recycled
-across iterations.  The declared bounds are then discharged with
-entails_leq, whose Verified holds for every nonnegative integer input
-that satisfies requires.  A loop's range is its header, always: an
-`iteration_space` annotation is a claim about that header, decided
-exactly at the header's two ends with constraint_verdict and reported as
-a row of its own when it does not hold, never a second range to sum
-over.  Nothing here enumerates a grid.  Lifetime findings from the heap
-analysis are folded into the same report.
+their bodies, one scope at a time.  Per class, a scope needs its own
+allocations, plus the largest headroom any single call needs (its
+requirement minus what it leaves escaped), plus everything the calls
+leave escaped; the subtraction is what lets memory be recycled between
+calls.  That rule is stated once, in `_Acc.fold`: a method body folds
+its scope as it is, and a loop body sums its own allocations and the
+calls' escapes over the header's range and maximizes the headroom term
+over it (a loop whose header has no range folds to flagged zeros).  Both
+arms of an `if` fold straight into the enclosing scope,
+flow-insensitively.  A body reads a parameter as its entry value only
+while it has not assigned it (`unassigned_entry_vars`).  The declared
+bounds are then discharged with entails_leq, whose Verified holds for
+every nonnegative integer input that satisfies requires.  A loop's range
+is its header, always: an `iteration_space` annotation is a claim about
+that header, decided exactly at the header's two ends with
+constraint_verdict and reported as a row of its own when it does not
+hold, never a second range to sum over.  Nothing here enumerates a grid.
+Lifetime findings from the heap analysis are folded into the same
+report.
 
 A call's whole charge (requirement, summed escapes, `add_esc` pulls) is
 stated once, in `call_entries`, which the instrumenter reads too; which
@@ -32,6 +38,7 @@ class together, against the method's object-mode summary.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -41,7 +48,6 @@ from .frontend.syntax import (
     CallStmt,
     Clause,
     ClassDecl,
-    Expr,
     ForStmt,
     IfStmt,
     LengthRef,
@@ -56,6 +62,7 @@ from .frontend.syntax import (
     callee_of,
     entry_vars,
     expr_poly,
+    unassigned_entry_vars,
     var_expr,
 )
 from .symexpr import (
@@ -142,6 +149,9 @@ class ConsumptionSummary:
     space_rows: list[ClauseRow]  # each iteration_space that does not hold
 
 
+_Over = Callable[[SymExpr], SymExpr]  # a value as is, or over a loop's range
+
+
 class _Acc:
     """Per-scope buckets, all keyed by class (or the object pseudo-class)."""
 
@@ -158,15 +168,23 @@ class _Acc:
         k = (tag, key)
         self.esc_tags[k] = add(self.esc_tags.get(k, SYM_ZERO), e)
 
-    def keys(self) -> set[str]:
-        return set(self.own) | set(self.diffs) | set(self.escs)
-
-    def calls(self, key: str) -> tuple[SymExpr, SymExpr]:
-        """The calls of this scope, folded for one class: the largest
-        headroom (MR - esc) any one of them needs, and the sum of what they
-        all leave escaped."""
-        return (reduce(sym_max, self.diffs.get(key, []), SYM_ZERO),
-                sym_sum(self.escs.get(key, [])))
+    def fold(self, summed: _Over, maxed: _Over) -> tuple[
+            dict[str, SymExpr], dict[str, SymExpr], dict[tuple[Tag, str], SymExpr]]:
+        """The scope rule, per class: the scope's own allocations summed,
+        plus the largest headroom (MR - esc) any one call needs maximized,
+        plus what all the calls leave escaped summed; tagged escapes are
+        summed alike.  A method body folds with the identity for both, a
+        loop body over its header's range.  Gives the requirement and the
+        calls' part of it per class, in class order, and the escapes."""
+        mem: dict[str, SymExpr] = {}
+        calls: dict[str, SymExpr] = {}
+        for key in sorted(set(self.own) | set(self.diffs)):
+            mem[key] = summed(self.own.get(key, SYM_ZERO))
+            if key in self.diffs:  # a call adds to diffs and escs alike
+                calls[key] = add(maxed(reduce(sym_max, self.diffs[key], SYM_ZERO)),
+                                 summed(sym_sum(self.escs[key])))
+                mem[key] = add(mem[key], calls[key])
+        return mem, calls, {k: summed(e) for k, e in self.esc_tags.items()}
 
 
 def call_entries(stmt: NewStmt | CallStmt, admissible: set[str], object_mode: bool
@@ -202,28 +220,19 @@ def call_entries(stmt: NewStmt | CallStmt, admissible: set[str], object_mode: bo
 class _Summarizer:
     def __init__(self, method: MethodDecl, mode: str, class_map: dict[str, ClassDecl]):
         self.m = method
-        self.cls = class_map[method.cls]
         self.mode = mode
-        self.entry = entry_vars(method, self.cls)
-        self.requires: tuple[LinConstraint, ...] = method.contract.requires
+        cls = class_map[method.cls]
+        self.entry = entry_vars(method, cls)  # what a witness names
+        self.reads = unassigned_entry_vars(method, cls)  # what the body reads
         self.space_rows: list[ClauseRow] = []
         self.guards = 0  # the `if` arms around the statement being summarized
 
     # -- helpers ---------------------------------------------------------------
 
-    def _key(self, type_key: str) -> str:
-        return OBJECT_KEY if self.mode == MODE_OBJECT else type_key
-
-    def _poly_or_flag(self, e: Expr, loop_vars: tuple[str, ...]) -> SymExpr:
-        p = expr_poly(e, self.entry | set(loop_vars))
-        if p is None:
-            return SYM_ZERO.with_flags(FLAG_BAD_ARG)
-        return SymExpr.of(p)
-
     def _call(self, acc: _Acc, s: NewStmt | CallStmt,
               loop_vars: tuple[str, ...]) -> None:
         for key, mr, escaped, pulls in call_entries(
-                s, self.entry | set(loop_vars), self.mode == MODE_OBJECT):
+                s, self.reads | set(loop_vars), self.mode == MODE_OBJECT):
             # mr - escaped: subtract one certified lower alternative of the escape
             low = min(escaped.alts, key=lambda p: sorted(p.terms))
             acc.diffs.setdefault(key, []).append(
@@ -234,18 +243,19 @@ class _Summarizer:
 
     # -- scopes ------------------------------------------------------------------
 
-    def scope(self, stmts: list[Stmt], context: tuple[LinConstraint, ...],
+    def block(self, stmts: list[Stmt], acc: _Acc, context: tuple[LinConstraint, ...],
               loop_vars: tuple[str, ...]) -> _Acc:
-        acc = _Acc()
         for s in stmts:
             self.stmt(s, acc, context, loop_vars)
         return acc
 
     def stmt(self, s: Stmt, acc: _Acc, context, loop_vars) -> None:
         if isinstance(s, NewStmt):
-            key = self._key(s.class_ref.key())
-            k = self._poly_or_flag(s.length, loop_vars) if s.class_ref.is_array \
-                else SymExpr.of(1)
+            key = OBJECT_KEY if self.mode == MODE_OBJECT else s.class_ref.key()
+            k = SymExpr.of(1)
+            if s.class_ref.is_array:
+                p = expr_poly(s.length, self.reads | set(loop_vars))
+                k = SYM_ZERO.with_flags(FLAG_BAD_ARG) if p is None else SymExpr.of(p)
             acc.add_own(key, k)
             if s.dest_esc is not None:
                 acc.add_tag(s.dest_esc, key, k)
@@ -253,24 +263,13 @@ class _Summarizer:
         if callee_of(s) is not None:
             self._call(acc, s, loop_vars)
         elif isinstance(s, IfStmt):
-            # flow-insensitive: both branches contribute
+            # flow-insensitive: both arms fold into the enclosing scope
             self.guards += 1
-            for body in (s.then_body, s.else_body):
-                sub = self.scope(body, context, loop_vars)
-                self._merge(acc, sub)
+            for arm in (s.then_body, s.else_body):
+                self.block(arm, acc, context, loop_vars)
             self.guards -= 1
         elif isinstance(s, ForStmt):
             self.loop(s, acc, context, loop_vars)
-
-    def _merge(self, acc: _Acc, sub: _Acc) -> None:
-        for key, e in sub.own.items():
-            acc.add_own(key, e)
-        for key, ds in sub.diffs.items():
-            acc.diffs.setdefault(key, []).extend(ds)
-        for key, es in sub.escs.items():
-            acc.escs.setdefault(key, []).extend(es)
-        for (t, key), e in sub.esc_tags.items():
-            acc.add_tag(t, key, e)
 
     def loop(self, s: ForStmt, acc: _Acc, context, loop_vars) -> None:
         if s.space is not None:
@@ -281,36 +280,25 @@ class _Summarizer:
                     self.m.qname, space_label(s), None,
                     f"{expr_to_str(s.lo)} .. {expr_to_str(s.hi)}", v))
         if s.resolved_range is None:
-            # header bounds were not entry-constant: nothing provable inside
-            body = self.scope(s.body, context, loop_vars + (s.var,))
-            for key in body.keys() | {k for (_, k) in body.esc_tags}:
-                acc.add_own(key, SYM_ZERO.with_flags(FLAG_BAD_ARG))
-            for (t, key) in body.esc_tags:
-                acc.add_tag(t, key, SYM_ZERO.with_flags(FLAG_BAD_ARG))
-            return
-
-        lo, hi = s.resolved_range
-        index = Poly.var(s.var)
-        inner_ctx = context + (LinConstraint.compare(lo, "<=", index),
+            # the header has no range over entry values: nothing provable inside
+            inner = context
+            summed = maxed = lambda e: SYM_ZERO.with_flags(FLAG_BAD_ARG)
+        else:
+            lo, hi = s.resolved_range
+            index = Poly.var(s.var)
+            inner = context + (LinConstraint.compare(lo, "<=", index),
                                LinConstraint.compare(index, "<=", hi))
-        body = self.scope(s.body, inner_ctx, loop_vars + (s.var,))
 
-        def summed(e: SymExpr) -> SymExpr:
-            if e.is_zero():  # keep flags, skip the closed form
-                return SymExpr(SYM_ZERO.alts, e.flags)
-            return sum_over(e, s.var, lo, hi, context)
-
-        for key in body.keys():
-            total = summed(body.own.get(key, SYM_ZERO))
-            peak, escaped = body.calls(key)
-            if not peak.is_zero() or peak.flags:
-                total = add(total, max_over(peak, s.var, lo, hi))
-            if key in body.escs:
-                total = add(total, summed(escaped))
-            acc.add_own(key, total)
-
-        for (t, key), e in body.esc_tags.items():
-            acc.add_tag(t, key, summed(e))
+            def over(f: _Over) -> _Over:
+                # a zero keeps its flags and skips the closed form
+                return lambda e: SymExpr(SYM_ZERO.alts, e.flags) if e.is_zero() else f(e)
+            summed = over(lambda e: sum_over(e, s.var, lo, hi, context))
+            maxed = over(lambda e: max_over(e, s.var, lo, hi))
+        mem, _, esc = self.block(s.body, _Acc(), inner, loop_vars + (s.var,)).fold(summed, maxed)
+        for key, e in mem.items():
+            acc.add_own(key, e)
+        for (t, key), e in esc.items():
+            acc.add_tag(t, key, e)
 
     def _space_verdict(self, s: ForStmt, context) -> Verdict:
         """Whether every index the header produces satisfies the declared
@@ -342,18 +330,12 @@ class _Summarizer:
     # -- top level ----------------------------------------------------------------
 
     def run(self) -> ConsumptionSummary:
-        acc = self.scope(self.m.body, self.requires, ())
-        mem_req: dict[str, SymExpr] = {}
-        call_part: dict[str, SymExpr] = {}
-        for key in sorted(acc.keys()):
-            total = acc.own.get(key, SYM_ZERO)
-            if key in acc.diffs or key in acc.escs:
-                call_part[key] = add(*acc.calls(key))
-                total = add(total, call_part[key])
-            if not total.is_zero() or total.flags:
-                mem_req[key] = total
-        esc = {k: e for k, e in acc.esc_tags.items() if not e.is_zero() or e.flags}
-        return ConsumptionSummary(self.m.qname, mem_req, esc, call_part, self.space_rows)
+        mem, calls, esc = self.block(self.m.body, _Acc(), self.m.contract.requires, ()).fold(
+            lambda e: e, lambda e: e)
+        return ConsumptionSummary(
+            self.m.qname, {k: e for k, e in mem.items() if not e.is_zero() or e.flags},
+            {k: e for k, e in esc.items() if not e.is_zero() or e.flags},
+            calls, self.space_rows)
 
 
 def summarize(method: MethodDecl, mode: str,

@@ -1,13 +1,17 @@
 """Symbolic bound arithmetic for the consumption checker.
 
 Every quantity the checker manipulates is a SymExpr: a finite set of
-polynomials over named integer variables, read as their pointwise maximum.
-Variables stand for nonnegative integer quantities (parameters, array
-lengths, loop indices), and that assumption is what licenses dominance
-pruning and the coefficient entailment criterion below.  Coefficients are
-exact rationals so that closed-form interval sums lose nothing.  A loop is
-summed and maximized over the range its header gives, `lo .. hi`; nothing
-here reads a range back out of constraints.
+polynomials over named integer variables, read as their pointwise
+maximum.  Variables stand for nonnegative integer quantities
+(parameters, array lengths, loop indices), and that assumption is what
+licenses dominance pruning and the coefficient entailment criterion
+below.  The resolver and the summarizer enforce it: a parameter that the
+body assigns is never read as its entry value
+(`frontend.unassigned_entry_vars`), and an index has a range only when
+its header's lower bound has no negative coefficient.  Coefficients are
+exact rationals so that closed-form interval sums lose nothing.  A loop
+is summed and maximized over the range its header gives, `lo .. hi`;
+nothing here reads a range back out of constraints.
 
 `Verified` means proved for every nonnegative integer point of
 `requires`: either by coefficient dominance, or (proof kind `farkas`)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from mclcheck import summary as S
 from mclcheck.frontend import Tag, load
-from mclcheck.frontend.syntax import CallStmt, NewStmt, entry_vars
+from mclcheck.frontend.syntax import CallStmt, NewStmt, entry_vars, unassigned_entry_vars
+from mclcheck.oracle import validate
 from mclcheck.symexpr import (
     Poly,
     SYM_ZERO,
@@ -626,3 +627,87 @@ def test_a_space_under_an_if_is_decided_without_the_condition():
     plain = S.check_program(program(""))
     assert row(rep, "P.f", "memreq<A>") == row(plain, "P.f", "memreq<A>")
     assert row(plain, "P.f", "memreq<A>").verdict.witness == {"n": 6}
+
+
+def test_a_loop_whose_lower_bound_can_be_negative_has_no_range():
+    # j runs from -3, so the inner header j .. 0 runs n + 4 times at j = -3
+    # alone; summing it as if every index were nonnegative gave n + 4 and
+    # Verified, while runs allocate far more
+    prog = load("""
+    class A { A next; }
+    class P {
+        void f(int n) {
+            requires(n >= 0);
+            memreq<A>(n + 4);
+            A h = null;
+            for (j = -3 .. n) {
+                for (i = j .. 0) {
+                    iteration_space(0 <= i && i <= 0);
+                    A a = new A();
+                    a.next = h;
+                    h = a;
+                }
+            }
+        }
+    }
+    """, "negative.mcl")
+    rep = S.check_program(prog)
+    mem = row(rep, "P.f", "memreq<A>")
+    assert mem.verdict.kind == VerdictKind.UNVERIFIED
+    assert mem.verdict.reason == "analysis incomplete: unanalyzable-arg"
+    space = row(rep, "P.f", "iteration_space(0 <= i && i <= 0)")
+    assert space.verdict.kind == VerdictKind.UNVERIFIED
+    assert rep.exit_code() == 2
+    assert {v.clause for v in validate(prog, hi=2).violations} == {"memreq<A>"}
+
+
+def test_a_reassigned_parameter_is_not_read_as_its_entry_value():
+    # the header reads n after n = n + 1, so the loop runs n + 1 times
+    prog = load("""
+    class A { }
+    class P {
+        void f(int n) {
+            requires(n >= 0);
+            memreq<A>(n);
+            n = n + 1;
+            for (i = 1 .. n) {
+                A a = new A();
+            }
+        }
+    }
+    """, "reassigned.mcl")
+    rep = S.check_program(prog)
+    mem = row(rep, "P.f", "memreq<A>")
+    assert mem.verdict.kind == VerdictKind.UNVERIFIED
+    assert mem.verdict.reason == "analysis incomplete: unanalyzable-arg"
+    assert rep.exit_code() == 2
+    assert {v.clause for v in validate(prog, hi=2).violations} == {"memreq<A>"}
+
+
+def test_unassigned_entry_vars_leaves_out_every_assigned_parameter():
+    prog = load("""
+    class A { }
+    class P {
+        A[] data;
+        int size;
+        int give(int k) { return k; }
+        void take(int k, out int r) { r = k; }
+        void f(int a, int b, int c, int d, int e, A[] xs, A[] ys, A[] zs) {
+            a = 1;
+            b += 1;
+            c = this.give(c);
+            this.take(d, out d);
+            for (e = 1 .. 2) { }
+            xs = new A[3];
+            this.data = ys;
+            this.size = 2;
+        }
+    }
+    """, "assigned.mcl")
+    cls = prog.class_map()["P"]
+    f = next(m for m in cls.methods if m.name == "f")
+    assert entry_vars(f, cls) - unassigned_entry_vars(f, cls) == {
+        "a", "b", "c", "d", "e", "xs.length"}
+    # an assigned field is not caught
+    assert {"ys.length", "zs.length", "this.size", "this.data.length"} \
+        <= unassigned_entry_vars(f, cls)
