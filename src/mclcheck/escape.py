@@ -1,17 +1,20 @@
 """Points-to graphs, escape summaries, and lifetime-annotation checks.
 
 Each method gets one flow-insensitive exit graph.  Nodes are allocation
-sites (solid), parameters and field loads (dotted).  Calls inline the
-callee's pruned summary: parameter nodes map to argument nodes,
-allocation sites keep their identity, load nodes replay their field
-chain in the caller.  A method's body is walked until a walk leaves
-`PointsToGraph.size()` unchanged: L, N, E and the returned set only ever
-grow, so an equal size means no new fact, and the walk that changes
-nothing records the facts (call and allocation-site records) the
-lifetime checker reads.  Only recursive components iterate from empty
-summaries to a fixpoint, reached once no summary changes.  Any other
-method is built once, as its callees' summaries are already final; the
-recursive components are reported to `check`.  Each
+sites (solid), parameters and field loads (dotted).  A call, and the
+constructor a `new` runs, inline the callee's pruned summary by one rule,
+read from the statement (`_Builder.apply_call`): parameter nodes map to
+argument nodes, allocation sites keep their identity, load nodes replay
+their field chain in the caller.  A method's body is walked until a walk
+leaves `PointsToGraph.size()` unchanged: L, N, E and the returned set
+only ever grow, so an equal size means no new fact, and the walk that
+changes nothing records the facts the lifetime checker reads: each `new`
+statement, and each call or constructor statement with what its callee's
+tags map to there.  The statement is the site's only record.  Only
+recursive components iterate from empty summaries to a fixpoint, reached
+once no summary changes.  Any other method is built once, as its
+callees' summaries are already final; the recursive components are
+reported to `check`.  Each
 reachability query is one pass over E that groups the edges by source,
 then a search over that grouping.
 """
@@ -101,10 +104,11 @@ class PointsToGraph:
         self.N: set[PTGNode] = set()
         self.E: set[tuple[PTGNode, str, PTGNode]] = set()
         self.returned: set[PTGNode] = set()
-        # populated by the builder for the lifetime checker
+        # populated by the builder for the lifetime checker: each `new`, and
+        # each call or constructor with what its callee's tags map to here
         self.tagged: dict[Tag, set[PTGNode]] = {}
-        self.call_records: list[CallRecord] = []
-        self.site_records: list[SiteRecord] = []
+        self.site_records: list[NewStmt] = []
+        self.call_records: list[tuple[NewStmt | CallStmt, dict[Tag, set[PTGNode]]]] = []
 
     def add_node(self, n: PTGNode) -> None:
         self.N.add(n)
@@ -174,26 +178,6 @@ def reachable(ptg: PointsToGraph, from_nodes: set[PTGNode], target: PTGNode) -> 
 
 
 @dataclass
-class CallRecord:
-    """One call (or ctor) site: what the callee's tags map to here."""
-
-    site: str
-    add_esc: list[tuple[Tag, Tag]]
-    mapped_tagged: dict[Tag, set[PTGNode]]
-    callee: str
-
-
-@dataclass
-class SiteRecord:
-    """One allocation site with its lifetime annotation, if any."""
-
-    site: str
-    node: PTGNode
-    dest_esc: Tag | None
-    dest_local: bool
-
-
-@dataclass
 class EscapeSummary:
     method: str
     ptg: PointsToGraph  # pruned exit graph
@@ -227,11 +211,9 @@ def _ref_params(method: MethodDecl, class_map: dict[str, ClassDecl]) -> list[str
 
 
 class _Builder:
-    def __init__(self, method: MethodDecl, cls: ClassDecl,
-                 summaries: dict[str, EscapeSummary],
+    def __init__(self, method: MethodDecl, summaries: dict[str, EscapeSummary],
                  class_map: dict[str, ClassDecl]):
         self.m = method
-        self.cls = cls
         self.summaries = summaries
         self.class_map = class_map
         self.g = PointsToGraph()
@@ -255,7 +237,7 @@ class _Builder:
             return self.g.load(self.nodes_of(e.base), ARRAY_FIELD)
         return set()  # literals, arithmetic, null: never references
 
-    def store(self, target: Expr, values: set[PTGNode]) -> None:
+    def store(self, target: Expr | None, values: set[PTGNode]) -> None:
         if isinstance(target, VarRef):
             self.g.bind(target.name, values)
         elif isinstance(target, FieldRef):
@@ -299,26 +281,24 @@ class _Builder:
                   for t, ns in summary.tagged.items()}
         return returned, outs, tagged
 
-    def apply_call(self, callee: MethodDecl, this_nodes: set[PTGNode],
-                   pos_args: list, out_targets: dict[str, Expr],
-                   target: Expr | None, add_esc, site: str) -> None:
+    def apply_call(self, s: NewStmt | CallStmt, this_nodes: set[PTGNode]) -> None:
+        """Inline the summary of the method a call, or the constructor a
+        `new`, runs on `this_nodes`; a constructor returns nothing, so a
+        `new`'s target keeps just its node."""
+        callee = callee_of(s)
         summary = self.summaries.get(callee.qname)
         if summary is None:
             return  # empty bootstrap summary: no effect this round
         argmap: dict[str, set[PTGNode]] = {"this": this_nodes}
-        for p, a in zip(callee.params, pos_args):
-            if isinstance(a, OutArg):
-                continue
-            if p.decl_type.name in self.class_map:
+        for p, a in zip(callee.params, s.args):
+            if not isinstance(a, OutArg) and p.decl_type.name in self.class_map:
                 argmap[p.name] = self.nodes_of(a)
         returned, outs, tagged = self.inline(summary, argmap)
-        if target is not None:
-            self.store(target, returned)
-        for p_name, lv in out_targets.items():
-            self.store(lv, outs.get(p_name, set()))
-        self.g.call_records.append(
-            CallRecord(site=site, add_esc=list(add_esc),
-                       mapped_tagged=tagged, callee=callee.qname))
+        self.store(s.target, returned)
+        for p, a in zip(callee.params, s.args):
+            if isinstance(a, OutArg):
+                self.store(a.target, outs.get(p.name, set()))
+        self.g.call_records.append((s, tagged))
 
     # -- statement interpretation ----------------------------------------------
 
@@ -337,23 +317,12 @@ class _Builder:
             node = inside_node(s.site)
             self.g.add_node(node)
             self.store(s.target, {node})
-            self.g.site_records.append(
-                SiteRecord(site=s.site, node=node,
-                           dest_esc=s.dest_esc, dest_local=s.dest_local))
-            ctor = callee_of(s)
-            if ctor is not None:
-                self.apply_call(ctor, {node}, s.args, {}, None,
-                                s.add_esc, s.site)
+            self.g.site_records.append(s)
+            if callee_of(s) is not None:
+                self.apply_call(s, {node})
         elif isinstance(s, CallStmt):
-            callee = callee_of(s)
-            if callee is None:
-                return
-            this_nodes = self.nodes_of(s.receiver) if s.receiver is not None \
-                else self.g.var_set("this")
-            out_targets = {p.name: a.target for p, a in zip(callee.params, s.args)
-                           if isinstance(a, OutArg)}
-            self.apply_call(callee, this_nodes, s.args, out_targets,
-                            s.target, s.add_esc, s.site)
+            self.apply_call(s, self.g.var_set("this") if s.receiver is None
+                            else self.nodes_of(s.receiver))
         elif isinstance(s, ReturnStmt):
             self.g.returned |= self.nodes_of(s.value)
         # counter updates, control flow, contract statements and annotations
@@ -374,12 +343,12 @@ class _Builder:
 
     def _collect_tagged(self) -> dict[Tag, set[PTGNode]]:
         tagged: dict[Tag, set[PTGNode]] = {}
-        for rec in self.g.site_records:
-            if rec.dest_esc is not None:
-                tagged.setdefault(rec.dest_esc, set()).add(rec.node)
-        for rec in self.g.call_records:
-            for dst, src in rec.add_esc:
-                pulled = rec.mapped_tagged.get(src, set())
+        for s in self.g.site_records:
+            if s.dest_esc is not None:
+                tagged.setdefault(s.dest_esc, set()).add(inside_node(s.site))
+        for s, mapped in self.g.call_records:
+            for dst, src in s.add_esc:
+                pulled = mapped.get(src, set())
                 if pulled:
                     tagged.setdefault(dst, set()).update(pulled)
         return tagged
@@ -387,8 +356,7 @@ class _Builder:
 
 def build_ptg(method: MethodDecl, summaries: dict[str, EscapeSummary],
               class_map: dict[str, ClassDecl]) -> PointsToGraph:
-    cls = class_map[method.cls]
-    return _Builder(method, cls, summaries, class_map).run()
+    return _Builder(method, summaries, class_map).run()
 
 
 def _root_sets(g: PointsToGraph, method: MethodDecl,
@@ -443,54 +411,56 @@ def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
         return tag_reach[tag]
 
     out: list[LifetimeVerdict] = []
-    for rec in ptg.site_records:
-        if rec.dest_local:
-            out.append(LifetimeVerdict(method.qname, rec.site, SUPPRESSED))
+    for s in ptg.site_records:
+        node = inside_node(s.site)
+        if s.dest_local:
+            out.append(LifetimeVerdict(method.qname, s.site, SUPPRESSED))
             continue
-        if rec.dest_esc is None:
-            if rec.node in escaped:
+        if s.dest_esc is None:
+            if node in escaped:
                 out.append(LifetimeVerdict(
-                    method.qname, rec.site, ESCAPES_UNANNOTATED,
-                    note=f"reachable from {', '.join(roots_reaching(rec.node))}"))
+                    method.qname, s.site, ESCAPES_UNANNOTATED,
+                    note=f"reachable from {', '.join(roots_reaching(node))}"))
             else:
-                out.append(LifetimeVerdict(method.qname, rec.site, OK))
+                out.append(LifetimeVerdict(method.qname, s.site, OK))
             continue
-        tag = rec.dest_esc
-        if rec.node not in escaped:
+        tag = s.dest_esc
+        if node not in escaped:
             out.append(LifetimeVerdict(
-                method.qname, rec.site, ANNOTATED_CAPTURED, tag=str(tag),
+                method.qname, s.site, ANNOTATED_CAPTURED, tag=str(tag),
                 note="annotated as escaping but unreachable from every root"))
             continue
-        if rec.node in reach_of(tag):
-            out.append(LifetimeVerdict(method.qname, rec.site, OK, tag=str(tag)))
+        if node in reach_of(tag):
+            out.append(LifetimeVerdict(method.qname, s.site, OK, tag=str(tag)))
         else:
             out.append(LifetimeVerdict(
-                method.qname, rec.site, TAG_MISMATCH, tag=str(tag),
-                note=f"actually reachable from {', '.join(roots_reaching(rec.node))}"))
+                method.qname, s.site, TAG_MISMATCH, tag=str(tag),
+                note=f"actually reachable from {', '.join(roots_reaching(node))}"))
 
-    for rec in ptg.call_records:
-        covered = {src for (_, src) in rec.add_esc}
-        for dst, src in rec.add_esc:
-            pulled = rec.mapped_tagged.get(src, set())
+    for s, mapped in ptg.call_records:
+        callee = callee_of(s).qname
+        covered = {src for (_, src) in s.add_esc}
+        for dst, src in s.add_esc:
+            pulled = mapped.get(src, set())
             if not pulled:
                 out.append(LifetimeVerdict(
-                    method.qname, rec.site, OK, tag=str(dst),
+                    method.qname, s.site, OK, tag=str(dst),
                     note=f"callee has no objects under tag {src}"))
                 continue
             if pulled <= reach_of(dst):
-                out.append(LifetimeVerdict(method.qname, rec.site, OK, tag=str(dst)))
+                out.append(LifetimeVerdict(method.qname, s.site, OK, tag=str(dst)))
             else:
                 out.append(LifetimeVerdict(
-                    method.qname, rec.site, TAG_MISMATCH, tag=str(dst),
-                    note=f"objects from {rec.callee} tag {src} do not reach {dst}"))
-        for src, pulled in sorted(rec.mapped_tagged.items(), key=lambda kv: str(kv[0])):
+                    method.qname, s.site, TAG_MISMATCH, tag=str(dst),
+                    note=f"objects from {callee} tag {src} do not reach {dst}"))
+        for src, pulled in sorted(mapped.items(), key=lambda kv: str(kv[0])):
             if src in covered or not pulled:
                 continue
             leaking = sorted(n.key for n in pulled if n in escaped)
             if leaking:
                 out.append(LifetimeVerdict(
-                    method.qname, rec.site, ESCAPES_UNANNOTATED, tag=str(src),
-                    note=f"callee {rec.callee} objects ({', '.join(leaking)}) stay "
+                    method.qname, s.site, ESCAPES_UNANNOTATED, tag=str(src),
+                    note=f"callee {callee} objects ({', '.join(leaking)}) stay "
                          f"reachable but no add_esc claims them"))
     return out
 
@@ -567,9 +537,11 @@ def _facts(s: EscapeSummary):
 # --- DOT export ---------------------------------------------------------------
 
 def site_id_map(program: Program) -> dict[str, int]:
-    return {s.site: s.site_id for m in program.methods()
-            for s in iter_stmts(m.body)
-            if isinstance(s, NewStmt) and s.site is not None}
+    """Each allocation site's number in the DOT export: 1, 2, ... in
+    program order, the order the resolver names the sites in."""
+    sites = [s.site for m in program.methods() for s in iter_stmts(m.body)
+             if isinstance(s, NewStmt)]
+    return {site: i for i, site in enumerate(sites, 1)}
 
 
 def to_dot(name: str, g: PointsToGraph, site_ids: dict[str, int]) -> str:

@@ -41,7 +41,6 @@ class _Resolver:
         self.program = program
         self.diags: list[Diagnostic] = []
         self.classes: dict[str, ClassDecl] = {}
-        self.next_site_id = 1
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -375,8 +374,6 @@ class _MethodResolver:
     def resolve_new(self, s: NewStmt, loops: tuple[str, ...]) -> None:
         self.new_ordinal += 1
         s.site = f"{self.m.qname}#{self.new_ordinal}"
-        s.site_id = self.top.next_site_id
-        self.top.next_site_id += 1
         if s.class_ref.name not in self.top.classes:
             self.error("unknown-type", f"cannot allocate unknown class {s.class_ref.name}", s.pos)
             return
@@ -418,27 +415,26 @@ class _MethodResolver:
         if callee is None or callee.is_ctor:
             self.error("unknown-method", f"{cls_name} has no method {s.method}", s.pos)
             return
-        s.resolved = f"{cls_name}.{s.method}"
         s.callee = callee
         if len(s.args) != len(callee.params):
-            self.error("arity", f"{s.resolved} takes {len(callee.params)} argument(s), "
+            self.error("arity", f"{callee.qname} takes {len(callee.params)} argument(s), "
                        f"got {len(s.args)}", s.pos)
         for a, p in zip(s.args, callee.params):
             if isinstance(a, OutArg) != p.is_out:
                 self.error("out-mismatch",
-                           f"argument {p.name} of {s.resolved} must "
+                           f"argument {p.name} of {callee.qname} must "
                            f"{'be' if p.is_out else 'not be'} passed with out", s.pos)
             if isinstance(a, OutArg):
                 self.check_lvalue(a.target, loops)
             else:
-                self.check_arg(a, p, s.resolved, s.pos)
+                self.check_arg(a, p, callee.qname, s.pos)
         for a in s.args[len(callee.params):]:
             self.typeof(a.target if isinstance(a, OutArg) else a)
         for dst, _src in s.add_esc:
             self.check_tag_use(dst, s.pos, "add_esc")
         if s.target is not None:
             if callee.return_type.key() == "void":
-                self.error("bad-return", f"{s.resolved} returns nothing", s.pos)
+                self.error("bad-return", f"{callee.qname} returns nothing", s.pos)
             self.bind_target(s.target, s.decl_type, loops)
 
     def check_arg(self, a: Expr, p: Param, callee: str, pos: Pos) -> None:

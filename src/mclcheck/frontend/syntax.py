@@ -230,8 +230,7 @@ class NewStmt(Stmt):
     dest_esc: Tag | None = None
     dest_local: bool = False
     add_esc: list[tuple[Tag, Tag]] = field(default_factory=list)
-    site: str | None = _meta()      # "<qname>#<ordinal>", resolver-assigned
-    site_id: int | None = _meta()   # global numeric id for graph node names
+    site: str | None = _meta()  # "<qname>#<ordinal>", resolver-assigned
     callee: MethodDecl | None = _meta()  # the constructor it runs; see callee_of
 
 
@@ -248,7 +247,6 @@ class CallStmt(Stmt):
     method: str
     args: list[Expr | OutArg]
     add_esc: list[tuple[Tag, Tag]] = field(default_factory=list)
-    resolved: str | None = _meta()  # callee qname
     site: str | None = _meta()
     callee: MethodDecl | None = _meta()  # see callee_of
 
@@ -574,15 +572,18 @@ def unassigned_entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
     return {v for v in entry_vars(method, cls) if v.partition(".")[0] not in assigned}
 
 
-def expr_poly(e: Expr, admissible: set[str],
+def expr_poly(e: Expr, admissible: set[str] | None,
               report: Callable[[str, str, Pos], None] | None = None) -> Poly | None:
-    """Read an integer expression as a polynomial over `admissible` names.
+    """Read an integer expression as a polynomial over `admissible` names,
+    or over every name it reads when `admissible` is None.
 
     Gives None when some part cannot be read that way.  Each such part is
     also passed to `report(code, message, pos)` when one is given; both
     operands of a binary operator are read first, so every bad name is
     reported before the operator itself is judged.
     """
+    admits = (lambda name: True) if admissible is None else admissible.__contains__
+
     def fail(code: str, message: str, pos: Pos) -> None:
         if report is not None:
             report(code, message, pos)
@@ -594,13 +595,13 @@ def expr_poly(e: Expr, admissible: set[str],
         if isinstance(e, IntLit):
             return Poly.const(e.value)
         if isinstance(e, VarRef):
-            if e.name in admissible:
+            if admits(e.name):
                 return Poly.var(e.name)
             return fail("bad-contract-expr", f"may not mention {e.name}; only "
                         "entry-constant integers are allowed", e.pos)
         if isinstance(e, FieldRef) and isinstance(e.base, ThisRef):
             name = f"this.{e.field}"
-            if name in admissible:
+            if admits(name):
                 return Poly.var(name)
             return fail("bad-contract-expr", f"may not mention {name}", e.pos)
         if isinstance(e, LengthRef):
@@ -609,7 +610,7 @@ def expr_poly(e: Expr, admissible: set[str],
                 name = f"{e.base.name}.length"
             elif isinstance(e.base, FieldRef) and isinstance(e.base.base, ThisRef):
                 name = f"this.{e.base.field}.length"
-            if name in admissible:
+            if name is not None and admits(name):
                 return Poly.var(name)
             return fail("bad-contract-expr", "may not take this length", e.pos)
         if isinstance(e, Unary) and e.op == "-":

@@ -19,13 +19,17 @@ of its own, declared before the loop and flushed into the requirement
 counter right after it (and before any return that leaves the loop).  A
 method whose own contract uses the object pseudo-class collapses every
 callee contribution onto it, and keeps beside it the counters of the
-classes its other clauses name.
+classes its other clauses name.  A clause that reads a parameter the body
+assigns is ensured over a snapshot of its entry value, declared beside
+the counters.
 
 What a call site charges is not restated here: `summary.call_entries` is
 the one statement of the call-composition rule, shared with the static
 checker, which gives the whole charge and leaves this module only the
-counter statements.  Nor is what a contract declares: its clauses, in
-order, come from `MethodContract.clauses`.  Call targets come from
+counter statements; the copy charges a call with the values its
+arguments hold at the call, so any name may be read there.  Nor is what
+a contract declares: its clauses, in order, come from
+`MethodContract.clauses`.  Call targets come from
 `frontend.callee_of` and bodies are walked with `frontend.iter_stmts`.
 A polynomial is written back as MCL from its integer form
 `symexpr.integral` through `frontend.var_expr`, the inverse of the
@@ -63,25 +67,26 @@ from .frontend.syntax import (
     Unary,
     VarRef,
     callee_of,
-    entry_vars,
     iter_stmts,
+    unassigned_entry_vars,
     var_expr,
 )
 from .summary import call_entries
-from .symexpr import Poly, SymExpr, integral
+from .symexpr import Poly, SymExpr, integral, substitute
 
 KIND_MEMREQ = "MemReq"
 KIND_ESC = "Esc"
 KIND_MAXCALLS = "MaxCalls"
 KIND_SUMCALLS = "SumCalls"
 KIND_CALLDIFF = "CallDiff"
+KIND_ENTRY = "Entry"
 
 
 @dataclass(frozen=True)
 class CounterInfo:
     method: str  # qualified name
     kind: str
-    cls: str
+    cls: str                 # class key; "" for an Entry snapshot
     tag: str | None = None   # Esc counters
     site: str | None = None  # CallDiff counters
 
@@ -157,7 +162,7 @@ class _Instrumenter:
         self.m = method
         self.index = index
         self.prefix = method.name
-        self.entry = entry_vars(method, cls)
+        self.reads = unassigned_entry_vars(method, cls)
         keys = method.contract.keys()
         self.object_mode = OBJECT_KEY in keys
         self.class_keys = set(keys) - {OBJECT_KEY}
@@ -217,10 +222,9 @@ class _Instrumenter:
     # -- statement rewriting --------------------------------------------------
 
     def _call_counters(self, stmt: NewStmt | CallStmt, pairs: _Pairs) -> list[Stmt]:
-        admissible = self.entry | self.loop_vars
-        entries = call_entries(stmt, admissible, self.object_mode)
+        entries = call_entries(stmt, None, self.object_mode)
         if self.object_mode:
-            entries += [e for e in call_entries(stmt, admissible, False)
+            entries += [e for e in call_entries(stmt, None, False)
                         if e[0] in self.class_keys]
         out: list[Stmt] = []
         for key, mr, escaped, pulls in entries:
@@ -288,10 +292,7 @@ class _Instrumenter:
                 decls: list[Stmt] = []
                 for key in self._contributing(s.body):
                     decls.extend(self._declare_pair(key, loop_pairs, in_loop=True))
-                saved = self.loop_vars
-                self.loop_vars = saved | {s.var}
                 s.body = self._rewrite(s.body, scopes + [loop_pairs])
-                self.loop_vars = saved
                 out.extend(decls)
                 out.append(s)
                 out.extend(self._flush(loop_pairs))
@@ -302,7 +303,6 @@ class _Instrumenter:
     # -- assembly ---------------------------------------------------------------
 
     def run(self) -> None:
-        self.loop_vars: set[str] = set()
         self._count_diffs(self.m.body)
 
         split = 0
@@ -310,11 +310,17 @@ class _Instrumenter:
             split += 1
         prefix, rest = self.m.body[:split], self.m.body[split:]
 
-        # build ensures first so contract counters lead the init order
+        # build ensures first so contract counters lead the init order; a
+        # parameter the body assigns is read from its entry snapshot
+        clauses = self.m.contract.clauses(False)
+        assigned = sorted({v for c in clauses for v in c.bound.variables()} - self.reads)
+        snapshots = {v: f"{self.prefix}_Entry_{v.replace('.', '_')}" for v in assigned}
+        at_entry = {v: Poly.var(name) for v, name in snapshots.items()}
         ensures: list[Stmt] = []
-        for c in self.m.contract.clauses(False):
+        for c in clauses:
             counter = self._memreq(c.key) if c.tag is None else self._esc(c.tag, c.key)
-            ensures.append(EnsureStmt(Binary("<=", VarRef(counter), sym_expr_node(c.bound))))
+            ensures.append(EnsureStmt(Binary("<=", VarRef(counter),
+                                             sym_expr_node(substitute(c.bound, at_entry)))))
 
         method_pairs: _Pairs = {}
         body = self._rewrite(rest, [method_pairs])
@@ -323,9 +329,12 @@ class _Instrumenter:
         if method_pairs and not isinstance(body[-1], ReturnStmt):
             body = body + self._flush(method_pairs)
         inits = [LocalDecl(T_INT, name, IntLit(0)) for name in self.inits]
+        inits += [LocalDecl(T_INT, name, var_expr(v)) for v, name in snapshots.items()]
         self.m.body = prefix + ensures + inits + body
         for name, info in self.inits.items():
             self.index[name] = info
+        for name in snapshots.values():
+            self.index[name] = CounterInfo(self.m.qname, KIND_ENTRY, "")
 
 
 # ------------------------------------------------------------------- entry

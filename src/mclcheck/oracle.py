@@ -30,6 +30,9 @@ closures in the manner of Feeley and Lapalme's closure generation (Comput.
 Lang. 1987): an expression becomes a function of the interpreter and the
 current frame, and a body becomes a flat list of operations, each of which
 returns the index of the next, so an `if` and a `for` are explicit jumps.
+A call and the constructor a `new` runs lower alike, from the statement
+(`_Body.invoke`): one operation pushes the callee's frame, the next
+stores its result once it has returned.
 The same per-method entry holds the sorted readers of the entry variables,
 the `ensure` conditions, and the `requires` constraints and each declared
 `memreq`/`esc` bound as integer polynomials over one common denominator D,
@@ -467,7 +470,7 @@ class _Body:
         elif isinstance(s, NewStmt):
             return self.new(s)
         elif isinstance(s, CallStmt):
-            return self.call(s)
+            return self.invoke(s, None if s.receiver is None else _lower_expr(s.receiver))
         elif isinstance(s, ReturnStmt):
             if s.value is None:
                 op = _returned
@@ -535,8 +538,6 @@ class _Body:
         self.ops.append(advance)
 
     def new(self, s: NewStmt):
-        k = len(self.ops)
-        store = _lower_store(s.target) if s.target is not None else None
         site = s.site or ""
         if s.length is not None:
             length, key = _lower_expr(s.length), s.class_ref.key()
@@ -552,31 +553,22 @@ class _Body:
 
             def make(it, act):
                 return it._instance(cls, site)
-        ctor = callee_of(s)
-        if ctor is None:
-            def op(it, act):
-                ref = make(it, act)
-                if store is not None:
-                    store(it, act, ref)
-                it._post_stmt()
-                return k + 1
-            self.ops.append(op)
-            return
-        args = [_lower_expr(a) for a in s.args]
+        if callee_of(s) is not None:
+            return self.invoke(s, make)
+        store, nxt = _lower_store(s.target), len(self.ops) + 1
 
-        def construct(it, act):
-            ref = make(it, act)
-            values = [a(it, act) for a in args]
-            act.pc = k + 1
-            it._push(ctor, ref, values)
-            return _CALL
-        self.ops.append(construct)
-        self.ops.append(_resume(store, k + 2))
+        def op(it, act):
+            store(it, act, make(it, act))
+            it._post_stmt()
+            return nxt
+        self.ops.append(op)
 
-    def call(self, s: CallStmt):
+    def invoke(self, s: NewStmt | CallStmt, this):
+        """A call, or the constructor a `new` runs: push the callee's frame
+        on the receiver `this` gives (the caller's own when None), then
+        store the callee's result."""
         k = len(self.ops)
-        callee, name = callee_of(s), s.method
-        receiver = _lower_expr(s.receiver) if s.receiver is not None else None
+        callee = callee_of(s)
         args, outs = [], []
         for param, arg in zip(callee.params, s.args):
             if isinstance(arg, OutArg):
@@ -586,18 +578,18 @@ class _Body:
             else:
                 args.append(_lower_expr(arg))
 
-        def invoke(it, act):
-            if receiver is None:
-                this = act.this
+        def push(it, act):
+            if this is None:
+                receiver = act.this
             else:
-                this = receiver(it, act)
-                if this is None:
-                    raise NullDereference(f"call to {name} on null")
+                receiver = this(it, act)
+                if receiver is None:
+                    raise NullDereference(f"call to {callee.name} on null")
             values = [a(it, act) for a in args]
             act.pc = k + 1
-            it._push(callee, this, values, outs)
+            it._push(callee, receiver, values, outs)
             return _CALL
-        self.ops.append(invoke)
+        self.ops.append(push)
         self.ops.append(_resume(
             _lower_store(s.target) if s.target is not None else None, k + 2))
 

@@ -101,12 +101,12 @@ class CyclicWithoutContract(Exception):
 
 
 def contract_binding(stmt: NewStmt | CallStmt, callee: MethodDecl,
-                     admissible: set[str]) -> tuple[dict[str, Poly], set[str]]:
+                     admissible: set[str] | None) -> tuple[dict[str, Poly], set[str]]:
     """Map the callee's contract variables to caller-side polynomials.
 
-    Anything that cannot be expressed over the caller's entry values maps
-    to zero and raises the unanalyzable-arg flag, which downgrades every
-    clause that depends on it.
+    Anything that cannot be expressed over the `admissible` names (every
+    name, when None; see `expr_poly`) maps to zero and raises the
+    unanalyzable-arg flag, which downgrades every clause that depends on it.
     """
     is_ctor = isinstance(stmt, NewStmt)
     used: set[str] = set()
@@ -187,7 +187,7 @@ class _Acc:
         return mem, calls, {k: summed(e) for k, e in self.esc_tags.items()}
 
 
-def call_entries(stmt: NewStmt | CallStmt, admissible: set[str], object_mode: bool
+def call_entries(stmt: NewStmt | CallStmt, admissible: set[str] | None, object_mode: bool
                  ) -> list[tuple[str, SymExpr, SymExpr, list[tuple[Tag, SymExpr]]]]:
     """The call-composition rule: what one call, or the constructor a `new`
     runs, charges its caller.

@@ -317,13 +317,75 @@ def test_one_more_walk_changes_nothing_and_records_the_same(name):
     an = analyze(prog)
     class_map = prog.class_map()
     for m in prog.methods():
-        builder = escape._Builder(m, class_map[m.cls], an.summaries, class_map)
+        builder = escape._Builder(m, an.summaries, class_map)
         g = builder.run()
         size, calls, sites = g.size(), g.call_records, g.site_records
         g.call_records, g.site_records = [], []
         builder.walk(m.body)
         assert g.size() == size, m.qname
         assert (g.call_records, g.site_records) == (calls, sites), m.qname
+
+
+OUT_ARGS = """
+class T { T next; }
+class U {
+    T kept;
+    void make(out T t, T seed) {
+        memreq<T>(1);
+        esc<T>(Made, 1);
+        bind_esc(Made, t);
+
+        dest_esc(Made);
+        t = new T();
+        t.next = seed;
+    }
+    T first(T[] arr) {
+        T e = arr[0];
+        return e;
+    }
+    void quit() {
+        T x = new T();
+        return;
+    }
+    void top(T[] arr) {
+        T got = null;
+        T s = new T();
+        add_esc(this, Made);
+        this.make(out got, s);
+        this.kept = got;
+        T f = this.first(arr);
+        this.kept = f;
+        this.quit();
+    }
+}
+"""
+
+
+def test_out_arguments_element_loads_and_a_bare_return():
+    prog = load(OUT_ARGS, "t.mcl")
+    an = analyze(prog)
+    assert site_id_map(prog) == {"U.make#1": 1, "U.quit#1": 2, "U.top#1": 3}
+    assert an.graphs["U.first"].canonical() == {
+        "L": {"arr": ["arr"], "e": ["arr.[*]"], "this": ["this"]},
+        "N": ["arr", "arr.[*]", "this"],
+        "E": [("arr", "[*]", "arr.[*]")],
+        "returned": ["arr.[*]"]}
+    assert an.graphs["U.quit"].canonical() == {
+        "L": {"this": ["this"], "x": ["U.quit#1"]},
+        "N": ["U.quit#1", "this"], "E": [], "returned": []}
+    # the out-argument got receives make's allocation, which holds s
+    assert an.graphs["U.top"].canonical() == {
+        "L": {"arr": ["arr"], "f": ["arr.[*]"], "got": ["U.make#1"],
+              "s": ["U.top#1"], "this": ["this"]},
+        "N": ["U.make#1", "U.top#1", "arr", "arr.[*]", "this"],
+        "E": [("U.make#1", "next", "U.top#1"), ("arr", "[*]", "arr.[*]"),
+              ("this", "kept", "U.make#1"), ("this", "kept", "arr.[*]")],
+        "returned": []}
+    assert [v.to_json() for v in an.lifetimes["U.top"]] == [
+        {"method": "U.top", "where": "U.top#1", "kind": ESCAPES_UNANNOTATED,
+         "note": "reachable from This"},
+        {"method": "U.top", "where": "U.top@1", "kind": OK, "tag": "This"}]
+    assert [v.kind for v in an.lifetimes["U.quit"]] == [OK]
 
 
 SELF_RECURSIVE = """

@@ -234,7 +234,7 @@ def test_loop_call_carries_add_esc():
     m = prog.method("Family.CreateFamily")
     loop = next(s for s in m.body if isinstance(s, ForStmt))
     call = next(s for s in loop.body if isinstance(s, CallStmt))
-    assert call.resolved == "Family.AddMember"
+    assert call.callee.qname == "Family.AddMember"
     assert [(str(t), str(u)) for t, u in call.add_esc] == [
         ("Return", "This")
     ]

@@ -516,7 +516,7 @@ def test_instrumented_program_is_resolved():
     assert inst.program.resolved
     m = inst.program.method("A.m")
     calls = [s for s in m.body if type(s).__name__ == "CallStmt"]
-    assert [c.resolved for c in calls] == ["A.m1", "A.m2"]
+    assert [c.callee.qname for c in calls] == ["A.m1", "A.m2"]
 
 
 # ------------------------------------------------------------ counter index
@@ -570,3 +570,49 @@ def test_instrument_copies_a_long_call_chain():
     inst = instrument(prog)
     first = inst.program.method("C.m0")
     assert callee_of(first.body[0]) is inst.program.method("C.m1")
+
+
+# ------------------------------------------------------------ call arguments and entry values
+
+
+def test_a_call_on_a_local_argument_charges_the_local():
+    # need(x) is charged x, the local the copy holds, not a flagged zero
+    prog = load("""
+class A {}
+class P {
+    void need(int k) {
+        requires(k >= 0);
+        memreq<A>(k);
+        for (i = 1 .. k) { A a = new A(); }
+    }
+    void go(int n) {
+        requires(n >= 0);
+        memreq<A>(n);
+        int x = n + n;
+        this.need(x);
+    }
+}
+""", "local.mcl")
+    copy = instrument(prog).program
+    assert "int call_diff_A = x - 0;" in pretty(copy)
+    failures = [(f.point, f.failure.cond) for f in validate(copy, hi=3).ensure_failures
+                if f.failure.method == "P.go"]
+    assert failures == [({"n": 1}, "go_MemReq_A <= n")]
+
+
+def test_an_ensure_reads_a_reassigned_parameter_at_its_entry_value():
+    prog = load("""
+class A {}
+class P {
+    void f(int n) {
+        requires(n >= 0);
+        memreq<A>(n);
+        n = n + 1;
+        for (i = 1 .. n) { A a = new A(); }
+    }
+}
+""", "reassigned.mcl")
+    inst = instrument(prog)
+    failures = [(f.point, f.failure.cond) for f in validate(inst.program, hi=2).ensure_failures]
+    assert failures[0] == ({"n": 0}, "f_MemReq_A <= f_Entry_n")
+    assert program_to_json(erase(inst)) == program_to_json(prog)

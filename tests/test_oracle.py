@@ -640,3 +640,92 @@ def test_calls_past_the_interpreter_stack_are_runtime_errors():
     assert {p["n"] for _, p, _ in report.runtime_errors} == {2, 3, 4, 5}
     assert all("deeper than the interpreter's 200 frames" in msg
                for _, _, msg in report.runtime_errors)
+
+
+# ------------------------------------------------------------ lowering paths
+
+PATHS = """
+class T { int x; }
+class U {
+    void early(int n) {
+        T a = new T();
+        if (n > 0) {
+            return;
+        }
+        T b = new T();
+    }
+    void negate(int n) {
+        if (!(n > 1)) {
+            T a = new T();
+        }
+    }
+    void both(int n, T t) {
+        if (t != null && t.x > 0) {
+            T a = new T();
+        }
+        if (n > 0 && n < 3) {
+            T b = new T();
+        }
+    }
+    void either(int n, T t) {
+        if (t == null || t.x > 0) {
+            T a = new T();
+        }
+        if (n == 0 || n > 2) {
+            T[] b = new T[2];
+        }
+    }
+    void nullcall(int n) {
+        U u = null;
+        if (n > 0) {
+            u = new U();
+        }
+        u.early(n);
+    }
+    void shrink(int n) {
+        T[] a = new T[n - 1];
+    }
+}
+"""
+
+
+def paths_peak(entry, *args):
+    return run(load(PATHS, "paths"), entry, list(args)).observation(entry).peak
+
+
+@pytest.mark.parametrize("n, peak", [(0, {"T": 2, "object": 2}),
+                                     (1, {"T": 1, "object": 1})])
+def test_a_bare_return_leaves_the_rest_of_the_body(n, peak):
+    assert paths_peak("U.early", n) == peak
+
+
+@pytest.mark.parametrize("n, peak", [(1, {"T": 1, "object": 1}), (2, {})])
+def test_not_negates_its_operand(n, peak):
+    assert paths_peak("U.negate", n) == peak
+
+
+@pytest.mark.parametrize("n, peak", [(0, {}), (2, {"T": 1, "object": 1}),
+                                     (3, {})])
+def test_and_needs_both_sides_and_skips_the_right_after_false(n, peak):
+    # t is null: reading t.x would raise, so the right side never runs
+    assert paths_peak("U.both", n, None) == peak
+
+
+@pytest.mark.parametrize("n, peak", [(0, {"T": 1, "T[]": 2, "object": 3}),
+                                     (1, {"T": 1, "object": 1}),
+                                     (3, {"T": 1, "T[]": 2, "object": 3})])
+def test_or_needs_either_side_and_skips_the_right_after_true(n, peak):
+    assert paths_peak("U.either", n, None) == peak
+
+
+def test_a_call_on_a_null_receiver_dereferences_null():
+    assert paths_peak("U.nullcall", 1) == {"U": 1, "T": 1, "object": 2}
+    with pytest.raises(NullDereference, match="^call to early on null$"):
+        paths_peak("U.nullcall", 0)
+
+
+def test_a_negative_array_length_is_out_of_bounds():
+    assert paths_peak("U.shrink", 1) == {}
+    assert paths_peak("U.shrink", 2) == {"T[]": 1, "object": 1}
+    with pytest.raises(ArrayBounds, match="^negative array length -1$"):
+        paths_peak("U.shrink", 0)

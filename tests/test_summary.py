@@ -711,3 +711,114 @@ def test_unassigned_entry_vars_leaves_out_every_assigned_parameter():
     # an assigned field is not caught
     assert {"ys.length", "zs.length", "this.size", "this.data.length"} \
         <= unassigned_entry_vars(f, cls)
+
+
+# ------------------------------------------------------------ call composition
+
+COMPOSE = """
+    class A { A next; }
+    class C { int count; }
+    class Box {
+        int cap;
+        Box() {
+            memreq<A>(this.cap + 1);
+            A a = new A();
+        }
+    }
+    class Q {
+        int size;
+        A head;
+        Q(int size) {
+            this.size = size;
+        }
+        void grow() {
+            memreq<A>(this.size);
+            for (i = 1 .. this.size) { A a = new A(); }
+        }
+        void go() {
+            memreq<A>(this.size);
+            this.grow();
+        }
+        void other(Q q) {
+            memreq<A>(0);
+            q.grow();
+        }
+        void mk() {
+            memreq<A>(1);
+            memreq<Box>(1);
+            Box b = new Box();
+        }
+        void each(A[] xs) {
+            memreq<A>(xs.length);
+            for (i = 1 .. xs.length) { A a = new A(); }
+        }
+        void walk(A[] ys) {
+            memreq<A>(ys.length);
+            this.each(ys);
+        }
+        void need(int k) {
+            requires(k >= 0);
+            memreq<A>(k);
+            for (i = 1 .. k) { A a = new A(); }
+        }
+        void unread(C c) {
+            memreq<A>(0);
+            this.need(c.count);
+        }
+        void put(int k) {
+            requires(k >= 0);
+            memreq<A>(max(k, 1));
+            esc<A>(this, max(k, 1));
+            dest_esc(this);
+            A a = new A();
+            a.next = this.head;
+            this.head = a;
+            for (i = 2 .. k) {
+                dest_esc(this);
+                A b = new A();
+                b.next = this.head;
+                this.head = b;
+            }
+        }
+        void fill(int n, int k) {
+            requires(n >= 0 && k >= 0);
+            memreq<A>(n * k + n + k);
+            esc<A>(this, n * k + n);
+            for (j = 1 .. n) {
+                add_esc(this, this);
+                this.put(k);
+            }
+        }
+    }
+"""
+
+
+@pytest.mark.parametrize("method, clause, computed, reason", [
+    # this.size of a call on this is the caller's own this.size
+    ("Q.go", "memreq<A>", "this.size", None),
+    # ... but another receiver's field has no caller-side reading
+    ("Q.other", "memreq<A>", "0", "analysis incomplete: unanalyzable-arg"),
+    # a constructor's fields are zero at entry
+    ("Q.mk", "memreq<A>", "1", None),
+    ("Q.walk", "memreq<A>", "ys.length", None),
+    # c.count is a field of a parameter, not a contract variable
+    ("Q.unread", "memreq<A>", "0", "analysis incomplete: unanalyzable-arg"),
+    # each put(k) leaves max(k, 1) escaped, summed as k + 1 per iteration;
+    # the headroom max(k, 1) - 1 is charged even when the loop is empty
+    ("Q.fill", "esc<A>(this)", "k*n + n", None),
+    ("Q.fill", "memreq<A>", "max(k*n + k + n - 1, k*n + n)", None),
+])
+def test_a_call_binds_each_callee_variable_from_its_caller_side_reading(
+        method, clause, computed, reason):
+    r = row(S.check_program(load(COMPOSE, "compose.mcl")), method, clause)
+    assert r.computed == computed
+    if reason is None:
+        assert r.verdict.kind == VerdictKind.VERIFIED
+    else:
+        assert (r.verdict.kind, r.verdict.reason) == (VerdictKind.UNVERIFIED, reason)
+
+
+def test_the_composed_calls_run_within_their_bounds():
+    report = validate(load(COMPOSE, "compose.mcl"), hi=3)
+    assert report.clean
+    assert report.runs > 0
