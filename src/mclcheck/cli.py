@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import escape
 from .frontend import FrontendFailure, load, pretty
@@ -94,7 +96,8 @@ def _build_parser() -> _Parser:
     v.add_argument("file", metavar="FILE")
     v.add_argument("--grid", type=int, default=8, metavar="N",
                    help="parameters range over 0..N")
-    v.add_argument("--gc", choices=("ideal", "method-exit"), default="ideal")
+    v.add_argument("--gc", choices=("ideal", "method-exit"), default="ideal",
+                   help="reclaim at every statement or only at returns")
     common(v)
     return p
 
@@ -125,8 +128,57 @@ def _load_file(path: str):
         raise InputError([d.to_json() for d in exc.diagnostics])
 
 
+def _unencodable(o):
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_STR = frozenset({str})
+
+
+@functools.cache
+def _level(depth: int):
+    """What a container at indent `depth` is written with: a C encoder that
+    puts a comma, a newline and the members' indent between the members of
+    a scalar-only container, that newline and indent, and the newline and
+    indent before the closing bracket."""
+    inner = "\n" + "  " * (depth + 1)
+    encoder = c_make_encoder(None, _unencodable, encode_basestring_ascii, None,
+                             ": ", "," + inner, True, False, True)
+    return encoder, inner, "\n" + "  " * depth
+
+
+def _encode(value, depth: int) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for a value at indent
+    `depth`, except that a non-str key raises TypeError.  A non-empty
+    container whose members are all scalars is one call of the C encoder;
+    Python recurses only through a container that holds another container."""
+    encoder, inner, outer = _level(depth)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if (_SCALARS.issuperset(map(type, value.values()))
+                and _STR.issuperset(map(type, value))):
+            body = "".join(encoder(value, 0))[1:-1]
+        else:  # encode_basestring_ascii raises TypeError on a non-str key
+            body = ("," + inner).join(
+                encode_basestring_ascii(key) + ": "
+                + _encode(value[key], depth + 1) for key in sorted(value))
+        return f"{{{inner}{body}{outer}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _SCALARS.issuperset(map(type, value)):
+            body = "".join(encoder(value, 0))[1:-1]
+        else:
+            body = ("," + inner).join([_encode(member, depth + 1) for member in value])
+        return f"[{inner}{body}{outer}]"
+    return "".join(encoder(value, 0))
+
+
 def _dump(data, out) -> None:
-    out.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    out.write(_encode(data, 0))
+    out.write("\n")
 
 
 # ------------------------------------------------------------ check
@@ -253,15 +305,14 @@ def _cmd_run(ns, out, err) -> int:
         }, out)
     else:
         for ev in result.trace:
-            j = _event_json(ev)
-            if j["event"] == "alloc":
-                out.write(f"alloc    oid={j['oid']} {j['class']}"
-                          f" weight={j['weight']} at {j['site']}"
-                          f" by {j['by']}\n")
-            elif j["event"] == "reclaim":
-                out.write(f"reclaim  oid={j['oid']}\n")
+            if ev[0] == "alloc":
+                _, oid, cls, weight, site, by = ev
+                out.write(f"alloc    oid={oid} {cls} weight={weight}"
+                          f" at {site} by {by}\n")
+            elif ev[0] == "reclaim":
+                out.write(f"reclaim  oid={ev[1]}\n")
             else:
-                out.write(f"{j['event']:<8} {j['instance']}\n")
+                out.write(f"{ev[0]:<8} {ev[2]}\n")
         for o in result.observations:
             peaks = " ".join(f"{k}={v}" for k, v in sorted(o.peak.items()))
             out.write(f"measured {o.instance}: peak {peaks or '(nothing)'}\n")

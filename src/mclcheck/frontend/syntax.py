@@ -665,4 +665,4 @@ def node_to_data(node):
 
 
 def program_to_json(program: Program) -> str:
-    return json.dumps(node_to_data(program), indent=None, separators=(",", ":"), sort_keys=False)
+    return json.dumps(node_to_data(program), separators=(",", ":"), sort_keys=False)

@@ -4,6 +4,7 @@ hash seed at start-up."""
 
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,9 +12,11 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import relay_chain
-from mclcheck.cli import main
+from mclcheck.cli import _dump, main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -216,13 +219,28 @@ def test_instrument_emit_to_a_missing_directory_is_io_error(tmp_path):
 
 
 def test_run_human_reports_measurements():
-    code, out, _ = cli("run", corpus("family"),
-                       "--entry", "Family.CreateFamily",
-                       "--args", '["Doe", ["a", "b", "c"]]')
+    argv = ("run", corpus("family"), "--entry", "Family.CreateFamily",
+            "--args", '["Doe", ["a", "b", "c"]]')
+    code, out, _ = cli(*argv)
     assert code == 0
     assert "measured Family.CreateFamily@1: " in out
     assert "Person=3" in out
     assert "return value:" in out
+    # one line per trace event, saying what the JSON trace says
+    trace = json.loads(cli(*argv, "--format", "json")[1])["trace"]
+    lines = []
+    for ev in trace:
+        if ev["event"] == "alloc":
+            lines.append(f"alloc    oid={ev['oid']} {ev['class']} weight={ev['weight']}"
+                         f" at {ev['site']} by {ev['by']}")
+        elif ev["event"] == "reclaim":
+            lines.append(f"reclaim  oid={ev['oid']}")
+        else:
+            lines.append(f"{ev['event']:<8} {ev['instance']}")
+    assert out.splitlines()[:len(lines)] == lines
+    assert lines[:2] == ["alloc    oid=1 string[] weight=3 at <harness> by <harness>@0",
+                         "call     Family.CreateFamily@1"]
+    assert {line.split()[0] for line in lines} == {"alloc", "call", "ret", "reclaim"}
 
 
 def test_run_json_trace_events():
@@ -712,3 +730,85 @@ def test_requires_violation_lists_entry_values_sorted_whatever_the_hash_seed(tmp
     assert runs[0].returncode == runs[1].returncode == 3
     assert runs[0].stderr == runs[1].stderr
     assert "{'k': 3, 'm': 2, 'n': 1}" in runs[0].stderr
+
+
+# ------------------------------------------------------------ JSON encoding
+
+
+def _canonical(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.mcl")), ids=lambda p: p.stem)
+def test_json_output_is_indented_sorted_json(path):
+    for command in ("check", "validate", "ptg"):
+        _, out, _ = cli(command, str(path), "--format", "json")
+        assert out == _canonical(out), command
+
+
+@pytest.mark.parametrize("name, entry, args", [
+    ("listbuild", "Node.build", "[40]"),
+    ("family", "Person.Person", '["Ann", "Lee"]'),
+])
+def test_run_json_is_indented_sorted_json(name, entry, args):
+    code, out, _ = cli("run", corpus(name), "--entry", entry, "--args", args,
+                       "--format", "json")
+    assert code == 0
+    assert out == _canonical(out)
+
+
+# strings that need escaping, or that look like the JSON around them
+_STRINGS = st.text(st.sampled_from('"\\{}[],: \n\t\x00\x1f\x7fa\u00e9\u20ac\U0001f600'),
+                   max_size=6) | st.text(max_size=6)
+_LEAVES = (st.none() | st.booleans() | st.integers(-2 ** 100, 2 ** 100) | st.floats()
+            | st.sampled_from([-0.0, math.inf, -math.inf, math.nan]) | _STRINGS)
+
+
+def _containers(members):
+    return (st.lists(members, max_size=4) | st.lists(members, max_size=4).map(tuple)
+            | st.dictionaries(_STRINGS, members, max_size=4))
+
+
+_VALUES = st.recursive(_LEAVES, _containers, max_leaves=24)
+
+
+def _holding(leaves):
+    """Values with one of `leaves` somewhere among generated members."""
+    def around(inner):
+        return (st.tuples(st.lists(_VALUES, max_size=2), inner, st.lists(_VALUES, max_size=2))
+                .map(lambda t: [*t[0], t[1], *t[2]])
+                | st.tuples(st.dictionaries(_STRINGS, _VALUES, max_size=2), _STRINGS, inner)
+                .map(lambda t: {**t[0], t[1]: t[2]}))
+    return st.recursive(leaves, around, max_leaves=4)
+
+
+def _dumped(value):
+    out = io.StringIO()
+    _dump(value, out)
+    return out.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+def test_dump_writes_the_bytes_of_indented_sorted_json_dumps(value):
+    assert _dumped(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_holding(st.sampled_from([object(), {1, 2}])))
+def test_dump_rejects_an_unencodable_value_as_json_dumps_does(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _dumped(value)
+
+
+_NON_STR_KEYS = st.integers() | st.none() | st.booleans() | st.floats() | st.tuples(st.integers())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_holding(st.tuples(st.dictionaries(_STRINGS, _VALUES, max_size=3), _NON_STR_KEYS, _VALUES)
+                .map(lambda t: {**t[0], t[1]: t[2]})))
+def test_dump_rejects_a_non_str_key(value):
+    with pytest.raises(TypeError):
+        _dumped(value)

@@ -175,3 +175,19 @@ def test_a_linear_fact_is_decided_by_one_procedure():
     # which keeps the witness; a third caller could decide it another way
     assert sorted(_callers("_solve")) == ["symexpr.py:constraint_verdict",
                                           "symexpr.py:entails_leq"]
+
+
+def test_json_is_indented_only_by_the_cli_encoder():
+    # cli._dump writes `--format json` with the bytes of an indented, sorted
+    # json.dumps; an indented json.dump, json.dumps or JSONEncoder elsewhere
+    # would be a second encoder whose output could drift from the first
+    found = []
+    for path in sorted((SRC / "mclcheck").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                    in ("dump", "dumps", "JSONEncoder")
+                    and any(k.arg == "indent" for k in node.keywords)):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, f"indented JSON encoded outside cli._dump: {', '.join(found)}"
