@@ -1,4 +1,9 @@
-"""Batch command-line driver: check, instrument, run, ptg, validate."""
+"""Batch command-line driver: check, instrument, run, ptg, validate.
+
+`main` alone maps an answer or an exception to an exit code: 0 Verified (or
+nothing to decide), 1 Violated, 2 Unverified, 3 usage.  `validate` exits 0
+when clean, 1 on any finding, 2 when `inconclusive` (its runs cut short at
+the interpreter's step or stack limit) is all it found, and 3 on usage."""
 
 from __future__ import annotations
 
@@ -12,8 +17,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from . import escape
 from .frontend import FrontendFailure, load, pretty
 from .instrument import instrument
-from .oracle import (ArgumentError, GridTooLarge, OracleError, Ref,
-                     RequiresViolation, StackExhausted, StepBudgetExceeded,
+from .oracle import (ArgumentError, GridTooLarge, OracleError, Ref, RunCutShort,
                      run, validate)
 from .summary import CyclicWithoutContract, check_program
 from .symexpr import DegreeOverflow, VerdictKind
@@ -22,6 +26,10 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_UNVERIFIED = 2
 EXIT_USAGE = 3
+
+# a command answers with a verdict kind, or with None when it decides nothing
+_EXIT = {None: EXIT_OK, VerdictKind.VERIFIED: EXIT_OK,
+         VerdictKind.VIOLATED: EXIT_VIOLATED, VerdictKind.UNVERIFIED: EXIT_UNVERIFIED}
 
 
 class UsageError(Exception):
@@ -92,7 +100,9 @@ def _build_parser() -> _Parser:
         "lexicographically least (the first in the sweep on a tie), with its run's trace. "
         "Each failed ensure is reported once, at its first failure. A record counts its "
         "activations (how many failed) and its runs (how many harness runs, an entry "
-        "method at one grid point, had at least one such activation)."))
+        "method at one grid point, had at least one such activation). Runs cut short at "
+        "the step or stack limit are inconclusive. Exits 0 when clean, 1 on any finding, "
+        "2 when inconclusive runs are all it found, 3 on a usage error."))
     v.add_argument("file", metavar="FILE")
     v.add_argument("--grid", type=int, default=8, metavar="N",
                    help="parameters range over 0..N")
@@ -102,7 +112,7 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _io_error(exc: OSError, path) -> InputError:
+def _io_error(exc: OSError | UnicodeDecodeError, path) -> InputError:
     return InputError([{"severity": "error", "code": "io-error",
                         "message": str(exc), "file": str(path)}])
 
@@ -110,7 +120,7 @@ def _io_error(exc: OSError, path) -> InputError:
 def _read(path: str) -> str:
     try:
         return pathlib.Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _io_error(exc, path)
 
 
@@ -211,7 +221,7 @@ def _unverified_note(path: str, report) -> str:
             f" {first.verdict.reason})\n")
 
 
-def _cmd_check(ns, out, err) -> int:
+def _cmd_check(ns, out, err) -> str:
     results = []
     for path in ns.files:
         prog = _load_file(path)
@@ -229,23 +239,21 @@ def _cmd_check(ns, out, err) -> int:
             _print_report_human(path, report, out)
 
     for path, report in results:
-        if report.exit_code() == EXIT_UNVERIFIED:
+        if report.overall == VerdictKind.UNVERIFIED:
             err.write(_unverified_note(path, report))
-    codes = {report.exit_code() for _, report in results}
-    return next((c for c in (EXIT_VIOLATED, EXIT_UNVERIFIED) if c in codes), EXIT_OK)
+    return VerdictKind.worst(report.overall for _, report in results)
 
 
 # ------------------------------------------------------------ instrument
 
 
-def _cmd_instrument(ns, out, err) -> int:
+def _cmd_instrument(ns, out, err) -> None:
     prog = _load_file(ns.file)
     text = pretty(instrument(prog).program)
     if ns.emit:
         _write(ns.emit, text)
     else:
         out.write(text)
-    return EXIT_OK
 
 
 # ------------------------------------------------------------ run
@@ -265,32 +273,15 @@ def _value_json(v):
     return {"$ref": v.oid} if isinstance(v, Ref) else v
 
 
-def _cmd_run(ns, out, err) -> int:
+def _cmd_run(ns, out, err) -> str:
     prog = _load_file(ns.file)
     try:
         args = json.loads(ns.args)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int or a nest past its limit
         raise UsageError(f"--args is not valid JSON: {exc}")
     if not isinstance(args, list):
         raise UsageError("--args must be a JSON array")
-    try:
-        prog.method(ns.entry)
-    except KeyError:
-        raise UsageError(f"no such method: {ns.entry}")
-
-    try:
-        result = run(prog, ns.entry, args, gc=ns.gc)
-    except ArgumentError as exc:
-        raise UsageError(str(exc))
-    except (StepBudgetExceeded, StackExhausted) as exc:
-        # the run was cut short, which says nothing about the program
-        raise AnalysisStop(f"{ns.file}: {type(exc).__name__}: {exc}")
-    except RequiresViolation as exc:
-        if exc.direct:
-            # the invocation itself sits outside the contract
-            raise UsageError(f"{ns.entry} precondition rejects these"
-                             f" arguments: {exc}")
-        raise
+    result = run(prog, ns.entry, args, gc=ns.gc)
 
     if ns.format == "json":
         _dump({
@@ -323,13 +314,13 @@ def _cmd_run(ns, out, err) -> int:
             out.write(f"ENSURE FAILED {f.instance}: {f.cond}\n")
         out.write(f"return value: {_value_json(result.return_value)!r}\n")
 
-    return EXIT_VIOLATED if result.assertion_failures else EXIT_OK
+    return VerdictKind.VIOLATED if result.assertion_failures else VerdictKind.VERIFIED
 
 
 # ------------------------------------------------------------ ptg
 
 
-def _cmd_ptg(ns, out, err) -> int:
+def _cmd_ptg(ns, out, err) -> None:
     prog = _load_file(ns.file)
     analysis = escape.analyze(prog)
     sites = escape.site_id_map(prog)
@@ -357,13 +348,12 @@ def _cmd_ptg(ns, out, err) -> int:
     else:
         out.write("\n".join(dots.values()))
         out.write("\n")
-    return EXIT_OK
 
 
 # ------------------------------------------------------------ validate
 
 
-def _cmd_validate(ns, out, err) -> int:
+def _cmd_validate(ns, out, err) -> str:
     if ns.grid < 0:
         raise UsageError(f"--grid must be nonnegative, not {ns.grid}")
     prog = _load_file(ns.file)
@@ -389,12 +379,18 @@ def _cmd_validate(ns, out, err) -> int:
                       f" callee {callee} precondition\n")
         for entry, point, msg in report.runtime_errors:
             out.write(f"RUNTIME ERROR  {entry} at {point}: {msg}\n")
+        for entry, point, msg in report.inconclusive:
+            out.write(f"INCONCLUSIVE  {entry} at {point}: {msg}\n")
         for qname, reason in sorted(report.methods_skipped):
             out.write(f"skipped {qname}: {reason}\n")
         out.write(f"{report.runs} runs, {report.points_skipped} grid points"
                   f" outside preconditions: "
                   f"{'clean' if report.clean else 'NOT clean'}\n")
-    return EXIT_OK if report.clean else EXIT_VIOLATED
+    if report.overall == VerdictKind.UNVERIFIED:
+        (entry, point, msg), cut = report.inconclusive[0], len(report.inconclusive)
+        err.write(f"inconclusive: {ns.file}: {cut} of {report.runs + cut} grid runs"
+                  f" cut short (first: {entry} at {point}: {msg})\n")
+    return report.overall
 
 
 # ------------------------------------------------------------ entry
@@ -415,8 +411,8 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        return _COMMANDS[ns.command](ns, out, err)
-    except UsageError as exc:
+        return _EXIT[_COMMANDS[ns.command](ns, out, err)]
+    except (UsageError, ArgumentError) as exc:  # an OutsidePrecondition too
         err.write(f"error: {exc}\n")
         return EXIT_USAGE
     except InputError as exc:
@@ -425,6 +421,9 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         return EXIT_USAGE
     except AnalysisStop as exc:
         err.write(f"inconclusive: {exc}\n")
+        return EXIT_UNVERIFIED
+    except RunCutShort as exc:  # which says nothing about the program
+        err.write(f"inconclusive: {ns.file}: {type(exc).__name__}: {exc}\n")
         return EXIT_UNVERIFIED
     except OracleError as exc:
         err.write(f"runtime error: {type(exc).__name__}: {exc}\n")

@@ -23,7 +23,11 @@ sweep on a tie, with the trace of its run; no other trace is kept.  Each
 failed `(method, cond)` of an `ensure` is reported once, at its first
 failure.  A record counts its activations (how many failed) and its runs
 (how many harness runs, an entry method at one grid point, had at least
-one), and records come in the order the sweep first met them.
+one), and records come in the order the sweep first met them.  A point
+outside the entry's own `requires` (OutsidePrecondition) is skipped; a run
+cut short at the step or stack limit (RunCutShort) is `inconclusive`, which
+says nothing of the program.  So `validate` exits 0 when clean, 1 on any
+finding, 2 when inconclusive runs are all it found, and 3 on a usage error.
 
 Lowering.  Each method is lowered once per `Program`, on its first call, to
 closures in the manner of Feeley and Lapalme's closure generation (Comput.
@@ -127,7 +131,7 @@ from .frontend import (
     expr_to_str,
     var_expr,
 )
-from .symexpr import integral
+from .symexpr import VerdictKind, integral
 
 GC_MODES = ("ideal", "method-exit", "none")
 
@@ -146,12 +150,22 @@ class OracleError(Exception):
     """Any error raised while interpreting a program."""
 
 
+class ArgumentError(OracleError):
+    """An entry that does not exist, or arguments that do not fit its in-parameters."""
+
+
 class RequiresViolation(OracleError):
-    def __init__(self, method: str, env: dict, direct: bool):
+    def __init__(self, method: str, env: dict):
         super().__init__(f"requires violated entering {method} with {env}")
         self.method = method
         self.env = env
-        self.direct = direct  # raised by the harness-invoked activation itself
+
+
+class OutsidePrecondition(RequiresViolation, ArgumentError):
+    """The entry's own `requires`, or its receiver constructor's, rejects the arguments."""
+
+    def __str__(self):
+        return f"{self.method} precondition rejects these arguments: {super().__str__()}"
 
 
 class NullDereference(OracleError):
@@ -162,17 +176,17 @@ class ArrayBounds(OracleError):
     pass
 
 
-class StepBudgetExceeded(OracleError):
+class RunCutShort(OracleError):
+    """A run stopped at an interpreter limit, which says nothing about the program."""
+
+
+class StepBudgetExceeded(RunCutShort):
     pass
 
 
-class StackExhausted(OracleError):
+class StackExhausted(RunCutShort):
     """Calls nested deeper than `MAX_FRAMES` frames, or a method nested too
     deeply for Python to lower."""
-
-
-class ArgumentError(OracleError):
-    """Entry arguments that do not fit the method's in-parameters."""
 
 
 class GridTooLarge(Exception):
@@ -732,9 +746,9 @@ class Interp:
                 holds = rel(_numerator(lhs, env), 0)
             except KeyError:  # a variable behind a null reference
                 raise NullDereference("null dereference") from None
-            if not holds:
-                # direct when the harness frame alone lies below this one
-                raise RequiresViolation(m.qname, dict(env), len(self.stack) == 2)
+            if not holds:  # the arguments' fault when only the harness lies below
+                raise (OutsidePrecondition if len(self.stack) == 2
+                       else RequiresViolation)(m.qname, dict(env))
         return act
 
     def _pop(self, act: Activation):
@@ -1071,7 +1085,7 @@ def _drive(program: Program, qname: str, gc: str, bind) -> RunResult:
     interp = Interp(program, gc=gc)
     method = interp.table.decls.get(qname)
     if method is None:
-        raise OracleError(f"no method named {qname}")
+        raise ArgumentError(f"no such method: {qname}")
     harness = interp.push_harness()
     this, values, outs = bind(interp, method, harness)
     if method.is_ctor:
@@ -1109,7 +1123,7 @@ def run(program: Program, entry: str, args=(), gc: str = "ideal") -> RunResult:
 @dataclass(frozen=True)
 class Knob:
     name: str            # "n", "names.length", "ctor.size", ...
-    values: tuple
+    values: range | tuple  # a range, so a grid is counted before it is built
 
 
 @dataclass
@@ -1124,15 +1138,14 @@ class HarnessPlan:
             yield dict(zip(names, combo))
 
     def point_count(self) -> int:
-        n = 1
-        for k in self.knobs:
-            n *= len(k.values)
-        return n
+        # len() of a range longer than sys.maxsize overflows; its stop does not
+        return math.prod(k.values.stop if isinstance(k.values, range)
+                         else len(k.values) for k in self.knobs)
 
 
 def _param_knobs(params, prefix: str, hi: int):
     """Knobs for a parameter list, or a reason it cannot be synthesized."""
-    span = tuple(range(hi + 1))
+    span = range(hi + 1)
     knobs = []
     for p in params:
         if p.is_out:
@@ -1190,8 +1203,8 @@ def run_point(program: Program, qname: str, point: dict,
               gc: str = "ideal") -> RunResult:
     """One harness-driven run: build a receiver if needed, then the call.
 
-    Raises RequiresViolation with direct=True when the point itself is
-    outside the method's (or the receiver constructor's) precondition.
+    Raises OutsidePrecondition when the point itself is outside the
+    method's (or the receiver constructor's) precondition.
     """
     def bind(interp: Interp, method: MethodDecl, harness: Activation):
         this = None
@@ -1277,16 +1290,26 @@ class OracleReport:
     ensure_failures: list[EnsureFailure] # one per failed (method, cond)
     requires_aborts: list[tuple]   # (entry, point, callee qname)
     runtime_errors: list[tuple]    # (entry, point, message)
+    inconclusive: list[tuple]      # (entry, point, message) of runs cut short
     runs: int
     points_skipped: int
     methods_skipped: list[tuple]   # (qname, reason)
 
     @property
+    def overall(self) -> str:
+        if self.violations or self.ensure_failures or self.requires_aborts or self.runtime_errors:
+            return VerdictKind.VIOLATED
+        return VerdictKind.UNVERIFIED if self.inconclusive else VerdictKind.VERIFIED
+
+    @property
     def clean(self) -> bool:
-        return not (self.violations or self.ensure_failures
-                    or self.requires_aborts or self.runtime_errors)
+        return self.overall == VerdictKind.VERIFIED
 
     def to_json(self) -> dict:
+        def stopped(runs):
+            return [{"entry": e, "point": dict(sorted(p.items())), "error": msg}
+                    for e, p, msg in runs]
+
         return {
             "violations": [v.to_json() for v in self.violations],
             "ensureFailures": [f.to_json() for f in self.ensure_failures],
@@ -1294,10 +1317,8 @@ class OracleReport:
                 {"entry": e, "point": dict(sorted(p.items())), "callee": c}
                 for e, p, c in self.requires_aborts
             ],
-            "runtimeErrors": [
-                {"entry": e, "point": dict(sorted(p.items())), "error": msg}
-                for e, p, msg in self.runtime_errors
-            ],
+            "runtimeErrors": stopped(self.runtime_errors),
+            "inconclusive": stopped(self.inconclusive),
             "runs": self.runs,
             "pointsSkipped": self.points_skipped,
             "methodsSkipped": [list(t) for t in self.methods_skipped],
@@ -1352,7 +1373,7 @@ def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
     compare the measured peaks and escapes against its declared bounds.
     Findings are folded into one record per violated clause and one per
     failed `ensure`, in the order the sweep first meets them."""
-    report = OracleReport([], [], [], [], 0, 0, [])
+    report = OracleReport([], [], [], [], [], 0, 0, [])
     plans = []
     total = 0
     for m in sorted(program.methods(), key=lambda m: m.qname):
@@ -1373,12 +1394,14 @@ def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
         for point in plan.points():
             try:
                 result = run_point(program, plan.method, point, gc=gc)
+            except OutsidePrecondition:
+                report.points_skipped += 1
+                continue
             except RequiresViolation as rv:
-                if rv.direct:
-                    report.points_skipped += 1
-                else:
-                    report.requires_aborts.append(
-                        (plan.method, point, rv.method))
+                report.requires_aborts.append((plan.method, point, rv.method))
+                continue
+            except RunCutShort as err:
+                report.inconclusive.append((plan.method, point, str(err)))
                 continue
             except OracleError as err:
                 report.runtime_errors.append((plan.method, point, str(err)))

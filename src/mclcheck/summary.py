@@ -372,9 +372,6 @@ class Report:
         return {"overall": self.overall,
                 "clauses": [r.to_json() for r in self.rows]}
 
-    def exit_code(self) -> int:
-        return {VerdictKind.VIOLATED: 1, VerdictKind.UNVERIFIED: 2}.get(self.overall, 0)
-
 
 def check_method(method: MethodDecl, summary: ConsumptionSummary,
                  mode: str = MODE_TYPE,
@@ -471,6 +468,4 @@ def check_program(program: Program, mode: str = MODE_TYPE) -> Report:
                                  assume_guarantee=qname in recursive))
         rows.extend(lifetime_rows(analysis.lifetimes[qname]))
 
-    kinds = {r.verdict.kind for r in rows}
-    return Report(rows, next((k for k in (VerdictKind.VIOLATED, VerdictKind.UNVERIFIED)
-                              if k in kinds), VerdictKind.VERIFIED))
+    return Report(rows, VerdictKind.worst(r.verdict.kind for r in rows))

@@ -424,6 +424,12 @@ class VerdictKind:
     VIOLATED = "Violated"
     UNVERIFIED = "Unverified"
 
+    @staticmethod
+    def worst(kinds) -> str:
+        """Violated over Unverified over Verified; Verified when there are none."""
+        return max(kinds, default=VerdictKind.VERIFIED, key=(
+            VerdictKind.VERIFIED, VerdictKind.UNVERIFIED, VerdictKind.VIOLATED).index)
+
 
 @dataclass(frozen=True)
 class Verdict:

@@ -10,12 +10,14 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import relay_chain
+from mclcheck import oracle
 from mclcheck.cli import _dump, main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -646,6 +648,123 @@ def test_check_names_each_inconclusive_file_on_stderr():
     assert err.splitlines() == [
         f"inconclusive: {files[0]}: 1 of 2 clauses unverified (first: Mill.hump"
         " memreq<Blob>: analysis incomplete: monotonicity-unproven)"]
+
+
+# ------------------------------------------------ the exit-code contract
+
+
+def _deep_ifs(depth):
+    body = "T t = new T();"
+    for k in range(depth):
+        body = f"if (n > {k}) {{ {body} }}"
+    return ("class T {\n}\n\nclass P {\n    void f(int n) {\n        requires(n >= 0);\n"
+            f"        memreq<T>(1);\n        {body}\n    }}\n}}\n")
+
+
+# P.f bodies: ten steps whatever n is; and two that fault at n = 1, by a
+# null field store and past an array's end
+BODIES = {
+    "loop": "memreq<T>(10);\n        for (i = 1 .. 10) { T t = new T(); }",
+    "null": "memreq<T>(1);\n        T t = null;\n        if (n > 0) { t.x = n; }",
+    "bounds": "memreq<T[]>(1);\n        T[] a = new T[1];\n        a[n] = null;",
+}
+
+
+def _p_f(body):
+    return ("class T {\n    int x;\n}\n\nclass P {\n    void f(int n) {\n"
+            f"        requires(n >= 0);\n        {BODIES[body]}\n    }}\n}}\n")
+
+
+COMMANDS = {
+    "check": ["check"],
+    "instrument": ["instrument"],
+    "run": ["run", "--entry", "P.f", "--args", "[1]"],
+    "ptg": ["ptg"],
+    "validate": ["validate", "--grid", "1"],
+}
+IO_ERROR = '{"code": "io-error"'
+
+
+def _every(file, codes, prefixes, steps=None):
+    return [(file, COMMANDS[c], steps, code, prefix)
+            for c, code, prefix in zip(COMMANDS, codes, prefixes)]
+
+
+# (file, argv after the command's file, MAX_STEPS or None, exit code, the
+# start of the one stderr line, or "" for none)
+HOSTILE = [
+    *_every("non-utf8", [3] * 5, [IO_ERROR] * 5),
+    ("deep-if", ["run", "--entry", "P.f", "--args", "[" * 100_000 + "]" * 100_000],
+     None, 3, "error: --args is not valid JSON: maximum recursion depth"),
+    ("deep-if", ["run", "--entry", "P.f", "--args", f"[{'9' * 5000}]"],
+     None, 3, "error: --args is not valid JSON: Exceeds the limit"),
+    ("listbuild", ["validate", "--grid", str(10 ** 12)],
+     None, 2, "inconclusive: "),
+    ("listbuild", ["validate", "--grid", str(2 ** 64)],
+     None, 2, "inconclusive: "),
+    *_every("deep-if", [0, 0, 2, 0, 2], ["", "", "inconclusive: ", "", "inconclusive: "]),
+    *_every("loop", [0, 0, 2, 0, 2], ["", "", "inconclusive: ", "", "inconclusive: "],
+            steps=5),
+    *_every("null", [0, 0, 1, 0, 1], ["", "", "runtime error: NullDereference", "", ""]),
+    *_every("bounds", [0, 0, 1, 0, 1], ["", "", "runtime error: ArrayBounds", "", ""]),
+]
+
+
+@pytest.fixture
+def hostile_files(tmp_path):
+    files = {"non-utf8": b"\xff\xfeclass P {\n}\n", "deep-if": _deep_ifs(400),
+             **{body: _p_f(body) for body in BODIES}}
+    paths = {"listbuild": corpus("listbuild")}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.mcl"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("file, argv, steps, code, prefix", HOSTILE,
+                         ids=[f"{h[0]}-{h[1][0]}-{i}" for i, h in enumerate(HOSTILE)])
+def test_every_command_keeps_the_exit_contract_on_hostile_input(
+        hostile_files, monkeypatch, file, argv, steps, code, prefix):
+    if "Exceeds the limit" in prefix and not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no integer-digit limit")
+    if steps is not None:
+        monkeypatch.setattr(oracle, "MAX_STEPS", steps)
+    got, out, err = cli(argv[0], hostile_files[file], *argv[1:])
+    assert got == code, err
+    assert len(err.splitlines()) == (1 if prefix else 0), err
+    assert err.startswith(prefix)
+    # under validate a fault is a finding (exit 1); a run cut short is not
+    assert ("RUNTIME ERROR" in out) == (argv[0] == "validate" and code == 1)
+    assert "INCONCLUSIVE" not in out or code == 2
+
+
+def test_a_cut_short_grid_run_is_inconclusive_as_a_cut_short_run_is(hostile_files):
+    path = hostile_files["deep-if"]
+    assert cli("check", path)[0] == 0
+    code, out, err = cli("run", path, "--entry", "P.f", "--args", "[1]")
+    assert (code, out, err) == (
+        2, "", f"inconclusive: {path}: StackExhausted: P.f nests too deeply to lower\n")
+    code, out, err = cli("validate", path, "--grid", "0", "--format", "json")
+    data = json.loads(out)
+    assert (code, data["runtimeErrors"]) == (2, [])
+    assert data["inconclusive"] == [
+        {"entry": "P.f", "point": {"n": 0}, "error": "P.f nests too deeply to lower"}]
+    assert err == (f"inconclusive: {path}: 1 of 1 grid runs cut short"
+                   " (first: P.f at {'n': 0}: P.f nests too deeply to lower)\n")
+
+
+def test_a_huge_grid_is_refused_before_it_is_built():
+    tracemalloc.start()
+    try:
+        code, out, err = cli("validate", corpus("listbuild"), "--grid", "2000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == (f"inconclusive: {corpus('listbuild')}: 2000001 grid points"
+                   " exceed the 20000 cap\n")
+    assert peak < 1_000_000
 
 
 LINKED_LOOP = """class A {

@@ -18,6 +18,7 @@ from mclcheck.oracle import (
     InterpreterFault,
     NullDereference,
     OracleError,
+    OutsidePrecondition,
     RequiresViolation,
     StackExhausted,
     StepBudgetExceeded,
@@ -318,9 +319,8 @@ def test_deterministic_replay():
 
 
 def test_requires_violation_on_direct_entry():
-    with pytest.raises(RequiresViolation) as exc:
+    with pytest.raises(OutsidePrecondition) as exc:
         run(load_corpus("callpair"), "A.m", [1])
-    assert exc.value.direct
     assert exc.value.method == "A.m"
 
 
@@ -411,9 +411,8 @@ def test_plan_skips_unsynthesizable_arguments():
 
 
 def test_point_outside_precondition_raises_direct():
-    with pytest.raises(RequiresViolation) as exc:
+    with pytest.raises(OutsidePrecondition):
         run_point(load_corpus("callpair"), "A.m", {"n": 0})
-    assert exc.value.direct
 
 
 @pytest.mark.parametrize("name", POSITIVE)
@@ -635,11 +634,12 @@ def test_calls_past_the_interpreter_stack_are_runtime_errors():
         run(prog, "D.sink", [500])
     report = validate(prog, hi=5)
     assert report.runs >= 1
-    assert report.runtime_errors
+    assert report.inconclusive and not report.runtime_errors
+    assert report.overall == "Unverified"
     # n = 1 nests 103 frames (harness, f and 101 sinks); n = 2 would take 203
-    assert {p["n"] for _, p, _ in report.runtime_errors} == {2, 3, 4, 5}
+    assert {p["n"] for _, p, _ in report.inconclusive} == {2, 3, 4, 5}
     assert all("deeper than the interpreter's 200 frames" in msg
-               for _, _, msg in report.runtime_errors)
+               for _, _, msg in report.inconclusive)
 
 
 # ------------------------------------------------------------ lowering paths

@@ -327,7 +327,7 @@ def test_mid_loop_peak_is_not_verified():
     assert r.verdict.kind == VerdictKind.UNVERIFIED
     assert "monotonicity-unproven" in r.verdict.reason
     assert row(rep, "Mill.churn", "memreq<Blob>").verdict.kind == VerdictKind.VERIFIED
-    assert rep.exit_code() == 2
+    assert rep.overall == VerdictKind.UNVERIFIED
 
 
 def test_narrow_iteration_space_is_not_verified():
@@ -340,7 +340,7 @@ def test_narrow_iteration_space_is_not_verified():
         assert r.verdict.witness == {"n": 6}
     space = row(rep, "Spool.wind", "iteration_space(1 <= i && i <= 5)")
     assert (space.declared, space.computed) == (None, "1 .. n")
-    assert rep.exit_code() == 1
+    assert rep.overall == VerdictKind.VIOLATED
 
 
 def test_skipped_precondition_is_a_static_blind_spot():
@@ -369,13 +369,12 @@ def test_suppressed_site_is_reported_verified_with_note():
 def test_positive_corpus_verifies(name):
     rep = check(name, mode=mode_for(name))
     assert rep.overall == VerdictKind.VERIFIED
-    assert rep.exit_code() == 0
 
 
 def test_exit_codes():
-    assert check("family").exit_code() == 0
-    assert check("faulty_low_bound").exit_code() == 1
-    assert check("faulty_humpcall").exit_code() == 2
+    assert check("family").overall == VerdictKind.VERIFIED
+    assert check("faulty_low_bound").overall == VerdictKind.VIOLATED
+    assert check("faulty_humpcall").overall == VerdictKind.UNVERIFIED
 
 
 def test_report_json_is_stable_and_serializable():
@@ -595,7 +594,7 @@ def test_a_space_inside_a_loop_without_a_range_is_not_refuted():
     space = row(rep, "P.f", "iteration_space(1 <= i && i <= n)")
     assert space.verdict.kind == VerdictKind.UNVERIFIED
     assert space.verdict.reason == "loop header has no range over entry values"
-    assert rep.exit_code() == 2
+    assert rep.overall == VerdictKind.UNVERIFIED
 
 
 def test_a_space_under_an_if_is_decided_without_the_condition():
@@ -657,7 +656,7 @@ def test_a_loop_whose_lower_bound_can_be_negative_has_no_range():
     assert mem.verdict.reason == "analysis incomplete: unanalyzable-arg"
     space = row(rep, "P.f", "iteration_space(0 <= i && i <= 0)")
     assert space.verdict.kind == VerdictKind.UNVERIFIED
-    assert rep.exit_code() == 2
+    assert rep.overall == VerdictKind.UNVERIFIED
     assert {v.clause for v in validate(prog, hi=2).violations} == {"memreq<A>"}
 
 
@@ -680,7 +679,7 @@ def test_a_reassigned_parameter_is_not_read_as_its_entry_value():
     mem = row(rep, "P.f", "memreq<A>")
     assert mem.verdict.kind == VerdictKind.UNVERIFIED
     assert mem.verdict.reason == "analysis incomplete: unanalyzable-arg"
-    assert rep.exit_code() == 2
+    assert rep.overall == VerdictKind.UNVERIFIED
     assert {v.clause for v in validate(prog, hi=2).violations} == {"memreq<A>"}
 
 

@@ -13,7 +13,12 @@ the two imports never mix, and each runs the same command lines through
   in both modes, human and JSON; `check --format json` in both modes on
   the instrumented copy; `validate --format json` under both `--gc` modes,
   at the default grid and at `--grid 3`, on the source and on the copy;
-  human `validate`; and `ptg` as JSON and as DOT.
+  human `validate`; and `ptg` as JSON and as DOT;
+- every command on inputs that end a run early, written under the
+  temporary directory: a file that is not UTF-8, a 400-deep `if` nest, an
+  array longer than the step budget, a null field store and an index past
+  an array's end; `run --args` that `json.loads` rejects without a
+  JSONDecodeError; and `validate --grid 2000000`.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -60,6 +65,52 @@ def _corpus_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     return lines
 
 
+def _p_f(body: str) -> str:
+    return ("class T {\n    int x;\n}\n\nclass P {\n    void f(int n) {\n"
+            f"        requires(n >= 0);\n        {body}\n    }}\n}}\n")
+
+
+def _hostile_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
+    """Command lines that probe the exit-code contract, on files written
+    under work/hostile."""
+    deep = "T t = new T();"
+    for k in range(400):
+        deep = f"if (n > {k}) {{ {deep} }}"
+    files = {
+        "non-utf8": b"\xff\xfeclass P {\n}\n",
+        "deep-if": _p_f(f"memreq<T>(1);\n        {deep}"),
+        "budget": _p_f("memreq<T[]>(2000000 * n);\n        T[] a = new T[2000000 * n];"),
+        "null": _p_f("memreq<T>(1);\n        T t = null;\n        if (n > 0) { t.x = n; }"),
+        "bounds": _p_f("memreq<T[]>(1);\n        T[] a = new T[1];\n        a[n] = null;"),
+    }
+    (work / "hostile").mkdir()
+    lines: list[tuple[list[str], Path | None]] = []
+    for name, text in files.items():
+        path = work / "hostile" / f"{name}.mcl"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        for command, *rest in (["check"], ["instrument"], ["ptg"],
+                               ["run", "--entry", "P.f", "--args", "[1]"],
+                               ["validate", "--grid", "1"],
+                               ["validate", "--grid", "1", "--format", "json"]):
+            lines.append(([command, str(path), *rest], None))
+    for args in ("[" * 100_000 + "]" * 100_000, f"[{'9' * 5000}]"):
+        lines.append((["run", str(work / "hostile" / "deep-if.mcl"), "--entry", "P.f",
+                       "--args", args], None))
+    # 2,000,001 points: about 70 MB where the grid is built before it is counted
+    lines.append((["validate", str(ROOT / "corpus" / "listbuild.mcl"),
+                   "--grid", "2000000"], None))
+    return lines
+
+
+def _key(argv: list[str], tmp: str) -> str:
+    """The command line, with the temporary directory written as <work> and
+    each argument of over 1,000 characters, such as a deep `--args`,
+    shortened to its start and length."""
+    args = [a.replace(tmp, "<work>") for a in argv]
+    return " ".join(a if len(a) <= 1000 else f"{a[:20]}...({len(a)} characters)"
+                    for a in args)
+
+
 def _emitted(path: Path | None) -> str | None:
     if path is None or not path.exists():
         return None
@@ -84,9 +135,9 @@ def run_tree(src: str, seed: int) -> dict[str, list]:
             w = workloads.build(name, seed, ROOT, work / name)
             lines += [(c.argv, c.emit) for c in w.probes + w.commands]
         (work / "matrix").mkdir()
-        lines += _corpus_matrix(work)
+        lines += _corpus_matrix(work) + _hostile_matrix(work)
         for argv, emit in lines:
-            key = " ".join(argv).replace(tmp, "<work>")
+            key = _key(argv, tmp)
             if key in outcomes:
                 continue
             out, err = io.StringIO(), io.StringIO()
