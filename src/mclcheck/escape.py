@@ -8,9 +8,10 @@ argument nodes, allocation sites keep their identity, load nodes replay
 their field chain in the caller.  A method's body is walked until a walk
 leaves `PointsToGraph.size()` unchanged: L, N, E and the returned set
 only ever grow, so an equal size means no new fact, and the walk that
-changes nothing records the facts the lifetime checker reads: each `new`
-statement, and each call or constructor statement with what its callee's
-tags map to there.  The statement is the site's only record.  Only
+changes nothing collects the method's tagged nodes and records each call
+or constructor statement with what its callee's tags map to there, for
+the lifetime checker, which reads each `new` from the body.  The
+statement is the site's only record.  Only
 recursive components iterate from empty summaries to a fixpoint, reached
 once no summary changes.  Any other method is built once, as its
 callees' summaries are already final; the recursive components are
@@ -104,10 +105,10 @@ class PointsToGraph:
         self.N: set[PTGNode] = set()
         self.E: set[tuple[PTGNode, str, PTGNode]] = set()
         self.returned: set[PTGNode] = set()
-        # populated by the builder for the lifetime checker: each `new`, and
-        # each call or constructor with what its callee's tags map to here
+        # populated by the builder's last walk: the nodes a `dest_esc` site
+        # or an `add_esc` pull puts under each tag, and each call or
+        # constructor with what its callee's tags map to here
         self.tagged: dict[Tag, set[PTGNode]] = {}
-        self.site_records: list[NewStmt] = []
         self.call_records: list[tuple[NewStmt | CallStmt, dict[Tag, set[PTGNode]]]] = []
 
     def add_node(self, n: PTGNode) -> None:
@@ -299,6 +300,9 @@ class _Builder:
             if isinstance(a, OutArg):
                 self.store(a.target, outs.get(p.name, set()))
         self.g.call_records.append((s, tagged))
+        for dst, src in s.add_esc:
+            if tagged.get(src):
+                self.g.tagged.setdefault(dst, set()).update(tagged[src])
 
     # -- statement interpretation ----------------------------------------------
 
@@ -317,7 +321,8 @@ class _Builder:
             node = inside_node(s.site)
             self.g.add_node(node)
             self.store(s.target, {node})
-            self.g.site_records.append(s)
+            if s.dest_esc is not None:
+                self.g.tagged.setdefault(s.dest_esc, set()).add(node)
             if callee_of(s) is not None:
                 self.apply_call(s, {node})
         elif isinstance(s, CallStmt):
@@ -330,28 +335,14 @@ class _Builder:
 
     def run(self) -> PointsToGraph:
         # a walk that adds no fact leaves size() unchanged and saw the final
-        # graph throughout, so its records are the method's call/site facts
+        # graph throughout, so its records and tags are the method's
         while True:
             self.g.call_records = []
-            self.g.site_records = []
+            self.g.tagged = {}
             before = self.g.size()
             self.walk(self.m.body)
             if self.g.size() == before:
-                break
-        self.g.tagged = self._collect_tagged()
-        return self.g
-
-    def _collect_tagged(self) -> dict[Tag, set[PTGNode]]:
-        tagged: dict[Tag, set[PTGNode]] = {}
-        for s in self.g.site_records:
-            if s.dest_esc is not None:
-                tagged.setdefault(s.dest_esc, set()).add(inside_node(s.site))
-        for s, mapped in self.g.call_records:
-            for dst, src in s.add_esc:
-                pulled = mapped.get(src, set())
-                if pulled:
-                    tagged.setdefault(dst, set()).update(pulled)
-        return tagged
+                return self.g
 
 
 def build_ptg(method: MethodDecl, summaries: dict[str, EscapeSummary],
@@ -411,7 +402,7 @@ def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
         return tag_reach[tag]
 
     out: list[LifetimeVerdict] = []
-    for s in ptg.site_records:
+    for s in [t for t in iter_stmts(method.body) if isinstance(t, NewStmt)]:
         node = inside_node(s.site)
         if s.dest_local:
             out.append(LifetimeVerdict(method.qname, s.site, SUPPRESSED))

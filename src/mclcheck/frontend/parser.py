@@ -415,7 +415,10 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            return IntLit(int(t.value), pos=self.pos(t))
+            try:
+                return IntLit(int(t.value), pos=self.pos(t))
+            except ValueError:  # past the interpreter's digit limit
+                self.fail(f"integer literal of {len(t.value)} digits is too long", t)
         if t.kind == "string":
             self.next()
             return StrLit(t.value, pos=self.pos(t))

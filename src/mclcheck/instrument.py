@@ -27,7 +27,9 @@ What a call site charges is not restated here: `summary.call_entries` is
 the one statement of the call-composition rule, shared with the static
 checker, which gives the whole charge and leaves this module only the
 counter statements; the copy charges a call with the values its
-arguments hold at the call, so any name may be read there.  Nor is what
+arguments hold at the call, so any name may be read there, and an int
+argument that no name reads (`c.k`, `a[i]`) is first copied into a fresh
+local, which `erase` strips as it strips the counters.  Nor is what
 a contract declares: its clauses, in order, come from
 `MethodContract.clauses`.  Call targets come from
 `frontend.callee_of` and bodies are walked with `frontend.iter_stmts`.
@@ -67,6 +69,7 @@ from .frontend.syntax import (
     Unary,
     VarRef,
     callee_of,
+    expr_poly,
     iter_stmts,
     unassigned_entry_vars,
     var_expr,
@@ -80,13 +83,14 @@ KIND_MAXCALLS = "MaxCalls"
 KIND_SUMCALLS = "SumCalls"
 KIND_CALLDIFF = "CallDiff"
 KIND_ENTRY = "Entry"
+KIND_ARG = "Arg"
 
 
 @dataclass(frozen=True)
 class CounterInfo:
     method: str  # qualified name
     kind: str
-    cls: str                 # class key; "" for an Entry snapshot
+    cls: str                 # class key; "" for an Entry or Arg snapshot
     tag: str | None = None   # Esc counters
     site: str | None = None  # CallDiff counters
 
@@ -170,6 +174,7 @@ class _Instrumenter:
         self.diff_total: dict[str, int] = {}
         self.diff_seen: dict[str, int] = {}
         self.loop_pair_seen: dict[str, int] = {}
+        self.args_seen = 0
 
     # -- naming ------------------------------------------------------------
 
@@ -221,12 +226,33 @@ class _Instrumenter:
 
     # -- statement rewriting --------------------------------------------------
 
+    def _snapshot_args(self, stmt: NewStmt | CallStmt) -> tuple[list[Stmt], NewStmt | CallStmt]:
+        """A fresh local per int argument the callee's contract reads that
+        `expr_poly` cannot (a field of a local, an array element), declared
+        with its value, and the call with the local in its place, for
+        `call_entries`; an array argument's length stays unreadable."""
+        callee = callee_of(stmt)
+        if callee is None:
+            return [], stmt
+        used = set().union(*(c.bound.variables() for c in callee.contract.clauses(False)))
+        decls: list[Stmt] = []
+        read = copy.copy(stmt)
+        read.args = list(stmt.args)
+        for i, p in enumerate(callee.params):  # arguments line up with parameters
+            if p.name in used and expr_poly(read.args[i], None) is None:
+                self.args_seen += 1
+                name = f"{self.prefix}_Arg{self.args_seen}_{p.name}"
+                self.index[name] = CounterInfo(self.m.qname, KIND_ARG, "")
+                decls.append(LocalDecl(T_INT, name, copy.deepcopy(read.args[i])))
+                read.args[i] = VarRef(name)
+        return decls, read
+
     def _call_counters(self, stmt: NewStmt | CallStmt, pairs: _Pairs) -> list[Stmt]:
+        out, stmt = self._snapshot_args(stmt)
         entries = call_entries(stmt, None, self.object_mode)
         if self.object_mode:
             entries += [e for e in call_entries(stmt, None, False)
                         if e[0] in self.class_keys]
-        out: list[Stmt] = []
         for key, mr, escaped, pulls in entries:
             max_name, sum_name = pairs[key]
             diff = self._diff(key, stmt.site)

@@ -16,9 +16,11 @@ nothing here reads a range back out of constraints.
 `Verified` means proved for every nonnegative integer point of
 `requires`: either by coefficient dominance, or (proof kind `farkas`)
 because Fourier-Motzkin elimination shows that the points where a clause
-fails form an empty set, exact whenever each computed-minus-declared
-difference is affine.  One affine fact is decided the same way, with the
-integer point that breaks it as witness, by `constraint_verdict`.
+fails form an empty set.  `_refute` decides every clause, and every
+single fact (`constraint_verdict`), on its affine relaxation whatever the
+degree: a non-affine fact is left out of the elimination and checked at
+the integer point found, which is then the witness.  That is exact when
+every computed-minus-declared difference is affine.
 Integrality of a declared bound is decided exactly by Polya's criterion
 on a small box of values per polynomial.  The 0..8 grid survives only as
 a witness search: it may turn an undecided clause into `Violated`, never
@@ -489,7 +491,7 @@ def _row(coeffs: dict[str, int], const: int) -> Row:
 
 def _halfspaces(constraints) -> list[Row]:
     """Affine facts as integer rows; a non-affine fact is dropped, which
-    only enlarges the set and so is sound for infeasibility."""
+    only enlarges the set and so is sound for `_refute`'s infeasibility."""
     rows = []
     for c in constraints:
         if c.lhs.degree() > 1:
@@ -560,28 +562,34 @@ def _witness(vars_: list[str], breaks) -> dict[str, int] | None:
     return next((env for env in (dict(zip(vars_, p)) for p in box) if breaks(env)), None)
 
 
-def constraint_verdict(goal: LinConstraint, context: tuple[LinConstraint, ...]) -> Verdict:
-    """Whether every nonnegative integer point of the context satisfies the
-    goal.  Verified (farkas) when no negation of the goal leaves an integer
-    point with the context, Violated at the point _solve finds for one, and
-    Unverified for a goal that is not affine, an elimination that sticks,
-    or a point that breaks a non-affine context fact."""
-    if goal.lhs.degree() > 1:
-        return Verdict.unverified(f"{goal} is not affine")
-    hyps = _halfspaces(context)
-    vars_ = sorted(goal.variables().union(*(c.variables() for c in context)))
-    points = [_solve(hyps + _halfspaces((LinConstraint(goal.lhs, rel),)), vars_)
-              for rel in _NEGATIONS[goal.rel]]
+def _refute(pre: tuple[LinConstraint, ...], systems: list[tuple[LinConstraint, ...]],
+            vars_: list[str]) -> Verdict:
+    """Whether some nonnegative integer point of pre satisfies one of the
+    systems, each a conjunction of LinConstraints, on the affine relaxation
+    `_halfspaces` gives.  Verified (farkas) when every system is empty,
+    Violated at the least point found where every fact holds, non-affine
+    ones included, and otherwise Unverified with why."""
+    hyps = _halfspaces(pre)
+    points = [_solve(hyps + _halfspaces(system), vars_) for system in systems]
     if all(pt is None for pt in points):
         return Verdict.verified("farkas")
-    # _halfspaces dropped the non-affine context facts, so a point must be
-    # checked against them
-    for pt in points:
-        if pt is not None and pt is not _STUCK and all(c.holds(pt) for c in context):
-            return Verdict.violated(pt)
+    found = sorted(tuple(pt[v] for v in vars_) for pt, system in zip(points, systems)
+                   if pt is not None and pt is not _STUCK
+                   and all(c.holds(pt) for c in (*pre, *system)))
+    if found:
+        return Verdict.violated(dict(zip(vars_, found[0])))
     if any(pt is _STUCK for pt in points):
         return Verdict.unverified("elimination stuck, no integer witness found")
-    return Verdict.unverified("the point found breaks a non-affine fact of the context")
+    return Verdict.unverified("the point found breaks a fact that is not affine")
+
+
+def constraint_verdict(goal: LinConstraint, context: tuple[LinConstraint, ...]) -> Verdict:
+    """Whether every nonnegative integer point of the context satisfies the
+    goal, whatever its degree: `_refute` over the goal's negations, with no
+    box search, so a sum's guard costs one elimination per negation."""
+    vars_ = sorted(goal.variables().union(*(c.variables() for c in context)))
+    return _refute(context, [(LinConstraint(goal.lhs, rel),) for rel in _NEGATIONS[goal.rel]],
+                   vars_)
 
 
 def entails_leq(lhs: SymExpr, rhs: SymExpr, pre: tuple[LinConstraint, ...] = ()) -> Verdict:
@@ -590,36 +598,21 @@ def entails_leq(lhs: SymExpr, rhs: SymExpr, pre: tuple[LinConstraint, ...] = ())
     First the coefficient criterion: each lhs alternative must be
     coefficient-dominated by some rhs alternative, which proves the bound
     on the whole nonnegative orthant.  The clause fails exactly where some
-    lhs alternative p admits a point of pre and p - rhs_j > 0 for every j.
-    When every such difference is affine, whatever the degree of the two
-    sides, that is decided exactly: with no rational such point for any p
-    the clause is Verified (farkas), and an integer point found is a
-    Violated witness.  What stays open, and every clause with a non-affine
-    difference, goes to the witness search; without a witness the verdict
-    is Unverified.
+    lhs alternative p admits a point of pre and p - q > 0 for every rhs
+    alternative q.  `_refute` decides that on its affine part whatever the
+    degrees, exactly when every difference is affine.  What stays open goes
+    to the witness search; without a witness the verdict is `_refute`'s.
     """
     if all(any(_dominates(q, p) for q in rhs.alts) for p in lhs.alts):
         return Verdict.verified("coefficient")
     vars_ = sorted(lhs.variables() | rhs.variables() | set().union(*(c.variables() for c in pre)))
-
-    def breaks(env) -> bool:
-        return all(c.holds(env) for c in pre) and lhs.eval(env) > rhs.eval(env)
-
-    if all((p - q).degree() <= 1 for p in lhs.alts for q in rhs.alts):
-        hyps = _halfspaces(pre)
-        points = [_solve(hyps + _halfspaces([LinConstraint(p - q, ">") for q in rhs.alts]), vars_)
-                  for p in lhs.alts]
-        if all(pt is None for pt in points):
-            return Verdict.verified("farkas")
-        found = sorted(tuple(pt[v] for v in vars_) for pt in points
-                       if pt is not None and pt is not _STUCK and breaks(pt))
-        if found:
-            return Verdict.violated(dict(zip(vars_, found[0])))
-        reason = "rational counterexample, no integer witness found"
-    else:
-        reason = "not affine, and the witness search found none"
-    witness = _witness(vars_, breaks)
-    return Verdict.unverified(reason) if witness is None else Verdict.violated(witness)
+    verdict = _refute(pre, [tuple(LinConstraint(p - q, ">") for q in rhs.alts)
+                            for p in lhs.alts], vars_)
+    if verdict.kind != VerdictKind.UNVERIFIED:
+        return verdict
+    witness = _witness(vars_, lambda env: all(c.holds(env) for c in pre)
+                       and lhs.eval(env) > rhs.eval(env))
+    return verdict if witness is None else Verdict.violated(witness)
 
 
 def integer_valued(e: SymExpr) -> bool:

@@ -683,6 +683,9 @@ COMMANDS = {
     "validate": ["validate", "--grid", "1"],
 }
 IO_ERROR = '{"code": "io-error"'
+SYNTAX_ERROR = '{"code": "SyntaxError"'
+# past the interpreter's 4,300-digit limit on converting a string to an int
+LONG = "9" * 5000
 
 
 def _every(file, codes, prefixes, steps=None):
@@ -707,13 +710,17 @@ HOSTILE = [
             steps=5),
     *_every("null", [0, 0, 1, 0, 1], ["", "", "runtime error: NullDereference", "", ""]),
     *_every("bounds", [0, 0, 1, 0, 1], ["", "", "runtime error: ArrayBounds", "", ""]),
+    *_every("long-body", [3] * 5, [SYNTAX_ERROR] * 5),
+    *_every("long-requires", [3] * 5, [SYNTAX_ERROR] * 5),
 ]
 
 
 @pytest.fixture
 def hostile_files(tmp_path):
     files = {"non-utf8": b"\xff\xfeclass P {\n}\n", "deep-if": _deep_ifs(400),
-             **{body: _p_f(body) for body in BODIES}}
+             **{body: _p_f(body) for body in BODIES},
+             "long-body": _p_f("loop").replace("for", f"int k = {LONG};\n        for"),
+             "long-requires": _p_f("loop").replace("n >= 0", f"n <= {LONG}")}
     paths = {"listbuild": corpus("listbuild")}
     for name, text in files.items():
         path = tmp_path / f"{name}.mcl"
@@ -726,7 +733,8 @@ def hostile_files(tmp_path):
                          ids=[f"{h[0]}-{h[1][0]}-{i}" for i, h in enumerate(HOSTILE)])
 def test_every_command_keeps_the_exit_contract_on_hostile_input(
         hostile_files, monkeypatch, file, argv, steps, code, prefix):
-    if "Exceeds the limit" in prefix and not hasattr(sys, "get_int_max_str_digits"):
+    if ("Exceeds the limit" in prefix or file.startswith("long-")) \
+            and not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no integer-digit limit")
     if steps is not None:
         monkeypatch.setattr(oracle, "MAX_STEPS", steps)

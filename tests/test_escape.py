@@ -319,11 +319,11 @@ def test_one_more_walk_changes_nothing_and_records_the_same(name):
     for m in prog.methods():
         builder = escape._Builder(m, an.summaries, class_map)
         g = builder.run()
-        size, calls, sites = g.size(), g.call_records, g.site_records
-        g.call_records, g.site_records = [], []
+        size, calls, tagged = g.size(), g.call_records, g.tagged
+        g.call_records, g.tagged = [], {}
         builder.walk(m.body)
         assert g.size() == size, m.qname
-        assert (g.call_records, g.site_records) == (calls, sites), m.qname
+        assert (g.call_records, g.tagged) == (calls, tagged), m.qname
 
 
 OUT_ARGS = """

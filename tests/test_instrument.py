@@ -21,6 +21,7 @@ from mclcheck.frontend import (
     program_to_json,
 )
 from mclcheck.instrument import (
+    KIND_ARG,
     KIND_CALLDIFF,
     KIND_ESC,
     KIND_MAXCALLS,
@@ -502,6 +503,51 @@ def test_a_violated_witness_is_where_the_instrumented_copy_first_fails():
                           ("iteration_space(1 <= i && i <= 5)", list(first))]:
         assert verdicts[clause].kind == "Violated"
         assert all(verdicts[clause].witness == first[c] for c in conds), clause
+
+
+ARG_FIELD = """class A {
+}
+
+class C {
+    int k;
+}
+
+class P {
+    void need(int k) {
+        requires(k >= 0);
+        memreq<A>(k);
+        for (i = 1 .. k) {
+            A a = new A();
+        }
+    }
+
+    void go(int n) {
+        requires(n >= 0);
+        memreq<A>(n);
+        memreq<C>(1);
+        C c = new C();
+        c.k = 2 * n;
+        this.need(c.k);
+    }
+}
+"""
+
+
+def test_an_argument_no_contract_variable_reads_is_charged_its_value():
+    # c.k names no contract variable, so the copy charges need(c.k) through
+    # a snapshot of c.k taken just before the call, not as a flagged zero
+    prog = load(ARG_FIELD, "arg.mcl")
+    inst = instrument(prog)
+    text = method_block(pretty(inst.program), "void go")
+    assert "int go_Arg1_k = c.k;\n        int call_diff_A = go_Arg1_k - 0;" in text
+    assert "this.need(c.k);" in text
+    assert inst.counter_index["go_Arg1_k"].kind == KIND_ARG
+    copy = load(pretty(inst.program), "copy.mcl")
+    first = {f.failure.cond: f.point for f in validate(copy, hi=3).ensure_failures}
+    assert first == {"go_MemReq_A <= n": {"n": 1}}
+    assert program_to_json(erase(inst)) == program_to_json(prog)
+    again = instrument(erase(inst))
+    assert program_to_json(again.program) == program_to_json(inst.program)
 
 
 def test_instrument_does_not_mutate_its_input():

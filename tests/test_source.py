@@ -169,12 +169,14 @@ def test_a_call_is_charged_by_one_rule():
 
 
 def test_a_linear_fact_is_decided_by_one_procedure():
-    # symexpr._solve is the one integer decision procedure: a clause goes
-    # through entails_leq and a single affine fact (a sum's guard, an
-    # iteration space at its header's ends) through constraint_verdict,
-    # which keeps the witness; a third caller could decide it another way
-    assert sorted(_callers("_solve")) == ["symexpr.py:constraint_verdict",
-                                          "symexpr.py:entails_leq"]
+    # symexpr._solve is the one integer decision procedure and _refute its
+    # one caller, which confirms a point and picks the witness: a clause
+    # goes through entails_leq and a single fact (a sum's guard, an
+    # iteration space at its header's ends) through constraint_verdict; a
+    # second caller could decide or confirm another way
+    assert _callers("_solve") == ["symexpr.py:_refute"]
+    assert sorted(_callers("_refute")) == ["symexpr.py:constraint_verdict",
+                                           "symexpr.py:entails_leq"]
 
 
 def test_json_is_indented_only_by_the_cli_encoder():

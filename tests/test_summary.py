@@ -683,6 +683,29 @@ def test_a_reassigned_parameter_is_not_read_as_its_entry_value():
     assert {v.clause for v in validate(prog, hi=2).violations} == {"memreq<A>"}
 
 
+def test_a_quadratic_alternative_does_not_hide_an_affine_refutation():
+    # n + 3 > 2n contradicts n >= 3 whatever n * n - 5 is, so the affine
+    # part of the failing set is empty and the clause is proved
+    prog = load("""
+    class A { }
+    class P {
+        void f(int n) {
+            requires(n >= 3);
+            memreq<A>(max(2 * n, n * n - 5));
+            for (i = 1 .. n + 3) {
+                A a = new A();
+            }
+        }
+    }
+    """, "quadratic.mcl")
+    rep = S.check_program(prog)
+    mem = row(rep, "P.f", "memreq<A>")
+    assert (mem.computed, mem.verdict.kind, mem.verdict.method) == (
+        "n + 3", VerdictKind.VERIFIED, "farkas")
+    assert rep.overall == VerdictKind.VERIFIED
+    assert validate(prog).overall == VerdictKind.VERIFIED
+
+
 def test_unassigned_entry_vars_leaves_out_every_assigned_parameter():
     prog = load("""
     class A { }

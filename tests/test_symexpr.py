@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -332,7 +333,7 @@ def test_entails_over_many_variables_is_unverified_not_an_error():
     rhs = SymExpr.of(sum((v * v for v in many), Poly()))
     v = entails_leq(lhs, rhs)
     assert v.kind == VerdictKind.UNVERIFIED
-    assert v.reason == "not affine, and the witness search found none"
+    assert v.reason == "the point found breaks a fact that is not affine"
 
 
 def _random_affine(rng, names):
@@ -401,6 +402,54 @@ def test_entails_never_verified_against_grid_counterexample():
             assert v.kind == VerdictKind.VIOLATED
 
 
+def _int_poly(p, names):
+    """An integer-coefficient polynomial p as a fast function of a point."""
+    terms = [(int(c), [(names.index(v), e) for v, e in m]) for m, c in p.terms]
+    return lambda point: sum(c * math.prod(point[i] ** e for i, e in m) for c, m in terms)
+
+
+def test_a_quadratic_alternative_keeps_the_affine_decision_sound():
+    # rhs = max(affine, quadratic) under a random requires: every answer
+    # agrees with brute force on 0..20, and the box 0..8 misses nothing
+    rng = random.Random(23)
+    names = ["n", "m"]
+    decided_non_affine = 0
+    for _ in range(300):
+        quadratic = random_poly(rng, names, max_degree=2, coeff_range=(-3, 3)) + \
+            (Poly.var(rng.choice(names)) * Poly.var(rng.choice(names))).scale(rng.choice((-2, 2)))
+        lhs = SymExpr.of(*(_random_affine(rng, names) for _ in range(rng.randint(1, 2))))
+        rhs = SymExpr.of(_random_affine(rng, names), quadratic)
+        pre = _random_pre(rng, names)
+        v = entails_leq(lhs, rhs, pre)
+        pre_holds = _holds_all(pre, names)
+        lf = [_int_poly(p, names) for p in lhs.alts]
+        rf = [_int_poly(q, names) for q in rhs.alts]
+        cexs = [pt for pt in itertools.product(range(21), repeat=2)
+                if pre_holds(pt) and max(f(pt) for f in lf) > max(f(pt) for f in rf)]
+        if v.kind == VerdictKind.VERIFIED:
+            assert not cexs, (lhs, rhs, pre)
+        if v.kind == VerdictKind.VIOLATED:
+            assert all(c.holds(v.witness) for c in pre), (lhs, rhs, pre)
+            assert lhs.eval(v.witness) > rhs.eval(v.witness), (lhs, rhs, pre)
+        if any(max(pt) <= 8 for pt in cexs):
+            assert v.kind == VerdictKind.VIOLATED, (lhs, rhs, pre)
+        if v.method == "farkas" and any((p - q).degree() > 1 for p in lhs.alts for q in rhs.alts):
+            decided_non_affine += 1
+    assert decided_non_affine > 10
+
+
+def test_a_non_affine_goal_is_decided_on_the_affine_relaxation():
+    goal = LinConstraint.compare(N * N, ">=", N + 5)
+    # the goal's negation is dropped, and the context alone has no point
+    empty = (LinConstraint.compare(N, ">=", Poly.const(3)),
+             LinConstraint.compare(N, "<", Poly.const(3)))
+    v = constraint_verdict(goal, empty)
+    assert (v.kind, v.method) == (VerdictKind.VERIFIED, "farkas")
+    # n = 2, the least point of the context, breaks the goal: 4 < 7
+    v = constraint_verdict(goal, (LinConstraint.compare(N, ">=", Poly.const(2)),))
+    assert (v.kind, v.witness) == (VerdictKind.VIOLATED, {"n": 2})
+
+
 def test_constraint_entailed_against_brute_force():
     rng = random.Random(7)
     names = ["n", "m", "i"]
@@ -441,7 +490,7 @@ def test_constraint_verdict_names_why_it_is_undecided():
     square = (LinConstraint.compare(N * N, "<=", Poly.const(1)),)
     v = constraint_verdict(LinConstraint.compare(N, "<=", Poly.const(1)), square)
     assert (v.kind, v.reason) == (VerdictKind.UNVERIFIED,
-                                  "the point found breaks a non-affine fact of the context")
+                                  "the point found breaks a fact that is not affine")
 
 
 def test_memreq_beyond_the_witness_grid_is_violated():

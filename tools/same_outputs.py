@@ -16,9 +16,15 @@ the two imports never mix, and each runs the same command lines through
   human `validate`; and `ptg` as JSON and as DOT;
 - every command on inputs that end a run early, written under the
   temporary directory: a file that is not UTF-8, a 400-deep `if` nest, an
-  array longer than the step budget, a null field store and an index past
-  an array's end; `run --args` that `json.loads` rejects without a
-  JSONDecodeError; and `validate --grid 2000000`.
+  array longer than the step budget, a null field store, an index past
+  an array's end and an integer literal of 5,000 digits; `run --args`
+  that `json.loads` rejects without a JSONDecodeError; and
+  `validate --grid 2000000`;
+- `check`, human and JSON, on inputs that reach the decision procedure's
+  less travelled branches, written under the temporary directory: a
+  clause whose declared bound is a max of an affine and a quadratic
+  alternative, a loop whose header is not affine, and an
+  `iteration_space` with `==`.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -82,6 +88,7 @@ def _hostile_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
         "budget": _p_f("memreq<T[]>(2000000 * n);\n        T[] a = new T[2000000 * n];"),
         "null": _p_f("memreq<T>(1);\n        T t = null;\n        if (n > 0) { t.x = n; }"),
         "bounds": _p_f("memreq<T[]>(1);\n        T[] a = new T[1];\n        a[n] = null;"),
+        "long-literal": _p_f(f"memreq<T>(1);\n        int k = {'9' * 5000};"),
     }
     (work / "hostile").mkdir()
     lines: list[tuple[list[str], Path | None]] = []
@@ -99,6 +106,32 @@ def _hostile_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     # 2,000,001 points: about 70 MB where the grid is built before it is counted
     lines.append((["validate", str(ROOT / "corpus" / "listbuild.mcl"),
                    "--grid", "2000000"], None))
+    return lines
+
+
+def _loop_f(requires: str, memreq: str, header: str, body: str) -> str:
+    return ("class A {\n}\n\nclass P {\n    void f(int n, int m) {\n"
+            f"        requires({requires});\n        memreq<A>({memreq});\n"
+            f"        for (i = {header}) {{\n            {body}A a = new A();\n"
+            "        }\n    }\n}\n")
+
+
+def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
+    """`check` in both formats on clauses and facts the decision procedure
+    meets rarely, written under work/decision."""
+    files = {
+        "quadratic-alternative": _loop_f("n >= 3", "max(2 * n, n * n - 5)", "1 .. n + 3", ""),
+        "non-affine-header": _loop_f("n >= 0 && m >= 0", "n * m", "1 .. n * m", ""),
+        "space-equality": _loop_f("n >= 0 && m >= 0", "m", "1 .. m",
+                                 "iteration_space(i == n);\n            "),
+    }
+    (work / "decision").mkdir()
+    lines: list[tuple[list[str], Path | None]] = []
+    for name, text in files.items():
+        path = work / "decision" / f"{name}.mcl"
+        path.write_text(text)
+        for fmt in ("human", "json"):
+            lines.append((["check", str(path), "--format", fmt], None))
     return lines
 
 
@@ -135,7 +168,7 @@ def run_tree(src: str, seed: int) -> dict[str, list]:
             w = workloads.build(name, seed, ROOT, work / name)
             lines += [(c.argv, c.emit) for c in w.probes + w.commands]
         (work / "matrix").mkdir()
-        lines += _corpus_matrix(work) + _hostile_matrix(work)
+        lines += _corpus_matrix(work) + _hostile_matrix(work) + _decision_matrix(work)
         for argv, emit in lines:
             key = _key(argv, tmp)
             if key in outcomes:
