@@ -365,7 +365,7 @@ class _Parser:
             self.fail("expected a comparison operator")
         self.next()
         right = self.binary(_ARITH)
-        return Cmp(left, t.value, right)
+        return Cmp(left, t.value, right, pos=self.pos(t))
 
     # -- expressions ------------------------------------------------------------
 

@@ -6,11 +6,16 @@ enough for receiver typing because call results must be bound through a
 declaring statement, and it keeps instrumented output (whose counters are
 declared mid-body but ensured at the top) resolvable without special
 cases.
+
+Contract expressions are read by `syntax`'s one reader (`expr_poly`,
+`expr_bound`); this module says which names each may read.
 """
 
 from __future__ import annotations
 
-from ..symexpr import LinConstraint, Poly, SymExpr, add, sym_max
+from collections.abc import Callable
+
+from ..symexpr import LinConstraint
 from .diagnostics import Diagnostic, ResolveFailure, SEV_ERROR, SEV_WARNING
 from .syntax import (
     ANNOTATION_STMTS, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt,
@@ -19,21 +24,9 @@ from .syntax import (
     LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodContract, MethodDecl,
     NewStmt, NullLit, NOPOS, OBJECT_KEY, OutArg, Param, ParenExpr, Pos,
     PRIMITIVES, Program, RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef,
-    TypeRef, Unary, VarRef, entry_vars, expr_poly, iter_stmts,
+    TypeRef, Unary, VarRef, entry_vars, expr_bound, expr_poly, iter_stmts,
     unassigned_entry_vars,
 )
-
-
-def _contains_max(e: Expr) -> bool:
-    if isinstance(e, MaxExpr):
-        return True
-    if isinstance(e, ParenExpr):
-        return _contains_max(e.inner)
-    if isinstance(e, Binary):
-        return _contains_max(e.left) or _contains_max(e.right)
-    if isinstance(e, Unary):
-        return _contains_max(e.operand)
-    return False
 
 
 class _Resolver:
@@ -65,7 +58,7 @@ class _Resolver:
             for m in c.methods:
                 try:
                     _MethodResolver(self, c, m).run()
-                except RecursionError:  # typeof and the contract readers recurse per operator
+                except RecursionError:  # typeof and the contract reader recurse per operator
                     self.error("nesting-too-deep",
                                f"{m.qname}: an expression nests too deeply to resolve", m.pos)
         if any(d.severity == SEV_ERROR for d in self.diags):
@@ -182,40 +175,18 @@ class _MethodResolver:
 
     # -- contract extraction ---------------------------------------------------
 
-    def poly_of(self, e: Expr, extra: set[str], what: str) -> Poly | None:
-        return expr_poly(e, self.entry | extra,
-                         report=lambda code, msg, pos: self.error(code, f"{what} {msg}", pos))
-
-    def symexpr_of(self, e: Expr, what: str) -> SymExpr | None:
-        if isinstance(e, ParenExpr):
-            return self.symexpr_of(e.inner, what)
-        if isinstance(e, MaxExpr):
-            a = self.symexpr_of(e.left, what)
-            b = self.symexpr_of(e.right, what)
-            return None if a is None or b is None else sym_max(a, b)
-        if isinstance(e, Binary) and e.op == "+" and _contains_max(e):
-            a = self.symexpr_of(e.left, what)
-            b = self.symexpr_of(e.right, what)
-            return None if a is None or b is None else add(a, b)
-        if isinstance(e, Binary) and e.op == "-" and _contains_max(e):
-            if _contains_max(e.right):
-                self.error("bad-contract-expr", f"{what}: max may not be subtracted", e.pos)
-                return None
-            a = self.symexpr_of(e.left, what)
-            b = self.poly_of(e.right, set(), what)
-            return None if a is None or b is None else add(a, SymExpr.of(-b))
-        if _contains_max(e):
-            self.error("bad-contract-expr", f"{what}: max may only be combined additively", e.pos)
-            return None
-        p = self.poly_of(e, set(), what)
-        return None if p is None else SymExpr.of(p)
+    def reporter(self, what: str) -> Callable[[str, str, Pos], None]:
+        """Report what the contract reader cannot read in a `what` clause; a
+        message about max follows a colon."""
+        return lambda code, msg, pos: self.error(
+            code, f"{what}: {msg}" if msg.startswith("max ") else f"{what} {msg}", pos)
 
     def constraint_of(self, c: Cmp, extra: set[str], what: str) -> LinConstraint | None:
         if c.rel == "!=":
-            self.error("requires-neq", f"{what} may not use !=", NOPOS)
+            self.error("requires-neq", f"{what} may not use !=", c.pos)
             return None
-        a = self.poly_of(c.left, extra, what)
-        b = self.poly_of(c.right, extra, what)
+        a = expr_poly(c.left, self.entry | extra, self.reporter(what))
+        b = expr_poly(c.right, self.entry | extra, self.reporter(what))
         if a is None or b is None:
             return None
         return LinConstraint.compare(a, c.rel, b)
@@ -251,7 +222,7 @@ class _MethodResolver:
                         requires.append(lc)
             elif isinstance(s, MemReqStmt):
                 key = self.clause_type(s.class_ref, s.pos)
-                e = self.symexpr_of(s.expr, "memreq")
+                e = expr_bound(s.expr, self.entry, self.reporter("memreq"))
                 if key is None or e is None:
                     continue
                 if key in self.contract.mem_req:
@@ -259,7 +230,7 @@ class _MethodResolver:
                 self.contract.mem_req[key] = e
             elif isinstance(s, EscStmt):
                 key = self.clause_type(s.class_ref, s.pos)
-                e = self.symexpr_of(s.expr, "esc")
+                e = expr_bound(s.expr, self.entry, self.reporter("esc"))
                 if key is None or e is None:
                     continue
                 if s.tag.kind == "return" and not (self.m.is_ctor

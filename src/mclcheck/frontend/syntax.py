@@ -8,6 +8,10 @@ that structural identity survives reprinting and instrumentation.
 The annotation language is spelled here once: `SHAPES` gives each keyword
 statement's source form, which the parser reads and the printer writes, and
 `CONTRACT_STMTS` and `ANNOTATION_STMTS` sort those statements by role.
+
+So is the reading of a contract expression, by `_read_expr`: `expr_poly`
+reads a polynomial and `expr_bound` a declared bound, which may hold a
+`max`, with `Poly` arithmetic alone, so no degree cap meets a contract.
 """
 
 from __future__ import annotations
@@ -184,8 +188,9 @@ class ParenExpr(Expr):
 
 
 @dataclass
-class Cmp:
-    """One comparison inside requires(...) or iteration_space(...)."""
+class Cmp(Node):
+    """One comparison inside requires(...) or iteration_space(...), at its
+    relation."""
 
     left: Expr
     rel: str
@@ -575,13 +580,31 @@ def unassigned_entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
 def expr_poly(e: Expr, admissible: set[str] | None,
               report: Callable[[str, str, Pos], None] | None = None) -> Poly | None:
     """Read an integer expression as a polynomial over `admissible` names,
-    or over every name it reads when `admissible` is None.
+    or over every name it reads when `admissible` is None; see `_read_expr`."""
+    return _read_expr(e, admissible, report, False)
 
-    Gives None when some part cannot be read that way.  Each such part is
-    also passed to `report(code, message, pos)` when one is given; both
-    operands of a binary operator are read first, so every bad name is
-    reported before the operator itself is judged.
-    """
+
+def expr_bound(e: Expr, admissible: set[str] | None,
+               report: Callable[[str, str, Pos], None] | None = None) -> SymExpr | None:
+    """Read a declared bound: a polynomial, where a `max` may also stand."""
+    alts = _alts(_read_expr(e, admissible, report, True))
+    return SymExpr(alts) if alts else None  # pruned as they were read
+
+
+def _alts(p: Poly | tuple[Poly, ...] | None) -> tuple[Poly, ...]:
+    return p if isinstance(p, tuple) else () if p is None else (p,)
+
+
+def _read_expr(e: Expr, admissible: set[str] | None,
+               report: Callable[[str, str, Pos], None] | None,
+               bound: bool) -> Poly | tuple[Poly, ...] | None:
+    """The one reader of contract expressions.  Gives None when some part
+    cannot be read.  Each such part is also passed to `report(code,
+    message, pos)` when one is given; the operands of an operator are read
+    first, so every bad name is reported before the operator is judged.  In
+    a `bound` a max may be added to or have a polynomial subtracted from
+    it: a part that holds one gives the tuple of its alternatives, empty
+    when they cannot be read."""
     admits = (lambda name: True) if admissible is None else admissible.__contains__
 
     def fail(code: str, message: str, pos: Pos) -> None:
@@ -589,7 +612,7 @@ def expr_poly(e: Expr, admissible: set[str] | None,
             report(code, message, pos)
         return None
 
-    def read(e: Expr) -> Poly | None:
+    def read(e: Expr) -> Poly | tuple[Poly, ...] | None:
         if isinstance(e, ParenExpr):
             return read(e.inner)
         if isinstance(e, IntLit):
@@ -613,11 +636,24 @@ def expr_poly(e: Expr, admissible: set[str] | None,
             if name is not None and admits(name):
                 return Poly.var(name)
             return fail("bad-contract-expr", "may not take this length", e.pos)
+        if isinstance(e, MaxExpr) and bound:
+            a, b = _alts(read(e.left)), _alts(read(e.right))
+            return SymExpr.of(*a, *b).alts if a and b else ()
         if isinstance(e, Unary) and e.op == "-":
             p = read(e.operand)
+            if isinstance(p, tuple):
+                return fail("bad-contract-expr", "max may only be combined additively", e.pos)
             return None if p is None else -p
         if isinstance(e, Binary) and e.op in ("+", "-", "*", "/"):
             a, b = read(e.left), read(e.right)
+            if isinstance(a, tuple) or isinstance(b, tuple):
+                if e.op == "-" and isinstance(b, tuple):
+                    return fail("bad-contract-expr", "max may not be subtracted", e.pos)
+                if e.op not in ("+", "-"):
+                    return fail("bad-contract-expr", "max may only be combined additively",
+                                e.pos)
+                sums = [p + q if e.op == "+" else p - q for p in _alts(a) for q in _alts(b)]
+                return SymExpr.of(*sums).alts if sums else ()  # none when a side is unread
             if a is None or b is None:
                 return None
             if e.op == "+":

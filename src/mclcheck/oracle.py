@@ -91,7 +91,6 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .frontend import (
     Assign,
@@ -1238,7 +1237,7 @@ class BoundViolation:
     instance: str
     clause: str
     declared: str
-    declared_value: int
+    declared_value: int  # the bound at the entry env, rounded down
     observed: int
     entry_env: dict[str, int]
     trace: list[tuple]
@@ -1347,7 +1346,7 @@ def _fold_violations(result: RunResult, table: _Table, entry: str, point: dict,
                 counts = (group.activations, group.runs) if group else (0, 0)
                 group = groups[key] = BoundViolation(
                     entry, point, obs.method, obs.instance, b.clause, str(b.bound),
-                    int(Fraction(top, b.den)), observed, env, result.trace, *counts)
+                    top // b.den, observed, env, result.trace, *counts)
             group.activations += 1
             if key not in hit:
                 hit.add(key)

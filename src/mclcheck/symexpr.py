@@ -27,8 +27,10 @@ a witness search: it may turn an undecided clause into `Violated`, never
 into `Verified`.  A polynomial's one integer form, read by the rows, both
 printers and the oracle, is `integral`.
 
-No sum, product or substitution may build a polynomial of degree above
-the module constant `DEGREE_CAP`; one that would raises `DegreeOverflow`.
+Only a closed form over a loop, summed (`_sum_poly`) or maximized
+(`max_over`), is capped: one of degree above the module constant
+`DEGREE_CAP` raises `DegreeOverflow`.  A sum never raises the degree, and
+a substitution's result is capped where it is summed or maximized.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ FLAG_BAD_ARG = "unanalyzable-arg"
 
 
 class DegreeOverflow(Exception):
-    """Raised when an operation would build a polynomial of degree above
-    DEGREE_CAP."""
+    """Raised when a loop's closed form would have degree above DEGREE_CAP."""
 
 
 # A monomial is a sorted tuple of (variable, exponent) pairs; () is 1.
@@ -294,14 +295,11 @@ def _check_degree(alts) -> None:
 
 def add(a: SymExpr, b: SymExpr) -> SymExpr:
     """Pointwise sum: max(A) + max(B) = max over pairs of (p + q)."""
-    alts = tuple(p + q for p in a.alts for q in b.alts)
-    _check_degree(alts)
-    return SymExpr(_prune(alts), a.flags | b.flags)
+    return SymExpr(_prune(tuple(p + q for p in a.alts for q in b.alts)), a.flags | b.flags)
 
 
 def sym_sum(exprs) -> SymExpr:
-    """Sum of any number of expressions, zero for none; a lone one is
-    returned as it is, so the degree cap only ever meets a sum built here."""
+    """Sum of any number of expressions, zero for none, a lone one as it is."""
     exprs = list(exprs)
     return reduce(add, exprs) if exprs else SYM_ZERO
 
@@ -313,9 +311,7 @@ def sym_max(a: SymExpr, b: SymExpr) -> SymExpr:
 
 def substitute(e: SymExpr, binding: dict[str, Poly]) -> SymExpr:
     """Substitute polynomials for variables in every alternative."""
-    alts = tuple(p.substitute(binding) for p in e.alts)
-    _check_degree(alts)
-    return SymExpr(_prune(alts), e.flags)
+    return SymExpr(_prune(tuple(p.substitute(binding) for p in e.alts)), e.flags)
 
 
 @lru_cache(maxsize=None)

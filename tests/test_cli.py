@@ -623,6 +623,179 @@ def test_loop_nest_past_the_degree_cap_is_inconclusive(tmp_path):
     assert err.startswith("inconclusive: ") and "degree" in err
 
 
+def test_a_max_bound_plus_a_constant_reads_as_declared(tmp_path):
+    path = tmp_path / "maxplus.mcl"
+    path.write_text("class A {} class P { void f(int n) { requires(n >= 0);"
+                    " memreq<A>(max(n*n*n*n, n) + 1); A a = new A(); } }")
+    assert cli("check", str(path)) == (0, (
+        f"{path}\n"
+        "  Verified    P.f  memreq<A>  declared max(n + 1, n*n*n*n + 1)  computed 1\n"
+        "  overall: Verified\n"), "")
+    code, out, err = cli("check", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "file": str(path), "overall": "Verified",
+        "clauses": [{"method": "P.f", "clause": "memreq<A>", "verdict": "Verified",
+                     "proof": "coefficient", "declared": "max(n + 1, n*n*n*n + 1)",
+                     "computed": "1"}]}
+
+
+@pytest.mark.parametrize("clause, body", [
+    ("memreq<A>(n)", "for (i = 1 .. max(n, 1)) { A a = new A(); }"),
+    ("memreq<A[]>(n)", "A[] a = new A[max(n, 1)];"),
+    ("memreq<A>(n)", "this.g(max(n, 1));"),
+], ids=["loop-header", "array-length", "call-argument"])
+def test_a_max_in_the_body_leaves_its_clause_unverified(tmp_path, clause, body):
+    # a body expression is no contract: a max there is read as no polynomial
+    path = tmp_path / "maxbody.mcl"
+    path.write_text("class A {} class P {"
+                    " void g(int n) { requires(n >= 0); memreq<A>(n);"
+                    " for (i = 1 .. n) { A a = new A(); } }"
+                    f" void f(int n) {{ requires(n >= 0); {clause}; {body} }} }}")
+    code, out, err = cli("check", str(path))
+    key = clause[len("memreq<"):clause.index(">")]
+    assert code == 2
+    assert (f"  Unverified  P.f  memreq<{key}>  declared n  computed 0\n"
+            "              reason: analysis incomplete: unanalyzable-arg\n") in out
+    assert err == (f"inconclusive: {path}: 1 of {out.count('  declared ')} clauses unverified"
+                   f" (first: P.f memreq<{key}>: analysis incomplete: unanalyzable-arg)\n")
+
+
+EVERY_COMMAND = (["check"], ["instrument"], ["ptg"], ["validate", "--grid", "2"],
+                 ["run", "--entry", "P.f", "--args", "[2]"])
+
+
+def test_a_max_bound_past_the_degree_cap_is_read_by_every_command(tmp_path):
+    # a declared bound is read at any degree: the cap is for closed forms
+    path = tmp_path / "maxdeg5.mcl"
+    path.write_text("class A {} class P { void f(int n) { requires(n >= 0);"
+                    " memreq<A>(max(n*n*n*n*n, 1) + 1); A a = new A(); } }")
+    for argv in EVERY_COMMAND:
+        code, out, err = cli(argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, ""), argv
+    assert "Verified    P.f  memreq<A>  declared max(n*n*n*n*n + 1, 2)  computed 1\n" \
+        in cli("check", str(path))[1]
+
+
+def test_instrument_reads_an_escape_bound_past_the_degree_cap(tmp_path):
+    path = tmp_path / "escdeg5.mcl"
+    path.write_text("class A {} class P { A f(int n) { requires(n >= 0);"
+                    " esc<A>(return, n*n*n*n*n); A a = new A(); return a; } }")
+    code, out, err = cli("instrument", str(path))
+    assert (code, err) == (0, "")
+    assert "ensure(f_Esc_Return_A <= n * n * n * n * n);" in out
+
+
+def test_a_call_may_bind_a_contract_past_the_degree_cap(tmp_path):
+    # g's cubic bound at n*n is of degree 6; nothing sums or maximizes it
+    path = tmp_path / "calldeg6.mcl"
+    path.write_text("class A {} class P {"
+                    " void g(int n) { requires(n >= 0); memreq<A>(n*n*n);"
+                    " for (i = 1 .. n*n*n) { A a = new A(); } }"
+                    " void f(int n) { requires(n >= 0); memreq<A>(n*n*n*n*n*n); this.g(n*n); } }")
+    assert cli("check", str(path)) == (0, (
+        f"{path}\n"
+        "  Verified    P.f  memreq<A>  declared n*n*n*n*n*n  computed n*n*n*n*n*n\n"
+        "  Verified    P.g  memreq<A>  declared n*n*n  computed n*n*n\n"
+        "  overall: Verified\n"), "")
+    code, out, err = cli("instrument", str(path))
+    assert (code, err) == (0, "")
+    assert "int call_diff_A = (n * n * n * n * n * n) - 0;" in out
+
+
+def test_an_array_past_the_degree_cap_is_counted(tmp_path):
+    path = tmp_path / "arraydeg5.mcl"
+    path.write_text("class A {} class P { void f(int n) { requires(n >= 0);"
+                    " memreq<A>(n); A[] a = new A[n*n*n*n*n]; } }")
+    code, out, err = cli("check", str(path))
+    assert (code, err) == (1, "")
+    assert ("  Violated    P.f  memreq<A[]>  declared (none)  computed n*n*n*n*n\n"
+            "              witness: n=1\n") in out
+
+
+_TERMS = {"0": 0, "1": 0, "3": 0, "n": 1, "m": 1, "n * m": 2, "n * n * n": 3}
+
+
+@st.composite
+def _contract_exprs(draw, most=6, depth=3):
+    """(source, degree) of an expression over + - * /, max, literals and
+    the parameters n and m, of degree at most `most`."""
+    if depth == 0 or draw(st.booleans()):
+        text = draw(st.sampled_from([t for t in _TERMS if _TERMS[t] <= most]))
+        return text, _TERMS[text]
+    op = draw(st.sampled_from(["+", "-", "*", "/", "max"]))
+    a, da = draw(_contract_exprs(most, depth - 1))
+    if op == "/":
+        return f"({a} / {draw(st.sampled_from(['2', '2', '0', 'n']))})", da
+    b, db = draw(_contract_exprs(most - da if op == "*" else most, depth - 1))
+    if op == "max":
+        return f"max({a}, {b})", max(da, db)
+    return f"({a} {op} {b})", da + db if op == "*" else max(da, db)
+
+
+# g's requires side, memreq and esc; f's memreq, loop header and call
+# argument; each holds what it holds here unless an example replaces it
+CONTRACT_PLACES = {"requires": "0", "g-memreq": "1", "g-esc": "1",
+                   "f-memreq": "n", "header": "n", "argument": "n"}
+CONTRACT_PROGRAM = """class A {
+}
+
+class P {
+    A g(int n, int m) {
+        requires(n >= 0 && m >= 0 && {requires} >= 0);
+        memreq<A>({g-memreq});
+        esc<A>(return, {g-esc});
+        dest_esc(return);
+        A a = new A();
+        return a;
+    }
+
+    void f(int n, int m) {
+        requires(n >= 0 && m >= 0);
+        memreq<A>({f-memreq});
+        memreq<P>(1);
+        P p = new P();
+        for (i = 1 .. {header}) {
+            A b = p.g({argument}, m);
+        }
+    }
+}
+"""
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(sorted(CONTRACT_PLACES)),
+                       _contract_exprs().map(lambda t: t[0]), min_size=1, max_size=3))
+def test_every_command_keeps_the_exit_contract_on_any_contract_expression(
+        tmp_path_factory, exprs):
+    # expressions of degree up to 6 in a bound, a requires, a loop header
+    # or a call's argument: every command ends with an exit code, whatever
+    # it reads, sums or refuses
+    text = CONTRACT_PROGRAM
+    for place, default in CONTRACT_PLACES.items():
+        text = text.replace(f"{{{place}}}", exprs.get(place, default))
+    path = tmp_path_factory.mktemp("exprs") / "exprs.mcl"
+    path.write_text(text)
+    for argv in (["check"], ["instrument"], ["ptg"], ["validate", "--grid", "1"],
+                 ["run", "--entry", "P.f", "--args", "[1, 1]"]):
+        code, _, _ = cli(argv[0], str(path), *argv[1:])
+        assert code in (0, 1, 2, 3), argv
+
+
+def test_validate_reports_a_fractional_bound_rounded_down(tmp_path):
+    # (n - 1)/2 at n = 0 is -1/2: no count is within it, and it reads as -1
+    path = tmp_path / "half.mcl"
+    path.write_text("class A {} class P { void f(int n) { requires(n >= 0);"
+                    " memreq<A>((n - 1) / 2); for (i = 1 .. n) { A a = new A(); } } }")
+    code, out, err = cli("validate", str(path), "--grid", "2")
+    assert code == 1
+    assert out.startswith("VIOLATED  P.f memreq<A>: declared (n - 1)/2 = -1, observed 0"
+                          " (entry n=0);")
+    code, out, err = cli("validate", str(path), "--grid", "2", "--format", "json")
+    (violation,) = json.loads(out)["violations"]
+    assert (violation["declaredValue"], violation["observed"]) == (-1, 0)
+
+
 def test_seven_variable_non_integral_bound_is_an_unverified_row(tmp_path):
     params = [f"p{k}" for k in range(1, 8)]
     path = tmp_path / "sevenvar.mcl"

@@ -34,6 +34,7 @@ from mclcheck.frontend import (
     VarRef,
     callee_of,
     entry_vars,
+    expr_bound,
     expr_poly,
     expr_to_str,
     iter_stmts,
@@ -746,6 +747,94 @@ CONTRACT_EXPR_ERRORS = {
              "P.f: memreq may not mention x; only entry-constant integers are allowed",
              9, 26),
         ]),
+    "max_subtracted": (
+        ("memreq<A>(n - max(n, 1));", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq: max may not be subtracted",
+             9, 21),
+        ]),
+    "max_subtracted_in_esc": (
+        ("esc<A>(this, n - max(n, 1));", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: esc: max may not be subtracted",
+             9, 24),
+        ]),
+    "max_scaled": (
+        ("memreq<A>(2 * max(n, 1));", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq: max may only be combined additively",
+             9, 21),
+        ]),
+    "max_negated": (
+        ("memreq<A>(-max(n, 1));", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq: max may only be combined additively",
+             9, 19),
+        ]),
+    "max_in_requires": (
+        ("requires(max(n, 1) >= 0);", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: requires must be a polynomial expression",
+             9, 18),
+        ]),
+    "max_in_iteration_space": (
+        ("", "for (i = 1 .. n) { iteration_space(1 <= i && i <= max(n, 1)); int z = i; }"),
+        [
+            ("bad-contract-expr",
+             "P.f: iteration_space must be a polynomial expression",
+             12, 59),
+        ]),
+    # a bound's operands are read before its operator is judged, as every
+    # contract expression's are: each bad name is reported, then the max
+    "bad_name_and_scaled_max": (
+        ("memreq<A>(x * max(n, 1));", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not mention x; only entry-constant integers are allowed",
+             9, 19),
+            ("bad-contract-expr",
+             "P.f: memreq: max may only be combined additively",
+             9, 21),
+        ]),
+    "bad_names_and_subtracted_max": (
+        ("memreq<A>(x - max(n, y));", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq may not mention x; only entry-constant integers are allowed",
+             9, 19),
+            ("bad-contract-expr",
+             "P.f: memreq may not mention y; only entry-constant integers are allowed",
+             9, 30),
+            ("bad-contract-expr",
+             "P.f: memreq: max may not be subtracted",
+             9, 21),
+        ]),
+    "scaled_max_subtracted": (
+        ("memreq<A>(n - 2 * max(n, 1));", ""),
+        [
+            ("bad-contract-expr",
+             "P.f: memreq: max may only be combined additively",
+             9, 25),
+        ]),
+    "neq_in_requires": (
+        ("requires(n != 0);", ""),
+        [
+            ("requires-neq",
+             "P.f: requires may not use !=",
+             9, 20),
+        ]),
+    "neq_in_iteration_space": (
+        ("", "for (i = 1 .. n) { iteration_space(1 <= i && i != n); int z = i; }"),
+        [
+            ("requires-neq",
+             "P.f: iteration_space may not use !=",
+             12, 56),
+        ]),
     "requires": (
         ("requires(x >= 0);", ""),
         [
@@ -834,6 +923,33 @@ def test_var_expr_reads_back_through_expr_poly(name):
     assert expr_to_str(e) == name
     assert expr_poly(e, {name}) == Poly.var(name)
     assert expr_poly(e, set()) is None
+
+
+def _bound(text):
+    prog = parse(f"class A {{}} class P {{ void f(int n) {{ memreq<A>({text}); }} }}")
+    return prog.method("P.f").body[0].expr
+
+
+N = Poly.var("n")
+
+
+@pytest.mark.parametrize("text, alts", [
+    ("n * n + 1", {N * N + 1}),
+    ("max(n, 1) + 1", {N + 1, Poly.const(2)}),
+    ("1 + max(max(n, 2), n * n) - n", {Poly.const(1), Poly.const(3) - N, N * N - N + 1}),
+    ("max(n, 3) + max(n, 3)", {N + N, N + 3, Poly.const(6)}),
+    ("max(n, x)", None),
+    ("max(max(n, x), 1)", None),
+    ("max(n, 1) + x", None),
+    ("n - max(n, 1)", None),
+    ("-max(n, 1)", None),
+    ("max(n, 1) / 2", None),
+])
+def test_expr_bound_reads_a_max_only_where_every_part_reads(text, alts):
+    got = expr_bound(_bound(text), {"n"})
+    assert (None if got is None else set(got.alts)) == alts
+    if "max" in text:  # a max is no polynomial
+        assert expr_poly(_bound(text), {"n"}) is None
 
 
 def test_expr_poly_reports_only_when_asked():

@@ -193,3 +193,26 @@ def test_json_is_indented_only_by_the_cli_encoder():
                     and any(k.arg == "indent" for k in node.keywords)):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, f"indented JSON encoded outside cli._dump: {', '.join(found)}"
+
+
+def test_a_contract_expression_has_one_reader():
+    # syntax._read_expr reads every contract expression, a bound's max included;
+    # the resolver only says which names each may read, so SymExpr
+    # arithmetic of its own would be a second reader that could drift
+    path = SRC / "mclcheck" / "frontend" / "resolver.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("symexpr")
+                for a in node.names}
+    assert not imported & {"add", "sym_max", "sym_sum", "substitute", "SymExpr"}
+    assert sorted(_callers("_read_expr")) == ["frontend/syntax.py:expr_bound",
+                                         "frontend/syntax.py:expr_poly"]
+
+
+def test_the_degree_cap_is_checked_where_a_closed_form_is_built():
+    # a sum never raises the degree, and what a substitution builds is
+    # capped where it is summed or maximized: `_sum_poly` checks the sum's
+    # closed form itself, and `_check_degree` serves `max_over` alone
+    assert _callers("_check_degree") == ["symexpr.py:max_over"]
+    assert sorted(_callers("DegreeOverflow")) == ["symexpr.py:_check_degree",
+                                                 "symexpr.py:_sum_poly"]

@@ -228,8 +228,8 @@ def test_object_mode_derives_bounds_from_per_type_contracts():
 
 
 def test_a_lone_declared_bound_reads_alike_in_both_modes():
-    # collapsing one bound onto the object pseudo-class sums nothing, so
-    # the degree cap, which bounds what the checker builds, never meets it
+    # collapsing one bound onto the object pseudo-class sums nothing, and
+    # the degree cap meets only a loop's closed form, never a declared bound
     prog = load("class A {} class P { void f(int n) { requires(n >= 0);"
                 " memreq<A>(n*n*n*n*n*n); A a = new A(); } }")
     for mode, clause in ((S.MODE_TYPE, "memreq<A>"), (S.MODE_OBJECT, "memreq<object>")):

@@ -20,11 +20,13 @@ the two imports never mix, and each runs the same command lines through
   an array's end and an integer literal of 5,000 digits; `run --args`
   that `json.loads` rejects without a JSONDecodeError; and
   `validate --grid 2000000`;
-- `check`, human and JSON, on inputs that reach the decision procedure's
-  less travelled branches, written under the temporary directory: a
-  clause whose declared bound is a max of an affine and a quadratic
-  alternative, a loop whose header is not affine, and an
-  `iteration_space` with `==`.
+- `check`, human and JSON, and `instrument` on inputs that reach the
+  decision procedure's less travelled branches, written under the
+  temporary directory: a clause whose declared bound is a max of an affine
+  and a quadratic alternative, a loop whose header is not affine, an
+  `iteration_space` with `==`, and four bounds past the degree cap that no
+  loop sums: a max of degree 5 plus one, an `esc` of degree 5, a call that
+  binds a cubic bound to degree 6, and an array of degree-5 length.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -117,13 +119,23 @@ def _loop_f(requires: str, memreq: str, header: str, body: str) -> str:
 
 
 def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
-    """`check` in both formats on clauses and facts the decision procedure
-    meets rarely, written under work/decision."""
+    """`check` in both formats and `instrument` on clauses and facts the
+    decision procedure meets rarely, written under work/decision."""
     files = {
         "quadratic-alternative": _loop_f("n >= 3", "max(2 * n, n * n - 5)", "1 .. n + 3", ""),
         "non-affine-header": _loop_f("n >= 0 && m >= 0", "n * m", "1 .. n * m", ""),
         "space-equality": _loop_f("n >= 0 && m >= 0", "m", "1 .. m",
                                  "iteration_space(i == n);\n            "),
+        "max-plus-degree-5": _p_f("memreq<T>(max(n*n*n*n*n, 1) + 1);\n        T t = new T();"),
+        "esc-degree-5": "class T {\n}\n\nclass P {\n    T f(int n) {\n        requires(n >= 0);\n"
+                        "        esc<T>(return, n*n*n*n*n);\n        T t = new T();\n"
+                        "        return t;\n    }\n}\n",
+        "call-degree-6": "class A {\n}\n\nclass P {\n    void g(int n) {\n"
+                         "        requires(n >= 0);\n        memreq<A>(n*n*n);\n"
+                         "        for (i = 1 .. n*n*n) { A a = new A(); }\n    }\n\n"
+                         "    void f(int n) {\n        requires(n >= 0);\n"
+                         "        memreq<A>(n*n*n*n*n*n);\n        this.g(n*n);\n    }\n}\n",
+        "array-degree-5": _p_f("memreq<T>(n);\n        T[] a = new T[n*n*n*n*n];"),
     }
     (work / "decision").mkdir()
     lines: list[tuple[list[str], Path | None]] = []
@@ -132,6 +144,7 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
         path.write_text(text)
         for fmt in ("human", "json"):
             lines.append((["check", str(path), "--format", fmt], None))
+        lines.append((["instrument", str(path)], None))
     return lines
 
 
