@@ -19,8 +19,8 @@ from .frontend import FrontendFailure, load, pretty
 from .instrument import instrument
 from .oracle import (ArgumentError, GridTooLarge, OracleError, Ref, RunCutShort,
                      run, validate)
-from .summary import CyclicWithoutContract, check_program
-from .symexpr import DegreeOverflow, VerdictKind
+from .summary import check_program
+from .symexpr import VerdictKind
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -42,10 +42,6 @@ class InputError(Exception):
     def __init__(self, diagnostics: list[dict]):
         super().__init__(diagnostics[0]["message"] if diagnostics else "")
         self.diagnostics = diagnostics
-
-
-class AnalysisStop(Exception):
-    """Verification cannot proceed; the result is inconclusive, not wrong."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -223,13 +219,10 @@ def _unverified_note(path: str, report) -> str:
 
 def _cmd_check(ns, out, err) -> str:
     results = []
+    # a loop, not a comprehension, which is a frame of its own on 3.11: how
+    # deep the parser may nest depends on how deep the stack already is
     for path in ns.files:
-        prog = _load_file(path)
-        try:
-            report = check_program(prog, ns.mode)
-        except (CyclicWithoutContract, DegreeOverflow) as exc:
-            raise AnalysisStop(f"{path}: {exc}")
-        results.append((path, report))
+        results.append((path, check_program(_load_file(path), ns.mode)))
 
     if ns.format == "json":
         docs = [{"file": path, **report.to_json()} for path, report in results]
@@ -356,11 +349,7 @@ def _cmd_ptg(ns, out, err) -> None:
 def _cmd_validate(ns, out, err) -> str:
     if ns.grid < 0:
         raise UsageError(f"--grid must be nonnegative, not {ns.grid}")
-    prog = _load_file(ns.file)
-    try:
-        report = validate(prog, hi=ns.grid, gc=ns.gc)
-    except GridTooLarge as exc:
-        raise AnalysisStop(f"{ns.file}: {exc}")
+    report = validate(_load_file(ns.file), hi=ns.grid, gc=ns.gc)
 
     if ns.format == "json":
         _dump({"file": ns.file, **report.to_json()}, out)
@@ -419,8 +408,8 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
         for d in exc.diagnostics:
             err.write(json.dumps(d, sort_keys=True) + "\n")
         return EXIT_USAGE
-    except AnalysisStop as exc:
-        err.write(f"inconclusive: {exc}\n")
+    except GridTooLarge as exc:  # validate's grid, before any run
+        err.write(f"inconclusive: {ns.file}: {exc}\n")
         return EXIT_UNVERIFIED
     except RunCutShort as exc:  # which says nothing about the program
         err.write(f"inconclusive: {ns.file}: {type(exc).__name__}: {exc}\n")

@@ -8,18 +8,21 @@ leave escaped; the subtraction is what lets memory be recycled between
 calls.  That rule is stated once, in `_Acc.fold`: a method body folds
 its scope as it is, and a loop body sums its own allocations and the
 calls' escapes over the header's range and maximizes the headroom term
-over it (a loop whose header has no range folds to flagged zeros).  Both
-arms of an `if` fold straight into the enclosing scope,
-flow-insensitively.  A body reads a parameter as its entry value only
-while it has not assigned it (`unassigned_entry_vars`).  The declared
-bounds are then discharged with entails_leq, whose Verified holds for
-every nonnegative integer input that satisfies requires.  A loop's range
-is its header, always: an `iteration_space` annotation is a claim about
-that header, decided exactly at the header's two ends with
-constraint_verdict and reported as a row of its own when it does not
-hold, never a second range to sum over.  Nothing here enumerates a grid.
-Lifetime findings from the heap analysis are folded into the same
-report.
+over it.  A loop whose header has no range folds to zeros flagged
+`no-loop-range`, and one whose closed form is past `symexpr.DEGREE_CAP`
+to zeros flagged `degree-cap`: only the classes it touches are left
+Unverified.  Both arms of an `if` fold straight into the enclosing
+scope, flow-insensitively.  A body reads a parameter as its entry value
+only while it has not assigned it (`unassigned_entry_vars`).  The
+declared bounds are then discharged with entails_leq, whose Verified
+holds for every nonnegative integer input that satisfies requires.  An
+absent clause declares zero, so a method without clauses is held to
+zero, recursion included.  A loop's range is its header, always: an
+`iteration_space` annotation is a claim about that header, decided
+exactly at the header's two ends with constraint_verdict and reported as
+a row of its own when it does not hold, never a second range to sum
+over.  Nothing here enumerates a grid.  Lifetime findings from the heap
+analysis are folded into the same report.
 
 A call's whole charge (requirement, summed escapes, `add_esc` pulls) is
 stated once, in `call_entries`, which the instrumenter reads too; which
@@ -67,6 +70,7 @@ from .frontend.syntax import (
 )
 from .symexpr import (
     FLAG_BAD_ARG,
+    FLAG_NO_RANGE,
     LinConstraint,
     Poly,
     SYM_ZERO,
@@ -87,17 +91,6 @@ from .symexpr import (
 
 MODE_TYPE = "type"
 MODE_OBJECT = "object"
-
-
-class CyclicWithoutContract(Exception):
-    """A recursive component has a member with no contract to assume."""
-
-    def __init__(self, component: list[str], missing: list[str]):
-        self.component = component
-        self.missing = missing
-        super().__init__(
-            f"recursive component {{{', '.join(component)}}} has members "
-            f"without contracts: {', '.join(missing)}")
 
 
 def contract_binding(stmt: NewStmt | CallStmt, callee: MethodDecl,
@@ -282,18 +275,14 @@ class _Summarizer:
         if s.resolved_range is None:
             # the header has no range over entry values: nothing provable inside
             inner = context
-            summed = maxed = lambda e: SYM_ZERO.with_flags(FLAG_BAD_ARG)
+            summed = maxed = lambda e: SYM_ZERO.with_flags(FLAG_NO_RANGE)
         else:
             lo, hi = s.resolved_range
             index = Poly.var(s.var)
             inner = context + (LinConstraint.compare(lo, "<=", index),
                                LinConstraint.compare(index, "<=", hi))
-
-            def over(f: _Over) -> _Over:
-                # a zero keeps its flags and skips the closed form
-                return lambda e: SymExpr(SYM_ZERO.alts, e.flags) if e.is_zero() else f(e)
-            summed = over(lambda e: sum_over(e, s.var, lo, hi, context))
-            maxed = over(lambda e: max_over(e, s.var, lo, hi))
+            summed = lambda e: sum_over(e, s.var, lo, hi, context)
+            maxed = lambda e: max_over(e, s.var, lo, hi)
         mem, _, esc = self.block(s.body, _Acc(), inner, loop_vars + (s.var,)).fold(summed, maxed)
         for key, e in mem.items():
             acc.add_own(key, e)
@@ -445,12 +434,7 @@ def check_program(program: Program, mode: str = MODE_TYPE) -> Report:
     class_map = program.class_map()
     methods = {m.qname: m for m in program.methods()}
     analysis = escape.analyze(program)
-    recursive: set[str] = set()
-    for comp in analysis.recursive:
-        missing = [q for q in comp if not methods[q].contract.has_clauses()]
-        if missing:
-            raise CyclicWithoutContract(comp, missing)
-        recursive.update(comp)
+    recursive = set().union(*analysis.recursive)
 
     rows: list[ClauseRow] = []
     for qname in sorted(methods):

@@ -27,16 +27,20 @@ a witness search: it may turn an undecided clause into `Violated`, never
 into `Verified`.  A polynomial's one integer form, read by the rows, both
 printers and the oracle, is `integral`.
 
-Only a closed form over a loop, summed (`_sum_poly`) or maximized
-(`max_over`), is capped: one of degree above the module constant
-`DEGREE_CAP` raises `DegreeOverflow`.  A sum never raises the degree, and
-a substitution's result is capped where it is summed or maximized.
+Only a closed form over a loop, summed (`sum_over`) or maximized
+(`max_over`), is capped, by `_closed`: one of degree above the module
+constant `DEGREE_CAP` is a zero flagged `degree-cap`, which leaves
+Unverified only the clauses that read it.  A sum never raises the degree,
+and a substitution's result is capped where it is summed or maximized.
+A closed form or a substitution with a number too long to print (`fits`)
+is a zero flagged `digit-limit`.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -48,10 +52,9 @@ DEGREE_CAP = 4  # read at run time, so a test can patch it
 FLAG_MONOTONICITY = "monotonicity-unproven"
 FLAG_SUM_GUARD = "sum-guard-unproven"
 FLAG_BAD_ARG = "unanalyzable-arg"
-
-
-class DegreeOverflow(Exception):
-    """Raised when a loop's closed form would have degree above DEGREE_CAP."""
+FLAG_NO_RANGE = "no-loop-range"
+FLAG_DEGREE_CAP = "degree-cap"
+FLAG_DIGITS = "digit-limit"
 
 
 # A monomial is a sorted tuple of (variable, exponent) pairs; () is 1.
@@ -200,6 +203,21 @@ def integral(*polys: Poly) -> tuple[int, list[list[tuple[int, Monomial]]]]:
                         key=lambda t: (-_mono_degree(t[1]), t[1])) for p in polys]
 
 
+def fits(*polys: Poly) -> bool:
+    """Whether every number of the polynomials' integer form (`integral`)
+    has at most as many digits as the interpreter will convert to a string
+    (`sys.get_int_max_str_digits`); always, where there is no such limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+    # each number of the integer form is below 2 ** bits, and 2 ** (3 * limit)
+    # is below 10 ** limit: the form is built only for a value near the limit
+    bits = sum(c.numerator.bit_length() + c.denominator.bit_length()
+               for p in polys for _, c in p.terms)
+    if not limit or bits <= 3 * limit:
+        return True
+    den, forms = integral(*polys)
+    return all(abs(k) < 10 ** limit for k in (den, *(k for f in forms for k, _ in f)))
+
+
 def _dominates(q: Poly, p: Poly) -> bool:
     # q >= p over the nonnegative orthant whenever every coefficient of
     # q - p is nonnegative.  Sufficient, not complete.
@@ -287,12 +305,6 @@ class SymExpr:
 SYM_ZERO = SymExpr.of(ZERO)
 
 
-def _check_degree(alts) -> None:
-    for p in alts:
-        if p.degree() > DEGREE_CAP:
-            raise DegreeOverflow(f"degree {p.degree()} exceeds cap {DEGREE_CAP}: {poly_to_str(p)}")
-
-
 def add(a: SymExpr, b: SymExpr) -> SymExpr:
     """Pointwise sum: max(A) + max(B) = max over pairs of (p + q)."""
     return SymExpr(_prune(tuple(p + q for p in a.alts for q in b.alts)), a.flags | b.flags)
@@ -310,8 +322,12 @@ def sym_max(a: SymExpr, b: SymExpr) -> SymExpr:
 
 
 def substitute(e: SymExpr, binding: dict[str, Poly]) -> SymExpr:
-    """Substitute polynomials for variables in every alternative."""
-    return SymExpr(_prune(tuple(p.substitute(binding) for p in e.alts)), e.flags)
+    """Substitute polynomials for variables in every alternative; a zero
+    flagged digit-limit when the result cannot be printed (`fits`)."""
+    alts = tuple(p.substitute(binding) for p in e.alts)
+    if fits(*alts):
+        return SymExpr(_prune(alts), e.flags)
+    return SYM_ZERO.with_flags(*e.flags, FLAG_DIGITS)
 
 
 @lru_cache(maxsize=None)
@@ -347,16 +363,14 @@ def _dominating_poly(e: SymExpr) -> Poly:
     return Poly.from_dict({m: max(p.coeff(m) for p in e.alts) for m in monos})
 
 
-def _sum_poly(p: Poly, var: str, lo: Poly, hi: Poly) -> Poly:
-    closed = ZERO
-    lom1 = lo - ONE
-    for exp, rest in p.split_on(var).items():
-        s = _power_sum(exp)
-        piece = s.substitute({"_x": hi}) - s.substitute({"_x": lom1})
-        closed = closed + rest * piece
-    if closed.degree() > DEGREE_CAP:
-        raise DegreeOverflow(f"summation degree {closed.degree()} exceeds cap {DEGREE_CAP}")
-    return closed
+def _closed(polys: list[Poly], flags) -> SymExpr:
+    """The max of a loop's closed forms; a zero flagged degree-cap when one
+    has degree above DEGREE_CAP, or digit-limit when one cannot be printed."""
+    if any(p.degree() > DEGREE_CAP for p in polys):
+        return SYM_ZERO.with_flags(*flags, FLAG_DEGREE_CAP)
+    if not fits(*polys):
+        return SYM_ZERO.with_flags(*flags, FLAG_DIGITS)
+    return SymExpr.of(*polys, flags=flags)
 
 
 def sum_over(e: SymExpr, var: str, lo: Poly, hi: Poly,
@@ -369,22 +383,22 @@ def sum_over(e: SymExpr, var: str, lo: Poly, hi: Poly,
     the context when possible, clamped away when the summand and lower
     bound are coefficient-nonnegative, and otherwise marked FLAG_SUM_GUARD.
     """
-    summand = _dominating_poly(e)
-    closed = _sum_poly(summand, var, lo, hi)
     flags = e.flags
-
-    if lo.is_const() and hi.is_const():
-        if hi.const_value() < lo.const_value():
-            return SymExpr.of(ZERO, flags=flags)
-        return SymExpr.of(closed, flags=flags)
-
+    if e.is_zero() or lo.is_const() and hi.is_const() and hi.const_value() < lo.const_value():
+        return SymExpr.of(ZERO, flags=flags)
+    summand = _dominating_poly(e)
+    closed = ZERO
+    for exp, rest in summand.split_on(var).items():
+        s = _power_sum(exp)
+        closed += rest * (s.substitute({"_x": hi}) - s.substitute({"_x": lo - ONE}))
     guard = LinConstraint.compare(lo, "<=", hi + ONE)
-    if constraint_verdict(guard, context).kind == VerdictKind.VERIFIED:
-        return SymExpr.of(closed, flags=flags)
+    if (lo.is_const() and hi.is_const()
+            or constraint_verdict(guard, context).kind == VerdictKind.VERIFIED):
+        return _closed([closed], flags)
     if summand.coeffs_nonneg() and lo.coeffs_nonneg():
         # Empty spaces only subtract: max with 0 restores exactness.
-        return SymExpr.of(closed, ZERO, flags=flags)
-    return SymExpr.of(closed, flags=flags | {FLAG_SUM_GUARD})
+        return _closed([closed, ZERO], flags)
+    return _closed([closed], flags | {FLAG_SUM_GUARD})
 
 
 def max_over(e: SymExpr, var: str, lo: Poly, hi: Poly) -> SymExpr:
@@ -397,7 +411,7 @@ def max_over(e: SymExpr, var: str, lo: Poly, hi: Poly) -> SymExpr:
     interior maximum could exceed either endpoint.
     """
     flags = set(e.flags)
-    if lo.is_const() and hi.is_const() and hi.const_value() < lo.const_value():
+    if e.is_zero() or lo.is_const() and hi.is_const() and hi.const_value() < lo.const_value():
         return SymExpr.of(ZERO, flags=flags)
     cands: list[Poly] = []
     for p in e.alts:
@@ -413,8 +427,7 @@ def max_over(e: SymExpr, var: str, lo: Poly, hi: Poly) -> SymExpr:
             cands.append(p.substitute({var: lo}))
             cands.append(p.substitute({var: hi}))
             flags.add(FLAG_MONOTONICITY)
-    _check_degree(cands)
-    return SymExpr.of(*cands, flags=flags)
+    return _closed(cands, flags)
 
 
 class VerdictKind:

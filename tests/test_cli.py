@@ -149,7 +149,8 @@ def test_missing_file_exits_three():
     assert json.loads(err.splitlines()[0])["code"] == "io-error"
 
 
-def test_recursion_without_contract_is_inconclusive(tmp_path):
+def test_recursion_without_contract_is_held_to_zero(tmp_path):
+    # a member without clauses declares zero, recursive or not
     src = tmp_path / "rec.mcl"
     src.write_text("""
     class R {
@@ -158,9 +159,21 @@ def test_recursion_without_contract_is_inconclusive(tmp_path):
         }
     }
     """)
-    code, _, err = cli("check", str(src))
-    assert code == 2
-    assert "inconclusive" in err
+    assert cli("check", str(src)) == (0, f"{src}\n  overall: Verified\n", "")
+    src.write_text("class A {} class R {"
+                   " void f(int n) { requires(n >= 0); memreq<A>(n);"
+                   " for (i = 1 .. n) { A a = new A(); } if (n > 0) { this.g(n - 1); } }"
+                   " void g(int k) { requires(k >= 0); this.f(k); } }")
+    code, out, err = cli("check", str(src), "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["clauses"] == [
+        {"method": "R.f", "clause": "memreq<A>", "declared": "n", "computed": "n",
+         "verdict": "Verified", "proof": "coefficient",
+         "notes": ["assume-guarantee: recursive calls use their declared contracts"]},
+        {"method": "R.g", "clause": "memreq<A>", "declared": None, "computed": "k",
+         "verdict": "Violated", "witness": {"k": 1},
+         "notes": ["undeclared consumption: objects of A are consumed but no bound"
+                   " is declared"]}]
 
 
 def test_check_json_deterministic():
@@ -619,8 +632,105 @@ def test_loop_nest_past_the_degree_cap_is_inconclusive(tmp_path):
         f"        requires(n >= 0);\n        memreq<A>({' * '.join(['n'] * depth)});\n"
         f"        {loops}A a = new A();{' }' * depth}\n    }}\n}}\n")
     code, out, err = cli("check", str(path), "--format", "json")
-    assert (code, out) == (2, "")
-    assert err.startswith("inconclusive: ") and "degree" in err
+    assert json.loads(out) == {"file": str(path), "overall": "Unverified", "clauses": [
+        {"method": "P.f", "clause": "memreq<A>", "declared": "n*n*n*n*n", "computed": "0",
+         "verdict": "Unverified", "reason": "analysis incomplete: degree-cap"}]}
+    assert (code, err) == (2, f"inconclusive: {path}: 1 of 1 clauses unverified"
+                              " (first: P.f memreq<A>: analysis incomplete: degree-cap)\n")
+
+
+MAXCAP = ("class A {} class B {} class P {"
+          " void g(int k) { requires(k >= 0); memreq<A>(k); for (i = 1 .. k) { A a = new A(); } }"
+          " void f(int n) { requires(n >= 0); memreq<A>(n*n*n*n*n); memreq<B>(n);"
+          " for (i = 1 .. n) { this.g(i*i*i*i*i); } for (j = 1 .. n) { B b = new B(); } } }")
+
+
+def test_a_loop_past_the_degree_cap_leaves_only_its_classes_unverified(tmp_path):
+    # the loop of calls maximizes i^5 over 1..n, past the cap; the loop of
+    # B's and the callee are decided as ever
+    path = tmp_path / "maxcap.mcl"
+    path.write_text(MAXCAP)
+    note = (f"inconclusive: {path}: 1 of 3 clauses unverified"
+            " (first: P.f memreq<A>: analysis incomplete: degree-cap)\n")
+    assert cli("check", str(path)) == (2, (
+        f"{path}\n"
+        "  Unverified  P.f  memreq<A>  declared n*n*n*n*n  computed 0\n"
+        "              reason: analysis incomplete: degree-cap\n"
+        "  Verified    P.f  memreq<B>  declared n  computed n\n"
+        "  Verified    P.g  memreq<A>  declared k  computed k\n"
+        "  overall: Unverified\n"), note)
+    code, out, err = cli("check", str(path), "--format", "json")
+    assert (code, err) == (2, note)
+    assert [(r["method"], r["clause"], r["verdict"], r.get("reason"))
+            for r in json.loads(out)["clauses"]] == [
+        ("P.f", "memreq<A>", "Unverified", "analysis incomplete: degree-cap"),
+        ("P.f", "memreq<B>", "Verified", None),
+        ("P.g", "memreq<A>", "Verified", None)]
+
+
+def _poly_text(terms):
+    """A polynomial over n and m from (coefficient, n's exponent, m's
+    exponent) terms, written as MCL."""
+    return " + ".join(" * ".join([str(c)] + ["n"] * a + ["m"] * b) for c, a, b in terms) or "0"
+
+
+# no clause, a random polynomial, or a power of n + m + 3, which holds
+# often enough that some files are verified and then validated
+_powers = st.integers(1, 8).map(lambda k: " * ".join(["(n + m + 3)"] * k))
+_bounds = (st.none()
+           | st.lists(st.tuples(st.integers(-2, 3), st.integers(0, 3), st.integers(0, 3)),
+                      max_size=3).map(_poly_text)
+           | _powers | _powers)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(headers=st.lists(st.sampled_from(["n", "m", "2", "n + 1", "outer"]),
+                        min_size=1, max_size=6),
+       calls=st.sampled_from(["none", "self", "mutual"]),
+       f_bound=_bounds, g_bound=_bounds, g_allocates=st.booleans())
+def test_check_ends_every_file_with_a_verdict(
+        tmp_path_factory, headers, calls, f_bound, g_bound, g_allocates):
+    # a nest of one to six loops, degree-cap included, self or mutual
+    # recursion with and without clauses: `check` answers 0, 1 or 2 and never
+    # stops; a file it verifies holds on the grid.  The property is
+    # file-level, since a Verified row assumes its callees' contracts.
+    loops = ""
+    for k, hi in enumerate(headers):
+        hi = f"i{k - 1}" if hi == "outer" and k else "n" if hi == "outer" else hi
+        loops += f"for (i{k} = 1 .. {hi}) {{ "
+    nest = f"{loops}A a = new A();{' }' * len(headers)}"
+    callee = {"none": None, "self": "f", "mutual": "g"}[calls]
+    call = f"if (n > 0) {{ this.{callee}(n - 1, m); }}" if callee else ""
+    g_call = "if (n > 0) { this.f(n - 1, m); }" if calls == "mutual" else ""
+
+    def clause(bound):
+        return "" if bound is None else f"memreq<A>({bound});"
+
+    path = tmp_path_factory.mktemp("verdict") / "verdict.mcl"
+    path.write_text(
+        "class A {} class R {"
+        f" void f(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(f_bound)} {nest} {call} }}"
+        f" void g(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(g_bound)}"
+        f" {'A b = new A();' if g_allocates else ''} {g_call} }} }}")
+    code, out, err = cli("check", str(path))
+    assert code in (0, 1, 2), err
+    if code == 0:
+        code, out, err = cli("validate", str(path), "--grid", "2")
+        assert (code, err) == (0, ""), path.read_text()
+        assert out.endswith(": clean\n")
+
+
+def test_a_call_bound_that_cannot_be_printed_is_charged_zero(hostile_files):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no integer-digit limit")
+    path = hostile_files["huge-call"]
+    code, out, err = cli("check", path)
+    assert code == 2
+    assert ("  Unverified  P.f  memreq<A>  declared n  computed 0\n"
+            "              reason: analysis incomplete: digit-limit\n") in out
+    code, out, err = cli("instrument", path)
+    assert (code, err) == (0, "")
+    assert "int call_diff_A = 0 - 0;\n" in out
 
 
 def test_a_max_bound_plus_a_constant_reads_as_declared(tmp_path):
@@ -640,12 +750,12 @@ def test_a_max_bound_plus_a_constant_reads_as_declared(tmp_path):
                      "computed": "1"}]}
 
 
-@pytest.mark.parametrize("clause, body", [
-    ("memreq<A>(n)", "for (i = 1 .. max(n, 1)) { A a = new A(); }"),
-    ("memreq<A[]>(n)", "A[] a = new A[max(n, 1)];"),
-    ("memreq<A>(n)", "this.g(max(n, 1));"),
+@pytest.mark.parametrize("clause, body, flag", [
+    ("memreq<A>(n)", "for (i = 1 .. max(n, 1)) { A a = new A(); }", "no-loop-range"),
+    ("memreq<A[]>(n)", "A[] a = new A[max(n, 1)];", "unanalyzable-arg"),
+    ("memreq<A>(n)", "this.g(max(n, 1));", "unanalyzable-arg"),
 ], ids=["loop-header", "array-length", "call-argument"])
-def test_a_max_in_the_body_leaves_its_clause_unverified(tmp_path, clause, body):
+def test_a_max_in_the_body_leaves_its_clause_unverified(tmp_path, clause, body, flag):
     # a body expression is no contract: a max there is read as no polynomial
     path = tmp_path / "maxbody.mcl"
     path.write_text("class A {} class P {"
@@ -656,9 +766,9 @@ def test_a_max_in_the_body_leaves_its_clause_unverified(tmp_path, clause, body):
     key = clause[len("memreq<"):clause.index(">")]
     assert code == 2
     assert (f"  Unverified  P.f  memreq<{key}>  declared n  computed 0\n"
-            "              reason: analysis incomplete: unanalyzable-arg\n") in out
+            f"              reason: analysis incomplete: {flag}\n") in out
     assert err == (f"inconclusive: {path}: 1 of {out.count('  declared ')} clauses unverified"
-                   f" (first: P.f memreq<{key}>: analysis incomplete: unanalyzable-arg)\n")
+                   f" (first: P.f memreq<{key}>: analysis incomplete: {flag})\n")
 
 
 EVERY_COMMAND = (["check"], ["instrument"], ["ptg"], ["validate", "--grid", "2"],
@@ -834,12 +944,21 @@ def _deep_ifs(depth):
             f"        memreq<T>(1);\n        {body}\n    }}\n}}\n")
 
 
-# P.f bodies: ten steps whatever n is; and two that fault at n = 1, by a
-# null field store and past an array's end
+# numbers that print, and whose products do not: N * N and M's fifth power
+# are past the interpreter's 4,300-digit limit on converting an int to a string
+HUGE_N, HUGE_M = "9" * 3000, "9" * 1000
+
+# P.f bodies: ten steps whatever n is; two that fault at n = 1, by a null
+# field store and past an array's end; a bound past the digit limit, as it
+# is and negated; and a loop nest whose closed form is past it
 BODIES = {
     "loop": "memreq<T>(10);\n        for (i = 1 .. 10) { T t = new T(); }",
     "null": "memreq<T>(1);\n        T t = null;\n        if (n > 0) { t.x = n; }",
     "bounds": "memreq<T[]>(1);\n        T[] a = new T[1];\n        a[n] = null;",
+    "huge-square": f"memreq<T>({HUGE_N} * {HUGE_N});\n        T t = new T();",
+    "huge-negative": f"memreq<T>(0 - {HUGE_N} * {HUGE_N});\n        T t = new T();",
+    "huge-nest": f"memreq<T>(n);\n        for (i = 1 .. {HUGE_N}) {{"
+                 f" for (j = 1 .. {HUGE_N}) {{ T t = new T(); }} }}",
 }
 
 
@@ -859,6 +978,7 @@ IO_ERROR = '{"code": "io-error"'
 SYNTAX_ERROR = '{"code": "SyntaxError"'
 # past the interpreter's 4,300-digit limit on converting a string to an int
 LONG = "9" * 5000
+BAD_EXPR = '{"code": "bad-contract-expr"'
 
 
 def _every(file, codes, prefixes, steps=None):
@@ -885,6 +1005,14 @@ HOSTILE = [
     *_every("bounds", [0, 0, 1, 0, 1], ["", "", "runtime error: ArrayBounds", "", ""]),
     *_every("long-body", [3] * 5, [SYNTAX_ERROR] * 5),
     *_every("long-requires", [3] * 5, [SYNTAX_ERROR] * 5),
+    # a contract expression that cannot be printed is refused; a closed form
+    # or a call's bound that cannot be printed is a flagged zero
+    *_every("huge-square", [3] * 5, [BAD_EXPR] * 5),
+    *_every("huge-negative", [3] * 5, [BAD_EXPR] * 5),
+    *_every("huge-call", [2, 0, 1, 0, 0],
+            ["inconclusive: ", "", "runtime error: NullDereference", "", ""]),
+    *_every("huge-nest", [2, 0, 2, 0, 2], ["inconclusive: ", "", "inconclusive: ", "",
+                                            "inconclusive: "], steps=5),
 ]
 
 
@@ -893,7 +1021,11 @@ def hostile_files(tmp_path):
     files = {"non-utf8": b"\xff\xfeclass P {\n}\n", "deep-if": _deep_ifs(400),
              **{body: _p_f(body) for body in BODIES},
              "long-body": _p_f("loop").replace("for", f"int k = {LONG};\n        for"),
-             "long-requires": _p_f("loop").replace("n >= 0", f"n <= {LONG}")}
+             "long-requires": _p_f("loop").replace("n >= 0", f"n <= {LONG}"),
+             "huge-call": "class A {} class P {"
+                          " void g(int k) { requires(k >= 0); memreq<A>(k*k*k*k*k); }"
+                          " void f(int n) { requires(n >= 0); memreq<A>(n);"
+                          f" this.g({HUGE_M} * n); }} }}"}
     paths = {"listbuild": corpus("listbuild")}
     for name, text in files.items():
         path = tmp_path / f"{name}.mcl"
@@ -906,7 +1038,7 @@ def hostile_files(tmp_path):
                          ids=[f"{h[0]}-{h[1][0]}-{i}" for i, h in enumerate(HOSTILE)])
 def test_every_command_keeps_the_exit_contract_on_hostile_input(
         hostile_files, monkeypatch, file, argv, steps, code, prefix):
-    if ("Exceeds the limit" in prefix or file.startswith("long-")) \
+    if ("Exceeds the limit" in prefix or file.startswith(("long-", "huge-"))) \
             and not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no integer-digit limit")
     if steps is not None:

@@ -211,8 +211,25 @@ def test_a_contract_expression_has_one_reader():
 
 def test_the_degree_cap_is_checked_where_a_closed_form_is_built():
     # a sum never raises the degree, and what a substitution builds is
-    # capped where it is summed or maximized: `_sum_poly` checks the sum's
-    # closed form itself, and `_check_degree` serves `max_over` alone
-    assert _callers("_check_degree") == ["symexpr.py:max_over"]
-    assert sorted(_callers("DegreeOverflow")) == ["symexpr.py:_check_degree",
-                                                 "symexpr.py:_sum_poly"]
+    # capped where it is summed or maximized: `_closed` caps what `sum_over`
+    # and `max_over` build.  Whether a value can be printed (`fits`) is asked
+    # there, by `substitute` and by the contract reader, and only `fits`
+    # reads the interpreter's limit
+    assert sorted(set(_callers("_closed"))) == ["symexpr.py:max_over", "symexpr.py:sum_over"]
+    assert sorted(_callers("fits")) == ["frontend/syntax.py:_read_expr", "symexpr.py:_closed",
+                                        "symexpr.py:substitute"]
+    assert [path.name for path in (SRC / "mclcheck").rglob("*.py")
+            if "get_int_max_str_digits" in path.read_text()] == ["symexpr.py"]
+
+
+def test_check_never_stops_a_file():
+    # what `check` cannot decide is a flagged row: the analysis raises
+    # nothing of its own, and `_cmd_check` catches nothing
+    for name in ("summary.py", "symexpr.py"):
+        tree = ast.parse((SRC / "mclcheck" / name).read_text())
+        assert not [c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                    and any(getattr(b, "id", None) == "Exception" for b in c.bases)], name
+    tree = ast.parse((SRC / "mclcheck" / "cli.py").read_text())
+    (fn,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+             and f.name == "_cmd_check"]
+    assert not [n for n in ast.walk(fn) if isinstance(n, ast.Try)]

@@ -191,20 +191,29 @@ def test_recursive_builders_verify_assume_guarantee():
         assert any("assume-guarantee" in note for note in r.notes)
 
 
-def test_recursion_without_contract_is_rejected():
-    src = """
-    class R {
-        void spin(int n) {
-            if (n > 0) {
+@pytest.mark.parametrize("alloc", ["", "A a = new A();"], ids=["spin", "spin-alloc"])
+def test_recursion_without_contract_is_held_to_zero(alloc):
+    # no clause declares zero on every class, and the recursive call
+    # charges what spin declares: nothing
+    rep = S.check_program(load(f"""
+    class A {{ }}
+    class R {{
+        void spin(int n) {{
+            {alloc}
+            if (n > 0) {{
                 this.spin(n - 1);
-            }
-        }
-    }
-    """
-    with pytest.raises(S.CyclicWithoutContract) as exc:
-        S.check_program(load(src, "spin.mcl"))
-    assert exc.value.component == ["R.spin"]
-    assert exc.value.missing == ["R.spin"]
+            }}
+        }}
+    }}
+    """, "spin.mcl"))
+    if not alloc:
+        assert (rep.rows, rep.overall) == ([], VerdictKind.VERIFIED)
+        return
+    r = row(rep, "R.spin", "memreq<A>")
+    assert (r.declared, r.computed, r.verdict.kind) == (None, "1", VerdictKind.VIOLATED)
+    assert r.notes == ["undeclared consumption: objects of A are consumed"
+                       " but no bound is declared"]
+    assert rep.overall == VerdictKind.VIOLATED
 
 
 # -------------------------------------------------------------- object mode
@@ -653,7 +662,7 @@ def test_a_loop_whose_lower_bound_can_be_negative_has_no_range():
     rep = S.check_program(prog)
     mem = row(rep, "P.f", "memreq<A>")
     assert mem.verdict.kind == VerdictKind.UNVERIFIED
-    assert mem.verdict.reason == "analysis incomplete: unanalyzable-arg"
+    assert mem.verdict.reason == "analysis incomplete: no-loop-range"
     space = row(rep, "P.f", "iteration_space(0 <= i && i <= 0)")
     assert space.verdict.kind == VerdictKind.UNVERIFIED
     assert rep.overall == VerdictKind.UNVERIFIED
@@ -678,7 +687,7 @@ def test_a_reassigned_parameter_is_not_read_as_its_entry_value():
     rep = S.check_program(prog)
     mem = row(rep, "P.f", "memreq<A>")
     assert mem.verdict.kind == VerdictKind.UNVERIFIED
-    assert mem.verdict.reason == "analysis incomplete: unanalyzable-arg"
+    assert mem.verdict.reason == "analysis incomplete: no-loop-range"
     assert rep.overall == VerdictKind.UNVERIFIED
     assert {v.clause for v in validate(prog, hi=2).violations} == {"memreq<A>"}
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclcheck.symexpr import (
-    DegreeOverflow,
+    FLAG_DEGREE_CAP,
+    FLAG_DIGITS,
     FLAG_MONOTONICITY,
     FLAG_SUM_GUARD,
     LinConstraint,
@@ -19,6 +21,7 @@ from mclcheck.symexpr import (
     add,
     constraint_verdict,
     entails_leq,
+    fits,
     integer_valued,
     integral,
     max_over,
@@ -189,8 +192,18 @@ def test_sum_nonneg_summand_clamps_instead_of_guard():
 
 
 def test_sum_degree_cap_enforced():
-    with pytest.raises(DegreeOverflow):
-        sum_over(SymExpr.of(I * I * I * I), *interval("i", 1, N))
+    # a sum of degree 5 and a max of degree 5 keep the summand's flags
+    flagged = SymExpr.of(I * I * I * I).with_flags(FLAG_SUM_GUARD)
+    for got in (sum_over(flagged, *interval("i", 1, N)),
+                max_over(SymExpr.of(N * N * N * N * I).with_flags(FLAG_SUM_GUARD),
+                         *interval("i", 1, N))):
+        assert got.is_zero()
+        assert got.flags == {FLAG_DEGREE_CAP, FLAG_SUM_GUARD}
+    # at the cap itself the closed form stands
+    assert sum_over(SymExpr.of(I * I * I), *interval("i", 1, N)).alts[0].degree() == 4
+    assert not max_over(SymExpr.of(N * N * N * I), *interval("i", 1, N)).flags
+    # a concrete empty range is exactly zero whatever the summand's degree
+    assert sum_over(SymExpr.of(I * I * I * I), *interval("i", 5, 2)) == SymExpr.of(0)
 
 
 # --- interval maximization -------------------------------------------------
@@ -536,3 +549,38 @@ def test_rendering_is_surface_syntax():
     assert poly_to_str((N * N + N).scale(Fraction(1, 2))) == "(n*n + n)/2"
     assert poly_to_str(Poly()) == "0"
     assert symexpr_to_str(SymExpr.of(N - Poly.const(2), M * 2)) in ("max(n - 2, 2*m)", "max(2*m, n - 2)")
+
+
+# --- the interpreter's int-string limit -------------------------------------
+
+@pytest.fixture
+def digit_limit():
+    # sys.get_int_max_str_digits exists from 3.11 and a late 3.10 on
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    yield 1000
+    sys.set_int_max_str_digits(before)
+
+
+def test_fits_reads_every_number_of_the_integer_form(digit_limit):
+    big = 10 ** digit_limit - 1  # the most digits that print
+    assert fits(Poly.const(big), N.scale(-big))
+    assert not fits(Poly.const(big + 1))
+    assert not fits(N.scale(-big - 1))
+    # the common denominator is printed too: (n + 3*big*n*n)/(3*big)
+    assert fits(N.scale(Fraction(1, big)))
+    assert not fits(N.scale(Fraction(1, 3 * big)) + N * N)
+    sys.set_int_max_str_digits(0)  # no limit
+    assert fits(Poly.const(10 ** 5000))
+
+
+def test_a_value_that_cannot_be_printed_is_a_flagged_zero(digit_limit):
+    h = Poly.const(10 ** 600)  # h prints, h * h does not
+    for got in (substitute(SymExpr.of(N * N), {"n": h * I}),
+                sum_over(SymExpr.of(h * N), *interval("i", 1, h)),
+                max_over(SymExpr.of(h * I), *interval("i", 1, h * N))):
+        assert got.is_zero()
+        assert got.flags == {FLAG_DIGITS}
+    assert substitute(SymExpr.of(N), {"n": h * I}).alts == (h * I,)

@@ -17,16 +17,22 @@ the two imports never mix, and each runs the same command lines through
 - every command on inputs that end a run early, written under the
   temporary directory: a file that is not UTF-8, a 400-deep `if` nest, an
   array longer than the step budget, a null field store, an index past
-  an array's end and an integer literal of 5,000 digits; `run --args`
-  that `json.loads` rejects without a JSONDecodeError; and
-  `validate --grid 2000000`;
+  an array's end and an integer literal of 5,000 digits; on four whose
+  numbers are past the interpreter's int-string limit once multiplied: a
+  bound that squares a 3,000-digit literal, the same negated, a call that
+  raises a callee's quintic bound at a 1,000-digit multiple, and a loop
+  nest over 3,000-digit headers; `run --args` that `json.loads` rejects
+  without a JSONDecodeError; and `validate --grid 2000000`;
 - `check`, human and JSON, and `instrument` on inputs that reach the
   decision procedure's less travelled branches, written under the
   temporary directory: a clause whose declared bound is a max of an affine
   and a quadratic alternative, a loop whose header is not affine, an
   `iteration_space` with `==`, and four bounds past the degree cap that no
   loop sums: a max of degree 5 plus one, an `esc` of degree 5, a call that
-  binds a cubic bound to degree 6, and an array of degree-5 length.
+  binds a cubic bound to degree 6, and an array of degree-5 length; a loop
+  of calls whose maximum is past the cap beside a loop that is not; and
+  recursion through members without clauses: a `spin` that allocates
+  nothing, one that allocates, and a mutual recursion.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -84,6 +90,7 @@ def _hostile_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     deep = "T t = new T();"
     for k in range(400):
         deep = f"if (n > {k}) {{ {deep} }}"
+    big, mid = "9" * 3000, "9" * 1000
     files = {
         "non-utf8": b"\xff\xfeclass P {\n}\n",
         "deep-if": _p_f(f"memreq<T>(1);\n        {deep}"),
@@ -91,6 +98,14 @@ def _hostile_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
         "null": _p_f("memreq<T>(1);\n        T t = null;\n        if (n > 0) { t.x = n; }"),
         "bounds": _p_f("memreq<T[]>(1);\n        T[] a = new T[1];\n        a[n] = null;"),
         "long-literal": _p_f(f"memreq<T>(1);\n        int k = {'9' * 5000};"),
+        "huge-square": _p_f(f"memreq<T>({big} * {big});\n        T t = new T();"),
+        "huge-negative": _p_f(f"memreq<T>(0 - {big} * {big});\n        T t = new T();"),
+        "huge-call": "class T {\n}\n\nclass P {\n    void g(int k) {\n"
+                     "        requires(k >= 0);\n        memreq<T>(k*k*k*k*k);\n    }\n\n"
+                     "    void f(int n) {\n        requires(n >= 0);\n        memreq<T>(n);\n"
+                     f"        this.g({mid} * n);\n    }}\n}}\n",
+        "huge-nest": _p_f(f"memreq<T>(n);\n        for (i = 1 .. {big}) {{\n"
+                          f"            for (j = 1 .. {big}) {{ T t = new T(); }}\n        }}"),
     }
     (work / "hostile").mkdir()
     lines: list[tuple[list[str], Path | None]] = []
@@ -118,6 +133,11 @@ def _loop_f(requires: str, memreq: str, header: str, body: str) -> str:
             "        }\n    }\n}\n")
 
 
+def _spin(alloc: str) -> str:
+    return ("class A {\n}\n\nclass R {\n    void spin(int n) {\n"
+            f"        {alloc}if (n > 0) {{ this.spin(n - 1); }}\n    }}\n}}\n")
+
+
 def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     """`check` in both formats and `instrument` on clauses and facts the
     decision procedure meets rarely, written under work/decision."""
@@ -136,6 +156,21 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
                          "    void f(int n) {\n        requires(n >= 0);\n"
                          "        memreq<A>(n*n*n*n*n*n);\n        this.g(n*n);\n    }\n}\n",
         "array-degree-5": _p_f("memreq<T>(n);\n        T[] a = new T[n*n*n*n*n];"),
+        "maxcap": "class A {\n}\n\nclass B {\n}\n\nclass P {\n    void g(int k) {\n"
+                  "        requires(k >= 0);\n        memreq<A>(k);\n"
+                  "        for (i = 1 .. k) { A a = new A(); }\n    }\n\n"
+                  "    void f(int n) {\n        requires(n >= 0);\n"
+                  "        memreq<A>(n*n*n*n*n);\n        memreq<B>(n);\n"
+                  "        for (i = 1 .. n) { this.g(i*i*i*i*i); }\n"
+                  "        for (j = 1 .. n) { B b = new B(); }\n    }\n}\n",
+        "spin": _spin(""),
+        "spin-alloc": _spin("A a = new A();\n        "),
+        "mutual": "class A {\n}\n\nclass R {\n    void f(int n) {\n"
+                  "        requires(n >= 0);\n        memreq<A>(n);\n"
+                  "        for (i = 1 .. n) { A a = new A(); }\n"
+                  "        if (n > 0) { this.g(n - 1); }\n    }\n\n"
+                  "    void g(int k) {\n        requires(k >= 0);\n        this.f(k);\n"
+                  "    }\n}\n",
     }
     (work / "decision").mkdir()
     lines: list[tuple[list[str], Path | None]] = []
