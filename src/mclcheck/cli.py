@@ -270,7 +270,7 @@ def _cmd_run(ns, out, err) -> str:
     prog = _load_file(ns.file)
     try:
         args = json.loads(ns.args)
-    except (ValueError, RecursionError) as exc:  # also an int or a nest past its limit
+    except (ValueError, RecursionError) as exc:  # malformed JSON, or a deep nest
         raise UsageError(f"--args is not valid JSON: {exc}")
     if not isinstance(args, list):
         raise UsageError("--args must be a JSON array")
@@ -398,6 +398,11 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     parser = _build_parser()
+    # every number comes from the file, at a size polynomial in the file's,
+    # so ints convert to and from text without the interpreter's digit limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         ns = parser.parse_args(argv)
         return _EXIT[_COMMANDS[ns.command](ns, out, err)]
@@ -417,6 +422,9 @@ def main(argv: list[str] | None = None, out=None, err=None) -> int:
     except OracleError as exc:
         err.write(f"runtime error: {type(exc).__name__}: {exc}\n")
         return EXIT_VIOLATED
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -415,10 +415,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.next()
-            try:
-                return IntLit(int(t.value), pos=self.pos(t))
-            except ValueError:  # past the interpreter's digit limit
-                self.fail(f"integer literal of {len(t.value)} digits is too long", t)
+            return IntLit(int(t.value), pos=self.pos(t))
         if t.kind == "string":
             self.next()
             return StrLit(t.value, pos=self.pos(t))

@@ -409,8 +409,8 @@ class _MethodResolver:
             self.bind_target(s.target, s.decl_type, loops)
 
     def check_arg(self, a: Expr, p: Param, callee: str, pos: Pos) -> None:
-        """An in-argument has its parameter's type; null fits only a
-        class or array parameter."""
+        """An in-argument has its parameter's type; null is admitted only
+        by a class or array parameter."""
         t = self.typeof(a)
         while isinstance(a, ParenExpr):
             a = a.inner

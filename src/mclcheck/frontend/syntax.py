@@ -22,7 +22,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
-from ..symexpr import LinConstraint, Poly, SymExpr, fits, sym_sum
+from ..symexpr import LinConstraint, Poly, SymExpr, sym_sum
 
 
 @dataclass(frozen=True)
@@ -599,12 +599,12 @@ def _read_expr(e: Expr, admissible: set[str] | None,
                report: Callable[[str, str, Pos], None] | None,
                bound: bool) -> Poly | tuple[Poly, ...] | None:
     """The one reader of contract expressions.  Gives None when some part
-    cannot be read, or the whole has a number too long to print (`fits`).
-    Each such part is also passed to `report(code, message, pos)` when one
-    is given; the operands of an operator are read first, so every bad name
-    is reported before the operator is judged.  In a `bound` a max may be
-    added to or have a polynomial subtracted from it: a part that holds one
-    gives the tuple of its alternatives, empty when they cannot be read."""
+    cannot be read.  Each such part is also passed to `report(code,
+    message, pos)` when one is given; the operands of an operator are read
+    first, so every bad name is reported before the operator is judged.
+    In a `bound` a max may be added to or have a polynomial subtracted from
+    it: a part that holds one gives the tuple of its alternatives, empty
+    when they cannot be read."""
     admits = (lambda name: True) if admissible is None else admissible.__contains__
 
     def fail(code: str, message: str, pos: Pos) -> None:
@@ -667,10 +667,7 @@ def _read_expr(e: Expr, admissible: set[str] | None,
             return a.scale(Fraction(1, b.const_value()))
         return fail("bad-contract-expr", "must be a polynomial expression", e.pos)
 
-    got = read(e)
-    if got is not None and not fits(*_alts(got)):
-        return fail("bad-contract-expr", "has a number too long to print", e.pos)
-    return got
+    return read(e)
 
 
 def var_expr(name: str) -> Expr:

@@ -32,15 +32,12 @@ Only a closed form over a loop, summed (`sum_over`) or maximized
 constant `DEGREE_CAP` is a zero flagged `degree-cap`, which leaves
 Unverified only the clauses that read it.  A sum never raises the degree,
 and a substitution's result is capped where it is summed or maximized.
-A closed form or a substitution with a number too long to print (`fits`)
-is a zero flagged `digit-limit`.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -54,7 +51,6 @@ FLAG_SUM_GUARD = "sum-guard-unproven"
 FLAG_BAD_ARG = "unanalyzable-arg"
 FLAG_NO_RANGE = "no-loop-range"
 FLAG_DEGREE_CAP = "degree-cap"
-FLAG_DIGITS = "digit-limit"
 
 
 # A monomial is a sorted tuple of (variable, exponent) pairs; () is 1.
@@ -203,21 +199,6 @@ def integral(*polys: Poly) -> tuple[int, list[list[tuple[int, Monomial]]]]:
                         key=lambda t: (-_mono_degree(t[1]), t[1])) for p in polys]
 
 
-def fits(*polys: Poly) -> bool:
-    """Whether every number of the polynomials' integer form (`integral`)
-    has at most as many digits as the interpreter will convert to a string
-    (`sys.get_int_max_str_digits`); always, where there is no such limit."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
-    # each number of the integer form is below 2 ** bits, and 2 ** (3 * limit)
-    # is below 10 ** limit: the form is built only for a value near the limit
-    bits = sum(c.numerator.bit_length() + c.denominator.bit_length()
-               for p in polys for _, c in p.terms)
-    if not limit or bits <= 3 * limit:
-        return True
-    den, forms = integral(*polys)
-    return all(abs(k) < 10 ** limit for k in (den, *(k for f in forms for k, _ in f)))
-
-
 def _dominates(q: Poly, p: Poly) -> bool:
     # q >= p over the nonnegative orthant whenever every coefficient of
     # q - p is nonnegative.  Sufficient, not complete.
@@ -322,12 +303,8 @@ def sym_max(a: SymExpr, b: SymExpr) -> SymExpr:
 
 
 def substitute(e: SymExpr, binding: dict[str, Poly]) -> SymExpr:
-    """Substitute polynomials for variables in every alternative; a zero
-    flagged digit-limit when the result cannot be printed (`fits`)."""
-    alts = tuple(p.substitute(binding) for p in e.alts)
-    if fits(*alts):
-        return SymExpr(_prune(alts), e.flags)
-    return SYM_ZERO.with_flags(*e.flags, FLAG_DIGITS)
+    """Substitute polynomials for variables in every alternative."""
+    return SymExpr(_prune(tuple(p.substitute(binding) for p in e.alts)), e.flags)
 
 
 @lru_cache(maxsize=None)
@@ -365,11 +342,9 @@ def _dominating_poly(e: SymExpr) -> Poly:
 
 def _closed(polys: list[Poly], flags) -> SymExpr:
     """The max of a loop's closed forms; a zero flagged degree-cap when one
-    has degree above DEGREE_CAP, or digit-limit when one cannot be printed."""
+    has degree above DEGREE_CAP."""
     if any(p.degree() > DEGREE_CAP for p in polys):
         return SYM_ZERO.with_flags(*flags, FLAG_DEGREE_CAP)
-    if not fits(*polys):
-        return SYM_ZERO.with_flags(*flags, FLAG_DIGITS)
     return SymExpr.of(*polys, flags=flags)
 
 

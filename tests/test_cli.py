@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -720,17 +721,28 @@ def test_check_ends_every_file_with_a_verdict(
         assert out.endswith(": clean\n")
 
 
-def test_a_call_bound_that_cannot_be_printed_is_charged_zero(hostile_files):
-    if not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this Python has no integer-digit limit")
-    path = hostile_files["huge-call"]
+@pytest.fixture
+def unlimited_digits():
+    """Python's int-string limit lifted, as `main` lifts it, for a test that
+    prints a number of thousands of digits itself."""
+    before = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
+    if before:
+        sys.set_int_max_str_digits(0)
+    yield
+    if before:
+        sys.set_int_max_str_digits(before)
+
+
+def test_a_call_bound_at_a_huge_multiple_is_charged_exactly(hostile_files, unlimited_digits):
+    # g(M * n) charges g's quintic bound at M * n: M ** 5 * n ** 5, of 5,000 digits
+    path, big = hostile_files["huge-call"], int(HUGE_M) ** 5
     code, out, err = cli("check", path)
-    assert code == 2
-    assert ("  Unverified  P.f  memreq<A>  declared n  computed 0\n"
-            "              reason: analysis incomplete: digit-limit\n") in out
+    assert (code, err) == (1, "")
+    assert (f"  Violated    P.f  memreq<A>  declared n  computed {big}*n*n*n*n*n\n"
+            "              witness: n=1\n") in out
     code, out, err = cli("instrument", path)
     assert (code, err) == (0, "")
-    assert "int call_diff_A = 0 - 0;\n" in out
+    assert f"int call_diff_A = ({big} * (n * n * n * n * n)) - 0;\n" in out
 
 
 def test_a_max_bound_plus_a_constant_reads_as_declared(tmp_path):
@@ -823,7 +835,9 @@ def test_an_array_past_the_degree_cap_is_counted(tmp_path):
             "              witness: n=1\n") in out
 
 
-_TERMS = {"0": 0, "1": 0, "3": 0, "n": 1, "m": 1, "n * m": 2, "n * n * n": 3}
+# (text, degree); a product of two 3,000-digit literals has more digits
+# than Python converts to text by default
+_TERMS = {"0": 0, "1": 0, "3": 0, "9" * 3000: 0, "n": 1, "m": 1, "n * m": 2, "n * n * n": 3}
 
 
 @st.composite
@@ -880,16 +894,19 @@ def test_every_command_keeps_the_exit_contract_on_any_contract_expression(
         tmp_path_factory, exprs):
     # expressions of degree up to 6 in a bound, a requires, a loop header
     # or a call's argument: every command ends with an exit code, whatever
-    # it reads, sums or refuses
+    # it reads, sums or refuses.  A run over a header of 3,000 digits ends
+    # at the step budget, cut to 10,000 steps, which every run over small
+    # literals finishes within
     text = CONTRACT_PROGRAM
     for place, default in CONTRACT_PLACES.items():
         text = text.replace(f"{{{place}}}", exprs.get(place, default))
     path = tmp_path_factory.mktemp("exprs") / "exprs.mcl"
     path.write_text(text)
-    for argv in (["check"], ["instrument"], ["ptg"], ["validate", "--grid", "1"],
-                 ["run", "--entry", "P.f", "--args", "[1, 1]"]):
-        code, _, _ = cli(argv[0], str(path), *argv[1:])
-        assert code in (0, 1, 2, 3), argv
+    with mock.patch.object(oracle, "MAX_STEPS", 10_000):
+        for argv in (["check"], ["instrument"], ["ptg"], ["validate", "--grid", "1"],
+                     ["run", "--entry", "P.f", "--args", "[1, 1]"]):
+            code, _, _ = cli(argv[0], str(path), *argv[1:])
+            assert code in (0, 1, 2, 3), argv
 
 
 def test_validate_reports_a_fractional_bound_rounded_down(tmp_path):
@@ -944,13 +961,17 @@ def _deep_ifs(depth):
             f"        memreq<T>(1);\n        {body}\n    }}\n}}\n")
 
 
-# numbers that print, and whose products do not: N * N and M's fifth power
-# are past the interpreter's 4,300-digit limit on converting an int to a string
+# numbers whose products have thousands of digits: N * N has 6,000 and M's
+# fifth power 5,000, past the 4,300 digits that Python converts to text by
+# default, which `main` lifts while it runs
 HUGE_N, HUGE_M = "9" * 3000, "9" * 1000
+# the most digits that Python prints by default: two loops to K sum to 2K
+K = "9" * 4300
 
 # P.f bodies: ten steps whatever n is; two that fault at n = 1, by a null
-# field store and past an array's end; a bound past the digit limit, as it
-# is and negated; and a loop nest whose closed form is past it
+# field store and past an array's end; a bound of 6,000 digits, as it is and
+# negated; a loop nest whose closed form has 6,000 digits; and two loops or
+# two arrays of K each, whose sum has 4,301 digits
 BODIES = {
     "loop": "memreq<T>(10);\n        for (i = 1 .. 10) { T t = new T(); }",
     "null": "memreq<T>(1);\n        T t = null;\n        if (n > 0) { t.x = n; }",
@@ -959,6 +980,10 @@ BODIES = {
     "huge-negative": f"memreq<T>(0 - {HUGE_N} * {HUGE_N});\n        T t = new T();",
     "huge-nest": f"memreq<T>(n);\n        for (i = 1 .. {HUGE_N}) {{"
                  f" for (j = 1 .. {HUGE_N}) {{ T t = new T(); }} }}",
+    "two-loops": f"memreq<T>(n);\n        for (i = 1 .. {K}) {{ T t = new T(); }}"
+                 f"\n        for (j = 1 .. {K}) {{ T u = new T(); }}",
+    "two-arrays": f"memreq<T>(n);\n        T t = new T();\n        T[] a = new T[{K}];"
+                  f"\n        T[] b = new T[{K}];",
 }
 
 
@@ -975,10 +1000,8 @@ COMMANDS = {
     "validate": ["validate", "--grid", "1"],
 }
 IO_ERROR = '{"code": "io-error"'
-SYNTAX_ERROR = '{"code": "SyntaxError"'
-# past the interpreter's 4,300-digit limit on converting a string to an int
+# a literal of more digits than Python converts from text by default
 LONG = "9" * 5000
-BAD_EXPR = '{"code": "bad-contract-expr"'
 
 
 def _every(file, codes, prefixes, steps=None):
@@ -992,8 +1015,9 @@ HOSTILE = [
     *_every("non-utf8", [3] * 5, [IO_ERROR] * 5),
     ("deep-if", ["run", "--entry", "P.f", "--args", "[" * 100_000 + "]" * 100_000],
      None, 3, "error: --args is not valid JSON: maximum recursion depth"),
+    # a 5,000-digit argument is read, and the run ends as any run of P.f does
     ("deep-if", ["run", "--entry", "P.f", "--args", f"[{'9' * 5000}]"],
-     None, 3, "error: --args is not valid JSON: Exceeds the limit"),
+     None, 2, "inconclusive: "),
     ("listbuild", ["validate", "--grid", str(10 ** 12)],
      None, 2, "inconclusive: "),
     ("listbuild", ["validate", "--grid", str(2 ** 64)],
@@ -1003,16 +1027,18 @@ HOSTILE = [
             steps=5),
     *_every("null", [0, 0, 1, 0, 1], ["", "", "runtime error: NullDereference", "", ""]),
     *_every("bounds", [0, 0, 1, 0, 1], ["", "", "runtime error: ArrayBounds", "", ""]),
-    *_every("long-body", [3] * 5, [SYNTAX_ERROR] * 5),
-    *_every("long-requires", [3] * 5, [SYNTAX_ERROR] * 5),
-    # a contract expression that cannot be printed is refused; a closed form
-    # or a call's bound that cannot be printed is a flagged zero
-    *_every("huge-square", [3] * 5, [BAD_EXPR] * 5),
-    *_every("huge-negative", [3] * 5, [BAD_EXPR] * 5),
-    *_every("huge-call", [2, 0, 1, 0, 0],
-            ["inconclusive: ", "", "runtime error: NullDereference", "", ""]),
-    *_every("huge-nest", [2, 0, 2, 0, 2], ["inconclusive: ", "", "inconclusive: ", "",
-                                            "inconclusive: "], steps=5),
+    # a number of thousands of digits is read, summed and printed as any other
+    *_every("long-body", [0] * 5, [""] * 5),
+    *_every("long-requires", [0] * 5, [""] * 5),
+    *_every("huge-square", [0] * 5, [""] * 5),
+    *_every("huge-negative", [1, 0, 0, 0, 1], [""] * 5),
+    *_every("huge-call", [1, 0, 1, 0, 0], ["", "", "runtime error: NullDereference", "", ""]),
+    *_every("huge-nest", [1, 0, 2, 0, 2], ["", "", "inconclusive: ", "", "inconclusive: "],
+            steps=5),
+    *_every("two-loops", [1, 0, 2, 0, 2], ["", "", "inconclusive: ", "", "inconclusive: "],
+            steps=5),
+    *_every("two-arrays", [1, 0, 2, 0, 2], ["", "", "inconclusive: ", "", "inconclusive: "],
+            steps=5),
 ]
 
 
@@ -1038,26 +1064,26 @@ def hostile_files(tmp_path):
                          ids=[f"{h[0]}-{h[1][0]}-{i}" for i, h in enumerate(HOSTILE)])
 def test_every_command_keeps_the_exit_contract_on_hostile_input(
         hostile_files, monkeypatch, file, argv, steps, code, prefix):
-    if ("Exceeds the limit" in prefix or file.startswith(("long-", "huge-"))) \
-            and not hasattr(sys, "get_int_max_str_digits"):
-        pytest.skip("this Python has no integer-digit limit")
     if steps is not None:
         monkeypatch.setattr(oracle, "MAX_STEPS", steps)
     got, out, err = cli(argv[0], hostile_files[file], *argv[1:])
     assert got == code, err
     assert len(err.splitlines()) == (1 if prefix else 0), err
     assert err.startswith(prefix)
-    # under validate a fault is a finding (exit 1); a run cut short is not
-    assert ("RUNTIME ERROR" in out) == (argv[0] == "validate" and code == 1)
+    # under validate a fault or a bound exceeded is a finding (exit 1); a run
+    # cut short is not
+    assert ("RUNTIME ERROR" in out or "VIOLATED" in out) == (argv[0] == "validate"
+                                                             and code == 1)
     assert "INCONCLUSIVE" not in out or code == 2
 
 
 def test_a_cut_short_grid_run_is_inconclusive_as_a_cut_short_run_is(hostile_files):
     path = hostile_files["deep-if"]
     assert cli("check", path)[0] == 0
-    code, out, err = cli("run", path, "--entry", "P.f", "--args", "[1]")
-    assert (code, out, err) == (
-        2, "", f"inconclusive: {path}: StackExhausted: P.f nests too deeply to lower\n")
+    for args in ("[1]", f"[{'9' * 5000}]"):
+        code, out, err = cli("run", path, "--entry", "P.f", "--args", args)
+        assert (code, out, err) == (
+            2, "", f"inconclusive: {path}: StackExhausted: P.f nests too deeply to lower\n")
     code, out, err = cli("validate", path, "--grid", "0", "--format", "json")
     data = json.loads(out)
     assert (code, data["runtimeErrors"]) == (2, [])
@@ -1065,6 +1091,48 @@ def test_a_cut_short_grid_run_is_inconclusive_as_a_cut_short_run_is(hostile_file
         {"entry": "P.f", "point": {"n": 0}, "error": "P.f nests too deeply to lower"}]
     assert err == (f"inconclusive: {path}: 1 of 1 grid runs cut short"
                    " (first: P.f at {'n': 0}: P.f nests too deeply to lower)\n")
+
+
+def test_a_sum_of_two_printable_loops_is_printed(hostile_files, unlimited_digits):
+    # each loop's closed form K prints by Python's default; their sum 2K does not
+    code, out, err = cli("check", hostile_files["two-loops"])
+    assert (code, err) == (1, "")
+    assert (f"  Violated    P.f  memreq<T>  declared n  computed {2 * int(K)}\n"
+            "              witness: n=0\n") in out
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-string limit")
+@pytest.mark.parametrize("start", [None, 5000], ids=["default", "caller-set"])
+def test_main_restores_the_callers_int_string_limit(hostile_files, start):
+    before = sys.get_int_max_str_digits()
+    if start is not None:
+        sys.set_int_max_str_digits(start)
+    expected = sys.get_int_max_str_digits()
+    try:
+        for argv, code in ((["check", hostile_files["loop"]], 0),
+                           (["run", hostile_files["loop"], "--entry", "P.f",
+                             "--args", "[1"], 3),
+                           (["check", hostile_files["non-utf8"]], 3),
+                           (["run", hostile_files["deep-if"], "--entry", "P.f",
+                             "--args", "[1]"], 2)):
+            assert cli(*argv)[0] == code
+            assert sys.get_int_max_str_digits() == expected, argv
+        with pytest.raises(SystemExit):
+            main(["--help"], out=io.StringIO(), err=io.StringIO())
+        assert sys.get_int_max_str_digits() == expected
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_every_command_reads_a_literal_of_100000_digits(tmp_path):
+    big = "9" * 100_000
+    path = tmp_path / "vast.mcl"
+    path.write_text(_p_f("loop").replace("n >= 0", f"n >= 0 && n <= {big}")
+                    .replace("for", f"int k = {big};\n        for"))
+    for argv in COMMANDS.values():
+        code, out, err = cli(argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, ""), argv
 
 
 def test_a_huge_grid_is_refused_before_it_is_built():

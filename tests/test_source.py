@@ -212,14 +212,11 @@ def test_a_contract_expression_has_one_reader():
 def test_the_degree_cap_is_checked_where_a_closed_form_is_built():
     # a sum never raises the degree, and what a substitution builds is
     # capped where it is summed or maximized: `_closed` caps what `sum_over`
-    # and `max_over` build.  Whether a value can be printed (`fits`) is asked
-    # there, by `substitute` and by the contract reader, and only `fits`
-    # reads the interpreter's limit
+    # and `max_over` build.  No number's size is checked: `cli.main` alone
+    # lifts the interpreter's int-string limit while a command runs
     assert sorted(set(_callers("_closed"))) == ["symexpr.py:max_over", "symexpr.py:sum_over"]
-    assert sorted(_callers("fits")) == ["frontend/syntax.py:_read_expr", "symexpr.py:_closed",
-                                        "symexpr.py:substitute"]
     assert [path.name for path in (SRC / "mclcheck").rglob("*.py")
-            if "get_int_max_str_digits" in path.read_text()] == ["symexpr.py"]
+            if "int_max_str_digits" in path.read_text()] == ["cli.py"]
 
 
 def test_check_never_stops_a_file():

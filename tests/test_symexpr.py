@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from mclcheck.symexpr import (
     FLAG_DEGREE_CAP,
-    FLAG_DIGITS,
     FLAG_MONOTONICITY,
     FLAG_SUM_GUARD,
     LinConstraint,
@@ -21,7 +20,6 @@ from mclcheck.symexpr import (
     add,
     constraint_verdict,
     entails_leq,
-    fits,
     integer_valued,
     integral,
     max_over,
@@ -560,27 +558,14 @@ def digit_limit():
         pytest.skip("this interpreter has no int-string limit")
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(1000)
-    yield 1000
+    yield
     sys.set_int_max_str_digits(before)
 
 
-def test_fits_reads_every_number_of_the_integer_form(digit_limit):
-    big = 10 ** digit_limit - 1  # the most digits that print
-    assert fits(Poly.const(big), N.scale(-big))
-    assert not fits(Poly.const(big + 1))
-    assert not fits(N.scale(-big - 1))
-    # the common denominator is printed too: (n + 3*big*n*n)/(3*big)
-    assert fits(N.scale(Fraction(1, big)))
-    assert not fits(N.scale(Fraction(1, 3 * big)) + N * N)
-    sys.set_int_max_str_digits(0)  # no limit
-    assert fits(Poly.const(10 ** 5000))
-
-
-def test_a_value_that_cannot_be_printed_is_a_flagged_zero(digit_limit):
-    h = Poly.const(10 ** 600)  # h prints, h * h does not
-    for got in (substitute(SymExpr.of(N * N), {"n": h * I}),
-                sum_over(SymExpr.of(h * N), *interval("i", 1, h)),
-                max_over(SymExpr.of(h * I), *interval("i", 1, h * N))):
-        assert got.is_zero()
-        assert got.flags == {FLAG_DIGITS}
-    assert substitute(SymExpr.of(N), {"n": h * I}).alts == (h * I,)
+def test_arithmetic_never_reads_the_int_string_limit(digit_limit):
+    h = Poly.const(10 ** 600)  # h * h has more digits than the limit
+    hh = Poly.const(10 ** 1200)
+    for got, exact in ((substitute(SymExpr.of(N * N), {"n": h * I}), hh * I * I),
+                       (sum_over(SymExpr.of(h * N), *interval("i", 1, h)), hh * N),
+                       (max_over(SymExpr.of(h * I), *interval("i", 1, h * N)), hh * N)):
+        assert (got.alts, got.flags) == ((exact,), frozenset())

@@ -17,12 +17,13 @@ the two imports never mix, and each runs the same command lines through
 - every command on inputs that end a run early, written under the
   temporary directory: a file that is not UTF-8, a 400-deep `if` nest, an
   array longer than the step budget, a null field store, an index past
-  an array's end and an integer literal of 5,000 digits; on four whose
-  numbers are past the interpreter's int-string limit once multiplied: a
-  bound that squares a 3,000-digit literal, the same negated, a call that
-  raises a callee's quintic bound at a 1,000-digit multiple, and a loop
-  nest over 3,000-digit headers; `run --args` that `json.loads` rejects
-  without a JSONDecodeError; and `validate --grid 2000000`;
+  an array's end and an integer literal of 5,000 digits; on six whose
+  numbers reach thousands of digits once multiplied or summed: a bound
+  that squares a 3,000-digit literal, the same negated, a call that raises
+  a callee's quintic bound at a 1,000-digit multiple, a loop nest over
+  3,000-digit headers, and two loops or two arrays of 4,300 nines each;
+  `run --args` of a 100,000-deep nest and of a 5,000-digit number; and
+  `validate --grid 2000000`;
 - `check`, human and JSON, and `instrument` on inputs that reach the
   decision procedure's less travelled branches, written under the
   temporary directory: a clause whose declared bound is a max of an affine
@@ -90,7 +91,7 @@ def _hostile_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     deep = "T t = new T();"
     for k in range(400):
         deep = f"if (n > {k}) {{ {deep} }}"
-    big, mid = "9" * 3000, "9" * 1000
+    big, mid, top = "9" * 3000, "9" * 1000, "9" * 4300
     files = {
         "non-utf8": b"\xff\xfeclass P {\n}\n",
         "deep-if": _p_f(f"memreq<T>(1);\n        {deep}"),
@@ -106,6 +107,10 @@ def _hostile_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
                      f"        this.g({mid} * n);\n    }}\n}}\n",
         "huge-nest": _p_f(f"memreq<T>(n);\n        for (i = 1 .. {big}) {{\n"
                           f"            for (j = 1 .. {big}) {{ T t = new T(); }}\n        }}"),
+        "two-loops": _p_f(f"memreq<T>(n);\n        for (i = 1 .. {top}) {{ T t = new T(); }}\n"
+                          f"        for (j = 1 .. {top}) {{ T u = new T(); }}"),
+        "two-arrays": _p_f(f"memreq<T>(n);\n        T t = new T();\n"
+                           f"        T[] a = new T[{top}];\n        T[] b = new T[{top}];"),
     }
     (work / "hostile").mkdir()
     lines: list[tuple[list[str], Path | None]] = []
