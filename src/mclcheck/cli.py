@@ -199,7 +199,7 @@ def _print_report_human(path: str, report, out) -> None:
                   f"  declared {declared}  computed {j['computed']}\n")
         if "witness" in j:
             pairs = ", ".join(f"{k}={v}" for k, v in j["witness"].items())
-            out.write(f"              witness: {pairs}\n")
+            out.write(f"              witness: {pairs or '(no variables)'}\n")
         if "reason" in j:
             out.write(f"              reason: {j['reason']}\n")
         for note in j.get("notes", ()):

@@ -15,14 +15,22 @@ statement is the site's only record.  Only
 recursive components iterate from empty summaries to a fixpoint, reached
 once no summary changes.  Any other method is built once, as its
 callees' summaries are already final; the recursive components are
-reported to `check`.  Each
-reachability query is one pass over E that groups the edges by source,
-then a search over that grouping.
+reported to `check`.
+
+The work follows the new facts.  A summary stores its inline order, its
+edges and returned nodes sorted once.  A walk reuses the last inline at
+a site when the callee's summary is the same object, holds no load node,
+and the frozen copy of the argument sets equals the new ones: such an
+inline reads nothing else, so it would add only facts already there.
+Each finished graph's edges are grouped by source once; pruning to the
+summary and every lifetime reach query search that one successor map,
+which is dropped once the graph's component is checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import callgraph
 from .frontend.syntax import (
@@ -65,28 +73,16 @@ class UnknownTag(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class PTGNode:
+class PTGNode(NamedTuple):
+    """A value: its hash and equality are the tuple's, run in C."""
     kind: str  # inside | param | load
     key: str
     base: "PTGNode | None" = None  # load nodes only
     field: str | None = None
     depth: int = 0
 
-    def __post_init__(self):
-        # the same value the generated hash would give, computed once
-        # instead of on every set and dict operation
-        object.__setattr__(self, "_hash", hash(
-            (self.kind, self.key, self.base, self.field, self.depth)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def sort_key(self):
         return (self.kind, self.depth, self.key)
-
-    def __str__(self) -> str:
-        return self.key
 
 
 def inside_node(site: str) -> PTGNode:
@@ -153,17 +149,7 @@ class PointsToGraph:
 
     def reach_from(self, start: set[PTGNode]) -> set[PTGNode]:
         """`start` plus every node reachable from it over any field."""
-        succ: dict[PTGNode, list[PTGNode]] = {}
-        for (a, _, b) in self.E:
-            succ.setdefault(a, []).append(b)
-        seen = set(start)
-        work = list(start)
-        while work:
-            for b in succ.get(work.pop(), ()):
-                if b not in seen:
-                    seen.add(b)
-                    work.append(b)
-        return seen
+        return _reach(successors(self), start)
 
     def canonical(self) -> dict:
         return {
@@ -172,6 +158,29 @@ class PointsToGraph:
             "E": sorted((a.key, f, b.key) for (a, f, b) in self.E),
             "returned": sorted(n.key for n in self.returned),
         }
+
+
+Successors = dict[PTGNode, list[PTGNode]]
+
+
+def successors(g: PointsToGraph) -> Successors:
+    """E grouped by source: built once per finished graph and dropped once
+    its method is checked, never kept on the graph."""
+    succ: Successors = {}
+    for (a, _, b) in g.E:
+        succ.setdefault(a, []).append(b)
+    return succ
+
+
+def _reach(succ: Successors, start: set[PTGNode]) -> set[PTGNode]:
+    seen = set(start)
+    work = list(start)
+    while work:
+        for b in succ.get(work.pop(), ()):
+            if b not in seen:
+                seen.add(b)
+                work.append(b)
+    return seen
 
 
 def reachable(ptg: PointsToGraph, from_nodes: set[PTGNode], target: PTGNode) -> bool:
@@ -184,6 +193,12 @@ class EscapeSummary:
     ptg: PointsToGraph  # pruned exit graph
     out_sets: dict[str, set[PTGNode]]
     tagged: dict[Tag, set[PTGNode]]
+    # the order `inline` replays the edges and the returned nodes in: a
+    # load node reads the caller's graph as it stands, so which edge comes
+    # first decides whether a load finds a target or makes a new node
+    edge_order: list[tuple[PTGNode, str, PTGNode]]
+    returned_order: list[PTGNode]
+    loads: bool  # holds a load node, so an inline reads the caller's graph
 
 
 @dataclass(frozen=True)
@@ -220,6 +235,9 @@ class _Builder:
         self.g = PointsToGraph()
         for name in _ref_params(method, class_map):
             self.g.bind(name, {param_node(name)})
+        # per call or `new` site: the summary inlined there, a frozen copy
+        # of its arguments, and what the inline gave
+        self.inlined: dict[str, tuple] = {}
 
     # -- expression nodes -----------------------------------------------------
 
@@ -269,12 +287,12 @@ class _Builder:
             memo[n] = out
             return out
 
-        for (a, f, b) in sorted(summary.ptg.E, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key())):
+        for (a, f, b) in summary.edge_order:
             for ma in mu(a):
                 for mb in mu(b):
                     self.g.add_edge(ma, f, mb)
         returned = set()
-        for n in sorted(summary.ptg.returned, key=PTGNode.sort_key):
+        for n in summary.returned_order:
             returned |= mu(n)
         outs = {p: set().union(*(mu(n) for n in ns)) if ns else set()
                 for p, ns in summary.out_sets.items()}
@@ -294,7 +312,17 @@ class _Builder:
         for p, a in zip(callee.params, s.args):
             if not isinstance(a, OutArg) and p.decl_type.name in self.class_map:
                 argmap[p.name] = self.nodes_of(a)
-        returned, outs, tagged = self.inline(summary, argmap)
+        # without load nodes an inline reads only the summary and the
+        # arguments, so with both unchanged it would add no fact
+        last = self.inlined.get(s.site)
+        if last is not None and last[0] is summary and not summary.loads \
+                and last[1] == argmap:
+            returned, outs, tagged = last[2]
+        else:
+            returned, outs, tagged = self.inline(summary, argmap)
+            # the argument sets are the live L sets: copy them
+            frozen = {p: frozenset(ns) for p, ns in argmap.items()}
+            self.inlined[s.site] = (summary, frozen, (returned, outs, tagged))
         self.store(s.target, returned)
         for p, a in zip(callee.params, s.args):
             if isinstance(a, OutArg):
@@ -386,9 +414,11 @@ def _tag_root(g: PointsToGraph, method: MethodDecl, tag: Tag,
 
 
 def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
-                    class_map: dict[str, ClassDecl]) -> list[LifetimeVerdict]:
+                    class_map: dict[str, ClassDecl],
+                    succ: Successors) -> list[LifetimeVerdict]:
+    """`succ` is `successors(ptg)`."""
     contract = method.contract
-    reach = {r: ptg.reach_from(ns)
+    reach = {r: _reach(succ, ns)
              for r, ns in _root_sets(ptg, method, class_map).items()}
     escaped: set[PTGNode] = set().union(*reach.values())
     tag_reach: dict[Tag, set[PTGNode]] = {}
@@ -398,7 +428,7 @@ def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
 
     def reach_of(tag: Tag) -> set[PTGNode]:
         if tag not in tag_reach:
-            tag_reach[tag] = ptg.reach_from(_tag_root(ptg, method, tag, contract.bindings))
+            tag_reach[tag] = _reach(succ, _tag_root(ptg, method, tag, contract.bindings))
         return tag_reach[tag]
 
     out: list[LifetimeVerdict] = []
@@ -457,27 +487,28 @@ def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
 
 
 def summarize_ptg(method: MethodDecl, g: PointsToGraph,
-                  class_map: dict[str, ClassDecl]) -> EscapeSummary:
-    """Prune to what callers can observe."""
+                  class_map: dict[str, ClassDecl], succ: Successors) -> EscapeSummary:
+    """Prune to what callers can observe; `succ` is `successors(g)`."""
     roots = _root_sets(g, method, class_map)
     out_sets = {p.name: set(g.var_set(p.name))
                 for p in method.params
                 if p.is_out and p.decl_type.name in class_map}
-    keep = g.reach_from(set().union(*roots.values(), *g.tagged.values()))
+    keep = _reach(succ, set().union(*roots.values(), *g.tagged.values()))
 
+    # keep is closed under E, so an edge from it also ends in it
     pruned = PointsToGraph()
-    for n in keep:
-        pruned.add_node(n)
-    for (a, f, b) in g.E:
-        if a in keep and b in keep:
-            pruned.add_edge(a, f, b)
-    pruned.returned = set(g.returned) & keep
+    pruned.N = keep
+    pruned.E = {e for e in g.E if e[0] in keep}
+    pruned.returned = g.returned & keep
 
     return EscapeSummary(
         method=method.qname,
         ptg=pruned,
         out_sets={p: ns & keep for p, ns in out_sets.items()},
         tagged={t: ns & keep for t, ns in g.tagged.items()},
+        edge_order=sorted(pruned.E, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key())),
+        returned_order=sorted(pruned.returned, key=PTGNode.sort_key),
+        loads=any(n.kind == "load" for n in keep),
     )
 
 
@@ -496,6 +527,7 @@ def analyze(program: Program) -> EscapeAnalysis:
     graphs: dict[str, PointsToGraph] = {}
     edges = callgraph.call_edges(program)
     recursive: list[list[str]] = []
+    checked: dict[str, list[LifetimeVerdict]] = {}
 
     for comp in callgraph.sccs(program):
         cyclic = callgraph.is_recursive(comp, edges)
@@ -503,10 +535,12 @@ def analyze(program: Program) -> EscapeAnalysis:
             recursive.append(comp)
         while True:
             stable = True
+            succs: dict[str, Successors] = {}
             for qname in comp:
                 m = methods[qname]
                 g = build_ptg(m, summaries, class_map)
-                new = summarize_ptg(m, g, class_map)
+                succs[qname] = successors(g)
+                new = summarize_ptg(m, g, class_map, succs[qname])
                 old = summaries.get(qname)
                 if old is None or _facts(old) != _facts(new):
                     stable = False
@@ -514,9 +548,13 @@ def analyze(program: Program) -> EscapeAnalysis:
                 graphs[qname] = g
             if stable or not cyclic:
                 break
+        # the component's graphs are final: check them while their
+        # successor maps are at hand, then let the maps go
+        for qname in comp:
+            checked[qname] = check_lifetimes(methods[qname], graphs[qname], class_map,
+                                             succs[qname])
 
-    lifetimes = {q: check_lifetimes(methods[q], graphs[q], class_map)
-                 for q in methods}
+    lifetimes = {q: checked[q] for q in methods}
     return EscapeAnalysis(summaries, graphs, lifetimes, recursive)
 
 

@@ -74,6 +74,13 @@ def test_check_violated_exits_one_with_witness():
     assert "witness:" in out
 
 
+def test_a_witness_without_variables_is_printed_as_such():
+    code, out, _ = cli("check", corpus("faulty_undeclared_class"))
+    assert code == 1
+    assert ("  Violated    Quiet.assemble  memreq<Widget>  declared (none)  computed 1\n"
+            "              witness: (no variables)\n") in out
+
+
 def test_check_unverified_exits_two():
     code, out, _ = cli("check", corpus("faulty_humpcall"))
     assert code == 2
@@ -509,6 +516,22 @@ def test_chain_check_and_ptg_are_byte_identical_whatever_the_hash_seed(tmp_path)
         assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stderr == runs[1].stderr == ""
+
+
+def test_load_replay_is_the_same_whatever_the_hash_seed():
+    # CreateFamily inlines AddMember's summary, whose load nodes replay
+    # against CreateFamily's graph as it stands: the edge order decides
+    # whether a load finds a target or makes a new node
+    outs = {}
+    for command in ("ptg", "check"):
+        runs = [run_module(command, corpus("family"), "--format", "json", hash_seed=seed)
+                for seed in ("1", "2")]
+        assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stderr == runs[1].stderr == ""
+        outs[command] = runs[0].stdout
+    golden = CORPUS.parent / "tests" / "golden" / "family.ptg.dot"
+    assert "\n".join(json.loads(outs["ptg"]).values()) + "\n" == golden.read_text()
 
 
 # ------------------------------------------------------------ run arguments

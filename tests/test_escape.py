@@ -235,12 +235,12 @@ class Maker {{
 def test_reach_queries_do_not_grow_with_sites_under_one_tag(monkeypatch):
     counts = []
     for k in (1, 10):
-        calls = count_calls(monkeypatch, PointsToGraph, "reach_from")
+        calls = count_calls(monkeypatch, escape, "_reach")
         an = analyze(sites_under_one_tag(k))
         monkeypatch.undo()
         assert kinds(an, "Maker.make") == [OK] * k
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
 
 
 # ------------------------------------------------------------ fixpoint rounds
@@ -309,6 +309,108 @@ class P {
 
 def test_chain_walks_each_method_twice(monkeypatch):
     assert len(walked(monkeypatch, load(relay_chain(120), "relay.mcl"))) == 240
+
+
+def inlined(monkeypatch, prog):
+    """The methods walked and the methods that inlined a summary, one entry
+    per walk or inline, and the analysis."""
+    walks = count_calls(monkeypatch, escape._Builder, "walk")
+    inlines = count_calls(monkeypatch, escape._Builder, "inline")
+    an = analyze(prog)
+    return ([b.m.qname for b, *_ in walks], [b.m.qname for b, *_ in inlines], an)
+
+
+@pytest.mark.parametrize("k", [30, 60])
+def test_each_chain_call_is_inlined_once(monkeypatch, k):
+    # the confirming walk reuses every inline: no chain summary has a load
+    walks, inlines, _ = inlined(monkeypatch, load(relay_chain(k), "relay.mcl"))
+    assert len(walks) == 2 * k
+    assert sorted(inlines) == sorted(f"Relay.m{j}" for j in range(1, k))
+
+
+def test_a_call_whose_argument_grew_is_inlined_again(monkeypatch):
+    walks, inlines, an = inlined(monkeypatch, load("""class A {
+}
+
+class P {
+    A held;
+
+    void take(A a) {
+        this.held = a;
+    }
+
+    void f(int n) {
+        requires(n >= 0);
+
+        A x = null;
+        A y = null;
+        for (i = 1 .. n) {
+            x = y;
+            y = new A();
+            this.take(x);
+        }
+    }
+}
+""", "t.mcl"))
+    # walk 1 passes x empty, walk 2 passes P.f#1 and adds the edge, walk 3
+    # passes it again and reuses the inline
+    assert walks.count("P.f") == 3
+    assert inlines.count("P.f") == 2
+    assert (param_node("this"), "held", inside_node("P.f#1")) in an.graphs["P.f"].E
+
+
+def test_a_call_whose_summary_loads_is_inlined_on_every_walk(monkeypatch):
+    walks, inlines, an = inlined(monkeypatch, load("""class A {
+    A next;
+}
+
+class P {
+    A second(A a) {
+        A b = a.next;
+        return b;
+    }
+
+    void f(A z) {
+        A x = new A();
+        A y = this.second(x);
+        x.next = z;
+    }
+}
+""", "t.mcl"))
+    assert an.summaries["P.second"].loads
+    # walk 2's load finds the edge to z that walk 1 stored after the call
+    assert an.graphs["P.f"].canonical()["L"]["y"] == ["P.f#1.next", "z"]
+    assert walks.count("P.f") == inlines.count("P.f") == 3
+
+
+class Forgetful(dict):
+    """An inline record that keeps nothing, so every walk inlines anew."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_reusing_inlines_changes_no_graph_summary_or_verdict(monkeypatch):
+    progs = {name: load_corpus(name) for name in sorted(p.stem for p in CORPUS.glob("*.mcl"))}
+    progs["relay"] = load(relay_chain(30), "relay.mcl")
+    reused = {name: analyze(prog) for name, prog in progs.items()}
+
+    real_init = escape._Builder.__init__
+
+    def forgetting(self, *args):
+        real_init(self, *args)
+        self.inlined = Forgetful()
+
+    monkeypatch.setattr(escape._Builder, "__init__", forgetting)
+    _, inlines, _ = inlined(monkeypatch, progs["relay"])
+    assert len(inlines) == 2 * 29  # every call on both walks
+    for name, prog in progs.items():
+        an, base = analyze(prog), reused[name]
+        assert an.graphs.keys() == base.graphs.keys(), name
+        for q, g in an.graphs.items():
+            assert g.canonical() == base.graphs[q].canonical(), (name, q)
+            assert escape._facts(an.summaries[q]) == escape._facts(base.summaries[q]), (name, q)
+        assert an.lifetimes == base.lifetimes, name
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.mcl")))

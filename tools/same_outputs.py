@@ -8,7 +8,9 @@ the two imports never mix, and each runs the same command lines through
 `mclcheck.cli.main`:
 
 - every command and probe that `bench/workloads.build` makes for the
-  three benchmark workloads at the seed;
+  three benchmark workloads at the seed, and `ptg --format json` on each
+  file that static-scale checks: the families and the call chains with
+  two link fields;
 - on each file of this checkout's `corpus/`: `instrument --emit`; `check`
   in both modes, human and JSON; `check --format json` in both modes on
   the instrumented copy; `validate --format json` under both `--gc` modes,
@@ -24,16 +26,17 @@ the two imports never mix, and each runs the same command lines through
   3,000-digit headers, and two loops or two arrays of 4,300 nines each;
   `run --args` of a 100,000-deep nest and of a 5,000-digit number; and
   `validate --grid 2000000`;
-- `check`, human and JSON, and `instrument` on inputs that reach the
-  decision procedure's less travelled branches, written under the
-  temporary directory: a clause whose declared bound is a max of an affine
-  and a quadratic alternative, a loop whose header is not affine, an
+- `check`, human and JSON, `instrument` and `ptg --format json` on
+  inputs that reach the decision procedure's less travelled branches,
+  written under the temporary directory: a clause whose declared bound is
+  a max of an affine and a quadratic alternative, a loop whose header is not affine, an
   `iteration_space` with `==`, and four bounds past the degree cap that no
   loop sums: a max of degree 5 plus one, an `esc` of degree 5, a call that
   binds a cubic bound to degree 6, and an array of degree-5 length; a loop
   of calls whose maximum is past the cap beside a loop that is not; and
   recursion through members without clauses: a `spin` that allocates
-  nothing, one that allocates, and a mutual recursion.
+  nothing, one that allocates, and a mutual recursion, whose escape
+  summaries change across fixpoint rounds.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -144,8 +147,8 @@ def _spin(alloc: str) -> str:
 
 
 def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
-    """`check` in both formats and `instrument` on clauses and facts the
-    decision procedure meets rarely, written under work/decision."""
+    """`check` in both formats, `instrument` and `ptg` on clauses and facts
+    the decision procedure meets rarely, written under work/decision."""
     files = {
         "quadratic-alternative": _loop_f("n >= 3", "max(2 * n, n * n - 5)", "1 .. n + 3", ""),
         "non-affine-header": _loop_f("n >= 0 && m >= 0", "n * m", "1 .. n * m", ""),
@@ -185,6 +188,7 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
         for fmt in ("human", "json"):
             lines.append((["check", str(path), "--format", fmt], None))
         lines.append((["instrument", str(path)], None))
+        lines.append((["ptg", str(path), "--format", "json"], None))
     return lines
 
 
@@ -220,6 +224,9 @@ def run_tree(src: str, seed: int) -> dict[str, list]:
             (work / name).mkdir()
             w = workloads.build(name, seed, ROOT, work / name)
             lines += [(c.argv, c.emit) for c in w.probes + w.commands]
+            if name == "static-scale":
+                checked = sorted({c.argv[1] for c in w.commands if c.role == "check"})
+                lines += [(["ptg", path, "--format", "json"], None) for path in checked]
         (work / "matrix").mkdir()
         lines += _corpus_matrix(work) + _hostile_matrix(work) + _decision_matrix(work)
         for argv, emit in lines:
