@@ -51,6 +51,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # one per process: argparse costs more to build than to use
 def _build_parser() -> _Parser:
     p = _Parser(prog="mclcheck",
                 description="Static checker and runtime oracle for "

@@ -41,14 +41,17 @@ The same per-method entry holds the sorted readers of the entry variables,
 the `ensure` conditions, and the `requires` constraints and each declared
 `memreq`/`esc` bound as integer polynomials over one common denominator D,
 so that a bound is exceeded iff `observed * D` exceeds the largest
-numerator, in the checker's own integer form (`symexpr.integral`).  Both
-come from the resolved contract (`MethodContract`), so `requires` is
-decided as `check` assumes it: rationally, `/` exact rather than MCL's
-truncating division, over the entry values; one that needs a variable with
-no entry value, behind a null receiver or array, raises NullDereference as
-reading the variable would.  The lowered code lives in a table keyed by the
-program's identity and released with it, never on the syntax tree, so an
-instrumented copy runs its own code.
+numerator.  Each polynomial is compiled once, from the checker's own
+integer form (`symexpr.integral`), to a function of the entry values: a
+constant or an affine polynomial to a short path, any other to the exact
+sum of products.  Constraints and bounds both come from the resolved
+contract (`MethodContract`), so `requires` is decided as `check` assumes
+it: rationally, `/` exact rather than MCL's truncating division, over the
+entry values; one that needs a variable with no entry value, behind a null
+receiver or array, raises NullDereference as reading the variable would.
+The lowered code lives in a table keyed by the program's identity and
+released with it, never on the syntax tree, so an instrumented copy runs
+its own code.
 
 Frames.  An MCL call pushes an `Activation` onto `Interp.stack`, and the
 loop in `Interp._invoke` carries on in the callee; nothing recurses in Python,
@@ -90,7 +93,7 @@ import itertools
 import math
 import operator
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .frontend import (
     Assign,
@@ -207,32 +210,39 @@ class Ref:
     oid: int
 
 
-@dataclass
 class HeapObject:
-    oid: int
-    cls: str                     # class name, or "C[]" for arrays
-    fields: dict                 # field name -> value; arrays: index -> value
-    length: int | None
-    weight: int                  # arrays count as their length
-    born: int                    # the next activation serial at allocation
-    # referrer oid, or None for a frame's local or `this` -> reference count
-    incoming: dict = field(default_factory=dict)
+    __slots__ = ("oid", "cls", "fields", "length", "weight", "born", "incoming")
+
+    def __init__(self, oid: int, cls: str, fields: dict, length: int | None,
+                 weight: int, born: int):
+        self.oid = oid
+        self.cls = cls               # class name, or "C[]" for arrays
+        self.fields = fields         # field name -> value; arrays: index -> value
+        self.length = length
+        self.weight = weight         # arrays count as their length
+        self.born = born             # the next activation serial at allocation
+        # referrer oid, or None for a frame's local or `this` -> reference count
+        self.incoming: dict = {}
 
 
-@dataclass
 class Activation:
-    serial: int
-    method: _Method | None       # None only for the synthetic harness frame
-    instance: str
-    this: Ref | None
-    outs: tuple | list           # (out-parameter, store in the caller or None)
-    locals: dict = field(default_factory=dict)
-    entry_env: dict[str, int] = field(default_factory=dict)
-    current: dict[str, int] = field(default_factory=dict)
-    peak: dict[str, int] = field(default_factory=dict)
-    loops: dict = field(default_factory=dict)  # loop slot -> its index iterator
-    pc: int = 0                  # where to resume once a callee returns
-    ret: object = None           # the value its `return` gave
+    __slots__ = ("serial", "method", "instance", "this", "outs", "locals",
+                 "entry_env", "current", "peak", "loops", "pc", "ret")
+
+    def __init__(self, serial: int, method: _Method | None, instance: str,
+                 this: Ref | None, outs: tuple | list):
+        self.serial = serial
+        self.method = method         # None only for the synthetic harness frame
+        self.instance = instance
+        self.this = this
+        self.outs = outs             # (out-parameter, store in the caller or None)
+        self.locals: dict = {}
+        self.entry_env: dict[str, int] = {}
+        self.current: dict[str, int] = {}
+        self.peak: dict[str, int] = {}
+        self.loops: dict = {}        # loop slot -> its index iterator
+        self.pc = 0                  # where to resume once a callee returns
+        self.ret = None              # the value its `return` gave
 
 
 @dataclass(frozen=True)
@@ -607,9 +617,25 @@ class _Body:
             _lower_store(s.target) if s.target is not None else None, k + 2))
 
 
-def _numerator(terms: list, env: dict[str, int]) -> int:
-    """An integer polynomial's value; KeyError when env lacks a variable."""
-    return sum(c * math.prod(env[v] ** e for v, e in mono) for c, mono in terms)
+def _compiled(terms: list):
+    """An integer polynomial, as `integral` gives its terms, compiled to a
+    function of an env; the function raises KeyError when env lacks one of
+    the polynomial's variables."""
+    if all(not mono for _, mono in terms):
+        value = sum(c for c, _ in terms)
+        return lambda env: value
+    if all(len(mono) < 2 and all(e == 1 for _, e in mono) for _, mono in terms):
+        const = sum(c for c, mono in terms if not mono)
+        linear = [(c, mono[0][0]) for c, mono in terms if mono]
+
+        def affine(env):
+            total = const
+            for c, v in linear:
+                total += c * env[v]
+            return total
+        return affine
+    return lambda env: sum(c * math.prod(env[v] ** e for v, e in mono)
+                           for c, mono in terms)
 
 
 class _Bound:
@@ -623,11 +649,12 @@ class _Bound:
         self.tag = None if clause.tag is None else clause.tag.name
         self.key = clause.key
         self.bound = clause.bound
-        self.den, self.numerators = integral(*clause.bound.alts)
+        self.den, terms = integral(*clause.bound.alts)
+        self.numerators = [_compiled(t) for t in terms]
         self.variables = clause.bound.variables()
 
     def top(self, env: dict[str, int]) -> int:
-        return max(_numerator(terms, env) for terms in self.numerators)
+        return max(numerator(env) for numerator in self.numerators)
 
 
 class _Method:
@@ -643,7 +670,7 @@ class _Method:
                         for name in sorted(entry_vars(decl, cls))]
         contract = decl.contract
         # `lhs REL 0` as the resolver read it, `/` exact, over den > 0
-        self.requires = [(_RELATIONS[c.rel], integral(c.lhs)[1][0])
+        self.requires = [(_RELATIONS[c.rel], _compiled(integral(c.lhs)[1][0]))
                          for c in contract.requires]
         self.ensures = [(_lower_expr(s.cond), expr_to_str(s.cond))
                         for s in decl.body if isinstance(s, EnsureStmt)]
@@ -695,6 +722,7 @@ class Interp:
         if not program.resolved:
             raise ValueError("interpretation requires a resolved program")
         self.gc = gc
+        self.sweeps_each_stmt = gc == "ideal"
         self.table = _table(program)
         self.heap: dict[int, HeapObject] = {}
         self.suspects: set[int] = set()  # new or dropped since the last sweep
@@ -742,7 +770,7 @@ class Interp:
         self.trace.append(("call", m.qname, act.instance))
         for rel, lhs in m.requires:
             try:
-                holds = rel(_numerator(lhs, env), 0)
+                holds = rel(lhs(env), 0)
             except KeyError:  # a variable behind a null reference
                 raise NullDereference("null dereference") from None
             if not holds:  # the arguments' fault when only the harness lies below
@@ -823,11 +851,14 @@ class Interp:
             self.suspects.add(oid)
         for act in self.stack:
             current, peak = act.current, act.peak
-            for key in (cls_key, OBJECT_KEY):
-                cur = current.get(key, 0) + weight
-                current[key] = cur
-                if cur > peak.get(key, 0):
-                    peak[key] = cur
+            cur = current.get(cls_key, 0) + weight
+            current[cls_key] = cur
+            if cur > peak.get(cls_key, 0):
+                peak[cls_key] = cur
+            cur = current.get(OBJECT_KEY, 0) + weight
+            current[OBJECT_KEY] = cur
+            if cur > peak.get(OBJECT_KEY, 0):
+                peak[OBJECT_KEY] = cur
         self.trace.append(("alloc", oid, cls_key, weight, site,
                            self.stack[-1].instance))
         return Ref(oid)
@@ -965,7 +996,7 @@ class Interp:
         self.steps += 1
         if self.steps > MAX_STEPS:
             raise StepBudgetExceeded(f"exceeded {MAX_STEPS} steps")
-        if self.gc == "ideal":
+        if self.sweeps_each_stmt and self.suspects:
             self._sweep()
 
     def _method_exit_sweep(self):
@@ -991,25 +1022,29 @@ class Interp:
             val = self._follow(act, ret, path)
             if val is not None:
                 roots[tag] = val
+        # the objects born in the activation that each root reaches, and
+        # their weights by class
         esc: dict[str, dict[str, int]] = {}
-        counted_per_tag: dict[str, set[int]] = {}
+        counted: list[set[int]] = []
+        heap, serial = self.heap, act.serial
         for tag_name, root in roots.items():
-            reached = self._reach([root])
-            mine = {oid for oid in reached
-                    if act.serial < self.heap[oid].born}
-            counted_per_tag[tag_name] = mine
+            mine: set[int] = set()
             by_cls: dict[str, int] = {}
-            for oid in mine:
-                obj = self.heap[oid]
-                if obj.weight:  # zero-length arrays contribute nothing
-                    by_cls[obj.cls] = by_cls.get(obj.cls, 0) + obj.weight
+            for oid in self._reach([root]):
+                obj = heap[oid]
+                if serial < obj.born:
+                    mine.add(oid)
+                    if obj.weight:  # zero-length arrays contribute nothing
+                        by_cls[obj.cls] = by_cls.get(obj.cls, 0) + obj.weight
+            counted.append(mine)
             if by_cls:
                 by_cls[OBJECT_KEY] = sum(by_cls.values())
                 esc[tag_name] = by_cls
         doubled: set[str] = set()
-        for a, b in itertools.combinations(counted_per_tag.values(), 2):
-            for oid in a & b:
-                doubled.add(self.heap[oid].cls)
+        if len(counted) > 1:
+            for a, b in itertools.combinations(counted, 2):
+                for oid in a & b:
+                    doubled.add(heap[oid].cls)
         self.observations.append(Observation(
             m.qname, act.instance, act.entry_env,
             {k: v for k, v in act.peak.items() if v},
@@ -1331,8 +1366,11 @@ def _fold_violations(result: RunResult, table: _Table, entry: str, point: dict,
     env, the first on a tie."""
     hit = set()
     for obs in result.observations:
+        bounds = table.lowered[obs.method].bounds
+        if not bounds:
+            continue
         env = obs.entry_env
-        for b in table.lowered[obs.method].bounds:
+        for b in bounds:
             if not b.variables.issubset(env):
                 continue
             observed = obs.peak.get(b.key, 0) if b.tag is None \

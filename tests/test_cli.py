@@ -3,6 +3,7 @@ the `python -m mclcheck` test start subprocesses, since a process fixes its
 hash seed at start-up."""
 
 import io
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from helpers import relay_chain
 from mclcheck import oracle
-from mclcheck.cli import _dump, main
+from mclcheck.cli import _build_parser, _dump, main
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -1146,6 +1147,35 @@ def test_main_restores_the_callers_int_string_limit(hostile_files, start):
         assert sys.get_int_max_str_digits() == expected
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_one_parser_per_process_answers_as_fresh_parsers(capsys):
+    # main builds its argument parser once per process; no parse may leave
+    # anything behind that changes the next one, and `--help` prints to the
+    # process's own stdout before it exits
+    lines = (("run", corpus("family"), "--entry", "Family.CreateFamily"),
+             ("--help",), ("--help",), ("check", corpus("family")))
+
+    def outcome(argv):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            code = main(list(argv), out=out, err=err)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        printed = capsys.readouterr()
+        return code, out.getvalue(), err.getvalue(), printed.out, printed.err
+
+    fresh = []
+    for argv in lines:
+        _build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [f[0] for f in fresh] == [3, ("SystemExit", 0), ("SystemExit", 0), 0]
+    assert "usage: mclcheck" in fresh[1][3]
+    for order in itertools.permutations(range(len(lines))):
+        _build_parser.cache_clear()
+        for i in order:
+            assert outcome(lines[i]) == fresh[i], (order, lines[i])
+        assert _build_parser.cache_info().misses == 1
 
 
 def test_every_command_reads_a_literal_of_100000_digits(tmp_path):

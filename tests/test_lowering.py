@@ -8,12 +8,15 @@ for a `return` or the statements it leaves, and one per element of an
 array, charged before the array is built.
 """
 
+import functools
 import gc
 import pathlib
 import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mclcheck import oracle
 from mclcheck.frontend import load
@@ -208,3 +211,74 @@ def test_nothing_is_lowered_before_a_run():
     assert id(prog) not in oracle._TABLES
     run(prog, "A.m2", [2])
     assert sorted(oracle._TABLES[id(prog)].lowered) == ["A.m2"]
+
+
+BOUNDS = """class T {
+}
+
+class U {
+}
+
+class P {
+    T f(int n, int m, int k) {
+        requires(n >= 0 && m >= 0 && k >= 0);
+        requires(2 * n - m / 3 + 1 > 0);
+        requires(m + k <= 3 * n + 7);
+        memreq<T>(max(n * m, max(2 * n + 1, m * m * k / 7 - 3)));
+        memreq<T[]>(n * (n + 1) / 2);
+        memreq<U>(n * n - 3 * m * k + 1);
+        esc<T>(return, max(4, k));
+        esc<T>(this, m - 2 * n);
+        T t = new T();
+        return t;
+    }
+}
+"""
+
+
+@functools.cache
+def lowered_contracts():
+    """(method, lowered method) for each method with a contract polynomial
+    in the corpus and in BOUNDS, which between them compile constant,
+    affine, fractional, negative and multi-alternative polynomials."""
+    progs = [load(BOUNDS, "bounds.mcl")] + [
+        load_corpus(p.stem) for p in sorted((ROOT / "corpus").glob("*.mcl"))]
+    pairs = [(decl, oracle._table(prog).method(decl))
+             for prog in progs for decl in prog.methods()]
+    return [(decl, m) for decl, m in pairs if m.bounds or m.requires]
+
+
+# small values, and values of 1,000 digits
+VALUES = st.one_of(st.integers(0, 40), st.integers(10 ** 999, 10 ** 1000 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compiled_polynomials_are_their_clauses_times_the_denominator(data):
+    decl, m = data.draw(st.sampled_from(lowered_contracts()))
+    variables = set().union(*(b.variables for b in m.bounds),
+                            *(c.variables() for c in decl.contract.requires))
+    env = {v: data.draw(VALUES, label=v) for v in sorted(variables)}
+    for b in m.bounds:
+        exact = [alt.eval(env) * b.den for alt in b.bound.alts]
+        assert [p(env) for p in b.numerators] == exact, b.clause
+        assert b.top(env) == max(exact)
+    for c, (rel, lhs) in zip(decl.contract.requires, m.requires, strict=True):
+        assert rel(lhs(env), 0) == c.holds(env)
+    # a variable with no value raises KeyError, which `_push` reports as
+    # the null dereference that reading the variable would be
+    compiled = [(alt, p) for b in m.bounds for alt, p in zip(b.bound.alts, b.numerators)]
+    compiled += [(c.lhs, lhs) for c, (_, lhs) in zip(decl.contract.requires, m.requires)]
+    for poly, p in compiled:
+        for v in poly.variables():
+            with pytest.raises(KeyError):
+                p({u: x for u, x in env.items() if u != v})
+
+
+def test_the_contract_polynomials_cover_every_compiled_form():
+    bounds = [b for _, m in lowered_contracts() for b in m.bounds]
+    alts = [alt for b in bounds for alt in b.bound.alts]
+    assert any(len(b.bound.alts) > 2 for b in bounds)
+    assert any(b.den > 1 for b in bounds)
+    assert any(c < 0 for alt in alts for _, c in alt.terms)
+    assert {min(alt.degree(), 2) for alt in alts} == {0, 1, 2}

@@ -15,7 +15,11 @@ the two imports never mix, and each runs the same command lines through
   in both modes, human and JSON; `check --format json` in both modes on
   the instrumented copy; `validate --format json` under both `--gc` modes,
   at the default grid and at `--grid 3`, on the source and on the copy;
-  human `validate`; and `ptg` as JSON and as DOT;
+  human `validate`; `ptg` as JSON and as DOT; and `run --format json`
+  under both `--gc` modes on each method, its in-parameters bound as ints
+  at 3, bools true, strings "x", arrays of 3 nulls and objects null, so
+  that the peaks and escapes of runs that violate nothing are compared
+  too (a method that reads `this` gives a runtime-error line);
 - every command on inputs that end a run early, written under the
   temporary directory: a file that is not UTF-8, a 400-deep `if` nest, an
   array longer than the step budget, a null field store, an index past
@@ -60,9 +64,20 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("corpus", "static-scale", "oracle-deep")
 
 
+_RUN_ARGS = {"int": 3, "bool": True, "string": "x"}  # any other object: null
+
+
+def _run_args(method) -> str:
+    """`run --args` for a method's in-parameters."""
+    return json.dumps([[None] * 3 if p.decl_type.is_array else _RUN_ARGS.get(p.decl_type.name)
+                       for p in method.params if not p.is_out])
+
+
 def _corpus_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     """(argv, emitted path) per command; each copy is emitted before it
     is read."""
+    from mclcheck.frontend import load
+
     lines: list[tuple[list[str], Path | None]] = []
     for path in sorted((ROOT / "corpus").glob("*.mcl")):
         src, inst = str(path), work / "matrix" / f"{path.stem}.inst.mcl"
@@ -80,6 +95,10 @@ def _corpus_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
         lines.append((["validate", src], None))
         lines.append((["ptg", src, "--format", "json"], None))
         lines.append((["ptg", src, "--dot", str(dots)], dots))
+        for method in load(path.read_text(), src).methods():
+            for gc in ("ideal", "method-exit"):
+                lines.append((["run", src, "--entry", method.qname, "--args",
+                               _run_args(method), "--format", "json", "--gc", gc], None))
     return lines
 
 
