@@ -92,6 +92,7 @@ def _build_parser() -> _Parser:
     common(g)
 
     v = sub.add_parser("validate", help="sweep argument grids under the oracle", description=(
+        "Checks each method against its obligations, where an absent clause is zero. "
         "Reports each violated clause once, with its least witness: of the activations "
         "that exceed it, the one whose entry values, read in sorted variable order, are "
         "lexicographically least (the first in the sweep on a tie), with its run's trace. "
@@ -356,7 +357,8 @@ def _cmd_validate(ns, out, err) -> str:
         _dump({"file": ns.file, **report.to_json()}, out)
     else:
         for v in report.violations:
-            env = ", ".join(f"{k}={x}" for k, x in sorted(v.entry_env.items()))
+            env = ", ".join(f"{k}={x}" for k, x in sorted(v.entry_env.items())) \
+                or "(no variables)"
             out.write(f"VIOLATED  {v.method} {v.clause}: declared"
                       f" {v.declared} = {v.declared_value}, observed"
                       f" {v.observed} (entry {env});"

@@ -15,7 +15,8 @@ from .syntax import (
     MethodContract, MethodDecl, NewStmt, NullLit, OBJECT_KEY, OutArg,
     ParenExpr, Param, PathExpr, Pos, Program, RequiresStmt, ReturnStmt,
     Stmt, StrLit, Tag, ThisRef, TypeRef, Unary, VarRef, callee_of,
-    entry_vars, expr_bound, expr_poly, iter_stmts, program_to_json, var_expr,
+    entry_vars, expr_bound, expr_poly, iter_stmts, obligations, program_to_json,
+    var_expr,
 )
 
 

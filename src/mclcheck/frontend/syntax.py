@@ -22,7 +22,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
-from ..symexpr import LinConstraint, Poly, SymExpr, sym_sum
+from ..symexpr import LinConstraint, Poly, SYM_ZERO, SymExpr, sym_sum
 
 
 @dataclass(frozen=True)
@@ -377,12 +377,13 @@ OBJECT_KEY = "object"
 
 @dataclass(frozen=True)
 class Clause:
-    """One declared bound: `memreq<key>(bound)` when tag is None, else
-    `esc<key>(tag, bound)`."""
+    """One bound: `memreq<key>(bound)` when tag is None, else
+    `esc<key>(tag, bound)`; an absent clause's zero is not `declared`."""
 
     tag: Tag | None
     key: str
     bound: SymExpr
+    declared: bool = True
 
     @property
     def label(self) -> str:
@@ -399,9 +400,6 @@ class MethodContract:
         self.mem_req: dict[str, SymExpr] = {}
         self.esc: dict[tuple[Tag, str], SymExpr] = {}
         self.bindings: dict[Tag, PathExpr] = {}
-
-    def has_clauses(self) -> bool:
-        return bool(self.mem_req or self.esc)
 
     def clauses(self, collapse: bool) -> list[Clause]:
         """The clauses in declaration order, every memreq before every esc.
@@ -424,6 +422,22 @@ class MethodContract:
     def keys(self) -> list[str]:
         """The class keys the clauses name, in declaration order."""
         return list(dict.fromkeys(c.key for c in self.clauses(False)))
+
+    def views(self, collapse: bool | None) -> list[tuple[bool, set[str] | None]]:
+        """The key space a method with this contract is charged in: views
+        that each collapse a charge onto the object or not, and keep the
+        keys in their set, all when None.  A bool is `check`'s mode; None
+        is the copy's and the oracle's: the object and each class named
+        when the clauses name the object, each class on its own otherwise."""
+        if collapse is None and OBJECT_KEY in self.keys():
+            return [(True, None), (False, set(self.keys()) - {OBJECT_KEY})]
+        return [(bool(collapse), None)]
+
+
+def counted(views: list[tuple[bool, set[str] | None]], keys: list[str]) -> list[str]:
+    """The keys a charge to these classes counts under in `views`, once each."""
+    return list(dict.fromkeys(OBJECT_KEY if collapsed else k for k in keys
+                              for collapsed, keep in views if keep is None or k in keep))
 
 
 @dataclass
@@ -526,6 +540,31 @@ def callee_of(stmt: Stmt) -> MethodDecl | None:
     """The method a resolved call invokes, or the constructor a non-array
     `new` runs; None for every other statement."""
     return stmt.callee if isinstance(stmt, (CallStmt, NewStmt)) else None
+
+
+def obligations(method: MethodDecl, collapse: bool | None = None) -> list[Clause]:
+    """What a method claims: its declared clauses (`MethodContract.clauses`),
+    then a zero bound, not declared, for each (tag, key) its body charges
+    that none declares, memreqs by key before escapes by tag: an absent
+    clause declares zero.  The charges are read from the statements in the
+    key space of `MethodContract.views`: each `new` and its `dest_esc`, each
+    callee's clause keys, and each `add_esc` pull of a tag they escape under."""
+    declared = method.contract.clauses(bool(collapse))
+    views = method.contract.views(collapse)
+    charged: set[tuple[Tag | None, str]] = set()
+    for s in iter_stmts(method.body):
+        if isinstance(s, NewStmt):
+            for key in counted(views, [s.class_ref.key()]):
+                charged |= {(None, key), (s.dest_esc, key)}
+        callee = callee_of(s)
+        for collapsed, keep in views if callee is not None else ():
+            for c in callee.contract.clauses(collapsed):
+                if keep is None or c.key in keep:
+                    charged.add((None, c.key))
+                    charged.update((dst, c.key) for dst, src in s.add_esc if src == c.tag)
+    charged -= {(c.tag, c.key) for c in declared}
+    return declared + [Clause(tag, key, SYM_ZERO, False) for tag, key in
+                       sorted(charged, key=lambda k: (k[0] is not None, str(k[0]), k[1]))]
 
 
 # --- contract variables -------------------------------------------------------

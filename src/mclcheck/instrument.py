@@ -1,10 +1,12 @@
 """Source-to-source counter instrumentation.
 
-Each contract clause becomes an `ensure` over an integer counter that the
-rewritten body keeps up to date: requirement counters are bumped before
-every allocation, call sites charge the callee's declared footprint
-through a max/sum counter pair, and escape counters track tagged objects
-as they are produced or pulled in from callees.  Everything inserted is
+Each obligation of a method (`frontend.obligations`, as `check` and the
+oracle read them: an absent clause is zero) becomes an `ensure` over an
+integer counter that the rewritten body keeps up to date: requirement
+counters are bumped before every allocation, call sites charge the
+callee's declared footprint through a max/sum counter pair, and escape
+counters track tagged objects as they are produced or pulled in from
+callees.  Everything inserted is
 plain MCL, so the result pretty-prints, reparses, and runs unchanged
 through the interpreter; `erase` strips the additions and returns the
 original program.
@@ -16,10 +18,11 @@ declared in one place in `_rewrite`, just before the first call, `new`
 or `if` that charges them, so both arms of an `if` share them as they
 share a scope in the summary.  Each loop body has maxCall/sumCall pairs
 of its own, declared before the loop and flushed into the requirement
-counter right after it (and before any return that leaves the loop).  A
-method whose own contract uses the object pseudo-class collapses every
-callee contribution onto it, and keeps beside it the counters of the
-classes its other clauses name.  A clause that reads a parameter the body
+counter right after it (and before any return that leaves the loop).
+Classes are counted in the key space of `MethodContract.views`: a method
+whose own contract uses the object pseudo-class collapses every callee
+contribution onto it, and keeps beside it the counters of the classes
+its other clauses name.  A clause that reads a parameter the body
 assigns is ensured over a snapshot of its entry value, declared beside
 the counters.
 
@@ -29,10 +32,10 @@ checker, which gives the whole charge and leaves this module only the
 counter statements; the copy charges a call with the values its
 arguments hold at the call, so any name may be read there, and an int
 argument that no name reads (`c.k`, `a[i]`) is first copied into a fresh
-local, which `erase` strips as it strips the counters.  Nor is what
-a contract declares: its clauses, in order, come from
-`MethodContract.clauses`.  Call targets come from
-`frontend.callee_of` and bodies are walked with `frontend.iter_stmts`.
+local, which `erase` strips as it strips the counters.  Nor is what a
+method claims: its obligations come from `obligations`, in order.  Call
+targets come from `frontend.callee_of` and bodies are walked with
+`frontend.iter_stmts`.
 A polynomial is written back as MCL from its integer form
 `symexpr.integral` through `frontend.var_expr`, the inverse of the
 contract-variable reading described in `frontend.syntax`.
@@ -59,7 +62,6 @@ from .frontend.syntax import (
     MaxExpr,
     MethodDecl,
     NewStmt,
-    OBJECT_KEY,
     ParenExpr,
     Program,
     ReturnStmt,
@@ -69,8 +71,10 @@ from .frontend.syntax import (
     Unary,
     VarRef,
     callee_of,
+    counted,
     expr_poly,
     iter_stmts,
+    obligations,
     unassigned_entry_vars,
     var_expr,
 )
@@ -167,9 +171,7 @@ class _Instrumenter:
         self.index = index
         self.prefix = method.name
         self.reads = unassigned_entry_vars(method, cls)
-        keys = method.contract.keys()
-        self.object_mode = OBJECT_KEY in keys
-        self.class_keys = set(keys) - {OBJECT_KEY}
+        self.views = method.contract.views(None)
         self.inits: dict[str, CounterInfo] = {}
         self.diff_total: dict[str, int] = {}
         self.diff_seen: dict[str, int] = {}
@@ -199,20 +201,10 @@ class _Instrumenter:
 
     # -- callee contract shaping --------------------------------------------
 
-    def _counted(self, keys: list[str]) -> list[str]:
-        """The counters allocations of these classes go to: their own in
-        type mode; in object mode the object's, then those of the classes
-        the method's own class clauses name."""
-        if not self.object_mode:
-            return keys
-        return [OBJECT_KEY] + [k for k in keys if k in self.class_keys]
-
     def _charged(self, s: Stmt) -> list[str]:
         """Classes the call (or constructor) at `s` charges, in entry order."""
         callee = callee_of(s)
-        if callee is None or not callee.contract.has_clauses():
-            return []
-        return self._counted(callee.contract.keys())
+        return [] if callee is None else counted(self.views, callee.contract.keys())
 
     def _contributing(self, stmts: list[Stmt]) -> list[str]:
         """Classes charged by calls at this nesting level, loops excluded."""
@@ -249,10 +241,8 @@ class _Instrumenter:
 
     def _call_counters(self, stmt: NewStmt | CallStmt, pairs: _Pairs) -> list[Stmt]:
         out, stmt = self._snapshot_args(stmt)
-        entries = call_entries(stmt, None, self.object_mode)
-        if self.object_mode:
-            entries += [e for e in call_entries(stmt, None, False)
-                        if e[0] in self.class_keys]
+        entries = [e for collapsed, keep in self.views for e in call_entries(stmt, None, collapsed)
+                   if keep is None or e[0] in keep]
         for key, mr, escaped, pulls in entries:
             max_name, sum_name = pairs[key]
             diff = self._diff(key, stmt.site)
@@ -269,7 +259,7 @@ class _Instrumenter:
     def _new_counters(self, s: NewStmt) -> list[Stmt]:
         amount: Expr = s.length if s.class_ref.is_array else IntLit(1)
         out: list[Stmt] = []
-        for key in self._counted([s.class_ref.key()]):
+        for key in counted(self.views, [s.class_ref.key()]):
             out.append(AugAssign(VarRef(self._memreq(key)), copy.deepcopy(amount)))
             if s.dest_esc is not None:
                 out.append(AugAssign(VarRef(self._esc(s.dest_esc, key)),
@@ -338,7 +328,7 @@ class _Instrumenter:
 
         # build ensures first so contract counters lead the init order; a
         # parameter the body assigns is read from its entry snapshot
-        clauses = self.m.contract.clauses(False)
+        clauses = obligations(self.m)
         assigned = sorted({v for c in clauses for v in c.bound.variables()} - self.reads)
         snapshots = {v: f"{self.prefix}_Entry_{v.replace('.', '_')}" for v in assigned}
         at_entry = {v: Poly.var(name) for v, name in snapshots.items()}

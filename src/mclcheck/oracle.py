@@ -13,8 +13,10 @@ never reclaims; peaks from the default mode can only be lower.
 Each activation records the values of its contract variables at entry (the
 names are described in `frontend.syntax`), evaluated through
 `frontend.var_expr`.  `run` and the grid harness bind entry arguments
-through one binder, by in-parameter name.  `validate` runs each contracted
-method over the grid 0..hi of the integer and array-length parameters of
+through one binder, by in-parameter name.  `validate` runs each method with
+an obligation (`frontend.obligations`: a declared clause, or a class or
+escape it charges but does not declare, whose absent clause is zero)
+over the grid 0..hi of the integer and array-length parameters of
 the method and of its receiver's constructor, at most `MAX_POINTS` points
 in all.  It reports each violated `(method, clause)` once, at its least
 witness: of the activations that exceed the bound, the one whose entry env,
@@ -38,17 +40,19 @@ A call and the constructor a `new` runs lower alike, from the statement
 (`_Body.invoke`): one operation pushes the callee's frame, the next
 stores its result once it has returned.
 The same per-method entry holds the sorted readers of the entry variables,
-the `ensure` conditions, and the `requires` constraints and each declared
-`memreq`/`esc` bound as integer polynomials over one common denominator D,
+the `ensure` conditions, and the `requires` constraints and the bound of
+each obligation as integer polynomials over one common denominator D,
 so that a bound is exceeded iff `observed * D` exceeds the largest
 numerator.  Each polynomial is compiled once, from the checker's own
 integer form (`symexpr.integral`), to a function of the entry values: a
 constant or an affine polynomial to a short path, any other to the exact
-sum of products.  Constraints and bounds both come from the resolved
-contract (`MethodContract`), so `requires` is decided as `check` assumes
-it: rationally, `/` exact rather than MCL's truncating division, over the
-entry values; one that needs a variable with no entry value, behind a null
-receiver or array, raises NullDereference as reading the variable would.
+sum of products.  The bounds are the method's `obligations`, as `check`
+and the instrumenter read them, and the constraints come from the
+resolved contract (`MethodContract`), so `requires` is decided as `check`
+assumes it: rationally, `/` exact rather than MCL's truncating division,
+over the entry values; one that needs a variable with no entry value,
+behind a null receiver or array, raises NullDereference as reading the
+variable would.
 The lowered code lives in a table keyed by the program's identity and
 released with it, never on the syntax tree, so an instrumented copy runs
 its own code.
@@ -131,6 +135,7 @@ from .frontend import (
     callee_of,
     entry_vars,
     expr_to_str,
+    obligations,
     var_expr,
 )
 from .symexpr import VerdictKind, integral
@@ -639,7 +644,7 @@ def _compiled(terms: list):
 
 
 class _Bound:
-    """A declared clause, its bound over one common denominator: a count
+    """An obligation, its bound over one common denominator: a count
     exceeds the bound iff count * den exceeds the largest of the numerators,
     one per alternative of the bound's max."""
 
@@ -676,7 +681,7 @@ class _Method:
                         for s in decl.body if isinstance(s, EnsureStmt)]
         self.bindings = [(tag.name, path)
                          for tag, path in contract.bindings.items()]
-        self.bounds = [_Bound(c) for c in contract.clauses(False)]
+        self.bounds = [_Bound(c) for c in obligations(decl)]
         self.code = _Body(decl.body).ops
 
 
@@ -1406,15 +1411,15 @@ def _fold_failures(failures: list[AssertionFailure], entry: str, point: dict,
 
 
 def validate(program: Program, hi: int = 8, gc: str = "ideal") -> OracleReport:
-    """Drive every contracted method over the argument grid 0..hi and
-    compare the measured peaks and escapes against its declared bounds.
+    """Drive every method with an obligation over the argument grid 0..hi
+    and compare the measured peaks and escapes against its obligations.
     Findings are folded into one record per violated clause and one per
     failed `ensure`, in the order the sweep first meets them."""
     report = OracleReport([], [], [], [], [], 0, 0, [])
     plans = []
     total = 0
     for m in sorted(program.methods(), key=lambda m: m.qname):
-        if m.contract is None or not m.contract.has_clauses():
+        if not obligations(m):
             continue
         plan = harness_plan(program, m.qname, hi)
         if plan.skip_reason:

@@ -15,13 +15,15 @@ Unverified.  Both arms of an `if` fold straight into the enclosing
 scope, flow-insensitively.  A body reads a parameter as its entry value
 only while it has not assigned it (`unassigned_entry_vars`).  The
 declared bounds are then discharged with entails_leq, whose Verified
-holds for every nonnegative integer input that satisfies requires.  An
-absent clause declares zero, so a method without clauses is held to
-zero, recursion included.  A loop's range is its header, always: an
-`iteration_space` annotation is a claim about that header, decided
-exactly at the header's two ends with constraint_verdict and reported as
-a row of its own when it does not hold, never a second range to sum
-over.  Nothing here enumerates a grid.  Lifetime findings from the heap
+holds for every nonnegative integer input that satisfies requires.  A
+method is checked against its obligations (`frontend.obligations`), as
+the instrumenter and the oracle check it: an absent clause declares
+zero, so a method without clauses is held to zero, recursion included,
+and is a row where the summary charges it.  A loop's range is its
+header, always: an `iteration_space` annotation is a claim about that
+header, decided exactly at the header's two ends with constraint_verdict
+and reported as a row of its own when it does not hold, never a second
+range to sum over.  Nothing here enumerates a grid.  Lifetime findings from the heap
 analysis are folded into the same report.
 
 A call's whole charge (requirement, summed escapes, `add_esc` pulls) is
@@ -33,7 +35,8 @@ reading of an expression as a polynomial over them are defined once, in
 `frontend.syntax` (`entry_vars`, `expr_poly`, `var_expr`); a call binds
 its callee's variables by reading their caller-side expressions.  So are
 a contract's clauses (`MethodContract.clauses`), in declaration order,
-with their labels and their collapse onto the object pseudo-class.
+with their labels and their collapse onto the object pseudo-class, and
+the key space a method is charged in (`MethodContract.views`).
 Object mode charges every class to `object`; type mode charges each class
 to itself, and checks a contract's own `object` clauses, which bound every
 class together, against the method's object-mode summary.
@@ -49,7 +52,6 @@ from . import escape
 from .frontend.printer import expr_to_str, space_label
 from .frontend.syntax import (
     CallStmt,
-    Clause,
     ClassDecl,
     ForStmt,
     IfStmt,
@@ -65,6 +67,7 @@ from .frontend.syntax import (
     callee_of,
     entry_vars,
     expr_poly,
+    obligations,
     unassigned_entry_vars,
     var_expr,
 )
@@ -366,45 +369,29 @@ def check_method(method: MethodDecl, summary: ConsumptionSummary,
                  mode: str = MODE_TYPE,
                  assume_guarantee: bool = False) -> list[ClauseRow]:
     pre = method.contract.requires
-    clauses = method.contract.clauses(mode == MODE_OBJECT)
-
-    def verdict_for(computed: SymExpr, declared: SymExpr) -> Verdict:
+    rows = []
+    for c in obligations(method, mode == MODE_OBJECT):
+        charged, k = (summary.mem_req, c.key) if c.tag is None else (summary.esc, (c.tag, c.key))
+        if not c.declared and k not in charged:
+            continue  # an absent clause is a row only where the summary charges it
+        computed = charged.get(k, SYM_ZERO)
         if computed.flags:
-            return Verdict.unverified(
-                "analysis incomplete: " + ", ".join(sorted(computed.flags)))
-        if not integer_valued(declared):
-            return Verdict.unverified("declared bound is not integer-valued")
-        return entails_leq(computed, declared, pre)
-
-    def declared_row(c: Clause) -> ClauseRow:
-        computed = summary.mem_req.get(c.key, SYM_ZERO) if c.tag is None \
-            else summary.esc.get((c.tag, c.key), SYM_ZERO)
-        v = verdict_for(computed, c.bound)
+            v = Verdict.unverified("analysis incomplete: " + ", ".join(sorted(computed.flags)))
+        elif not integer_valued(c.bound):
+            v = Verdict.unverified("declared bound is not integer-valued")
+        else:
+            v = entails_leq(computed, c.bound, pre)
+        if not c.declared:  # a positive witness of an absent clause is a violation
+            rows.append(ClauseRow(method.qname, c.label, None, str(computed), v, [
+                f"undeclared consumption: objects of {c.key} are consumed but no bound is"
+                " declared" if c.tag is None else f"undeclared escape: objects of {c.key}"
+                f" escape under {c.tag} without a declared bound"]))
+            continue
         notes = ["assume-guarantee: recursive calls use their declared contracts"] \
             if assume_guarantee else []
         if v.kind == VerdictKind.VERIFIED and computed.is_zero():
             notes.append("trivially satisfied: nothing of this class is consumed")
-        return ClauseRow(method.qname, c.label, str(c.bound), str(computed), v, notes)
-
-    def undeclared(c: Clause, computed: SymExpr, note: str) -> ClauseRow:
-        # an absent clause declares zero; a positive witness is a violation
-        v = verdict_for(computed, c.bound)
-        return ClauseRow(method.qname, c.label, None, str(computed), v, [note])
-
-    rows = [declared_row(c) for c in clauses]
-    seen = {(c.tag, c.key) for c in clauses}
-    for key in sorted(summary.mem_req):
-        if (None, key) not in seen:
-            rows.append(undeclared(
-                Clause(None, key, SYM_ZERO), summary.mem_req[key],
-                f"undeclared consumption: objects of {key} are consumed "
-                "but no bound is declared"))
-    for (tag, key) in sorted(summary.esc, key=lambda k: (str(k[0]), k[1])):
-        if (tag, key) not in seen:
-            rows.append(undeclared(
-                Clause(tag, key, SYM_ZERO), summary.esc[(tag, key)],
-                f"undeclared escape: objects of {key} escape under "
-                f"{tag} without a declared bound"))
+        rows.append(ClauseRow(method.qname, c.label, str(c.bound), str(computed), v, notes))
     # an iteration space is a claim about its loop's header, reported when
     # it does not hold, as lifetimes are
     return rows + summary.space_rows
@@ -444,10 +431,9 @@ def check_program(program: Program, mode: str = MODE_TYPE) -> Report:
             # its object clauses bound every class together, so they are
             # checked against the method's object-mode summary
             whole = summarize(m, MODE_OBJECT, class_map)
-            on_object = {(c.tag, c.key) for c in m.contract.clauses(True)}
             s.mem_req.update((k, e) for k, e in whole.mem_req.items()
-                             if (None, k) in on_object)
-            s.esc.update((k, e) for k, e in whole.esc.items() if k in on_object)
+                             if k in m.contract.mem_req)
+            s.esc.update((k, e) for k, e in whole.esc.items() if k in m.contract.esc)
         rows.extend(check_method(m, s, mode,
                                  assume_guarantee=qname in recursive))
         rows.extend(lifetime_rows(analysis.lifetimes[qname]))

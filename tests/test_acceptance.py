@@ -15,7 +15,7 @@ import pytest
 
 from mclcheck import escape
 from mclcheck import symexpr as sx
-from mclcheck.frontend import load, pretty, program_to_json
+from mclcheck.frontend import load, obligations, pretty, program_to_json
 from mclcheck.instrument import erase, instrument
 from mclcheck.oracle import RequiresViolation, harness_plan, run_point, validate
 from mclcheck.summary import check_program, summarize
@@ -366,7 +366,7 @@ def test_criterion_7_behavior_preservation(verdict):
         prog = load(path.read_text(), path.name)
         twin = instrument(prog).program
         for m in prog.methods():
-            if not (m.contract and m.contract.has_clauses()):
+            if not obligations(m):
                 continue
             plan = harness_plan(prog, m.qname, 4)
             if plan.skip_reason:

@@ -21,6 +21,9 @@ from hypothesis import strategies as st
 from helpers import relay_chain
 from mclcheck import oracle
 from mclcheck.cli import _build_parser, _dump, main
+from mclcheck.frontend import EnsureStmt, load, obligations
+from mclcheck.instrument import instrument
+from mclcheck.summary import check_program
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -487,6 +490,17 @@ def test_validate_precondition_aborts_reported():
     assert "Feeder.need" in out
 
 
+def test_validate_names_an_entry_without_variables(tmp_path):
+    path = tmp_path / "novars.mcl"
+    path.write_text("class A { } class P { void f() { memreq<A>(0); A a = new A(); } }")
+    assert cli("validate", str(path)) == (1, (
+        "VIOLATED  P.f memreq<A>: declared 0 = 0, observed 1 (entry (no variables));"
+        " 1 activations in 1 runs\n"
+        "1 runs, 0 grid points outside preconditions: NOT clean\n"), "")
+    code, out, _ = cli("validate", str(path), "--format", "json")
+    assert code == 1 and json.loads(out)["violations"][0]["entryEnv"] == {}
+
+
 # ------------------------------------------------------------ deep call chains
 
 
@@ -708,17 +722,15 @@ _bounds = (st.none()
            | _powers | _powers)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(headers=st.lists(st.sampled_from(["n", "m", "2", "n + 1", "outer"]),
-                        min_size=1, max_size=6),
-       calls=st.sampled_from(["none", "self", "mutual"]),
-       f_bound=_bounds, g_bound=_bounds, g_allocates=st.booleans())
-def test_check_ends_every_file_with_a_verdict(
-        tmp_path_factory, headers, calls, f_bound, g_bound, g_allocates):
-    # a nest of one to six loops, degree-cap included, self or mutual
-    # recursion with and without clauses: `check` answers 0, 1 or 2 and never
-    # stops; a file it verifies holds on the grid.  The property is
-    # file-level, since a Verified row assumes its callees' contracts.
+# a nest of one to six loops, degree-cap included, and self or mutual
+# recursion, in methods with and without clauses
+VERDICT_FILES = dict(
+    headers=st.lists(st.sampled_from(["n", "m", "2", "n + 1", "outer"]), min_size=1, max_size=6),
+    calls=st.sampled_from(["none", "self", "mutual"]),
+    f_bound=_bounds, g_bound=_bounds, g_allocates=st.booleans())
+
+
+def _verdict_file(headers, calls, f_bound, g_bound, g_allocates) -> str:
     loops = ""
     for k, hi in enumerate(headers):
         hi = f"i{k - 1}" if hi == "outer" and k else "n" if hi == "outer" else hi
@@ -731,18 +743,90 @@ def test_check_ends_every_file_with_a_verdict(
     def clause(bound):
         return "" if bound is None else f"memreq<A>({bound});"
 
+    return ("class A {} class R {"
+            f" void f(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(f_bound)} {nest} {call} }}"
+            f" void g(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(g_bound)}"
+            f" {'A b = new A();' if g_allocates else ''} {g_call} }} }}")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**VERDICT_FILES)
+def test_check_ends_every_file_with_a_verdict(tmp_path_factory, **drawn):
+    # `check` answers 0, 1 or 2 and never stops; a file it verifies holds
+    # on the grid.  The property is file-level, since a Verified row
+    # assumes its callees' contracts.
     path = tmp_path_factory.mktemp("verdict") / "verdict.mcl"
-    path.write_text(
-        "class A {} class R {"
-        f" void f(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(f_bound)} {nest} {call} }}"
-        f" void g(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(g_bound)}"
-        f" {'A b = new A();' if g_allocates else ''} {g_call} }} }}")
+    path.write_text(_verdict_file(**drawn))
     code, out, err = cli("check", str(path))
     assert code in (0, 1, 2), err
     if code == 0:
         code, out, err = cli("validate", str(path), "--grid", "2")
         assert (code, err) == (0, ""), path.read_text()
         assert out.endswith(": clean\n")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**VERDICT_FILES)
+def test_check_instrument_and_validate_read_one_obligation_list(**drawn):
+    # every bound row of `check` is an obligation in its mode, and the copy
+    # ensures, and the oracle bounds, exactly the obligations of the copy's
+    # key space
+    prog = load(_verdict_file(**drawn), "verdict.mcl")
+    copy = instrument(prog).program
+    for mode in ("type", "object"):
+        rows = check_program(prog, mode).rows
+        for m in prog.methods():
+            assert {r.clause for r in rows if r.method == m.qname
+                    and r.clause.startswith(("memreq<", "esc<"))} \
+                <= {c.label for c in obligations(m, mode == "object")}
+    for m in prog.methods():
+        labels = [c.label for c in obligations(m)]
+        body = copy.method(m.qname).body
+        assert len([s for s in body if isinstance(s, EnsureStmt)]) == len(labels)
+        assert [b.clause for b in oracle._table(prog).method(m).bounds] == labels
+
+
+# what a method charges but does not declare, and the counter whose ensure
+# holds it to zero in the copy
+UNDECLARED = {
+    "callee-only": ("class A { } class B { } class P {"
+                    " void g() { memreq<A>(1); A a = new A(); }"
+                    " void f() { memreq<B>(0); this.g(); } }", "memreq<A>", "f_MemReq_A"),
+    "dest-esc": ("class A { } class P {"
+                 " A f() { memreq<A>(1); dest_esc(return); A a = new A(); return a; } }",
+                 "esc<A>(return)", "f_Esc_Return_A"),
+    "add-esc": ("class A { } class P {"
+                " A g() { memreq<A>(1); esc<A>(return, 1); dest_esc(return); A a = new A();"
+                " return a; }"
+                " A f() { memreq<A>(1); add_esc(return, return); A x = this.g(); return x; } }",
+                "esc<A>(return)", "f_Esc_Return_A"),
+    "no-clauses": ("class A { } class P { void f() { A a = new A(); } }",
+                   "memreq<A>", "f_MemReq_A"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECLARED))
+def test_an_absent_clause_is_zero_for_check_instrument_and_validate(tmp_path, name):
+    text, label, counter = UNDECLARED[name]
+    path, copy = tmp_path / f"{name}.mcl", tmp_path / f"{name}.inst.mcl"
+    path.write_text(text)
+    f = load(text, name).method("P.f")
+    assert [c.label for c in obligations(f) if not c.declared] == [label]
+    code, out, _ = cli("check", str(path), "--format", "json")
+    assert code == 1
+    assert {(r["clause"], r["declared"], r["verdict"])
+            for r in json.loads(out)["clauses"] if r["method"] == "P.f"} >= {
+        (label, None, "Violated")}
+    assert cli("instrument", str(path), "--emit", str(copy))[0] == 0
+    assert f"ensure({counter} <= 0);" in copy.read_text()
+    for gc in ("ideal", "method-exit"):
+        code, out, _ = cli("validate", str(path), "--format", "json", "--gc", gc)
+        assert code == 1
+        assert ("P.f", label, 0) in {(v["method"], v["clause"], v["declaredValue"])
+                                     for v in json.loads(out)["violations"]}
+        code, out, _ = cli("validate", str(copy), "--format", "json", "--gc", gc)
+        assert code == 1
+        assert f"{counter} <= 0" in {e["cond"] for e in json.loads(out)["ensureFailures"]}
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from mclcheck.frontend import (
     expr_to_str,
     iter_stmts,
     load,
+    obligations,
     pretty,
     program_to_json,
 )
@@ -439,12 +440,13 @@ def test_contractless_method_without_allocations_untouched():
         method_block(inst, "void logMessage")
 
 
-def test_undeclared_allocation_counted_but_not_bounded():
+def test_undeclared_allocation_counted_and_bounded_at_zero():
+    # an absent clause declares zero, for the copy as for `check`
     inst = instrumented("faulty_undeclared_class")
     m = inst.program.method("Quiet.assemble")
     ensures = [s for s in m.body if isinstance(s, EnsureStmt)]
-    assert len(ensures) == 1
-    assert expr_to_str(ensures[0].cond) == "assemble_MemReq_Gadget <= 1"
+    assert [expr_to_str(s.cond) for s in ensures] == [
+        "assemble_MemReq_Gadget <= 1", "assemble_MemReq_Widget <= 0"]
     text = method_block(pretty(inst.program), "void assemble")
     assert "int assemble_MemReq_Widget = 0;" in text
     assert "assemble_MemReq_Widget += 1;" in text
@@ -589,11 +591,11 @@ def test_counter_index_names_match_emitted_code(name):
 
 @pytest.mark.parametrize("name", ALL)
 def test_every_declared_clause_gets_an_ensure(name):
+    # and so does every absent one: one ensure per obligation
     inst = instrumented(name)
     for m in inst.program.methods():
-        declared = len(m.contract.mem_req) + len(m.contract.esc)
         ensures = [s for s in m.body if isinstance(s, EnsureStmt)]
-        assert len(ensures) == declared
+        assert len(ensures) == len(obligations(m))
 
 
 def test_instrumented_call_sites_link_into_the_copy():

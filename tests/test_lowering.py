@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclcheck import oracle
-from mclcheck.frontend import load
+from mclcheck.frontend import load, obligations
 from mclcheck.instrument import instrument
 from mclcheck.oracle import (StackExhausted, StepBudgetExceeded, harness_plan,
                              run, run_point, validate)
@@ -124,7 +124,7 @@ def test_every_corner_run_is_pinned():
         prog = load(path.read_text(), path.name)
         got[path.stem] = sorted(
             m.qname for m in prog.methods()
-            if m.contract is not None and m.contract.has_clauses())
+            if obligations(m))
     assert got == {name: sorted(steps) for name, steps in CORPUS_STEPS.items()}
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mclcheck.frontend import load, parse
+from mclcheck.frontend import load, obligations, parse
 from mclcheck import oracle
 from mclcheck.instrument import instrument
 from mclcheck.oracle import (
@@ -238,7 +238,7 @@ def test_dominance_across_contracted_corpus(gc_pair):
     for path in sorted(CORPUS.glob("*.mcl")):
         prog = load(path.read_text(), path.name)
         for m in prog.methods():
-            if not (m.contract and m.contract.has_clauses()):
+            if not obligations(m):
                 continue
             plan = harness_plan(prog, m.qname, 2)
             if plan.skip_reason:

@@ -40,7 +40,12 @@ the two imports never mix, and each runs the same command lines through
   of calls whose maximum is past the cap beside a loop that is not; and
   recursion through members without clauses: a `spin` that allocates
   nothing, one that allocates, and a mutual recursion, whose escape
-  summaries change across fixpoint rounds.
+  summaries change across fixpoint rounds;
+- on four methods that charge what they do not declare (a class charged
+  only through a callee's contract, a `dest_esc` tag, an `add_esc` pull,
+  and an allocation in a method without clauses): `check` in both modes,
+  human and JSON, `instrument --emit`, and `validate --format json` on the
+  source and on the copy.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -167,7 +172,8 @@ def _spin(alloc: str) -> str:
 
 def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     """`check` in both formats, `instrument` and `ptg` on clauses and facts
-    the decision procedure meets rarely, written under work/decision."""
+    the decision procedure meets rarely, and the four absent-clause cases,
+    written under work/decision."""
     files = {
         "quadratic-alternative": _loop_f("n >= 3", "max(2 * n, n * n - 5)", "1 .. n + 3", ""),
         "non-affine-header": _loop_f("n >= 0 && m >= 0", "n * m", "1 .. n * m", ""),
@@ -199,6 +205,21 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
                   "    void g(int k) {\n        requires(k >= 0);\n        this.f(k);\n"
                   "    }\n}\n",
     }
+    undeclared = {
+        "callee-only": "class A {\n}\n\nclass B {\n}\n\nclass P {\n    void g() {\n"
+                       "        memreq<A>(1);\n        A a = new A();\n    }\n\n"
+                       "    void f() {\n        memreq<B>(0);\n        this.g();\n    }\n}\n",
+        "dest-esc": "class A {\n}\n\nclass P {\n    A f() {\n        memreq<A>(1);\n"
+                    "        dest_esc(return);\n        A a = new A();\n        return a;\n"
+                    "    }\n}\n",
+        "add-esc": "class A {\n}\n\nclass P {\n    A g() {\n        memreq<A>(1);\n"
+                   "        esc<A>(return, 1);\n        dest_esc(return);\n"
+                   "        A a = new A();\n        return a;\n    }\n\n    A f() {\n"
+                   "        memreq<A>(1);\n        add_esc(return, return);\n"
+                   "        A x = this.g();\n        return x;\n    }\n}\n",
+        "no-clauses": "class A {\n}\n\nclass P {\n    void f() {\n        A a = new A();\n"
+                      "    }\n}\n",
+    }
     (work / "decision").mkdir()
     lines: list[tuple[list[str], Path | None]] = []
     for name, text in files.items():
@@ -208,6 +229,15 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
             lines.append((["check", str(path), "--format", fmt], None))
         lines.append((["instrument", str(path)], None))
         lines.append((["ptg", str(path), "--format", "json"], None))
+    for name, text in undeclared.items():
+        path, inst = work / "decision" / f"{name}.mcl", work / "decision" / f"{name}.inst.mcl"
+        path.write_text(text)
+        for mode in ("type", "object"):
+            for fmt in ("human", "json"):
+                lines.append((["check", str(path), "--mode", mode, "--format", fmt], None))
+        lines.append((["instrument", str(path), "--emit", str(inst)], inst))
+        for target in (path, inst):
+            lines.append((["validate", str(target), "--format", "json"], None))
     return lines
 
 
