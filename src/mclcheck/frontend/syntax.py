@@ -404,20 +404,21 @@ class MethodContract:
     def clauses(self, collapse: bool) -> list[Clause]:
         """The clauses in declaration order, every memreq before every esc.
 
-        Collapsed onto the object pseudo-class, a contract keeps its
-        explicit object clauses when it has any, and otherwise sums every
-        class, one memreq and one esc per tag.
+        Collapsed onto the object pseudo-class, a contract has one clause
+        per tag, memreq included, in the order the tags first appear: its
+        explicit object clause for that tag when it has one, and otherwise
+        the sum of its classes' clauses under that tag.
         """
         out = [Clause(None, key, e) for key, e in self.mem_req.items()]
         out += [Clause(tag, key, e) for (tag, key), e in self.esc.items()]
         if not collapse:
             return out
-        if any(c.key == OBJECT_KEY for c in out):
-            out = [c for c in out if c.key == OBJECT_KEY]
+        explicit = {c.tag: c.bound for c in out if c.key == OBJECT_KEY}
         summed: dict[Tag | None, list[SymExpr]] = {}
         for c in out:
             summed.setdefault(c.tag, []).append(c.bound)
-        return [Clause(tag, OBJECT_KEY, sym_sum(es)) for tag, es in summed.items()]
+        return [Clause(tag, OBJECT_KEY, explicit[tag] if tag in explicit else sym_sum(es))
+                for tag, es in summed.items()]
 
     def keys(self) -> list[str]:
         """The class keys the clauses name, in declaration order."""
@@ -546,11 +547,18 @@ def obligations(method: MethodDecl, collapse: bool | None = None) -> list[Clause
     """What a method claims: its declared clauses (`MethodContract.clauses`),
     then a zero bound, not declared, for each (tag, key) its body charges
     that none declares, memreqs by key before escapes by tag: an absent
-    clause declares zero.  The charges are read from the statements in the
-    key space of `MethodContract.views`: each `new` and its `dest_esc`, each
-    callee's clause keys, and each `add_esc` pull of a tag they escape under."""
-    declared = method.contract.clauses(bool(collapse))
-    views = method.contract.views(collapse)
+    clause declares zero.  When None collapses onto the object too, the
+    declared clauses are followed by the collapsed ones that no explicit
+    object clause gives, so that every mode reads one object view per tag.
+    The charges are read from the statements in the key space of
+    `MethodContract.views`: each `new` and its `dest_esc`, each callee's
+    clause keys, and each `add_esc` pull of a tag they escape under."""
+    contract = method.contract
+    declared = contract.clauses(bool(collapse))
+    views = contract.views(collapse)
+    if collapse is None and OBJECT_KEY in contract.keys():
+        named = {(c.tag, c.key) for c in declared}
+        declared += [c for c in contract.clauses(True) if (c.tag, c.key) not in named]
     charged: set[tuple[Tag | None, str]] = set()
     for s in iter_stmts(method.body):
         if isinstance(s, NewStmt):

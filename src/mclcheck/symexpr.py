@@ -9,7 +9,9 @@ below.  The resolver and the summarizer enforce it: a parameter that the
 body assigns is never read as its entry value
 (`frontend.unassigned_entry_vars`), and an index has a range only when
 its header's lower bound has no negative coefficient.  Coefficients are
-exact rationals so that closed-form interval sums lose nothing.  A loop
+exact rationals so that closed-form interval sums lose nothing, held in
+one normal form: an int when integral, a Fraction only otherwise, so the
+common integer case costs what integer arithmetic costs.  A loop
 is summed and maximized over the range its header gives, `lo .. hi`;
 nothing here reads a range back out of constraints.
 
@@ -58,6 +60,13 @@ Monomial = tuple[tuple[str, int], ...]
 
 _ONE: Monomial = ()
 
+# A coefficient is an int when it is integral and a Fraction otherwise.
+Coeff = int | Fraction
+
+
+def _normal(c: Coeff) -> Coeff:
+    return c.numerator if c.denominator == 1 else c
+
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     acc: dict[str, int] = dict(a)
@@ -72,60 +81,60 @@ def _mono_degree(m: Monomial) -> int:
 
 @dataclass(frozen=True)
 class Poly:
-    """A multivariate polynomial with Fraction coefficients.
+    """A multivariate polynomial with exact rational coefficients.
 
     Terms are stored sorted by monomial, with zero coefficients dropped,
-    so equal polynomials compare and hash equal.
+    and each coefficient in one normal form: an int when its denominator
+    is 1, a Fraction otherwise.  So equal polynomials compare and hash
+    equal, and integer arithmetic, the common case, runs on ints.
     """
 
-    terms: tuple[tuple[Monomial, Fraction], ...] = ()
+    terms: tuple[tuple[Monomial, Coeff], ...] = ()
 
     @staticmethod
-    def from_dict(d: dict[Monomial, Fraction]) -> Poly:
-        items = tuple(sorted((m, c) for m, c in d.items() if c != 0))
-        return Poly(items)
+    def from_dict(d: dict[Monomial, Coeff]) -> Poly:
+        return Poly(tuple(sorted((m, _normal(c)) for m, c in d.items() if c)))
 
     @staticmethod
-    def const(value: int | Fraction) -> Poly:
-        return Poly.from_dict({_ONE: Fraction(value)})
+    def const(value: Coeff) -> Poly:
+        return Poly.from_dict({_ONE: value})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> Poly:
-        return Poly.from_dict({((name, exp),): Fraction(1)})
+        return Poly(((((name, exp),), 1),))
 
-    def coeff(self, m: Monomial) -> Fraction:
+    def coeff(self, m: Monomial) -> Coeff:
         for mono, c in self.terms:
             if mono == m:
                 return c
-        return Fraction(0)
+        return 0
 
-    def __add__(self, other: Poly | int | Fraction) -> Poly:
+    def __add__(self, other: Poly | Coeff) -> Poly:
         other = _as_poly(other)
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return Poly.from_dict(acc)
 
-    def __sub__(self, other: Poly | int | Fraction) -> Poly:
+    def __sub__(self, other: Poly | Coeff) -> Poly:
         return self + (-_as_poly(other))
 
     def __neg__(self) -> Poly:
         return Poly(tuple((m, -c) for m, c in self.terms))
 
-    def __mul__(self, other: Poly | int | Fraction) -> Poly:
+    def __mul__(self, other: Poly | Coeff) -> Poly:
         other = _as_poly(other)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
+                acc[m] = acc.get(m, 0) + c1 * c2
         return Poly.from_dict(acc)
 
     __rmul__ = __mul__
 
-    def scale(self, k: int | Fraction) -> Poly:
-        k = Fraction(k)
-        return Poly(tuple((m, c * k) for m, c in self.terms)) if k else Poly()
+    def scale(self, k: Coeff) -> Poly:
+        return Poly(tuple((m, _normal(c * k)) for m, c in self.terms)) if k else Poly()
 
     def degree(self) -> int:
         return max((_mono_degree(m) for m, _ in self.terms), default=0)
@@ -139,7 +148,7 @@ class Poly:
     def is_const(self) -> bool:
         return all(m == _ONE for m, _ in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> Coeff:
         if not self.is_const():
             raise ValueError(f"{poly_to_str(self)} is not a constant")
         return self.coeff(_ONE)
@@ -147,13 +156,12 @@ class Poly:
     def coeffs_nonneg(self) -> bool:
         return all(c >= 0 for _, c in self.terms)
 
-    def eval(self, env: dict[str, int | Fraction]) -> Fraction:
-        total = Fraction(0)
+    def eval(self, env: dict[str, Coeff]) -> Coeff:
+        total = 0
         for m, c in self.terms:
-            val = c
             for var, exp in m:
-                val *= Fraction(env[var]) ** exp
-            total += val
+                c *= env[var] ** exp
+            total += c
         return total
 
     def substitute(self, binding: dict[str, Poly]) -> Poly:
@@ -169,7 +177,7 @@ class Poly:
 
     def split_on(self, var: str) -> dict[int, Poly]:
         """Group terms by the exponent of `var`, with `var` factored out."""
-        buckets: dict[int, dict[Monomial, Fraction]] = {}
+        buckets: dict[int, dict[Monomial, Coeff]] = {}
         for m, c in self.terms:
             exp = 0
             rest = []
@@ -186,7 +194,7 @@ ZERO = Poly()
 ONE = Poly.const(1)
 
 
-def _as_poly(x: Poly | int | Fraction) -> Poly:
+def _as_poly(x: Poly | Coeff) -> Poly:
     return x if isinstance(x, Poly) else Poly.const(x)
 
 
@@ -201,8 +209,21 @@ def integral(*polys: Poly) -> tuple[int, list[list[tuple[int, Monomial]]]]:
 
 def _dominates(q: Poly, p: Poly) -> bool:
     # q >= p over the nonnegative orthant whenever every coefficient of
-    # q - p is nonnegative.  Sufficient, not complete.
-    return (q - p).coeffs_nonneg()
+    # q - p is nonnegative.  Sufficient, not complete.  Both term tuples
+    # are sorted by monomial, so one merge walk reads every coefficient.
+    qt, i = q.terms, 0
+    for m, c in p.terms:
+        while i < len(qt) and qt[i][0] < m:
+            if qt[i][1] < 0:
+                return False
+            i += 1
+        if i < len(qt) and qt[i][0] == m:
+            if qt[i][1] < c:
+                return False
+            i += 1
+        elif c > 0:
+            return False
+    return all(c >= 0 for _, c in qt[i:])
 
 
 def _prune(alts: tuple[Poly, ...]) -> tuple[Poly, ...]:
@@ -236,7 +257,7 @@ class LinConstraint:
             raise ValueError(f"unknown relation {rel!r}")
         return LinConstraint(a - b, rel)
 
-    def holds(self, env: dict[str, int | Fraction]) -> bool:
+    def holds(self, env: dict[str, Coeff]) -> bool:
         return _HOLDS[self.rel](self.lhs.eval(env), 0)
 
     def variables(self) -> set[str]:
@@ -260,7 +281,7 @@ class SymExpr:
     flags: frozenset[str] = frozenset()
 
     @staticmethod
-    def of(*polys: Poly | int | Fraction, flags=frozenset()) -> SymExpr:
+    def of(*polys: Poly | Coeff, flags=frozenset()) -> SymExpr:
         alts = _prune(tuple(_as_poly(p) for p in polys)) or (ZERO,)
         return SymExpr(alts, frozenset(flags))
 
@@ -273,7 +294,7 @@ class SymExpr:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.alts)
 
-    def eval(self, env: dict[str, int | Fraction]) -> Fraction:
+    def eval(self, env: dict[str, Coeff]) -> Coeff:
         return max(p.eval(env) for p in self.alts)
 
     def same_value(self, other: SymExpr) -> bool:
@@ -354,9 +375,11 @@ def sum_over(e: SymExpr, var: str, lo: Poly, hi: Poly,
 
     With concrete endpoints the result is exact, including the empty sum.
     With symbolic endpoints the closed form is only valid when the space
-    is nonempty-or-adjacent (lo <= hi+1); that guard is discharged from
-    the context when possible, clamped away when the summand and lower
-    bound are coefficient-nonnegative, and otherwise marked FLAG_SUM_GUARD.
+    is nonempty-or-adjacent (lo <= hi+1).  That guard is tried first by
+    coefficients, as `entails_leq` tries a clause, and only then by
+    elimination under the context; when neither proves it, it is clamped
+    away if the summand and lower bound are coefficient-nonnegative, and
+    otherwise marked FLAG_SUM_GUARD.
     """
     flags = e.flags
     if e.is_zero() or lo.is_const() and hi.is_const() and hi.const_value() < lo.const_value():
@@ -367,7 +390,7 @@ def sum_over(e: SymExpr, var: str, lo: Poly, hi: Poly,
         s = _power_sum(exp)
         closed += rest * (s.substitute({"_x": hi}) - s.substitute({"_x": lo - ONE}))
     guard = LinConstraint.compare(lo, "<=", hi + ONE)
-    if (lo.is_const() and hi.is_const()
+    if (lo.is_const() and hi.is_const() or _dominates(hi + ONE, lo)
             or constraint_verdict(guard, context).kind == VerdictKind.VERIFIED):
         return _closed([closed], flags)
     if summand.coeffs_nonneg() and lo.coeffs_nonneg():

@@ -829,6 +829,42 @@ def test_an_absent_clause_is_zero_for_check_instrument_and_validate(tmp_path, na
         assert f"{counter} <= 0" in {e["cond"] for e in json.loads(out)["ensureFailures"]}
 
 
+# g names the object but escapes `return` only as A, and f pulls g's return
+# into its own, declared 0 for every class
+MIXED_VIEWS = ("class A { } class P {"
+               " A g() { memreq<object>(1); esc<A>(return, 1); dest_esc(return); A a = new A();"
+               " return a; }"
+               " A f() { memreq<object>(1); esc<object>(return, 0); add_esc(return, return);"
+               " A x = this.g(); return x; } }")
+
+
+def test_check_and_validate_read_one_object_view_of_a_tag(tmp_path):
+    # the object view of g's `return` is the sum of its class clauses, 1, so
+    # f's 0 is violated and g's holds, wherever a clause is read
+    path = tmp_path / "mixed.mcl"
+    path.write_text(MIXED_VIEWS)
+    violated: dict[tuple[str, str], set[bool]] = {}
+    for mode in ("type", "object"):
+        code, out, _ = cli("check", str(path), "--mode", mode, "--format", "json")
+        assert code == 1
+        for r in json.loads(out)["clauses"]:
+            violated.setdefault((r["method"], r["clause"]), set()).add(r["verdict"] == "Violated")
+            if (r["method"], r["clause"]) == ("P.f", "esc<object>(return)"):
+                assert r["computed"] == "1"
+    assert violated[("P.f", "esc<object>(return)")] == {True}
+    assert violated[("P.g", "esc<object>(return)")] == {False}
+    claimed = {(m.qname, c.label) for m in load(MIXED_VIEWS, "mixed").methods()
+               for c in obligations(m)}
+    for gc in ("ideal", "method-exit"):
+        code, out, _ = cli("validate", str(path), "--format", "json", "--gc", gc)
+        assert code == 1
+        observed = {(v["method"], v["clause"]): v["observed"]
+                    for v in json.loads(out)["violations"]}
+        assert observed[("P.f", "esc<object>(return)")] == 1
+        assert {k: {k in observed} for k in claimed & violated.keys()} == \
+            {k: violated[k] for k in claimed & violated.keys()}
+
+
 @pytest.fixture
 def unlimited_digits():
     """Python's int-string limit lifted, as `main` lifts it, for a test that

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mclcheck import summary as S
-from mclcheck.frontend import Tag, load
+from mclcheck.frontend import Tag, load, obligations
 from mclcheck.frontend.syntax import CallStmt, NewStmt, entry_vars, unassigned_entry_vars
 from mclcheck.oracle import validate
 from mclcheck.symexpr import (
@@ -236,6 +236,23 @@ def test_object_mode_derives_bounds_from_per_type_contracts():
     assert r.computed == "2"
 
 
+def test_the_object_view_of_each_tag_is_its_object_clause_or_its_class_sum():
+    # memreq and `return` have an object clause, `this` only class clauses;
+    # object mode and the copy's key space read the same view
+    prog = load("class A { } class B { } class P { A f(int n) { requires(n >= 0);"
+                " memreq<A>(n); memreq<object>(1); memreq<B>(2); esc<A>(this, n);"
+                " esc<B>(this, 3); esc<object>(return, 4); esc<A>(return, 1);"
+                " A a = new A(); return a; } }")
+    f = prog.method("P.f")
+    view = [("memreq<object>", "1"), ("esc<object>(this)", "n + 3"),
+            ("esc<object>(return)", "4")]
+    assert [(c.label, str(c.bound)) for c in f.contract.clauses(True)] == view
+    assert [(c.label, str(c.bound)) for c in obligations(f, True)] == view
+    both = [(c.label, str(c.bound)) for c in obligations(f)]
+    assert both[:7] == [(c.label, str(c.bound)) for c in f.contract.clauses(False)]
+    assert both[7:] == [("esc<object>(this)", "n + 3")]
+
+
 def test_a_lone_declared_bound_reads_alike_in_both_modes():
     # collapsing one bound onto the object pseudo-class sums nothing, and
     # the degree cap meets only a loop's closed form, never a declared bound
@@ -459,6 +476,21 @@ def test_contractless_method_summary_is_empty():
 
 
 # ------------------------------------------------------------- properties
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.mcl")))
+def test_every_integral_coefficient_is_an_int(name):
+    # the symbolic layer stores an integral coefficient as an int, never as
+    # a Fraction, in every contract and every summary it computes
+    prog = load_corpus(name)
+    exprs = [c.bound for m in prog.methods() for c in obligations(m)]
+    for mode in (S.MODE_TYPE, S.MODE_OBJECT):
+        for m in prog.methods():
+            s = S.summarize(m, mode, prog.class_map())
+            exprs += [*s.mem_req.values(), *s.esc.values()]
+    coeffs = [c for e in exprs for p in e.alts for _, c in p.terms]
+    assert coeffs
+    assert all(type(c) is int for c in coeffs if c.denominator == 1)
 
 
 @pytest.mark.parametrize("name", POSITIVE)

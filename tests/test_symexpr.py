@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mclcheck import symexpr
 from mclcheck.symexpr import (
     FLAG_DEGREE_CAP,
     FLAG_MONOTONICITY,
@@ -121,6 +122,72 @@ def test_substitute_agrees_with_eval(p, n, k):
     assert bound.eval({"n": n}) == p.eval({"n": n, "m": n + k})
 
 
+# --- the integer normal form ------------------------------------------------
+#
+# A coefficient is an int when integral and a Fraction otherwise; every
+# operation must agree with plain Fraction arithmetic on the same terms.
+
+rational_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3])),
+    max_size=4)
+rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+def rational_poly(terms):
+    """The polynomial sum c * m**b * n**a over terms {(a, b): c}."""
+    return Poly.from_dict({tuple((v, e) for v, e in (("m", b), ("n", a)) if e): c
+                           for (a, b), c in terms.items()})
+
+
+def fraction_eval(terms, n, m):
+    return sum((Fraction(c) * Fraction(m) ** b * Fraction(n) ** a
+                for (a, b), c in terms.items()), Fraction(0))
+
+
+def stored_normally(p):
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in p.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_terms, rational_terms, rationals, st.integers(0, 5), st.integers(0, 5))
+def test_arithmetic_agrees_with_fraction_evaluation(tp, tq, k, n, m):
+    p, q = rational_poly(tp), rational_poly(tq)
+    fp, fq = fraction_eval(tp, n, m), fraction_eval(tq, n, m)
+    env = {"n": n, "m": m}
+    results = {"+": (p + q, fp + fq), "-": (p - q, fp - fq), "*": (p * q, fp * fq),
+               "scale": (p.scale(k), k * fp),
+               # m bound to q: p at (n, q(n, m))
+               "substitute": (p.substitute({"m": q}), fraction_eval(tp, n, fq))}
+    for op, (got, expect) in results.items():
+        assert got.eval(env) == expect, op
+        assert stored_normally(got), op
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    half = Fraction(1, 2)
+    made = [Poly.const(Fraction(4, 2)), Poly.var("n"), N.scale(Fraction(6, 3)),
+            N.scale(half) + N.scale(half), (N * N + N).scale(half) * 2,
+            Poly.from_dict({(): Fraction(3), (("n", 1),): half}),
+            (N * N + N).scale(half).substitute({"n": M + C1}),
+            *sum_over(SymExpr.of(I * I), *interval("i", 1, N)).alts,
+            *sum_over(SymExpr.of(I), *interval("i", M, N + M)).alts]
+    for p in made:
+        assert stored_normally(p), p.terms
+        assert all(type(c) is int for _, c in p.scale(6).terms), p.terms
+    assert type(N.coeff(())) is int
+    assert type((N * N).eval({"n": 3})) is int
+    assert type(Poly.const(Fraction(4, 2)).const_value()) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_terms, rational_terms)
+def test_dominance_reads_the_coefficients_of_the_difference(tq, tp):
+    q, p = rational_poly(tq), rational_poly(tp)
+    for a, b in ((q, p), (p, q), (q, q + p), (q + p, p)):
+        assert symexpr._dominates(a, b) == (a - b).coeffs_nonneg()
+
+
 # --- interval summation ----------------------------------------------------
 
 def test_sum_of_ones_is_trip_count():
@@ -187,6 +254,34 @@ def test_sum_nonneg_summand_clamps_instead_of_guard():
     assert FLAG_SUM_GUARD not in got.flags
     assert got.eval({"n": 0}) == 0
     assert got.eval({"n": 5}) == 3
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = symexpr._solve
+    monkeypatch.setattr(symexpr, "_solve", lambda *a: calls.append(a) or solve(*a))
+    return calls
+
+
+def test_a_guard_proved_by_coefficients_needs_no_elimination(monkeypatch):
+    calls = count_solves(monkeypatch)
+    ctx = (LinConstraint.compare(M, "<=", N),)
+    # hi + 1 - lo: m + 1, and n*n + 1, which elimination cannot read
+    wide = sum_over(SymExpr.of(I), *interval("i", N, N + M), ctx)
+    square = sum_over(SymExpr.of(I - M), *interval("i", 0, N * N))
+    assert calls == []
+    assert wide.flags == square.flags == frozenset()
+    assert wide.eval({"n": 2, "m": 3}) == 2 + 3 + 4 + 5
+    assert square.eval({"n": 2, "m": 1}) == sum(i - 1 for i in range(5))
+
+
+def test_a_guard_that_needs_requires_goes_through_elimination(monkeypatch):
+    calls = count_solves(monkeypatch)
+    # for (i = m .. n) under requires(m <= n + 1)
+    ctx = (LinConstraint.compare(M, "<=", N + C1),)
+    got = sum_over(SymExpr.of(C1), *interval("i", M, N), ctx)
+    assert calls
+    assert got == SymExpr.of(N - M + C1)
 
 
 def test_sum_degree_cap_enforced():
