@@ -30,6 +30,7 @@ which is dropped once the graph's component is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from . import callgraph
@@ -270,23 +271,28 @@ class _Builder:
 
     # -- summary inlining -------------------------------------------------------
 
+    def mapped(self, argmap: dict[str, set[PTGNode]], memo: dict[PTGNode, set[PTGNode]],
+               n: PTGNode) -> set[PTGNode]:
+        """The nodes of this graph that summary node n stands for at a call
+        with `argmap`; `memo` holds those already mapped."""
+        if n in memo:
+            return memo[n]
+        if n.kind == "param":
+            out = set(argmap.get(n.key, set()))
+        elif n.kind == "inside":
+            self.g.add_node(n)
+            out = {n}
+        else:  # load: replay the field access on the mapped base
+            memo[n] = set()  # cut cycles from the cap's self-edges
+            out = self.g.load(self.mapped(argmap, memo, n.base), n.field)
+        memo[n] = out
+        return out
+
     def inline(self, summary: EscapeSummary, argmap: dict[str, set[PTGNode]]):
-        memo: dict[PTGNode, set[PTGNode]] = {}
-
-        def mu(n: PTGNode) -> set[PTGNode]:
-            if n in memo:
-                return memo[n]
-            if n.kind == "param":
-                out = set(argmap.get(n.key, set()))
-            elif n.kind == "inside":
-                self.g.add_node(n)
-                out = {n}
-            else:  # load: replay the field access on the mapped base
-                memo[n] = set()  # cut cycles from the cap's self-edges
-                out = self.g.load(mu(n.base), n.field)
-            memo[n] = out
-            return out
-
+        # a method, not a closure that calls itself: that closure would be a
+        # reference cycle holding this builder, and through it the program,
+        # until the cycle collector ran
+        mu = partial(self.mapped, argmap, {})
         for (a, f, b) in summary.edge_order:
             for ma in mu(a):
                 for mb in mu(b):

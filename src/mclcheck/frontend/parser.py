@@ -1,8 +1,24 @@
 """Recursive-descent parser for the contract mini-language.
 
-Binary operators are read by precedence climbing over `syntax.BINARY_PREC`,
-and the keyword statements from `syntax.SHAPES`, the table of their shapes
-that the printer writes too: each field kind there names a reader here.
+The parser reads the lexer's parallel lists of token kinds, values, lines
+and columns (`lexer.scan`), padded once with eof so that a look three
+tokens ahead stays in range, and indexes them directly.  A punctuator or
+keyword is known by its value alone: no token of another kind has one.
+
+`statement()` reads a keyword statement of `syntax.SHAPES`, a `return` and
+an `if` in place and dispatches on any other keyword through `_STATEMENTS`;
+`primary()` takes the node a keyword or parenthesis opens from
+`_PRIMARIES`.  Binary operators are read by precedence climbing over
+`syntax.BINARY_PREC`.  `SHAPES` is the table of the keyword statements'
+shapes that the printer writes too: each field kind there names a reader
+here, and each shape is split into its readers once, in `_SHAPES`.
+
+Nesting recurses, so the interpreter's stack bounds it, and the token at
+which a nest too deep to parse is reported depends on the frames each
+level takes: two per `if`, three per `for`, four per parenthesis, and at
+each token the frames of the calls made before it is stepped over.  So a
+name, a literal keyword, a parenthesis, a `max` and a unary operator make
+their node before they step over their token, and set its position after.
 
 Escape annotations (dest_esc, dest_local, add_esc) are written on the line
 before the allocation or call they govern; the parser attaches them to that
@@ -13,7 +29,7 @@ placement linter can report them instead of losing them.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic, ParseFailure, SEV_ERROR
-from .lexer import Token, tokenize
+from .lexer import scan, unquote
 from .syntax import (
     ANNOTATION_STMTS, AddEscStmt, Assign, AugAssign, Binary, BINARY_PREC,
     BoolLit, CallStmt, ClassDecl, Cmp, DestEscStmt, DestLocalStmt, Expr,
@@ -26,124 +42,122 @@ from .syntax import (
 _VALUE_TYPES = PRIMITIVES - {"void"}  # the primitive types a value can have
 _ARITH = BINARY_PREC["+"]  # the loosest level of an integer expression
 _TIGHTEST = max(BINARY_PREC.values())
+_RETURN, _THIS = Tag.ret(), Tag.this()
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str):
-        self.toks = tokens + tokens[-1:] * 3  # eof stays in reach of peek(3)
+    def __init__(self, source: str, file: str):
+        kinds, values, lines, cols = scan(source, file)
+        # eof stays in reach of a look three tokens ahead
+        self.kinds = kinds + kinds[-1:] * 3
+        self.values = values + values[-1:] * 3
+        self.lines = lines + lines[-1:] * 3
+        self.cols = cols + cols[-1:] * 3
         self.i = 0
         self.file = file
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.i + ahead]
+    def pos(self, i: int) -> Pos:
+        return Pos(self.lines[i], self.cols[i])
 
-    def at(self, kind: str, value: str | None = None, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == kind and (value is None or t.value == value)
+    def shown(self, i: int) -> str:
+        """Token i's value as a diagnostic quotes it."""
+        value = self.values[i]
+        return unquote(value) if self.kinds[i] == "string" else value
 
-    def at_kw(self, *words: str) -> bool:
-        t = self.peek()
-        return t.kind == "keyword" and t.value in words
+    def fail(self, msg: str):
+        """Raise a syntax error at the current token."""
+        i = self.i
+        raise ParseFailure([Diagnostic(SEV_ERROR, "SyntaxError", msg, self.file,
+                                       self.lines[i], self.cols[i])])
 
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def expect(self, value: str) -> int:
+        """Step over the punctuator or keyword `value`; gives its index."""
+        i = self.i
+        if self.values[i] != value:
+            self.fail(f"expected {value!r}, found {self.shown(i)!r}")
+        self.i = i + 1
+        return i
 
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (value is not None and t.value != value):
-            want = value or kind
-            self.fail(f"expected {want!r}, found {t.value!r}", t)
-        return self.next()
-
-    def pos(self, t: Token | None = None) -> Pos:
-        t = t or self.peek()
-        return Pos(t.line, t.col)
-
-    def fail(self, msg: str, tok: Token | None = None):
-        t = tok or self.peek()
-        raise ParseFailure([Diagnostic(SEV_ERROR, "SyntaxError", msg, self.file, t.line, t.col)])
+    def ident(self) -> str:
+        i = self.i
+        if self.kinds[i] != "ident":
+            self.fail(f"expected 'ident', found {self.shown(i)!r}")
+        self.i = i + 1
+        return self.values[i]
 
     # -- declarations ----------------------------------------------------------
 
     def program(self) -> Program:
         classes = []
-        while not self.at("eof"):
+        while self.kinds[self.i] != "eof":
             classes.append(self.class_decl())
         return Program(classes, source_name=self.file)
 
     def class_decl(self) -> ClassDecl:
-        start = self.expect("keyword", "class")
-        name = self.expect("ident").value
-        self.expect("punct", "{")
+        start = self.expect("class")
+        name = self.ident()
+        self.expect("{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
-        while not self.at("punct", "}"):
+        values = self.values
+        while values[self.i] != "}":
+            i = self.i
             # Constructor: class name directly followed by a parameter list.
-            if self.at("ident", name) and self.at("punct", "(", ahead=1):
-                t = self.next()
-                m = self.method_rest(TypeRef("void"), name, self.pos(t))
+            if values[i] == name and values[i + 1] == "(":
+                self.i = i + 1
+                m = self.method_rest(TypeRef("void"), name, self.pos(i))
                 m.is_ctor = True
                 m.cls = name
                 methods.append(m)
                 continue
-            t0 = self.peek()
             decl_type = self.parse_type()
-            ident = self.expect("ident")
-            if self.at("punct", "("):
-                m = self.method_rest(decl_type, ident.value, Pos(t0.line, t0.col))
+            ident = self.ident()
+            if values[self.i] == "(":
+                m = self.method_rest(decl_type, ident, self.pos(i))
                 m.cls = name
                 methods.append(m)
             else:
-                self.expect("punct", ";")
-                fields.append(FieldDecl(decl_type, ident.value, pos=Pos(t0.line, t0.col)))
-        self.expect("punct", "}")
+                self.expect(";")
+                fields.append(FieldDecl(decl_type, ident, pos=self.pos(i)))
+        self.i += 1
         return ClassDecl(name, fields, methods, pos=self.pos(start))
 
     def parse_type(self) -> TypeRef:
-        t = self.peek()
-        if t.kind == "keyword" and t.value in PRIMITIVES:
-            self.next()
-            base = TypeRef(t.value)
-        elif t.kind == "ident":
-            self.next()
-            base = TypeRef(t.value)
-        else:
-            self.fail(f"expected a type, found {t.value!r}")
-        if self.at("punct", "[") and self.at("punct", "]", ahead=1):
-            self.next()
-            self.next()
-            return TypeRef(base.name, is_array=True)
-        return base
+        i = self.i
+        value = self.values[i]
+        if self.kinds[i] != "ident" and value not in PRIMITIVES:
+            self.fail(f"expected a type, found {self.shown(i)!r}")
+        if self.values[i + 1] == "[" and self.values[i + 2] == "]":
+            self.i = i + 3
+            return TypeRef(value, is_array=True)
+        self.i = i + 1
+        return TypeRef(value)
 
     def method_rest(self, return_type: TypeRef, name: str, pos: Pos) -> MethodDecl:
-        self.expect("punct", "(")
+        self.expect("(")
         params: list[Param] = []
-        while not self.at("punct", ")"):
+        values = self.values
+        while values[self.i] != ")":
             if params:
-                self.expect("punct", ",")
-            is_out = False
-            if self.at_kw("out"):
-                self.next()
-                is_out = True
+                self.expect(",")
+            is_out = values[self.i] == "out"
+            self.i += is_out
             ptype = self.parse_type()
-            pname = self.expect("ident").value
-            params.append(Param(ptype, pname, is_out))
-        self.expect("punct", ")")
+            params.append(Param(ptype, self.ident(), is_out))
+        self.i += 1
         body = self.block()
         return MethodDecl(name, params, return_type, body, pos=pos)
 
     # -- statements ------------------------------------------------------------
 
     def block(self) -> list[Stmt]:
-        self.expect("punct", "{")
+        self.expect("{")
         stmts: list[Stmt] = []
         pending: list[Stmt] = []  # escape annotations not yet attached
-        while not self.at("punct", "}"):
+        values = self.values
+        while values[self.i] != "}":
             stmt = self.statement()
             if isinstance(stmt, ANNOTATION_STMTS):
                 pending.append(stmt)
@@ -162,68 +176,67 @@ class _Parser:
                     stmts.append(a)
             pending.clear()
             stmts.append(stmt)
-        self.expect("punct", "}")
+        self.i += 1
         return stmts + pending
 
     def statement(self) -> Stmt:
-        t = self.peek()
-        if t.kind == "keyword" and t.value in SHAPES:
-            node, shape = SHAPES[t.value]
-            self.next()
+        """One statement.  A keyword statement of `syntax.SHAPES`, a `return`
+        and an `if` are read in place, which keeps the frames they nest in
+        (see the module docstring); any other keyword has its reader in
+        `_STATEMENTS`."""
+        i = self.i
+        values = self.values
+        value = values[i]
+        shape = _SHAPES.get(value)
+        if shape is not None:
+            node, steps = shape
+            self.i = i + 1
             parts = []
-            for word in shape.split():
-                if word in _READERS:
-                    parts.append(_READERS[word](self))
+            for reader, word in steps:
+                if reader is None:
+                    self.expect(word)
                 else:
-                    self.expect("punct", word)
-            return node(*parts, pos=self.pos(t))
-        if self.at_kw("return"):
-            self.next()
-            value = None
-            if not self.at("punct", ";"):
-                value = self.binary()
-            self.expect("punct", ";")
-            return ReturnStmt(value, pos=self.pos(t))
-        if self.at_kw("if"):
-            self.next()
-            self.expect("punct", "(")
+                    parts.append(reader(self))
+            return node(*parts, pos=self.pos(i))
+        if value == "return":
+            self.i = i + 1
+            result = None
+            if values[self.i] != ";":
+                result = self.binary()
+            self.expect(";")
+            return ReturnStmt(result, pos=self.pos(i))
+        if value == "if":
+            self.i = i + 1
+            self.expect("(")
             cond = self.binary()
-            self.expect("punct", ")")
+            self.expect(")")
             then_body = self.block()
             else_body: list[Stmt] = []
-            if self.at_kw("else"):
-                self.next()
+            if values[self.i] == "else":
+                self.i += 1
                 else_body = self.block()
-            return IfStmt(cond, then_body, else_body, pos=self.pos(t))
-        if self.at_kw("for"):
-            return self.for_stmt()
-        if self.at_kw("while"):
-            self.fail("while loops are not supported; use a counted for loop")
-        if self.at_kw("new"):
-            self.fail("an allocation must be assigned to a target")
-        if self.at_kw(*_VALUE_TYPES):
-            return self.decl_stmt()
-        if self.at("ident"):
+            return IfStmt(cond, then_body, else_body, pos=self.pos(i))
+        reader = _STATEMENTS.get(value)
+        if reader is not None:
+            return reader(self)
+        if self.kinds[i] == "ident":
             # ident ident  or  ident[] ident  opens a declaration
-            if self.at("ident", ahead=1):
-                return self.decl_stmt()
-            if (self.at("punct", "[", ahead=1) and self.at("punct", "]", ahead=2)
-                    and self.at("ident", ahead=3)):
+            kinds = self.kinds
+            if kinds[i + 1] == "ident" or (values[i + 1] == "[" and values[i + 2] == "]"
+                                           and kinds[i + 3] == "ident"):
                 return self.decl_stmt()
             return self.lvalue_stmt()
-        if self.at_kw("this"):
-            return self.lvalue_stmt()
-        self.fail(f"unexpected token {t.value!r}")
+        self.fail(f"unexpected token {self.shown(i)!r}")
 
     def for_stmt(self) -> ForStmt:
-        t = self.expect("keyword", "for")
-        self.expect("punct", "(")
-        var = self.expect("ident").value
-        self.expect("punct", "=")
+        t = self.expect("for")
+        self.expect("(")
+        var = self.ident()
+        self.expect("=")
         lo = self.binary(_ARITH)
-        self.expect("punct", "..")
+        self.expect("..")
         hi = self.binary(_ARITH)
-        self.expect("punct", ")")
+        self.expect(")")
         body = self.block()
         space = None
         if body and isinstance(body[0], IterationSpaceStmt):
@@ -231,83 +244,84 @@ class _Parser:
         return ForStmt(var, lo, hi, body, space, pos=self.pos(t))
 
     def decl_stmt(self) -> Stmt:
-        t = self.peek()
+        i = self.i
         decl_type = self.parse_type()
-        name = self.expect("ident").value
-        pos = Pos(t.line, t.col)
-        if self.at("punct", ";"):
-            self.next()
+        name = self.ident()
+        pos = self.pos(i)
+        if self.values[self.i] == ";":
+            self.i += 1
             return LocalDecl(decl_type, name, None, pos=pos)
-        self.expect("punct", "=")
+        self.expect("=")
         return self.rhs_stmt(VarRef(name, pos=pos), decl_type, pos)
 
     def lvalue_stmt(self) -> Stmt:
-        t = self.peek()
-        pos = self.pos(t)
+        pos = self.pos(self.i)
         chain = self.postfix_chain()
-        if self.at("punct", "("):
+        value = self.values[self.i]
+        if value == "(":
             recv, method = self.split_callee(chain)
             return self.call_rest(None, None, recv, method, pos)
-        if self.at("punct", "+="):
-            self.next()
+        if value == "+=":
+            self.i += 1
             value = self.binary()
-            self.expect("punct", ";")
+            self.expect(";")
             return AugAssign(chain, value, pos=pos)
-        self.expect("punct", "=")
+        self.expect("=")
         return self.rhs_stmt(chain, None, pos)
 
     def rhs_stmt(self, target: Expr, decl_type: TypeRef | None, pos: Pos) -> Stmt:
-        if self.at_kw("new"):
+        mark = self.i
+        if self.values[mark] == "new":
             return self.new_rest(target, decl_type, pos)
         # A call if the value looks like  chain '('
-        mark = self.i
-        if self.at("ident") or self.at_kw("this"):
+        if self.kinds[mark] == "ident" or self.values[mark] == "this":
             chain = self.postfix_chain()
-            if self.at("punct", "("):
+            if self.values[self.i] == "(":
                 recv, method = self.split_callee(chain)
                 return self.call_rest(target, decl_type, recv, method, pos)
             self.i = mark
         value = self.binary()
-        self.expect("punct", ";")
+        self.expect(";")
         if decl_type is not None:
             return LocalDecl(decl_type, target.name, value, pos=pos)  # type: ignore[attr-defined]
         return Assign(target, value, pos=pos)
 
     def new_rest(self, target: Expr, decl_type: TypeRef | None, pos: Pos) -> NewStmt:
-        self.expect("keyword", "new")
-        t = self.peek()
-        if t.kind == "keyword" and t.value in _VALUE_TYPES:
+        self.expect("new")
+        if self.values[self.i] in _VALUE_TYPES:
             self.fail("allocation requires a class type")
-        cls_name = self.expect("ident").value
-        if self.at("punct", "["):
-            self.next()
+        cls_name = self.ident()
+        if self.values[self.i] == "[":
+            self.i += 1
             length = self.binary(_ARITH)
-            self.expect("punct", "]")
-            self.expect("punct", ";")
+            self.expect("]")
+            self.expect(";")
             return NewStmt(target, decl_type, TypeRef(cls_name, is_array=True), [], length, pos=pos)
-        self.expect("punct", "(")
+        self.expect("(")
         args: list[Expr] = []
-        while not self.at("punct", ")"):
+        while self.values[self.i] != ")":
             if args:
-                self.expect("punct", ",")
+                self.expect(",")
             args.append(self.binary())
-        self.expect("punct", ")")
-        self.expect("punct", ";")
+        self.i += 1
+        self.expect(";")
         return NewStmt(target, decl_type, TypeRef(cls_name), args, pos=pos)
 
     def call_rest(self, target, decl_type, receiver, method: str, pos: Pos) -> CallStmt:
-        self.expect("punct", "(")
+        self.expect("(")
         args: list = []
-        while not self.at("punct", ")"):
+        values = self.values
+        while values[self.i] != ")":
             if args:
-                self.expect("punct", ",")
-            if self.at_kw("out"):
-                t = self.next()
-                args.append(OutArg(self.postfix_chain(), pos=self.pos(t)))
+                self.expect(",")
+            i = self.i
+            if values[i] == "out":
+                self.i = i + 1
+                args.append(OutArg(self.postfix_chain(), pos=self.pos(i)))
             else:
                 args.append(self.binary())
-        self.expect("punct", ")")
-        self.expect("punct", ";")
+        self.i += 1
+        self.expect(";")
         return CallStmt(target, decl_type, receiver, method, args, pos=pos)
 
     def split_callee(self, chain: Expr) -> tuple[Expr | None, str]:
@@ -320,52 +334,47 @@ class _Parser:
     # -- contract fragments ------------------------------------------------------
 
     def parse_tag(self) -> Tag:
-        t = self.peek()
-        if self.at_kw("return"):
-            self.next()
-            return Tag.ret()
-        if self.at_kw("this"):
-            self.next()
-            return Tag.this()
-        if t.kind == "ident":
-            self.next()
-            return Tag.user(t.value)
-        self.fail("expected an escape tag")
+        i = self.i
+        value = self.values[i]
+        if value == "return":
+            tag = _RETURN
+        elif value == "this":
+            tag = _THIS
+        elif self.kinds[i] == "ident":
+            tag = Tag.user(value)
+        else:
+            self.fail("expected an escape tag")
+        self.i = i + 1
+        return tag
 
     def parse_path(self) -> PathExpr:
-        t = self.peek()
-        if self.at_kw("this"):
-            self.next()
-            root = "this"
-        elif self.at_kw("return"):
-            self.next()
-            root = "return"
-        elif t.kind == "ident":
-            self.next()
-            root = t.value
-        else:
+        i = self.i
+        root = self.values[i]
+        if root != "this" and root != "return" and self.kinds[i] != "ident":
             self.fail("expected a path root")
+        self.i = i + 1
         fields = []
-        while self.at("punct", "."):
-            self.next()
-            fields.append(self.expect("ident").value)
+        while self.values[self.i] == ".":
+            self.i += 1
+            fields.append(self.ident())
         return PathExpr(root, tuple(fields))
 
     def cmp_list(self) -> list[Cmp]:
         out = [self.one_cmp()]
-        while self.at("punct", "&&"):
-            self.next()
+        while self.values[self.i] == "&&":
+            self.i += 1
             out.append(self.one_cmp())
         return out
 
     def one_cmp(self) -> Cmp:
         left = self.binary(_ARITH)
-        t = self.peek()
-        if t.kind != "punct" or t.value not in RELATIONS:
+        i = self.i
+        rel = self.values[i]
+        if rel not in RELATIONS:
             self.fail("expected a comparison operator")
-        self.next()
+        self.i = i + 1
         right = self.binary(_ARITH)
-        return Cmp(left, t.value, right, pos=self.pos(t))
+        return Cmp(left, rel, right, pos=self.pos(i))
 
     # -- expressions ------------------------------------------------------------
 
@@ -376,81 +385,114 @@ class _Parser:
         after a relation it must be looser still, so relations never chain."""
         e = self.unary_expr()
         limit = _TIGHTEST
+        values = self.values
         while True:
-            t = self.peek()
-            prec = BINARY_PREC.get(t.value, 0) if t.kind == "punct" else 0
+            i = self.i
+            op = values[i]
+            prec = BINARY_PREC.get(op, 0)
             if not lowest <= prec <= limit:
                 return e
-            self.next()
-            e = Binary(t.value, e, self.binary(prec + 1), pos=self.pos(t))
-            limit = prec - 1 if t.value in RELATIONS else prec
+            self.i = i + 1
+            e = Binary(op, e, self.binary(prec + 1), pos=self.pos(i))
+            limit = prec - 1 if op in RELATIONS else prec
 
     def unary_expr(self) -> Expr:
-        if self.at("punct", "-") or self.at("punct", "!"):
-            t = self.next()
-            return Unary(t.value, self.unary_expr(), pos=self.pos(t))
+        i = self.i
+        op = self.values[i]
+        if op == "-" or op == "!":
+            node = Unary(op, None)
+            self.i = i + 1
+            node.operand = self.unary_expr()
+            node.pos = self.pos(i)
+            return node
         return self.postfix_chain()
 
     def postfix_chain(self) -> Expr:
         e = self.primary()
+        values = self.values
         while True:
-            if self.at("punct", "."):
-                if self.at("ident", "length", ahead=1):
-                    self.next()
-                    t = self.next()
-                    e = LengthRef(e, pos=self.pos(t))
+            i = self.i
+            value = values[i]
+            if value == ".":
+                if values[i + 1] == "length":
+                    self.i = i + 2
+                    e = LengthRef(e, pos=self.pos(i + 1))
                     continue
-                self.next()
-                f = self.expect("ident")
-                e = FieldRef(e, f.value, pos=Pos(f.line, f.col))
-            elif self.at("punct", "["):
-                t = self.next()
+                self.i = i + 1
+                e = FieldRef(e, self.ident(), pos=self.pos(i + 1))
+            elif value == "[":
+                self.i = i + 1
                 idx = self.binary(_ARITH)
-                self.expect("punct", "]")
-                e = IndexRef(e, idx, pos=self.pos(t))
+                self.expect("]")
+                e = IndexRef(e, idx, pos=self.pos(i))
             else:
                 return e
 
     def primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return IntLit(int(t.value), pos=self.pos(t))
-        if t.kind == "string":
-            self.next()
-            return StrLit(t.value, pos=self.pos(t))
-        if self.at_kw("true") or self.at_kw("false"):
-            self.next()
-            return BoolLit(t.value == "true", pos=self.pos(t))
-        if self.at_kw("null"):
-            self.next()
-            return NullLit(pos=self.pos(t))
-        if self.at_kw("this"):
-            self.next()
-            return ThisRef(pos=self.pos(t))
-        if self.at_kw("max"):
-            self.next()
-            self.expect("punct", "(")
-            a = self.binary()
-            self.expect("punct", ",")
-            b = self.binary()
-            self.expect("punct", ")")
-            return MaxExpr(a, b, pos=self.pos(t))
-        if t.kind == "ident":
-            self.next()
-            return VarRef(t.value, pos=self.pos(t))
-        if self.at("punct", "("):
-            self.next()
-            inner = self.binary()
-            self.expect("punct", ")")
-            return ParenExpr(inner, pos=self.pos(t))
-        self.fail(f"unexpected token {t.value!r} in expression")
+        i = self.i
+        kind = self.kinds[i]
+        value = self.values[i]
+        if kind == "int":
+            self.i = i + 1
+            return IntLit(int(value), pos=self.pos(i))
+        if kind == "string":
+            self.i = i + 1
+            return StrLit(unquote(value), pos=self.pos(i))
+        if kind == "ident":
+            node = VarRef(value)
+        else:
+            made = _PRIMARIES.get(value)
+            if made is None:
+                self.fail(f"unexpected token {self.shown(i)!r} in expression")
+            node_type, args = made
+            node = node_type(*args)
+        self.i = i + 1
+        if value == "(":
+            node.inner = self.binary()
+            self.expect(")")
+        elif value == "max":
+            self.expect("(")
+            node.left = self.binary()
+            self.expect(",")
+            node.right = self.binary()
+            self.expect(")")
+        node.pos = self.pos(i)
+        return node
 
 
-# The reader of each field kind of a keyword statement's shape.
+# The reader of each field kind of a keyword statement's shape, and each
+# shape as its steps: a reader, or None and the punctuation it must have.
 _READERS = {"tag": _Parser.parse_tag, "type": _Parser.parse_type,
             "expr": _Parser.binary, "cmps": _Parser.cmp_list,
             "path": _Parser.parse_path}
+_SHAPES = {word: (node, [(_READERS.get(w), w) for w in shape.split()])
+           for word, (node, shape) in SHAPES.items()}
+
+
+def _refuse(message: str):
+    return lambda parser: parser.fail(message)
+
+
+# The reader of each statement that a keyword opens, but those that
+# `_Parser.statement` reads in place.
+_STATEMENTS = {
+    **dict.fromkeys(_VALUE_TYPES, _Parser.decl_stmt),
+    "for": _Parser.for_stmt,
+    "this": _Parser.lvalue_stmt,
+    "while": _refuse("while loops are not supported; use a counted for loop"),
+    "new": _refuse("an allocation must be assigned to a target"),
+}
+# The node that each keyword or punctuator opening a primary expression
+# makes, as its type and first arguments; its parts and position are set
+# once they are read.
+_PRIMARIES = {
+    "true": (BoolLit, (True,)),
+    "false": (BoolLit, (False,)),
+    "null": (NullLit, ()),
+    "this": (ThisRef, ()),
+    "(": (ParenExpr, (None,)),
+    "max": (MaxExpr, (None, None)),
+}
 
 
 def parse(source: str, file: str = "<mcl>") -> Program:
@@ -458,7 +500,7 @@ def parse(source: str, file: str = "<mcl>") -> Program:
 
     Raises ParseFailure carrying diagnostics on the first syntax error.
     """
-    parser = _Parser(tokenize(source, file), file)
+    parser = _Parser(source, file)
     try:
         return parser.program()
     except RecursionError:

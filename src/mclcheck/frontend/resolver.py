@@ -9,6 +9,14 @@ cases.
 
 Contract expressions are read by `syntax`'s one reader (`expr_poly`,
 `expr_bound`); this module says which names each may read.
+
+Each class's fields and methods are tabled once per `resolve`: a field
+name finds its last declaration, a method name its first.  Statements and
+expressions dispatch on their node type, through `_STATEMENTS` and
+`_TYPES`.  An `if` is resolved in place and an expression's reader calls
+those of its parts directly, so that a nest costs two frames per `if`,
+three per `for` and one per expression level: which nest is too deep to
+resolve depends on it.
 """
 
 from __future__ import annotations
@@ -20,13 +28,16 @@ from .diagnostics import Diagnostic, ResolveFailure, SEV_ERROR, SEV_WARNING
 from .syntax import (
     ANNOTATION_STMTS, Assign, AugAssign, Binary, BINARY_PREC, BindEscStmt,
     BoolLit, CallStmt, ClassDecl, Cmp, CONTRACT_STMTS, EnsureStmt, EscStmt,
-    Expr, FieldRef, ForStmt, IfStmt, IndexRef, IntLit, IterationSpaceStmt,
-    LengthRef, LocalDecl, MaxExpr, MemReqStmt, MethodContract, MethodDecl,
-    NewStmt, NullLit, NOPOS, OBJECT_KEY, OutArg, Param, ParenExpr, Pos,
-    PRIMITIVES, Program, RequiresStmt, ReturnStmt, StrLit, Stmt, Tag, ThisRef,
-    TypeRef, Unary, VarRef, entry_vars, expr_bound, expr_poly, iter_stmts,
-    unassigned_entry_vars,
+    Expr, FieldDecl, FieldRef, ForStmt, IfStmt, IndexRef, IntLit,
+    IterationSpaceStmt, LengthRef, LocalDecl, MaxExpr, MemReqStmt,
+    MethodContract, MethodDecl, NewStmt, NullLit, NOPOS, OBJECT_KEY, OutArg,
+    Param, ParenExpr, Pos, PRIMITIVES, Program, RequiresStmt, ReturnStmt,
+    StrLit, Stmt, T_INT, Tag, ThisRef, TypeRef, Unary, VarRef, entry_vars,
+    expr_bound, expr_poly, iter_stmts, unassigned_entry_vars,
 )
+
+_T_BOOL, _T_STRING = TypeRef("bool"), TypeRef("string")
+_RELATION_PREC = BINARY_PREC["<"]  # an operator at this level or looser yields a bool
 
 
 class _Resolver:
@@ -34,6 +45,10 @@ class _Resolver:
         self.program = program
         self.diags: list[Diagnostic] = []
         self.classes: dict[str, ClassDecl] = {}
+        # per class, built once: each field by name, its last declaration,
+        # and each method by name, its first
+        self.fields: dict[str, dict[str, FieldDecl]] = {}
+        self.methods: dict[str, dict[str, MethodDecl]] = {}
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -52,6 +67,11 @@ class _Resolver:
             if c.name in self.classes:
                 self.error("duplicate-class", f"class {c.name} is declared twice", c.pos)
             self.classes[c.name] = c
+        for name, c in self.classes.items():
+            self.fields[name] = c.field_map()
+            self.methods[name] = table = {}
+            for m in c.methods:
+                table.setdefault(m.name, m)
         for c in self.program.classes:
             self.check_class(c)
         for c in self.program.classes:
@@ -92,13 +112,7 @@ class _Resolver:
         return t.is_array or (t.name in self.classes)
 
     def lookup_method(self, cls_name: str, method: str) -> MethodDecl | None:
-        c = self.classes.get(cls_name)
-        if c is None:
-            return None
-        for m in c.methods:
-            if m.name == method:
-                return m
-        return None
+        return self.methods.get(cls_name, {}).get(method)
 
 
 class _MethodResolver:
@@ -153,7 +167,7 @@ class _MethodResolver:
             prev = self.vars.get(name)
             if prev is not None and prev.key() != "int":
                 self.error("duplicate-local", f"loop variable {name} shadows a non-int name", pos)
-            self.vars[name] = TypeRef("int")
+            self.vars[name] = T_INT
             self.loop_vars.add(name)
             return
         if name in self.vars:
@@ -163,15 +177,16 @@ class _MethodResolver:
 
     def collect_decls(self, body: list[Stmt]) -> None:
         for s in iter_stmts(body):
-            if isinstance(s, LocalDecl):
+            kind = type(s)
+            if kind is LocalDecl:
                 self.declare(s.name, s.decl_type, s.pos)
-            elif isinstance(s, (NewStmt, CallStmt)) and s.decl_type is not None:
-                if isinstance(s.target, VarRef):
+            elif (kind is NewStmt or kind is CallStmt) and s.decl_type is not None:
+                if type(s.target) is VarRef:
                     self.declare(s.target.name, s.decl_type, s.pos)
                 else:
                     self.error("bad-decl", "a declaring statement must bind a plain name", s.pos)
-            elif isinstance(s, ForStmt):
-                self.declare(s.var, TypeRef("int"), s.pos, loop_var=True)
+            elif kind is ForStmt:
+                self.declare(s.var, T_INT, s.pos, loop_var=True)
 
     # -- contract extraction ---------------------------------------------------
 
@@ -270,7 +285,7 @@ class _MethodResolver:
             if t is None or t.is_array or t.name not in self.top.classes:
                 self.error("bad-bind-path", f"{path}: {t} has no fields", s.pos)
                 return
-            fd = self.top.classes[t.name].field_map().get(f)
+            fd = self.top.fields[t.name].get(f)
             if fd is None:
                 self.error("bad-bind-path", f"{path}: {t.name} has no field {f}", s.pos)
                 return
@@ -292,46 +307,50 @@ class _MethodResolver:
                 returned = True
 
     def resolve_stmt(self, s: Stmt, loops: tuple[str, ...], nested: bool = True) -> None:
-        if isinstance(s, LocalDecl):
-            if s.init is not None:
-                self.typeof(s.init)
-            self.assigned.add(s.name)
-        elif isinstance(s, Assign):
-            self.check_lvalue(s.target, loops)
-            self.typeof(s.value)
-        elif isinstance(s, AugAssign):
-            self.check_lvalue(s.target, loops)
-            self.typeof(s.value)
-        elif isinstance(s, NewStmt):
-            self.resolve_new(s, loops)
-        elif isinstance(s, CallStmt):
-            self.resolve_call(s, loops)
-        elif isinstance(s, ReturnStmt):
-            if s.value is not None:
-                if self.m.is_ctor or self.m.return_type.key() == "void":
-                    self.error("bad-return", "this method cannot return a value", s.pos)
-                self.typeof(s.value)
-            elif not self.m.is_ctor and self.m.return_type.key() != "void":
-                self.error("bad-return", "a value must be returned", s.pos)
-        elif isinstance(s, IfStmt):
+        """Resolve one statement by its reader in `_STATEMENTS`.  An `if` is
+        read in place, so that a nest of them costs two frames per level."""
+        if type(s) is IfStmt:
             self.typeof(s.cond)
             self.resolve_block(s.then_body, loops)
             self.resolve_block(s.else_body, loops)
-        elif isinstance(s, ForStmt):
-            self.resolve_for(s, loops)
-        elif isinstance(s, EnsureStmt):
-            self.typeof(s.cond)
-        elif isinstance(s, CONTRACT_STMTS):
-            if nested:  # top-level occurrences were consumed by extract_contract
-                self.error("contract-not-at-entry",
-                           "contract clauses must precede the first statement", s.pos)
-        elif isinstance(s, ANNOTATION_STMTS):
-            self.error("misplaced-annotation",
-                       "this annotation does not precede an allocation or call",
-                       s.pos)
-        elif isinstance(s, IterationSpaceStmt):
-            self.error("misplaced-annotation",
-                       "iteration_space must be the first statement of a loop body", s.pos)
+            return
+        reader = _STATEMENTS.get(type(s))
+        if reader is not None:
+            reader(self, s, loops, nested)
+
+    def resolve_local(self, s: LocalDecl, loops: tuple[str, ...], nested: bool) -> None:
+        if s.init is not None:
+            self.typeof(s.init)
+        self.assigned.add(s.name)
+
+    def resolve_assign(self, s: Assign | AugAssign, loops: tuple[str, ...],
+                       nested: bool) -> None:
+        self.check_lvalue(s.target, loops)
+        self.typeof(s.value)
+
+    def resolve_return(self, s: ReturnStmt, loops: tuple[str, ...], nested: bool) -> None:
+        if s.value is not None:
+            if self.m.is_ctor or self.m.return_type.key() == "void":
+                self.error("bad-return", "this method cannot return a value", s.pos)
+            self.typeof(s.value)
+        elif not self.m.is_ctor and self.m.return_type.key() != "void":
+            self.error("bad-return", "a value must be returned", s.pos)
+
+    def resolve_ensure(self, s: EnsureStmt, loops: tuple[str, ...], nested: bool) -> None:
+        self.typeof(s.cond)
+
+    def misplaced_clause(self, s: Stmt, loops: tuple[str, ...], nested: bool) -> None:
+        if nested:  # top-level occurrences were consumed by extract_contract
+            self.error("contract-not-at-entry",
+                       "contract clauses must precede the first statement", s.pos)
+
+    def misplaced_annotation(self, s: Stmt, loops: tuple[str, ...], nested: bool) -> None:
+        self.error("misplaced-annotation",
+                   "this annotation does not precede an allocation or call", s.pos)
+
+    def misplaced_space(self, s: Stmt, loops: tuple[str, ...], nested: bool) -> None:
+        self.error("misplaced-annotation",
+                   "iteration_space must be the first statement of a loop body", s.pos)
 
     def check_tag_use(self, tag: Tag, pos: Pos, where: str) -> None:
         if tag.kind == "return":
@@ -342,7 +361,7 @@ class _MethodResolver:
         elif tag.kind == "user" and tag not in self.contract.bindings:
             self.error("unknown-tag-binding", f"{where}: tag {tag} has no bind_esc", pos)
 
-    def resolve_new(self, s: NewStmt, loops: tuple[str, ...]) -> None:
+    def resolve_new(self, s: NewStmt, loops: tuple[str, ...], nested: bool) -> None:
         self.new_ordinal += 1
         s.site = f"{self.m.qname}#{self.new_ordinal}"
         if s.class_ref.name not in self.top.classes:
@@ -369,7 +388,7 @@ class _MethodResolver:
             self.check_tag_use(dst, s.pos, "add_esc")
         self.bind_target(s.target, s.decl_type, loops)
 
-    def resolve_call(self, s: CallStmt, loops: tuple[str, ...]) -> None:
+    def resolve_call(self, s: CallStmt, loops: tuple[str, ...], nested: bool) -> None:
         self.call_ordinal += 1
         s.site = f"{self.m.qname}@{self.call_ordinal}"
         if s.receiver is None:
@@ -426,7 +445,7 @@ class _MethodResolver:
         elif isinstance(target, VarRef):
             self.assigned.add(target.name)
 
-    def resolve_for(self, s: ForStmt, loops: tuple[str, ...]) -> None:
+    def resolve_for(self, s: ForStmt, loops: tuple[str, ...], nested: bool) -> None:
         self.typeof(s.lo)
         self.typeof(s.hi)
         # a header that is not entry-constant is allowed; it just gives the
@@ -467,61 +486,72 @@ class _MethodResolver:
         self.error("bad-lvalue", "cannot assign to this expression", e.pos)
 
     def typeof(self, e: Expr) -> TypeRef | None:
-        if isinstance(e, IntLit):
-            return TypeRef("int")
-        if isinstance(e, BoolLit):
-            return TypeRef("bool")
-        if isinstance(e, StrLit):
-            return TypeRef("string")
-        if isinstance(e, NullLit):
+        """The type of e, None when it has none (null) or is in error.  Each
+        node type has its reader in `_TYPES`; a reader calls those of the
+        parts directly, so that a nest costs one frame per level."""
+        return _TYPES[type(e)](self, e)
+
+    def type_var(self, e: VarRef) -> TypeRef | None:
+        t = self.vars.get(e.name)
+        if t is None:
+            self.error("unknown-name", f"unknown name {e.name}", e.pos)
+        return t
+
+    def type_this(self, e: ThisRef) -> TypeRef:
+        return TypeRef(self.cls.name)
+
+    def type_field(self, e: FieldRef) -> TypeRef | None:
+        base = e.base
+        bt = _TYPES[type(base)](self, base)
+        if bt is None:
             return None
-        if isinstance(e, VarRef):
-            t = self.vars.get(e.name)
-            if t is None:
-                self.error("unknown-name", f"unknown name {e.name}", e.pos)
-            return t
-        if isinstance(e, ThisRef):
-            return TypeRef(self.cls.name)
-        if isinstance(e, FieldRef):
-            bt = self.typeof(e.base)
-            if bt is None:
-                return None
-            if bt.is_array or bt.name not in self.top.classes:
-                self.error("unknown-field", f"{bt} has no field {e.field}", e.pos)
-                return None
-            fd = self.top.classes[bt.name].field_map().get(e.field)
-            if fd is None:
-                self.error("unknown-field", f"{bt.name} has no field {e.field}", e.pos)
-                return None
-            return fd.decl_type
-        if isinstance(e, LengthRef):
-            bt = self.typeof(e.base)
-            if bt is not None and not bt.is_array and bt.key() != "string":
-                self.error("not-an-array", ".length needs an array or string", e.pos)
-            return TypeRef("int")
-        if isinstance(e, IndexRef):
-            bt = self.typeof(e.base)
-            self.typeof(e.index)
-            if bt is None:
-                return None
-            if not bt.is_array:
-                self.error("not-an-array", f"cannot index {bt}", e.pos)
-                return None
-            return bt.element()
-        if isinstance(e, Unary):
-            self.typeof(e.operand)
-            return TypeRef("bool" if e.op == "!" else "int")
-        if isinstance(e, Binary):
-            self.typeof(e.left)
-            self.typeof(e.right)
-            return TypeRef("bool" if BINARY_PREC[e.op] <= BINARY_PREC["<"] else "int")
-        if isinstance(e, MaxExpr):
-            self.typeof(e.left)
-            self.typeof(e.right)
-            return TypeRef("int")
-        if isinstance(e, ParenExpr):
-            return self.typeof(e.inner)
-        return None
+        if bt.is_array or bt.name not in self.top.classes:
+            self.error("unknown-field", f"{bt} has no field {e.field}", e.pos)
+            return None
+        fd = self.top.fields[bt.name].get(e.field)
+        if fd is None:
+            self.error("unknown-field", f"{bt.name} has no field {e.field}", e.pos)
+            return None
+        return fd.decl_type
+
+    def type_length(self, e: LengthRef) -> TypeRef:
+        base = e.base
+        bt = _TYPES[type(base)](self, base)
+        if bt is not None and not bt.is_array and bt.key() != "string":
+            self.error("not-an-array", ".length needs an array or string", e.pos)
+        return T_INT
+
+    def type_index(self, e: IndexRef) -> TypeRef | None:
+        base, index = e.base, e.index
+        bt = _TYPES[type(base)](self, base)
+        _TYPES[type(index)](self, index)
+        if bt is None:
+            return None
+        if not bt.is_array:
+            self.error("not-an-array", f"cannot index {bt}", e.pos)
+            return None
+        return bt.element()
+
+    def type_unary(self, e: Unary) -> TypeRef:
+        operand = e.operand
+        _TYPES[type(operand)](self, operand)
+        return _T_BOOL if e.op == "!" else T_INT
+
+    def type_binary(self, e: Binary) -> TypeRef:
+        left, right = e.left, e.right
+        _TYPES[type(left)](self, left)
+        _TYPES[type(right)](self, right)
+        return _T_BOOL if BINARY_PREC[e.op] <= _RELATION_PREC else T_INT
+
+    def type_max(self, e: MaxExpr) -> TypeRef:
+        left, right = e.left, e.right
+        _TYPES[type(left)](self, left)
+        _TYPES[type(right)](self, right)
+        return T_INT
+
+    def type_paren(self, e: ParenExpr) -> TypeRef | None:
+        inner = e.inner
+        return _TYPES[type(inner)](self, inner)
 
     # -- control flow ----------------------------------------------------------
 
@@ -533,6 +563,38 @@ class _MethodResolver:
                 if self.always_returns(s.then_body) and self.always_returns(s.else_body):
                     return True
         return False
+
+
+# The reader of each statement type but `if`, and the type of each
+# expression type, as `_MethodResolver.resolve_stmt` and `typeof` read them.
+_STATEMENTS = {
+    LocalDecl: _MethodResolver.resolve_local,
+    Assign: _MethodResolver.resolve_assign,
+    AugAssign: _MethodResolver.resolve_assign,
+    NewStmt: _MethodResolver.resolve_new,
+    CallStmt: _MethodResolver.resolve_call,
+    ReturnStmt: _MethodResolver.resolve_return,
+    ForStmt: _MethodResolver.resolve_for,
+    EnsureStmt: _MethodResolver.resolve_ensure,
+    **dict.fromkeys(CONTRACT_STMTS, _MethodResolver.misplaced_clause),
+    **dict.fromkeys(ANNOTATION_STMTS, _MethodResolver.misplaced_annotation),
+    IterationSpaceStmt: _MethodResolver.misplaced_space,
+}
+_TYPES = {
+    IntLit: lambda r, e: T_INT,
+    BoolLit: lambda r, e: _T_BOOL,
+    StrLit: lambda r, e: _T_STRING,
+    NullLit: lambda r, e: None,
+    VarRef: _MethodResolver.type_var,
+    ThisRef: _MethodResolver.type_this,
+    FieldRef: _MethodResolver.type_field,
+    LengthRef: _MethodResolver.type_length,
+    IndexRef: _MethodResolver.type_index,
+    Unary: _MethodResolver.type_unary,
+    Binary: _MethodResolver.type_binary,
+    MaxExpr: _MethodResolver.type_max,
+    ParenExpr: _MethodResolver.type_paren,
+}
 
 
 def resolve(program: Program) -> list[Diagnostic]:

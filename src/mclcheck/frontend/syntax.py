@@ -608,6 +608,9 @@ def entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
     return names
 
 
+_ASSIGNING = {Assign, AugAssign, NewStmt, CallStmt}  # the statements with a target
+
+
 def unassigned_entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
     """The contract variables of a method of `cls` that its body may read
     as their entry values: all but those of an in-parameter that the body
@@ -615,12 +618,15 @@ def unassigned_entry_vars(method: MethodDecl, cls: ClassDecl) -> set[str]:
     argument, or as a loop variable.  An assigned field is not caught."""
     assigned: set[str] = set()
     for s in iter_stmts(method.body):
-        targets = [s.target] if isinstance(s, (Assign, AugAssign, NewStmt, CallStmt)) else []
-        if isinstance(s, CallStmt):
-            targets += [a.target for a in s.args if isinstance(a, OutArg)]
-        elif isinstance(s, ForStmt):
+        kind = type(s)
+        if kind is ForStmt:
             assigned.add(s.var)
-        assigned |= {t.name for t in targets if isinstance(t, VarRef)}
+        elif kind in _ASSIGNING:
+            if type(s.target) is VarRef:
+                assigned.add(s.target.name)
+            if kind is CallStmt:
+                assigned.update(a.target.name for a in s.args
+                                if type(a) is OutArg and type(a.target) is VarRef)
     return {v for v in entry_vars(method, cls) if v.partition(".")[0] not in assigned}
 
 
@@ -653,68 +659,78 @@ def _read_expr(e: Expr, admissible: set[str] | None,
     it: a part that holds one gives the tuple of its alternatives, empty
     when they cannot be read."""
     admits = (lambda name: True) if admissible is None else admissible.__contains__
+    return _read(e, admits, report, bound)
 
-    def fail(code: str, message: str, pos: Pos) -> None:
-        if report is not None:
-            report(code, message, pos)
-        return None
 
-    def read(e: Expr) -> Poly | tuple[Poly, ...] | None:
-        if isinstance(e, ParenExpr):
-            return read(e.inner)
-        if isinstance(e, IntLit):
-            return Poly.const(e.value)
-        if isinstance(e, VarRef):
-            if admits(e.name):
-                return Poly.var(e.name)
-            return fail("bad-contract-expr", f"may not mention {e.name}; only "
-                        "entry-constant integers are allowed", e.pos)
-        if isinstance(e, FieldRef) and isinstance(e.base, ThisRef):
-            name = f"this.{e.field}"
-            if admits(name):
-                return Poly.var(name)
-            return fail("bad-contract-expr", f"may not mention {name}", e.pos)
-        if isinstance(e, LengthRef):
-            name = None
-            if isinstance(e.base, VarRef):
-                name = f"{e.base.name}.length"
-            elif isinstance(e.base, FieldRef) and isinstance(e.base.base, ThisRef):
-                name = f"this.{e.base.field}.length"
-            if name is not None and admits(name):
-                return Poly.var(name)
-            return fail("bad-contract-expr", "may not take this length", e.pos)
-        if isinstance(e, MaxExpr) and bound:
-            a, b = _alts(read(e.left)), _alts(read(e.right))
-            return SymExpr.of(*a, *b).alts if a and b else ()
-        if isinstance(e, Unary) and e.op == "-":
-            p = read(e.operand)
-            if isinstance(p, tuple):
-                return fail("bad-contract-expr", "max may only be combined additively", e.pos)
-            return None if p is None else -p
-        if isinstance(e, Binary) and e.op in ("+", "-", "*", "/"):
-            a, b = read(e.left), read(e.right)
-            if isinstance(a, tuple) or isinstance(b, tuple):
-                if e.op == "-" and isinstance(b, tuple):
-                    return fail("bad-contract-expr", "max may not be subtracted", e.pos)
-                if e.op not in ("+", "-"):
-                    return fail("bad-contract-expr", "max may only be combined additively",
-                                e.pos)
-                sums = [p + q if e.op == "+" else p - q for p in _alts(a) for q in _alts(b)]
-                return SymExpr.of(*sums).alts if sums else ()  # none when a side is unread
-            if a is None or b is None:
-                return None
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if not b.is_const() or b.const_value() == 0:
-                return fail("bad-divisor", "may only divide by a nonzero constant", e.pos)
-            return a.scale(Fraction(1, b.const_value()))
-        return fail("bad-contract-expr", "must be a polynomial expression", e.pos)
+def _fail(report: Callable[[str, str, Pos], None] | None,
+          code: str, message: str, pos: Pos) -> None:
+    if report is not None:
+        report(code, message, pos)
+    return None
 
-    return read(e)
+
+def _read(e: Expr, admits: Callable[[str], bool],
+          report: Callable[[str, str, Pos], None] | None,
+          bound: bool) -> Poly | tuple[Poly, ...] | None:
+    """`_read_expr` once `admissible` is a test.  A module function, not a
+    closure that calls itself: such a closure is a reference cycle, which
+    would keep the tree that `report` reaches alive until the cycle
+    collector runs."""
+    if isinstance(e, ParenExpr):
+        return _read(e.inner, admits, report, bound)
+    if isinstance(e, IntLit):
+        return Poly.const(e.value)
+    if isinstance(e, VarRef):
+        if admits(e.name):
+            return Poly.var(e.name)
+        return _fail(report, "bad-contract-expr", f"may not mention {e.name}; only "
+                     "entry-constant integers are allowed", e.pos)
+    if isinstance(e, FieldRef) and isinstance(e.base, ThisRef):
+        name = f"this.{e.field}"
+        if admits(name):
+            return Poly.var(name)
+        return _fail(report, "bad-contract-expr", f"may not mention {name}", e.pos)
+    if isinstance(e, LengthRef):
+        name = None
+        if isinstance(e.base, VarRef):
+            name = f"{e.base.name}.length"
+        elif isinstance(e.base, FieldRef) and isinstance(e.base.base, ThisRef):
+            name = f"this.{e.base.field}.length"
+        if name is not None and admits(name):
+            return Poly.var(name)
+        return _fail(report, "bad-contract-expr", "may not take this length", e.pos)
+    if isinstance(e, MaxExpr) and bound:
+        a = _alts(_read(e.left, admits, report, bound))
+        b = _alts(_read(e.right, admits, report, bound))
+        return SymExpr.of(*a, *b).alts if a and b else ()
+    if isinstance(e, Unary) and e.op == "-":
+        p = _read(e.operand, admits, report, bound)
+        if isinstance(p, tuple):
+            return _fail(report, "bad-contract-expr", "max may only be combined additively",
+                         e.pos)
+        return None if p is None else -p
+    if isinstance(e, Binary) and e.op in ("+", "-", "*", "/"):
+        a, b = _read(e.left, admits, report, bound), _read(e.right, admits, report, bound)
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            if e.op == "-" and isinstance(b, tuple):
+                return _fail(report, "bad-contract-expr", "max may not be subtracted", e.pos)
+            if e.op not in ("+", "-"):
+                return _fail(report, "bad-contract-expr", "max may only be combined additively",
+                             e.pos)
+            sums = [p + q if e.op == "+" else p - q for p in _alts(a) for q in _alts(b)]
+            return SymExpr.of(*sums).alts if sums else ()  # none when a side is unread
+        if a is None or b is None:
+            return None
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if not b.is_const() or b.const_value() == 0:
+            return _fail(report, "bad-divisor", "may only divide by a nonzero constant", e.pos)
+        return a.scale(Fraction(1, b.const_value()))
+    return _fail(report, "bad-contract-expr", "must be a polynomial expression", e.pos)
 
 
 def var_expr(name: str) -> Expr:

@@ -327,6 +327,58 @@ class C {
     ]
 
 
+def _diagnostics(src):
+    with pytest.raises(ResolveFailure) as exc:
+        load(src, "t.mcl")
+    return [str(d) for d in exc.value.diagnostics]
+
+
+def test_duplicate_declarations_are_reported():
+    assert _diagnostics("class A { }\nclass A { }\n") == [
+        "t.mcl:2:1: error: duplicate-class: class A is declared twice"]
+    assert _diagnostics("class A {\n    int x;\n    A x;\n}\n") == [
+        "t.mcl:3:5: error: duplicate-field: field A.x is declared twice"]
+    assert _diagnostics("class P {\n    void g() { }\n    int g() { return 1; }\n}\n") == [
+        "t.mcl:3:5: error: duplicate-method: method P.g is declared twice"]
+    assert _diagnostics("class P {\n    P() { }\n    P() { }\n}\n") == [
+        "t.mcl:3:5: error: duplicate-method: method P.P is declared twice",
+        "t.mcl:1:1: error: duplicate-method: class P has more than one constructor"]
+
+
+def test_a_duplicate_method_resolves_to_its_first_declaration():
+    src = """class P {
+    void g(int n) { }
+    void g(int n, int m) { }
+    void f(int n) { this.g(n, n); }
+}
+"""
+    assert _diagnostics(src) == [
+        "t.mcl:3:5: error: duplicate-method: method P.g is declared twice",
+        "t.mcl:4:21: error: arity: P.f: P.g takes 1 argument(s), got 2"]
+
+
+def test_a_duplicate_field_resolves_to_its_last_declaration():
+    # `a.next` is the int: it may be read as one and passed for an int,
+    # and has no field of its own
+    src = """class A {
+    A next;
+    int next;
+}
+
+class P {
+    void take(int v) { }
+    void f(A a) {
+        int k = a.next;
+        this.take(a.next);
+        int j = a.next.next;
+    }
+}
+"""
+    assert _diagnostics(src) == [
+        "t.mcl:3:5: error: duplicate-field: field A.next is declared twice",
+        "t.mcl:11:24: error: unknown-field: P.f: int has no field next"]
+
+
 def test_out_param_never_assigned():
     src = """
     class P { P() { } }

@@ -11,7 +11,9 @@ frontend gave when the set was recorded:
   every resolver diagnostic, warnings included.
 
 The same file pins the token lists (or the lexer's diagnostic) of a few
-handwritten inputs at the edges of each token class.
+handwritten inputs at the edges of each token class.  Apart from the set,
+every token of each mutant that lexes, of a generated static-scale family
+and chain, and of a few line-end edge cases must sit at its own text.
 
 Regenerate the set only when a change to the frontend's output is
 deliberate:
@@ -22,9 +24,11 @@ deliberate:
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -81,8 +85,8 @@ def apply(text: str, edits: list) -> str:
 def _spans(text: str) -> list[tuple[int, int]]:
     """(start, end) character offsets of each token of `text`, eof excluded."""
     starts = [0]
-    for line in text.splitlines(keepends=True):
-        starts.append(starts[-1] + len(line))
+    for line in text.split("\n"):  # only \n ends a line, as in the lexer
+        starts.append(starts[-1] + len(line) + 1)
     spans = []
     for t in tokenize(text)[:-1]:
         start = starts[t.line - 1] + t.col - 1
@@ -113,9 +117,9 @@ def _mutate(rng: random.Random, text: str) -> list:
     stmts = []
     for i in range(1, len(toks)):
         j = i
-        while toks[i - 1] in (";", "{", "}") and toks[j] not in (";", "{", "}"):
+        while j < len(toks) and toks[i - 1] in (";", "{", "}") and toks[j] not in (";", "{", "}"):
             j += 1
-        if j > i and toks[j] == ";":
+        if i < j < len(toks) and toks[j] == ";":
             stmts.append((spans[i][0], spans[j][1]))
     kind = rng.choice(("insert", "delete", "delete", "splice", "splice", "splice"))
     i = rng.randrange(len(spans))
@@ -169,6 +173,79 @@ def test_mutated_corpus_parses_and_resolves_as_pinned(name):
 @pytest.mark.parametrize("text, expected", PINNED_SET["lexer"])
 def test_token_class_edges_lex_as_pinned(text, expected):
     assert lexed(text) == expected
+
+
+def test_the_recorder_mutates_a_text_whose_last_run_of_tokens_is_not_closed():
+    # the statement scan stops at the last token when no ; { } ends the run
+    assert len(_mutate(random.Random(0), "class P { int x; } x y")) == 3
+
+
+def test_the_recorder_finds_each_token_after_a_lone_carriage_return():
+    text = "a\rb\nc"
+    assert [text[a:b] for a, b in _spans(text)] == ["a", "b", "c"]
+
+
+_GAP = re.compile(r"(?:[ \t\r\n]|//[^\n]*)*")  # all that may stand between two tokens
+_QUOTED = re.compile(r'"(?:[^"\\\n]|\\[^\n])*"')
+
+
+def assert_tokens_in_place(text: str) -> None:
+    """Each token's (line, col) is where its own text starts, and only
+    blanks and comments stand between one token and the next; eof ends the
+    last line, or starts the comment that ends it."""
+    starts = [0]
+    for line in text.split("\n"):
+        starts.append(starts[-1] + len(line) + 1)
+    end = 0
+    for t in tokenize(text):
+        start = starts[t.line - 1] + t.col - 1
+        assert end <= start < starts[t.line], (t, text)
+        assert _GAP.fullmatch(text, end, start), (t, text[end:start])
+        if t.kind == "eof":
+            rest = text[start:]
+            assert t.line == len(starts) - 1, (t, text)
+            assert rest == "" or rest.startswith("//") and "\n" not in rest, (t, rest)
+            return
+        raw = _QUOTED.match(text, start).group() if t.kind == "string" else t.value
+        assert text.startswith(raw, start), (t, text[start:start + len(raw)])
+        if t.kind == "string":
+            assert tokenize(raw)[0].value == t.value
+        end = start + len(raw)
+    raise AssertionError("no eof token")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FILES))
+def test_every_token_of_a_mutated_corpus_program_sits_at_its_text(name):
+    source = (CORPUS / name).read_text()
+    for edits, _ in PINNED_FILES[name]["cases"]:
+        text = apply(source, edits)
+        try:
+            tokenize(text)
+        except ParseFailure:
+            continue  # a mutant that does not lex has no tokens to place
+        assert_tokens_in_place(text)
+
+
+def test_every_token_of_a_generated_family_and_chain_sits_at_its_text(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    workloads.build("static-scale", 101, ROOT, tmp_path)
+    for pattern in ("fam_*.mcl", "chain_*.mcl"):
+        assert_tokens_in_place(sorted(tmp_path.glob(pattern))[0].read_text())
+
+
+@pytest.mark.parametrize("text, eof", [
+    ("class P {\r\n    int x;\r\n}\r\n", (4, 1)),  # CRLF: the \r is a blank
+    ("a\rb", (1, 4)),  # a lone \r ends no line
+    ("a \t\nb  \t", (2, 5)),  # trailing blanks and tabs
+    ("a // end", (1, 3)),  # a comment at the end, with no newline
+    ("", (1, 1)),
+    ("a\n", (2, 1)),
+    ('x = "\\\\"\ny', (2, 2)),  # "\\" at the end of a line
+])
+def test_tokens_sit_at_their_text_at_line_ends(text, eof):
+    assert_tokens_in_place(text)
+    assert (tokenize(text)[-1].line, tokenize(text)[-1].col) == eof
 
 
 def test_every_corpus_program_is_pinned():
