@@ -156,11 +156,18 @@ def _level(depth: int):
     return encoder, inner, "\n" + "  " * depth
 
 
+class _JSONText(str):
+    """Text that is already JSON, written for the indent of the place it
+    fills in a document."""
+
+
 def _encode(value, depth: int) -> str:
     """`json.dumps(value, indent=2, sort_keys=True)` for a value at indent
-    `depth`, except that a non-str key raises TypeError.  A non-empty
-    container whose members are all scalars is one call of the C encoder;
-    Python recurses only through a container that holds another container."""
+    `depth`, except that a non-str key raises TypeError and a `_JSONText`
+    is written as it is.  A non-empty container whose members are all
+    scalars is one call of the C encoder; Python recurses only through a
+    container that holds another container or a `_JSONText`, which is how a
+    command splices in text it wrote itself (`run`'s trace)."""
     encoder, inner, outer = _level(depth)
     if isinstance(value, dict):
         if not value:
@@ -181,6 +188,8 @@ def _encode(value, depth: int) -> str:
         else:
             body = ("," + inner).join([_encode(member, depth + 1) for member in value])
         return f"[{inner}{body}{outer}]"
+    if type(value) is _JSONText:
+        return value
     return "".join(encoder(value, 0))
 
 
@@ -254,14 +263,38 @@ def _cmd_instrument(ns, out, err) -> None:
 # ------------------------------------------------------------ run
 
 
-def _event_json(ev) -> dict:
-    if ev[0] == "alloc":
-        _, oid, cls, weight, site, by = ev
-        return {"event": "alloc", "oid": oid, "class": cls,
-                "weight": weight, "site": site, "by": by}
-    if ev[0] == "reclaim":
-        return {"event": "reclaim", "oid": ev[1]}
-    return {"event": ev[0], "method": ev[1], "instance": ev[2]}
+# What `run` writes for each kind of trace event, read from the tuple the
+# interpreter appends: ("alloc", oid, class, weight, site, by),
+# ("reclaim", oid), and (kind, qname, instance) for "call" and "ret".  Per
+# kind: the event's JSON text and its human line.  The JSON text is what
+# `json.dumps(..., indent=2, sort_keys=True)` writes for a member of the
+# document's "trace" list, a sorted-key object at depth 2; `_trace_json`
+# joins the members into that list at depth 1, and `_encode` splices the
+# list into the document as it is.  Oids and weights are ints, written
+# through %d; every other field is a str, written through
+# encode_basestring_ascii.
+_q = encode_basestring_ascii
+_ALLOC = ('{\n      "by": %s,\n      "class": %s,\n      "event": "alloc",\n'
+          '      "oid": %d,\n      "site": %s,\n      "weight": %d\n    }')
+_CALL_OR_RET = '{\n      "event": "%s",\n      "instance": %s,\n      "method": %s\n    }'
+_EVENTS = {
+    "alloc": (lambda ev: _ALLOC % (_q(ev[5]), _q(ev[2]), ev[1], _q(ev[4]), ev[3]),
+              lambda ev: "alloc    oid=%d %s weight=%d at %s by %s\n" % ev[1:]),
+    "reclaim": (lambda ev: '{\n      "event": "reclaim",\n      "oid": %d\n    }' % ev[1],
+                lambda ev: "reclaim  oid=%d\n" % ev[1]),
+    "call": (lambda ev: _CALL_OR_RET % (ev[0], _q(ev[2]), _q(ev[1])),
+             lambda ev: "%-8s %s\n" % (ev[0], ev[2])),
+}
+_EVENTS["ret"] = _EVENTS["call"]
+
+
+def _trace_json(trace) -> _JSONText:
+    """`run`'s trace as JSON text at depth 1, the value of the document's
+    "trace" key."""
+    if not trace:
+        return _JSONText("[]")
+    members = ",\n    ".join([_EVENTS[ev[0]][0](ev) for ev in trace])
+    return _JSONText(f"[\n    {members}\n  ]")
 
 
 def _value_json(v):
@@ -283,7 +316,7 @@ def _cmd_run(ns, out, err) -> str:
             "entry": ns.entry,
             "gc": ns.gc,
             "returnValue": _value_json(result.return_value),
-            "trace": [_event_json(ev) for ev in result.trace],
+            "trace": _trace_json(result.trace),
             "observations": [o.to_json() for o in result.observations],
             "assertionFailures": [
                 {"method": f.method, "instance": f.instance, "cond": f.cond}
@@ -291,14 +324,7 @@ def _cmd_run(ns, out, err) -> str:
         }, out)
     else:
         for ev in result.trace:
-            if ev[0] == "alloc":
-                _, oid, cls, weight, site, by = ev
-                out.write(f"alloc    oid={oid} {cls} weight={weight}"
-                          f" at {site} by {by}\n")
-            elif ev[0] == "reclaim":
-                out.write(f"reclaim  oid={ev[1]}\n")
-            else:
-                out.write(f"{ev[0]:<8} {ev[2]}\n")
+            out.write(_EVENTS[ev[0]][1](ev))
         for o in result.observations:
             peaks = " ".join(f"{k}={v}" for k, v in sorted(o.peak.items()))
             out.write(f"measured {o.instance}: peak {peaks or '(nothing)'}\n")
@@ -307,7 +333,7 @@ def _cmd_run(ns, out, err) -> str:
                 out.write(f"         esc {tag}: {inner}\n")
         for f in result.assertion_failures:
             out.write(f"ENSURE FAILED {f.instance}: {f.cond}\n")
-        out.write(f"return value: {_value_json(result.return_value)!r}\n")
+        out.write(f"return value: {json.dumps(_value_json(result.return_value))}\n")
 
     return VerdictKind.VIOLATED if result.assertion_failures else VerdictKind.VERIFIED
 

@@ -53,6 +53,49 @@ def poly_of(env_free: dict[tuple[tuple[str, int], ...], int]) -> Poly:
     return Poly.from_dict({m: Fraction(c) for m, c in env_free.items()})
 
 
+# The oracle-deep benchmark's three entries: a list built in a loop, a
+# churn loop whose pairs die each iteration, and a list built by recursion.
+DEEP_SOURCE = """
+class Node {
+    Node next;
+    Node link;
+}
+
+class Deep {
+    Node chain(int n) {
+        requires(n >= 0);
+        Node head = null;
+        for (i = 1 .. n) {
+            Node cell = new Node();
+            cell.next = head;
+            head = cell;
+        }
+        return head;
+    }
+
+    void churn(int n) {
+        requires(n >= 1);
+        for (i = 1 .. n) {
+            Node a = new Node();
+            Node b = new Node();
+            a.next = b;
+        }
+    }
+
+    Node nest(int d) {
+        requires(d >= 0);
+        if (d > 0) {
+            Node head = new Node();
+            Node tail = nest(d - 1);
+            head.next = tail;
+            return head;
+        }
+        return null;
+    }
+}
+"""
+
+
 def relay_chain(k):
     """m(j) allocates a Box, calls m(j-1) and hangs the rest off a field
     that alternates between two, so the graphs hold several fields."""

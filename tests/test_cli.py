@@ -2,6 +2,7 @@
 the `python -m mclcheck` test start subprocesses, since a process fixes its
 hash seed at start-up."""
 
+import importlib.util
 import io
 import itertools
 import json
@@ -15,12 +16,12 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import relay_chain
+from helpers import DEEP_SOURCE, relay_chain
 from mclcheck import oracle
-from mclcheck.cli import _build_parser, _dump, main
+from mclcheck.cli import _build_parser, _dump, _trace_json, main
 from mclcheck.frontend import EnsureStmt, load, obligations
 from mclcheck.instrument import instrument
 from mclcheck.summary import check_program
@@ -268,6 +269,38 @@ def test_run_human_reports_measurements():
     assert lines[:2] == ["alloc    oid=1 string[] weight=3 at <harness> by <harness>@0",
                          "call     Family.CreateFamily@1"]
     assert {line.split()[0] for line in lines} == {"alloc", "call", "ret", "reclaim"}
+
+
+def test_run_human_prints_the_return_value_as_json(tmp_path):
+    path = tmp_path / "values.mcl"
+    path.write_text("""class T {
+}
+
+class P {
+    bool yes() {
+        return true;
+    }
+
+    string quoted() {
+        return "a\\"b\u00e9";
+    }
+
+    T make() {
+        T t = new T();
+        return t;
+    }
+
+    void none() {
+    }
+}
+""")
+    for entry, line in [("P.yes", "true"), ("P.quoted", '"a\\"b\\u00e9"'),
+                        ("P.make", '{"$ref": 1}'), ("P.none", "null")]:
+        code, out, _ = cli("run", str(path), "--entry", entry)
+        assert code == 0
+        assert out.splitlines()[-1] == f"return value: {line}"
+        as_json = json.loads(cli("run", str(path), "--entry", entry, "--format", "json")[1])
+        assert json.loads(line) == as_json["returnValue"]
 
 
 def test_run_json_trace_events():
@@ -1419,15 +1452,108 @@ def test_json_output_is_indented_sorted_json(path):
         assert out == _canonical(out), command
 
 
-@pytest.mark.parametrize("name, entry, args", [
-    ("listbuild", "Node.build", "[40]"),
-    ("family", "Person.Person", '["Ann", "Lee"]'),
-])
-def test_run_json_is_indented_sorted_json(name, entry, args):
-    code, out, _ = cli("run", corpus(name), "--entry", entry, "--args", args,
-                       "--format", "json")
-    assert code == 0
-    assert out == _canonical(out)
+def _event_dict(ev):
+    if ev[0] == "alloc":
+        _, oid, cls, weight, site, by = ev
+        return {"event": "alloc", "oid": oid, "class": cls,
+                "weight": weight, "site": site, "by": by}
+    if ev[0] == "reclaim":
+        return {"event": "reclaim", "oid": ev[1]}
+    return {"event": ev[0], "method": ev[1], "instance": ev[2]}
+
+
+def _run_document(result, entry, gc):
+    """`run --format json`'s document as a dict, the specification of its
+    bytes: `json.dumps(..., indent=2, sort_keys=True)` of it."""
+    value = result.return_value
+    return {
+        "entry": entry,
+        "gc": gc,
+        "returnValue": {"$ref": value.oid} if isinstance(value, oracle.Ref) else value,
+        "trace": [_event_dict(ev) for ev in result.trace],
+        "observations": [o.to_json() for o in result.observations],
+        "assertionFailures": [{"method": f.method, "instance": f.instance, "cond": f.cond}
+                              for f in result.assertion_failures],
+    }
+
+
+def _load_same_outputs():
+    path = CORPUS.parent / "tools" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sources beside the corpus, by name: the oracle-deep shapes, and arrays
+# of length zero allocated by the harness and by the method
+_RUN_SOURCES = {
+    "deep": DEEP_SOURCE,
+    "arrays": "class T {\n}\n\nclass P {\n    T[] f(int n, T[] given) {\n"
+              "        requires(n >= 0);\n        T[] a = new T[n];\n        return a;\n"
+              "    }\n}\n",
+}
+
+
+def _run_cases():
+    """(name, entry, args): every corpus method with its in-parameters bound
+    as `tools/same_outputs.py` binds them, the oracle-deep shapes at small
+    n, and the arrays source at lengths zero and two."""
+    run_args = _load_same_outputs()._run_args
+    cases = [("listbuild", "Node.build", "[40]"), ("family", "Person.Person", '["Ann", "Lee"]')]
+    for path in sorted(CORPUS.glob("*.mcl")):
+        cases += [(path.stem, m.qname, run_args(m)) for m in load(path.read_text()).methods()]
+    cases += [("deep", "Deep.chain", "[6]"), ("deep", "Deep.churn", "[4]"),
+              ("deep", "Deep.nest", "[5]"), ("arrays", "P.f", "[0, []]"),
+              ("arrays", "P.f", "[2, [null, null]]")]
+    return cases
+
+
+def _run_source(name, tmp_path):
+    if name not in _RUN_SOURCES:
+        return corpus(name)
+    path = tmp_path / f"{name}.mcl"
+    path.write_text(_RUN_SOURCES[name])
+    return str(path)
+
+
+@pytest.mark.parametrize("name, entry, args", _run_cases())
+def test_run_json_is_indented_sorted_json(name, entry, args, tmp_path):
+    path = _run_source(name, tmp_path)
+    for gc in ("ideal", "method-exit"):
+        code, out, err = cli("run", path, "--entry", entry, "--args", args,
+                             "--format", "json", "--gc", gc)
+        try:
+            result = oracle.run(load(pathlib.Path(path).read_text(), path), entry,
+                                json.loads(args), gc=gc)
+        except oracle.OracleError as exc:  # a method that reads `this`, say
+            assert (code, out) == (1, ""), gc
+            assert err == f"runtime error: {type(exc).__name__}: {exc}\n"
+            continue
+        expected = json.dumps(_run_document(result, entry, gc), indent=2, sort_keys=True)
+        assert code == (1 if result.assertion_failures else 0), gc
+        assert out == expected + "\n", gc
+
+
+def test_the_run_json_cases_cover_every_event_shape(tmp_path):
+    seen = set()
+    for name, entry, args in _run_cases():
+        path = _run_source(name, tmp_path)
+        try:
+            result = oracle.run(load(pathlib.Path(path).read_text(), path), entry,
+                                json.loads(args))
+        except oracle.OracleError:
+            continue
+        for ev in result.trace:
+            seen.add(ev[0])
+            if ev[0] == "alloc" and ev[2].endswith("[]"):
+                seen.add("empty array" if ev[3] == 0 else "array")
+            if ev[0] == "alloc" and ev[5] == "<harness>@0":
+                seen.add("by the harness")
+        if isinstance(result.return_value, oracle.Ref):
+            seen.add("$ref")
+    assert seen == {"alloc", "reclaim", "call", "ret", "array", "empty array",
+                    "by the harness", "$ref"}
 
 
 # strings that need escaping, or that look like the JSON around them
@@ -1474,6 +1600,24 @@ def test_dump_rejects_an_unencodable_value_as_json_dumps_does(value):
         json.dumps(value, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         _dumped(value)
+
+
+# oids and weights reach thousands of digits once `cli.main` lifts the
+# interpreter's limit on converting ints to text
+_BIG = st.integers(0, 2 ** 64) | st.integers(0, 10 ** 5000 - 1)
+_EVENTS = (st.tuples(st.just("alloc"), _BIG, _STRINGS, _BIG, _STRINGS, _STRINGS)
+           | st.tuples(st.just("reclaim"), _BIG)
+           | st.tuples(st.sampled_from(["call", "ret"]), _STRINGS, _STRINGS))
+
+
+# the fixture only lifts the int-string limit, so one run serves every example
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_EVENTS, max_size=6))
+@example([])
+def test_the_trace_writer_writes_what_json_dumps_writes(unlimited_digits, trace):
+    expected = json.dumps({"trace": [_event_dict(ev) for ev in trace]}, indent=2, sort_keys=True)
+    assert _dumped({"trace": _trace_json(trace)}) == expected + "\n"
 
 
 _NON_STR_KEYS = st.integers() | st.none() | st.booleans() | st.floats() | st.tuples(st.integers())

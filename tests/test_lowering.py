@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import DEEP_SOURCE
 from mclcheck import oracle
 from mclcheck.frontend import load, obligations
 from mclcheck.instrument import instrument
@@ -62,46 +63,7 @@ CORPUS_STEPS = {
     "zigzag": {"Link.zag": 22, "Link.zig": 22},
 }
 
-# The oracle-deep benchmark's three entries.
-DEEP = load("""
-class Node {
-    Node next;
-    Node link;
-}
-
-class Deep {
-    Node chain(int n) {
-        requires(n >= 0);
-        Node head = null;
-        for (i = 1 .. n) {
-            Node cell = new Node();
-            cell.next = head;
-            head = cell;
-        }
-        return head;
-    }
-
-    void churn(int n) {
-        requires(n >= 1);
-        for (i = 1 .. n) {
-            Node a = new Node();
-            Node b = new Node();
-            a.next = b;
-        }
-    }
-
-    Node nest(int d) {
-        requires(d >= 0);
-        if (d > 0) {
-            Node head = new Node();
-            Node tail = nest(d - 1);
-            head.next = tail;
-            return head;
-        }
-        return null;
-    }
-}
-""", "deep.mcl")
+DEEP = load(DEEP_SOURCE, "deep.mcl")
 
 
 def corner_runs():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 
+from mclcheck.cli import _EVENTS
 from mclcheck.frontend.syntax import SHAPES
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -208,6 +209,27 @@ def test_json_is_indented_only_by_the_cli_encoder():
                     and any(k.arg == "indent" for k in node.keywords)):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, f"indented JSON encoded outside cli._dump: {', '.join(found)}"
+
+
+def test_run_writes_every_trace_event_kind_the_interpreter_appends():
+    # cli._EVENTS writes each kind of event from the interpreter's tuple;
+    # a kind it does not name would fail at its first `run`, or be written
+    # in another kind's shape if it were folded into one
+    path = SRC / "mclcheck" / "oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+    kinds = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "trace"):
+            event = node.args[0]
+            assert isinstance(event, ast.Tuple) and isinstance(event.elts[0], ast.Constant), \
+                f"oracle.py:{node.lineno}: a trace event whose kind is not a literal"
+            kinds.add(event.elts[0].value)
+    assert kinds >= {"call", "ret"}  # the scan still finds the appends
+    assert {kind for kind, (as_json, as_line) in _EVENTS.items()
+            if callable(as_json) and callable(as_line)} == kinds
 
 
 def test_a_contract_expression_has_one_reader():

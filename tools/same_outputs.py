@@ -15,11 +15,12 @@ the two imports never mix, and each runs the same command lines through
   in both modes, human and JSON; `check --format json` in both modes on
   the instrumented copy; `validate --format json` under both `--gc` modes,
   at the default grid and at `--grid 3`, on the source and on the copy;
-  human `validate`; `ptg` as JSON and as DOT; and `run --format json`
-  under both `--gc` modes on each method, its in-parameters bound as ints
-  at 3, bools true, strings "x", arrays of 3 nulls and objects null, so
-  that the peaks and escapes of runs that violate nothing are compared
-  too (a method that reads `this` gives a runtime-error line);
+  human `validate`; `ptg` as JSON and as DOT; and `run`, as JSON and as
+  human lines, under both `--gc` modes on each method, its in-parameters
+  bound as ints at 3, bools true, strings "x", arrays of 3 nulls and
+  objects null, so that the peaks, escapes and traces of runs that violate
+  nothing are compared too (a method that reads `this` gives a
+  runtime-error line);
 - every command on inputs that end a run early, written under the
   temporary directory: a file that is not UTF-8, a 400-deep `if` nest, an
   array longer than the step budget, a null field store, an index past
@@ -102,8 +103,9 @@ def _corpus_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
         lines.append((["ptg", src, "--dot", str(dots)], dots))
         for method in load(path.read_text(), src).methods():
             for gc in ("ideal", "method-exit"):
-                lines.append((["run", src, "--entry", method.qname, "--args",
-                               _run_args(method), "--format", "json", "--gc", gc], None))
+                run = ["run", src, "--entry", method.qname, "--args", _run_args(method)]
+                lines.append(([*run, "--format", "json", "--gc", gc], None))
+                lines.append(([*run, "--gc", gc], None))
     return lines
 
 
