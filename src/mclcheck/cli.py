@@ -92,7 +92,8 @@ def _build_parser() -> _Parser:
     common(g)
 
     v = sub.add_parser("validate", help="sweep argument grids under the oracle", description=(
-        "Checks each method against its obligations, where an absent clause is zero. "
+        "Checks each method against its obligations, where an absent clause is zero "
+        "unless an object clause covers its tag. "
         "Reports each violated clause once, with its least witness: of the activations "
         "that exceed it, the one whose entry values, read in sorted variable order, are "
         "lexicographically least (the first in the sweep on a tie), with its run's trace. "

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
@@ -391,6 +391,11 @@ class Clause:
             return f"memreq<{self.key}>"
         return f"esc<{self.key}>({self.tag.source_str()})"
 
+    @property
+    def whole(self) -> bool:
+        """An explicit object clause: it covers its tag, read collapsed."""
+        return self.declared and self.key == OBJECT_KEY
+
 
 class MethodContract:
     """Resolved contract clauses of one method."""
@@ -420,25 +425,14 @@ class MethodContract:
         return [Clause(tag, OBJECT_KEY, explicit[tag] if tag in explicit else sym_sum(es))
                 for tag, es in summed.items()]
 
-    def keys(self) -> list[str]:
-        """The class keys the clauses name, in declaration order."""
-        return list(dict.fromkeys(c.key for c in self.clauses(False)))
-
-    def views(self, collapse: bool | None) -> list[tuple[bool, set[str] | None]]:
-        """The key space a method with this contract is charged in: views
-        that each collapse a charge onto the object or not, and keep the
-        keys in their set, all when None.  A bool is `check`'s mode; None
-        is the copy's and the oracle's: the object and each class named
-        when the clauses name the object, each class on its own otherwise."""
-        if collapse is None and OBJECT_KEY in self.keys():
-            return [(True, None), (False, set(self.keys()) - {OBJECT_KEY})]
-        return [(bool(collapse), None)]
-
-
-def counted(views: list[tuple[bool, set[str] | None]], keys: list[str]) -> list[str]:
-    """The keys a charge to these classes counts under in `views`, once each."""
-    return list(dict.fromkeys(OBJECT_KEY if collapsed else k for k in keys
-                              for collapsed, keep in views if keep is None or k in keep))
+    def bounds_for(self, collapse: bool, keys: Iterable[str]) -> list[Clause]:
+        """What a caller that counts `keys` reads: `clauses(collapse)`, then,
+        per class, each object clause's bound at each of `keys` its tag
+        leaves absent, as no class counts more than every class together."""
+        out = self.clauses(collapse)
+        named = {(c.tag, c.key) for c in out}
+        return out + [Clause(c.tag, key, c.bound) for c in out if c.whole and not collapse
+                      for key in dict.fromkeys(keys) if (c.tag, key) not in named]
 
 
 @dataclass
@@ -543,36 +537,30 @@ def callee_of(stmt: Stmt) -> MethodDecl | None:
     return stmt.callee if isinstance(stmt, (CallStmt, NewStmt)) else None
 
 
-def obligations(method: MethodDecl, collapse: bool | None = None) -> list[Clause]:
+def obligations(method: MethodDecl, collapse: bool = False) -> list[Clause]:
     """What a method claims: its declared clauses (`MethodContract.clauses`),
     then a zero bound, not declared, for each (tag, key) its body charges
     that none declares, memreqs by key before escapes by tag: an absent
-    clause declares zero.  When None collapses onto the object too, the
-    declared clauses are followed by the collapsed ones that no explicit
-    object clause gives, so that every mode reads one object view per tag.
-    The charges are read from the statements in the key space of
-    `MethodContract.views`: each `new` and its `dest_esc`, each callee's
-    clause keys, and each `add_esc` pull of a tag they escape under."""
-    contract = method.contract
-    declared = contract.clauses(bool(collapse))
-    views = contract.views(collapse)
-    if collapse is None and OBJECT_KEY in contract.keys():
-        named = {(c.tag, c.key) for c in declared}
-        declared += [c for c in contract.clauses(True) if (c.tag, c.key) not in named]
+    clause declares zero, except a class's under a tag (memreq, or an `esc`
+    tag) that an object clause covers (`Clause.whole`).  The charges are
+    read from the statements, onto the object when `collapse` and per class
+    otherwise: each `new` and its `dest_esc`, each callee's clause keys,
+    and each `add_esc` pull of a tag they escape under."""
+    declared = method.contract.clauses(collapse)
     charged: set[tuple[Tag | None, str]] = set()
     for s in iter_stmts(method.body):
         if isinstance(s, NewStmt):
-            for key in counted(views, [s.class_ref.key()]):
-                charged |= {(None, key), (s.dest_esc, key)}
+            key = OBJECT_KEY if collapse else s.class_ref.key()
+            charged |= {(None, key), (s.dest_esc, key)}
         callee = callee_of(s)
-        for collapsed, keep in views if callee is not None else ():
-            for c in callee.contract.clauses(collapsed):
-                if keep is None or c.key in keep:
-                    charged.add((None, c.key))
-                    charged.update((dst, c.key) for dst, src in s.add_esc if src == c.tag)
+        for c in callee.contract.clauses(collapse) if callee is not None else ():
+            charged.add((None, c.key))
+            charged.update((dst, c.key) for dst, src in s.add_esc if src == c.tag)
     charged -= {(c.tag, c.key) for c in declared}
+    covered = {c.tag for c in declared if c.whole}
     return declared + [Clause(tag, key, SYM_ZERO, False) for tag, key in
-                       sorted(charged, key=lambda k: (k[0] is not None, str(k[0]), k[1]))]
+                       sorted(charged, key=lambda k: (k[0] is not None, str(k[0]), k[1]))
+                       if tag not in covered]
 
 
 # --- contract variables -------------------------------------------------------

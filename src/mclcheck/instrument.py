@@ -19,12 +19,11 @@ or `if` that charges them, so both arms of an `if` share them as they
 share a scope in the summary.  Each loop body has maxCall/sumCall pairs
 of its own, declared before the loop and flushed into the requirement
 counter right after it (and before any return that leaves the loop).
-Classes are counted in the key space of `MethodContract.views`: a method
-whose own contract uses the object pseudo-class collapses every callee
-contribution onto it, and keeps beside it the counters of the classes
-its other clauses name.  A clause that reads a parameter the body
-assigns is ensured over a snapshot of its entry value, declared beside
-the counters.
+A method counts exactly the (tag, key) pairs of its obligations, each
+read collapsed onto the object pseudo-class when it is an object clause
+that covers its tag (`Clause.whole`) and per class otherwise.  A clause
+that reads a parameter the body assigns is ensured over a snapshot of
+its entry value, declared beside the counters.
 
 What a call site charges is not restated here: `summary.call_entries` is
 the one statement of the call-composition rule, shared with the static
@@ -62,6 +61,7 @@ from .frontend.syntax import (
     MaxExpr,
     MethodDecl,
     NewStmt,
+    OBJECT_KEY,
     ParenExpr,
     Program,
     ReturnStmt,
@@ -71,7 +71,6 @@ from .frontend.syntax import (
     Unary,
     VarRef,
     callee_of,
-    counted,
     expr_poly,
     iter_stmts,
     obligations,
@@ -171,7 +170,10 @@ class _Instrumenter:
         self.index = index
         self.prefix = method.name
         self.reads = unassigned_entry_vars(method, cls)
-        self.views = method.contract.views(None)
+        self.clauses = obligations(method)
+        self.counted = {(c.tag, c.key): c.whole for c in self.clauses}  # read collapsed?
+        self.keys = [c.key for c in self.clauses]
+        self.spaces = [b for b in (True, False) if b in self.counted.values()]
         self.inits: dict[str, CounterInfo] = {}
         self.diff_total: dict[str, int] = {}
         self.diff_seen: dict[str, int] = {}
@@ -202,9 +204,12 @@ class _Instrumenter:
     # -- callee contract shaping --------------------------------------------
 
     def _charged(self, s: Stmt) -> list[str]:
-        """Classes the call (or constructor) at `s` charges, in entry order."""
+        """Keys the call (or constructor) at `s` charges, in entry order."""
         callee = callee_of(s)
-        return [] if callee is None else counted(self.views, callee.contract.keys())
+        return [] if callee is None else list(dict.fromkeys(
+            c.key for collapsed in self.spaces
+            for c in callee.contract.bounds_for(collapsed, self.keys)
+            if self.counted.get((None, c.key)) == collapsed))
 
     def _contributing(self, stmts: list[Stmt]) -> list[str]:
         """Classes charged by calls at this nesting level, loops excluded."""
@@ -241,27 +246,27 @@ class _Instrumenter:
 
     def _call_counters(self, stmt: NewStmt | CallStmt, pairs: _Pairs) -> list[Stmt]:
         out, stmt = self._snapshot_args(stmt)
-        entries = [e for collapsed, keep in self.views for e in call_entries(stmt, None, collapsed)
-                   if keep is None or e[0] in keep]
-        for key, mr, escaped, pulls in entries:
-            max_name, sum_name = pairs[key]
-            diff = self._diff(key, stmt.site)
-            out.append(LocalDecl(T_INT, diff, Binary(
-                "-", _operand(sym_expr_node(mr)), _operand(sym_expr_node(escaped)))))
-            out.append(Assign(VarRef(max_name),
-                              MaxExpr(VarRef(max_name), VarRef(diff))))
-            out.append(AugAssign(VarRef(sum_name), sym_expr_node(escaped)))
-            for dst, pulled in pulls:
-                out.append(AugAssign(VarRef(self._esc(dst, key)),
-                                     sym_expr_node(pulled)))
+        for collapsed in self.spaces:
+            for key, mr, escaped, pulls in call_entries(stmt, None, collapsed, self.keys):
+                if self.counted.get((None, key)) == collapsed:
+                    max_name, sum_name = pairs[key]
+                    diff = self._diff(key, stmt.site)
+                    out.append(LocalDecl(T_INT, diff, Binary(
+                        "-", _operand(sym_expr_node(mr)), _operand(sym_expr_node(escaped)))))
+                    out.append(Assign(VarRef(max_name),
+                                      MaxExpr(VarRef(max_name), VarRef(diff))))
+                    out.append(AugAssign(VarRef(sum_name), sym_expr_node(escaped)))
+                out.extend(AugAssign(VarRef(self._esc(dst, key)), sym_expr_node(pulled))
+                           for dst, pulled in pulls if self.counted.get((dst, key)) == collapsed)
         return out
 
     def _new_counters(self, s: NewStmt) -> list[Stmt]:
         amount: Expr = s.length if s.class_ref.is_array else IntLit(1)
         out: list[Stmt] = []
-        for key in counted(self.views, [s.class_ref.key()]):
-            out.append(AugAssign(VarRef(self._memreq(key)), copy.deepcopy(amount)))
-            if s.dest_esc is not None:
+        for key, collapsed in ((OBJECT_KEY, True), (s.class_ref.key(), False)):
+            if self.counted.get((None, key)) == collapsed:
+                out.append(AugAssign(VarRef(self._memreq(key)), copy.deepcopy(amount)))
+            if s.dest_esc is not None and self.counted.get((s.dest_esc, key)) == collapsed:
                 out.append(AugAssign(VarRef(self._esc(s.dest_esc, key)),
                                      copy.deepcopy(amount)))
         return out
@@ -328,12 +333,11 @@ class _Instrumenter:
 
         # build ensures first so contract counters lead the init order; a
         # parameter the body assigns is read from its entry snapshot
-        clauses = obligations(self.m)
-        assigned = sorted({v for c in clauses for v in c.bound.variables()} - self.reads)
+        assigned = sorted({v for c in self.clauses for v in c.bound.variables()} - self.reads)
         snapshots = {v: f"{self.prefix}_Entry_{v.replace('.', '_')}" for v in assigned}
         at_entry = {v: Poly.var(name) for v, name in snapshots.items()}
         ensures: list[Stmt] = []
-        for c in clauses:
+        for c in self.clauses:
             counter = self._memreq(c.key) if c.tag is None else self._esc(c.tag, c.key)
             ensures.append(EnsureStmt(Binary("<=", VarRef(counter),
                                              sym_expr_node(substitute(c.bound, at_entry)))))

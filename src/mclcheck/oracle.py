@@ -15,13 +15,14 @@ names are described in `frontend.syntax`), evaluated through
 `frontend.var_expr`.  `run` and the grid harness bind entry arguments
 through one binder, by in-parameter name.  `validate` runs each method with
 an obligation (`frontend.obligations`: a declared clause, or a class or
-escape it charges but does not declare, whose absent clause is zero)
-over the grid 0..hi of the integer and array-length parameters of
-the method and of its receiver's constructor, at most `MAX_POINTS` points
-in all.  It reports each violated `(method, clause)` once, at its least
-witness: of the activations that exceed the bound, the one whose entry env,
-as sorted (name, value) pairs, is lexicographically least, the first in the
-sweep on a tie, with the trace of its run; no other trace is kept.  Each
+escape it charges but does not declare under a tag that no object clause
+covers, whose absent clause is zero) over the grid 0..hi of the integer
+and array-length parameters of the method and of its receiver's
+constructor, at most `MAX_POINTS` points in all.  It reports each
+violated `(method, clause)` once, at its least witness: of the
+activations that exceed the bound, the one whose entry env, as sorted
+(name, value) pairs, is lexicographically least, the first in the sweep
+on a tie, with the trace of its run; no other trace is kept.  Each
 failed `(method, cond)` of an `ensure` is reported once, at its first
 failure.  A record counts its activations (how many failed) and its runs
 (how many harness runs, an entry method at one grid point, had at least

@@ -18,13 +18,13 @@ declared bounds are then discharged with entails_leq, whose Verified
 holds for every nonnegative integer input that satisfies requires.  A
 method is checked against its obligations (`frontend.obligations`), as
 the instrumenter and the oracle check it: an absent clause declares
-zero, so a method without clauses is held to zero, recursion included,
-and is a row where the summary charges it.  A loop's range is its
-header, always: an `iteration_space` annotation is a claim about that
-header, decided exactly at the header's two ends with constraint_verdict
-and reported as a row of its own when it does not hold, never a second
-range to sum over.  Nothing here enumerates a grid.  Lifetime findings from the heap
-analysis are folded into the same report.
+zero unless an object clause covers its tag, so a method without clauses
+is held to zero, recursion included, and is a row where the summary
+charges it.  A loop's range is its header, always: an `iteration_space`
+annotation is a claim about that header, decided exactly at the header's
+two ends with constraint_verdict and reported as a row of its own when it
+does not hold, never a second range to sum over.  Nothing here enumerates
+a grid.  Lifetime findings of the heap analysis join the same report.
 
 A call's whole charge (requirement, summed escapes, `add_esc` pulls) is
 stated once, in `call_entries`, which the instrumenter reads too; which
@@ -35,16 +35,16 @@ reading of an expression as a polynomial over them are defined once, in
 `frontend.syntax` (`entry_vars`, `expr_poly`, `var_expr`); a call binds
 its callee's variables by reading their caller-side expressions.  So are
 a contract's clauses (`MethodContract.clauses`), in declaration order,
-with their labels and their collapse onto the object pseudo-class, and
-the key space a method is charged in (`MethodContract.views`).
+with their labels and their collapse onto the object pseudo-class.
 Object mode charges every class to `object`; type mode charges each class
-to itself, and checks a contract's own `object` clauses, which bound every
-class together, against the method's object-mode summary.
+to itself, and checks an `object` clause, which bounds every class of its
+tag together, against the method's object-mode summary of that tag, and
+charges a class a callee's object clause hides at that clause's bound.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -52,6 +52,7 @@ from . import escape
 from .frontend.printer import expr_to_str, space_label
 from .frontend.syntax import (
     CallStmt,
+    Clause,
     ClassDecl,
     ForStmt,
     IfStmt,
@@ -143,6 +144,7 @@ class ConsumptionSummary:
     esc: dict[tuple[Tag, str], SymExpr]
     call_part: dict[str, SymExpr]  # method-level max-headroom + escapes
     space_rows: list[ClauseRow]  # each iteration_space that does not hold
+    claims: list[Clause]  # the method's obligations in this mode
 
 
 _Over = Callable[[SymExpr], SymExpr]  # a value as is, or over a loop's range
@@ -183,14 +185,16 @@ class _Acc:
         return mem, calls, {k: summed(e) for k, e in self.esc_tags.items()}
 
 
-def call_entries(stmt: NewStmt | CallStmt, admissible: set[str] | None, object_mode: bool
-                 ) -> list[tuple[str, SymExpr, SymExpr, list[tuple[Tag, SymExpr]]]]:
+def call_entries(stmt: NewStmt | CallStmt, admissible: set[str] | None, object_mode: bool,
+                 keys: Iterable[str]) -> list[tuple[str, SymExpr, SymExpr,
+                                                    list[tuple[Tag, SymExpr]]]]:
     """The call-composition rule: what one call, or the constructor a `new`
     runs, charges its caller.
 
     One (class key, MR, escaped, pulls) entry per class the callee's
-    contract names, in declaration order; object mode collapses them into
-    one object entry.  With the contract variables bound to the caller's
+    contract names, in declaration order, then per class of the caller's
+    `keys` it hides (`MethodContract.bounds_for`); object mode collapses
+    them into one object entry.  With the contract variables bound to the caller's
     values, MR is the requirement, escaped the sum of the escapes under
     every tag, and pulls the (destination tag, bound) of each `add_esc`
     pair at the call whose source tag the contract declares.  Each part
@@ -201,7 +205,7 @@ def call_entries(stmt: NewStmt | CallStmt, admissible: set[str] | None, object_m
         return []
     binding, flags = contract_binding(stmt, callee, admissible)
     entries: dict[str, tuple[SymExpr, dict[Tag, SymExpr]]] = {}
-    for c in callee.contract.clauses(object_mode):
+    for c in callee.contract.bounds_for(object_mode, keys):
         mr, esc_by_tag = entries.setdefault(c.key, (SYM_ZERO, {}))
         bound = substitute(c.bound, binding).with_flags(*flags)
         if c.tag is None:
@@ -220,6 +224,8 @@ class _Summarizer:
         cls = class_map[method.cls]
         self.entry = entry_vars(method, cls)  # what a witness names
         self.reads = unassigned_entry_vars(method, cls)  # what the body reads
+        self.claims = obligations(method, mode == MODE_OBJECT)
+        self.keys = [c.key for c in self.claims]  # what a call's hidden classes charge
         self.space_rows: list[ClauseRow] = []
         self.guards = 0  # the `if` arms around the statement being summarized
 
@@ -228,7 +234,7 @@ class _Summarizer:
     def _call(self, acc: _Acc, s: NewStmt | CallStmt,
               loop_vars: tuple[str, ...]) -> None:
         for key, mr, escaped, pulls in call_entries(
-                s, self.reads | set(loop_vars), self.mode == MODE_OBJECT):
+                s, self.reads | set(loop_vars), self.mode == MODE_OBJECT, self.keys):
             # mr - escaped: subtract one certified lower alternative of the escape
             low = min(escaped.alts, key=lambda p: sorted(p.terms))
             acc.diffs.setdefault(key, []).append(
@@ -327,7 +333,7 @@ class _Summarizer:
         return ConsumptionSummary(
             self.m.qname, {k: e for k, e in mem.items() if not e.is_zero() or e.flags},
             {k: e for k, e in esc.items() if not e.is_zero() or e.flags},
-            calls, self.space_rows)
+            calls, self.space_rows, self.claims)
 
 
 def summarize(method: MethodDecl, mode: str,
@@ -366,11 +372,10 @@ class Report:
 
 
 def check_method(method: MethodDecl, summary: ConsumptionSummary,
-                 mode: str = MODE_TYPE,
                  assume_guarantee: bool = False) -> list[ClauseRow]:
     pre = method.contract.requires
     rows = []
-    for c in obligations(method, mode == MODE_OBJECT):
+    for c in summary.claims:
         charged, k = (summary.mem_req, c.key) if c.tag is None else (summary.esc, (c.tag, c.key))
         if not c.declared and k not in charged:
             continue  # an absent clause is a row only where the summary charges it
@@ -427,15 +432,14 @@ def check_program(program: Program, mode: str = MODE_TYPE) -> Report:
     for qname in sorted(methods):
         m = methods[qname]
         s = summarize(m, mode, class_map)
-        if mode == MODE_TYPE and OBJECT_KEY in m.contract.keys():
-            # its object clauses bound every class together, so they are
-            # checked against the method's object-mode summary
-            whole = summarize(m, MODE_OBJECT, class_map)
-            s.mem_req.update((k, e) for k, e in whole.mem_req.items()
-                             if k in m.contract.mem_req)
-            s.esc.update((k, e) for k, e in whole.esc.items() if k in m.contract.esc)
-        rows.extend(check_method(m, s, mode,
-                                 assume_guarantee=qname in recursive))
+        whole = {(c.tag, c.key) for c in s.claims if c.whole} if mode == MODE_TYPE else set()
+        if whole:
+            # an object clause bounds every class of its tag together, so
+            # it is checked against the method's object-mode summary
+            o = summarize(m, MODE_OBJECT, class_map)
+            s.mem_req.update((k, e) for k, e in o.mem_req.items() if (None, k) in whole)
+            s.esc.update((k, e) for k, e in o.esc.items() if k in whole)
+        rows.extend(check_method(m, s, assume_guarantee=qname in recursive))
         rows.extend(lifetime_rows(analysis.lifetimes[qname]))
 
     return Report(rows, VerdictKind.worst(r.verdict.kind for r in rows))

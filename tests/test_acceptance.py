@@ -1,4 +1,5 @@
-"""Acceptance gate: eight end-to-end criteria, one verdict line each.
+"""Acceptance gate: eight end-to-end criteria, one verdict line each, and
+the corpus's verdicts in the default mode.
 
 Every criterion prints `ACCEPTANCE <n> PASS|FAIL: <summary>` straight to the
 terminal (bypassing capture) and then asserts, so a plain `pytest -v` run
@@ -288,6 +289,18 @@ def test_criterion_5_soundness_sweep(verdict):
             f"{len(POSITIVE) + len(FAULTY)} programs swept on 0..8:"
             f" no verified method violated, all {len(FAULTY)} faulty"
             f" programs caught")
+
+
+def test_the_default_mode_verifies_every_positive_file():
+    # an object clause covers every class of its tag in the default mode
+    # too, so a type-hiding contract needs no `--mode object`, and the one
+    # that undercounts is caught on its object clause alone
+    for name in POSITIVE:
+        assert check_program(load_corpus(name)).overall == "Verified", name
+    low = check_program(load_corpus("faulty_object_low"))
+    assert [(r.method, r.clause, r.verdict.witness) for r in low.rows
+            if r.verdict.kind == "Violated"] == [
+        ("Family.CreateFamily", "memreq<object>", {"firstNames.length": 1})]
 
 
 # ---------------------------------------------------------------- 6

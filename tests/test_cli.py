@@ -23,7 +23,7 @@ from helpers import DEEP_SOURCE, relay_chain
 from mclcheck import oracle
 from mclcheck.cli import _build_parser, _dump, _trace_json, main
 from mclcheck.frontend import EnsureStmt, load, obligations
-from mclcheck.instrument import instrument
+from mclcheck.instrument import KIND_ESC, KIND_MEMREQ, instrument
 from mclcheck.summary import check_program
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -756,14 +756,16 @@ _bounds = (st.none()
 
 
 # a nest of one to six loops, degree-cap included, and self or mutual
-# recursion, in methods with and without clauses
+# recursion, in methods with and without clauses, on the class or on the
+# object
+_keys = st.sampled_from(["A", "object"])
 VERDICT_FILES = dict(
     headers=st.lists(st.sampled_from(["n", "m", "2", "n + 1", "outer"]), min_size=1, max_size=6),
     calls=st.sampled_from(["none", "self", "mutual"]),
-    f_bound=_bounds, g_bound=_bounds, g_allocates=st.booleans())
+    f_bound=_bounds, g_bound=_bounds, g_allocates=st.booleans(), f_key=_keys, g_key=_keys)
 
 
-def _verdict_file(headers, calls, f_bound, g_bound, g_allocates) -> str:
+def _verdict_file(headers, calls, f_bound, g_bound, g_allocates, f_key, g_key) -> str:
     loops = ""
     for k, hi in enumerate(headers):
         hi = f"i{k - 1}" if hi == "outer" and k else "n" if hi == "outer" else hi
@@ -773,12 +775,13 @@ def _verdict_file(headers, calls, f_bound, g_bound, g_allocates) -> str:
     call = f"if (n > 0) {{ this.{callee}(n - 1, m); }}" if callee else ""
     g_call = "if (n > 0) { this.f(n - 1, m); }" if calls == "mutual" else ""
 
-    def clause(bound):
-        return "" if bound is None else f"memreq<A>({bound});"
+    def clause(bound, key):
+        return "" if bound is None else f"memreq<{key}>({bound});"
 
     return ("class A {} class R {"
-            f" void f(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(f_bound)} {nest} {call} }}"
-            f" void g(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(g_bound)}"
+            f" void f(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(f_bound, f_key)}"
+            f" {nest} {call} }}"
+            f" void g(int n, int m) {{ requires(n >= 0 && m >= 0); {clause(g_bound, g_key)}"
             f" {'A b = new A();' if g_allocates else ''} {g_call} }} }}")
 
 
@@ -802,10 +805,10 @@ def test_check_ends_every_file_with_a_verdict(tmp_path_factory, **drawn):
 @given(**VERDICT_FILES)
 def test_check_instrument_and_validate_read_one_obligation_list(**drawn):
     # every bound row of `check` is an obligation in its mode, and the copy
-    # ensures, and the oracle bounds, exactly the obligations of the copy's
-    # key space
+    # ensures and counts, and the oracle bounds, exactly the obligations of
+    # the type mode, object clauses included
     prog = load(_verdict_file(**drawn), "verdict.mcl")
-    copy = instrument(prog).program
+    inst = instrument(prog)
     for mode in ("type", "object"):
         rows = check_program(prog, mode).rows
         for m in prog.methods():
@@ -813,9 +816,13 @@ def test_check_instrument_and_validate_read_one_obligation_list(**drawn):
                     and r.clause.startswith(("memreq<", "esc<"))} \
                 <= {c.label for c in obligations(m, mode == "object")}
     for m in prog.methods():
-        labels = [c.label for c in obligations(m)]
-        body = copy.method(m.qname).body
+        clauses = obligations(m)
+        labels = [c.label for c in clauses]
+        body = inst.program.method(m.qname).body
         assert len([s for s in body if isinstance(s, EnsureStmt)]) == len(labels)
+        assert {(i.tag, i.cls) for i in inst.counter_index.values()
+                if i.method == m.qname and i.kind in (KIND_MEMREQ, KIND_ESC)} == \
+            {(c.tag and c.tag.name, c.key) for c in clauses}
         assert [b.clause for b in oracle._table(prog).method(m).bounds] == labels
 
 
@@ -869,33 +876,57 @@ MIXED_VIEWS = ("class A { } class P {"
                " return a; }"
                " A f() { memreq<object>(1); esc<object>(return, 0); add_esc(return, return);"
                " A x = this.g(); return x; } }")
+# g hides the A it allocates behind `object`, and f, which covers memreq
+# too, holds A to zero on its own
+HIDDEN_CLASS = ("class A { } class P { void g() { memreq<object>(1); A a = new A(); }"
+                " void f() { memreq<A>(0); memreq<object>(1); this.g(); } }")
 
 
-def test_check_and_validate_read_one_object_view_of_a_tag(tmp_path):
-    # the object view of g's `return` is the sum of its class clauses, 1, so
-    # f's 0 is violated and g's holds, wherever a clause is read
-    path = tmp_path / "mixed.mcl"
-    path.write_text(MIXED_VIEWS)
-    violated: dict[tuple[str, str], set[bool]] = {}
-    for mode in ("type", "object"):
+@pytest.mark.parametrize("source, modes, violated, failed", [
+    (MIXED_VIEWS, ("type", "object"), ("P.f", "esc<object>(return)"), "f_Esc_Return_object <= 0"),
+    # object mode reads f's memreq as its object clause alone, which holds
+    (HIDDEN_CLASS, ("type",), ("P.f", "memreq<A>"), "f_MemReq_A <= 0")],
+    ids=["mixed-views", "hidden-class"])
+def test_check_the_copy_and_validate_refute_one_clause_at_one_value(
+        tmp_path, source, modes, violated, failed):
+    # f's clause is violated at 1 wherever it is read: by `check`, by the
+    # copy's ensure and as the oracle observes it under both collectors
+    path, copy = tmp_path / "f.mcl", tmp_path / "f.inst.mcl"
+    path.write_text(source)
+    for mode in modes:
         code, out, _ = cli("check", str(path), "--mode", mode, "--format", "json")
         assert code == 1
-        for r in json.loads(out)["clauses"]:
-            violated.setdefault((r["method"], r["clause"]), set()).add(r["verdict"] == "Violated")
-            if (r["method"], r["clause"]) == ("P.f", "esc<object>(return)"):
-                assert r["computed"] == "1"
-    assert violated[("P.f", "esc<object>(return)")] == {True}
-    assert violated[("P.g", "esc<object>(return)")] == {False}
-    claimed = {(m.qname, c.label) for m in load(MIXED_VIEWS, "mixed").methods()
-               for c in obligations(m)}
+        assert {(r["method"], r["clause"]): int(r["computed"]) for r in
+                json.loads(out)["clauses"] if r["verdict"] == "Violated"} == {violated: 1}
+    assert cli("instrument", str(path), "--emit", str(copy))[0] == 0
     for gc in ("ideal", "method-exit"):
-        code, out, _ = cli("validate", str(path), "--format", "json", "--gc", gc)
-        assert code == 1
-        observed = {(v["method"], v["clause"]): v["observed"]
-                    for v in json.loads(out)["violations"]}
-        assert observed[("P.f", "esc<object>(return)")] == 1
-        assert {k: {k in observed} for k in claimed & violated.keys()} == \
-            {k: violated[k] for k in claimed & violated.keys()}
+        for target in (path, copy):
+            code, out, _ = cli("validate", str(target), "--format", "json", "--gc", gc)
+            report = json.loads(out)
+            assert code == 1
+            assert {(v["method"], v["clause"]): v["observed"]
+                    for v in report["violations"]} == {violated: 1}
+            assert [e["cond"] for e in report["ensureFailures"]] == \
+                ([] if target == path else [failed])
+
+
+def test_check_and_validate_read_one_object_view_of_a_tag():
+    # the object view of g's `return` is the sum of its class clauses, 1, so
+    # f's 0 is violated and g's holds; an object clause covers the classes
+    # of its tag, so no reader holds g's A to zero under memreq, nor any
+    # class of f's
+    prog = load(MIXED_VIEWS, "mixed")
+    assert {m.qname: [c.label for c in obligations(m)] for m in prog.methods()} == {
+        "P.g": ["memreq<object>", "esc<A>(return)"],
+        "P.f": ["memreq<object>", "esc<object>(return)"]}
+    for mode in ("type", "object"):
+        rows = check_program(prog, mode).rows
+        assert [r.clause for r in rows if r.method == "P.f"] == \
+            ["memreq<object>", "esc<object>(return)"]
+        assert "memreq<A>" not in {r.clause for r in rows}
+    assert {s.cond.left.name for m in instrument(prog).program.methods()
+            for s in m.body if isinstance(s, EnsureStmt)} == {
+        "g_MemReq_object", "g_Esc_Return_A", "f_MemReq_object", "f_Esc_Return_object"}
 
 
 @pytest.fixture

@@ -171,17 +171,19 @@ def test_a_call_is_charged_by_one_rule():
 
 def test_what_a_method_claims_is_read_by_one_function():
     # syntax.obligations lists a method's declared clauses and its absent
-    # ones at zero, in the key space MethodContract.views states, for the
-    # checker's rows, the copy's ensures, the oracle's bounds and the
+    # ones at zero, where no object clause covers their tag, for the
+    # checker's rows (`ConsumptionSummary.claims`) and the keys its calls
+    # charge, the copy's ensures and counters, the oracle's bounds and the
     # methods validate drives; a fourth reader of a method's own clauses
-    # could hold an absent one to something other than zero
+    # could hold an absent one to something other than zero.  The other
+    # readers of clauses read a callee's, through the bounds a caller's
+    # keys read of it
     assert sorted(_callers("obligations")) == [
-        "instrument.py:run", "oracle.py:__init__", "oracle.py:validate",
-        "summary.py:check_method"]
+        "instrument.py:__init__", "oracle.py:__init__", "oracle.py:validate",
+        "summary.py:__init__"]
     assert sorted(c for c in _callers("clauses") if not c.startswith("frontend/syntax.py")) == [
-        "instrument.py:_snapshot_args", "summary.py:call_entries", "summary.py:contract_binding"]
-    assert sorted(_callers("views")) == ["frontend/syntax.py:obligations",
-                                         "instrument.py:__init__"]
+        "instrument.py:_snapshot_args", "summary.py:contract_binding"]
+    assert sorted(_callers("bounds_for")) == ["instrument.py:_charged", "summary.py:call_entries"]
 
 
 def test_a_linear_fact_is_decided_by_one_procedure():

@@ -125,11 +125,38 @@ def test_call_entries_state_a_calls_whole_charge():
     new_a1 = next(s for s in m.body if isinstance(s, NewStmt))
     call_m1, call_m2 = [s for s in m.body if isinstance(s, CallStmt)]
     n = Poly.var("n")
-    assert S.call_entries(new_a1, admissible, False) == []
-    assert S.call_entries(call_m1, admissible, False) == \
+    assert S.call_entries(new_a1, admissible, False, ["A"]) == []
+    assert S.call_entries(call_m1, admissible, False, ["A"]) == \
         [("A", SymExpr.of(n + 1), SymExpr.of(1), [])]
-    assert S.call_entries(call_m2, admissible, False) == \
+    assert S.call_entries(call_m2, admissible, False, ["A"]) == \
         [("A", SymExpr.of(n), SymExpr.of(2), [(Tag.ret(), SymExpr.of(2))])]
+
+
+def test_a_callees_object_clause_bounds_each_class_its_caller_counts():
+    # g hides its A behind `object`: a caller that counts A is charged g's
+    # object bound for it, under memreq and under `return` alike, since no
+    # class counts more than every class together; B, which g names, keeps
+    # its own clause
+    prog = load("class A { } class B { } class P { B g(int n) { requires(n >= 0);"
+                " memreq<object>(n + 2); memreq<B>(1); esc<object>(return, 1);"
+                " dest_esc(return); B b = new B(); A a = new A(); return b; }"
+                " B f(int n) { requires(n >= 0); memreq<A>(0); esc<A>(return, 0);"
+                " add_esc(return, return); B x = this.g(n); return x; } }", "hide")
+    f = prog.method("P.f")
+    call = next(s for s in f.body if isinstance(s, CallStmt))
+    n = Poly.var("n")
+    assert S.call_entries(call, None, False, ["A"]) == [
+        ("object", SymExpr.of(n + 2), SymExpr.of(1), [(Tag.ret(), SymExpr.of(1))]),
+        ("B", SymExpr.of(1), SymExpr.of(0), []),
+        ("A", SymExpr.of(n + 2), SymExpr.of(1), [(Tag.ret(), SymExpr.of(1))])]
+    assert S.call_entries(call, None, True, ["A"]) == [
+        ("object", SymExpr.of(n + 2), SymExpr.of(1), [(Tag.ret(), SymExpr.of(1))])]
+    rep = S.check_program(prog)
+    assert {(r.method, r.clause): r.computed for r in rep.rows
+            if r.verdict.kind == VerdictKind.VIOLATED} == {
+        ("P.f", "memreq<A>"): "n + 2", ("P.f", "esc<A>(return)"): "1",
+        ("P.f", "memreq<object>"): "n + 2", ("P.f", "esc<object>(return)"): "1",
+        ("P.f", "memreq<B>"): "1"}
 
 
 # ------------------------------------------------------------ loop collapse
@@ -238,7 +265,9 @@ def test_object_mode_derives_bounds_from_per_type_contracts():
 
 def test_the_object_view_of_each_tag_is_its_object_clause_or_its_class_sum():
     # memreq and `return` have an object clause, `this` only class clauses;
-    # object mode and the copy's key space read the same view
+    # object mode reads that view, and the per-class list is the declared
+    # clauses alone: `this` is charged only A, which a clause names, and an
+    # object clause covers the rest of its tag
     prog = load("class A { } class B { } class P { A f(int n) { requires(n >= 0);"
                 " memreq<A>(n); memreq<object>(1); memreq<B>(2); esc<A>(this, n);"
                 " esc<B>(this, 3); esc<object>(return, 4); esc<A>(return, 1);"
@@ -248,9 +277,7 @@ def test_the_object_view_of_each_tag_is_its_object_clause_or_its_class_sum():
             ("esc<object>(return)", "4")]
     assert [(c.label, str(c.bound)) for c in f.contract.clauses(True)] == view
     assert [(c.label, str(c.bound)) for c in obligations(f, True)] == view
-    both = [(c.label, str(c.bound)) for c in obligations(f)]
-    assert both[:7] == [(c.label, str(c.bound)) for c in f.contract.clauses(False)]
-    assert both[7:] == [("esc<object>(this)", "n + 3")]
+    assert obligations(f) == f.contract.clauses(False)
 
 
 def test_a_lone_declared_bound_reads_alike_in_both_modes():
@@ -263,12 +290,13 @@ def test_a_lone_declared_bound_reads_alike_in_both_modes():
         assert (r.verdict.kind, r.verdict.witness) == (VerdictKind.VIOLATED, {"n": 0})
 
 
-def test_type_mode_flags_hidden_types_as_undeclared():
+def test_type_mode_accepts_the_type_hiding_contract():
+    # CreateFamily's object clauses bound every class of memreq and of
+    # `return` together, so no class of either is held to zero on its own
     rep = check("family_object", mode=S.MODE_TYPE)
-    r = row(rep, "Family.CreateFamily", "memreq<Family>")
-    assert r.verdict.kind == VerdictKind.VIOLATED
-    assert r.declared is None
-    assert any("undeclared consumption" in note for note in r.notes)
+    assert rep.overall == VerdictKind.VERIFIED
+    assert [r.clause for r in rep.rows if r.method == "Family.CreateFamily"] == \
+        ["memreq<object>", "esc<object>(return)"]
 
 
 def test_type_mode_checks_object_clauses_against_every_class():

@@ -42,11 +42,14 @@ the two imports never mix, and each runs the same command lines through
   recursion through members without clauses: a `spin` that allocates
   nothing, one that allocates, and a mutual recursion, whose escape
   summaries change across fixpoint rounds;
-- on four methods that charge what they do not declare (a class charged
+- on seven methods that charge what they do not declare (a class charged
   only through a callee's contract, a `dest_esc` tag, an `add_esc` pull,
-  and an allocation in a method without clauses): `check` in both modes,
-  human and JSON, `instrument --emit`, and `validate --format json` on the
-  source and on the copy.
+  and an allocation in a method without clauses) or that an object clause
+  covers (an object `return` that pulls a callee's per-class escape, a
+  per-class caller of a callee that declares only the object, and a
+  caller that covers memreq beside a zero class clause for the class its
+  callee hides): `check` in both modes, human and JSON, `instrument
+  --emit`, and `validate --format json` on the source and on the copy.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -174,7 +177,7 @@ def _spin(alloc: str) -> str:
 
 def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     """`check` in both formats, `instrument` and `ptg` on clauses and facts
-    the decision procedure meets rarely, and the four absent-clause cases,
+    the decision procedure meets rarely, and the seven absent-clause cases,
     written under work/decision."""
     files = {
         "quadratic-alternative": _loop_f("n >= 3", "max(2 * n, n * n - 5)", "1 .. n + 3", ""),
@@ -221,6 +224,20 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
                    "        A x = this.g();\n        return x;\n    }\n}\n",
         "no-clauses": "class A {\n}\n\nclass P {\n    void f() {\n        A a = new A();\n"
                       "    }\n}\n",
+        "object-pull": "class A {\n}\n\nclass P {\n    A g() {\n        memreq<object>(1);\n"
+                       "        esc<A>(return, 1);\n        dest_esc(return);\n"
+                       "        A a = new A();\n        return a;\n    }\n\n    A f() {\n"
+                       "        memreq<object>(1);\n        esc<object>(return, 0);\n"
+                       "        add_esc(return, return);\n        A x = this.g();\n"
+                       "        return x;\n    }\n}\n",
+        "object-callee": "class A {\n}\n\nclass B {\n}\n\nclass P {\n    void g(int n) {\n"
+                         "        requires(n >= 0);\n        memreq<object>(n + 1);\n"
+                         "        A a = new A();\n        for (i = 1 .. n) { B b = new B(); }\n"
+                         "    }\n\n    void f(int n) {\n        requires(n >= 0);\n"
+                         "        memreq<A>(1);\n        this.g(n);\n    }\n}\n",
+        "object-hidden": "class A {\n}\n\nclass P {\n    void g() {\n        memreq<object>(1);\n"
+                         "        A a = new A();\n    }\n\n    void f() {\n        memreq<A>(0);\n"
+                         "        memreq<object>(1);\n        this.g();\n    }\n}\n",
     }
     (work / "decision").mkdir()
     lines: list[tuple[list[str], Path | None]] = []
