@@ -14,7 +14,7 @@ from .syntax import (
     IterationSpaceStmt, LengthRef, LocalDecl, MaxExpr, MemReqStmt,
     MethodContract, MethodDecl, NewStmt, NullLit, OBJECT_KEY, OutArg,
     ParenExpr, Param, PathExpr, Pos, Program, RequiresStmt, ReturnStmt,
-    Stmt, StrLit, Tag, ThisRef, TypeRef, Unary, VarRef, callee_of,
+    Stmt, StrLit, Tag, ThisRef, TypeRef, Unary, VarRef, callee_of, collapsed,
     entry_vars, expr_bound, expr_poly, iter_stmts, obligations, program_to_json,
     var_expr,
 )

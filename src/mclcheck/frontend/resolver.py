@@ -38,6 +38,8 @@ from .syntax import (
 
 _T_BOOL, _T_STRING = TypeRef("bool"), TypeRef("string")
 _RELATION_PREC = BINARY_PREC["<"]  # an operator at this level or looser yields a bool
+# The names the `return` and `this` tags are keyed by: no user tag may take one
+_RESERVED_TAGS = {t.name: t.source_str() for t in (Tag.ret(), Tag.this())}
 
 
 class _Resolver:
@@ -66,6 +68,9 @@ class _Resolver:
         for c in self.program.classes:
             if c.name in self.classes:
                 self.error("duplicate-class", f"class {c.name} is declared twice", c.pos)
+            if c.name == OBJECT_KEY:  # a clause keyed `object` counts every class
+                self.error("reserved-name", f"class {c.name}: `{OBJECT_KEY}` names every class",
+                           c.pos)
             self.classes[c.name] = c
         for name, c in self.classes.items():
             self.fields[name] = c.field_map()
@@ -259,6 +264,9 @@ class _MethodResolver:
                 if s.tag.kind != "user":
                     self.error("bad-bind-target", "only named tags can be bound", s.pos)
                     continue
+                if s.tag.name in _RESERVED_TAGS:  # the oracle's roots of return and this
+                    self.error("reserved-name", f"tag {s.tag} is the name of the"
+                               f" `{_RESERVED_TAGS[s.tag.name]}` tag", s.pos)
                 if s.tag in self.contract.bindings:
                     self.error("duplicate-clause", f"tag {s.tag} bound twice", s.pos)
                 self.check_bind_path(s)

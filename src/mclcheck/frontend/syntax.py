@@ -370,8 +370,8 @@ class Param(Node):
     is_out: bool = False
 
 
-# The pseudo-class every allocation also counts towards: a clause on it
-# bounds all classes together.
+# The pseudo-class every allocation also counts towards: the key says how a
+# clause is counted, `object` every class together and a class itself.
 OBJECT_KEY = "object"
 
 
@@ -393,8 +393,19 @@ class Clause:
 
     @property
     def whole(self) -> bool:
-        """An explicit object clause: it covers its tag, read collapsed."""
+        """A declared object clause: it covers its tag, every class in it."""
         return self.declared and self.key == OBJECT_KEY
+
+
+def collapsed(clauses: Iterable[Clause]) -> list[Clause]:
+    """The one collapse onto `object`: per tag, in the order the tags first
+    appear, its object clause, else the sum of its clauses, declared if any is."""
+    by_tag: dict[Tag | None, list[Clause]] = {}
+    for c in clauses:
+        by_tag.setdefault(c.tag, []).append(c)
+    return [next((c for c in cs if c.whole), None) or Clause(
+        tag, OBJECT_KEY, sym_sum(c.bound for c in cs), any(c.declared for c in cs))
+        for tag, cs in by_tag.items()]
 
 
 class MethodContract:
@@ -406,33 +417,23 @@ class MethodContract:
         self.esc: dict[tuple[Tag, str], SymExpr] = {}
         self.bindings: dict[Tag, PathExpr] = {}
 
-    def clauses(self, collapse: bool) -> list[Clause]:
-        """The clauses in declaration order, every memreq before every esc.
-
-        Collapsed onto the object pseudo-class, a contract has one clause
-        per tag, memreq included, in the order the tags first appear: its
-        explicit object clause for that tag when it has one, and otherwise
-        the sum of its classes' clauses under that tag.
-        """
+    def clauses(self) -> list[Clause]:
+        """The declared clauses, each at the key it names, in declaration
+        order, every memreq before every esc."""
         out = [Clause(None, key, e) for key, e in self.mem_req.items()]
-        out += [Clause(tag, key, e) for (tag, key), e in self.esc.items()]
-        if not collapse:
-            return out
-        explicit = {c.tag: c.bound for c in out if c.key == OBJECT_KEY}
-        summed: dict[Tag | None, list[SymExpr]] = {}
-        for c in out:
-            summed.setdefault(c.tag, []).append(c.bound)
-        return [Clause(tag, OBJECT_KEY, explicit[tag] if tag in explicit else sym_sum(es))
-                for tag, es in summed.items()]
+        return out + [Clause(tag, key, e) for (tag, key), e in self.esc.items()]
 
-    def bounds_for(self, collapse: bool, keys: Iterable[str]) -> list[Clause]:
-        """What a caller that counts `keys` reads: `clauses(collapse)`, then,
-        per class, each object clause's bound at each of `keys` its tag
-        leaves absent, as no class counts more than every class together."""
-        out = self.clauses(collapse)
-        named = {(c.tag, c.key) for c in out}
-        return out + [Clause(c.tag, key, c.bound) for c in out if c.whole and not collapse
-                      for key in dict.fromkeys(keys) if (c.tag, key) not in named]
+    def bounds_for(self, keys: Iterable[str]) -> list[Clause]:
+        """What a caller that counts `keys` reads at each: at `object`,
+        `collapsed(clauses())`; at a class, per tag, its own clause, else the
+        bound of the object clause that hides it, as no class counts more
+        than every class together."""
+        own, keys = self.clauses(), dict.fromkeys(keys)
+        named = {(c.tag, c.key) for c in own}
+        hidden = [Clause(c.tag, key, c.bound) for c in own if c.whole
+                  for key in keys if (c.tag, key) not in named]
+        return (collapsed(own) if OBJECT_KEY in keys else []) + [
+            c for c in own + hidden if c.key in keys and c.key != OBJECT_KEY]
 
 
 @dataclass
@@ -537,23 +538,23 @@ def callee_of(stmt: Stmt) -> MethodDecl | None:
     return stmt.callee if isinstance(stmt, (CallStmt, NewStmt)) else None
 
 
-def obligations(method: MethodDecl, collapse: bool = False) -> list[Clause]:
+def obligations(method: MethodDecl) -> list[Clause]:
     """What a method claims: its declared clauses (`MethodContract.clauses`),
     then a zero bound, not declared, for each (tag, key) its body charges
     that none declares, memreqs by key before escapes by tag: an absent
     clause declares zero, except a class's under a tag (memreq, or an `esc`
     tag) that an object clause covers (`Clause.whole`).  The charges are
-    read from the statements, onto the object when `collapse` and per class
-    otherwise: each `new` and its `dest_esc`, each callee's clause keys,
-    and each `add_esc` pull of a tag they escape under."""
-    declared = method.contract.clauses(collapse)
+    read from the statements: each `new` and its `dest_esc`, each callee's
+    clause keys, and each `add_esc` pull of a tag they escape under.
+    `--mode object` reads `collapsed(obligations(method))`."""
+    declared = method.contract.clauses()
     charged: set[tuple[Tag | None, str]] = set()
     for s in iter_stmts(method.body):
         if isinstance(s, NewStmt):
-            key = OBJECT_KEY if collapse else s.class_ref.key()
+            key = s.class_ref.key()
             charged |= {(None, key), (s.dest_esc, key)}
         callee = callee_of(s)
-        for c in callee.contract.clauses(collapse) if callee is not None else ():
+        for c in callee.contract.clauses() if callee is not None else ():
             charged.add((None, c.key))
             charged.update((dst, c.key) for dst, src in s.add_esc if src == c.tag)
     charged -= {(c.tag, c.key) for c in declared}

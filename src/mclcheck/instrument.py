@@ -19,11 +19,15 @@ or `if` that charges them, so both arms of an `if` share them as they
 share a scope in the summary.  Each loop body has maxCall/sumCall pairs
 of its own, declared before the loop and flushed into the requirement
 counter right after it (and before any return that leaves the loop).
-A method counts exactly the (tag, key) pairs of its obligations, each
-read collapsed onto the object pseudo-class when it is an object clause
-that covers its tag (`Clause.whole`) and per class otherwise.  A clause
-that reads a parameter the body assigns is ensured over a snapshot of
-its entry value, declared beside the counters.
+A method counts exactly the (tag, key) pairs of its obligations, each as
+its key says: an `object` counter counts every class, so each `new`
+bumps its class's counter and the object's, where the method counts
+them, and a call charges each counted key what `call_entries` gives it
+there.  A clause that reads a parameter the body assigns is ensured over
+a snapshot of its entry value, declared beside the counters.  Each
+counter name is made once per method and is unique in it: a name another
+counter already holds (an array `A[]` and a class `A_arr` both write
+`A_arr`) gets a numeric suffix.
 
 What a call site charges is not restated here: `summary.call_entries` is
 the one statement of the call-composition rule, shared with the static
@@ -171,9 +175,10 @@ class _Instrumenter:
         self.prefix = method.name
         self.reads = unassigned_entry_vars(method, cls)
         self.clauses = obligations(method)
-        self.counted = {(c.tag, c.key): c.whole for c in self.clauses}  # read collapsed?
+        self.counted = {(c.tag, c.key) for c in self.clauses}
         self.keys = [c.key for c in self.clauses]
-        self.spaces = [b for b in (True, False) if b in self.counted.values()]
+        self.names: set[str] = set()  # every counter name this method uses
+        self.counters: dict[tuple[Tag | None, str], str] = {}  # (tag, key) -> name
         self.inits: dict[str, CounterInfo] = {}
         self.diff_total: dict[str, int] = {}
         self.diff_seen: dict[str, int] = {}
@@ -182,34 +187,42 @@ class _Instrumenter:
 
     # -- naming ------------------------------------------------------------
 
-    def _memreq(self, key: str) -> str:
-        name = f"{self.prefix}_MemReq_{_suffix(key)}"
-        self.inits.setdefault(name, CounterInfo(self.m.qname, KIND_MEMREQ, key))
-        return name
+    def _fresh(self, name: str) -> str:
+        """`name`, or `name` with the first suffix `_2`, `_3`, ... that no
+        other counter of the method holds."""
+        out, k = name, 1
+        while out in self.names:
+            k += 1
+            out = f"{name}_{k}"
+        self.names.add(out)
+        return out
 
-    def _esc(self, tag: Tag, key: str) -> str:
-        name = f"{self.prefix}_Esc_{tag.name}_{_suffix(key)}"
-        self.inits.setdefault(
-            name, CounterInfo(self.m.qname, KIND_ESC, key, tag=tag.name))
-        return name
+    def _counter(self, tag: Tag | None, key: str) -> str:
+        """The one counter of the clause at (tag, key), named when first
+        asked for: a memreq's when tag is None, else an esc's."""
+        if (tag, key) not in self.counters:
+            kind, label = (KIND_MEMREQ, "") if tag is None else (KIND_ESC, f"{tag.name}_")
+            name = self._fresh(f"{self.prefix}_{kind}_{label}{_suffix(key)}")
+            self.counters[tag, key] = name
+            self.inits[name] = CounterInfo(self.m.qname, kind, key, tag=tag and tag.name)
+        return self.counters[tag, key]
 
     def _diff(self, key: str, site: str) -> str:
         self.diff_seen[key] = self.diff_seen.get(key, 0) + 1
         k = self.diff_seen[key]
-        name = (f"call{k}_diff_{_suffix(key)}" if self.diff_total[key] > 1
-                else f"call_diff_{_suffix(key)}")
+        name = self._fresh(f"call{k}_diff_{_suffix(key)}" if self.diff_total[key] > 1
+                           else f"call_diff_{_suffix(key)}")
         self.index[name] = CounterInfo(self.m.qname, KIND_CALLDIFF, key, site=site)
         return name
 
     # -- callee contract shaping --------------------------------------------
 
     def _charged(self, s: Stmt) -> list[str]:
-        """Keys the call (or constructor) at `s` charges, in entry order."""
+        """Keys whose requirement the call (or constructor) at `s` charges,
+        in entry order."""
         callee = callee_of(s)
         return [] if callee is None else list(dict.fromkeys(
-            c.key for collapsed in self.spaces
-            for c in callee.contract.bounds_for(collapsed, self.keys)
-            if self.counted.get((None, c.key)) == collapsed))
+            c.key for c in callee.contract.bounds_for(self.keys) if (None, c.key) in self.counted))
 
     def _contributing(self, stmts: list[Stmt]) -> list[str]:
         """Classes charged by calls at this nesting level, loops excluded."""
@@ -231,14 +244,14 @@ class _Instrumenter:
         callee = callee_of(stmt)
         if callee is None:
             return [], stmt
-        used = set().union(*(c.bound.variables() for c in callee.contract.clauses(False)))
+        used = set().union(*(c.bound.variables() for c in callee.contract.clauses()))
         decls: list[Stmt] = []
         read = copy.copy(stmt)
         read.args = list(stmt.args)
         for i, p in enumerate(callee.params):  # arguments line up with parameters
             if p.name in used and expr_poly(read.args[i], None) is None:
                 self.args_seen += 1
-                name = f"{self.prefix}_Arg{self.args_seen}_{p.name}"
+                name = self._fresh(f"{self.prefix}_Arg{self.args_seen}_{p.name}")
                 self.index[name] = CounterInfo(self.m.qname, KIND_ARG, "")
                 decls.append(LocalDecl(T_INT, name, copy.deepcopy(read.args[i])))
                 read.args[i] = VarRef(name)
@@ -246,28 +259,26 @@ class _Instrumenter:
 
     def _call_counters(self, stmt: NewStmt | CallStmt, pairs: _Pairs) -> list[Stmt]:
         out, stmt = self._snapshot_args(stmt)
-        for collapsed in self.spaces:
-            for key, mr, escaped, pulls in call_entries(stmt, None, collapsed, self.keys):
-                if self.counted.get((None, key)) == collapsed:
-                    max_name, sum_name = pairs[key]
-                    diff = self._diff(key, stmt.site)
-                    out.append(LocalDecl(T_INT, diff, Binary(
-                        "-", _operand(sym_expr_node(mr)), _operand(sym_expr_node(escaped)))))
-                    out.append(Assign(VarRef(max_name),
-                                      MaxExpr(VarRef(max_name), VarRef(diff))))
-                    out.append(AugAssign(VarRef(sum_name), sym_expr_node(escaped)))
-                out.extend(AugAssign(VarRef(self._esc(dst, key)), sym_expr_node(pulled))
-                           for dst, pulled in pulls if self.counted.get((dst, key)) == collapsed)
+        for key, mr, escaped, pulls in call_entries(stmt, None, self.keys):
+            if (None, key) in self.counted:
+                max_name, sum_name = pairs[key]
+                diff = self._diff(key, stmt.site)
+                out.append(LocalDecl(T_INT, diff, Binary(
+                    "-", _operand(sym_expr_node(mr)), _operand(sym_expr_node(escaped)))))
+                out.append(Assign(VarRef(max_name), MaxExpr(VarRef(max_name), VarRef(diff))))
+                out.append(AugAssign(VarRef(sum_name), sym_expr_node(escaped)))
+            out.extend(AugAssign(VarRef(self._counter(dst, key)), sym_expr_node(pulled))
+                       for dst, pulled in pulls if (dst, key) in self.counted)
         return out
 
     def _new_counters(self, s: NewStmt) -> list[Stmt]:
         amount: Expr = s.length if s.class_ref.is_array else IntLit(1)
         out: list[Stmt] = []
-        for key, collapsed in ((OBJECT_KEY, True), (s.class_ref.key(), False)):
-            if self.counted.get((None, key)) == collapsed:
-                out.append(AugAssign(VarRef(self._memreq(key)), copy.deepcopy(amount)))
-            if s.dest_esc is not None and self.counted.get((s.dest_esc, key)) == collapsed:
-                out.append(AugAssign(VarRef(self._esc(s.dest_esc, key)),
+        for key in (OBJECT_KEY, s.class_ref.key()):  # every class counts to `object`
+            if (None, key) in self.counted:
+                out.append(AugAssign(VarRef(self._counter(None, key)), copy.deepcopy(amount)))
+            if s.dest_esc is not None and (s.dest_esc, key) in self.counted:
+                out.append(AugAssign(VarRef(self._counter(s.dest_esc, key)),
                                      copy.deepcopy(amount)))
         return out
 
@@ -276,7 +287,8 @@ class _Instrumenter:
         if in_loop:
             k = self.loop_pair_seen[key] = self.loop_pair_seen.get(key, 0) + 1
             n = "" if k == 1 else str(k)
-        max_name, sum_name = f"maxCall{n}_{_suffix(key)}", f"sumCall{n}_{_suffix(key)}"
+        max_name = self._fresh(f"maxCall{n}_{_suffix(key)}")
+        sum_name = self._fresh(f"sumCall{n}_{_suffix(key)}")
         self.index[max_name] = CounterInfo(self.m.qname, KIND_MAXCALLS, key)
         self.index[sum_name] = CounterInfo(self.m.qname, KIND_SUMCALLS, key)
         pairs[key] = (max_name, sum_name)
@@ -284,7 +296,7 @@ class _Instrumenter:
                 LocalDecl(T_INT, sum_name, IntLit(0))]
 
     def _flush(self, pairs: _Pairs) -> list[Stmt]:
-        return [AugAssign(VarRef(self._memreq(key)),
+        return [AugAssign(VarRef(self._counter(None, key)),
                           Binary("+", VarRef(mx), VarRef(sm)))
                 for key, (mx, sm) in pairs.items()]
 
@@ -334,11 +346,12 @@ class _Instrumenter:
         # build ensures first so contract counters lead the init order; a
         # parameter the body assigns is read from its entry snapshot
         assigned = sorted({v for c in self.clauses for v in c.bound.variables()} - self.reads)
-        snapshots = {v: f"{self.prefix}_Entry_{v.replace('.', '_')}" for v in assigned}
+        snapshots = {v: self._fresh(f"{self.prefix}_Entry_{v.replace('.', '_')}")
+                     for v in assigned}
         at_entry = {v: Poly.var(name) for v, name in snapshots.items()}
         ensures: list[Stmt] = []
         for c in self.clauses:
-            counter = self._memreq(c.key) if c.tag is None else self._esc(c.tag, c.key)
+            counter = self._counter(c.tag, c.key)
             ensures.append(EnsureStmt(Binary("<=", VarRef(counter),
                                              sym_expr_node(substitute(c.bound, at_entry)))))
 

@@ -26,6 +26,12 @@ two ends with constraint_verdict and reported as a row of its own when it
 does not hold, never a second range to sum over.  Nothing here enumerates
 a grid.  Lifetime findings of the heap analysis join the same report.
 
+A clause is counted as its key says, in one pass per method: `object`
+counts every class of its tag, as the oracle does, and a class itself.
+A `new` charges its class and `object`, and a call what the callee
+bounds at each key (`MethodContract.bounds_for`), where the claims name
+that key; `--mode object` claims `collapsed(obligations(method))`.
+
 A call's whole charge (requirement, summed escapes, `add_esc` pulls) is
 stated once, in `call_entries`, which the instrumenter reads too; which
 components are recursive comes from `escape.analyze`.
@@ -35,11 +41,7 @@ reading of an expression as a polynomial over them are defined once, in
 `frontend.syntax` (`entry_vars`, `expr_poly`, `var_expr`); a call binds
 its callee's variables by reading their caller-side expressions.  So are
 a contract's clauses (`MethodContract.clauses`), in declaration order,
-with their labels and their collapse onto the object pseudo-class.
-Object mode charges every class to `object`; type mode charges each class
-to itself, and checks an `object` clause, which bounds every class of its
-tag together, against the method's object-mode summary of that tag, and
-charges a class a callee's object clause hides at that clause's bound.
+with their labels and their one collapse onto `object` (`collapsed`).
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .frontend.syntax import (
     Tag,
     ThisRef,
     callee_of,
+    collapsed,
     entry_vars,
     expr_poly,
     obligations,
@@ -107,7 +110,7 @@ def contract_binding(stmt: NewStmt | CallStmt, callee: MethodDecl,
     """
     is_ctor = isinstance(stmt, NewStmt)
     used: set[str] = set()
-    for c in callee.contract.clauses(False):
+    for c in callee.contract.clauses():
         used |= c.bound.variables()
     binding: dict[str, Poly] = {}
     flags: set[str] = set()
@@ -144,14 +147,14 @@ class ConsumptionSummary:
     esc: dict[tuple[Tag, str], SymExpr]
     call_part: dict[str, SymExpr]  # method-level max-headroom + escapes
     space_rows: list[ClauseRow]  # each iteration_space that does not hold
-    claims: list[Clause]  # the method's obligations in this mode
+    claims: list[Clause]  # its obligations, collapsed in object mode
 
 
 _Over = Callable[[SymExpr], SymExpr]  # a value as is, or over a loop's range
 
 
 class _Acc:
-    """Per-scope buckets, all keyed by class (or the object pseudo-class)."""
+    """Per-scope buckets, all keyed by clause key: a class or `object`."""
 
     def __init__(self):
         self.own: dict[str, SymExpr] = {}
@@ -185,27 +188,25 @@ class _Acc:
         return mem, calls, {k: summed(e) for k, e in self.esc_tags.items()}
 
 
-def call_entries(stmt: NewStmt | CallStmt, admissible: set[str] | None, object_mode: bool,
+def call_entries(stmt: NewStmt | CallStmt, admissible: set[str] | None,
                  keys: Iterable[str]) -> list[tuple[str, SymExpr, SymExpr,
                                                     list[tuple[Tag, SymExpr]]]]:
     """The call-composition rule: what one call, or the constructor a `new`
-    runs, charges its caller.
+    runs, charges a caller that counts `keys`.
 
-    One (class key, MR, escaped, pulls) entry per class the callee's
-    contract names, in declaration order, then per class of the caller's
-    `keys` it hides (`MethodContract.bounds_for`); object mode collapses
-    them into one object entry.  With the contract variables bound to the caller's
-    values, MR is the requirement, escaped the sum of the escapes under
-    every tag, and pulls the (destination tag, bound) of each `add_esc`
-    pair at the call whose source tag the contract declares.  Each part
-    carries the binding's flags.
+    One (key, MR, escaped, pulls) entry per key of `keys` that the callee's
+    contract bounds (`MethodContract.bounds_for`), in its order.  With the
+    contract variables bound to the caller's values, MR is the requirement,
+    escaped the sum of the escapes under every tag, and pulls the
+    (destination tag, bound) of each `add_esc` pair at the call whose source
+    tag the contract bounds there.  Each part carries the binding's flags.
     """
     callee = callee_of(stmt)
     if callee is None:
         return []
     binding, flags = contract_binding(stmt, callee, admissible)
     entries: dict[str, tuple[SymExpr, dict[Tag, SymExpr]]] = {}
-    for c in callee.contract.bounds_for(object_mode, keys):
+    for c in callee.contract.bounds_for(keys):
         mr, esc_by_tag = entries.setdefault(c.key, (SYM_ZERO, {}))
         bound = substitute(c.bound, binding).with_flags(*flags)
         if c.tag is None:
@@ -218,14 +219,14 @@ def call_entries(stmt: NewStmt | CallStmt, admissible: set[str] | None, object_m
 
 
 class _Summarizer:
-    def __init__(self, method: MethodDecl, mode: str, class_map: dict[str, ClassDecl]):
+    def __init__(self, method: MethodDecl, claims: list[Clause],
+                 class_map: dict[str, ClassDecl]):
         self.m = method
-        self.mode = mode
         cls = class_map[method.cls]
         self.entry = entry_vars(method, cls)  # what a witness names
         self.reads = unassigned_entry_vars(method, cls)  # what the body reads
-        self.claims = obligations(method, mode == MODE_OBJECT)
-        self.keys = [c.key for c in self.claims]  # what a call's hidden classes charge
+        self.claims = claims
+        self.keys = dict.fromkeys(c.key for c in claims)  # the only keys charged
         self.space_rows: list[ClauseRow] = []
         self.guards = 0  # the `if` arms around the statement being summarized
 
@@ -233,8 +234,7 @@ class _Summarizer:
 
     def _call(self, acc: _Acc, s: NewStmt | CallStmt,
               loop_vars: tuple[str, ...]) -> None:
-        for key, mr, escaped, pulls in call_entries(
-                s, self.reads | set(loop_vars), self.mode == MODE_OBJECT, self.keys):
+        for key, mr, escaped, pulls in call_entries(s, self.reads | set(loop_vars), self.keys):
             # mr - escaped: subtract one certified lower alternative of the escape
             low = min(escaped.alts, key=lambda p: sorted(p.terms))
             acc.diffs.setdefault(key, []).append(
@@ -253,14 +253,15 @@ class _Summarizer:
 
     def stmt(self, s: Stmt, acc: _Acc, context, loop_vars) -> None:
         if isinstance(s, NewStmt):
-            key = OBJECT_KEY if self.mode == MODE_OBJECT else s.class_ref.key()
             k = SymExpr.of(1)
             if s.class_ref.is_array:
                 p = expr_poly(s.length, self.reads | set(loop_vars))
                 k = SYM_ZERO.with_flags(FLAG_BAD_ARG) if p is None else SymExpr.of(p)
-            acc.add_own(key, k)
-            if s.dest_esc is not None:
-                acc.add_tag(s.dest_esc, key, k)
+            for key in (OBJECT_KEY, s.class_ref.key()):  # every class counts to `object`
+                if key in self.keys:
+                    acc.add_own(key, k)
+                    if s.dest_esc is not None:
+                        acc.add_tag(s.dest_esc, key, k)
         # a call, or the constructor a `new` runs, charges its contract
         if callee_of(s) is not None:
             self._call(acc, s, loop_vars)
@@ -338,7 +339,10 @@ class _Summarizer:
 
 def summarize(method: MethodDecl, mode: str,
               class_map: dict[str, ClassDecl]) -> ConsumptionSummary:
-    return _Summarizer(method, mode, class_map).run()
+    """The method's summary at its obligations, collapsed in object mode."""
+    claims = obligations(method)
+    return _Summarizer(method, collapsed(claims) if mode == MODE_OBJECT else claims,
+                       class_map).run()
 
 
 # ------------------------------------------------------------------ checking
@@ -431,15 +435,8 @@ def check_program(program: Program, mode: str = MODE_TYPE) -> Report:
     rows: list[ClauseRow] = []
     for qname in sorted(methods):
         m = methods[qname]
-        s = summarize(m, mode, class_map)
-        whole = {(c.tag, c.key) for c in s.claims if c.whole} if mode == MODE_TYPE else set()
-        if whole:
-            # an object clause bounds every class of its tag together, so
-            # it is checked against the method's object-mode summary
-            o = summarize(m, MODE_OBJECT, class_map)
-            s.mem_req.update((k, e) for k, e in o.mem_req.items() if (None, k) in whole)
-            s.esc.update((k, e) for k, e in o.esc.items() if k in whole)
-        rows.extend(check_method(m, s, assume_guarantee=qname in recursive))
+        rows.extend(check_method(m, summarize(m, mode, class_map),
+                                 assume_guarantee=qname in recursive))
         rows.extend(lifetime_rows(analysis.lifetimes[qname]))
 
     return Report(rows, VerdictKind.worst(r.verdict.kind for r in rows))

@@ -124,3 +124,23 @@ def forward_mark(interp):
             work += [v.oid for v in interp.heap[oid].fields.values()
                      if isinstance(v, Ref)]
     return seen
+
+
+# --------------------------------------------------- object-clause programs
+
+# g names the object but escapes `return` only as A, and f pulls g's return
+# into its own, declared 0 for every class
+MIXED_VIEWS = ("class A { } class P {"
+               " A g() { memreq<object>(1); esc<A>(return, 1); dest_esc(return); A a = new A();"
+               " return a; }"
+               " A f() { memreq<object>(1); esc<object>(return, 0); add_esc(return, return);"
+               " A x = this.g(); return x; } }")
+# g hides the A it allocates behind `object`, and f, which covers memreq
+# too, holds A to zero on its own
+HIDDEN_CLASS = ("class A { } class P { void g() { memreq<object>(1); A a = new A(); }"
+                " void f() { memreq<A>(0); memreq<object>(1); this.g(); } }")
+# f holds `object` to zero without declaring it: its own A and the B that
+# g hides behind `object` both count to it, as the oracle counts them
+UNDECLARED_OBJECT = ("class A { } class B { } class P {"
+                     " void g() { memreq<object>(1); B b = new B(); }"
+                     " void f() { memreq<A>(1); A a = new A(); this.g(); } }")

@@ -19,10 +19,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import DEEP_SOURCE, relay_chain
+from helpers import DEEP_SOURCE, HIDDEN_CLASS, MIXED_VIEWS, UNDECLARED_OBJECT, relay_chain
 from mclcheck import oracle
 from mclcheck.cli import _build_parser, _dump, _trace_json, main
-from mclcheck.frontend import EnsureStmt, load, obligations
+from mclcheck.frontend import EnsureStmt, collapsed, load, obligations
 from mclcheck.instrument import KIND_ESC, KIND_MEMREQ, instrument
 from mclcheck.summary import check_program
 
@@ -806,15 +806,20 @@ def test_check_ends_every_file_with_a_verdict(tmp_path_factory, **drawn):
 def test_check_instrument_and_validate_read_one_obligation_list(**drawn):
     # every bound row of `check` is an obligation in its mode, and the copy
     # ensures and counts, and the oracle bounds, exactly the obligations of
-    # the type mode, object clauses included
+    # the type mode, object clauses included; a declared object clause reads
+    # alike in both modes
     prog = load(_verdict_file(**drawn), "verdict.mcl")
     inst = instrument(prog)
+    read = {}
     for mode in ("type", "object"):
         rows = check_program(prog, mode).rows
+        read[mode] = {(r.method, r.clause): (r.computed, r.verdict.to_json()) for r in rows}
         for m in prog.methods():
             assert {r.clause for r in rows if r.method == m.qname
                     and r.clause.startswith(("memreq<", "esc<"))} \
-                <= {c.label for c in obligations(m, mode == "object")}
+                <= {c.label for c in (collapsed if mode == "object" else list)(obligations(m))}
+    for k in [(m.qname, c.label) for m in prog.methods() for c in m.contract.clauses() if c.whole]:
+        assert read["type"][k] == read["object"][k]
     for m in prog.methods():
         clauses = obligations(m)
         labels = [c.label for c in clauses]
@@ -824,6 +829,37 @@ def test_check_instrument_and_validate_read_one_obligation_list(**drawn):
                 if i.method == m.qname and i.kind in (KIND_MEMREQ, KIND_ESC)} == \
             {(c.tag and c.tag.name, c.key) for c in clauses}
         assert [b.clause for b in oracle._table(prog).method(m).bounds] == labels
+
+
+# a class or a user tag that takes a name the key or tag space counts by:
+# `check` verified each and `validate` refuted it before the name was
+# reserved
+RESERVED = {
+    # memreq<object> counted the class `object` twice in the oracle
+    "class-object": "class object { } class P { void f() { memreq<object>(1);"
+                    " object o = new object(); } }",
+    # the oracle keys each exit root by its tag's name, so bind_esc(Return,
+    # this.h) took the place of the return value's root
+    "tag-Return": "class A { A next; } class P { A h; A f() { memreq<A>(3);"
+                  " esc<A>(Return, 2); esc<A>(return, 1); bind_esc(Return, this.h);"
+                  " dest_esc(Return); A a = new A(); this.h = a;"
+                  " dest_esc(Return); A b = new A(); a.next = b;"
+                  " dest_esc(return); A c = new A(); return c; } }",
+    "tag-This": "class A { A next; } class P { A h; void f() { memreq<A>(2);"
+                " esc<A>(This, 1); esc<A>(this, 1); bind_esc(This, this.h);"
+                " dest_esc(This); A a = new A(); this.h = a;"
+                " dest_esc(this); A b = new A(); a.next = b; } }",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESERVED))
+def test_a_name_the_key_and_tag_spaces_count_by_is_reserved(tmp_path, name):
+    path = tmp_path / f"{name}.mcl"
+    path.write_text(RESERVED[name])
+    for command in ("check", "validate", "instrument"):
+        code, out, err = cli(command, str(path))
+        assert (code, out) == (3, "")
+        assert [json.loads(line)["code"] for line in err.splitlines()] == ["reserved-name"]
 
 
 # what a method charges but does not declare, and the counter whose ensure
@@ -869,35 +905,29 @@ def test_an_absent_clause_is_zero_for_check_instrument_and_validate(tmp_path, na
         assert f"{counter} <= 0" in {e["cond"] for e in json.loads(out)["ensureFailures"]}
 
 
-# g names the object but escapes `return` only as A, and f pulls g's return
-# into its own, declared 0 for every class
-MIXED_VIEWS = ("class A { } class P {"
-               " A g() { memreq<object>(1); esc<A>(return, 1); dest_esc(return); A a = new A();"
-               " return a; }"
-               " A f() { memreq<object>(1); esc<object>(return, 0); add_esc(return, return);"
-               " A x = this.g(); return x; } }")
-# g hides the A it allocates behind `object`, and f, which covers memreq
-# too, holds A to zero on its own
-HIDDEN_CLASS = ("class A { } class P { void g() { memreq<object>(1); A a = new A(); }"
-                " void f() { memreq<A>(0); memreq<object>(1); this.g(); } }")
-
-
-@pytest.mark.parametrize("source, modes, violated, failed", [
-    (MIXED_VIEWS, ("type", "object"), ("P.f", "esc<object>(return)"), "f_Esc_Return_object <= 0"),
+@pytest.mark.parametrize("source, modes, checked, observed, failed", [
+    (MIXED_VIEWS, ("type", "object"), {("P.f", "esc<object>(return)"): 1}, None,
+     ["f_Esc_Return_object <= 0"]),
     # object mode reads f's memreq as its object clause alone, which holds
-    (HIDDEN_CLASS, ("type",), ("P.f", "memreq<A>"), "f_MemReq_A <= 0")],
-    ids=["mixed-views", "hidden-class"])
+    (HIDDEN_CLASS, ("type",), {("P.f", "memreq<A>"): 1}, None, ["f_MemReq_A <= 0"]),
+    # g's object bound is also charged to the A that f bounds, which g may
+    # hide, so `check` and the copy refute memreq<A> where the oracle,
+    # counting A alone, observes 1
+    (UNDECLARED_OBJECT, ("type",), {("P.f", "memreq<object>"): 2, ("P.f", "memreq<A>"): 2},
+     {("P.f", "memreq<object>"): 2}, ["f_MemReq_A <= 1", "f_MemReq_object <= 0"])],
+    ids=["mixed-views", "hidden-class", "undeclared-object"])
 def test_check_the_copy_and_validate_refute_one_clause_at_one_value(
-        tmp_path, source, modes, violated, failed):
-    # f's clause is violated at 1 wherever it is read: by `check`, by the
-    # copy's ensure and as the oracle observes it under both collectors
+        tmp_path, source, modes, checked, observed, failed):
+    # f's clause is violated at one value wherever it is read: by `check`,
+    # by the copy's ensure and as the oracle observes it under both
+    # collectors (`observed` when the oracle sees fewer rows than `check`)
     path, copy = tmp_path / "f.mcl", tmp_path / "f.inst.mcl"
     path.write_text(source)
     for mode in modes:
         code, out, _ = cli("check", str(path), "--mode", mode, "--format", "json")
         assert code == 1
         assert {(r["method"], r["clause"]): int(r["computed"]) for r in
-                json.loads(out)["clauses"] if r["verdict"] == "Violated"} == {violated: 1}
+                json.loads(out)["clauses"] if r["verdict"] == "Violated"} == checked
     assert cli("instrument", str(path), "--emit", str(copy))[0] == 0
     for gc in ("ideal", "method-exit"):
         for target in (path, copy):
@@ -905,9 +935,9 @@ def test_check_the_copy_and_validate_refute_one_clause_at_one_value(
             report = json.loads(out)
             assert code == 1
             assert {(v["method"], v["clause"]): v["observed"]
-                    for v in report["violations"]} == {violated: 1}
+                    for v in report["violations"]} == (observed or checked)
             assert [e["cond"] for e in report["ensureFailures"]] == \
-                ([] if target == path else [failed])
+                ([] if target == path else failed)
 
 
 def test_check_and_validate_read_one_object_view_of_a_tag():

@@ -664,3 +664,31 @@ class P {
     failures = [(f.point, f.failure.cond) for f in validate(inst.program, hi=2).ensure_failures]
     assert failures[0] == ({"n": 0}, "f_MemReq_A <= f_Entry_n")
     assert program_to_json(erase(inst)) == program_to_json(prog)
+
+
+# ------------------------------------------------------------ counter names
+
+
+@pytest.mark.parametrize("source, conds", [
+    # an array A[] and a class A_arr both write A_arr
+    ("class A { } class A_arr { } class P { void f(int n) { requires(n >= 0);"
+     " memreq<A[]>(n); memreq<A_arr>(1); A[] a = new A[n]; A_arr b = new A_arr(); } }",
+     ["f_MemReq_A_arr <= n", "f_MemReq_A_arr_2 <= 1"]),
+    # the tag T_A of class B and the tag T of class A_B both write T_A_B
+    ("class B { } class A_B { } class P { B h; A_B k; void f() { memreq<B>(1);"
+     " memreq<A_B>(1); esc<B>(T_A, 1); esc<A_B>(T, 1); bind_esc(T_A, this.h);"
+     " bind_esc(T, this.k); dest_esc(T_A); B b = new B(); this.h = b;"
+     " dest_esc(T); A_B c = new A_B(); this.k = c; } }",
+     ["f_MemReq_B <= 1", "f_MemReq_A_B <= 1", "f_Esc_T_A_B <= 1", "f_Esc_T_A_B_2 <= 1"])],
+    ids=["array-and-class", "tag-and-class"])
+def test_each_counter_has_a_name_of_its_own(source, conds):
+    # two clauses that write one name would share one counter, and the copy
+    # would fail both ensures where `check` and the oracle hold both
+    prog = load(source, "names.mcl")
+    inst = instrument(prog)
+    body = inst.program.method("P.f").body
+    assert [expr_to_str(s.cond) for s in body if isinstance(s, EnsureStmt)] == conds
+    assert len([s for s in body if isinstance(s, LocalDecl)]) == len(conds)
+    assert validate(prog, hi=3).clean
+    assert validate(inst.program, hi=3).ensure_failures == []
+    assert program_to_json(erase(inst)) == program_to_json(prog)

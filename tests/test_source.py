@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 from mclcheck.cli import _EVENTS
-from mclcheck.frontend.syntax import SHAPES
+from mclcheck.frontend.syntax import SHAPES, MethodContract, obligations
+from mclcheck.summary import call_entries
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 BENCH = SRC.parent / "bench"
@@ -172,18 +174,37 @@ def test_a_call_is_charged_by_one_rule():
 def test_what_a_method_claims_is_read_by_one_function():
     # syntax.obligations lists a method's declared clauses and its absent
     # ones at zero, where no object clause covers their tag, for the
-    # checker's rows (`ConsumptionSummary.claims`) and the keys its calls
-    # charge, the copy's ensures and counters, the oracle's bounds and the
-    # methods validate drives; a fourth reader of a method's own clauses
-    # could hold an absent one to something other than zero.  The other
-    # readers of clauses read a callee's, through the bounds a caller's
-    # keys read of it
+    # checker's claims (`summary.summarize`, collapsed in object mode), the
+    # copy's ensures and counters, the oracle's bounds and the methods
+    # validate drives; a fourth reader of a method's own clauses could hold
+    # an absent one to something other than zero.  The other readers of
+    # clauses read a callee's, through the bounds a caller's keys read of it
     assert sorted(_callers("obligations")) == [
         "instrument.py:__init__", "oracle.py:__init__", "oracle.py:validate",
-        "summary.py:__init__"]
+        "summary.py:summarize"]
     assert sorted(c for c in _callers("clauses") if not c.startswith("frontend/syntax.py")) == [
         "instrument.py:_snapshot_args", "summary.py:contract_binding"]
     assert sorted(_callers("bounds_for")) == ["instrument.py:_charged", "summary.py:call_entries"]
+
+
+def test_a_clause_is_counted_as_its_key_says():
+    # the key alone says how a clause is counted: `object` every class, a
+    # class itself.  No reader takes a flag that re-decides it, the one
+    # collapse onto `object` is `syntax.collapsed`, which object mode and a
+    # caller's object key read, and `check` summarizes each method once
+    assert list(inspect.signature(MethodContract.clauses).parameters) == ["self"]
+    assert list(inspect.signature(MethodContract.bounds_for).parameters) == ["self", "keys"]
+    assert list(inspect.signature(obligations).parameters) == ["method"]
+    assert list(inspect.signature(call_entries).parameters) == ["stmt", "admissible", "keys"]
+    assert sorted(_callers("collapsed")) == ["frontend/syntax.py:bounds_for",
+                                             "summary.py:summarize"]
+    assert _callers("summarize") == ["summary.py:check_program"]
+    for module, cls in (("summary.py", "_Summarizer"), ("instrument.py", "_Instrumenter")):
+        tree = ast.parse((SRC / "mclcheck" / module).read_text())
+        (body,) = [c for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == cls]
+        names = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "arg", None)
+                 for n in ast.walk(body)}
+        assert not names & {"mode", "MODE_OBJECT", "MODE_TYPE", "collapsed", "whole"}, cls
 
 
 def test_a_linear_fact_is_decided_by_one_procedure():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import HIDDEN_CLASS, MIXED_VIEWS, UNDECLARED_OBJECT
 from mclcheck import summary as S
-from mclcheck.frontend import Tag, load, obligations
+from mclcheck.frontend import Tag, collapsed, load, obligations
 from mclcheck.frontend.syntax import CallStmt, NewStmt, entry_vars, unassigned_entry_vars
 from mclcheck.oracle import validate
 from mclcheck.symexpr import (
@@ -28,6 +29,27 @@ POSITIVE = [
     "listbuild", "zigzag", "scratchslot", "boxedpath", "eitherway",
     "workqueue", "raggedstore",
 ]
+
+# programs that declare an object clause, besides the corpus's
+OBJECT_PROGRAMS = {
+    # g hides A behind `object` under memreq and `return`, and names B
+    "hide": "class A { } class B { } class P { B g(int n) { requires(n >= 0);"
+            " memreq<object>(n + 2); memreq<B>(1); esc<object>(return, 1);"
+            " dest_esc(return); B b = new B(); A a = new A(); return b; }"
+            " B f(int n) { requires(n >= 0); memreq<A>(0); esc<A>(return, 0);"
+            " add_esc(return, return); B x = this.g(n); return x; } }",
+    # memreq and `return` have an object clause, `this` only class clauses
+    "view": "class A { } class B { } class P { A f(int n) { requires(n >= 0);"
+            " memreq<A>(n); memreq<object>(1); memreq<B>(2); esc<A>(this, n);"
+            " esc<B>(this, 3); esc<object>(return, 4); esc<A>(return, 1);"
+            " A a = new A(); return a; } }",
+    # an object clause below its one class's total
+    "below": "class A { A() { } } class P { void f(int n) { requires(n >= 0);"
+             " memreq<object>(1); memreq<A>(n); for (i = 1 .. n) { A a = new A(); } } }",
+    "mixed-views": MIXED_VIEWS,
+    "hidden-class": HIDDEN_CLASS,
+    "undeclared-object": UNDECLARED_OBJECT,
+}
 
 
 def load_corpus(name):
@@ -125,10 +147,10 @@ def test_call_entries_state_a_calls_whole_charge():
     new_a1 = next(s for s in m.body if isinstance(s, NewStmt))
     call_m1, call_m2 = [s for s in m.body if isinstance(s, CallStmt)]
     n = Poly.var("n")
-    assert S.call_entries(new_a1, admissible, False, ["A"]) == []
-    assert S.call_entries(call_m1, admissible, False, ["A"]) == \
+    assert S.call_entries(new_a1, admissible, ["A"]) == []
+    assert S.call_entries(call_m1, admissible, ["A"]) == \
         [("A", SymExpr.of(n + 1), SymExpr.of(1), [])]
-    assert S.call_entries(call_m2, admissible, False, ["A"]) == \
+    assert S.call_entries(call_m2, admissible, ["A"]) == \
         [("A", SymExpr.of(n), SymExpr.of(2), [(Tag.ret(), SymExpr.of(2))])]
 
 
@@ -136,20 +158,18 @@ def test_a_callees_object_clause_bounds_each_class_its_caller_counts():
     # g hides its A behind `object`: a caller that counts A is charged g's
     # object bound for it, under memreq and under `return` alike, since no
     # class counts more than every class together; B, which g names, keeps
-    # its own clause
-    prog = load("class A { } class B { } class P { B g(int n) { requires(n >= 0);"
-                " memreq<object>(n + 2); memreq<B>(1); esc<object>(return, 1);"
-                " dest_esc(return); B b = new B(); A a = new A(); return b; }"
-                " B f(int n) { requires(n >= 0); memreq<A>(0); esc<A>(return, 0);"
-                " add_esc(return, return); B x = this.g(n); return x; } }", "hide")
+    # its own memreq clause and is hidden under `return`.  There is one
+    # entry per key the caller counts, and none at a key it does not
+    prog = load(OBJECT_PROGRAMS["hide"], "hide")
     f = prog.method("P.f")
     call = next(s for s in f.body if isinstance(s, CallStmt))
     n = Poly.var("n")
-    assert S.call_entries(call, None, False, ["A"]) == [
+    assert [c.key for c in obligations(f)] == ["A", "A", "B", "object", "object"]
+    assert S.call_entries(call, None, [c.key for c in obligations(f)]) == [
         ("object", SymExpr.of(n + 2), SymExpr.of(1), [(Tag.ret(), SymExpr.of(1))]),
-        ("B", SymExpr.of(1), SymExpr.of(0), []),
+        ("B", SymExpr.of(1), SymExpr.of(1), [(Tag.ret(), SymExpr.of(1))]),
         ("A", SymExpr.of(n + 2), SymExpr.of(1), [(Tag.ret(), SymExpr.of(1))])]
-    assert S.call_entries(call, None, True, ["A"]) == [
+    assert S.call_entries(call, None, ["object"]) == [
         ("object", SymExpr.of(n + 2), SymExpr.of(1), [(Tag.ret(), SymExpr.of(1))])]
     rep = S.check_program(prog)
     assert {(r.method, r.clause): r.computed for r in rep.rows
@@ -246,6 +266,22 @@ def test_recursion_without_contract_is_held_to_zero(alloc):
 # -------------------------------------------------------------- object mode
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.mcl"))
+                         + sorted(OBJECT_PROGRAMS))
+def test_a_declared_object_clause_reads_alike_in_both_modes(name):
+    # an object clause counts every class of its tag in either mode: type
+    # mode charges `object` in the same pass as each class, and object mode
+    # collapses the other clauses onto it
+    prog = load(OBJECT_PROGRAMS[name], name) if name in OBJECT_PROGRAMS else load_corpus(name)
+    rows = {mode: {(r.method, r.clause): (r.computed, r.verdict.to_json())
+                   for r in S.check_program(prog, mode).rows}
+            for mode in (S.MODE_TYPE, S.MODE_OBJECT)}
+    whole = [(m.qname, c.label) for m in prog.methods() for c in m.contract.clauses() if c.whole]
+    assert bool(whole) == (name in OBJECT_PROGRAMS or "object" in name)
+    for k in whole:
+        assert rows[S.MODE_TYPE][k] == rows[S.MODE_OBJECT][k], k
+
+
 def test_object_mode_collapses_callee_types():
     prog = load_corpus("family_object")
     s = summarize_in(prog, "Family.CreateFamily", mode=S.MODE_OBJECT)
@@ -268,16 +304,13 @@ def test_the_object_view_of_each_tag_is_its_object_clause_or_its_class_sum():
     # object mode reads that view, and the per-class list is the declared
     # clauses alone: `this` is charged only A, which a clause names, and an
     # object clause covers the rest of its tag
-    prog = load("class A { } class B { } class P { A f(int n) { requires(n >= 0);"
-                " memreq<A>(n); memreq<object>(1); memreq<B>(2); esc<A>(this, n);"
-                " esc<B>(this, 3); esc<object>(return, 4); esc<A>(return, 1);"
-                " A a = new A(); return a; } }")
+    prog = load(OBJECT_PROGRAMS["view"])
     f = prog.method("P.f")
     view = [("memreq<object>", "1"), ("esc<object>(this)", "n + 3"),
             ("esc<object>(return)", "4")]
-    assert [(c.label, str(c.bound)) for c in f.contract.clauses(True)] == view
-    assert [(c.label, str(c.bound)) for c in obligations(f, True)] == view
-    assert obligations(f) == f.contract.clauses(False)
+    assert [(c.label, str(c.bound)) for c in collapsed(f.contract.clauses())] == view
+    assert [(c.label, str(c.bound)) for c in collapsed(obligations(f))] == view
+    assert obligations(f) == f.contract.clauses()
 
 
 def test_a_lone_declared_bound_reads_alike_in_both_modes():
@@ -315,17 +348,7 @@ def test_type_mode_checks_object_clauses_against_every_class():
 
 
 def test_type_mode_object_clause_below_the_class_total_is_violated():
-    prog = load("""
-    class A { A() { } }
-    class P {
-        void f(int n) {
-            requires(n >= 0);
-            memreq<object>(1);
-            memreq<A>(n);
-            for (i = 1 .. n) { A a = new A(); }
-        }
-    }
-    """)
+    prog = load(OBJECT_PROGRAMS["below"])
     rep = S.check_program(prog, mode=S.MODE_TYPE)
     r = row(rep, "P.f", "memreq<object>")
     assert (r.verdict.kind, r.computed, r.verdict.witness) == \

@@ -42,14 +42,18 @@ the two imports never mix, and each runs the same command lines through
   recursion through members without clauses: a `spin` that allocates
   nothing, one that allocates, and a mutual recursion, whose escape
   summaries change across fixpoint rounds;
-- on seven methods that charge what they do not declare (a class charged
+- on eight methods that charge what they do not declare (a class charged
   only through a callee's contract, a `dest_esc` tag, an `add_esc` pull,
-  and an allocation in a method without clauses) or that an object clause
-  covers (an object `return` that pulls a callee's per-class escape, a
-  per-class caller of a callee that declares only the object, and a
-  caller that covers memreq beside a zero class clause for the class its
-  callee hides): `check` in both modes, human and JSON, `instrument
-  --emit`, and `validate --format json` on the source and on the copy.
+  an allocation in a method without clauses, and a caller that charges
+  an undeclared `memreq<object>` with its own class beside a callee's
+  object clause) or that an object clause covers (an object `return`
+  that pulls a callee's per-class escape, a per-class caller of a callee
+  that declares only the object, and a caller that covers memreq beside a
+  zero class clause for the class its callee hides), and on three names
+  that collide in the key, tag or counter space (a class named `object`,
+  a user tag named `Return`, and an array `A[]` beside a class `A_arr`):
+  `check` in both modes, human and JSON, `instrument --emit`, and
+  `validate --format json` on the source and on the copy.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -177,8 +181,9 @@ def _spin(alloc: str) -> str:
 
 def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     """`check` in both formats, `instrument` and `ptg` on clauses and facts
-    the decision procedure meets rarely, and the seven absent-clause cases,
-    written under work/decision."""
+    the decision procedure meets rarely, and the eight absent-clause and
+    object cases and the three name collisions, written under
+    work/decision."""
     files = {
         "quadratic-alternative": _loop_f("n >= 3", "max(2 * n, n * n - 5)", "1 .. n + 3", ""),
         "non-affine-header": _loop_f("n >= 0 && m >= 0", "n * m", "1 .. n * m", ""),
@@ -238,6 +243,24 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
         "object-hidden": "class A {\n}\n\nclass P {\n    void g() {\n        memreq<object>(1);\n"
                          "        A a = new A();\n    }\n\n    void f() {\n        memreq<A>(0);\n"
                          "        memreq<object>(1);\n        this.g();\n    }\n}\n",
+        "object-undeclared": "class A {\n}\n\nclass B {\n}\n\nclass P {\n    void g() {\n"
+                             "        memreq<object>(1);\n        B b = new B();\n    }\n\n"
+                             "    void f() {\n        memreq<A>(1);\n        A a = new A();\n"
+                             "        this.g();\n    }\n}\n",
+        "class-object": "class object {\n}\n\nclass P {\n    void f() {\n"
+                        "        memreq<object>(1);\n        object o = new object();\n"
+                        "    }\n}\n",
+        "tag-Return": "class A {\n    A next;\n}\n\nclass P {\n    A h;\n\n    A f() {\n"
+                      "        memreq<A>(3);\n        esc<A>(Return, 2);\n"
+                      "        esc<A>(return, 1);\n        bind_esc(Return, this.h);\n"
+                      "        dest_esc(Return);\n        A a = new A();\n        this.h = a;\n"
+                      "        dest_esc(Return);\n        A b = new A();\n        a.next = b;\n"
+                      "        dest_esc(return);\n        A c = new A();\n        return c;\n"
+                      "    }\n}\n",
+        "array-and-class": "class A {\n}\n\nclass A_arr {\n}\n\nclass P {\n"
+                           "    void f(int n) {\n        requires(n >= 0);\n"
+                           "        memreq<A[]>(n);\n        memreq<A_arr>(1);\n"
+                           "        A[] a = new A[n];\n        A_arr b = new A_arr();\n    }\n}\n",
     }
     (work / "decision").mkdir()
     lines: list[tuple[list[str], Path | None]] = []
