@@ -520,16 +520,16 @@ class Program:
 
 # --- traversal -----------------------------------------------------------------
 
-def iter_stmts(body: list[Stmt], loops: bool = True) -> Iterator[Stmt]:
+def iter_stmts(body: list[Stmt]) -> Iterator[Stmt]:
     """Statements in syntactic pre-order, through both arms of every `if`
-    and, unless `loops` is false, into loop bodies."""
+    and into every loop body."""
     for s in body:
         yield s
         if isinstance(s, IfStmt):
-            yield from iter_stmts(s.then_body, loops)
-            yield from iter_stmts(s.else_body, loops)
-        elif loops and isinstance(s, ForStmt):
-            yield from iter_stmts(s.body, loops)
+            yield from iter_stmts(s.then_body)
+            yield from iter_stmts(s.else_body)
+        elif isinstance(s, ForStmt):
+            yield from iter_stmts(s.body)
 
 
 def callee_of(stmt: Stmt) -> MethodDecl | None:

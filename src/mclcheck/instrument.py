@@ -11,14 +11,14 @@ plain MCL, so the result pretty-prints, reparses, and runs unchanged
 through the interpreter; `erase` strips the additions and returns the
 original program.
 
-Counter scoping mirrors the worked examples and the summarizer's scopes
-(`summary._Acc.fold`), each a plain map from class to a
-maxCalls/sumCalls pair of counter names.  The method body's pairs are
-declared in one place in `_rewrite`, just before the first call, `new`
-or `if` that charges them, so both arms of an `if` share them as they
-share a scope in the summary.  Each loop body has maxCall/sumCall pairs
-of its own, declared before the loop and flushed into the requirement
-counter right after it (and before any return that leaves the loop).
+Counter scoping follows the summarizer's one scope rule
+(`summary._Acc`): a method has one maxCalls/sumCalls pair per key its
+calls charge, updated by every call at any depth, declared in `run` just
+before the first top-level statement that charges the key anywhere under
+it, and flushed into the requirement counter before each return and at
+the end of the body.  A max of maxes is a max and a sum of sums a sum,
+so the flushed value is the summary's, and every `ensure` is read at
+exit.
 A method counts exactly the (tag, key) pairs of its obligations, each as
 its key says: an `object` counter counts every class, so each `new`
 bumps its class's counter and the object's, where the method counts
@@ -105,7 +105,8 @@ class CounterInfo:
 @dataclass
 class InstrumentedProgram:
     program: Program
-    counter_index: dict[str, CounterInfo] = field(default_factory=dict)
+    # (method qname, counter name) -> info: each method names its own counters
+    counter_index: dict[tuple[str, str], CounterInfo] = field(default_factory=dict)
 
 
 # ------------------------------------------------ polynomials back to syntax
@@ -164,12 +165,9 @@ def _suffix(key: str) -> str:
 # ------------------------------------------------------------- per method
 
 
-_Pairs = dict[str, tuple[str, str]]  # a scope: class -> (max, sum) counter names
-
-
 class _Instrumenter:
     def __init__(self, method: MethodDecl, cls: ClassDecl,
-                 index: dict[str, CounterInfo]):
+                 index: dict[tuple[str, str], CounterInfo]):
         self.m = method
         self.index = index
         self.prefix = method.name
@@ -182,7 +180,7 @@ class _Instrumenter:
         self.inits: dict[str, CounterInfo] = {}
         self.diff_total: dict[str, int] = {}
         self.diff_seen: dict[str, int] = {}
-        self.loop_pair_seen: dict[str, int] = {}
+        self.pairs: dict[str, tuple[str, str]] = {}  # key -> (max, sum) counter names
         self.args_seen = 0
 
     # -- naming ------------------------------------------------------------
@@ -207,12 +205,15 @@ class _Instrumenter:
             self.inits[name] = CounterInfo(self.m.qname, kind, key, tag=tag and tag.name)
         return self.counters[tag, key]
 
+    def _record(self, name: str, kind: str, key: str, site: str | None = None) -> None:
+        self.index[self.m.qname, name] = CounterInfo(self.m.qname, kind, key, site=site)
+
     def _diff(self, key: str, site: str) -> str:
         self.diff_seen[key] = self.diff_seen.get(key, 0) + 1
         k = self.diff_seen[key]
         name = self._fresh(f"call{k}_diff_{_suffix(key)}" if self.diff_total[key] > 1
                            else f"call_diff_{_suffix(key)}")
-        self.index[name] = CounterInfo(self.m.qname, KIND_CALLDIFF, key, site=site)
+        self._record(name, KIND_CALLDIFF, key, site=site)
         return name
 
     # -- callee contract shaping --------------------------------------------
@@ -224,10 +225,9 @@ class _Instrumenter:
         return [] if callee is None else list(dict.fromkeys(
             c.key for c in callee.contract.bounds_for(self.keys) if (None, c.key) in self.counted))
 
-    def _contributing(self, stmts: list[Stmt]) -> list[str]:
-        """Classes charged by calls at this nesting level, loops excluded."""
-        keys = [k for s in iter_stmts(stmts, loops=False) for k in self._charged(s)]
-        return list(dict.fromkeys(keys))
+    def _contributing(self, s: Stmt) -> list[str]:
+        """Keys charged by the calls anywhere under `s`, loop bodies included."""
+        return list(dict.fromkeys(k for t in iter_stmts([s]) for k in self._charged(t)))
 
     def _count_diffs(self, stmts: list[Stmt]) -> None:
         for s in iter_stmts(stmts):
@@ -252,16 +252,16 @@ class _Instrumenter:
             if p.name in used and expr_poly(read.args[i], None) is None:
                 self.args_seen += 1
                 name = self._fresh(f"{self.prefix}_Arg{self.args_seen}_{p.name}")
-                self.index[name] = CounterInfo(self.m.qname, KIND_ARG, "")
+                self._record(name, KIND_ARG, "")
                 decls.append(LocalDecl(T_INT, name, copy.deepcopy(read.args[i])))
                 read.args[i] = VarRef(name)
         return decls, read
 
-    def _call_counters(self, stmt: NewStmt | CallStmt, pairs: _Pairs) -> list[Stmt]:
+    def _call_counters(self, stmt: NewStmt | CallStmt) -> list[Stmt]:
         out, stmt = self._snapshot_args(stmt)
         for key, mr, escaped, pulls in call_entries(stmt, None, self.keys):
             if (None, key) in self.counted:
-                max_name, sum_name = pairs[key]
+                max_name, sum_name = self.pairs[key]
                 diff = self._diff(key, stmt.site)
                 out.append(LocalDecl(T_INT, diff, Binary(
                     "-", _operand(sym_expr_node(mr)), _operand(sym_expr_node(escaped)))))
@@ -282,53 +282,38 @@ class _Instrumenter:
                                      copy.deepcopy(amount)))
         return out
 
-    def _declare_pair(self, key: str, pairs: _Pairs, in_loop: bool) -> list[Stmt]:
-        n = "s"  # maxCalls_A at method level; maxCall_A, maxCall2_A, ... per loop
-        if in_loop:
-            k = self.loop_pair_seen[key] = self.loop_pair_seen.get(key, 0) + 1
-            n = "" if k == 1 else str(k)
-        max_name = self._fresh(f"maxCall{n}_{_suffix(key)}")
-        sum_name = self._fresh(f"sumCall{n}_{_suffix(key)}")
-        self.index[max_name] = CounterInfo(self.m.qname, KIND_MAXCALLS, key)
-        self.index[sum_name] = CounterInfo(self.m.qname, KIND_SUMCALLS, key)
-        pairs[key] = (max_name, sum_name)
+    def _declare_pair(self, key: str) -> list[Stmt]:
+        max_name = self._fresh(f"maxCalls_{_suffix(key)}")
+        sum_name = self._fresh(f"sumCalls_{_suffix(key)}")
+        self._record(max_name, KIND_MAXCALLS, key)
+        self._record(sum_name, KIND_SUMCALLS, key)
+        self.pairs[key] = (max_name, sum_name)
         return [LocalDecl(T_INT, max_name, IntLit(0)),
                 LocalDecl(T_INT, sum_name, IntLit(0))]
 
-    def _flush(self, pairs: _Pairs) -> list[Stmt]:
+    def _flush(self) -> list[Stmt]:
         return [AugAssign(VarRef(self._counter(None, key)),
                           Binary("+", VarRef(mx), VarRef(sm)))
-                for key, (mx, sm) in pairs.items()]
+                for key, (mx, sm) in self.pairs.items()]
 
-    def _rewrite(self, stmts: list[Stmt], scopes: list[_Pairs]) -> list[Stmt]:
+    def _rewrite(self, stmts: list[Stmt]) -> list[Stmt]:
         out: list[Stmt] = []
         for s in stmts:
-            if len(scopes) == 1:  # the one place the method's pairs are declared
-                for key in self._contributing([s]):
-                    if key not in scopes[0]:
-                        out.extend(self._declare_pair(key, scopes[0], in_loop=False))
             if isinstance(s, ReturnStmt):
-                for pairs in reversed(scopes):  # innermost loop first, method last
-                    out.extend(self._flush(pairs))
+                out.extend(self._flush())
                 out.append(s)
             elif isinstance(s, (NewStmt, CallStmt)):
-                out.extend(self._call_counters(s, scopes[-1]))
+                out.extend(self._call_counters(s))
                 if isinstance(s, NewStmt):
                     out.extend(self._new_counters(s))
                 out.append(s)
             elif isinstance(s, IfStmt):
-                s.then_body = self._rewrite(s.then_body, scopes)
-                s.else_body = self._rewrite(s.else_body, scopes)
+                s.then_body = self._rewrite(s.then_body)
+                s.else_body = self._rewrite(s.else_body)
                 out.append(s)
             elif isinstance(s, ForStmt):
-                loop_pairs: _Pairs = {}
-                decls: list[Stmt] = []
-                for key in self._contributing(s.body):
-                    decls.extend(self._declare_pair(key, loop_pairs, in_loop=True))
-                s.body = self._rewrite(s.body, scopes + [loop_pairs])
-                out.extend(decls)
+                s.body = self._rewrite(s.body)
                 out.append(s)
-                out.extend(self._flush(loop_pairs))
             else:
                 out.append(s)
         return out
@@ -355,19 +340,23 @@ class _Instrumenter:
             ensures.append(EnsureStmt(Binary("<=", VarRef(counter),
                                              sym_expr_node(substitute(c.bound, at_entry)))))
 
-        method_pairs: _Pairs = {}
-        body = self._rewrite(rest, [method_pairs])
+        body: list[Stmt] = []
+        for s in rest:  # the one place the method's pairs are declared
+            for key in self._contributing(s):
+                if key not in self.pairs:
+                    body.extend(self._declare_pair(key))
+            body.extend(self._rewrite([s]))
         # _rewrite flushes before each return; a body that falls off the
         # end (void methods, ctors) still needs the trailing accumulation
-        if method_pairs and not isinstance(body[-1], ReturnStmt):
-            body = body + self._flush(method_pairs)
+        if self.pairs and not isinstance(body[-1], ReturnStmt):
+            body = body + self._flush()
         inits = [LocalDecl(T_INT, name, IntLit(0)) for name in self.inits]
         inits += [LocalDecl(T_INT, name, var_expr(v)) for v, name in snapshots.items()]
         self.m.body = prefix + ensures + inits + body
         for name, info in self.inits.items():
-            self.index[name] = info
+            self.index[self.m.qname, name] = info
         for name in snapshots.values():
-            self.index[name] = CounterInfo(self.m.qname, KIND_ENTRY, "")
+            self._record(name, KIND_ENTRY, "")
 
 
 # ------------------------------------------------------------------- entry
@@ -381,7 +370,7 @@ def instrument(program: Program) -> InstrumentedProgram:
     interpreted or pretty-printed directly.
     """
     prog = copy.deepcopy(program)  # call-site links follow into the copy
-    index: dict[str, CounterInfo] = {}
+    index: dict[tuple[str, str], CounterInfo] = {}
     class_map = prog.class_map()
     for m in prog.methods():
         _Instrumenter(m, class_map[m.cls], index).run()
@@ -408,13 +397,16 @@ def _strip(stmts: list[Stmt], names: set[str]) -> list[Stmt]:
 
 
 def erase(inst: InstrumentedProgram) -> Program:
-    """Undo instrument: drop ensures and every statement touching a counter.
+    """Undo instrument: drop ensures and every statement touching one of
+    its method's counters.
 
     Counter names are treated as a reserved namespace; a source program
     that already uses them is outside this transform's domain.
     """
     prog = copy.deepcopy(inst.program)
-    names = set(inst.counter_index)
+    names: dict[str, set[str]] = {}
+    for qname, name in inst.counter_index:
+        names.setdefault(qname, set()).add(name)
     for m in prog.methods():
-        m.body = _strip(m.body, names)
+        m.body = _strip(m.body, names.get(m.qname, set()))
     return prog

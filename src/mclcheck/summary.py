@@ -5,14 +5,16 @@ their bodies, one scope at a time.  Per class, a scope needs its own
 allocations, plus the largest headroom any single call needs (its
 requirement minus what it leaves escaped), plus everything the calls
 leave escaped; the subtraction is what lets memory be recycled between
-calls.  That rule is stated once, in `_Acc.fold`: a method body folds
-its scope as it is, and a loop body sums its own allocations and the
-calls' escapes over the header's range and maximizes the headroom term
-over it.  A loop whose header has no range folds to zeros flagged
-`no-loop-range`, and one whose closed form is past `symexpr.DEGREE_CAP`
-to zeros flagged `degree-cap`: only the classes it touches are left
-Unverified.  Both arms of an `if` fold straight into the enclosing
-scope, flow-insensitively.  A body reads a parameter as its entry value
+calls.  That rule is stated once, for the method body
+(`_Acc.requirement`); a loop at any depth hands the scope around it
+(`_Acc.fold`) its own allocations and call escapes summed over the
+header's range and its largest headroom maximized over it, since a
+callee's temporaries die when it returns (the region model).  A loop
+whose header has no range folds to zeros flagged `no-loop-range`, and
+one whose closed form is past `symexpr.DEGREE_CAP` to zeros flagged
+`degree-cap`: only the classes it touches are left Unverified.  Both
+arms of an `if` fold straight into the enclosing scope,
+flow-insensitively.  A body reads a parameter as its entry value
 only while it has not assigned it (`unassigned_entry_vars`).  The
 declared bounds are then discharged with entails_leq, whose Verified
 holds for every nonnegative integer input that satisfies requires.  A
@@ -145,7 +147,7 @@ class ConsumptionSummary:
     method: str
     mem_req: dict[str, SymExpr]
     esc: dict[tuple[Tag, str], SymExpr]
-    call_part: dict[str, SymExpr]  # method-level max-headroom + escapes
+    call_part: dict[str, SymExpr]  # max headroom + escapes of calls at any depth
     space_rows: list[ClauseRow]  # each iteration_space that does not hold
     claims: list[Clause]  # its obligations, collapsed in object mode
 
@@ -154,7 +156,8 @@ _Over = Callable[[SymExpr], SymExpr]  # a value as is, or over a loop's range
 
 
 class _Acc:
-    """Per-scope buckets, all keyed by clause key: a class or `object`."""
+    """A scope's own allocations, its calls' headroom (MR - esc) and escapes,
+    keyed by clause key (a class or `object`), and its tagged escapes."""
 
     def __init__(self):
         self.own: dict[str, SymExpr] = {}
@@ -169,23 +172,29 @@ class _Acc:
         k = (tag, key)
         self.esc_tags[k] = add(self.esc_tags.get(k, SYM_ZERO), e)
 
-    def fold(self, summed: _Over, maxed: _Over) -> tuple[
-            dict[str, SymExpr], dict[str, SymExpr], dict[tuple[Tag, str], SymExpr]]:
-        """The scope rule, per class: the scope's own allocations summed,
-        plus the largest headroom (MR - esc) any one call needs maximized,
-        plus what all the calls leave escaped summed; tagged escapes are
-        summed alike.  A method body folds with the identity for both, a
-        loop body over its header's range.  Gives the requirement and the
-        calls' part of it per class, in class order, and the escapes."""
+    def fold(self, outer: _Acc, summed: _Over, maxed: _Over) -> None:
+        """Hand a loop body's parts to the scope around it: its largest
+        headroom maximized over the header's range, all else summed."""
+        for key, e in self.own.items():
+            outer.add_own(key, summed(e))
+        for key, diffs in self.diffs.items():  # a call adds to diffs and escs alike
+            outer.diffs.setdefault(key, []).append(maxed(reduce(sym_max, diffs, SYM_ZERO)))
+            outer.escs.setdefault(key, []).append(summed(sym_sum(self.escs[key])))
+        for (t, key), e in self.esc_tags.items():
+            outer.add_tag(t, key, summed(e))
+
+    def requirement(self) -> tuple[dict[str, SymExpr], dict[str, SymExpr]]:
+        """The scope rule per key, own + max(diffs) + sum(escs), and the
+        calls' part of it, in key order."""
         mem: dict[str, SymExpr] = {}
         calls: dict[str, SymExpr] = {}
         for key in sorted(set(self.own) | set(self.diffs)):
-            mem[key] = summed(self.own.get(key, SYM_ZERO))
-            if key in self.diffs:  # a call adds to diffs and escs alike
-                calls[key] = add(maxed(reduce(sym_max, self.diffs[key], SYM_ZERO)),
-                                 summed(sym_sum(self.escs[key])))
+            mem[key] = self.own.get(key, SYM_ZERO)
+            if key in self.diffs:
+                calls[key] = add(reduce(sym_max, self.diffs[key], SYM_ZERO),
+                                 sym_sum(self.escs[key]))
                 mem[key] = add(mem[key], calls[key])
-        return mem, calls, {k: summed(e) for k, e in self.esc_tags.items()}
+        return mem, calls
 
 
 def call_entries(stmt: NewStmt | CallStmt, admissible: set[str] | None,
@@ -293,11 +302,7 @@ class _Summarizer:
                                LinConstraint.compare(index, "<=", hi))
             summed = lambda e: sum_over(e, s.var, lo, hi, context)
             maxed = lambda e: max_over(e, s.var, lo, hi)
-        mem, _, esc = self.block(s.body, _Acc(), inner, loop_vars + (s.var,)).fold(summed, maxed)
-        for key, e in mem.items():
-            acc.add_own(key, e)
-        for (t, key), e in esc.items():
-            acc.add_tag(t, key, e)
+        self.block(s.body, _Acc(), inner, loop_vars + (s.var,)).fold(acc, summed, maxed)
 
     def _space_verdict(self, s: ForStmt, context) -> Verdict:
         """Whether every index the header produces satisfies the declared
@@ -329,11 +334,11 @@ class _Summarizer:
     # -- top level ----------------------------------------------------------------
 
     def run(self) -> ConsumptionSummary:
-        mem, calls, esc = self.block(self.m.body, _Acc(), self.m.contract.requires, ()).fold(
-            lambda e: e, lambda e: e)
+        acc = self.block(self.m.body, _Acc(), self.m.contract.requires, ())
+        mem, calls = acc.requirement()
         return ConsumptionSummary(
             self.m.qname, {k: e for k, e in mem.items() if not e.is_zero() or e.flags},
-            {k: e for k, e in esc.items() if not e.is_zero() or e.flags},
+            {k: e for k, e in acc.esc_tags.items() if not e.is_zero() or e.flags},
             calls, self.space_rows, self.claims)
 
 

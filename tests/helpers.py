@@ -144,3 +144,9 @@ HIDDEN_CLASS = ("class A { } class P { void g() { memreq<object>(1); A a = new A
 UNDECLARED_OBJECT = ("class A { } class B { } class P {"
                      " void g() { memreq<object>(1); B b = new B(); }"
                      " void f() { memreq<A>(1); A a = new A(); this.g(); } }")
+# f calls g inside a loop nest: g's k temporaries die with each call, so
+# f needs m at a time however many times the nest runs g
+NESTED_CALL = ("class A { } class P {"
+               " void g(int k) { requires(k >= 0); memreq<A>(k); for (i = 1 .. k) { A a = new A(); } }"
+               " void f(int n, int m) { requires(n >= 0 && m >= 0); memreq<A>(m);"
+               " for (j = 1 .. n) { for (i = 1 .. 1) { this.g(m); } } } }")

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import DEEP_SOURCE, HIDDEN_CLASS, MIXED_VIEWS, UNDECLARED_OBJECT, relay_chain
+from helpers import (DEEP_SOURCE, HIDDEN_CLASS, MIXED_VIEWS, NESTED_CALL, UNDECLARED_OBJECT,
+                     relay_chain)
 from mclcheck import oracle
 from mclcheck.cli import _build_parser, _dump, _trace_json, main
 from mclcheck.frontend import EnsureStmt, collapsed, load, obligations
@@ -938,6 +939,27 @@ def test_check_the_copy_and_validate_refute_one_clause_at_one_value(
                     for v in report["violations"]} == (observed or checked)
             assert [e["cond"] for e in report["ensureFailures"]] == \
                 ([] if target == path else failed)
+
+
+def test_a_call_in_a_loop_nest_is_charged_one_headroom_by_check_and_the_copy(tmp_path):
+    # g's temporaries die when it returns, so f's loop nest maxes g's
+    # headroom at every depth: `check` proves m, and neither the oracle nor
+    # the copy's ensure sees more
+    path, copy = tmp_path / "f.mcl", tmp_path / "f.inst.mcl"
+    path.write_text(NESTED_CALL)
+    code, out, _ = cli("check", str(path), "--format", "json")
+    assert code == 0
+    assert {(r["method"], r["clause"]): (r["computed"], r["verdict"])
+            for r in json.loads(out)["clauses"]} == {
+        ("P.f", "memreq<A>"): ("m", "Verified"), ("P.g", "memreq<A>"): ("k", "Verified")}
+    assert cli("instrument", str(path), "--emit", str(copy))[0] == 0
+    for gc in ("ideal", "method-exit"):
+        for target in (path, copy):
+            code, out, _ = cli("validate", str(target), "--grid", "4", "--gc", gc,
+                               "--format", "json")
+            report = json.loads(out)
+            assert code == 0, (target, gc)
+            assert (report["violations"], report["ensureFailures"]) == ([], [])
 
 
 def test_check_and_validate_read_one_object_view_of_a_tag():

@@ -690,9 +690,6 @@ def test_iter_stmts_is_preorder_through_both_arms_and_loops():
     kinds = [type(s).__name__ for s in iter_stmts(m.body)]
     assert kinds == ["NewStmt", "IfStmt", "CallStmt", "ForStmt", "NewStmt",
                      "NewStmt", "CallStmt"]
-    shallow = [type(s).__name__ for s in iter_stmts(m.body, loops=False)]
-    assert shallow == ["NewStmt", "IfStmt", "CallStmt", "ForStmt", "NewStmt",
-                       "CallStmt"]
 
 
 def test_callee_of_names_calls_and_constructors_only():

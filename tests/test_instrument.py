@@ -142,17 +142,18 @@ def test_callpair_body_layout():
 
 def test_callpair_counter_index():
     idx = instrumented("callpair").counter_index
-    assert idx["m_MemReq_A"].kind == KIND_MEMREQ
-    assert idx["m_MemReq_A"].cls == "A"
-    assert idx["m_MemReq_A"].method == "A.m"
-    assert idx["m_Esc_Return_A"].kind == KIND_ESC
-    assert idx["m_Esc_Return_A"].tag == "Return"
-    assert idx["m_Esc_Param_A"].tag == "Param"
-    assert idx["maxCalls_A"].kind == KIND_MAXCALLS
-    assert idx["sumCalls_A"].kind == KIND_SUMCALLS
-    assert idx["call1_diff_A"].kind == KIND_CALLDIFF
-    assert idx["call1_diff_A"].site == "A.m@1"
-    assert idx["call2_diff_A"].site == "A.m@2"
+    m = {name: info for (qname, name), info in idx.items() if qname == "A.m"}
+    assert m["m_MemReq_A"].kind == KIND_MEMREQ
+    assert m["m_MemReq_A"].cls == "A"
+    assert m["m_MemReq_A"].method == "A.m"
+    assert m["m_Esc_Return_A"].kind == KIND_ESC
+    assert m["m_Esc_Return_A"].tag == "Return"
+    assert m["m_Esc_Param_A"].tag == "Param"
+    assert m["maxCalls_A"].kind == KIND_MAXCALLS
+    assert m["sumCalls_A"].kind == KIND_SUMCALLS
+    assert m["call1_diff_A"].kind == KIND_CALLDIFF
+    assert m["call1_diff_A"].site == "A.m@1"
+    assert m["call2_diff_A"].site == "A.m@2"
 
 
 def test_callpair_m1_loop_needs_no_pair():
@@ -174,29 +175,32 @@ def test_callpair_m1_loop_needs_no_pair():
 
 
 def test_family_loop_pair_placement():
+    # the loop's calls update the method's one pair per key, declared before
+    # the loop and flushed once, before the return
     text = method_block(
         pretty(instrumented("family").program), "Family CreateFamily")
     assert_in_order(
         text,
-        "int maxCall_Person = 0;",
-        "int sumCall_Person = 0;",
-        "int maxCall_Logger = 0;",
-        "int sumCall_Logger = 0;",
+        "int maxCalls_Person = 0;",
+        "int sumCalls_Person = 0;",
+        "int maxCalls_Logger = 0;",
+        "int sumCalls_Logger = 0;",
         "for (i = 1 .. firstNames.length) {",
         "int call_diff_Person = 1 - 1;",
-        "maxCall_Person = max(maxCall_Person, call_diff_Person);",
-        "sumCall_Person += 1;",
+        "maxCalls_Person = max(maxCalls_Person, call_diff_Person);",
+        "sumCalls_Person += 1;",
         "CreateFamily_Esc_Return_Person += 1;",
         "int call_diff_Logger = 1 - 0;",
-        "maxCall_Logger = max(maxCall_Logger, call_diff_Logger);",
-        "sumCall_Logger += 0;",
+        "maxCalls_Logger = max(maxCalls_Logger, call_diff_Logger);",
+        "sumCalls_Logger += 0;",
         "family.AddMember(firstNames[i - 1]);",
         "}",
-        "CreateFamily_MemReq_Person += maxCall_Person + sumCall_Person;",
-        "CreateFamily_MemReq_Logger += maxCall_Logger + sumCall_Logger;",
         "CreateFamily_MemReq_Person_arr += maxCalls_Person_arr + sumCalls_Person_arr;",
+        "CreateFamily_MemReq_Person += maxCalls_Person + sumCalls_Person;",
+        "CreateFamily_MemReq_Logger += maxCalls_Logger + sumCalls_Logger;",
         "return family;",
     )
+    assert text.count("CreateFamily_MemReq_Person +=") == 1
 
 
 def test_family_ctor_site_contributes_before_loop():
@@ -214,34 +218,39 @@ def test_family_ctor_site_contributes_before_loop():
     )
 
 
-def test_bigfamily_inner_pair_redeclared_per_outer_iteration():
-    # nested loops: the inner pair lives in the outer body, so each outer
-    # iteration restarts it and the flush accumulates additively
+def test_bigfamily_nested_loops_share_the_method_pair():
+    # nested loops: the calls of the inner loop update the method's pair,
+    # declared before the outer loop, and nothing is flushed after a loop
     text = method_block(
         pretty(instrumented("bigfamily").program), "Family CreateBigFamily")
     assert_in_order(
         text,
+        "int maxCalls_Person = 0;",
+        "int sumCalls_Person = 0;",
+        "int maxCalls_Logger = 0;",
+        "int sumCalls_Logger = 0;",
         "for (i = 1 .. n) {",
         "iteration_space(1 <= i && i <= n);",
-        "int maxCall_Person = 0;",
-        "int sumCall_Person = 0;",
-        "int maxCall_Logger = 0;",
-        "int sumCall_Logger = 0;",
         "for (j = 1 .. i) {",
         "iteration_space(1 <= j && j <= i);",
         "int call_diff_Person = 1 - 1;",
-        "sumCall_Person += 1;",
+        "maxCalls_Person = max(maxCalls_Person, call_diff_Person);",
+        "sumCalls_Person += 1;",
         "CreateBigFamily_Esc_Return_Person += 1;",
         "int call_diff_Logger = 1 - 0;",
-        "sumCall_Logger += 0;",
+        "maxCalls_Logger = max(maxCalls_Logger, call_diff_Logger);",
+        "sumCalls_Logger += 0;",
         "family.AddMember(\"John\");",
         "}",
-        "CreateBigFamily_MemReq_Person += maxCall_Person + sumCall_Person;",
-        "CreateBigFamily_MemReq_Logger += maxCall_Logger + sumCall_Logger;",
         "}",
         "CreateBigFamily_MemReq_Person_arr += maxCalls_Person_arr + sumCalls_Person_arr;",
+        "CreateBigFamily_MemReq_Person += maxCalls_Person + sumCalls_Person;",
+        "CreateBigFamily_MemReq_Logger += maxCalls_Logger + sumCalls_Logger;",
         "return family;",
     )
+    for key in ("Person", "Logger"):
+        assert text.count(f"int maxCalls_{key} = 0;") == 1
+        assert text.count(f"CreateBigFamily_MemReq_{key} +=") == 1
 
 
 def test_iteration_space_survives_instrumentation():
@@ -327,11 +336,17 @@ def test_object_mode_collapses_call_bookkeeping():
         "sumCalls_object += firstNames.length;",
         "CreateFamily_Esc_Return_object += firstNames.length;",
         "Family family = new Family(lastName, firstNames.length);",
+        "for (i = 1 .. firstNames.length) {",
         "int call2_diff_object = 2 - 1;",
-        "sumCall_object += 1;",
-        "CreateFamily_MemReq_object += maxCall_object + sumCall_object;",
+        "maxCalls_object = max(maxCalls_object, call2_diff_object);",
+        "sumCalls_object += 1;",
+        "}",
         "CreateFamily_MemReq_object += maxCalls_object + sumCalls_object;",
+        "return family;",
     )
+    # one pair for the constructor call and the loop's calls, flushed once
+    assert create.count("int maxCalls_object = 0;") == 1
+    assert create.count("CreateFamily_MemReq_object +=") == 2  # the new Family, the flush
     # no per-type counters leak into the collapsed method
     assert "CreateFamily_MemReq_Family" not in create
     assert "CreateFamily_MemReq_Person" not in create
@@ -425,9 +440,9 @@ def test_object_mode_charges_declared_classes_at_a_call():
 
 def test_object_mode_counter_index_sites():
     idx = instrumented("family_object").counter_index
-    assert idx["call1_diff_object"].cls == "object"
-    assert idx["call1_diff_object"].site == "Family.CreateFamily#1"
-    assert idx["call2_diff_object"].site == "Family.CreateFamily@1"
+    assert idx["Family.CreateFamily", "call1_diff_object"].cls == "object"
+    assert idx["Family.CreateFamily", "call1_diff_object"].site == "Family.CreateFamily#1"
+    assert idx["Family.CreateFamily", "call2_diff_object"].site == "Family.CreateFamily@1"
 
 
 # ------------------------------------------------------------ contractless code
@@ -450,7 +465,7 @@ def test_undeclared_allocation_counted_and_bounded_at_zero():
     text = method_block(pretty(inst.program), "void assemble")
     assert "int assemble_MemReq_Widget = 0;" in text
     assert "assemble_MemReq_Widget += 1;" in text
-    info = inst.counter_index["assemble_MemReq_Widget"]
+    info = inst.counter_index["Quiet.assemble", "assemble_MemReq_Widget"]
     assert (info.kind, info.cls, info.method) == \
         (KIND_MEMREQ, "Widget", "Quiet.assemble")
 
@@ -543,7 +558,7 @@ def test_an_argument_no_contract_variable_reads_is_charged_its_value():
     text = method_block(pretty(inst.program), "void go")
     assert "int go_Arg1_k = c.k;\n        int call_diff_A = go_Arg1_k - 0;" in text
     assert "this.need(c.k);" in text
-    assert inst.counter_index["go_Arg1_k"].kind == KIND_ARG
+    assert inst.counter_index["P.go", "go_Arg1_k"].kind == KIND_ARG
     copy = load(pretty(inst.program), "copy.mcl")
     first = {f.failure.cond: f.point for f in validate(copy, hi=3).ensure_failures}
     assert first == {"go_MemReq_A <= n": {"n": 1}}
@@ -570,15 +585,18 @@ def test_instrumented_program_is_resolved():
 # ------------------------------------------------------------ counter index
 
 
+def _locals(body):
+    return {s.name for s in iter_stmts(body) if isinstance(s, LocalDecl)}
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_counter_index_names_match_emitted_code(name):
     inst = instrumented(name)
-    text = pretty(inst.program)
-    qnames = {m.qname for m in inst.program.methods()}
-    for cname, info in inst.counter_index.items():
-        assert cname in text
+    declared = {m.qname: _locals(m.body) for m in inst.program.methods()}
+    for (qname, cname), info in inst.counter_index.items():
+        assert info.method == qname
+        assert cname in declared[qname]
         assert info.kind in KNOWN_KINDS
-        assert info.method in qnames
         if info.kind == KIND_CALLDIFF:
             assert info.site and ("#" in info.site or "@" in info.site)
         else:
@@ -587,6 +605,23 @@ def test_counter_index_names_match_emitted_code(name):
             assert info.tag
         else:
             assert info.tag is None
+
+
+def test_every_counter_the_copies_declare_is_indexed_under_its_method():
+    # a counter is a local of the copy that the source does not declare;
+    # two methods may use one name (call_diff_Person, maxCalls_A, f_MemReq_A
+    # of P.f and Q.f), and each keeps its own entry
+    indexed = declared = 0
+    for name in ALL:
+        prog = load_corpus(name)
+        inst = instrument(prog)
+        for m in inst.program.methods():
+            counters = _locals(m.body) - _locals(prog.method(m.qname).body)
+            assert {c for q, c in inst.counter_index if q == m.qname} == counters
+            declared += sum(1 for s in iter_stmts(m.body)
+                            if isinstance(s, LocalDecl) and s.name in counters)
+        indexed += len(inst.counter_index)
+    assert indexed == declared
 
 
 @pytest.mark.parametrize("name", ALL)

@@ -4,13 +4,17 @@ import ast
 import importlib
 import inspect
 import pathlib
+import re
 
 from mclcheck.cli import _EVENTS
-from mclcheck.frontend.syntax import SHAPES, MethodContract, obligations
+from mclcheck.frontend import LocalDecl, load
+from mclcheck.frontend.syntax import SHAPES, MethodContract, iter_stmts, obligations
+from mclcheck.instrument import KIND_MAXCALLS, KIND_SUMCALLS, instrument
 from mclcheck.summary import call_entries
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 BENCH = SRC.parent / "bench"
+CORPUS = SRC.parent / "corpus"
 
 
 def test_no_bare_assert_under_src():
@@ -290,3 +294,21 @@ def test_check_never_stops_a_file():
     (fn,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
              and f.name == "_cmd_check"]
     assert not [n for n in ast.walk(fn) if isinstance(n, ast.Try)]
+
+
+def test_one_scope_rule_at_every_loop_depth():
+    # a call updates its method's one maxCalls/sumCalls pair per key at any
+    # depth, as the summary hands a loop's headroom to the scope around it;
+    # a walk that skips loop bodies, or a counter pair of a loop's own
+    # (maxCall_A, maxCall2_A), would state a second, looser rule
+    assert list(inspect.signature(iter_stmts).parameters) == ["body"]
+    for path in sorted(CORPUS.glob("*.mcl")):
+        inst = instrument(load(path.read_text(), path.name))
+        for m in inst.program.methods():
+            names = [s.name for s in iter_stmts(m.body) if isinstance(s, LocalDecl)]
+            assert not [n for n in names if re.match(r"(max|sum)Call\d*_", n)], m.qname
+            pairs = [n for n in names if re.match(r"(max|sum)Calls_", n)]
+            assert len(pairs) == len(set(pairs)), m.qname
+            kinds = [(i.kind, i.cls) for (q, _), i in inst.counter_index.items()
+                     if q == m.qname and i.kind in (KIND_MAXCALLS, KIND_SUMCALLS)]
+            assert len(kinds) == len(set(kinds)) == len(pairs), m.qname

@@ -3,6 +3,7 @@
 import itertools
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from helpers import HIDDEN_CLASS, MIXED_VIEWS, UNDECLARED_OBJECT
 from mclcheck import summary as S
-from mclcheck.frontend import Tag, collapsed, load, obligations
+from mclcheck.frontend import Tag, collapsed, expr_to_str, load, obligations
 from mclcheck.frontend.syntax import CallStmt, NewStmt, entry_vars, unassigned_entry_vars
+from mclcheck.instrument import KIND_MEMREQ, instrument, sym_expr_node
 from mclcheck.oracle import validate
 from mclcheck.symexpr import (
     Poly,
@@ -200,8 +202,19 @@ def test_nested_loops_sum_to_triangle():
     tri = n * n * Fraction(1, 2) + n * Fraction(1, 2)
     assert s.esc[(Tag.ret(), "Person")].same_value(SymExpr.of(tri))
     assert s.mem_req["Person"].same_value(SymExpr.of(tri))
-    # the per-iteration Logger temporary is recycled, the loop only sums it
-    assert s.mem_req["Logger"].same_value(SymExpr.of(n))
+    # the per-iteration Logger temporary dies with its call: one is live at a time
+    assert s.mem_req["Logger"].same_value(SymExpr.of(1))
+
+
+def test_one_logger_at_a_time_verifies_in_the_triangular_nest():
+    # each AddMember's Logger dies with its call, at any depth of the nest
+    text = (CORPUS / "bigfamily.mcl").read_text()
+    assert text.count("memreq<Logger>(n);") == 1
+    rep = S.check_program(load(text.replace("memreq<Logger>(n);", "memreq<Logger>(1);"),
+                               "bigfamily.mcl"))
+    assert rep.overall == VerdictKind.VERIFIED
+    r = row(rep, "Family.CreateBigFamily", "memreq<Logger>")
+    assert (r.declared, r.computed) == ("1", "1")
 
 
 def test_growing_array_sums_lengths():
@@ -222,9 +235,80 @@ def test_branches_are_added_not_maxed():
 def test_loop_and_trailing_call_share_method_accounting():
     s = summarize_in(load_corpus("workqueue"), "Worker.drive")
     n = Poly.var("n")
-    assert s.mem_req["Buf"].same_value(SymExpr.of(n + 4))
+    assert s.mem_req["Buf"].same_value(SymExpr.of(n + 2))
     assert s.esc[(Tag.this(), "Buf")].same_value(SymExpr.of(n))
     assert check("workqueue").overall == VerdictKind.VERIFIED
+
+
+# ------------------------------------------------- the scope rule, sampled
+
+
+def _call_nest(rng, depth, indices):
+    """A loop whose body may allocate (a temporary, or an object kept under
+    `this`), holds `depth - 1` further loops, and calls g at the innermost
+    level and maybe above it, sometimes pulling g's escapes."""
+    index = f"j{depth}"
+    headers = ["1 .. n", "1 .. m", "1 .. 2", "0 .. 1"]
+    if indices:
+        headers += [f"1 .. {indices[-1]}", f"{indices[-1]} .. n"]
+    body = []
+    if rng.random() < 0.5:
+        body.append(f"A t{depth} = new A();")
+    if rng.random() < 0.3:
+        body += ["dest_esc(this);", f"A s{depth} = new A();", f"s{depth}.next = this.head;",
+                 f"this.head = s{depth};"]
+    if depth > 1:
+        body.append(_call_nest(rng, depth - 1, indices + [index]))
+    if depth == 1 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            body.append("add_esc(this, this);")
+        body.append(f"this.g({rng.choice(['n', 'm', '1', 'n + 1', *indices, index])});")
+    return f"for ({index} = {rng.choice(headers)}) {{ {' '.join(body)} }}"
+
+
+def _call_nest_program(rng) -> str:
+    """g needs k temporaries, and may keep one more from `this`; f calls it
+    in a loop nest of depth 1 to 3 and declares `memreq<A>(%s)`."""
+    keep = rng.random() < 0.5
+    g = ("void g(int k) { requires(k >= 0); "
+         + ("memreq<A>(k + 1); esc<A>(this, 1); dest_esc(this); A x = new A();"
+            " x.next = this.head; this.head = x; " if keep else "memreq<A>(k); ")
+         + "for (i = 1 .. k) { A a = new A(); } }")
+    return ("class A { A next; } class P { A head; " + g
+            + " void f(int n, int m) { requires(n >= 0 && m >= 0); memreq<A>(%s); "
+            + _call_nest(rng, rng.randint(1, 3), []) + " } }")
+
+
+def test_no_verified_requirement_of_a_call_nest_is_refuted():
+    # f declares the requirement `check` computes for it; every memreq row
+    # `check` verifies then holds under both collectors of the oracle, and
+    # in the instrumented copy, which charges g's contract at each call
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(80):
+        text = _call_nest_program(rng)
+        placeholder = load(text % "0", "nest.mcl")
+        computed = S.summarize(placeholder.method("P.f"), S.MODE_TYPE,
+                               placeholder.class_map()).mem_req["A"]
+        if computed.flags:
+            continue
+        prog = load(text % expr_to_str(sym_expr_node(computed)), "nest.mcl")
+        verified = {(r.method, r.clause) for r in S.check_program(prog).rows
+                    if r.clause.startswith("memreq<") and r.verdict.kind == VerdictKind.VERIFIED}
+        assert ("P.f", "memreq<A>") in verified, text
+        refuted = {(v.method, v.clause) for gc in ("ideal", "method-exit")
+                   for v in validate(prog, hi=3, gc=gc).violations}
+        inst = instrument(prog)
+        copy = validate(inst.program, hi=3)
+        counters = {(q, name): f"memreq<{info.cls}>"
+                    for (q, name), info in inst.counter_index.items() if info.kind == KIND_MEMREQ}
+        refuted |= {(v.method, v.clause) for v in copy.violations}
+        refuted |= {(f.failure.method, counters[f.failure.method, f.failure.cond.split()[0]])
+                    for f in copy.ensure_failures
+                    if (f.failure.method, f.failure.cond.split()[0]) in counters}
+        assert not verified & refuted, text
+        checked += len(verified)
+    assert checked >= 150
 
 
 # ----------------------------------------------------------- recursion

@@ -49,11 +49,14 @@ the two imports never mix, and each runs the same command lines through
   object clause) or that an object clause covers (an object `return`
   that pulls a callee's per-class escape, a per-class caller of a callee
   that declares only the object, and a caller that covers memreq beside a
-  zero class clause for the class its callee hides), and on three names
-  that collide in the key, tag or counter space (a class named `object`,
-  a user tag named `Return`, and an array `A[]` beside a class `A_arr`):
-  `check` in both modes, human and JSON, `instrument --emit`, and
-  `validate --format json` on the source and on the copy.
+  zero class clause for the class its callee hides), on three names that
+  collide in the key, tag or counter space (a class named `object`, a
+  user tag named `Return`, and an array `A[]` beside a class `A_arr`),
+  and on two calls in a loop nest whose callee's temporaries die with
+  each call (a call two loops deep under `memreq<A>(m)`, and `corpus/`'s
+  `bigfamily` with `memreq<Logger>(1)`): `check` in both modes, human and
+  JSON, `instrument --emit`, and `validate --format json` on the source
+  and on the copy.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -182,8 +185,8 @@ def _spin(alloc: str) -> str:
 def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     """`check` in both formats, `instrument` and `ptg` on clauses and facts
     the decision procedure meets rarely, and the eight absent-clause and
-    object cases and the three name collisions, written under
-    work/decision."""
+    object cases, the three name collisions and the two call nests,
+    written under work/decision."""
     files = {
         "quadratic-alternative": _loop_f("n >= 3", "max(2 * n, n * n - 5)", "1 .. n + 3", ""),
         "non-affine-header": _loop_f("n >= 0 && m >= 0", "n * m", "1 .. n * m", ""),
@@ -215,7 +218,7 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
                   "    void g(int k) {\n        requires(k >= 0);\n        this.f(k);\n"
                   "    }\n}\n",
     }
-    undeclared = {
+    compared = {
         "callee-only": "class A {\n}\n\nclass B {\n}\n\nclass P {\n    void g() {\n"
                        "        memreq<A>(1);\n        A a = new A();\n    }\n\n"
                        "    void f() {\n        memreq<B>(0);\n        this.g();\n    }\n}\n",
@@ -261,6 +264,14 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
                            "    void f(int n) {\n        requires(n >= 0);\n"
                            "        memreq<A[]>(n);\n        memreq<A_arr>(1);\n"
                            "        A[] a = new A[n];\n        A_arr b = new A_arr();\n    }\n}\n",
+        "nested-call": "class A {\n}\n\nclass P {\n    void g(int k) {\n"
+                       "        requires(k >= 0);\n        memreq<A>(k);\n"
+                       "        for (i = 1 .. k) { A a = new A(); }\n    }\n\n"
+                       "    void f(int n, int m) {\n        requires(n >= 0 && m >= 0);\n"
+                       "        memreq<A>(m);\n        for (j = 1 .. n) {\n"
+                       "            for (i = 1 .. 1) { this.g(m); }\n        }\n    }\n}\n",
+        "bigfamily-one-logger": (ROOT / "corpus" / "bigfamily.mcl").read_text().replace(
+            "memreq<Logger>(n);", "memreq<Logger>(1);"),
     }
     (work / "decision").mkdir()
     lines: list[tuple[list[str], Path | None]] = []
@@ -271,7 +282,7 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
             lines.append((["check", str(path), "--format", fmt], None))
         lines.append((["instrument", str(path)], None))
         lines.append((["ptg", str(path), "--format", "json"], None))
-    for name, text in undeclared.items():
+    for name, text in compared.items():
         path, inst = work / "decision" / f"{name}.mcl", work / "decision" / f"{name}.inst.mcl"
         path.write_text(text)
         for mode in ("type", "object"):
