@@ -3,7 +3,10 @@
 `main` alone maps an answer or an exception to an exit code: 0 Verified (or
 nothing to decide), 1 Violated, 2 Unverified, 3 usage.  `validate` exits 0
 when clean, 1 on any finding, 2 when `inconclusive` (its runs cut short at
-the interpreter's step or stack limit) is all it found, and 3 on usage."""
+the interpreter's step or stack limit) is all it found, and 3 on usage.
+Output that cannot be written (a closed stream, a pipe closed early, a full
+device) exits 3 too, with one `io-error` diagnostic on stderr if stderr can
+still be written."""
 
 from __future__ import annotations
 
@@ -425,33 +428,52 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
-    parser = _build_parser()
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     # every number comes from the file, at a size polynomial in the file's,
     # so ints convert to and from text without the interpreter's digit limit
     limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        ns = parser.parse_args(argv)
-        return _EXIT[_COMMANDS[ns.command](ns, out, err)]
-    except (UsageError, ArgumentError) as exc:  # an OutsidePrecondition too
-        err.write(f"error: {exc}\n")
+        if out is None or err is None:  # a descriptor closed before the start
+            raise OSError("standard output or error is closed")
+        # the command runs in main's own frame, not in a helper's: how deep
+        # the parser may nest depends on how deep the stack already is
+        try:
+            ns = _build_parser().parse_args(argv)
+            code = _EXIT[_COMMANDS[ns.command](ns, out, err)]
+        except (UsageError, ArgumentError) as exc:  # an OutsidePrecondition too
+            err.write(f"error: {exc}\n")
+            code = EXIT_USAGE
+        except InputError as exc:
+            for d in exc.diagnostics:
+                err.write(json.dumps(d, sort_keys=True) + "\n")
+            code = EXIT_USAGE
+        except GridTooLarge as exc:  # validate's grid, before any run
+            err.write(f"inconclusive: {ns.file}: {exc}\n")
+            code = EXIT_UNVERIFIED
+        except RunCutShort as exc:  # which says nothing about the program
+            err.write(f"inconclusive: {ns.file}: {type(exc).__name__}: {exc}\n")
+            code = EXIT_UNVERIFIED
+        except OracleError as exc:
+            err.write(f"runtime error: {type(exc).__name__}: {exc}\n")
+            code = EXIT_VIOLATED
+        out.flush()
+        err.flush()
+        return code
+    except OSError as exc:
+        # every file a command names is read and written through _read and
+        # _write, so an OSError here failed to write out or err: a pipe
+        # closed early, a full device
+        try:
+            err.write(json.dumps({"severity": "error", "code": "io-error",
+                                  "message": f"cannot write output: {exc}"},
+                                 sort_keys=True) + "\n")
+            err.flush()
+        except (OSError, AttributeError):  # stderr cannot be written either
+            pass
         return EXIT_USAGE
-    except InputError as exc:
-        for d in exc.diagnostics:
-            err.write(json.dumps(d, sort_keys=True) + "\n")
-        return EXIT_USAGE
-    except GridTooLarge as exc:  # validate's grid, before any run
-        err.write(f"inconclusive: {ns.file}: {exc}\n")
-        return EXIT_UNVERIFIED
-    except RunCutShort as exc:  # which says nothing about the program
-        err.write(f"inconclusive: {ns.file}: {type(exc).__name__}: {exc}\n")
-        return EXIT_UNVERIFIED
-    except OracleError as exc:
-        err.write(f"runtime error: {type(exc).__name__}: {exc}\n")
-        return EXIT_VIOLATED
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

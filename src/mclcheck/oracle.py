@@ -79,17 +79,28 @@ are stored in the caller once the callee's frame is popped.
 
 Arrays account with their length; strings and integers are values and never
 touch the heap.  Reclamation is incremental but exact: every object counts
-its incoming references, and a sweep searches back from each object that
-is new or lost a reference since the last sweep, so it reclaims exactly
-the objects a full mark from the roots would miss, in the same order.
+its incoming references, a frame's slot as the referrer None.  An object
+that a frame slot holds is rooted, so the suspects are the objects that
+are new, or that lost a reference while no frame slot held them, and that
+no frame slot has taken since.  A sweep searches back from each suspect,
+so it reclaims exactly the objects a full mark from the roots would miss,
+in the same order.
 Activation serials grow from the bottom of the stack to the top, and each
 object stores as `born` the serial the next activation would get, so a
 frame on the stack counted an object iff its serial is below the object's
-`born`.  An activation's live counts are recomputed from the heap when it
-exits, and every frame's at the end of a run; the test suite recomputes
-them after every statement and checks every sweep against a full mark.
-A reclaimed object leaves the heap for good, so any later read of it fails
-loudly instead of silently resurrecting garbage.
+`born`.  The heap keeps objects in allocation order, so the objects born in
+an exiting activation, its young objects, are the heap's tail, and an exit
+works in proportion to them, as generation scavenging does (Ungar, SDE
+1984).  One walk back over them recounts the frame's live counts.  When
+there are any, a search back from them along incoming references records
+each edge it crosses; every path from an escape root to a young object
+runs through that object's ancestors, so a search forward from each root
+over the recorded edges alone reaches the young objects that a full mark
+from it would.  Every frame's live counts are recounted at the end of a
+run; the test suite recounts them after every statement, checks every
+sweep against a full mark, and every exit's escapes against a full mark
+from each root.  A reclaimed object leaves the heap for good, so any later
+read of it fails loudly instead of silently resurrecting garbage.
 """
 
 from __future__ import annotations
@@ -719,6 +730,14 @@ def _table(program: Program) -> _Table:
     return table
 
 
+def _drift(act: Activation, total: dict[str, int]) -> str | None:
+    """The fault when a frame's live counters disagree with a recount."""
+    have = {k: v for k, v in act.current.items() if v}
+    want = {k: v for k, v in total.items() if v}
+    return None if have == want else \
+        f"live-count drift in {act.instance}: {have} != {want}"
+
+
 class Interp:
     """One program run; heap, stack, and measurements live here."""
 
@@ -821,7 +840,6 @@ class Interp:
         caller.  The call's value is what it returned, or a constructor's
         instance."""
         self._finish(act, act.ret)
-        self._assert_accounting([act])
         outs = [(act.locals[name], store) for name, store in act.outs]
         self._pop(act)
         caller = self.stack[-1]
@@ -870,11 +888,16 @@ class Interp:
         return Ref(oid)
 
     # Every write of a reference goes through _set_local or _set_field, so
-    # each object's `incoming` counts exactly the slots that hold it.
+    # each object's `incoming` counts exactly the slots that hold it.  An
+    # object that a frame slot holds is rooted, so it is no suspect: a slot
+    # that takes it clears it, and only a reference dropped while no frame
+    # slot holds it makes it one.
 
     def _link(self, src, ref: Ref):
         inc = self.heap[ref.oid].incoming
         inc[src] = inc.get(src, 0) + 1
+        if src is None:
+            self.suspects.discard(ref.oid)
 
     def _unlink(self, src, ref: Ref):
         inc = self.heap[ref.oid].incoming
@@ -882,7 +905,7 @@ class Interp:
             del inc[src]
         else:
             inc[src] -= 1
-        if self.gc != "none":
+        if None not in inc and self.gc != "none":
             self.suspects.add(ref.oid)
 
     def _set_local(self, act: Activation, name: str, value):
@@ -900,19 +923,6 @@ class Interp:
         obj.fields[key] = value
         if isinstance(value, Ref):
             self._link(obj.oid, value)
-
-    def _reach(self, roots) -> set[int]:
-        seen: set[int] = set()
-        work = [v for v in roots if isinstance(v, Ref)]
-        while work:
-            oid = work.pop().oid
-            if oid in seen:
-                continue
-            seen.add(oid)
-            for v in self.heap[oid].fields.values():
-                if isinstance(v, Ref) and v.oid not in seen:
-                    work.append(v)
-        return seen
 
     def _roots(self):
         for act in self.stack:
@@ -984,14 +994,9 @@ class Interp:
                 for key in (obj.cls, OBJECT_KEY):
                     total[key] = total.get(key, 0) + obj.weight
                 obj = next(objs, None)
-            have = {k: v for k, v in act.current.items() if v}
-            want = {k: v for k, v in total.items() if v}
-            if have != want:
-                drift = act, have, want  # the lowest drifting frame is named
+            drift = _drift(act, total) or drift  # the lowest drifting frame is named
         if drift:
-            act, have, want = drift
-            raise InterpreterFault(
-                f"live-count drift in {act.instance}: {have} != {want}")
+            raise InterpreterFault(drift)
 
     def _charge(self, steps: int):
         self.steps += steps
@@ -1014,7 +1019,8 @@ class Interp:
             self._assert_accounting()
 
     def _finish(self, act: Activation, ret):
-        """Exit protocol: ensures, then escape measurement, before any sweep."""
+        """Exit protocol: ensures, the recount of the frame's live counters,
+        then escape measurement, before any sweep."""
         m = act.method
         for cond, text in m.ensures:
             if not cond(self, act):
@@ -1028,20 +1034,67 @@ class Interp:
             val = self._follow(act, ret, path)
             if val is not None:
                 roots[tag] = val
-        # the objects born in the activation that each root reaches, and
-        # their weights by class
+        # the objects born in the activation are the heap's tail, as in
+        # _assert_accounting: one walk back over them recounts the frame
+        total: dict[str, int] = {}
+        young: set[int] = set()
+        serial = act.serial
+        for obj in reversed(self.heap.values()):
+            if obj.born <= serial:
+                break
+            young.add(obj.oid)
+            cls, weight = obj.cls, obj.weight
+            total[cls] = total.get(cls, 0) + weight
+            total[OBJECT_KEY] = total.get(OBJECT_KEY, 0) + weight
+        if act.current != total:  # _drift tells a zero count from a drift
+            drift = _drift(act, total)
+            if drift:
+                raise InterpreterFault(drift)
+        esc, doubled = self._escapes(young, roots) if young else ({}, ())
+        self.observations.append(Observation(
+            m.qname, act.instance, act.entry_env,
+            {k: v for k, v in act.peak.items() if v},
+            esc, tuple(sorted(doubled))))
+        self.trace.append(("ret", m.qname, act.instance))
+
+    def _escapes(self, young: set[int], roots: dict) -> tuple[dict, set]:
+        """The weights by class of the young objects that each root reaches,
+        by tag, and the classes of those that several roots reach.  Every
+        path from a root to a young object runs through ancestors of that
+        object, so a search back from the young objects along `incoming`
+        that records each edge it crosses records every such path; a search
+        forward from each root over the recorded edges alone then reaches
+        exactly the young objects that a full mark from it would."""
+        heap = self.heap
+        kids: dict[int, list[int]] = {}  # referrer -> what it holds, of the searched
+        seen = set(young)
+        work = list(young)
+        while work:
+            oid = work.pop()
+            for src in heap[oid].incoming:
+                if src is not None:  # a frame slot is no root of an escape
+                    kids.setdefault(src, []).append(oid)
+                    if src not in seen:
+                        seen.add(src)
+                        work.append(src)
         esc: dict[str, dict[str, int]] = {}
         counted: list[set[int]] = []
-        heap, serial = self.heap, act.serial
         for tag_name, root in roots.items():
-            mine: set[int] = set()
+            if not isinstance(root, Ref) or root.oid not in seen:
+                continue  # it reaches no young object
+            reached = {root.oid}
+            work = [root.oid]
+            while work:
+                for kid in kids.get(work.pop(), ()):
+                    if kid not in reached:
+                        reached.add(kid)
+                        work.append(kid)
+            mine = reached & young
             by_cls: dict[str, int] = {}
-            for oid in self._reach([root]):
+            for oid in mine:
                 obj = heap[oid]
-                if serial < obj.born:
-                    mine.add(oid)
-                    if obj.weight:  # zero-length arrays contribute nothing
-                        by_cls[obj.cls] = by_cls.get(obj.cls, 0) + obj.weight
+                if obj.weight:  # zero-length arrays contribute nothing
+                    by_cls[obj.cls] = by_cls.get(obj.cls, 0) + obj.weight
             counted.append(mine)
             if by_cls:
                 by_cls[OBJECT_KEY] = sum(by_cls.values())
@@ -1051,11 +1104,7 @@ class Interp:
             for a, b in itertools.combinations(counted, 2):
                 for oid in a & b:
                     doubled.add(heap[oid].cls)
-        self.observations.append(Observation(
-            m.qname, act.instance, act.entry_env,
-            {k: v for k, v in act.peak.items() if v},
-            esc, tuple(sorted(doubled))))
-        self.trace.append(("ret", m.qname, act.instance))
+        return esc, doubled
 
     def _follow(self, act: Activation, ret, path: PathExpr):
         if path.root == "this":

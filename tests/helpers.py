@@ -7,9 +7,11 @@ judged against direct enumeration.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
+from mclcheck.frontend import OBJECT_KEY
 from mclcheck.oracle import Ref
 from mclcheck.symexpr import Poly, SymExpr
 
@@ -112,11 +114,11 @@ def relay_chain(k):
             + "\n".join(reversed(methods)) + "}\n")
 
 
-def forward_mark(interp):
-    """The oids reachable from the interpreter's frames, marked from scratch
-    the way a tracing collector would."""
+def reach(interp, roots):
+    """The oids reachable from some values, marked from scratch the way a
+    tracing collector would."""
     seen = set()
-    work = [v.oid for v in interp._roots() if isinstance(v, Ref)]
+    work = [v.oid for v in roots if isinstance(v, Ref)]
     while work:
         oid = work.pop()
         if oid not in seen:
@@ -124,6 +126,43 @@ def forward_mark(interp):
             work += [v.oid for v in interp.heap[oid].fields.values()
                      if isinstance(v, Ref)]
     return seen
+
+
+def forward_mark(interp):
+    """The oids reachable from the interpreter's frames."""
+    return reach(interp, interp._roots())
+
+
+def exit_measurement(interp, act, ret):
+    """What an activation's exit measures, by a full mark from each escape
+    root: the weights by class of the objects born in the activation that
+    each root reaches, by tag, and the sorted classes of those that several
+    roots reach."""
+    m = act.method
+    roots = {}
+    if m.returns and ret is not None:
+        roots["Return"] = ret
+    if act.this is not None:
+        roots["This"] = act.this
+    for tag, path in m.bindings:
+        val = interp._follow(act, ret, path)
+        if val is not None:
+            roots[tag] = val
+    esc, counted = {}, []
+    for tag, root in roots.items():
+        mine = {oid for oid in reach(interp, [root])
+                if interp.heap[oid].born > act.serial}
+        counted.append(mine)
+        by_cls = {}
+        for oid in mine:
+            obj = interp.heap[oid]
+            if obj.weight:
+                by_cls[obj.cls] = by_cls.get(obj.cls, 0) + obj.weight
+        if by_cls:
+            esc[tag] = {**by_cls, OBJECT_KEY: sum(by_cls.values())}
+    doubled = {interp.heap[oid].cls for a, b in itertools.combinations(counted, 2)
+               for oid in a & b}
+    return esc, tuple(sorted(doubled))
 
 
 # --------------------------------------------------- object-clause programs

@@ -1712,3 +1712,67 @@ _NON_STR_KEYS = st.integers() | st.none() | st.booleans() | st.floats() | st.tup
 def test_dump_rejects_a_non_str_key(value):
     with pytest.raises(TypeError):
         _dumped(value)
+
+
+# ------------------------------------------------------------ output failures
+
+
+class FailingWriter(io.StringIO):
+    """A stream whose write, or only its flush, raises."""
+
+    def __init__(self, exc, on="write"):
+        super().__init__()
+        self.exc, self.on = exc, on
+
+    def write(self, text):
+        if self.on == "write":
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        if self.on == "flush":
+            raise self.exc
+
+
+OUTPUT_COMMANDS = [
+    *(pytest.param(["check", corpus("family"), "--format", f], id=f"check-{f}")
+      for f in ("human", "json")),
+    pytest.param(["instrument", corpus("family")], id="instrument"),
+    *(pytest.param(["run", corpus("listbuild"), "--entry", "Node.build", "--args", "[3]",
+                    "--format", f], id=f"run-{f}") for f in ("human", "json")),
+    *(pytest.param(["ptg", corpus("family"), "--format", f], id=f"ptg-{f}")
+      for f in ("human", "json")),
+    *(pytest.param(["validate", corpus("faulty_low_bound"), "--grid", "2", "--format", f],
+                   id=f"validate-{f}") for f in ("human", "json")),
+]
+WRITE_ERRORS = [pytest.param(BrokenPipeError(32, "Broken pipe"), id="EPIPE"),
+                pytest.param(OSError(28, "No space left on device"), id="ENOSPC")]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_COMMANDS)
+@pytest.mark.parametrize("exc", WRITE_ERRORS)
+@pytest.mark.parametrize("on", ["write", "flush"])
+def test_output_that_cannot_be_written_exits_three(argv, exc, on):
+    err = io.StringIO()
+    assert main(argv, out=FailingWriter(exc, on), err=err) == 3
+    [line] = err.getvalue().splitlines()
+    assert json.loads(line) == {"severity": "error", "code": "io-error",
+                                "message": f"cannot write output: {exc}"}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_COMMANDS)
+@pytest.mark.parametrize("exc", WRITE_ERRORS)
+def test_no_stream_that_can_be_written_still_exits_three(argv, exc):
+    assert main(argv, out=FailingWriter(exc), err=FailingWriter(exc)) == 3
+
+
+def test_a_closed_stdout_exits_three_without_a_traceback():
+    # the process starts with descriptor 1 closed, so sys.stdout is None
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "mclcheck", "check", corpus("bigfamily")],
+                          stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["code"] == "io-error"

@@ -56,7 +56,13 @@ the two imports never mix, and each runs the same command lines through
   each call (a call two loops deep under `memreq<A>(m)`, and `corpus/`'s
   `bigfamily` with `memreq<Logger>(1)`): `check` in both modes, human and
   JSON, `instrument --emit`, and `validate --format json` on the source
-  and on the copy.
+  and on the copy;
+- `run --format json` at n = 200, under both `--gc` modes, on two heap
+  shapes on which the oracle's work has grown with the square of n,
+  written under the temporary directory: a receiver that a loop of pushes
+  fills with a list, and a list built and then walked with `t = t.next`;
+  each program's `Main.make` builds its own receiver, since `run` gives
+  the entry none.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -294,6 +300,44 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     return lines
 
 
+# Two heap shapes on which the oracle's work has grown with the square of
+# n: pushes on a receiver that holds a growing list (the receiver fill),
+# and a list built and then walked by `t = t.next`.
+_SCALING = {
+    "receiver-fill": "class Node {\n    Node next;\n}\n\nclass Q {\n    Node head;\n\n"
+                     "    void push() {\n        esc<Node>(this, 1);\n        memreq<Node>(1);\n"
+                     "        dest_esc(this);\n        Node x = new Node();\n"
+                     "        x.next = this.head;\n        this.head = x;\n    }\n\n"
+                     "    void fill(int n) {\n        requires(n >= 0);\n"
+                     "        memreq<Node>(n);\n        esc<Node>(this, n);\n"
+                     "        for (i = 1 .. n) {\n            add_esc(this, this);\n"
+                     "            this.push();\n        }\n    }\n}\n\nclass Main {\n"
+                     "    Q make(int n) {\n        requires(n >= 0);\n        Q q = new Q();\n"
+                     "        q.fill(n);\n        return q;\n    }\n}\n",
+    "build-then-walk": "class Cell {\n    Cell next;\n}\n\nclass Main {\n"
+                       "    Cell make(int n) {\n        requires(n >= 0);\n"
+                       "        Cell head = null;\n        for (i = 1 .. n) {\n"
+                       "            Cell cell = new Cell();\n            cell.next = head;\n"
+                       "            head = cell;\n        }\n        Cell t = head;\n"
+                       "        for (j = 2 .. n) {\n            t = t.next;\n        }\n"
+                       "        return t;\n    }\n}\n",
+}
+
+
+def _scaling_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
+    """`run --format json` of each scaling shape at n = 200 under both
+    `--gc` modes, on files written under work/scaling."""
+    (work / "scaling").mkdir()
+    lines: list[tuple[list[str], Path | None]] = []
+    for name, text in _SCALING.items():
+        path = work / "scaling" / f"{name}.mcl"
+        path.write_text(text)
+        for gc in ("ideal", "method-exit"):
+            lines.append((["run", str(path), "--entry", "Main.make", "--args", "[200]",
+                           "--format", "json", "--gc", gc], None))
+    return lines
+
+
 def _key(argv: list[str], tmp: str) -> str:
     """The command line, with the temporary directory written as <work> and
     each argument of over 1,000 characters, such as a deep `--args`,
@@ -330,7 +374,8 @@ def run_tree(src: str, seed: int) -> dict[str, list]:
                 checked = sorted({c.argv[1] for c in w.commands if c.role == "check"})
                 lines += [(["ptg", path, "--format", "json"], None) for path in checked]
         (work / "matrix").mkdir()
-        lines += _corpus_matrix(work) + _hostile_matrix(work) + _decision_matrix(work)
+        lines += (_corpus_matrix(work) + _hostile_matrix(work) + _decision_matrix(work)
+                  + _scaling_matrix(work))
         for argv, emit in lines:
             key = _key(argv, tmp)
             if key in outcomes:
