@@ -17,20 +17,27 @@ once no summary changes.  Any other method is built once, as its
 callees' summaries are already final; the recursive components are
 reported to `check`.
 
-The work follows the new facts.  A summary stores its inline order, its
-edges and returned nodes sorted once.  A walk reuses the last inline at
-a site when the callee's summary is the same object, holds no load node,
-and the frozen copy of the argument sets equals the new ones: such an
-inline reads nothing else, so it would add only facts already there.
-Each finished graph's edges are grouped by source once; pruning to the
-summary and every lifetime reach query search that one successor map,
-which is dropped once the graph's component is checked.
+The work follows the new facts.  Only a load node reads the caller's
+graph, so only a summary that holds one is replayed edge by edge, in an
+order sorted once.  Any other summary is split once, in `summarize_ptg`:
+an inline adds the nodes and edges no parameter touches with one set
+union each, maps just the edges with a parameter end, and maps the
+returned, out and tagged sets as sets, inside nodes as they are and
+parameters to their arguments.  A walk reuses the last inline at a site
+when the callee's summary is the same object, holds no load node, and the
+frozen copy of the argument sets equals the new ones: such an inline reads
+nothing else, so it would add only facts already there.  Each finished
+graph's edges are grouped by source once and each root set is searched
+once; pruning to the summary and the lifetime checks share those
+searches, only a tag bound to a path searches again, and the successor
+map is dropped once the graph's component is checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import callgraph
@@ -116,6 +123,13 @@ class PointsToGraph:
         self.N.add(b)
         self.E.add((a, f, b))
 
+    def add_edges(self, sources: set[PTGNode], f: str, targets: set[PTGNode]) -> None:
+        """An f-edge from each of `sources` to each of `targets`."""
+        if sources and targets:
+            self.N |= sources
+            self.N |= targets
+            self.E.update((a, f, b) for a in sources for b in targets)
+
     def bind(self, var: str, nodes: set[PTGNode]) -> None:
         self.N |= nodes
         self.L.setdefault(var, set()).update(nodes)
@@ -129,13 +143,24 @@ class PointsToGraph:
         return self.L.get(var, set())
 
     def targets(self, n: PTGNode, f: str) -> set[PTGNode]:
-        return {b for (a, g, b) in self.E if a == n and g == f}
+        return self.targets_from({n}, f).get(n, set())
+
+    def targets_from(self, sources: set[PTGNode], f: str) -> dict[PTGNode, set[PTGNode]]:
+        """Each of `sources` that has an f-edge, with its targets: one scan
+        of E however many sources there are."""
+        found: dict[PTGNode, set[PTGNode]] = {}
+        if sources:
+            for (a, g, b) in self.E:
+                if g == f and a in sources:
+                    found.setdefault(a, set()).add(b)
+        return found
 
     def load(self, bases: set[PTGNode], f: str) -> set[PTGNode]:
         """Field read: existing targets, else a fresh collapsed load node."""
+        found = self.targets_from(bases, f)
         out: set[PTGNode] = set()
         for b in bases:
-            tgts = self.targets(b, f)
+            tgts = found.get(b)
             if tgts:
                 out |= tgts
             elif b.depth >= LOAD_DEPTH_CAP:
@@ -194,12 +219,17 @@ class EscapeSummary:
     ptg: PointsToGraph  # pruned exit graph
     out_sets: dict[str, set[PTGNode]]
     tagged: dict[Tag, set[PTGNode]]
-    # the order `inline` replays the edges and the returned nodes in: a
-    # load node reads the caller's graph as it stands, so which edge comes
-    # first decides whether a load finds a target or makes a new node
-    edge_order: list[tuple[PTGNode, str, PTGNode]]
-    returned_order: list[PTGNode]
     loads: bool  # holds a load node, so an inline reads the caller's graph
+    # The edges `inline` maps one by one, in this order.  With a load node,
+    # every edge, sorted, and the returned nodes too: a load reads the
+    # caller's graph as it stands, so which edge comes first decides whether
+    # it finds a target or makes a new node.  Without one, only the edges
+    # with an end in `mapped`: the parameters, and the inside nodes that
+    # only a parameter's edge reaches.  Every other node and edge is added
+    # as it stands.
+    replayed: list[tuple[PTGNode, str, PTGNode]]
+    returned_order: list[PTGNode]  # empty without a load node
+    mapped: frozenset[PTGNode]  # empty with a load node
 
 
 @dataclass(frozen=True)
@@ -209,6 +239,9 @@ class LifetimeVerdict:
     kind: str
     tag: str | None = None
     note: str = ""
+    # the classes of the objects it is about: a site's own, or those a call
+    # leaves unclaimed or off their tag
+    classes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
         out = {"method": self.method, "where": self.where, "kind": self.kind}
@@ -261,13 +294,9 @@ class _Builder:
         if isinstance(target, VarRef):
             self.g.bind(target.name, values)
         elif isinstance(target, FieldRef):
-            for a in self.nodes_of(target.base):
-                for b in values:
-                    self.g.add_edge(a, target.field, b)
+            self.g.add_edges(self.nodes_of(target.base), target.field, values)
         elif isinstance(target, IndexRef):
-            for a in self.nodes_of(target.base):
-                for b in values:
-                    self.g.add_edge(a, ARRAY_FIELD, b)
+            self.g.add_edges(self.nodes_of(target.base), ARRAY_FIELD, values)
 
     # -- summary inlining -------------------------------------------------------
 
@@ -293,17 +322,26 @@ class _Builder:
         # reference cycle holding this builder, and through it the program,
         # until the cycle collector ran
         mu = partial(self.mapped, argmap, {})
-        for (a, f, b) in summary.edge_order:
-            for ma in mu(a):
-                for mb in mu(b):
-                    self.g.add_edge(ma, f, mb)
-        returned = set()
-        for n in summary.returned_order:
-            returned |= mu(n)
-        outs = {p: set().union(*(mu(n) for n in ns)) if ns else set()
-                for p, ns in summary.out_sets.items()}
-        tagged = {t: set().union(*(mu(n) for n in ns)) if ns else set()
-                  for t, ns in summary.tagged.items()}
+        g, s = self.g, summary.ptg
+        if not summary.loads:
+            # nothing else reads this graph: what no parameter touches goes
+            # in as it stands
+            g.N |= s.N - summary.mapped
+            g.E |= s.E.difference(summary.replayed) if summary.replayed else s.E
+        for (a, f, b) in summary.replayed:
+            ma = mu(a)
+            if ma:  # mapping b adds nodes, so it waits for a's image
+                g.add_edges(ma, f, mu(b))
+        if summary.loads:
+            def place(ns):
+                return set().union(*map(mu, ns))
+            returned = place(summary.returned_order)
+        else:
+            def place(ns):  # inside nodes stay, parameters become their arguments
+                return (ns - summary.mapped).union(*map(mu, ns & summary.mapped))
+            returned = place(s.returned)
+        outs = {p: place(ns) for p, ns in summary.out_sets.items()}
+        tagged = {t: place(ns) for t, ns in summary.tagged.items()}
         return returned, outs, tagged
 
     def apply_call(self, s: NewStmt | CallStmt, this_nodes: set[PTGNode]) -> None:
@@ -396,12 +434,16 @@ def _root_sets(g: PointsToGraph, method: MethodDecl,
     return roots
 
 
-def _tag_root(g: PointsToGraph, method: MethodDecl, tag: Tag,
-              bindings: dict[Tag, PathExpr]) -> set[PTGNode]:
-    if tag.kind == "return":
-        return set(g.returned)
-    if tag.kind == "this":
-        return {param_node("this")}
+def root_reaches(g: PointsToGraph, method: MethodDecl, class_map: dict[str, ClassDecl],
+                 succ: Successors) -> dict[str, set[PTGNode]]:
+    """Each root's name with what it reaches: one search per root set,
+    shared by `summarize_ptg` and `check_lifetimes`; `succ` is
+    `successors(g)`."""
+    return {r: _reach(succ, ns) for r, ns in _root_sets(g, method, class_map).items()}
+
+
+def _path_root(g: PointsToGraph, tag: Tag, bindings: dict[Tag, PathExpr]) -> set[PTGNode]:
+    """The nodes a tag bound to a path names: one scan of E per field."""
     path = bindings.get(tag)
     if path is None:
         raise UnknownTag(str(tag))
@@ -412,57 +454,63 @@ def _tag_root(g: PointsToGraph, method: MethodDecl, tag: Tag,
     else:
         cur = set(g.var_set(path.root))
     for f in path.fields:
-        nxt: set[PTGNode] = set()
-        for n in cur:
-            nxt |= g.targets(n, f)
-        cur = nxt
+        cur = set().union(*g.targets_from(cur, f).values())
     return cur
 
 
-def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
-                    class_map: dict[str, ClassDecl],
-                    succ: Successors) -> list[LifetimeVerdict]:
-    """`succ` is `successors(ptg)`."""
+def site_classes(program: Program) -> dict[str, str]:
+    """Each allocation site's class, as a clause keys it."""
+    return {s.site: s.class_ref.key() for m in program.methods() for s in iter_stmts(m.body)
+            if isinstance(s, NewStmt)}
+
+
+def check_lifetimes(method: MethodDecl, ptg: PointsToGraph, reach: dict[str, set[PTGNode]],
+                    succ: Successors, program: Program) -> list[LifetimeVerdict]:
+    """`reach` is `root_reaches(ptg, ...)` and `succ` is `successors(ptg)`."""
     contract = method.contract
-    reach = {r: _reach(succ, ns)
-             for r, ns in _root_sets(ptg, method, class_map).items()}
     escaped: set[PTGNode] = set().union(*reach.values())
-    tag_reach: dict[Tag, set[PTGNode]] = {}
+    path_reach: dict[Tag, set[PTGNode]] = {}
+    sites: dict[str, str] = {}  # read only for a call's findings
 
     def roots_reaching(n: PTGNode) -> list[str]:
         return sorted(r for r, ns in reach.items() if n in ns)
 
     def reach_of(tag: Tag) -> set[PTGNode]:
-        if tag not in tag_reach:
-            tag_reach[tag] = _reach(succ, _tag_root(ptg, method, tag, contract.bindings))
-        return tag_reach[tag]
+        if tag.kind != "user":  # `return` and `this` are roots
+            return reach[tag.name]
+        if tag not in path_reach:
+            path_reach[tag] = _reach(succ, _path_root(ptg, tag, contract.bindings))
+        return path_reach[tag]
+
+    def classes_of(nodes: set[PTGNode]) -> tuple[str, ...]:
+        if not sites:
+            sites.update(site_classes(program))
+        return tuple(sorted({sites[n.key] for n in nodes if n.key in sites}))
 
     out: list[LifetimeVerdict] = []
     for s in [t for t in iter_stmts(method.body) if isinstance(t, NewStmt)]:
         node = inside_node(s.site)
+        verdict = partial(LifetimeVerdict, method.qname, s.site, classes=(s.class_ref.key(),))
         if s.dest_local:
-            out.append(LifetimeVerdict(method.qname, s.site, SUPPRESSED))
+            out.append(verdict(SUPPRESSED))
             continue
         if s.dest_esc is None:
             if node in escaped:
-                out.append(LifetimeVerdict(
-                    method.qname, s.site, ESCAPES_UNANNOTATED,
-                    note=f"reachable from {', '.join(roots_reaching(node))}"))
+                out.append(verdict(ESCAPES_UNANNOTATED,
+                                   note=f"reachable from {', '.join(roots_reaching(node))}"))
             else:
-                out.append(LifetimeVerdict(method.qname, s.site, OK))
+                out.append(verdict(OK))
             continue
         tag = s.dest_esc
         if node not in escaped:
-            out.append(LifetimeVerdict(
-                method.qname, s.site, ANNOTATED_CAPTURED, tag=str(tag),
-                note="annotated as escaping but unreachable from every root"))
+            out.append(verdict(ANNOTATED_CAPTURED, tag=str(tag),
+                               note="annotated as escaping but unreachable from every root"))
             continue
         if node in reach_of(tag):
-            out.append(LifetimeVerdict(method.qname, s.site, OK, tag=str(tag)))
+            out.append(verdict(OK, tag=str(tag)))
         else:
-            out.append(LifetimeVerdict(
-                method.qname, s.site, TAG_MISMATCH, tag=str(tag),
-                note=f"actually reachable from {', '.join(roots_reaching(node))}"))
+            out.append(verdict(TAG_MISMATCH, tag=str(tag),
+                               note=f"actually reachable from {', '.join(roots_reaching(node))}"))
 
     for s, mapped in ptg.call_records:
         callee = callee_of(s).qname
@@ -479,43 +527,68 @@ def check_lifetimes(method: MethodDecl, ptg: PointsToGraph,
             else:
                 out.append(LifetimeVerdict(
                     method.qname, s.site, TAG_MISMATCH, tag=str(dst),
-                    note=f"objects from {callee} tag {src} do not reach {dst}"))
+                    note=f"objects from {callee} tag {src} do not reach {dst}",
+                    classes=classes_of(pulled - reach_of(dst))))
         for src, pulled in sorted(mapped.items(), key=lambda kv: str(kv[0])):
             if src in covered or not pulled:
                 continue
-            leaking = sorted(n.key for n in pulled if n in escaped)
+            leaking = pulled & escaped
             if leaking:
                 out.append(LifetimeVerdict(
                     method.qname, s.site, ESCAPES_UNANNOTATED, tag=str(src),
-                    note=f"callee {callee} objects ({', '.join(leaking)}) stay "
-                         f"reachable but no add_esc claims them"))
+                    note=f"callee {callee} objects ({', '.join(sorted(n.key for n in leaking))})"
+                         f" stay reachable but no add_esc claims them",
+                    classes=classes_of(leaking)))
     return out
 
 
-def summarize_ptg(method: MethodDecl, g: PointsToGraph,
-                  class_map: dict[str, ClassDecl], succ: Successors) -> EscapeSummary:
-    """Prune to what callers can observe; `succ` is `successors(g)`."""
-    roots = _root_sets(g, method, class_map)
-    out_sets = {p.name: set(g.var_set(p.name))
+_KIND = attrgetter("kind")
+
+
+def _edge_key(e: tuple[PTGNode, str, PTGNode]):
+    return e[0].sort_key(), e[1], e[2].sort_key()
+
+
+def summarize_ptg(method: MethodDecl, g: PointsToGraph, class_map: dict[str, ClassDecl],
+                  reach: dict[str, set[PTGNode]], succ: Successors) -> EscapeSummary:
+    """Prune to what callers can observe: what the roots reach, and what
+    the tagged nodes reach besides.  `reach` is `root_reaches(g, ...)` and
+    `succ` is `successors(g)`."""
+    keep = set().union(*reach.values())
+    tagged_only = set().union(*g.tagged.values()) - keep
+    if tagged_only:
+        keep |= _reach(succ, tagged_only)
+
+    # keep is closed under E, so an edge from it also ends in it, and a
+    # graph that keeps every node keeps every edge
+    pruned = PointsToGraph()
+    if len(keep) == len(g.N):
+        pruned.N, pruned.E = g.N, g.E
+    else:
+        pruned.N, pruned.E = keep, {e for e in g.E if e[0] in keep}
+    pruned.returned = g.returned & keep
+    out_sets = {p.name: g.var_set(p.name) & keep
                 for p in method.params
                 if p.is_out and p.decl_type.name in class_map}
-    keep = _reach(succ, set().union(*roots.values(), *g.tagged.values()))
+    tagged = {t: ns & keep for t, ns in g.tagged.items()}
 
-    # keep is closed under E, so an edge from it also ends in it
-    pruned = PointsToGraph()
-    pruned.N = keep
-    pruned.E = {e for e in g.E if e[0] in keep}
-    pruned.returned = g.returned & keep
-
-    return EscapeSummary(
-        method=method.qname,
-        ptg=pruned,
-        out_sets={p: ns & keep for p, ns in out_sets.items()},
-        tagged={t: ns & keep for t, ns in g.tagged.items()},
-        edge_order=sorted(pruned.E, key=lambda e: (e[0].sort_key(), e[1], e[2].sort_key())),
-        returned_order=sorted(pruned.returned, key=PTGNode.sort_key),
-        loads=any(n.kind == "load" for n in keep),
-    )
+    loads = "load" in map(_KIND, keep)
+    if loads:
+        return EscapeSummary(method.qname, pruned, out_sets, tagged, loads,
+                             sorted(pruned.E, key=_edge_key),
+                             sorted(pruned.returned, key=PTGNode.sort_key), frozenset())
+    params = {param_node(name) for name in _ref_params(method, class_map)}
+    replayed = [e for e in pruned.E if e[0] in params or e[2] in params]
+    # an inside node that only a parameter's edge reaches is added only
+    # where that parameter's argument is not empty
+    reached = {b for (a, _, b) in replayed if a in params} - params
+    if reached:
+        reached -= succ.keys()
+        reached -= pruned.returned.union(
+            *out_sets.values(), *tagged.values(),
+            *(bs for a, bs in succ.items() if a in keep and a not in params))
+    return EscapeSummary(method.qname, pruned, out_sets, tagged, loads, replayed, [],
+                         frozenset(params | reached))
 
 
 @dataclass
@@ -541,12 +614,14 @@ def analyze(program: Program) -> EscapeAnalysis:
             recursive.append(comp)
         while True:
             stable = True
-            succs: dict[str, Successors] = {}
+            searched: dict[str, tuple[dict[str, set[PTGNode]], Successors]] = {}
             for qname in comp:
                 m = methods[qname]
                 g = build_ptg(m, summaries, class_map)
-                succs[qname] = successors(g)
-                new = summarize_ptg(m, g, class_map, succs[qname])
+                succ = successors(g)
+                reach = root_reaches(g, m, class_map, succ)
+                searched[qname] = reach, succ
+                new = summarize_ptg(m, g, class_map, reach, succ)
                 old = summaries.get(qname)
                 if old is None or _facts(old) != _facts(new):
                     stable = False
@@ -554,11 +629,11 @@ def analyze(program: Program) -> EscapeAnalysis:
                 graphs[qname] = g
             if stable or not cyclic:
                 break
-        # the component's graphs are final: check them while their
-        # successor maps are at hand, then let the maps go
+        # the component's graphs are final: check them while their searches
+        # are at hand, then let the searches go
         for qname in comp:
-            checked[qname] = check_lifetimes(methods[qname], graphs[qname], class_map,
-                                             succs[qname])
+            checked[qname] = check_lifetimes(methods[qname], graphs[qname],
+                                             *searched[qname], program)
 
     lifetimes = {q: checked[q] for q in methods}
     return EscapeAnalysis(summaries, graphs, lifetimes, recursive)

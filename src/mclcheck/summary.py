@@ -26,7 +26,10 @@ charges it.  A loop's range is its header, always: an `iteration_space`
 annotation is a claim about that header, decided exactly at the header's
 two ends with constraint_verdict and reported as a row of its own when it
 does not hold, never a second range to sum over.  Nothing here enumerates
-a grid.  Lifetime findings of the heap analysis join the same report.
+a grid.  Lifetime findings of the heap analysis join the same report, and
+an `esc` row rests on each Violated finding of its method about objects
+it counts (`object` counts them all): the summary charges only the escapes
+the annotations claim, so such a row is at best Unverified.
 
 A clause is counted as its key says, in one pass per method: `object`
 counts every class of its tag, as the oracle does, and a class itself.
@@ -380,9 +383,15 @@ class Report:
                 "clauses": [r.to_json() for r in self.rows]}
 
 
+_LIFETIME_BAD = {escape.TAG_MISMATCH, escape.ESCAPES_UNANNOTATED,
+                 escape.ANNOTATED_CAPTURED}
+
+
 def check_method(method: MethodDecl, summary: ConsumptionSummary,
+                 lifetimes: list[escape.LifetimeVerdict],
                  assume_guarantee: bool = False) -> list[ClauseRow]:
     pre = method.contract.requires
+    astray = [v for v in lifetimes if v.kind in _LIFETIME_BAD]
     rows = []
     for c in summary.claims:
         charged, k = (summary.mem_req, c.key) if c.tag is None else (summary.esc, (c.tag, c.key))
@@ -395,6 +404,11 @@ def check_method(method: MethodDecl, summary: ConsumptionSummary,
             v = Verdict.unverified("declared bound is not integer-valued")
         else:
             v = entails_leq(computed, c.bound, pre)
+        if c.tag is not None and v.kind == VerdictKind.VERIFIED:
+            rests = dict.fromkeys(f"lifetime({lv.where})" for lv in astray
+                                  if c.key == OBJECT_KEY or c.key in lv.classes)
+            if rests:
+                v = Verdict.unverified("rests on " + ", ".join(rests))
         if not c.declared:  # a positive witness of an absent clause is a violation
             rows.append(ClauseRow(method.qname, c.label, None, str(computed), v, [
                 f"undeclared consumption: objects of {c.key} are consumed but no bound is"
@@ -409,10 +423,6 @@ def check_method(method: MethodDecl, summary: ConsumptionSummary,
     # an iteration space is a claim about its loop's header, reported when
     # it does not hold, as lifetimes are
     return rows + summary.space_rows
-
-
-_LIFETIME_BAD = {escape.TAG_MISMATCH, escape.ESCAPES_UNANNOTATED,
-                 escape.ANNOTATED_CAPTURED}
 
 
 def lifetime_rows(verdicts: list[escape.LifetimeVerdict]) -> list[ClauseRow]:
@@ -440,8 +450,9 @@ def check_program(program: Program, mode: str = MODE_TYPE) -> Report:
     rows: list[ClauseRow] = []
     for qname in sorted(methods):
         m = methods[qname]
-        rows.extend(check_method(m, summarize(m, mode, class_map),
+        lifetimes = analysis.lifetimes[qname]
+        rows.extend(check_method(m, summarize(m, mode, class_map), lifetimes,
                                  assume_guarantee=qname in recursive))
-        rows.extend(lifetime_rows(analysis.lifetimes[qname]))
+        rows.extend(lifetime_rows(lifetimes))
 
     return Report(rows, VerdictKind.worst(r.verdict.kind for r in rows))

@@ -10,8 +10,24 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
+from mclcheck import callgraph, escape
+from mclcheck.escape import (
+    ANNOTATED_CAPTURED,
+    ESCAPES_UNANNOTATED,
+    OK,
+    SUPPRESSED,
+    TAG_MISMATCH,
+    EscapeSummary,
+    LifetimeVerdict,
+    PointsToGraph,
+    PTGNode,
+    inside_node,
+    param_node,
+)
 from mclcheck.frontend import OBJECT_KEY
+from mclcheck.frontend.syntax import NewStmt, callee_of, iter_stmts
 from mclcheck.oracle import Ref
 from mclcheck.symexpr import Poly, SymExpr
 
@@ -114,6 +130,64 @@ def relay_chain(k):
             + "\n".join(reversed(methods)) + "}\n")
 
 
+def load_chain(k):
+    """w(j) reads one field further down its argument than w(j-1), so the
+    summaries hold load nodes up to LOAD_DEPTH_CAP and fold back past it,
+    and stores a fresh Box into that argument, so that a later load may
+    find what an earlier one stored.  `top` passes a Box and a null to the
+    last; `put`'s summary holds no load, and `drop` passes it a null."""
+    methods = ["    Box w0(Box a) {\n        Box b = a.next;\n        return b;\n    }\n"]
+    for j in range(1, k):
+        f = ("next", "link")[j % 2]
+        methods.append(f"    Box w{j}(Box a) {{\n        Box b = this.w{j - 1}(a);\n"
+                       f"        Box c = b.{f};\n        Box d = new Box();\n"
+                       f"        d.{f} = c;\n        a.{f} = d;\n        return c;\n    }}\n")
+    methods.append(f"    Box top() {{\n        Box x = new Box();\n        Box y = null;\n"
+                   f"        Box r = this.w{k - 1}(x);\n        Box s = this.w{k - 1}(y);\n"
+                   f"        x.next = r;\n        return s;\n    }}\n")
+    methods.append("    void put(Box a) {\n        Box n = new Box();\n        a.next = n;\n"
+                   "    }\n")
+    methods.append("    void drop() {\n        Box z = null;\n        this.put(z);\n    }\n")
+    return ("class Box {\n    Box next;\n    Box link;\n}\n\nclass Walk {\n"
+            + "\n".join(methods) + "}\n")
+
+
+def call_nest(rng, depth, indices):
+    """A loop whose body may allocate (a temporary, or an object kept under
+    `this`), holds `depth - 1` further loops, and calls g at the innermost
+    level and maybe above it, sometimes pulling g's escapes."""
+    index = f"j{depth}"
+    headers = ["1 .. n", "1 .. m", "1 .. 2", "0 .. 1"]
+    if indices:
+        headers += [f"1 .. {indices[-1]}", f"{indices[-1]} .. n"]
+    body = []
+    if rng.random() < 0.5:
+        body.append(f"A t{depth} = new A();")
+    if rng.random() < 0.3:
+        body += ["dest_esc(this);", f"A s{depth} = new A();", f"s{depth}.next = this.head;",
+                 f"this.head = s{depth};"]
+    if depth > 1:
+        body.append(call_nest(rng, depth - 1, indices + [index]))
+    if depth == 1 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            body.append("add_esc(this, this);")
+        body.append(f"this.g({rng.choice(['n', 'm', '1', 'n + 1', *indices, index])});")
+    return f"for ({index} = {rng.choice(headers)}) {{ {' '.join(body)} }}"
+
+
+def call_nest_program(rng) -> str:
+    """g needs k temporaries, and may keep one more from `this`; f calls it
+    in a loop nest of depth 1 to 3 and declares `memreq<A>(%s)`."""
+    keep = rng.random() < 0.5
+    g = ("void g(int k) { requires(k >= 0); "
+         + ("memreq<A>(k + 1); esc<A>(this, 1); dest_esc(this); A x = new A();"
+            " x.next = this.head; this.head = x; " if keep else "memreq<A>(k); ")
+         + "for (i = 1 .. k) { A a = new A(); } }")
+    return ("class A { A next; } class P { A head; " + g
+            + " void f(int n, int m) { requires(n >= 0 && m >= 0); memreq<A>(%s); "
+            + call_nest(rng, rng.randint(1, 3), []) + " } }")
+
+
 def reach(interp, roots):
     """The oids reachable from some values, marked from scratch the way a
     tracing collector would."""
@@ -189,3 +263,154 @@ NESTED_CALL = ("class A { } class P {"
                " void g(int k) { requires(k >= 0); memreq<A>(k); for (i = 1 .. k) { A a = new A(); } }"
                " void f(int n, int m) { requires(n >= 0 && m >= 0); memreq<A>(m);"
                " for (j = 1 .. n) { for (i = 1 .. 1) { this.g(m); } } } }")
+
+
+# ------------------------------------------------ reference escape analysis
+
+# The escape analysis as it was before summaries were split: every inline
+# replays each edge of the callee's summary in a sorted order and maps
+# every node, and each reach is searched where it is asked for, as a
+# closure over the edge set.  Tests hold `escape.analyze` to the same
+# graphs, summaries and verdicts.
+
+
+def closure(g, start):
+    """`start` and everything an edge of g leads to from it."""
+    seen = set(start)
+    while True:
+        fresh = {b for (a, _, b) in g.E if a in seen} - seen
+        if not fresh:
+            return seen
+        seen |= fresh
+
+
+def _sort_key(e):
+    return e[0].sort_key(), e[1], e[2].sort_key()
+
+
+class ReferenceBuilder(escape._Builder):
+    def inline(self, summary, argmap):
+        mu = partial(self.mapped, argmap, {})
+        for (a, f, b) in sorted(summary.ptg.E, key=_sort_key):
+            for ma in mu(a):
+                for mb in mu(b):
+                    self.g.add_edge(ma, f, mb)
+        returned = set()
+        for n in sorted(summary.ptg.returned, key=PTGNode.sort_key):
+            returned |= mu(n)
+        outs = {p: set().union(*(mu(n) for n in ns)) if ns else set()
+                for p, ns in summary.out_sets.items()}
+        tagged = {t: set().union(*(mu(n) for n in ns)) if ns else set()
+                  for t, ns in summary.tagged.items()}
+        return returned, outs, tagged
+
+
+def reference_summary(method, g, class_map):
+    roots = escape._root_sets(g, method, class_map)
+    keep = closure(g, set().union(*roots.values(), *g.tagged.values()))
+    pruned = PointsToGraph()
+    pruned.N = keep
+    pruned.E = {e for e in g.E if e[0] in keep}
+    pruned.returned = g.returned & keep
+    out_sets = {p.name: set(g.var_set(p.name)) & keep for p in method.params
+                if p.is_out and p.decl_type.name in class_map}
+    # the last three fields are what the split inline reads: unused here
+    return EscapeSummary(method.qname, pruned, out_sets,
+                         {t: ns & keep for t, ns in g.tagged.items()},
+                         any(n.kind == "load" for n in keep), [], [], frozenset())
+
+
+def _tag_root(g, tag, bindings):
+    if tag.kind == "return":
+        return set(g.returned)
+    if tag.kind == "this":
+        return {param_node("this")}
+    path = bindings[tag]
+    cur = {"return": set(g.returned), "this": {param_node("this")}}.get(
+        path.root, g.var_set(path.root))
+    for f in path.fields:
+        cur = {b for (a, h, b) in g.E if a in cur and h == f}
+    return cur
+
+
+def reference_lifetimes(method, g, class_map, program):
+    reach = {r: closure(g, ns) for r, ns in escape._root_sets(g, method, class_map).items()}
+    escaped = set().union(*reach.values())
+    sites = {s.site: s.class_ref.key() for m in program.methods() for s in iter_stmts(m.body)
+             if isinstance(s, NewStmt)}
+
+    def roots_reaching(n):
+        return ", ".join(sorted(r for r, ns in reach.items() if n in ns))
+
+    def reach_of(tag):
+        return closure(g, _tag_root(g, tag, method.contract.bindings))
+
+    def classes(nodes):
+        return tuple(sorted({sites[n.key] for n in nodes}))
+
+    out = []
+    for s in [t for t in iter_stmts(method.body) if isinstance(t, NewStmt)]:
+        node, verdict = inside_node(s.site), partial(LifetimeVerdict, method.qname, s.site,
+                                                     classes=(s.class_ref.key(),))
+        tag = s.dest_esc
+        if s.dest_local:
+            out.append(verdict(SUPPRESSED))
+        elif tag is None and node in escaped:
+            out.append(verdict(ESCAPES_UNANNOTATED,
+                               note=f"reachable from {roots_reaching(node)}"))
+        elif tag is None:
+            out.append(verdict(OK))
+        elif node not in escaped:
+            out.append(verdict(ANNOTATED_CAPTURED, tag=str(tag),
+                               note="annotated as escaping but unreachable from every root"))
+        elif node in reach_of(tag):
+            out.append(verdict(OK, tag=str(tag)))
+        else:
+            out.append(verdict(TAG_MISMATCH, tag=str(tag),
+                               note=f"actually reachable from {roots_reaching(node)}"))
+    for s, mapped in g.call_records:
+        callee = callee_of(s).qname
+        for dst, src in s.add_esc:
+            pulled = mapped.get(src, set())
+            verdict = partial(LifetimeVerdict, method.qname, s.site, tag=str(dst))
+            if not pulled:
+                out.append(verdict(OK, note=f"callee has no objects under tag {src}"))
+            elif pulled <= reach_of(dst):
+                out.append(verdict(OK))
+            else:
+                out.append(verdict(TAG_MISMATCH,
+                                   note=f"objects from {callee} tag {src} do not reach {dst}",
+                                   classes=classes(pulled - reach_of(dst))))
+        covered = {src for (_, src) in s.add_esc}
+        for src, pulled in sorted(mapped.items(), key=lambda kv: str(kv[0])):
+            leaking = {n for n in pulled if n in escaped}
+            if src not in covered and leaking:
+                out.append(LifetimeVerdict(
+                    method.qname, s.site, ESCAPES_UNANNOTATED, tag=str(src),
+                    note=f"callee {callee} objects ({', '.join(sorted(n.key for n in leaking))})"
+                         f" stay reachable but no add_esc claims them",
+                    classes=classes(leaking)))
+    return out
+
+
+def reference_analysis(program):
+    """(summaries, graphs, lifetimes) by the reference, each keyed by method."""
+    class_map = program.class_map()
+    methods = {m.qname: m for m in program.methods()}
+    summaries, graphs, lifetimes = {}, {}, {}
+    edges = callgraph.call_edges(program)
+    for comp in callgraph.sccs(program):
+        cyclic = callgraph.is_recursive(comp, edges)
+        while True:
+            stable = True
+            for q in comp:
+                g = ReferenceBuilder(methods[q], summaries, class_map).run()
+                new = reference_summary(methods[q], g, class_map)
+                if q not in summaries or escape._facts(summaries[q]) != escape._facts(new):
+                    stable = False
+                summaries[q], graphs[q] = new, g
+            if stable or not cyclic:
+                break
+        for q in comp:
+            lifetimes[q] = reference_lifetimes(methods[q], graphs[q], class_map, program)
+    return summaries, graphs, lifetimes

@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from helpers import relay_chain
+from helpers import (
+    call_nest_program,
+    closure,
+    load_chain,
+    reference_analysis,
+    relay_chain,
+)
 from mclcheck import escape
 from mclcheck.escape import (
     ANNOTATED_CAPTURED,
@@ -23,6 +29,7 @@ from mclcheck.escape import (
     to_dot,
 )
 from mclcheck.frontend import load
+from mclcheck.frontend.syntax import PathExpr, Tag
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -179,15 +186,6 @@ def random_graph(rng):
     return g, nodes
 
 
-def closure(g, start):
-    seen = set(start)
-    while True:
-        fresh = {b for (a, _, b) in g.E if a in seen} - seen
-        if not fresh:
-            return seen
-        seen |= fresh
-
-
 def test_reach_from_and_targets_match_the_edge_set_definitions():
     rng = random.Random(7)
     for _ in range(300):
@@ -198,6 +196,70 @@ def test_reach_from_and_targets_match_the_edge_set_definitions():
             assert reachable(g, {n}, n)
             for f in ("next", "link", "[*]"):
                 assert g.targets(n, f) == {b for (a, h, b) in g.E if a == n and h == f}
+
+
+class CountingSet(set):
+    """A set that counts the Python-level scans of it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def old_load(g, bases, f):
+    """`PointsToGraph.load` as it was: one scan of E per base."""
+    out = set()
+    for b in bases:
+        tgts = {t for (a, h, t) in g.E if a == b and h == f}
+        if tgts:
+            out |= tgts
+        elif b.depth >= escape.LOAD_DEPTH_CAP:
+            g.add_edge(b, f, b)
+            out.add(b)
+        else:
+            ln = PTGNode("load", f"{b.key}.{f}", base=b, field=f, depth=b.depth + 1)
+            g.add_edge(b, f, ln)
+            out.add(ln)
+    return out
+
+
+def copy_graph(g, edges=set):
+    h = PointsToGraph()
+    h.N, h.E = set(g.N), edges(g.E)
+    return h
+
+
+def test_a_load_from_a_wide_base_set_scans_the_edges_once():
+    rng = random.Random(11)
+    for _ in range(100):
+        g, nodes = random_graph(rng)
+        nodes += [param_node(f"q{i}") for i in range(30)]
+        for n in nodes[-30:]:
+            if rng.random() < 0.5:
+                g.add_edge(n, "next", rng.choice(nodes))
+        bases = set(rng.sample(nodes, rng.randint(15, len(nodes))))
+        new, old = copy_graph(g, CountingSet), copy_graph(g)
+        assert new.load(bases, "next") == old_load(old, bases, "next")
+        assert (new.N, new.E) == (old.N, old.E)
+        assert new.E.scans == 1
+
+
+def test_a_bound_path_scans_the_edges_once_per_field():
+    rng = random.Random(13)
+    tag = Tag.user("T")
+    bindings = {tag: PathExpr("this", ("next", "link"))}
+    for _ in range(100):
+        g, nodes = random_graph(rng)
+        for n in rng.sample(nodes, rng.randint(0, len(nodes))):
+            g.add_edge(param_node("this"), "next", n)
+        cur = {param_node("this")}
+        for f in ("next", "link"):
+            cur = {b for n in cur for b in g.targets(n, f)}
+        counted = copy_graph(g, CountingSet)
+        assert escape._path_root(counted, tag, bindings) == cur
+        assert counted.E.scans <= 2  # none once the path leads nowhere
 
 
 def count_calls(monkeypatch, owner, name):
@@ -411,6 +473,95 @@ def test_reusing_inlines_changes_no_graph_summary_or_verdict(monkeypatch):
             assert g.canonical() == base.graphs[q].canonical(), (name, q)
             assert escape._facts(an.summaries[q]) == escape._facts(base.summaries[q]), (name, q)
         assert an.lifetimes == base.lifetimes, name
+
+
+def reference_programs():
+    progs = {name: load_corpus(name) for name in sorted(p.stem for p in CORPUS.glob("*.mcl"))}
+    for k in (20, 45):
+        progs[f"relay{k}"] = load(relay_chain(k), "relay.mcl")
+    progs["loads"] = load(load_chain(2 * escape.LOAD_DEPTH_CAP), "loads.mcl")
+    # a tagged node that no root reaches, and what it holds
+    progs["stray"] = load("""class A { A next; } class P {
+        A f() { dest_esc(return); A a = new A(); A b = new A(); a.next = b;
+                A c = new A(); return c; }
+        A g() { add_esc(return, return); A x = this.f(); return x; } }""", "stray.mcl")
+    rng = random.Random(5)
+    for i in range(40):
+        progs[f"nest{i}"] = load(call_nest_program(rng) % "0", "nest.mcl")
+    return progs
+
+
+def test_split_inlines_and_shared_reaches_match_the_reference():
+    progs = reference_programs()
+    walk = analyze(progs["loads"])
+    assert {f"Walk.w{j}" for j in range(2 * escape.LOAD_DEPTH_CAP)} <= \
+        {q for q, s in walk.summaries.items() if s.loads}
+    assert max(n.depth for n in walk.graphs["Walk.top"].N) == escape.LOAD_DEPTH_CAP
+    for name, prog in progs.items():
+        an = analyze(prog)
+        summaries, graphs, lifetimes = reference_analysis(prog)
+        assert an.graphs.keys() == graphs.keys(), name
+        for q, g in graphs.items():
+            assert an.graphs[q].canonical() == g.canonical(), (name, q)
+            assert escape._facts(an.summaries[q]) == escape._facts(summaries[q]), (name, q)
+        assert an.lifetimes == lifetimes, name
+
+
+def test_an_argument_left_empty_adds_nothing_its_parameter_reaches():
+    an = analyze(load(load_chain(2), "loads.mcl"))
+    stored = inside_node("Walk.put#1")
+    assert not an.summaries["Walk.put"].loads
+    assert stored in an.summaries["Walk.put"].mapped
+    assert an.graphs["Walk.drop"].canonical() == {
+        "L": {"this": ["this"]}, "N": ["this"], "E": [], "returned": []}
+
+
+@pytest.mark.parametrize("k", [30, 60])
+def test_chain_work_is_one_search_per_root_set_and_no_sort(monkeypatch, k):
+    reaches = count_calls(monkeypatch, escape, "_reach")
+    mapped = count_calls(monkeypatch, escape._Builder, "mapped")
+    edge_keys = count_calls(monkeypatch, escape, "_edge_key")
+    node_keys = count_calls(monkeypatch, PTGNode, "sort_key")
+    an = analyze(load(relay_chain(k), "relay.mcl"))
+    assert not any(s.loads for s in an.summaries.values())
+    # two root sets per method, `This` and `Return`, and no tag bound to a path
+    assert len(reaches) <= 3 * k
+    assert not edge_keys and not node_keys
+    assert not mapped  # no chain summary has an edge with a parameter end
+
+
+def test_a_load_free_inline_maps_only_what_a_parameter_touches(monkeypatch):
+    inlining, maps = [], []
+    real_inline, real_mapped = escape._Builder.inline, escape._Builder.mapped
+
+    def inline(self, summary, argmap):
+        inlining.append(summary)
+        try:
+            return real_inline(self, summary, argmap)
+        finally:
+            inlining.pop()
+
+    def mapped(self, argmap, memo, n):
+        maps.append((inlining[-1], n))
+        return real_mapped(self, argmap, memo, n)
+
+    monkeypatch.setattr(escape._Builder, "inline", inline)
+    monkeypatch.setattr(escape._Builder, "mapped", mapped)
+    for prog in reference_programs().values():
+        analyze(prog)
+    free = [(s, n) for s, n in maps if not s.loads]
+    assert free and any(s.loads for s, _ in maps)
+    for s, n in free:
+        assert all(a in s.mapped or b in s.mapped for (a, _, b) in s.replayed), s.method
+        assert n in s.mapped.union(*((a, b) for (a, _, b) in s.replayed)), (s.method, n)
+
+
+def test_a_summary_with_loads_is_sorted_once_and_replayed_whole():
+    an = analyze(load(load_chain(4), "loads.mcl"))
+    s = an.summaries["Walk.w3"]
+    assert s.loads and not s.mapped
+    assert s.replayed == sorted(s.ptg.E, key=escape._edge_key)
+    assert s.returned_order == sorted(s.ptg.returned, key=PTGNode.sort_key)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.mcl")))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HIDDEN_CLASS, MIXED_VIEWS, UNDECLARED_OBJECT
+from helpers import HIDDEN_CLASS, MIXED_VIEWS, UNDECLARED_OBJECT, call_nest_program
+from mclcheck import escape
 from mclcheck import summary as S
 from mclcheck.frontend import Tag, collapsed, expr_to_str, load, obligations
 from mclcheck.frontend.syntax import CallStmt, NewStmt, entry_vars, unassigned_entry_vars
@@ -243,42 +244,6 @@ def test_loop_and_trailing_call_share_method_accounting():
 # ------------------------------------------------- the scope rule, sampled
 
 
-def _call_nest(rng, depth, indices):
-    """A loop whose body may allocate (a temporary, or an object kept under
-    `this`), holds `depth - 1` further loops, and calls g at the innermost
-    level and maybe above it, sometimes pulling g's escapes."""
-    index = f"j{depth}"
-    headers = ["1 .. n", "1 .. m", "1 .. 2", "0 .. 1"]
-    if indices:
-        headers += [f"1 .. {indices[-1]}", f"{indices[-1]} .. n"]
-    body = []
-    if rng.random() < 0.5:
-        body.append(f"A t{depth} = new A();")
-    if rng.random() < 0.3:
-        body += ["dest_esc(this);", f"A s{depth} = new A();", f"s{depth}.next = this.head;",
-                 f"this.head = s{depth};"]
-    if depth > 1:
-        body.append(_call_nest(rng, depth - 1, indices + [index]))
-    if depth == 1 or rng.random() < 0.3:
-        if rng.random() < 0.5:
-            body.append("add_esc(this, this);")
-        body.append(f"this.g({rng.choice(['n', 'm', '1', 'n + 1', *indices, index])});")
-    return f"for ({index} = {rng.choice(headers)}) {{ {' '.join(body)} }}"
-
-
-def _call_nest_program(rng) -> str:
-    """g needs k temporaries, and may keep one more from `this`; f calls it
-    in a loop nest of depth 1 to 3 and declares `memreq<A>(%s)`."""
-    keep = rng.random() < 0.5
-    g = ("void g(int k) { requires(k >= 0); "
-         + ("memreq<A>(k + 1); esc<A>(this, 1); dest_esc(this); A x = new A();"
-            " x.next = this.head; this.head = x; " if keep else "memreq<A>(k); ")
-         + "for (i = 1 .. k) { A a = new A(); } }")
-    return ("class A { A next; } class P { A head; " + g
-            + " void f(int n, int m) { requires(n >= 0 && m >= 0); memreq<A>(%s); "
-            + _call_nest(rng, rng.randint(1, 3), []) + " } }")
-
-
 def test_no_verified_requirement_of_a_call_nest_is_refuted():
     # f declares the requirement `check` computes for it; every memreq row
     # `check` verifies then holds under both collectors of the oracle, and
@@ -286,7 +251,7 @@ def test_no_verified_requirement_of_a_call_nest_is_refuted():
     rng = random.Random(7)
     checked = 0
     for _ in range(80):
-        text = _call_nest_program(rng)
+        text = call_nest_program(rng)
         placeholder = load(text % "0", "nest.mcl")
         computed = S.summarize(placeholder.method("P.f"), S.MODE_TYPE,
                                placeholder.class_map()).mem_req["A"]
@@ -514,6 +479,54 @@ def test_lifetime_violations_reach_the_report():
     bad = [r for r in rep.rows if r.verdict.kind == VerdictKind.VIOLATED]
     assert [r.clause for r in bad] == ["lifetime(Family.AddMember#1)"]
     assert bad[0].verdict.reason == "EscapesButUnannotated"
+
+
+# the census's repro: the unpulled `this.g(n, 0)` leaves g's A reachable
+# from `this`, which the summary never charges to the tag
+UNPULLED = ("class A { A next; } class P { A head; void g(int n, int m) {"
+            " requires(n >= 0 && m >= 0); memreq<A>(1); esc<A>(this, 1); dest_esc(this);"
+            " A x = new A(); x.next = this.head; this.head = x; } void f(int n, int m) {"
+            " requires(n >= 0 && m >= 0); memreq<A>(m + 1); esc<A>(this, m + 1);"
+            " this.g(n, 0); if (n >= 2) { add_esc(this, this); this.g(n, n);"
+            " for (i0 = 1 .. m) { add_esc(this, this); this.g(0, m); } } } }")
+
+
+def test_an_escape_row_beside_an_unclaimed_escape_is_not_verified():
+    prog = load(UNPULLED, "unpulled.mcl")
+    rep = S.check_program(prog)
+    r = row(rep, "P.f", "esc<A>(this)")
+    assert r.verdict.kind == VerdictKind.UNVERIFIED
+    assert r.verdict.reason == "rests on lifetime(P.f@1)"
+    assert row(rep, "P.g", "esc<A>(this)").verdict.kind == VerdictKind.VERIFIED
+    leak = [v for v in escape.analyze(prog).lifetimes["P.f"] if v.kind != escape.OK]
+    assert [(v.where, v.classes) for v in leak] == [("P.f@1", ("A",))]
+
+
+# one A annotated as escaping but captured, beside a B that does escape
+CAPTURED_A = ("class A { } class B { } class P { B f() { memreq<A>(1); memreq<B>(1);"
+              " esc<A>(return, 1); esc<B>(return, 1); esc<object>(return, 2);"
+              " dest_esc(return); A x = new A(); dest_esc(return); B y = new B(); return y; } }")
+
+
+@pytest.mark.parametrize("mode", [S.MODE_TYPE, S.MODE_OBJECT])
+def test_an_escape_row_rests_only_on_findings_about_objects_it_counts(mode):
+    rep = S.check_program(load(CAPTURED_A, "captured.mcl"), mode=mode)
+    escs = {r.clause: (r.verdict.kind, r.verdict.reason) for r in rep.rows
+            if r.clause.startswith("esc<")}
+    rests = (VerdictKind.UNVERIFIED, "rests on lifetime(P.f#1)")
+    assert escs == ({"esc<object>(return)": rests} if mode == S.MODE_OBJECT else
+                    {"esc<A>(return)": rests, "esc<object>(return)": rests,
+                     "esc<B>(return)": (VerdictKind.VERIFIED, None)})
+    assert rep.overall == VerdictKind.VIOLATED
+
+
+@pytest.mark.parametrize("name", ["faulty_missing_addesc", "faulty_missing_destesc",
+                                  "faulty_phantom_escape", "faulty_swapped_tags"])
+def test_lifetime_corpus_files_stay_violated_and_rest_their_escape_rows(name):
+    rep = check(name)
+    assert rep.overall == VerdictKind.VIOLATED
+    rested = [r for r in rep.rows if (r.verdict.reason or "").startswith("rests on lifetime(")]
+    assert rested and all(r.clause.startswith("esc<") for r in rested)
 
 
 def test_suppressed_site_is_reported_verified_with_note():

@@ -8,9 +8,9 @@ the two imports never mix, and each runs the same command lines through
 `mclcheck.cli.main`:
 
 - every command and probe that `bench/workloads.build` makes for the
-  three benchmark workloads at the seed, and `ptg --format json` on each
-  file that static-scale checks: the families and the call chains with
-  two link fields;
+  three benchmark workloads at the seed, `ptg --format json` on each file
+  that static-scale checks: the families and the call chains with two
+  link fields, and the DOT files `ptg --dot` writes for each chain;
 - on each file of this checkout's `corpus/`: `instrument --emit`; `check`
   in both modes, human and JSON; `check --format json` in both modes on
   the instrumented copy; `validate --format json` under both `--gc` modes,
@@ -57,6 +57,11 @@ the two imports never mix, and each runs the same command lines through
   `bigfamily` with `memreq<Logger>(1)`): `check` in both modes, human and
   JSON, `instrument --emit`, and `validate --format json` on the source
   and on the copy;
+- `check`, human and JSON, and `ptg`, as DOT and as JSON, on a chain of
+  methods whose summaries hold load nodes, each reading one field further
+  down its argument, past the depth at which loads fold back, beside a
+  callee whose summary holds none and a caller that passes it a null, so
+  that both ways a summary is inlined are compared;
 - `run --format json` at n = 200, under both `--gc` modes, on two heap
   shapes on which the oracle's work has grown with the square of n,
   written under the temporary directory: a receiver that a loop of pushes
@@ -338,6 +343,39 @@ def _scaling_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     return lines
 
 
+def _load_chain(k: int) -> str:
+    """w(j) reads one field further down its argument than w(j-1) and
+    stores a fresh Box into it; `put` holds no load, and `drop` passes it a
+    null."""
+    methods = ["    Box w0(Box a) {\n        memreq<Box>(0);\n        Box b = a.next;\n"
+               "        return b;\n    }\n"]
+    for j in range(1, k):
+        f = ("next", "link")[j % 2]
+        methods.append(f"    Box w{j}(Box a) {{\n        memreq<Box>({j});\n"
+                       f"        Box b = this.w{j - 1}(a);\n        Box c = b.{f};\n"
+                       f"        Box d = new Box();\n        d.{f} = c;\n        a.{f} = d;\n"
+                       f"        return c;\n    }}\n")
+    methods.append(f"    Box top() {{\n        memreq<Box>({k});\n        Box x = new Box();\n"
+                   f"        Box y = null;\n        Box r = this.w{k - 1}(x);\n"
+                   f"        Box s = this.w{k - 1}(y);\n        x.next = r;\n        return s;\n"
+                   "    }\n")
+    methods.append("    void put(Box a) {\n        memreq<Box>(1);\n        Box n = new Box();\n"
+                   "        a.next = n;\n    }\n")
+    methods.append("    void drop() {\n        memreq<Box>(1);\n        Box z = null;\n"
+                   "        this.put(z);\n    }\n")
+    return ("class Box {\n    Box next;\n    Box link;\n}\n\nclass Walk {\n"
+            + "\n".join(methods) + "}\n")
+
+
+def _loads_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
+    """`check` and `ptg` on `_load_chain(8)`, written under work/loads."""
+    (work / "loads").mkdir()
+    path, dots = work / "loads" / "walk.mcl", work / "loads" / "walk.dot"
+    path.write_text(_load_chain(8))
+    return [(["check", str(path), "--format", fmt], None) for fmt in ("human", "json")] + [
+        (["ptg", str(path), "--format", "json"], None), (["ptg", str(path), "--dot", str(dots)], dots)]
+
+
 def _key(argv: list[str], tmp: str) -> str:
     """The command line, with the temporary directory written as <work> and
     each argument of over 1,000 characters, such as a deep `--args`,
@@ -373,9 +411,11 @@ def run_tree(src: str, seed: int) -> dict[str, list]:
             if name == "static-scale":
                 checked = sorted({c.argv[1] for c in w.commands if c.role == "check"})
                 lines += [(["ptg", path, "--format", "json"], None) for path in checked]
+                lines += [(["ptg", path, "--dot", f"{path}.dot"], Path(f"{path}.dot"))
+                          for path in checked if Path(path).name.startswith("chain_")]
         (work / "matrix").mkdir()
         lines += (_corpus_matrix(work) + _hostile_matrix(work) + _decision_matrix(work)
-                  + _scaling_matrix(work))
+                  + _loads_matrix(work) + _scaling_matrix(work))
         for argv, emit in lines:
             key = _key(argv, tmp)
             if key in outcomes:
