@@ -34,6 +34,17 @@ Only a closed form over a loop, summed (`sum_over`) or maximized
 constant `DEGREE_CAP` is a zero flagged `degree-cap`, which leaves
 Unverified only the clauses that read it.  A sum never raises the degree,
 and a substitution's result is capped where it is summed or maximized.
+
+Arithmetic does work only where a value changes.  A sum merges its
+operands' sorted term tuples in one pass.  An identity returns its
+operand object: a zero operand of `+` or `-`; `_prune` of fewer than two
+alternatives, or of alternatives already pruned; `with_flags` that adds
+no flag; `add` of a value whose one alternative is zero (the other's
+alternatives pruned, flags merged); and a substitution whose binding
+names none of the variables.  No value is cached by its operands, save
+`_power_sum`'s one closed form per exponent: `bench/run.py` runs many
+commands in one process, and a module-level memo would let one reuse
+another's work, which separate `mclcheck` processes never share.
 """
 
 from __future__ import annotations
@@ -69,6 +80,8 @@ def _normal(c: Coeff) -> Coeff:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a or not b:
+        return a or b
     acc: dict[str, int] = dict(a)
     for var, exp in b:
         acc[var] = acc.get(var, 0) + exp
@@ -93,11 +106,12 @@ class Poly:
 
     @staticmethod
     def from_dict(d: dict[Monomial, Coeff]) -> Poly:
-        return Poly(tuple(sorted((m, _normal(c)) for m, c in d.items() if c)))
+        return Poly(tuple(sorted((m, c if type(c) is int else _normal(c))
+                                 for m, c in d.items() if c)))
 
     @staticmethod
     def const(value: Coeff) -> Poly:
-        return Poly.from_dict({_ONE: value})
+        return Poly(((_ONE, value if type(value) is int else _normal(value)),)) if value else ZERO
 
     @staticmethod
     def var(name: str, exp: int = 1) -> Poly:
@@ -111,13 +125,31 @@ class Poly:
 
     def __add__(self, other: Poly | Coeff) -> Poly:
         other = _as_poly(other)
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, 0) + c
-        return Poly.from_dict(acc)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return other if not a else self
+        # both are sorted by monomial: merge them, dropping what cancels
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            (ma, ca), (mb, cb) = a[i], b[j]
+            if ma < mb:
+                out.append(a[i])
+                i += 1
+            elif mb < ma:
+                out.append(b[j])
+                j += 1
+            else:
+                c = ca + cb
+                if c:
+                    out.append((ma, c if type(c) is int else _normal(c)))
+                i += 1
+                j += 1
+        return Poly((*out, *a[i:], *b[j:]))
 
     def __sub__(self, other: Poly | Coeff) -> Poly:
-        return self + (-_as_poly(other))
+        other = _as_poly(other)
+        return self + (-other) if other.terms else self
 
     def __neg__(self) -> Poly:
         return Poly(tuple((m, -c) for m, c in self.terms))
@@ -165,7 +197,9 @@ class Poly:
         return total
 
     def substitute(self, binding: dict[str, Poly]) -> Poly:
-        out = Poly()
+        if not any(var in binding for m, _ in self.terms for var, _ in m):
+            return self
+        out = ZERO
         for m, c in self.terms:
             term = Poly.const(c)
             for var, exp in m:
@@ -227,9 +261,13 @@ def _dominates(q: Poly, p: Poly) -> bool:
 
 
 def _prune(alts: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """The alternatives none of the others dominates, once each, sorted by
+    terms; `alts` itself when that is what it already holds."""
+    if len(alts) < 2:
+        return alts
     uniq = sorted(set(alts), key=lambda p: p.terms)
-    kept = [p for p in uniq if not any(q is not p and q != p and _dominates(q, p) for q in uniq)]
-    return tuple(kept)
+    kept = tuple(p for p in uniq if not any(q is not p and _dominates(q, p) for q in uniq))
+    return alts if kept == alts else kept
 
 
 # (sign, shift) per relation: lhs REL 0 becomes sign * lhs - shift >= 0,
@@ -286,7 +324,7 @@ class SymExpr:
         return SymExpr(alts, frozenset(flags))
 
     def with_flags(self, *extra: str) -> SymExpr:
-        return SymExpr(self.alts, self.flags | set(extra))
+        return self if self.flags.issuperset(extra) else SymExpr(self.alts, self.flags.union(extra))
 
     def variables(self) -> set[str]:
         return set().union(*(p.variables() for p in self.alts))
@@ -309,6 +347,11 @@ SYM_ZERO = SymExpr.of(ZERO)
 
 def add(a: SymExpr, b: SymExpr) -> SymExpr:
     """Pointwise sum: max(A) + max(B) = max over pairs of (p + q)."""
+    if b.alts == (ZERO,):
+        a, b = b, a
+    if a.alts == (ZERO,):  # the sum is b, with a's flags
+        alts = _prune(b.alts)
+        return b if alts is b.alts and a.flags <= b.flags else SymExpr(alts, a.flags | b.flags)
     return SymExpr(_prune(tuple(p + q for p in a.alts for q in b.alts)), a.flags | b.flags)
 
 
@@ -324,8 +367,12 @@ def sym_max(a: SymExpr, b: SymExpr) -> SymExpr:
 
 
 def substitute(e: SymExpr, binding: dict[str, Poly]) -> SymExpr:
-    """Substitute polynomials for variables in every alternative."""
-    return SymExpr(_prune(tuple(p.substitute(binding) for p in e.alts)), e.flags)
+    """Substitute polynomials for variables in every alternative; `e`
+    itself when the binding names none of its variables."""
+    alts = tuple(p.substitute(binding) for p in e.alts)
+    if all(map(operator.is_, alts, e.alts)):
+        return e
+    return SymExpr(_prune(alts), e.flags)
 
 
 @lru_cache(maxsize=None)

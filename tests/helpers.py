@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 
-from mclcheck import callgraph, escape
+from mclcheck import callgraph, escape, symexpr
 from mclcheck.escape import (
     ANNOTATED_CAPTURED,
     ESCAPES_UNANNOTATED,
@@ -29,7 +30,7 @@ from mclcheck.escape import (
 from mclcheck.frontend import OBJECT_KEY
 from mclcheck.frontend.syntax import NewStmt, callee_of, iter_stmts
 from mclcheck.oracle import Ref
-from mclcheck.symexpr import Poly, SymExpr
+from mclcheck.symexpr import Poly, SymExpr, _normal
 
 
 def brute_sum(p: Poly, var: str, lo: int, hi: int, env: dict[str, int] | None = None) -> Fraction:
@@ -414,3 +415,102 @@ def reference_analysis(program):
         for q in comp:
             lifetimes[q] = reference_lifetimes(methods[q], graphs[q], class_map, program)
     return summaries, graphs, lifetimes
+
+
+# ---------------------------------------------- reference symbolic arithmetic
+
+# The symbolic operations as they were before an identity returned its
+# operand: every sum goes through a dict and a sort, every coefficient is
+# normalized, and every result is rebuilt, even one equal to an operand.
+# `reference_arithmetic` swaps them into `symexpr`, so that whatever is
+# built from them (`sym_max`, `sym_sum`, `sum_over`, `max_over`) is computed
+# the general way too.  Tests hold `symexpr` to the same terms, alternative
+# order and flags.
+
+
+def _reference_from_dict(d):
+    return Poly(tuple(sorted((m, _normal(c)) for m, c in d.items() if c)))
+
+
+def _reference_const(value):
+    return _reference_from_dict({(): value})
+
+
+def _reference_mono_mul(a, b):
+    acc = dict(a)
+    for var, exp in b:
+        acc[var] = acc.get(var, 0) + exp
+    return tuple(sorted(acc.items()))
+
+
+def _reference_poly_add(self, other):
+    acc = dict(self.terms)
+    for m, c in symexpr._as_poly(other).terms:
+        acc[m] = acc.get(m, 0) + c
+    return _reference_from_dict(acc)
+
+
+def _reference_poly_sub(self, other):
+    return self + (-symexpr._as_poly(other))
+
+
+def _reference_poly_mul(self, other):
+    acc = {}
+    for m1, c1 in self.terms:
+        for m2, c2 in symexpr._as_poly(other).terms:
+            m = _reference_mono_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+    return _reference_from_dict(acc)
+
+
+def _reference_poly_substitute(self, binding):
+    out = Poly()
+    for m, c in self.terms:
+        term = _reference_const(c)
+        for var, exp in m:
+            factor = binding.get(var, Poly.var(var))
+            for _ in range(exp):
+                term = term * factor
+        out = out + term
+    return out
+
+
+def _reference_prune(alts):
+    uniq = sorted(set(alts), key=lambda p: p.terms)
+    return tuple(p for p in uniq
+                 if not any(q is not p and q != p and symexpr._dominates(q, p) for q in uniq))
+
+
+def _reference_with_flags(self, *extra):
+    return SymExpr(self.alts, self.flags | set(extra))
+
+
+def _reference_add(a, b):
+    return SymExpr(_reference_prune(tuple(p + q for p in a.alts for q in b.alts)),
+                   a.flags | b.flags)
+
+
+def _reference_substitute(e, binding):
+    return SymExpr(_reference_prune(tuple(p.substitute(binding) for p in e.alts)), e.flags)
+
+
+@contextmanager
+def reference_arithmetic():
+    """Inside, `symexpr` computes by the reference operations above; call
+    its functions through the module, as `symexpr.add`, to get them."""
+    swaps = [(Poly, "from_dict", staticmethod(_reference_from_dict)),
+             (Poly, "const", staticmethod(_reference_const)),
+             (Poly, "__add__", _reference_poly_add), (Poly, "__sub__", _reference_poly_sub),
+             (Poly, "__mul__", _reference_poly_mul), (Poly, "__rmul__", _reference_poly_mul),
+             (Poly, "substitute", _reference_poly_substitute),
+             (SymExpr, "with_flags", _reference_with_flags),
+             (symexpr, "_prune", _reference_prune), (symexpr, "add", _reference_add),
+             (symexpr, "substitute", _reference_substitute)]
+    saved = [(owner, name, owner.__dict__[name]) for owner, name, _ in swaps]
+    for owner, name, value in swaps:
+        setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        for owner, name, value in saved:
+            setattr(owner, name, value)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HIDDEN_CLASS, MIXED_VIEWS, UNDECLARED_OBJECT, call_nest_program
-from mclcheck import escape
+from helpers import HIDDEN_CLASS, MIXED_VIEWS, UNDECLARED_OBJECT, call_nest_program, relay_chain
+from mclcheck import escape, symexpr
 from mclcheck import summary as S
 from mclcheck.frontend import Tag, collapsed, expr_to_str, load, obligations
 from mclcheck.frontend.syntax import CallStmt, NewStmt, entry_vars, unassigned_entry_vars
@@ -1033,3 +1033,17 @@ def test_the_composed_calls_run_within_their_bounds():
     report = validate(load(COMPOSE, "compose.mcl"), hi=3)
     assert report.clean
     assert report.runs > 0
+
+
+def test_summarize_builds_a_polynomial_only_where_a_value_changes(monkeypatch):
+    """Adding a zero, pruning one alternative, adding no flag and binding no
+    variable of a bound each return an operand.  Over a chain of 30 calls
+    the summaries were 409 polynomials built when each rebuilt its result."""
+    program = load(relay_chain(30), "relay.mcl")
+    class_map, built = program.class_map(), []
+    init = symexpr.Poly.__init__
+    monkeypatch.setattr(symexpr.Poly, "__init__",
+                        lambda self, *args: built.append(init(self, *args)))
+    for m in program.methods():
+        S.summarize(m, S.MODE_TYPE, class_map)
+    assert len(built) == 146

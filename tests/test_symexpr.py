@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 
 from mclcheck import symexpr
 from mclcheck.symexpr import (
+    FLAG_BAD_ARG,
     FLAG_DEGREE_CAP,
     FLAG_MONOTONICITY,
+    FLAG_NO_RANGE,
     FLAG_SUM_GUARD,
+    SYM_ZERO,
+    ZERO,
     LinConstraint,
     Poly,
     SymExpr,
@@ -31,7 +35,7 @@ from mclcheck.symexpr import (
     symexpr_to_str,
 )
 
-from helpers import brute_max, brute_sum, random_poly
+from helpers import brute_max, brute_sum, random_poly, reference_arithmetic
 
 N = Poly.var("n")
 M = Poly.var("m")
@@ -186,6 +190,85 @@ def test_dominance_reads_the_coefficients_of_the_difference(tq, tp):
     q, p = rational_poly(tq), rational_poly(tp)
     for a, b in ((q, p), (p, q), (q, q + p), (q + p, p)):
         assert symexpr._dominates(a, b) == (a - b).coeffs_nonneg()
+
+
+# --- each operation against the reference ----------------------------------
+
+def _shape(x):
+    """What an operation must give: each term with its coefficient's type,
+    the alternatives in their order, and the flags."""
+    if isinstance(x, Poly):
+        return tuple((m, type(c), c) for m, c in x.terms)
+    return tuple(_shape(p) for p in x.alts), x.flags
+
+
+def _random_poly(rng):
+    """Zero now and then, else a polynomial over n, m and i, its
+    coefficients negative as well and, scaled, fractional."""
+    if rng.random() < 0.15:
+        return ZERO
+    p = random_poly(rng, ["n", "m", "i"], max_degree=2, max_terms=4)
+    return p.scale(Fraction(rng.choice((1, -1)), rng.randint(2, 3))) if rng.random() < 0.3 else p
+
+
+def _random_sym(rng):
+    """One, two or three alternatives, now and then flagged; or, as the
+    summarizer's headroom is, the same less a polynomial and left unpruned."""
+    e = SymExpr.of(*(_random_poly(rng) for _ in range(rng.choice((1, 1, 2, 3)))))
+    if rng.random() < 0.15:
+        low = _random_poly(rng)
+        e = SymExpr(tuple(p - low for p in e.alts), e.flags)
+    flags = rng.sample((FLAG_BAD_ARG, FLAG_NO_RANGE, FLAG_MONOTONICITY), rng.randint(0, 2))
+    return e.with_flags(*flags) if rng.random() < 0.4 else e
+
+
+def _random_binding(rng):
+    names = rng.sample(["n", "m", "i", "k"], rng.randint(0, 2))
+    return {v: _random_poly(rng) for v in names}
+
+
+def _random_end(rng):
+    return rng.choice((Poly.const(rng.randint(0, 3)), N, M, N + C1, N + M, M.scale(2)))
+
+
+def test_every_operation_matches_the_reference_arithmetic():
+    rng = random.Random(38)
+    for _ in range(500):
+        p, q = _random_poly(rng), _random_poly(rng)
+        a, b, c = _random_sym(rng), _random_sym(rng), _random_sym(rng)
+        binding, k = _random_binding(rng), rng.choice((0, 1, -2, Fraction(1, 2), Fraction(4, 2)))
+        lo, hi = _random_end(rng), _random_end(rng)
+        context = rng.choice(((), (LinConstraint.compare(M, "<=", N),)))
+        clean = SymExpr.of(*a.alts, flags=a.flags)  # an identity keeps alternatives as given
+        ops = {"+": lambda: p + q, "+ const": lambda: p + k, "-": lambda: p - q,
+               "*": lambda: p * q, "add": lambda: symexpr.add(a, b),
+               "add zero": lambda: symexpr.add(SYM_ZERO.with_flags(*c.flags), b),
+               "sym_max": lambda: symexpr.sym_max(a, b),
+               "sym_sum": lambda: symexpr.sym_sum([a, b, c]),
+               "Poly.substitute": lambda: p.substitute(binding),
+               "substitute": lambda: symexpr.substitute(clean, binding),
+               "with_flags": lambda: b.with_flags(*c.flags),
+               "sum_over": lambda: symexpr.sum_over(a, "i", lo, hi, context),
+               "max_over": lambda: symexpr.max_over(a, "i", lo, hi)}
+        for name, op in ops.items():
+            got = op()
+            with reference_arithmetic():
+                expect = op()
+            assert _shape(got) == _shape(expect), name
+
+
+def test_each_identity_returns_its_operand():
+    p = N.scale(Fraction(1, 2)) + M * M
+    e = SymExpr.of(p, N + C1, flags={FLAG_BAD_ARG})
+    assert p + ZERO is p and ZERO + p is p and p - ZERO is p and p + 0 is p
+    assert e.with_flags() is e and e.with_flags(FLAG_BAD_ARG) is e
+    assert p.substitute({"k": N}) is p and substitute(e, {"k": N, "i": M}) is e
+    one = (p,)
+    assert symexpr._prune(one) is one and symexpr._prune(e.alts) is e.alts
+    assert add(SYM_ZERO, e) is e and add(e, SYM_ZERO) is e
+    flagged = SYM_ZERO.with_flags(FLAG_NO_RANGE)
+    assert add(flagged, e).alts is e.alts
+    assert add(flagged, e).flags == {FLAG_BAD_ARG, FLAG_NO_RANGE}
 
 
 # --- interval summation ----------------------------------------------------

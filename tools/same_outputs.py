@@ -41,7 +41,11 @@ the two imports never mix, and each runs the same command lines through
   of calls whose maximum is past the cap beside a loop that is not; and
   recursion through members without clauses: a `spin` that allocates
   nothing, one that allocates, and a mutual recursion, whose escape
-  summaries change across fixpoint rounds;
+  summaries change across fixpoint rounds; a declared bound that sums
+  five two-way maxes over four parameters, none of whose 32 alternatives
+  another dominates; and a loop over `m .. n` whose closed form has half
+  coefficients, once clamped at zero, once with its guard proved from
+  `requires`, and once flagged `sum-guard-unproven`;
 - on eight methods that charge what they do not declare (a class charged
   only through a callee's contract, a `dest_esc` tag, an `add_esc` pull,
   an allocation in a method without clauses, and a caller that charges
@@ -193,6 +197,14 @@ def _spin(alloc: str) -> str:
             f"        {alloc}if (n > 0) {{ this.spin(n - 1); }}\n    }}\n}}\n")
 
 
+def _sums_f(method: str, requires: str, inner: str) -> str:
+    """A method whose loop over i = m .. n allocates once per j of
+    `inner`."""
+    return (f"    void {method}(int n, int m) {{\n        requires({requires});\n"
+            "        memreq<A>(n*n + n + m*m + m);\n        for (i = m .. n) {\n"
+            f"            for (j = {inner}) {{ A a = new A(); }}\n        }}\n    }}\n")
+
+
 def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     """`check` in both formats, `instrument` and `ptg` on clauses and facts
     the decision procedure meets rarely, and the eight absent-clause and
@@ -228,6 +240,15 @@ def _decision_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
                   "        if (n > 0) { this.g(n - 1); }\n    }\n\n"
                   "    void g(int k) {\n        requires(k >= 0);\n        this.f(k);\n"
                   "    }\n}\n",
+        "max-sum": "class A {\n}\n\nclass P {\n    void f(int n, int m, int p, int q) {\n"
+                   "        requires(n >= 0 && m >= 0 && p >= 0 && q >= 0);\n"
+                   "        memreq<A>(max(n*n, 1) + max(m*n, 2) + max(m*m, 3) + max(p*n, 4)"
+                   " + max(q*m, 5));\n        A a = new A();\n    }\n}\n",
+        # sum_over's guard clamped at zero, proved from requires, and flagged
+        "fraction-sum": "class A {\n}\n\nclass P {\n"
+                        + "\n".join([_sums_f("clamped", "n >= 0 && m >= 0", "1 .. i"),
+                                     _sums_f("proved", "m >= 0 && m <= n", "1 .. i"),
+                                     _sums_f("flagged", "n >= 0 && m >= 0", "i .. n")]) + "}\n",
     }
     compared = {
         "callee-only": "class A {\n}\n\nclass B {\n}\n\nclass P {\n    void g() {\n"
