@@ -84,7 +84,14 @@ that a frame slot holds is rooted, so the suspects are the objects that
 are new, or that lost a reference while no frame slot held them, and that
 no frame slot has taken since.  A sweep searches back from each suspect,
 so it reclaims exactly the objects a full mark from the roots would miss,
-in the same order.
+in the same order.  For a suspect with an empty `incoming`, such as the
+object a local just let go, the search ends at once: it is garbage, as in
+plain reference counting (Deutsch and Bobrow, CACM 1976), since a root
+reaches an object only along a path whose last step is a reference to it,
+a slot that `incoming` counts, and no slot holds it.  Any other suspect is
+a trial deletion (Bacon and Rajan, ECOOP 2001).  Either way, dropping the
+fields of garbage makes its children suspects, so one sweep reclaims a
+whole dead cascade.
 Activation serials grow from the bottom of the stack to the top, and each
 object stores as `born` the serial the next activation would get, so a
 frame on the stack counted an object iff its serial is below the object's
@@ -220,9 +227,10 @@ class InterpreterFault(Exception):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ref:
-    """Heap reference; a distinct type so ints never masquerade as objects."""
+    """Heap reference; a distinct type so ints never masquerade as objects.
+    A value: two references are equal iff they name the same object."""
 
     oid: int
 
@@ -864,13 +872,15 @@ class Interp:
 
     def _alloc(self, cls_key: str, weight: int, site: str,
                fields_: dict, length: int | None) -> Ref:
+        """A fresh object, counted in every frame on the stack.  Its fields
+        hold no reference, so it references nothing: an instance's hold
+        their class defaults, a `new` array's null, and a harness array's
+        plain values or null, as `_value` binds elements (MCL arrays have
+        one dimension)."""
         oid = self._next_oid
         self._next_oid += 1
         self.heap[oid] = HeapObject(oid, cls_key, fields_, length, weight,
                                     self._next_serial)
-        for v in fields_.values():
-            if isinstance(v, Ref):
-                self._link(oid, v)
         if self.gc != "none":
             self.suspects.add(oid)
         for act in self.stack:
@@ -934,46 +944,55 @@ class Interp:
         """Reclaim every unreachable object.  Only a suspect can have become
         unreachable since the last sweep: search back from each along
         incoming references for a root slot or an object already shown
-        live.  A search that finds neither has visited a set closed under
-        referrers that no root holds, so all of it is garbage; dropping
-        its fields makes its children suspects in turn."""
+        live; from one that nothing references, the search ends at once.
+        A search that finds neither has visited a set closed under
+        referrers that no root holds, so all of it is garbage.  Dropping
+        the fields of garbage makes its children suspects in turn, and
+        once no suspect is left the garbage goes in ascending oid order."""
         if not self.suspects:
             return
+        heap, suspects = self.heap, self.suspects
         live: set[int] = set()
         dead: set[int] = set()
-        while self.suspects:
-            oid = self.suspects.pop()
+        while suspects:
+            oid = suspects.pop()
             if oid in live or oid in dead:
                 continue
-            seen = {oid}
-            work = [oid]
+            obj = heap[oid]
+            seen = {oid: obj}  # what the search visited, by oid
+            work = [obj]
             rooted = False
             while work and not rooted:
-                for src in self.heap[work.pop()].incoming:
+                for src in work.pop().incoming:
                     if src is None or src in live:
                         rooted = True
                         break
                     if src not in seen:
-                        seen.add(src)
-                        work.append(src)
+                        seen[src] = heap[src]
+                        work.append(seen[src])
             if rooted:
                 live.add(oid)
                 continue
-            dead |= seen
-            for d in seen:
-                for v in self.heap[d].fields.values():
+            dead.update(seen)
+            for d, obj in seen.items():
+                for v in obj.fields.values():
                     if isinstance(v, Ref):
                         self._unlink(d, v)
+        stack = self.stack
         for oid in sorted(dead):
-            obj = self.heap.pop(oid)
-            for act in self.stack:
+            obj = heap.pop(oid)
+            cls, weight = obj.cls, obj.weight
+            for act in stack:
                 if act.serial >= obj.born:
                     break
-                for key in (obj.cls, OBJECT_KEY):
-                    act.current[key] -= obj.weight
-                    if act.current[key] < 0:
-                        raise InterpreterFault(
-                            f"negative live count for {key} in {act.instance}")
+                # one after the other: a class named `object` counts twice
+                current = act.current
+                current[cls] = left = current[cls] - weight
+                current[OBJECT_KEY] = total = current[OBJECT_KEY] - weight
+                if left < 0 or total < 0:
+                    raise InterpreterFault(
+                        f"negative live count for {cls if left < 0 else OBJECT_KEY}"
+                        f" in {act.instance}")
             self.trace.append(("reclaim", oid))
 
     def _assert_accounting(self, acts=None):

@@ -593,6 +593,9 @@ class P {
     void f(out A x, int n) {
         x = null;
     }
+
+    void g(int[] xs, A[] as) {
+    }
 }
 """
 
@@ -606,14 +609,19 @@ def test_run_args_bind_to_in_parameters_only(tmp_path):
     assert json.loads(out)["observations"][0]["entryEnv"] == {"n": 3}
 
 
-@pytest.mark.parametrize("args, names", [
-    ("[null, 3]", "one per in-parameter (n); got 2"),
-    ('["x"]', "argument n must be int"),
-])
-def test_run_args_that_do_not_fit_are_usage_errors(tmp_path, args, names):
+# MCL arrays have one dimension, so P.g's elements bind only as plain
+# values or null, and a fresh array references nothing.
+@pytest.mark.parametrize("entry, args, names", [
+    ("P.f", "[null, 3]", "one per in-parameter (n); got 2"),
+    ("P.f", '["x"]', "argument n must be int"),
+    ("P.g", "[[[1]], []]", "argument xs[0] must be int"),
+    ("P.g", "[[1], [[]]]", "argument as[0] must be A"),
+], ids=["[null, 3]-one per in-parameter (n); got 2", '["x"]-argument n must be int',
+        "[[[1]], []]-argument xs[0] must be int", "[[1], [[]]]-argument as[0] must be A"])
+def test_run_args_that_do_not_fit_are_usage_errors(tmp_path, entry, args, names):
     path = tmp_path / "outfirst.mcl"
     path.write_text(OUT_FIRST)
-    code, out, err = cli("run", str(path), "--entry", "P.f", "--args", args)
+    code, out, err = cli("run", str(path), "--entry", entry, "--args", args)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and names in err
 

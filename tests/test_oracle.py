@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mclcheck.cli import _value_json
 from mclcheck.frontend import load, obligations, parse
 from mclcheck import oracle
 from mclcheck.instrument import instrument
@@ -19,6 +20,7 @@ from mclcheck.oracle import (
     NullDereference,
     OracleError,
     OutsidePrecondition,
+    Ref,
     RequiresViolation,
     StackExhausted,
     StepBudgetExceeded,
@@ -42,6 +44,15 @@ def load_corpus(name):
 
 
 # ------------------------------------------------------------ single runs
+
+
+def test_a_reference_is_a_value_named_by_its_oid():
+    assert Ref(3) == Ref(3) and hash(Ref(3)) == hash(Ref(3))
+    assert Ref(3) != Ref(4)
+    assert Ref(3) != 3 and Ref(3) != (3,) and Ref(3) != None
+    assert repr(Ref(3)) == "Ref(oid=3)"
+    assert not hasattr(Ref(3), "__dict__")
+    assert _value_json(Ref(3)) == {"$ref": 3}
 
 
 def test_ctor_run_counts_temporary():

@@ -261,6 +261,80 @@ def test_a_call_on_a_receiver_that_a_local_holds_runs_no_sweep(monkeypatch):
     assert counts == [1, 1]
 
 
+# The churn loop: each iteration drops the two nodes that the previous
+# one made, the first still linked to the second.
+CHURN = load("""
+class Node {
+    Node link;
+}
+
+class C {
+    void churn(int n) {
+        requires(n >= 1);
+        for (i = 1 .. n) {
+            Node a = new Node();
+            Node b = new Node();
+            a.link = b;
+        }
+    }
+}
+""", "churn.mcl")
+
+
+def test_a_sweep_looks_up_each_dropped_node_once(monkeypatch):
+    # a search keeps the objects it visits, so each iteration looks up its
+    # two nodes once each as they go, and b once more as a's field lets it go
+    assert visits(monkeypatch, "_sweep", SWEEP, CHURN, "C.churn", (100, 200)) == [300, 600]
+
+
+# x is allocated first and y holds it: once both locals are gone, only y's
+# field references x.
+CASCADE = load("""
+class Node {
+    Node next;
+}
+
+class P {
+    void cascade() {
+        Node x = new Node();
+        Node y = new Node();
+        y.next = x;
+        x = null;
+        y = null;
+    }
+
+    void held() {
+        Node x = new Node();
+        Node y = new Node();
+        y.next = x;
+        y = null;
+    }
+}
+""", "cascade.mcl")
+
+
+@pytest.mark.parametrize("entry, batches", [
+    # y goes, and with its field x: one sweep, in ascending oid order
+    ("P.cascade", [[1, 2]]),
+    # y goes, but the local x holds y's child until the frame pops
+    ("P.held", [[2], [1]]),
+])
+def test_a_sweep_reclaims_what_it_finds_in_oid_order(monkeypatch, entry, batches):
+    sweep = Interp._sweep
+    reclaimed = []
+
+    def recorded(self):
+        mark = len(self.trace)
+        sweep(self)
+        if len(self.trace) > mark:
+            reclaimed.append([ev[1] for ev in self.trace[mark:]])
+
+    monkeypatch.setattr(Interp, "_sweep", recorded)
+    trace = run(CASCADE, entry).trace
+    assert [ev[1] for ev in trace if ev[0] == "alloc"] == [1, 2]
+    assert reclaimed == batches
+
+
 # Build a list, then walk it with `t = t.next`.
 WALK = load("""
 class Cell {

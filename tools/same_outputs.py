@@ -71,7 +71,13 @@ the two imports never mix, and each runs the same command lines through
   written under the temporary directory: a receiver that a loop of pushes
   fills with a list, and a list built and then walked with `t = t.next`;
   each program's `Main.make` builds its own receiver, since `run` gives
-  the entry none.
+  the entry none;
+- `run`, as JSON and as human lines, under both `--gc` modes on two inputs
+  whose sweeps reclaim several objects at once, written under the
+  temporary directory: a cascade, in which dropping a node drops the last
+  reference to one allocated before it, and a churn loop of 5 iterations
+  that drops two linked nodes in each, so that which objects each sweep
+  reclaims, and in what order, are compared too.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -364,6 +370,36 @@ def _scaling_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     return lines
 
 
+# Sweeps that reclaim several objects: y holds x, allocated first, when
+# both locals go; and a churn loop whose nodes die two at a time.
+_RECLAIM = {
+    "cascade": ("class Node {\n    Node next;\n}\n\nclass Main {\n    void cascade() {\n"
+                "        Node x = new Node();\n        Node y = new Node();\n"
+                "        y.next = x;\n        x = null;\n        y = null;\n    }\n}\n",
+                "Main.cascade", "[]"),
+    "churn": ("class Node {\n    Node link;\n}\n\nclass Main {\n    void churn(int n) {\n"
+              "        requires(n >= 1);\n        for (i = 1 .. n) {\n"
+              "            Node a = new Node();\n            Node b = new Node();\n"
+              "            a.link = b;\n        }\n    }\n}\n",
+              "Main.churn", "[5]"),
+}
+
+
+def _reclaim_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
+    """`run` of each reclaim input, as JSON and as human lines, under both
+    `--gc` modes, on files written under work/reclaim."""
+    (work / "reclaim").mkdir()
+    lines: list[tuple[list[str], Path | None]] = []
+    for name, (text, entry, args) in _RECLAIM.items():
+        path = work / "reclaim" / f"{name}.mcl"
+        path.write_text(text)
+        for gc in ("ideal", "method-exit"):
+            run = ["run", str(path), "--entry", entry, "--args", args, "--gc", gc]
+            lines.append(([*run, "--format", "json"], None))
+            lines.append((run, None))
+    return lines
+
+
 def _load_chain(k: int) -> str:
     """w(j) reads one field further down its argument than w(j-1) and
     stores a fresh Box into it; `put` holds no load, and `drop` passes it a
@@ -436,7 +472,7 @@ def run_tree(src: str, seed: int) -> dict[str, list]:
                           for path in checked if Path(path).name.startswith("chain_")]
         (work / "matrix").mkdir()
         lines += (_corpus_matrix(work) + _hostile_matrix(work) + _decision_matrix(work)
-                  + _loads_matrix(work) + _scaling_matrix(work))
+                  + _loads_matrix(work) + _scaling_matrix(work) + _reclaim_matrix(work))
         for argv, emit in lines:
             key = _key(argv, tmp)
             if key in outcomes:
