@@ -39,7 +39,10 @@ current frame, and a body becomes a flat list of operations, each of which
 returns the index of the next, so an `if` and a `for` are explicit jumps.
 A call and the constructor a `new` runs lower alike, from the statement
 (`_Body.invoke`): one operation pushes the callee's frame, the next
-stores its result once it has returned.
+stores its result once it has returned.  A call site belongs to one
+table's code, so it finds its callee's lowered entry there on its first
+call, lowering the callee if need be, and keeps it: no later call through
+it names or looks up the callee again.
 The same per-method entry holds the sorted readers of the entry variables,
 the `ensure` conditions, and the `requires` constraints and the bound of
 each obligation as integer polynomials over one common denominator D,
@@ -99,11 +102,16 @@ frame on the stack counted an object iff its serial is below the object's
 an exiting activation, its young objects, are the heap's tail, and an exit
 works in proportion to them, as generation scavenging does (Ungar, SDE
 1984).  One walk back over them recounts the frame's live counts.  When
-there are any, a search back from them along incoming references records
-each edge it crosses; every path from an escape root to a young object
-runs through that object's ancestors, so a search forward from each root
-over the recorded edges alone reaches the young objects that a full mark
-from it would.  Every frame's live counts are recounted at the end of a
+there are two or more, a search back from them along incoming references
+records each edge it crosses; every path from an escape root to a young
+object runs through that object's ancestors, so a search forward from
+each root over the recorded edges alone reaches the young objects that a
+full mark from it would.  When there is one, y, the search back records
+nothing and no search forward follows: an object it visits is an ancestor
+of y by construction, so it reaches y, and a root reaches y only through
+one, so the roots it visits are exactly those that reach y.  Each of
+them escapes y's weight, and y is counted twice when two or more do.
+Every frame's live counts are recounted at the end of a
 run; the test suite recounts them after every statement, checks every
 sweep against a full mark, and every exit's escapes against a full mark
 from each root.  A reclaimed object leaves the heap for good, so any later
@@ -487,7 +495,8 @@ def _resume(store, nxt: int):
     def resume(it, act):
         if store is not None:
             store(it, act, it.ret)
-        it._method_exit_sweep()
+        if it.sweeps_at_exit:
+            it._method_exit_sweep()
         it._post_stmt()
         return nxt
     return resume
@@ -617,6 +626,7 @@ class _Body:
         store the callee's result."""
         k = len(self.ops)
         callee = callee_of(s)
+        target = None  # the callee lowered, found on the site's first call
         args, outs = [], []
         for param, arg in zip(callee.params, s.args):
             if isinstance(arg, OutArg):
@@ -627,6 +637,7 @@ class _Body:
                 args.append(_lower_expr(arg))
 
         def push(it, act):
+            nonlocal target
             if this is None:
                 receiver = act.this
             else:
@@ -635,7 +646,9 @@ class _Body:
                     raise NullDereference(f"call to {callee.name} on null")
             values = [a(it, act) for a in args]
             act.pc = k + 1
-            it._push(callee, receiver, values, outs)
+            if target is None:  # this code belongs to one table, it.table
+                target = it.table.method(callee)
+            it._push(target, receiver, values, outs)
             return _CALL
         self.ops.append(push)
         self.ops.append(_resume(
@@ -677,8 +690,10 @@ class _Bound:
         self.den, terms = integral(*clause.bound.alts)
         self.numerators = [_compiled(t) for t in terms]
         self.variables = clause.bound.variables()
+        # the largest numerator at an env: a lone alternative's is its own
+        self.top = self.numerators[0] if len(self.numerators) == 1 else self._largest
 
-    def top(self, env: dict[str, int]) -> int:
+    def _largest(self, env: dict[str, int]) -> int:
         return max(numerator(env) for numerator in self.numerators)
 
 
@@ -756,6 +771,7 @@ class Interp:
             raise ValueError("interpretation requires a resolved program")
         self.gc = gc
         self.sweeps_each_stmt = gc == "ideal"
+        self.sweeps_at_exit = gc == "method-exit"
         self.table = _table(program)
         self.heap: dict[int, HeapObject] = {}
         self.suspects: set[int] = set()  # new or dropped since the last sweep
@@ -775,12 +791,11 @@ class Interp:
         self.stack.append(act)
         return act
 
-    def _push(self, method: MethodDecl, this: Ref | None, values: list,
+    def _push(self, m: _Method, this: Ref | None, values: list,
               outs=()) -> Activation:
         if len(self.stack) >= MAX_FRAMES:
             raise StackExhausted(
                 f"calls nest deeper than the interpreter's {MAX_FRAMES} frames")
-        m = self.table.method(method)
         serial = self._next_serial
         self._next_serial += 1
         act = Activation(serial, m, f"{m.qname}@{serial}", this, outs)
@@ -826,7 +841,7 @@ class Interp:
         The calls it makes push their frames and run in this loop."""
         depth = len(self.stack)
         stack = self.stack
-        act = self._push(method, this, values, outs)
+        act = self._push(self.table.method(method), this, values, outs)
         code, pc = act.method.code, 0
         while True:
             while pc >= 0:
@@ -848,12 +863,15 @@ class Interp:
         caller.  The call's value is what it returned, or a constructor's
         instance."""
         self._finish(act, act.ret)
-        outs = [(act.locals[name], store) for name, store in act.outs]
-        self._pop(act)
-        caller = self.stack[-1]
-        for value, store in outs:
-            if store is not None:
-                store(self, caller, value)
+        if act.outs:
+            outs = [(act.locals[name], store) for name, store in act.outs]
+            self._pop(act)
+            caller = self.stack[-1]
+            for value, store in outs:
+                if store is not None:
+                    store(self, caller, value)
+        else:
+            self._pop(act)
         return act.this if act.method.is_ctor else act.ret
 
     # -- heap --------------------------------------------------------------
@@ -1030,12 +1048,11 @@ class Interp:
             self._sweep()
 
     def _method_exit_sweep(self):
-        # runs once per return, but only after the caller has rooted the
-        # returned or constructed object; a real collector sees that value
-        # in a register, not garbage
-        if self.gc == "method-exit":
-            self._sweep()
-            self._assert_accounting()
+        # under `method-exit` only, once per return, but only after the
+        # caller has rooted the returned or constructed object; a real
+        # collector sees that value in a register, not garbage
+        self._sweep()
+        self._assert_accounting()
 
     def _finish(self, act: Activation, ret):
         """Exit protocol: ensures, the recount of the frame's live counters,
@@ -1056,12 +1073,12 @@ class Interp:
         # the objects born in the activation are the heap's tail, as in
         # _assert_accounting: one walk back over them recounts the frame
         total: dict[str, int] = {}
-        young: set[int] = set()
+        young: list[HeapObject] = []
         serial = act.serial
         for obj in reversed(self.heap.values()):
             if obj.born <= serial:
                 break
-            young.add(obj.oid)
+            young.append(obj)
             cls, weight = obj.cls, obj.weight
             total[cls] = total.get(cls, 0) + weight
             total[OBJECT_KEY] = total.get(OBJECT_KEY, 0) + weight
@@ -1069,37 +1086,71 @@ class Interp:
             drift = _drift(act, total)
             if drift:
                 raise InterpreterFault(drift)
-        esc, doubled = self._escapes(young, roots) if young else ({}, ())
+        if not young:
+            esc, doubled = {}, ()
+        elif len(young) == 1:
+            esc, doubled = self._escapes_of_one(young[0], roots)
+        else:
+            esc, doubled = self._escapes({obj.oid for obj in young}, roots)
+        # the peaks as they are: `_alloc` stores only a count above zero,
+        # and the frame is popped next
         self.observations.append(Observation(
-            m.qname, act.instance, act.entry_env,
-            {k: v for k, v in act.peak.items() if v},
-            esc, tuple(sorted(doubled))))
+            m.qname, act.instance, act.entry_env, act.peak, esc, doubled))
         self.trace.append(("ret", m.qname, act.instance))
 
-    def _escapes(self, young: set[int], roots: dict) -> tuple[dict, set]:
-        """The weights by class of the young objects that each root reaches,
-        by tag, and the classes of those that several roots reach.  Every
-        path from a root to a young object runs through ancestors of that
-        object, so a search back from the young objects along `incoming`
-        that records each edge it crosses records every such path; a search
-        forward from each root over the recorded edges alone then reaches
-        exactly the young objects that a full mark from it would."""
+    def _escapes_of_one(self, y: HeapObject, roots: dict) -> tuple[dict, tuple]:
+        """`_escapes` for an activation that made one object, y.  Each object
+        a search back from y visits is an ancestor of y, so it reaches y,
+        and a root reaches y only through one: the roots among the visited
+        are exactly those that reach y, with no edge recorded and no search
+        forward."""
         heap = self.heap
-        kids: dict[int, list[int]] = {}  # referrer -> what it holds, of the searched
-        seen = set(young)
+        seen = {y.oid}
+        work = [y]
+        while work:
+            for src in work.pop().incoming:
+                if src is not None and src not in seen:
+                    seen.add(src)
+                    work.append(heap[src])
+        esc: dict[str, dict[str, int]] = {}
+        hits = 0
+        for tag_name, root in roots.items():
+            if isinstance(root, Ref) and root.oid in seen:
+                hits += 1
+                if y.weight:  # a zero-length array contributes nothing
+                    esc[tag_name] = {y.cls: y.weight, OBJECT_KEY: y.weight}
+        return esc, (y.cls,) if hits > 1 else ()
+
+    def _escapes(self, young: set[int], roots: dict) -> tuple[dict, tuple]:
+        """The weights by class of the young objects that each root reaches,
+        by tag, and the sorted classes of those that several roots reach.
+        Every path from a root to a young object runs through ancestors of
+        that object, so a search back from the young objects along
+        `incoming` that records each edge it crosses records every such
+        path; a search forward from each root over the recorded edges alone
+        then reaches exactly the young objects that a full mark from it
+        would."""
+        heap = self.heap
+        # referrer -> what it holds, of the searched; its keys and the young
+        # objects are what the search visited
+        kids: dict[int, list[int]] = {}
         work = list(young)
         while work:
             oid = work.pop()
             for src in heap[oid].incoming:
-                if src is not None:  # a frame slot is no root of an escape
-                    kids.setdefault(src, []).append(oid)
-                    if src not in seen:
-                        seen.add(src)
+                if src is None:  # a frame slot is no root of an escape
+                    continue
+                held = kids.get(src)
+                if held is not None:
+                    held.append(oid)
+                else:
+                    kids[src] = [oid]
+                    if src not in young:
                         work.append(src)
         esc: dict[str, dict[str, int]] = {}
         counted: list[set[int]] = []
         for tag_name, root in roots.items():
-            if not isinstance(root, Ref) or root.oid not in seen:
+            if not isinstance(root, Ref) or (root.oid not in kids and root.oid not in young):
                 continue  # it reaches no young object
             reached = {root.oid}
             work = [root.oid]
@@ -1123,7 +1174,7 @@ class Interp:
             for a, b in itertools.combinations(counted, 2):
                 for oid in a & b:
                     doubled.add(heap[oid].cls)
-        return esc, doubled
+        return esc, tuple(sorted(doubled)) if doubled else ()
 
     def _follow(self, act: Activation, ret, path: PathExpr):
         if path.root == "this":
@@ -1324,7 +1375,8 @@ def run_point(program: Program, qname: str, point: dict,
                 values, outs = _bind_args(
                     interp, ctor.params, _point_values(ctor.params, "ctor.", point))
                 interp._invoke(ctor, this, values, outs)
-                interp._method_exit_sweep()
+                if interp.sweeps_at_exit:
+                    interp._method_exit_sweep()
         values, outs = _bind_args(
             interp, method.params, _point_values(method.params, "", point))
         return this, values, outs

@@ -1,5 +1,6 @@
 """Incremental reclamation against a full mark: pinned runs, random heaps,
-and the work that a sweep and an activation's exit do."""
+the work that a sweep and an activation's exit do, and the exits of
+activations that made one object."""
 
 import io
 import pathlib
@@ -7,12 +8,13 @@ import random
 
 import pytest
 
-from helpers import forward_mark
+from helpers import exit_measurement, forward_mark
 from mclcheck.cli import main
 from mclcheck.frontend import load
-from mclcheck.oracle import Interp, InterpreterFault, Ref, run, run_point
+from mclcheck.oracle import Interp, InterpreterFault, Ref, _Table, run, run_point, validate
 
 PINNED = pathlib.Path(__file__).resolve().parent / "pinned"
+CORPUS = PINNED.parent.parent / "corpus"
 
 
 # ------------------------------------------------------------ pinned runs
@@ -79,7 +81,7 @@ def random_step(rng, interp, method):
         elif obj.length:
             interp._set_field(obj, rng.randrange(obj.length), rng.choice(values))
     elif op == 4 and len(interp.stack) < 4:
-        interp._push(method, rng.choice(values), [])
+        interp._push(interp.table.method(method), rng.choice(values), [])
     elif op == 5 and len(interp.stack) > 1:
         interp._assert_accounting([act])
         interp._pop(act)
@@ -379,3 +381,122 @@ def test_live_count_drift_shows_when_the_activation_exits(monkeypatch):
     monkeypatch.setattr(Interp, "_finish", drifting)
     with pytest.raises(InterpreterFault, match=r"drift in L\.chain@1"):
         run(LIST, "L.chain", [3])
+
+
+# ------------------------------------------------------------ work per call
+
+
+def test_a_call_site_finds_its_callee_once(monkeypatch):
+    # each harness run resolves its entry, and its receiver's constructor,
+    # once in `_invoke`; the rest are the call sites', one each per program
+    method, invoke = _Table.method, Interp._invoke
+    tally = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            tally[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(_Table, "method", counted("method", method))
+    monkeypatch.setattr(Interp, "_invoke", counted("invoke", invoke))
+    counts = []
+    for hi in (2, 4):
+        tally.update(method=0, invoke=0)
+        report = validate(load((CORPUS / "family.mcl").read_text(), "family.mcl"), hi=hi)
+        assert report.runs
+        counts.append(tally["method"] - tally["invoke"])
+    assert counts[0] == counts[1] > 0
+
+
+# ------------------------------------------------- exits with one young object
+
+
+# Each method of S makes one object y, so that its exit has one young
+# object; the constructor builds what they hang y on: an array and a
+# three-node list, old by the time any of them runs.
+ONE_YOUNG = load("""
+class Node {
+    Node next;
+}
+
+class S {
+    Node[] members;
+    Node head;
+
+    S() {
+        Node[] a = new Node[2];
+        this.members = a;
+        Node n1 = new Node();
+        Node n2 = new Node();
+        Node n3 = new Node();
+        n1.next = n2;
+        n2.next = n3;
+        this.head = n1;
+    }
+
+    Node make() {
+        Node y = new Node();
+        return y;
+    }
+
+    void add() {
+        Node y = new Node();
+        this.members[1] = y;
+    }
+
+    Node[] none() {
+        Node[] y = new Node[0];
+        return y;
+    }
+
+    Node both() {
+        Node y = new Node();
+        this.head = y;
+        return y;
+    }
+
+    void lose() {
+        Node y = new Node();
+    }
+
+    void tail() {
+        Node y = new Node();
+        Node t = this.head;
+        t = t.next;
+        t = t.next;
+        t.next = y;
+    }
+}
+""", "one.mcl")
+
+NODE = {"Node": 1, "object": 1}
+
+
+@pytest.mark.parametrize("gc", ["ideal", "method-exit"])
+@pytest.mark.parametrize("entry, esc, doubled", [
+    ("S.make", {"Return": NODE}, ()),                          # y returned
+    ("S.add", {"This": NODE}, ()),                             # in an old array
+    ("S.none", {}, ()),                                        # weighs nothing
+    ("S.both", {"Return": NODE, "This": NODE}, ("Node",)),     # two roots
+    ("S.lose", {}, ()),                                        # only a local
+    ("S.tail", {"This": NODE}, ()),                            # behind an old list
+])
+def test_an_exit_with_one_young_object_measures_what_a_full_mark_does(
+        monkeypatch, gc, entry, esc, doubled):
+    exits = []
+
+    def measured(self, act, ret):
+        young = sum(obj.born > act.serial for obj in self.heap.values())
+        FINISH(self, act, ret)
+        obs = self.observations[-1]
+        exits.append((obs.instance, young, (obs.esc, obs.double_counted),
+                      exit_measurement(self, act, ret)))
+
+    monkeypatch.setattr(Interp, "_finish", measured)
+    run_point(ONE_YOUNG, entry, {}, gc=gc)
+    instance, young, got, want = exits[-1]
+    assert (instance.split("@")[0], young) == (entry, 1)
+    assert got == want == (esc, doubled)
+    # the constructor made four, so its exit takes the general search
+    assert exits[0][1] == 4 and exits[0][2] == exits[0][3]

@@ -77,7 +77,14 @@ the two imports never mix, and each runs the same command lines through
   temporary directory: a cascade, in which dropping a node drops the last
   reference to one allocated before it, and a churn loop of 5 iterations
   that drops two linked nodes in each, so that which objects each sweep
-  reclaims, and in what order, are compared too.
+  reclaims, and in what order, are compared too;
+- `run`, as JSON and as human lines, and `validate --format json`, under
+  both `--gc` modes, on one input whose calls each make one object y,
+  written under the temporary directory: y returned, stored into an old
+  array that `this` holds, a returned zero-length array, y reached from
+  both `this` and `return`, y that no root reaches, and y hung behind an
+  old three-node list, so that the exit of an activation that made one
+  object is compared too.
 
 For each distinct command line it compares the exit code, stdout, stderr,
 the file it emitted (the DOT files of `ptg --dot`, concatenated) and any
@@ -400,6 +407,117 @@ def _reclaim_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
     return lines
 
 
+# Calls that each make one object y: the constructor builds the old array
+# and the old three-node list they hang y on, and `Main.all` runs each on
+# one receiver, `tail` before `both` replaces the list's head.  `Main.all`
+# declares nothing, so `validate` reports it with a witness trace.
+_ONE_YOUNG = """class Node {
+    Node next;
+}
+
+class S {
+    Node[] members;
+    Node head;
+
+    S() {
+        memreq<Node[]>(2);
+        memreq<Node>(3);
+        esc<Node[]>(this, 2);
+        esc<Node>(this, 3);
+        dest_esc(this);
+        Node[] a = new Node[2];
+        this.members = a;
+        dest_esc(this);
+        Node n1 = new Node();
+        dest_esc(this);
+        Node n2 = new Node();
+        dest_esc(this);
+        Node n3 = new Node();
+        n1.next = n2;
+        n2.next = n3;
+        this.head = n1;
+    }
+
+    Node make() {
+        memreq<Node>(1);
+        esc<Node>(return, 1);
+        dest_esc(return);
+        Node y = new Node();
+        return y;
+    }
+
+    void add() {
+        memreq<Node>(1);
+        esc<Node>(this, 1);
+        dest_esc(this);
+        Node y = new Node();
+        this.members[1] = y;
+    }
+
+    Node[] none() {
+        memreq<Node[]>(0);
+        dest_esc(return);
+        Node[] y = new Node[0];
+        return y;
+    }
+
+    Node both() {
+        memreq<Node>(1);
+        esc<Node>(return, 1);
+        esc<Node>(this, 1);
+        dest_esc(return);
+        Node y = new Node();
+        this.head = y;
+        return y;
+    }
+
+    void lose() {
+        memreq<Node>(1);
+        Node y = new Node();
+    }
+
+    void tail() {
+        memreq<Node>(1);
+        esc<Node>(this, 1);
+        dest_esc(this);
+        Node y = new Node();
+        Node t = this.head;
+        t = t.next;
+        t = t.next;
+        t.next = y;
+    }
+}
+
+class Main {
+    void all() {
+        S s = new S();
+        Node a = s.make();
+        s.add();
+        Node[] z = s.none();
+        s.tail();
+        Node b = s.both();
+        s.lose();
+    }
+}
+"""
+
+
+def _one_young_matrix(work: Path) -> list[tuple[list[str], Path | None]]:
+    """`run Main.all`, as JSON and as human lines, and `validate --format
+    json`, under both `--gc` modes, on `_ONE_YOUNG` written under
+    work/exits."""
+    (work / "exits").mkdir()
+    path = work / "exits" / "one-young.mcl"
+    path.write_text(_ONE_YOUNG)
+    lines: list[tuple[list[str], Path | None]] = []
+    for gc in ("ideal", "method-exit"):
+        run = ["run", str(path), "--entry", "Main.all", "--args", "[]", "--gc", gc]
+        lines.append(([*run, "--format", "json"], None))
+        lines.append((run, None))
+        lines.append((["validate", str(path), "--format", "json", "--gc", gc], None))
+    return lines
+
+
 def _load_chain(k: int) -> str:
     """w(j) reads one field further down its argument than w(j-1) and
     stores a fresh Box into it; `put` holds no load, and `drop` passes it a
@@ -472,7 +590,8 @@ def run_tree(src: str, seed: int) -> dict[str, list]:
                           for path in checked if Path(path).name.startswith("chain_")]
         (work / "matrix").mkdir()
         lines += (_corpus_matrix(work) + _hostile_matrix(work) + _decision_matrix(work)
-                  + _loads_matrix(work) + _scaling_matrix(work) + _reclaim_matrix(work))
+                  + _loads_matrix(work) + _scaling_matrix(work) + _reclaim_matrix(work)
+                  + _one_young_matrix(work))
         for argv, emit in lines:
             key = _key(argv, tmp)
             if key in outcomes:
